@@ -131,20 +131,20 @@ int main(int argc, char** argv) {
     opt.checkpoint.interval = 6;
     multi.enable_resilience(opt);
     multi.run(nsteps / 2);
-    multi.kill_device(0);
+    multi.kill_rank(0);
     multi.run(nsteps - nsteps / 2);
     const bool exact = bitwise_equal(multi.temperature(), truth_T) &&
                        bitwise_equal(multi.gather_intensity(), serial.intensity());
     all_exact = all_exact && exact;
-    std::printf("multi-gpu %9d %9lld %9lld %12.4f %14.6f %14.6f\n", multi.num_devices(),
+    std::printf("multi-gpu %9d %9lld %9lld %12.4f %14.6f %14.6f\n", multi.nparts(),
                 static_cast<long long>(multi.resilience_stats().evictions),
                 static_cast<long long>(multi.resilience_stats().replayed_steps),
                 multi.phases().total() * 1e3, multi.phases().recovery * 1e3,
                 multi.phases().redistribution * 1e3);
     json.begin_row();
-    json.cell("gpu_survivors", multi.num_devices());
+    json.cell("gpu_survivors", multi.nparts());
     json.cell("gpu_bit_exact", exact ? 1.0 : 0.0);
-    bench::check(exact && multi.num_devices() == 2 && multi.phases().redistribution > 0.0,
+    bench::check(exact && multi.nparts() == 2 && multi.phases().redistribution > 0.0,
                  "multi-GPU solver survives a device loss and bills the shard re-upload");
   }
 

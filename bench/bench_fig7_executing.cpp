@@ -39,7 +39,7 @@ int main() {
     const auto& ph = gpu.phases();
     if (ndev == 1) gpu1_total = ph.total();
     std::printf("%d GPU%s (hybrid)    intensity %.4f s   temperature %.4f s   comm %.4f s   total %.4f s\n",
-                ndev, ndev > 1 ? "s" : " ", ph.intensity, ph.temperature, ph.communication,
+                ndev, ndev > 1 ? "s" : " ", ph.compute, ph.post_process, ph.communication,
                 ph.total());
   }
 
@@ -50,9 +50,9 @@ int main() {
   gpu2.run(steps);
   const auto& ph = gpu2.phases();
   std::printf("\n");
-  bench::check(ph.intensity < cpu_intensity,
+  bench::check(ph.compute < cpu_intensity,
                "device kernel time (modeled) beats the measured CPU intensity sweep");
-  bench::check(ph.temperature / ph.total() > cpu_temp / (cpu_intensity + cpu_temp),
+  bench::check(ph.post_process / ph.total() > cpu_temp / (cpu_intensity + cpu_temp),
                "temperature update is a larger share of the hybrid run");
   bench::check(gpu1_total < cpu_intensity + cpu_temp,
                "the hybrid configuration wins end-to-end at equal partition count");

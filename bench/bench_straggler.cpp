@@ -361,7 +361,7 @@ int main(int argc, char** argv) {
     multi.enable_resilience(gopt);
     multi.inject_slow_device(2, slowdown);
     multi.run(nsteps * 2);
-    const MultiGpuSolver::Phases& gp = multi.phases();
+    const rt::PhaseTimes& gp = multi.phases();
     const auto gspans = bench::span_seconds(301);
     double gspan_total = 0;
     for (const auto& [name, sec] : gspans) gspan_total += sec;

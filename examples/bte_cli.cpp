@@ -406,9 +406,9 @@ int main(int argc, char** argv) {
     T = solver.temperature();
     report(T, s.nsteps * s.dt * 1e9);
     const auto& ph = solver.phases();
-    std::printf("modeled phases: intensity %.4f s, temperature %.4f s, comm %.4f s\n", ph.intensity,
-                ph.temperature, ph.communication);
-    for (int d = 0; d < solver.num_devices(); ++d)
+    std::printf("modeled phases: intensity %.4f s, temperature %.4f s, comm %.4f s\n", ph.compute,
+                ph.post_process, ph.communication);
+    for (int d = 0; d < solver.nparts(); ++d)
       std::printf("  device %d: %lld launches, %.1f MB moved\n", d,
                   static_cast<long long>(solver.device(d).counters().kernel_launches),
                   (solver.device(d).counters().bytes_h2d + solver.device(d).counters().bytes_d2h) / 1e6);

@@ -65,29 +65,10 @@ const ChaosCampaign::Reference& ChaosCampaign::reference(const std::string& solv
       solver + "/" + std::to_string(nparts) + "/" + std::to_string(nsteps);
   const auto it = refs_.find(key);
   if (it != refs_.end()) return it->second;
-  Reference ref;
-  const ResilienceOptions opt = defense_.to_options(nullptr);
-  if (solver == "cell") {
-    CellPartitionedSolver s(scen_, phys_, nparts);
-    s.enable_resilience(opt);
-    s.run(nsteps);
-    ref.T = s.gather_temperature();
-    ref.I = s.gather_intensity();
-  } else if (solver == "band") {
-    BandPartitionedSolver s(scen_, phys_, nparts);
-    s.enable_resilience(opt);
-    s.run(nsteps);
-    ref.T = s.temperature();
-    ref.I = s.gather_intensity();
-  } else if (solver == "mgpu") {
-    MultiGpuSolver s(scen_, phys_, nparts);
-    s.enable_resilience(opt);
-    s.run(nsteps);
-    ref.T = s.temperature();
-    ref.I = s.gather_intensity();
-  } else {
-    throw std::invalid_argument("ChaosCampaign: unknown solver '" + solver + "'");
-  }
+  AnySolver s(solver, scen_, phys_, nparts);
+  s.enable_resilience(defense_.to_options(nullptr));
+  s.run(nsteps);
+  Reference ref{s.temperature(), s.intensity()};
   return refs_.emplace(key, std::move(ref)).first->second;
 }
 
@@ -110,36 +91,14 @@ ChaosOutcome ChaosCampaign::run_schedule(const rt::ChaosSchedule& sched) {
   std::vector<double> T, I;
   double total = 0, elapsed = 0;
   try {
-    if (sched.solver == "cell") {
-      CellPartitionedSolver s(scen_, phys_, sched.nparts);
-      s.enable_resilience(opt);
-      s.run(sched.nsteps);
-      T = s.gather_temperature();
-      I = s.gather_intensity();
-      total = s.phases().total();
-      elapsed = s.virtual_elapsed();
-      out.stats = s.resilience_stats();
-    } else if (sched.solver == "band") {
-      BandPartitionedSolver s(scen_, phys_, sched.nparts);
-      s.enable_resilience(opt);
-      s.run(sched.nsteps);
-      T = s.temperature();
-      I = s.gather_intensity();
-      total = s.phases().total();
-      elapsed = s.virtual_elapsed();
-      out.stats = s.resilience_stats();
-    } else if (sched.solver == "mgpu") {
-      MultiGpuSolver s(scen_, phys_, sched.nparts);
-      s.enable_resilience(opt);
-      s.run(sched.nsteps);
-      T = s.temperature();
-      I = s.gather_intensity();
-      total = s.phases().total();
-      elapsed = s.virtual_elapsed();
-      out.stats = s.resilience_stats();
-    } else {
-      throw std::invalid_argument("ChaosCampaign: unknown solver '" + sched.solver + "'");
-    }
+    AnySolver s(sched.solver, scen_, phys_, sched.nparts);
+    s.enable_resilience(opt);
+    s.run(sched.nsteps);
+    T = s.temperature();
+    I = s.intensity();
+    total = s.phase_total();
+    elapsed = s.virtual_elapsed();
+    out.stats = s.resilience_stats();
     out.survived = true;
   } catch (const std::exception& e) {
     out.detail = e.what();

@@ -38,9 +38,8 @@
 #include <string>
 #include <vector>
 
-#include "bte/multi_gpu_solver.hpp"
-#include "bte/partitioned_solver.hpp"
 #include "bte/resilience.hpp"
+#include "bte/solver_factory.hpp"
 #include "runtime/chaos.hpp"
 
 namespace finch::bte {

@@ -21,9 +21,7 @@ double d_bose_einstein_dT(double omega, double T) {
 
 double equilibrium_intensity(const Band& band, double T, int nquad) {
   // Midpoint quadrature of g/(8 pi^3) * hbar w k(w)^2 f_BE(w,T) over the band.
-  const BranchDispersion* bd = nullptr;
   static const Dispersion si = Dispersion::silicon();
-  (void)bd;
   // The band carries its branch geometry through k(w); re-derive k from the
   // band's own dispersion via local quadratic inversion around k_c. For
   // accuracy we re-invert with the silicon dispersion of the band's branch.

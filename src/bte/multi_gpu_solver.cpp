@@ -1,58 +1,36 @@
 #include "multi_gpu_solver.hpp"
 
 #include <algorithm>
-#include <chrono>
-#include <cmath>
 #include <cstring>
 #include <span>
 #include <stdexcept>
 
-#include "runtime/metrics.hpp"
-#include "runtime/trace.hpp"
-
 namespace finch::bte {
-
-namespace {
-using Clock = std::chrono::steady_clock;
-double seconds_since(Clock::time_point t0) {
-  return std::chrono::duration<double>(Clock::now() - t0).count();
-}
-}  // namespace
 
 MultiGpuSolver::MultiGpuSolver(const BteScenario& scenario, std::shared_ptr<const BtePhysics> physics,
                                int num_devices, rt::GpuSpec spec)
-    : scen_(scenario), phys_(std::move(physics)), spec_(std::move(spec)) {
+    : DistributedEngine(scenario, std::move(physics),
+                        {"mgpu", rt::FaultKind::DeviceLoss, "gpu", "mgpu-mem"}),
+      spec_(std::move(spec)),
+      layout_(scen_, phys_) {
   if (num_devices < 1) throw std::invalid_argument("MultiGpuSolver: num_devices >= 1");
-  nx_ = scen_.nx;
-  ny_ = scen_.ny;
-  nd_ = phys_->num_dirs();
-  nb_ = phys_->num_bands();
   if (num_devices > nb_) throw std::invalid_argument("MultiGpuSolver: more devices than bands");
-  hx_ = scen_.lx / nx_;
-  hy_ = scen_.ly / ny_;
-  dt_ = scen_.dt;
-  const int ncell = nx_ * ny_;
-  T_.assign(static_cast<size_t>(ncell), scen_.T_init);
-  G_global_.resize(static_cast<size_t>(ncell) * nb_);
-
   // Interior/boundary split as in Fig. 6.
-  for (int j = 0; j < ny_; ++j)
-    for (int i = 0; i < nx_; ++i) {
-      const int32_t c = j * nx_ + i;
-      if (i == 0 || i == nx_ - 1 || j == 0 || j == ny_ - 1)
+  for (int j = 0; j < scen_.ny; ++j)
+    for (int i = 0; i < scen_.nx; ++i) {
+      const int32_t c = j * scen_.nx + i;
+      if (i == 0 || i == scen_.nx - 1 || j == 0 || j == scen_.ny - 1)
         boundary_cells_.push_back(c);
       else
         interior_cells_.push_back(c);
     }
-
   build_topology(num_devices);
 }
 
-// (Re)builds the device topology for `num_devices` devices: contiguous band
-// ranges, fresh SimGpu instances, state at T_init, and the one-time upload of
-// each band slice (the movement plan's upload_once). Called by the constructor
-// and by evict_and_redistribute, which follows it with a checkpoint restore
-// that overwrites the T_init state with the survivors' truth.
+// Fresh SimGpu instances (armed when resilience is), then the equal split and
+// the one-time upload of each band slice (the movement plan's upload_once).
+// An eviction follows it with a checkpoint restore that overwrites the T_init
+// state with the survivors' truth.
 void MultiGpuSolver::build_topology(int num_devices) {
   devices_.clear();
   for (int p = 0; p < num_devices; ++p) {
@@ -62,158 +40,67 @@ void MultiGpuSolver::build_topology(int num_devices) {
       devices_.back()->set_memory_budget(res_.memory);
     }
   }
-  std::vector<std::pair<int, int>> ranges(static_cast<size_t>(num_devices));
-  for (int p = 0; p < num_devices; ++p)
-    ranges[static_cast<size_t>(p)] = {p * nb_ / num_devices, (p + 1) * nb_ / num_devices};
-  apply_band_layout(ranges);
+  assign(BandLayout::equal(nb_, num_devices));
   detector_.resize(num_devices);
 }
 
-void MultiGpuSolver::apply_band_layout(const std::vector<std::pair<int, int>>& ranges) {
-  const int ncell = nx_ * ny_;
-  ranks_.assign(ranges.size(), Rank{});
-  for (size_t p = 0; p < ranges.size(); ++p) {
-    Rank& r = ranks_[p];
-    r.b_lo = ranges[p].first;
-    r.b_hi = ranges[p].second;
-    const int bl = r.b_hi - r.b_lo;
-    rt::SimGpu& gpu = *devices_[p];
-    r.I.resize(static_cast<size_t>(ncell) * nd_ * bl);
-    r.I_new.resize(r.I.size());
-    r.Io.resize(static_cast<size_t>(ncell) * bl);
-    r.beta.resize(r.Io.size());
-    for (int b = r.b_lo; b < r.b_hi; ++b) {
-      const double i0 = phys_->table.I0(b, scen_.T_init);
-      const double be = phys_->table.beta(b, scen_.T_init);
-      const int lb = b - r.b_lo;
-      for (int c = 0; c < ncell; ++c) {
-        r.Io[static_cast<size_t>(c) * bl + lb] = i0;
-        r.beta[static_cast<size_t>(c) * bl + lb] = be;
-        for (int d = 0; d < nd_; ++d) r.I[(static_cast<size_t>(c) * bl + lb) * nd_ + d] = i0;
-      }
-    }
-    r.dev_I = gpu.allocate(r.I.size());
-    r.dev_Iob = gpu.allocate(r.Io.size() + r.beta.size());
-    gpu.memcpy_h2d(r.dev_I, r.I);
-  }
+void MultiGpuSolver::relayout_away(int32_t victim) {
+  assign(BandLayout::derated(nb_, nparts_, victim, detector_.slowdown(victim)));
 }
 
-double MultiGpuSolver::wall_temperature(double x) const {
-  const double xc = scen_.hot_center_frac * scen_.lx;
-  const double rr = x - xc;
-  return scen_.T_cold +
-         (scen_.T_hot - scen_.T_cold) * std::exp(-2.0 * rr * rr / (scen_.hot_w * scen_.hot_w));
+void MultiGpuSolver::assign(const BandLayout::Ranges& ranges) {
+  layout_.assign(ranges);
+  mirrors_.assign(ranges.size(), Mirror{});
+  nparts_ = static_cast<int>(ranges.size());
+  for (size_t p = 0; p < ranges.size(); ++p) upload_slice(p);
 }
 
-void MultiGpuSolver::sweep_cells(Rank& r, const std::vector<int32_t>& cells) {
-  sweep_cells_into(r, cells, r.I, r.I_new);
+// (Re)allocates device p's mirrors and uploads its band slice.
+void MultiGpuSolver::upload_slice(size_t p) {
+  const BandLayout::Slice& s = layout_.slices[p];
+  Mirror& m = mirrors_[p];
+  rt::SimGpu& gpu = *devices_[p];
+  m.dev_I = gpu.allocate(s.I.size());
+  m.dev_Iob = gpu.allocate(s.Io.size() + s.beta.size());
+  gpu.memcpy_h2d(m.dev_I, s.I);
 }
 
-// The sweep parameterized over source/destination so the SDC repair path can
-// recompute a cell sub-range from the previous state (I_src = the shadow in
-// I_new after the swap) directly into the live array. Per-cell results depend
-// only on I_src, Io, beta, so any subset recomputes bit-identically.
-void MultiGpuSolver::sweep_cells_into(Rank& r, const std::vector<int32_t>& cells,
-                                      const std::vector<double>& I_src, std::vector<double>& out) {
-  const int bl = r.b_hi - r.b_lo;
-  const double ax = dt_ / hx_, ay = dt_ / hy_;
-  for (int b = r.b_lo; b < r.b_hi; ++b) {
-    const int lb = b - r.b_lo;
-    const double vg = phys_->bands[b].vg;
-    for (int d = 0; d < nd_; ++d) {
-      const double vx = vg * phys_->directions.s[static_cast<size_t>(d)].x;
-      const double vy = vg * phys_->directions.s[static_cast<size_t>(d)].y;
-      const int rx = phys_->directions.reflect_x[static_cast<size_t>(d)];
-      for (int32_t c : cells) {
-        const int i = static_cast<int>(c % nx_), j = static_cast<int>(c / nx_);
-        auto idx = [&](int cc, int dd) {
-          return (static_cast<size_t>(cc) * bl + lb) * nd_ + static_cast<size_t>(dd);
-        };
-        const double Ic = I_src[idx(c, d)];
-        const size_t cb = static_cast<size_t>(c) * bl + lb;
-        double val = Ic + dt_ * (r.Io[cb] - Ic) * r.beta[cb];
-
-        double Iw;
-        if (i > 0)
-          Iw = -vx > 0 ? Ic : I_src[idx(c - 1, d)];
-        else
-          Iw = -vx > 0 ? Ic : I_src[idx(c, rx)];
-        val -= ax * (-vx) * Iw;
-        double Ie;
-        if (i < nx_ - 1)
-          Ie = vx > 0 ? Ic : I_src[idx(c + 1, d)];
-        else
-          Ie = vx > 0 ? Ic : I_src[idx(c, rx)];
-        val -= ax * vx * Ie;
-        double Is;
-        if (j > 0)
-          Is = -vy > 0 ? Ic : I_src[idx(c - nx_, d)];
-        else
-          Is = -vy > 0 ? Ic : phys_->table.I0(b, scen_.T_cold);
-        val -= ay * (-vy) * Is;
-        double In;
-        if (j < ny_ - 1)
-          In = vy > 0 ? Ic : I_src[idx(c + nx_, d)];
-        else
-          In = vy > 0 ? Ic : phys_->table.I0(b, wall_temperature((i + 0.5) * hx_));
-        val -= ay * vy * In;
-
-        out[idx(c, d)] = val;
-      }
-    }
-  }
-}
-
-void MultiGpuSolver::set_trace_track(int32_t track, const std::string& label) {
-  trace_track_ = track;
-  if (!label.empty()) rt::Tracer::global().set_track_name(1, track, label);
-}
-
-void MultiGpuSolver::charge_phase(double Phases::*field, const char* name, double seconds) {
-  if (seconds <= 0) return;
-  phases_.*field += seconds;
-  rt::Tracer& tr = rt::Tracer::global();
-  if (tr.enabled()) {
-    rt::SpanAttrs attrs;
-    attrs.step = step_index_;
-    attrs.phase = name;
-    tr.record_complete(name, static_cast<int64_t>(std::llround(trace_cursor_ * 1e9)),
-                       static_cast<int64_t>(std::llround(seconds * 1e9)), trace_track_, attrs);
-  }
-  trace_cursor_ += seconds;
-  rt::MetricsRegistry::global()
-      .counter(std::string("mgpu.phase.") + name + "_seconds")
-      .add(seconds);
+void MultiGpuSolver::upload_coefficients(size_t p) {
+  const BandLayout::Slice& s = layout_.slices[p];
+  iob_scratch_.resize(s.Io.size() + s.beta.size());
+  std::copy(s.Io.begin(), s.Io.end(), iob_scratch_.begin());
+  std::copy(s.beta.begin(), s.beta.end(),
+            iob_scratch_.begin() + static_cast<std::ptrdiff_t>(s.Io.size()));
+  devices_[p]->memcpy_h2d(mirrors_[p].dev_Iob, iob_scratch_);
 }
 
 void MultiGpuSolver::step() {
-  const int ncell = nx_ * ny_;
   double comm = 0;
-  dev_seconds_.assign(ranks_.size(), 0.0);
+  dev_seconds_.assign(mirrors_.size(), 0.0);
 
-  for (size_t p = 0; p < ranks_.size(); ++p) {
-    Rank& r = ranks_[p];
+  for (size_t p = 0; p < mirrors_.size(); ++p) {
+    BandLayout::Slice& s = layout_.slices[p];
     rt::SimGpu& gpu = *devices_[p];
-    const int bl = r.b_hi - r.b_lo;
     const double dev_before = gpu.stream_clock(0);
     const double copy_before = gpu.counters().copy_seconds;
 
     // Interior kernel on the device (really executes on the band slice).
     rt::KernelStats ks;
-    ks.threads = static_cast<int64_t>(interior_cells_.size()) * nd_ * bl;
+    ks.threads = static_cast<int64_t>(interior_cells_.size()) * nd_ * s.bands();
     ks.flops_per_thread = 40;  // per-DOF update + 4-face upwind flux
     ks.fma_fraction = 0.3;
     ks.dram_bytes_per_thread = 18;
     ks.divergence = 0.05;
-    launch_with_retry(gpu, "bte_interior", ks, [&] { sweep_cells(r, interior_cells_); });
+    launch_with_retry(gpu, "bte_interior", ks,
+                      [&] { layout_.sweep(upwind_, s, interior_cells_, s.I, s.I_new); });
     const double kernel_seconds = gpu.stream_clock(0) - dev_before;
 
     // Boundary cells on the CPU (the user-callback side of Fig. 6).
     const auto t0 = Clock::now();
-    sweep_cells(r, boundary_cells_);
+    layout_.sweep(upwind_, s, boundary_cells_, s.I, s.I_new);
     const double cpu_boundary = seconds_since(t0);
 
-    r.I.swap(r.I_new);
+    s.I.swap(s.I_new);
 
     // Refresh the device mirror with the interior results (what the real
     // kernel would have produced in place), then D2H the band slice for the
@@ -239,7 +126,7 @@ void MultiGpuSolver::step() {
   double spec_extra = 0.0;
   const bool strag = resilient_ && res_.straggler.enabled;
   if (strag) detector_.observe(dev_seconds_);
-  if (strag && res_.straggler.speculation && num_devices() > 1) {
+  if (strag && res_.straggler.speculation && nparts_ > 1) {
     const int32_t victim = detector_.chronic_straggler();
     const int32_t helper = victim >= 0 ? detector_.least_loaded(victim) : -1;
     if (victim >= 0 && helper >= 0) {
@@ -253,63 +140,31 @@ void MultiGpuSolver::step() {
       rstats_.speculations += 1;
     }
   }
-  const double max_intensity = *std::max_element(dev_seconds_.begin(), dev_seconds_.end());
-  const double spec_charge = std::min(spec_extra, max_intensity);
+  const double max_compute = *std::max_element(dev_seconds_.begin(), dev_seconds_.end());
+  const double spec_charge = std::min(spec_extra, max_compute);
   // Stats mirror the *charged* (capped) speculation time, the same quantity
-  // the phase breakdown carries — charging the uncapped helper overshoot here
-  // made resilience_stats().speculation_seconds drift above
-  // phases().speculation (and hence above the wall-clock reconciliation)
-  // whenever the helper ran past the step it was speculating for.
+  // the phase breakdown carries, so resilience_stats().speculation_seconds
+  // equals phases().speculation exactly.
   rstats_.speculation_seconds += spec_charge;
-  charge_phase(&Phases::intensity, "intensity", max_intensity - spec_charge);
-  charge_phase(&Phases::speculation, "speculation", spec_charge);
-  charge_phase(&Phases::communication, "communication", comm);
+  charge(Slot::Compute, max_compute - spec_charge);
+  charge(Slot::Speculation, spec_charge);
+  charge(Slot::Communication, comm);
 
   // Gather band sums, temperature update on the CPU (replicated).
   const auto t0 = Clock::now();
-  for (Rank& r : ranks_) {
-    const int bl = r.b_hi - r.b_lo;
-    for (int b = r.b_lo; b < r.b_hi; ++b) {
-      const int lb = b - r.b_lo;
-      for (int c = 0; c < ncell; ++c) {
-        double g = 0.0;
-        for (int d = 0; d < nd_; ++d)
-          g += phys_->directions.weight[static_cast<size_t>(d)] *
-               r.I[(static_cast<size_t>(c) * bl + lb) * nd_ + static_cast<size_t>(d)];
-        G_global_[static_cast<size_t>(c) * nb_ + static_cast<size_t>(b)] = g;
-      }
-    }
-  }
-  std::vector<double> G(static_cast<size_t>(nb_));
-  for (int c = 0; c < ncell; ++c) {
-    for (int b = 0; b < nb_; ++b) G[static_cast<size_t>(b)] = G_global_[static_cast<size_t>(c) * nb_ + static_cast<size_t>(b)];
-    const double Tc = phys_->table.solve_temperature(G, T_[static_cast<size_t>(c)]);
-    T_[static_cast<size_t>(c)] = Tc;
-    for (Rank& r : ranks_) {
-      const int bl = r.b_hi - r.b_lo;
-      for (int b = r.b_lo; b < r.b_hi; ++b) {
-        const int lb = b - r.b_lo;
-        r.Io[static_cast<size_t>(c) * bl + lb] = phys_->table.I0(b, Tc);
-        r.beta[static_cast<size_t>(c) * bl + lb] = phys_->table.beta(b, Tc);
-      }
-    }
-  }
-  charge_phase(&Phases::temperature, "temperature", seconds_since(t0));
+  for (const BandLayout::Slice& s : layout_.slices) layout_.reduce_into_G(s);
+  layout_.update_temperature();
+  charge(Slot::PostProcess, seconds_since(t0));
 
   // H2D: refreshed Io/beta go back to each device — the movement plan's
   // per-step upload.
   double up = 0;
-  for (size_t p = 0; p < ranks_.size(); ++p) {
-    Rank& r = ranks_[p];
-    rt::SimGpu& gpu = *devices_[p];
-    const double before = gpu.counters().copy_seconds;
-    iob_scratch_.resize(r.Io.size() + r.beta.size());
-    std::copy(r.Io.begin(), r.Io.end(), iob_scratch_.begin());
-    std::copy(r.beta.begin(), r.beta.end(), iob_scratch_.begin() + static_cast<std::ptrdiff_t>(r.Io.size()));
-    gpu.memcpy_h2d(r.dev_Iob, iob_scratch_);
-    up = std::max(up, gpu.counters().copy_seconds - before);
+  for (size_t p = 0; p < mirrors_.size(); ++p) {
+    const double before = devices_[p]->counters().copy_seconds;
+    upload_coefficients(p);
+    up = std::max(up, devices_[p]->counters().copy_seconds - before);
   }
-  charge_phase(&Phases::communication, "communication", up);
+  charge(Slot::Communication, up);
 }
 
 // ---- resilience --------------------------------------------------------------
@@ -325,22 +180,21 @@ void MultiGpuSolver::launch_with_retry(rt::SimGpu& gpu, const std::string& name,
       rstats_.faults_detected += 1;
       if (!resilient_ || attempt >= res_.max_retries)
         throw;  // unrecoverable here; run() or the caller decides
-      const double delay = backoff_delay(res_, attempt);
-      charge_phase(&Phases::recovery, "recovery", delay);
-      rstats_.recovery_seconds += delay;
+      charge_recovery(backoff_delay(res_, attempt));
       rstats_.retries += 1;
     }
   }
 }
 
 void MultiGpuSolver::roundtrip_with_guard(size_t p) {
-  Rank& r = ranks_[p];
+  std::vector<double>& I = layout_.slices[p].I;
+  Mirror& m = mirrors_[p];
   rt::SimGpu& gpu = *devices_[p];
-  host_back_.resize(r.I.size());
-  const uint64_t want = resilient_ ? rt::checksum_doubles(r.I) : 0;
+  host_back_.resize(I.size());
+  const uint64_t want = resilient_ ? rt::checksum_doubles(I) : 0;
   for (int attempt = 0;; ++attempt) {
-    gpu.memcpy_h2d(r.dev_I, r.I);
-    gpu.memcpy_d2h(host_back_, r.dev_I);
+    gpu.memcpy_h2d(m.dev_I, I);
+    gpu.memcpy_d2h(host_back_, m.dev_I);
     if (!resilient_) return;
     if (rt::checksum_doubles(host_back_) == want) return;
     // Corrupted transfer: the band slice on the device (or the downloaded
@@ -351,16 +205,14 @@ void MultiGpuSolver::roundtrip_with_guard(size_t p) {
       health_.detail = "device " + std::to_string(p) + " round-trip checksum mismatch";
       return;  // validation fails; run() rolls back and replays this step
     }
-    const double delay = backoff_delay(res_, attempt);
-    charge_phase(&Phases::recovery, "recovery", delay);
-    rstats_.recovery_seconds += delay;
+    charge_recovery(backoff_delay(res_, attempt));
     rstats_.retries += 1;
   }
 }
 
 // ---- silent-data-corruption defense ------------------------------------------
 
-// SDC variant of the per-step round trip. Sequence, per rank:
+// SDC variant of the per-step round trip. Sequence, per device:
 //   1. refresh the ABFT block ledger from the swept host truth,
 //   2. upload; let the device storage decay (possible injected silent flip),
 //   3. download and *adopt* the device copy — the device is authoritative for
@@ -373,37 +225,35 @@ void MultiGpuSolver::roundtrip_with_guard(size_t p) {
 // Ledger upkeep + verification + sentinels are charged to the audit phase;
 // block recomputes to recovery.
 void MultiGpuSolver::sdc_roundtrip(size_t p) {
-  Rank& r = ranks_[p];
+  std::vector<double>& I = layout_.slices[p].I;
+  Mirror& m = mirrors_[p];
   rt::SimGpu& gpu = *devices_[p];
-  const int bl = r.b_hi - r.b_lo;
-  const size_t stride = static_cast<size_t>(bl) * static_cast<size_t>(nd_);
+  const size_t stride = static_cast<size_t>(layout_.slices[p].bands()) * static_cast<size_t>(nd_);
 
   auto a0 = Clock::now();
-  if (r.ledger.size() != r.I.size()) {
+  if (m.ledger.size() != I.size()) {
     const size_t block = static_cast<size_t>(std::max(1, res_.sdc.block_cells)) * stride;
-    r.ledger = rt::BlockLedger(r.I.size(), block);
+    m.ledger = rt::BlockLedger(I.size(), block);
   }
-  r.ledger.update(r.I);
+  m.ledger.update(I);
   double audit_s = seconds_since(a0);
 
   const int64_t flips_before = gpu.counters().silent_flips;
-  gpu.memcpy_h2d(r.dev_I, r.I);
-  gpu.decay(r.dev_I, "dev_I");
-  host_back_.resize(r.I.size());
-  gpu.memcpy_d2h(host_back_, r.dev_I);
-  std::copy(host_back_.begin(), host_back_.end(), r.I.begin());
+  gpu.memcpy_h2d(m.dev_I, I);
+  gpu.decay(m.dev_I, "dev_I");
+  host_back_.resize(I.size());
+  gpu.memcpy_d2h(host_back_, m.dev_I);
+  std::copy(host_back_.begin(), host_back_.end(), I.begin());
   if (gpu.counters().silent_flips > flips_before && flip_step_ < 0) flip_step_ = step_index_;
 
   a0 = Clock::now();
-  const std::vector<size_t> bad = r.ledger.verify(r.I);
+  const std::vector<size_t> bad = m.ledger.verify(I);
   audit_s += seconds_since(a0);
   for (size_t blk : bad) {
     note_sdc_detection();
     const auto r0 = Clock::now();
     const bool healed = repair_block(p, blk);
-    const double repair_s = seconds_since(r0);
-    charge_phase(&Phases::recovery, "recovery", repair_s);
-    rstats_.recovery_seconds += repair_s;
+    charge_recovery(seconds_since(r0));
     if (!healed) {
       health_.sdc_ok = false;
       health_.detail = "device " + std::to_string(p) + " block " + std::to_string(blk) +
@@ -414,46 +264,33 @@ void MultiGpuSolver::sdc_roundtrip(size_t p) {
   a0 = Clock::now();
   audit_sentinels(p);
   audit_s += seconds_since(a0);
-  charge_phase(&Phases::audit, "audit", audit_s);
-  rstats_.audit_seconds += audit_s;
-}
-
-void MultiGpuSolver::note_sdc_detection() {
-  rstats_.sdc_detections += 1;
-  // Injection and audit happen in the same step, so the observed latency is
-  // one step; the stat records the bound actually achieved.
-  const int64_t now = step_index_ + 1;
-  const int64_t latency = flip_step_ >= 0 ? now - flip_step_ : 1;
-  rstats_.max_detection_latency_steps = std::max(rstats_.max_detection_latency_steps, latency);
-  flip_step_ = -1;
+  charge_audit(audit_s);
 }
 
 // Localized repair: recompute one block's step from the previous state (the
-// shadow that I_new holds after the swap) straight into the live array. The
+// shadow I_new holds after the swap) straight into the live array. The
 // ledger's blocks align to whole cells, so the recompute is the exact
 // computation the sweep performed originally — bit-identical by construction.
 // Returns false when the block still mismatches afterwards (the "same block
 // failed twice" case the caller escalates to checkpoint rollback).
 bool MultiGpuSolver::repair_block(size_t p, size_t block) {
-  Rank& r = ranks_[p];
-  const int bl = r.b_hi - r.b_lo;
-  const size_t stride = static_cast<size_t>(bl) * static_cast<size_t>(nd_);
-  const rt::BlockLedger::Range range = r.ledger.range(block);
+  BandLayout::Slice& s = layout_.slices[p];
+  const Mirror& m = mirrors_[p];
+  const size_t stride = static_cast<size_t>(s.bands()) * static_cast<size_t>(nd_);
+  const rt::BlockLedger::Range range = m.ledger.range(block);
   repair_cells_.clear();
   for (size_t c = range.begin / stride; c * stride < range.end; ++c)
     repair_cells_.push_back(static_cast<int32_t>(c));
-  sweep_cells_into(r, repair_cells_, r.I_new, r.I);
+  layout_.sweep(upwind_, s, repair_cells_, s.I_new, s.I);
+  const std::span<double> repaired =
+      std::span<double>(s.I).subspan(range.begin, range.end - range.begin);
   // A repair hit by its own silent fault (site "repair") models the same
   // block failing twice — the localized path gives up and the run() loop
-  // falls back to the PR 1 checkpoint rollback.
+  // falls back to checkpoint rollback.
   if (res_.injector != nullptr &&
       res_.injector->should_fault(rt::FaultKind::BitFlipDeviceArray, "repair"))
-    res_.injector->flip_bit(
-        std::span<double>(r.I).subspan(range.begin, range.end - range.begin),
-        rt::FaultKind::BitFlipDeviceArray, "repair");
-  const rt::BlockChecksum now = rt::block_checksum(
-      std::span<const double>(r.I).subspan(range.begin, range.end - range.begin));
-  if (!now.matches(r.ledger.checksum(block))) {
+    res_.injector->flip_bit(repaired, rt::FaultKind::BitFlipDeviceArray, "repair");
+  if (!rt::block_checksum(repaired).matches(m.ledger.checksum(block))) {
     rstats_.repair_failures += 1;
     return false;
   }
@@ -469,27 +306,19 @@ bool MultiGpuSolver::repair_block(size_t p, size_t block) {
 // latency to one step.
 void MultiGpuSolver::audit_sentinels(size_t p) {
   if (res_.sdc.sentinel_cells <= 0) return;
-  Rank& r = ranks_[p];
-  const int bl = r.b_hi - r.b_lo;
-  const size_t stride = static_cast<size_t>(bl) * static_cast<size_t>(nd_);
-  const int ncell = nx_ * ny_;
-  if (sentinel_cells_.empty()) {
-    const int n = std::min(res_.sdc.sentinel_cells, ncell);
-    for (int k = 0; k < n; ++k)
-      sentinel_cells_.push_back(static_cast<int32_t>((static_cast<int64_t>(k) + 1) * ncell / (n + 1)));
-  }
-  sentinel_scratch_.resize(r.I.size());
-  sweep_cells_into(r, sentinel_cells_, r.I_new, sentinel_scratch_);
-  for (int32_t c : sentinel_cells_) {
+  const BandLayout::Slice& s = layout_.slices[p];
+  const size_t stride = static_cast<size_t>(s.bands()) * static_cast<size_t>(nd_);
+  const std::vector<int32_t>& cells = sentinel_cells();
+  sentinel_scratch_.resize(s.I.size());
+  layout_.sweep(upwind_, s, cells, s.I_new, sentinel_scratch_);
+  for (int32_t c : cells) {
     rstats_.sentinel_checks += 1;
     const size_t off = static_cast<size_t>(c) * stride;
-    if (std::memcmp(&r.I[off], &sentinel_scratch_[off], stride * sizeof(double)) == 0) continue;
+    if (std::memcmp(&s.I[off], &sentinel_scratch_[off], stride * sizeof(double)) == 0) continue;
     note_sdc_detection();
     const auto r0 = Clock::now();
-    const bool healed = repair_block(p, r.ledger.block_of(off));
-    const double repair_s = seconds_since(r0);
-    charge_phase(&Phases::recovery, "recovery", repair_s);
-    rstats_.recovery_seconds += repair_s;
+    const bool healed = repair_block(p, mirrors_[p].ledger.block_of(off));
+    charge_recovery(seconds_since(r0));
     if (!healed) {
       health_.sdc_ok = false;
       health_.detail = "device " + std::to_string(p) + " sentinel cell " + std::to_string(c) +
@@ -498,122 +327,38 @@ void MultiGpuSolver::audit_sentinels(size_t p) {
   }
 }
 
-// Energy-balance tripwire: the total intensity energy (the ledgers' Kahan
-// sums, already paid for) must not jump by more than the configured relative
-// tolerance in one step. A single flip is caught by the checksums long before
-// it moves this needle; the invariant exists to flag *systematic* corruption
-// (a wrong kernel, a stuck coefficient upload) and is recorded, not
-// health-failing — bit-exact detection stays the checksums' job.
-void MultiGpuSolver::audit_energy_invariant() {
+// Energy-balance tripwire input: the total intensity energy as the ledgers'
+// Kahan sums, already paid for. Not available until every ledger is armed.
+bool MultiGpuSolver::field_energy(double& energy) const {
   rt::KahanSum e;
-  for (const Rank& r : ranks_) {
-    if (r.ledger.size() != r.I.size()) return;  // ledger not armed yet
-    for (size_t b = 0; b < r.ledger.num_blocks(); ++b) e.add(r.ledger.checksum(b).sum);
+  for (size_t p = 0; p < mirrors_.size(); ++p) {
+    const rt::BlockLedger& ledger = mirrors_[p].ledger;
+    if (ledger.size() != layout_.slices[p].I.size()) return false;
+    for (size_t b = 0; b < ledger.num_blocks(); ++b) e.add(ledger.checksum(b).sum);
   }
-  if (have_prev_energy_) {
-    const double drift = std::abs(e.sum - prev_energy_) / std::max(std::abs(prev_energy_), 1e-300);
-    if (drift > res_.sdc.energy_drift_tol) rstats_.invariant_violations += 1;
-  }
-  prev_energy_ = e.sum;
-  have_prev_energy_ = true;
+  energy = e.sum;
+  return true;
 }
 
-void MultiGpuSolver::validate() {
-  rstats_.validations += 1;
-  if (resilient_ && res_.sdc.enabled) audit_energy_invariant();
-  size_t bad = 0;
-  for (size_t p = 0; p < ranks_.size(); ++p) {
-    if (!rt::all_finite(ranks_[p].I, &bad)) {
-      health_.finite_ok = false;
-      health_.nonfinite_values += 1;
-      health_.detail = "rank " + std::to_string(p) + " I[" + std::to_string(bad) + "] non-finite";
-    }
-  }
-  if (!rt::all_finite(T_, &bad)) {
-    health_.finite_ok = false;
-    health_.nonfinite_values += 1;
-    health_.detail = "T[" + std::to_string(bad) + "] non-finite";
-  }
+void MultiGpuSolver::scan_fields() {
+  for (size_t p = 0; p < layout_.slices.size(); ++p)
+    require_finite(layout_.slices[p].I, static_cast<int>(p), "I");
+  require_finite(layout_.T, -1, "T");
 }
 
-rt::Snapshot MultiGpuSolver::snapshot() const {
-  const size_t ncell = static_cast<size_t>(nx_) * static_cast<size_t>(ny_);
-  rt::Snapshot snap;
-  snap.step = step_index_;
-  std::vector<double> Io(ncell * static_cast<size_t>(nb_)), beta(Io.size());
-  for (const Rank& r : ranks_) {
-    const int bl = r.b_hi - r.b_lo;
-    for (int b = r.b_lo; b < r.b_hi; ++b) {
-      const int lb = b - r.b_lo;
-      for (size_t c = 0; c < ncell; ++c) {
-        Io[c * static_cast<size_t>(nb_) + static_cast<size_t>(b)] =
-            r.Io[c * static_cast<size_t>(bl) + static_cast<size_t>(lb)];
-        beta[c * static_cast<size_t>(nb_) + static_cast<size_t>(b)] =
-            r.beta[c * static_cast<size_t>(bl) + static_cast<size_t>(lb)];
-      }
-    }
+// Only rebuildable state is freed: the host staging buffers are resized
+// before every transfer that uses them.
+int64_t MultiGpuSolver::release_scratch() {
+  return release(host_back_) + release(iob_scratch_) + release(sentinel_scratch_);
+}
+
+void MultiGpuSolver::import_state(const rt::Snapshot& snap) {
+  layout_.import_state(snap);
+  // Device mirrors must match the restored host truth before replay.
+  for (size_t p = 0; p < mirrors_.size(); ++p) {
+    devices_[p]->memcpy_h2d(mirrors_[p].dev_I, layout_.slices[p].I);
+    upload_coefficients(p);
   }
-  snap.add("I", gather_intensity());
-  snap.add("T", T_);
-  snap.add("Io", Io);
-  snap.add("beta", beta);
-  return snap;
-}
-
-void MultiGpuSolver::restore(const rt::Snapshot& snap) {
-  const size_t ncell = static_cast<size_t>(nx_) * static_cast<size_t>(ny_);
-  const auto& I = snap.field("I");
-  const auto& T = snap.field("T");
-  const auto& Io = snap.field("Io");
-  const auto& beta = snap.field("beta");
-  if (I.size() != ncell * static_cast<size_t>(nd_) * static_cast<size_t>(nb_) ||
-      T.size() != ncell || Io.size() != ncell * static_cast<size_t>(nb_) ||
-      beta.size() != Io.size())
-    throw rt::CheckpointError("snapshot does not match problem size");
-  T_ = T;
-  for (size_t p = 0; p < ranks_.size(); ++p) {
-    Rank& r = ranks_[p];
-    const int bl = r.b_hi - r.b_lo;
-    for (int b = r.b_lo; b < r.b_hi; ++b) {
-      const int lb = b - r.b_lo;
-      for (size_t c = 0; c < ncell; ++c) {
-        r.Io[c * static_cast<size_t>(bl) + static_cast<size_t>(lb)] =
-            Io[c * static_cast<size_t>(nb_) + static_cast<size_t>(b)];
-        r.beta[c * static_cast<size_t>(bl) + static_cast<size_t>(lb)] =
-            beta[c * static_cast<size_t>(nb_) + static_cast<size_t>(b)];
-        for (int d = 0; d < nd_; ++d)
-          r.I[(c * static_cast<size_t>(bl) + static_cast<size_t>(lb)) * static_cast<size_t>(nd_) +
-              static_cast<size_t>(d)] =
-              I[c * static_cast<size_t>(nd_) * static_cast<size_t>(nb_) +
-                static_cast<size_t>(d + nd_ * b)];
-      }
-    }
-    // Device mirrors must match the restored host truth before replay.
-    rt::SimGpu& gpu = *devices_[p];
-    gpu.memcpy_h2d(r.dev_I, r.I);
-    iob_scratch_.resize(r.Io.size() + r.beta.size());
-    std::copy(r.Io.begin(), r.Io.end(), iob_scratch_.begin());
-    std::copy(r.beta.begin(), r.beta.end(),
-              iob_scratch_.begin() + static_cast<std::ptrdiff_t>(r.Io.size()));
-    gpu.memcpy_h2d(r.dev_Iob, iob_scratch_);
-  }
-  step_index_ = snap.step;
-  // Restored state invalidates the step-to-step SDC bookkeeping.
-  have_prev_energy_ = false;
-  flip_step_ = -1;
-}
-
-std::vector<int32_t> MultiGpuSolver::owner_counts() const {
-  std::vector<int32_t> counts(static_cast<size_t>(nb_), 0);
-  for (const Rank& r : ranks_)
-    for (int b = r.b_lo; b < r.b_hi; ++b) counts[static_cast<size_t>(b)] += 1;
-  return counts;
-}
-
-void MultiGpuSolver::take_checkpoint(const std::string& cancel_reason) {
-  store_.save(snapshot());
-  rstats_.checkpoints += 1;
-  write_run_manifest(res_, rstats_, "mgpu", num_devices(), config_hash(), store_, cancel_reason);
 }
 
 double MultiGpuSolver::copy_seconds_total() const {
@@ -622,255 +367,51 @@ double MultiGpuSolver::copy_seconds_total() const {
   return s;
 }
 
-void MultiGpuSolver::restore_checkpoint() {
-  // The device-mirror refresh is a real H2D cost; on the rollback path it is
-  // part of recovery (the eviction path bills its restore as redistribution).
-  const rt::Snapshot snap = load_checkpoint_guarded(store_, res_, rstats_, [this](double s) {
-    charge_phase(&Phases::recovery, "recovery", s);
-    rstats_.recovery_seconds += s;
-  });
+double MultiGpuSolver::restore_moving(const rt::Snapshot& snap, Slot slot, int64_t) {
   const double copy_before = copy_seconds_total();
   restore(snap);
   const double spent = copy_seconds_total() - copy_before;
-  charge_phase(&Phases::recovery, "recovery", spent);
-  rstats_.recovery_seconds += spent;
+  charge(slot, spent);
+  return spent;
 }
 
-void MultiGpuSolver::kill_device(int32_t device) {
-  if (!resilient_)
-    throw std::logic_error("kill_device: enable_resilience first (eviction needs a checkpoint)");
-  if (device < 0 || device >= num_devices())
-    throw std::invalid_argument("kill_device: device out of range");
-  pending_kill_ = device;
-}
-
-void MultiGpuSolver::evict_and_redistribute(int32_t victim) {
-  if (num_devices() <= 1)
-    throw ResilienceError("device " + std::to_string(victim) + " lost with no survivors");
-  rstats_.faults_detected += 1;
+double MultiGpuSolver::detect_loss(int32_t) {
   // Survivors notice the loss a suspicion timeout after it happens.
   const double timeout = res_.heartbeat.suspicion_timeout();
-  charge_phase(&Phases::recovery, "recovery", timeout);
-  rstats_.recovery_seconds += timeout;
-
-  // Redistribute the band shards over the M surviving devices and reload the
-  // last global checkpoint; the re-upload of every shard is the (measured)
-  // redistribution cost. The image is loaded through the guarded path, before
-  // the shrink, so a hang or corrupted read mid-restore retries / falls back a
-  // generation instead of leaving a half-shrunk device fleet.
-  const int64_t before = step_index_;
-  const rt::Snapshot snap = load_checkpoint_guarded(store_, res_, rstats_, [this](double s) {
-    charge_phase(&Phases::recovery, "recovery", s);
-    rstats_.recovery_seconds += s;
-  });
-  build_topology(num_devices() - 1);
-  const double copy_before = copy_seconds_total();
-  restore(snap);
-  const double spent = copy_seconds_total() - copy_before;
-  charge_phase(&Phases::redistribution, "redistribution", spent);
-  rstats_.redistribution_seconds += spent;
-  rstats_.evictions += 1;
-  rstats_.replayed_steps += before - step_index_;
+  charge(Slot::Recovery, timeout);
+  return timeout;
 }
 
 void MultiGpuSolver::inject_slow_device(int32_t device, double factor) {
-  if (device < 0 || device >= num_devices())
+  if (device < 0 || device >= nparts_)
     throw std::invalid_argument("inject_slow_device: device out of range");
   devices_[static_cast<size_t>(device)]->set_slow(factor);
 }
 
-void MultiGpuSolver::maybe_mitigate_stragglers() {
-  if (!resilient_ || !res_.straggler.enabled || !res_.straggler.rebalance) return;
-  if (num_devices() <= 1 || rstats_.rebalances >= res_.straggler.max_rebalances) return;
-  const int32_t victim = detector_.chronic_straggler();
-  if (victim >= 0) rebalance_away(victim);
-}
-
-void MultiGpuSolver::rebalance_away(int32_t victim) {
-  // Weighted contiguous split: the victim's share shrinks by its observed
-  // slowdown; everyone else keeps weight 1. The devices are reused — the slow
-  // hardware stays slow, it just owns fewer bands.
-  std::vector<double> w(static_cast<size_t>(num_devices()), 1.0);
-  w[static_cast<size_t>(victim)] = 1.0 / detector_.slowdown(victim);
-  double total = 0.0;
-  for (double x : w) total += x;
-  std::vector<std::pair<int, int>> ranges(w.size());
-  double cum = 0.0;
-  int lo = 0;
-  for (size_t p = 0; p < w.size(); ++p) {
-    cum += w[p];
-    int hi = p + 1 == w.size()
-                 ? nb_
-                 : static_cast<int>(std::lround(static_cast<double>(nb_) * cum / total));
-    hi = std::clamp(hi, lo, nb_);
-    ranges[p] = {lo, hi};
-    lo = hi;
-  }
-  const rt::Snapshot live = snapshot();
-  apply_band_layout(ranges);
-  const double copy_before = copy_seconds_total();
-  restore(live);
-  const double spent = copy_seconds_total() - copy_before;
-  charge_phase(&Phases::rebalance, "rebalance", spent);
-  rstats_.rebalance_seconds += spent;
-  rstats_.rebalances += 1;
-  detector_.resize(num_devices());
-}
-
-void MultiGpuSolver::enable_resilience(const ResilienceOptions& options) {
-  validate_resilience_options(options);
-  res_ = options;
-  resilient_ = true;
+void MultiGpuSolver::attach_defenses() {
   for (auto& dev : devices_) {
     dev->set_fault_injector(res_.injector);
     dev->set_memory_budget(res_.memory);
   }
-  if (res_.straggler.enabled) detector_ = rt::StragglerDetector(num_devices(), res_.straggler);
-  if (!res_.durable.dir.empty())
-    store_ = rt::CheckpointStore(res_.durable.dir, res_.durable.disk_generations);
-  register_memory_reliefs();
+  if (res_.straggler.enabled) detector_ = rt::StragglerDetector(nparts_, res_.straggler);
   rehome_device_mirrors();
-  take_checkpoint();  // rollback target before any resilient step runs
 }
 
-// The constructor allocated the device mirrors before enable_resilience could
-// attach a budget, so they are invisible to it. Re-allocate + re-upload them
-// through the now-budgeted devices: every mirror byte is then reserved against
-// the budget (and released with the buffer), which is what makes MemoryPressure
-// spikes and the relief-chain math operate on real occupancy instead of zero.
-// Later reallocations (eviction rebuilds, rebalance layouts) are charged as a
+// The constructor allocated the device mirrors before a budget was attached,
+// so they are invisible to it. Re-allocate + re-upload them through the
+// now-budgeted devices: every mirror byte is then reserved against the budget
+// (and released with the buffer), which is what makes MemoryPressure spikes
+// and the relief-chain math operate on real occupancy instead of zero. Later
+// reallocations (eviction rebuilds, rebalance layouts) are charged as a
 // matter of course since the devices keep the budget pointer.
 void MultiGpuSolver::rehome_device_mirrors() {
   if (res_.memory == nullptr) return;
-  for (size_t p = 0; p < ranks_.size(); ++p) {
-    Rank& r = ranks_[p];
-    rt::SimGpu& gpu = *devices_[p];
-    r.dev_I = gpu.allocate(r.I.size());
-    r.dev_Iob = gpu.allocate(r.Io.size() + r.beta.size());
-    gpu.memcpy_h2d(r.dev_I, r.I);
-  }
+  for (size_t p = 0; p < mirrors_.size(); ++p) upload_slice(p);
 }
 
-// Graceful degradation, cheapest first; only rebuildable state is freed (the
-// host staging buffers are resized before every transfer that uses them).
-void MultiGpuSolver::register_memory_reliefs() {
-  if (res_.memory == nullptr) return;
-  res_.memory->add_relief("ckpt-prev-generation",
-                          [this] { return store_.drop_previous_generation(); });
-  res_.memory->add_relief("scratch-shrink", [this] {
-    const auto shrink = [](std::vector<double>& v) {
-      const int64_t freed = static_cast<int64_t>(v.capacity() * sizeof(double));
-      v.clear();
-      v.shrink_to_fit();
-      return freed;
-    };
-    return shrink(host_back_) + shrink(iob_scratch_) + shrink(sentinel_scratch_);
-  });
-  res_.memory->add_relief("ckpt-spill", [this] { return store_.spill(); });
-}
-
-uint64_t MultiGpuSolver::config_hash() const {
-  ConfigHasher h;
-  h.mix(static_cast<int64_t>(scen_.nx)).mix(static_cast<int64_t>(scen_.ny));
-  h.mix(scen_.lx).mix(scen_.ly);
-  h.mix(static_cast<int64_t>(scen_.kind == BteScenario::Kind::CornerSource ? 1 : 0));
-  h.mix(scen_.T_init).mix(scen_.T_cold).mix(scen_.T_hot);
-  h.mix(scen_.hot_w).mix(scen_.hot_center_frac).mix(scen_.dt);
-  h.mix(static_cast<int64_t>(nd_)).mix(static_cast<int64_t>(nb_));
-  return h.value();
-}
-
-void MultiGpuSolver::resume_from(const rt::RunManifest& manifest,
-                                 const ResilienceOptions& options) {
-  validate_resilience_options(options);
-  if (options.durable.dir.empty())
-    throw std::invalid_argument("resume_from: options.durable.dir must name the manifest's dir");
-  check_manifest_matches(manifest, "mgpu", config_hash());
-  res_ = options;
-  resilient_ = true;
-  for (auto& dev : devices_) {
-    dev->set_fault_injector(res_.injector);
-    dev->set_memory_budget(res_.memory);
-  }
-  if (res_.straggler.enabled) detector_ = rt::StragglerDetector(num_devices(), res_.straggler);
-  register_memory_reliefs();
-  rehome_device_mirrors();
-  store_ = rt::CheckpointStore(res_.durable.dir, res_.durable.disk_generations);
-  store_.resume_sequence(manifest.saves);
-  // Adopt the prior run's surviving generation files so the first
-  // post-resume manifest keeps them as fallback (satellite of ISSUE 8:
-  // without adoption a second crash with a damaged newest generation
-  // had nothing older to fall back to).
-  store_.adopt_disk_paths(manifest.checkpoints);
-  restore(load_manifest_checkpoint(manifest, rstats_));  // re-uploads device mirrors
-  if (res_.injector != nullptr)
-    res_.injector->import_counters(manifest.injector_counters, manifest.injector_events);
-  rstats_.resumes += 1;
-  take_checkpoint();
-}
-
-void MultiGpuSolver::run(int nsteps) {
-  if (!resilient_) {
-    for (int i = 0; i < nsteps; ++i) step();
-    return;
-  }
-  const int64_t target = step_index_ + nsteps;
-  int rollback_budget = res_.max_rollbacks;
-  while (step_index_ < target) {
-    // Cancel/deadline drain and resource-fault consult at the step boundary;
-    // see CellPartitionedSolver::run.
-    if (res_.cancel != nullptr && res_.cancel->should_drain(step_index_, trace_cursor_)) {
-      take_checkpoint(res_.cancel->drain_reason(step_index_, trace_cursor_));
-      rstats_.cancel_drains += 1;
-      break;
-    }
-    consult_resource_faults(res_, rstats_, "mgpu-mem", [this](double s) {
-      charge_phase(&Phases::recovery, "recovery", s);
-      rstats_.recovery_seconds += s;
-    });
-    // Permanent losses surface at step boundaries: an explicit kill_device or
-    // an injected DeviceLoss with a deterministically drawn victim.
-    if (pending_kill_ < 0 && res_.injector != nullptr &&
-        res_.injector->should_fault(rt::FaultKind::DeviceLoss, "gpu"))
-      pending_kill_ = static_cast<int32_t>(
-          res_.injector->pick(rt::FaultKind::DeviceLoss, "gpu", static_cast<size_t>(num_devices())));
-    if (pending_kill_ >= 0) {
-      const int32_t victim = pending_kill_;
-      pending_kill_ = -1;
-      evict_and_redistribute(victim);
-      continue;
-    }
-    // Chronic stragglers are mitigated at the step boundary, never evicted:
-    // the device is alive and correct, just slow.
-    maybe_mitigate_stragglers();
-    health_ = StepHealth{};
-    try {
-      step();
-      ++step_index_;
-      validate();
-    } catch (const rt::TransientFault& fault) {
-      // Retry budget exhausted mid-step: some ranks advanced, some did not.
-      // Only a rollback restores a consistent state.
-      health_.transfer_ok = false;
-      health_.detail = std::string("retries exhausted: ") + fault.what();
-    }
-    if (health_.ok()) {
-      if (res_.checkpoint.due(step_index_)) take_checkpoint();
-      continue;
-    }
-    rstats_.faults_detected += 1;
-    if (rollback_budget-- <= 0)
-      throw ResilienceError("rollback budget exhausted: " + health_.detail);
-    // Replay is measured against the step the restore actually lands on — a
-    // corrupted-newest-image restore can fall back a generation, losing more
-    // than the distance to the latest checkpoint.
-    const int64_t before = step_index_;
-    restore_checkpoint();
-    rstats_.rollbacks += 1;
-    rstats_.replayed_steps += before - step_index_;
-  }
-  // Mirror the per-device performance-fault counters into the run stats.
-  // Evictions recreate devices, so this is a floor, not an exact total.
+// Mirrors the per-device performance-fault counters into the run stats.
+// Evictions recreate devices, so this is a floor, not an exact total.
+void MultiGpuSolver::sync_fault_telemetry() {
   int64_t jitter = 0;
   int64_t slow = 0;
   for (const auto& dev : devices_) {
@@ -879,23 +420,6 @@ void MultiGpuSolver::run(int nsteps) {
   }
   rstats_.jitter_events = jitter;
   rstats_.slow_steps = std::max(rstats_.slow_steps, slow);
-  publish_resilience_metrics(rstats_, published_);
-}
-
-std::vector<double> MultiGpuSolver::gather_intensity() const {
-  const int ncell = nx_ * ny_;
-  std::vector<double> out(static_cast<size_t>(ncell) * nd_ * nb_);
-  for (const Rank& r : ranks_) {
-    const int bl = r.b_hi - r.b_lo;
-    for (int b = r.b_lo; b < r.b_hi; ++b) {
-      const int lb = b - r.b_lo;
-      for (int c = 0; c < ncell; ++c)
-        for (int d = 0; d < nd_; ++d)
-          out[static_cast<size_t>(c) * nd_ * nb_ + static_cast<size_t>(d + nd_ * b)] =
-              r.I[(static_cast<size_t>(c) * bl + lb) * nd_ + static_cast<size_t>(d)];
-    }
-  }
-  return out;
 }
 
 }  // namespace finch::bte

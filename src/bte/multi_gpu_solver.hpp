@@ -5,183 +5,109 @@
 // interior bulk on the (simulated) GPU, boundary cells and the temperature
 // update on the CPU, per-step transfers following the movement plan.
 //
-// Numerics are bit-identical to the serial DirectSolver (tested); what the
-// simulated devices add is faithful accounting: per-device kernel launches,
-// H2D/D2H byte counters and roofline-modeled times feeding the same phase
-// breakdown the paper plots.
+// It runs on the shared DistributedEngine with the band layout of the
+// band-partitioned solver; what the simulated devices add is their own clock
+// and fault sites: per-device kernel launches, H2D/D2H byte counters and
+// roofline-modeled times charged to an "mgpu" rt::PhaseLedger (spans and
+// mgpu.phase.* counters carry the PhaseTimes names). Numerics are
+// bit-identical to the serial DirectSolver (tested).
 
 #include <cstdint>
+#include <functional>
 #include <memory>
-#include <utility>
+#include <string>
 #include <vector>
 
-#include "bte_problem.hpp"
-#include "resilience.hpp"
+#include "distributed_engine.hpp"
 #include "runtime/abft.hpp"
 #include "runtime/simgpu.hpp"
 
 namespace finch::bte {
 
-class MultiGpuSolver {
+class MultiGpuSolver : public DistributedEngine {
  public:
   MultiGpuSolver(const BteScenario& scenario, std::shared_ptr<const BtePhysics> physics,
                  int num_devices, rt::GpuSpec spec = rt::GpuSpec::a6000());
 
-  void step();
-  void run(int nsteps);
-
-  // Arms recovery: installs the injector on every device, takes the initial
-  // checkpoint, and makes run() retry transient launch faults, verify each
-  // host<->device round trip by checksum, validate fields per step, and roll
-  // back + replay from the last checkpoint when validation fails.
-  void enable_resilience(const ResilienceOptions& options);
-  bool resilient() const { return resilient_; }
-  const ResilienceStats& resilience_stats() const { return rstats_; }
-  const StepHealth& last_health() const { return health_; }
-  int64_t step_index() const { return step_index_; }
-
-  // Durable restart from a manifest; see CellPartitionedSolver::resume_from.
-  // Also re-uploads the restored state to every device mirror.
-  void resume_from(const rt::RunManifest& manifest, const ResilienceOptions& options);
-
-  // Elastic shrink: marks `device` as permanently lost (XID/ECC death); at the
-  // next run() step boundary the survivors redistribute the band shards over
-  // M = num_devices()-1 devices and restart from the last (topology-
-  // independent) checkpoint. Requires enable_resilience. DeviceLoss injector
-  // policies drive the same path with a deterministically drawn victim.
-  void kill_device(int32_t device);
+  // Interior kernel per device, boundary cells on the CPU, the host<->device
+  // round trip (checksummed, or ABFT-ledgered with localized block repair
+  // once resilience is armed), then the replicated temperature update.
+  void step() override;
 
   // Explicit deterministic performance fault: every launch on `device` models
   // `factor`x slower from now on (SlowRank with a hand-placed victim). The
   // kernel's computed result is untouched.
   void inject_slow_device(int32_t device, double factor);
 
-  // Canonical-global-layout snapshot/restore (N-to-M restart); images are
-  // interchangeable with the cell-/band-partitioned solvers' snapshots.
-  // restore() also refreshes every device mirror (the H2D re-upload the
-  // eviction path bills as redistribution).
-  rt::Snapshot snapshot() const;
-  void restore(const rt::Snapshot& snap);
-
-  // Per-band owner multiplicity; eviction invariant tests assert all 1.
-  std::vector<int32_t> owner_counts() const;
-
-  int num_devices() const { return static_cast<int>(devices_.size()); }
   const rt::SimGpu& device(int i) const { return *devices_[static_cast<size_t>(i)]; }
-
-  // Modeled per-step phase seconds (max over devices, as a BSP step).
-  struct Phases {
-    double intensity = 0;      // max(kernel, cpu boundary) per step, summed
-    double temperature = 0;    // CPU post-step (measured)
-    double communication = 0;  // PCIe transfers (modeled)
-    double recovery = 0;       // backoff + retransmit + restore (modeled)
-    double redistribution = 0; // shard re-upload after a device eviction
-    double audit = 0;          // ABFT ledger upkeep + verify + sentinels
-    double speculation = 0;    // duplicated straggler work on the critical path
-    double rebalance = 0;      // shard re-upload of a dynamic derate
-    double total() const {
-      return intensity + temperature + communication + recovery + redistribution + audit +
-             speculation + rebalance;
-    }
-  };
-  const Phases& phases() const { return phases_; }
-  // Virtual seconds consumed so far; equals phases().total() exactly (every
-  // phase charge advances this cursor, see charge_phase).
-  double virtual_elapsed() const { return trace_cursor_; }
-  // Routes this solver's virtual-time phase spans to Chrome-trace track
-  // `track` (see OBSERVABILITY.md); `label` names it in the exported file.
-  void set_trace_track(int32_t track, const std::string& label = "");
-  int32_t trace_track() const { return trace_track_; }
-
-  const std::vector<double>& temperature() const { return T_; }
-  std::vector<double> gather_intensity() const;
+  const std::vector<double>& temperature() const { return layout_.T; }
+  std::vector<double> gather_intensity() const override { return layout_.gather_intensity(); }
+  std::vector<double> gather_temperature() const override { return layout_.T; }
+  // Per-band owner multiplicity.
+  std::vector<int32_t> owner_counts() const override { return layout_.owner_counts(); }
 
  private:
-  struct Rank {
-    int b_lo = 0, b_hi = 0;
-    rt::DeviceBuffer dev_I;            // device mirror of the band slice
-    rt::DeviceBuffer dev_Iob;          // device mirror of Io+beta
-    std::vector<double> I, I_new;      // [cells * nd * bands_local]
-    std::vector<double> Io, beta;      // [cells * bands_local]
-    // ABFT block ledger over I (blocks = cell ranges x this rank's bands).
-    // Note: after step()'s I.swap(I_new), I_new holds the *previous* step's
-    // intensities — the shadow state the localized repair recomputes from.
+  struct Mirror {
+    rt::DeviceBuffer dev_I;    // device mirror of the band slice
+    rt::DeviceBuffer dev_Iob;  // device mirror of Io+beta
+    // ABFT block ledger over the slice's I (blocks = cell ranges x its
+    // bands). After step()'s swap the slice's I_new holds the previous
+    // step's intensities — the shadow state the localized repair recomputes
+    // from.
     rt::BlockLedger ledger;
   };
 
-  void build_topology(int num_devices);
-  // Assigns explicit contiguous band ranges to the *existing* devices —
-  // build_topology recreates devices then applies the equal split; the
-  // weighted rebalance reuses the devices (the slow hardware must stay slow)
-  // and only changes the assignment.
-  void apply_band_layout(const std::vector<std::pair<int, int>>& ranges);
-  void evict_and_redistribute(int32_t victim);
-  // Dynamic derate: the chronic straggler keeps a band share inversely
-  // proportional to its observed slowdown; survivors absorb the rest. State
-  // moves via a live snapshot (bit-exact, no replay); the re-upload is the
-  // rebalance cost.
-  void rebalance_away(int32_t victim);
-  void maybe_mitigate_stragglers();
+  // ---- engine hooks: the device clock ----
+  rt::PhaseLedger& ledger() override { return ledger_; }
+  const rt::PhaseLedger& ledger() const override { return ledger_; }
+  void charge(Slot slot, double seconds) override { ledger_.charge(slot, seconds, step_index_); }
+  void attach_defenses() override;
+  rt::StragglerDetector& detector() override { return detector_; }
+  double detect_loss(int32_t victim) override;
+  // Bills the measured H2D re-upload of the restored state to `slot`.
+  double restore_moving(const rt::Snapshot& snap, Slot slot, int64_t bytes) override;
+  void sync_fault_telemetry() override;
+
+  // ---- engine hooks: the band layout on devices ----
+  // Recreates `num_devices` fresh devices with the equal split.
+  void build_topology(int num_devices) override;
+  // Derates the straggler on the *existing* devices: the slow hardware must
+  // stay slow, it just owns fewer bands.
+  void relayout_away(int32_t victim) override;
+  void gather_coefficients(std::vector<double>& Io, std::vector<double>& beta) const override {
+    layout_.gather_coefficients(Io, beta);
+  }
+  // Also refreshes every device mirror (the H2D re-upload restore_moving
+  // bills).
+  void import_state(const rt::Snapshot& snap) override;
+  bool field_energy(double& energy) const override;
+  void scan_fields() override;
+  int64_t release_scratch() override;
+
+  void assign(const BandLayout::Ranges& ranges);
+  void upload_slice(size_t p);
+  void upload_coefficients(size_t p);
   double copy_seconds_total() const;
-  void sweep_cells(Rank& r, const std::vector<int32_t>& cells);
-  void sweep_cells_into(Rank& r, const std::vector<int32_t>& cells,
-                        const std::vector<double>& I_src, std::vector<double>& out);
-  double wall_temperature(double x) const;
+  void rehome_device_mirrors();
   void launch_with_retry(rt::SimGpu& gpu, const std::string& name, const rt::KernelStats& ks,
                          const std::function<void()>& body);
   void roundtrip_with_guard(size_t p);
   void sdc_roundtrip(size_t p);
   bool repair_block(size_t p, size_t block);
   void audit_sentinels(size_t p);
-  void note_sdc_detection();
-  void audit_energy_invariant();
-  void validate();
-  void take_checkpoint(const std::string& cancel_reason = "");
-  void restore_checkpoint();
-  uint64_t config_hash() const;
-  void register_memory_reliefs();
-  void rehome_device_mirrors();
-  // The single gateway for phase accounting: adds `seconds` to phases_.*field,
-  // emits a virtual-time trace span named `name` at the running cursor, and
-  // bumps the mgpu.phase.<name>_seconds metric. Because every phases_ mutation
-  // goes through here, per-phase span sums reconcile with phases().total() by
-  // construction (asserted in bench_straggler).
-  void charge_phase(double Phases::*field, const char* name, double seconds);
 
-  BteScenario scen_;
-  std::shared_ptr<const BtePhysics> phys_;
   rt::GpuSpec spec_;
-  int nx_, ny_, nd_, nb_;
-  double hx_, hy_, dt_;
-  std::vector<Rank> ranks_;
+  BandLayout layout_;
+  std::vector<Mirror> mirrors_;
   std::vector<std::unique_ptr<rt::SimGpu>> devices_;
   std::vector<int32_t> interior_cells_, boundary_cells_;
-  std::vector<double> T_;
-  std::vector<double> G_global_;
   std::vector<double> host_back_, iob_scratch_;
-  Phases phases_;
-  int32_t trace_track_ = 100;  // Chrome-trace track of the virtual phase spans
-  double trace_cursor_ = 0.0;  // running virtual time; advanced by charge_phase
+  rt::PhaseLedger ledger_{"mgpu", /*track=*/100};
   // Straggler defense: per-device step-time telemetry feeds the detector.
   rt::StragglerDetector detector_;
   std::vector<double> dev_seconds_;
-
-  bool resilient_ = false;
-  ResilienceOptions res_;
-  ResilienceStats rstats_;
-  ResilienceStats published_;  // last rstats_ mirrored into the metrics registry
-  StepHealth health_;
-  rt::CheckpointStore store_;
-  int64_t step_index_ = 0;
-  int32_t pending_kill_ = -1;
-
-  // ---- SDC defense state ----
-  std::vector<int32_t> sentinel_cells_;     // redundant-recompute audit cells
-  std::vector<int32_t> repair_cells_;       // scratch: cell list of one block
-  std::vector<double> sentinel_scratch_;    // recompute target for sentinels
-  int64_t flip_step_ = -1;                  // step of the oldest undetected flip
-  double prev_energy_ = 0.0;                // last step's total intensity energy
-  bool have_prev_energy_ = false;
+  std::vector<int32_t> repair_cells_;     // scratch: cell list of one block
+  std::vector<double> sentinel_scratch_;  // recompute target for sentinels
 };
 
 }  // namespace finch::bte

@@ -1,9 +1,8 @@
 #include "partitioned_solver.hpp"
 
 #include <algorithm>
-#include <chrono>
-#include <cmath>
 #include <cstring>
+#include <numeric>
 #include <span>
 #include <stdexcept>
 
@@ -11,45 +10,100 @@
 
 namespace finch::bte {
 
-namespace {
+// ---- BspEngine -----------------------------------------------------------------
 
-// Shared update arithmetic — kept textually identical to DirectSolver's sweep
-// so that every execution strategy produces bit-identical values.
-struct UpdateParams {
-  int nx, ny, nd, nb;
-  double ax, ay;  // dt / hx, dt / hy
-};
+BspEngine::BspEngine(const BteScenario& scenario, std::shared_ptr<const BtePhysics> physics,
+                     int nparts, Sites sites)
+    : DistributedEngine(scenario, std::move(physics), sites), bsp_(nparts < 1 ? 1 : nparts) {}
 
-using Clock = std::chrono::steady_clock;
-double seconds_since(Clock::time_point t0) {
-  return std::chrono::duration<double>(Clock::now() - t0).count();
+void BspEngine::attach_defenses() {
+  bsp_.set_fault_injector(res_.injector);
+  bsp_.set_heartbeat(res_.heartbeat);
+  if (res_.straggler.enabled) bsp_.set_straggler(res_.straggler);
 }
 
-}  // namespace
+int32_t BspEngine::hang_victim() {
+  if (!res_.straggler.enabled || bsp_.hang_suspect() < 0) return -1;
+  const int32_t victim = bsp_.hang_suspect();
+  bsp_.clear_hang_suspect();
+  rstats_.hang_escalations += 1;
+  return victim;
+}
+
+double BspEngine::detect_loss(int32_t victim) {
+  const double before = bsp_.phases().recovery;
+  bsp_.evict_rank(victim);  // charges the heartbeat suspicion timeout
+  return bsp_.phases().recovery - before;
+}
+
+double BspEngine::restore_moving(const rt::Snapshot& snap, Slot slot, int64_t bytes) {
+  restore(snap);
+  // A rollback reloads every rank's own state in place. Evictions and
+  // rebalances scatter the image over the interconnect, so the cost model
+  // charges it as a modeled transfer.
+  if (slot == Slot::Recovery) return 0.0;
+  const double before = bsp_.phases()[slot];
+  if (slot == Slot::Redistribution)
+    bsp_.charge_redistribution(bytes);
+  else
+    bsp_.charge_rebalance(bytes);
+  return bsp_.phases()[slot] - before;
+}
+
+// Mirrors the BSP simulator's performance-fault telemetry into the stats
+// block so benches read one struct.
+void BspEngine::sync_fault_telemetry() {
+  rstats_.slow_steps = bsp_.slow_steps();
+  rstats_.jitter_events = bsp_.jitter_events();
+  rstats_.hang_events = bsp_.hang_events();
+  rstats_.hang_timeouts = bsp_.watchdog_timeouts();
+  rstats_.speculation_seconds = bsp_.phases().speculation;
+}
+
+bool BspEngine::deliver(const char* site, const char* what) {
+  for (int attempt = 0; res_.injector->should_fault(rt::FaultKind::DroppedMessage, site);
+       ++attempt) {
+    rstats_.faults_detected += 1;
+    if (attempt >= res_.max_retries) {
+      health_.transfer_ok = false;
+      health_.detail = std::string(what) + " dropped after " + std::to_string(attempt) + " retries";
+      return false;
+    }
+    const double delay = backoff_delay(res_, attempt);
+    bsp_.charge_fault(delay);
+    rstats_.recovery_seconds += delay;
+    rstats_.retries += 1;
+  }
+  return true;
+}
+
+void BspEngine::arm_speculation_if_chronic() {
+  if (!resilient_ || !res_.straggler.enabled || !res_.straggler.speculation) return;
+  const int32_t victim = bsp_.straggler().chronic_straggler();
+  if (victim < 0) return;
+  const int32_t helper = bsp_.straggler().least_loaded(victim);
+  if (helper < 0) return;
+  bsp_.arm_speculation(victim, helper);
+  rstats_.speculations += 1;
+}
 
 // ---- CellPartitionedSolver ---------------------------------------------------
 
 CellPartitionedSolver::CellPartitionedSolver(const BteScenario& scenario,
                                              std::shared_ptr<const BtePhysics> physics, int nparts,
                                              mesh::PartitionMethod method)
-    : scen_(scenario),
-      phys_(std::move(physics)),
+    : BspEngine(scenario, std::move(physics), nparts,
+                {"cell", rt::FaultKind::RankFailure, "cell-rank", "cell-mem"}),
       mesh_(mesh::Mesh::structured_quad(scenario.nx, scenario.ny, scenario.lx, scenario.ly)),
-      method_(method),
-      bsp_(nparts < 1 ? 1 : nparts) {
+      method_(method) {
   if (nparts < 1) throw std::invalid_argument("CellPartitionedSolver: nparts >= 1");
-  nd_ = phys_->num_dirs();
-  nb_ = phys_->num_bands();
   dofs_ = nd_ * nb_;
-  dt_ = scen_.dt;
   g_scratch_.resize(static_cast<size_t>(nb_));
   build_topology(nparts);
 }
 
 // (Re)builds the rank layout for `nparts` parts: partition, halos, per-rank
-// storage initialized at T_init, and the per-step communication volume. Used
-// by the constructor and again — with fewer parts — when a rank is evicted;
-// after an eviction the caller restores the last checkpoint over this state.
+// storage initialized at T_init, and the per-step communication volume.
 void CellPartitionedSolver::build_topology(int nparts) {
   nparts_ = nparts;
   part_ = mesh::partition(mesh_, nparts, method_);
@@ -57,6 +111,7 @@ void CellPartitionedSolver::build_topology(int nparts) {
   halo_messages_.clear();
   comm_.bytes_per_step = 0;
   comm_.messages_per_step = 0;
+  const size_t dofs = static_cast<size_t>(dofs_), nb = static_cast<size_t>(nb_);
 
   for (int32_t p = 0; p < nparts; ++p) {
     Rank& r = ranks_[static_cast<size_t>(p)];
@@ -75,21 +130,21 @@ void CellPartitionedSolver::build_topology(int nparts) {
       }
     const size_t nloc = r.owned.size() + r.ghosts.size();
     r.all_owned.resize(r.owned.size());
-    for (size_t lo = 0; lo < r.owned.size(); ++lo) r.all_owned[lo] = lo;
-    r.I.resize(nloc * static_cast<size_t>(dofs_));
-    r.I_new.resize(r.owned.size() * static_cast<size_t>(dofs_));
-    r.Io.resize(r.owned.size() * static_cast<size_t>(nb_));
-    r.beta.resize(r.owned.size() * static_cast<size_t>(nb_));
+    std::iota(r.all_owned.begin(), r.all_owned.end(), size_t{0});
+    r.I.resize(nloc * dofs);
+    r.I_new.resize(r.owned.size() * dofs);
+    r.Io.resize(r.owned.size() * nb);
+    r.beta.resize(r.owned.size() * nb);
     r.T.assign(r.owned.size(), scen_.T_init);
 
     for (int b = 0; b < nb_; ++b) {
       const double i0 = phys_->table.I0(b, scen_.T_init);
       const double be = phys_->table.beta(b, scen_.T_init);
       for (size_t lc = 0; lc < nloc; ++lc)
-        for (int d = 0; d < nd_; ++d) r.I[lc * static_cast<size_t>(dofs_) + static_cast<size_t>(d + nd_ * b)] = i0;
+        for (int d = 0; d < nd_; ++d) r.I[lc * dofs + static_cast<size_t>(d + nd_ * b)] = i0;
       for (size_t lc = 0; lc < r.owned.size(); ++lc) {
-        r.Io[lc * static_cast<size_t>(nb_) + static_cast<size_t>(b)] = i0;
-        r.beta[lc * static_cast<size_t>(nb_) + static_cast<size_t>(b)] = be;
+        r.Io[lc * nb + static_cast<size_t>(b)] = i0;
+        r.beta[lc * nb + static_cast<size_t>(b)] = be;
       }
     }
   }
@@ -103,59 +158,40 @@ void CellPartitionedSolver::build_topology(int nparts) {
   }
 }
 
-double CellPartitionedSolver::wall_temperature(double x) const {
-  const double xc = scen_.hot_center_frac * scen_.lx;
-  const double rr = x - xc;
-  return scen_.T_cold +
-         (scen_.T_hot - scen_.T_cold) * std::exp(-2.0 * rr * rr / (scen_.hot_w * scen_.hot_w));
+void CellPartitionedSolver::relayout_away(int32_t victim) {
+  bsp_.retire_rank(victim);
+  build_topology(nparts_ - 1);
 }
 
 void CellPartitionedSolver::exchange_halos() {
   // Pull model: each rank copies the owned values it needs from the peer
   // ranks (in a real MPI code this is the send/recv pair of the halo plan).
   rt::FaultInjector* fi = resilient_ ? res_.injector : nullptr;
+  const size_t dofs = static_cast<size_t>(dofs_);
+  const auto offset = [dofs](const Rank& rank, int32_t gc) {
+    return static_cast<size_t>(rank.global_to_local[static_cast<size_t>(gc)]) * dofs;
+  };
   for (Rank& r : ranks_) {
     for (const auto& recv : r.halo.recvs) {
       const Rank& peer = ranks_[static_cast<size_t>(recv.peer)];
-      if (fi != nullptr) {
-        // A dropped message is retransmitted with bounded exponential backoff;
-        // an exhausted budget marks the step unhealthy (stale ghosts would
-        // silently poison the sweep) so run() rolls back and replays.
-        bool delivered = true;
-        for (int attempt = 0; fi->should_fault(rt::FaultKind::DroppedMessage, "halo");
-             ++attempt) {
-          rstats_.faults_detected += 1;
-          if (attempt >= res_.max_retries) {
-            delivered = false;
-            health_.transfer_ok = false;
-            health_.detail = "halo message dropped after " + std::to_string(attempt) + " retries";
-            break;
-          }
-          const double delay = backoff_delay(res_, attempt);
-          bsp_.charge_fault(delay);
-          rstats_.recovery_seconds += delay;
-          rstats_.retries += 1;
-        }
-        if (!delivered) continue;
-      }
-      for (int32_t gc : recv.cells) {
-        const int32_t src = peer.global_to_local[static_cast<size_t>(gc)];
-        const int32_t dst = r.global_to_local[static_cast<size_t>(gc)];
-        for (int k = 0; k < dofs_; ++k)
-          r.I[static_cast<size_t>(dst) * dofs_ + static_cast<size_t>(k)] =
-              peer.I[static_cast<size_t>(src) * dofs_ + static_cast<size_t>(k)];
-      }
-      if (resilient_ && res_.sdc.enabled && !recv.cells.empty()) {
+      // A message lost for good leaves stale ghosts that would silently
+      // poison the sweep; deliver() marks the step unhealthy, so run() rolls
+      // back and replays.
+      if (fi != nullptr && !deliver("halo", "halo message")) continue;
+      const auto pull = [&] {
+        for (int32_t gc : recv.cells)
+          std::copy_n(&peer.I[offset(peer, gc)], dofs, &r.I[offset(r, gc)]);
+      };
+      pull();
+      if (recv.cells.empty()) continue;
+      // The ghost cells of one recv are contiguous local indices (appended
+      // in recv order by build_topology), so the message is one span of r.I.
+      const std::span<double> ghost(r.I.data() + offset(r, recv.cells[0]),
+                                    recv.cells.size() * dofs);
+      if (resilient_ && res_.sdc.enabled) {
         // ABFT sidecar: the sender checksums the payload before it goes on
-        // the wire; the receiver verifies on receipt. The ghost cells of one
-        // recv are contiguous local indices (appended in recv order by
-        // build_topology), so the delivered message is one span of r.I.
+        // the wire; the receiver verifies on receipt.
         const auto t0 = Clock::now();
-        const size_t base =
-            static_cast<size_t>(r.global_to_local[static_cast<size_t>(recv.cells[0])]) *
-            static_cast<size_t>(dofs_);
-        const size_t len = recv.cells.size() * static_cast<size_t>(dofs_);
-        std::span<double> ghost(r.I.data() + base, len);
         const rt::BlockChecksum sidecar = rt::block_checksum(ghost);
         if (fi != nullptr && fi->should_fault(rt::FaultKind::BitFlipMessage, "halo"))
           fi->flip_bit(ghost, rt::FaultKind::BitFlipMessage, "halo");
@@ -163,17 +199,8 @@ void CellPartitionedSolver::exchange_halos() {
           note_sdc_detection();
           // Localized repair: re-pull just this message from the peer's
           // (intact) owned values, priced as one extra message.
-          const double resend =
-              bsp_.comm_model().per_message(static_cast<int64_t>(len) * 8);
-          bsp_.charge_recovery(resend);
-          rstats_.recovery_seconds += resend;
-          for (int32_t gc : recv.cells) {
-            const int32_t src = peer.global_to_local[static_cast<size_t>(gc)];
-            const int32_t dst = r.global_to_local[static_cast<size_t>(gc)];
-            for (int k = 0; k < dofs_; ++k)
-              r.I[static_cast<size_t>(dst) * dofs_ + static_cast<size_t>(k)] =
-                  peer.I[static_cast<size_t>(src) * dofs_ + static_cast<size_t>(k)];
-          }
+          charge_recovery(bsp_.comm_model().per_message(static_cast<int64_t>(ghost.size()) * 8));
+          pull();
           // A repair that fails too (the retransmission is hit as well)
           // exhausts the localized path: fall back to rollback + replay.
           if (fi != nullptr && fi->should_fault(rt::FaultKind::BitFlipMessage, "halo-repair"))
@@ -186,104 +213,52 @@ void CellPartitionedSolver::exchange_halos() {
             health_.detail = "halo message checksum failed twice; falling back to rollback";
           }
         }
-        const double audit = seconds_since(t0);
-        bsp_.charge_audit(audit);
-        rstats_.audit_seconds += audit;
+        charge_audit(seconds_since(t0));
       }
-      if (fi != nullptr && !recv.cells.empty() &&
-          fi->should_fault(rt::FaultKind::TransferCorruption, "halo")) {
-        // In-flight corruption of this message's payload: lands in the ghost
-        // region, where the next sweep drags it into owned state. The per-step
-        // NaN/Inf validation catches it and triggers rollback + replay.
-        const size_t base =
-            static_cast<size_t>(r.global_to_local[static_cast<size_t>(recv.cells[0])]) *
-            static_cast<size_t>(dofs_);
-        fi->corrupt(std::span<double>(r.I).subspan(base, static_cast<size_t>(dofs_)), "halo");
-      }
+      // In-flight corruption of this message's payload lands in the ghost
+      // region, where the next sweep drags it into owned state; the per-step
+      // NaN/Inf validation catches it and triggers rollback + replay.
+      if (fi != nullptr && fi->should_fault(rt::FaultKind::TransferCorruption, "halo"))
+        fi->corrupt(ghost.first(dofs), "halo");
     }
   }
   comm_.total_bytes += comm_.bytes_per_step;
   bsp_.exchange(halo_messages_);
 }
 
-void CellPartitionedSolver::sweep_rank(Rank& r) {
-  sweep_owned_subset(r, r.all_owned, r.I_new);
-}
-
-// Sweep body parameterized over the owned-cell subset and the output array:
-// per-cell results depend only on r.I/r.Io/r.beta, so recomputing any subset
-// (sentinel audit, block repair) reproduces the full sweep bit-identically.
-void CellPartitionedSolver::sweep_owned_subset(Rank& r, const std::vector<size_t>& cells,
-                                               std::vector<double>& out) {
-  const int nx = scen_.nx, ny = scen_.ny;
-  const double hx = scen_.lx / nx, hy = scen_.ly / ny;
-  const double ax = dt_ / hx, ay = dt_ / hy;
-
-  auto lidx = [&](int32_t gc) { return r.global_to_local[static_cast<size_t>(gc)]; };
-
+void CellPartitionedSolver::sweep(Rank& r, const std::vector<size_t>& cells,
+                                  std::vector<double>& out) {
+  const size_t dofs = static_cast<size_t>(dofs_), nb = static_cast<size_t>(nb_);
+  const int nx = upwind_.nx();
   for (int b = 0; b < nb_; ++b) {
-    const double vg = phys_->bands[b].vg;
+    const auto at = [&](int32_t gc, int d) {
+      return r.I[static_cast<size_t>(r.global_to_local[static_cast<size_t>(gc)]) * dofs +
+                 static_cast<size_t>(d + nd_ * b)];
+    };
     for (int d = 0; d < nd_; ++d) {
-      const double vx = vg * phys_->directions.s[static_cast<size_t>(d)].x;
-      const double vy = vg * phys_->directions.s[static_cast<size_t>(d)].y;
-      const int rx = phys_->directions.reflect_x[static_cast<size_t>(d)];
-      const int dof = d + nd_ * b;
+      const Upwind::Ray ray = upwind_.ray(b, d);
+      const size_t dof = static_cast<size_t>(d + nd_ * b);
       for (size_t lo : cells) {
         const int32_t c = r.owned[lo];
-        const int i = static_cast<int>(c % nx), j = static_cast<int>(c / nx);
-        const size_t ci = lo * static_cast<size_t>(dofs_) + static_cast<size_t>(dof);
-        const double Ic = r.I[ci];
-        const size_t cb = lo * static_cast<size_t>(nb_) + static_cast<size_t>(b);
-        double val = Ic + dt_ * (r.Io[cb] - Ic) * r.beta[cb];
-
-        auto I_at = [&](int32_t gc, int dd) {
-          return r.I[static_cast<size_t>(lidx(gc)) * dofs_ + static_cast<size_t>(dd + nd_ * b)];
-        };
-        double Iw;
-        if (i > 0)
-          Iw = -vx > 0 ? Ic : I_at(c - 1, d);
-        else
-          Iw = -vx > 0 ? Ic : I_at(c, rx);
-        val -= ax * (-vx) * Iw;
-        double Ie;
-        if (i < nx - 1)
-          Ie = vx > 0 ? Ic : I_at(c + 1, d);
-        else
-          Ie = vx > 0 ? Ic : I_at(c, rx);
-        val -= ax * vx * Ie;
-        double Is;
-        if (j > 0)
-          Is = -vy > 0 ? Ic : I_at(c - nx, d);
-        else
-          Is = -vy > 0 ? Ic : phys_->table.I0(b, scen_.T_cold);
-        val -= ay * (-vy) * Is;
-        double In;
-        if (j < ny - 1)
-          In = vy > 0 ? Ic : I_at(c + nx, d);
-        else
-          In = vy > 0 ? Ic : phys_->table.I0(b, wall_temperature((i + 0.5) * hx));
-        val -= ay * vy * In;
-
-        out[ci] = val;
+        const size_t cb = lo * nb + static_cast<size_t>(b);
+        out[lo * dofs + dof] =
+            upwind_(ray, c, c % nx, c / nx, r.I[lo * dofs + dof], r.Io[cb], r.beta[cb], at);
       }
     }
   }
 }
 
 void CellPartitionedSolver::temperature_rank(Rank& r) {
+  const size_t dofs = static_cast<size_t>(dofs_), nb = static_cast<size_t>(nb_);
   for (size_t lo = 0; lo < r.owned.size(); ++lo) {
-    for (int b = 0; b < nb_; ++b) {
-      double g = 0.0;
-      const size_t base = lo * static_cast<size_t>(dofs_) + static_cast<size_t>(nd_) * b;
-      for (int d = 0; d < nd_; ++d)
-        g += phys_->directions.weight[static_cast<size_t>(d)] * r.I[base + static_cast<size_t>(d)];
-      g_scratch_[static_cast<size_t>(b)] = g;
-    }
+    for (int b = 0; b < nb_; ++b)
+      g_scratch_[static_cast<size_t>(b)] =
+          angular_sum(phys_->directions, &r.I[lo * dofs + static_cast<size_t>(nd_ * b)]);
     const double Tc = phys_->table.solve_temperature(g_scratch_, r.T[lo]);
     r.T[lo] = Tc;
     for (int b = 0; b < nb_; ++b) {
-      r.Io[lo * static_cast<size_t>(nb_) + static_cast<size_t>(b)] = phys_->table.I0(b, Tc);
-      r.beta[lo * static_cast<size_t>(nb_) + static_cast<size_t>(b)] = phys_->table.beta(b, Tc);
+      r.Io[lo * nb + static_cast<size_t>(b)] = phys_->table.I0(b, Tc);
+      r.beta[lo * nb + static_cast<size_t>(b)] = phys_->table.beta(b, Tc);
     }
   }
 }
@@ -300,20 +275,15 @@ void CellPartitionedSolver::step() {
     rt::TraceSpan sweep_span("cell.sweep", attrs);
     for (size_t p = 0; p < ranks_.size(); ++p) {
       const auto t0 = Clock::now();
-      sweep_rank(ranks_[p]);
+      sweep(ranks_[p], ranks_[p].all_owned, ranks_[p].I_new);
       rank_seconds[p] = seconds_since(t0);
     }
   }
   arm_speculation_if_chronic();
   bsp_.compute_step(rank_seconds, rt::BspSimulator::Phase::Compute);
   if (resilient_ && res_.sdc.enabled) audit_sentinels();
-  for (Rank& r : ranks_) {
-    // Commit owned values; ghosts refresh at the next exchange.
-    for (size_t lo = 0; lo < r.owned.size(); ++lo)
-      for (int k = 0; k < dofs_; ++k)
-        r.I[lo * static_cast<size_t>(dofs_) + static_cast<size_t>(k)] =
-            r.I_new[lo * static_cast<size_t>(dofs_) + static_cast<size_t>(k)];
-  }
+  // Commit owned values; ghosts refresh at the next exchange.
+  for (Rank& r : ranks_) std::copy(r.I_new.begin(), r.I_new.end(), r.I.begin());
   {
     rt::TraceSpan temp_span("cell.temperature", attrs);
     for (size_t p = 0; p < ranks_.size(); ++p) {
@@ -325,366 +295,87 @@ void CellPartitionedSolver::step() {
   bsp_.compute_step(rank_seconds, rt::BspSimulator::Phase::PostProcess);
 }
 
-void CellPartitionedSolver::run(int nsteps) {
-  if (!resilient_) {
-    for (int i = 0; i < nsteps; ++i) step();
-    return;
-  }
-  const int64_t target = step_index_ + nsteps;
-  int rollback_budget = res_.max_rollbacks;
-  while (step_index_ < target) {
-    // Cooperative cancellation: a cancel request or deadline drains at the
-    // step boundary — final checkpoint at the current step, manifest carrying
-    // the reason — leaving the job resumable exactly like a crashed one.
-    if (res_.cancel != nullptr && res_.cancel->should_drain(step_index_, bsp_.elapsed())) {
-      take_checkpoint(res_.cancel->drain_reason(step_index_, bsp_.elapsed()));
-      rstats_.cancel_drains += 1;
-      break;
-    }
-    // Resource faults are consulted at the step boundary: pressure squeezes
-    // the budget and runs the relief chain; a failed first allocation costs
-    // one backoff of recovery time on top of the relief.
-    consult_resource_faults(res_, rstats_, "cell-mem", [this](double s) {
-      bsp_.charge_recovery(s);
-      rstats_.recovery_seconds += s;
-    });
-    // Permanent failures are discovered at step boundaries: an explicit kill
-    // (kill_rank), an injected RankFailure with a deterministically drawn
-    // victim, or a hung exchange the watchdog escalated to a Dead verdict.
-    if (pending_kill_ < 0 && res_.straggler.enabled && bsp_.hang_suspect() >= 0) {
-      pending_kill_ = bsp_.hang_suspect();
-      bsp_.clear_hang_suspect();
-      rstats_.hang_escalations += 1;
-    }
-    if (pending_kill_ < 0 && res_.injector != nullptr &&
-        res_.injector->should_fault(rt::FaultKind::RankFailure, "cell-rank"))
-      pending_kill_ = static_cast<int32_t>(
-          res_.injector->pick(rt::FaultKind::RankFailure, "cell-rank", static_cast<size_t>(nparts_)));
-    if (pending_kill_ >= 0) {
-      const int32_t victim = pending_kill_;
-      pending_kill_ = -1;
-      evict_and_redistribute(victim);
-      continue;
-    }
-    maybe_mitigate_stragglers();
-    health_ = StepHealth{};
-    step();
-    ++step_index_;
-    validate();
-    if (health_.ok()) {
-      if (res_.checkpoint.due(step_index_)) take_checkpoint();
-      continue;
-    }
-    rstats_.faults_detected += 1;
-    if (rollback_budget-- <= 0)
-      throw ResilienceError("rollback budget exhausted: " + health_.detail);
-    // Replay is measured against the step the restore actually lands on — a
-    // corrupted-newest-image restore can fall back a generation, losing more
-    // than the distance to the latest checkpoint.
-    const int64_t before = step_index_;
-    restore_checkpoint();
-    rstats_.rollbacks += 1;
-    rstats_.replayed_steps += before - step_index_;
-  }
-  sync_straggler_stats();
-  publish_resilience_metrics(rstats_, published_);
-}
-
-void CellPartitionedSolver::enable_resilience(const ResilienceOptions& options) {
-  validate_resilience_options(options);
-  res_ = options;
-  resilient_ = true;
-  bsp_.set_fault_injector(res_.injector);
-  bsp_.set_heartbeat(res_.heartbeat);
-  if (res_.straggler.enabled) bsp_.set_straggler(res_.straggler);
-  if (!res_.durable.dir.empty())
-    store_ = rt::CheckpointStore(res_.durable.dir, res_.durable.disk_generations);
-  register_memory_reliefs();
-  take_checkpoint();
-}
-
-// Graceful degradation, cheapest first. Every relief frees only rebuildable
-// state (an in-memory image a disk file still backs, scratch that is resized
-// before each use), so the numerical trajectory is untouched.
-void CellPartitionedSolver::register_memory_reliefs() {
-  if (res_.memory == nullptr) return;
-  res_.memory->add_relief("ckpt-prev-generation",
-                          [this] { return store_.drop_previous_generation(); });
-  res_.memory->add_relief("scratch-shrink", [this] {
-    const int64_t freed = static_cast<int64_t>(sentinel_scratch_.capacity() * sizeof(double));
-    sentinel_scratch_.clear();
-    sentinel_scratch_.shrink_to_fit();
-    return freed;
-  });
-  res_.memory->add_relief("ckpt-spill", [this] { return store_.spill(); });
-}
-
-uint64_t CellPartitionedSolver::config_hash() const {
-  ConfigHasher h;
-  h.mix(static_cast<int64_t>(scen_.nx)).mix(static_cast<int64_t>(scen_.ny));
-  h.mix(scen_.lx).mix(scen_.ly);
-  h.mix(static_cast<int64_t>(scen_.kind == BteScenario::Kind::CornerSource ? 1 : 0));
-  h.mix(scen_.T_init).mix(scen_.T_cold).mix(scen_.T_hot);
-  h.mix(scen_.hot_w).mix(scen_.hot_center_frac).mix(scen_.dt);
-  h.mix(static_cast<int64_t>(nd_)).mix(static_cast<int64_t>(nb_));
-  return h.value();
-}
-
-void CellPartitionedSolver::resume_from(const rt::RunManifest& manifest,
-                                        const ResilienceOptions& options) {
-  validate_resilience_options(options);
-  if (options.durable.dir.empty())
-    throw std::invalid_argument("resume_from: options.durable.dir must name the manifest's dir");
-  check_manifest_matches(manifest, "cell", config_hash());
-  res_ = options;
-  resilient_ = true;
-  bsp_.set_fault_injector(res_.injector);
-  bsp_.set_heartbeat(res_.heartbeat);
-  if (res_.straggler.enabled) bsp_.set_straggler(res_.straggler);
-  register_memory_reliefs();
-  store_ = rt::CheckpointStore(res_.durable.dir, res_.durable.disk_generations);
-  store_.resume_sequence(manifest.saves);
-  // Adopt the prior run's surviving generation files so the first
-  // post-resume manifest keeps them as fallback (satellite of ISSUE 8:
-  // without adoption a second crash with a damaged newest generation
-  // had nothing older to fall back to).
-  store_.adopt_disk_paths(manifest.checkpoints);
-  restore(load_manifest_checkpoint(manifest, rstats_));
-  // The injector resumes the exact draw sequence the killed process would
-  // have produced — counters key every draw, the event-log size keys victim
-  // and flip draws.
-  if (res_.injector != nullptr)
-    res_.injector->import_counters(manifest.injector_counters, manifest.injector_events);
-  rstats_.resumes += 1;
-  // Re-checkpoint the restored state: primes the in-memory rollback target
-  // (and a fresh generation file + manifest) without consuming any draws.
-  take_checkpoint();
-}
-
-void CellPartitionedSolver::inject_slow_rank(int32_t rank, double factor) {
-  bsp_.set_slow_rank(rank, factor);
-}
-
-// Arms a one-shot speculative duplicate of the chronic straggler's shard on
-// the least-loaded survivor, just before the compute superstep it covers.
-void CellPartitionedSolver::arm_speculation_if_chronic() {
-  if (!resilient_ || !res_.straggler.enabled || !res_.straggler.speculation) return;
-  const int32_t victim = bsp_.straggler().chronic_straggler();
-  if (victim < 0) return;
-  const int32_t helper = bsp_.straggler().least_loaded(victim);
-  if (helper < 0) return;
-  bsp_.arm_speculation(victim, helper);
-  rstats_.speculations += 1;
-}
-
-void CellPartitionedSolver::maybe_mitigate_stragglers() {
-  if (!res_.straggler.enabled || !res_.straggler.rebalance || nparts_ <= 1) return;
-  if (rstats_.rebalances >= res_.straggler.max_rebalances) return;
-  const int32_t victim = bsp_.straggler().chronic_straggler();
-  if (victim >= 0) rebalance_away(victim);
-}
-
-void CellPartitionedSolver::rebalance_away(int32_t victim) {
-  const rt::Snapshot live = snapshot();
-  int64_t bytes = 0;
-  for (const auto& f : live.fields) bytes += static_cast<int64_t>(f.second.size()) * 8;
-  bsp_.retire_rank(victim);
-  build_topology(nparts_ - 1);
-  restore(live);
-  const double reb_before = bsp_.phases().rebalance;
-  bsp_.charge_rebalance(bytes);
-  rstats_.rebalance_seconds += bsp_.phases().rebalance - reb_before;
-  rstats_.rebalances += 1;
-}
-
-// Mirrors the BSP simulator's performance-fault telemetry into the solver's
-// stats block so benches read one struct.
-void CellPartitionedSolver::sync_straggler_stats() {
-  rstats_.slow_steps = bsp_.slow_steps();
-  rstats_.jitter_events = bsp_.jitter_events();
-  rstats_.hang_events = bsp_.hang_events();
-  rstats_.hang_timeouts = bsp_.watchdog_timeouts();
-  rstats_.speculation_seconds = bsp_.phases().speculation;
-}
-
-void CellPartitionedSolver::kill_rank(int32_t rank) {
-  if (!resilient_)
-    throw std::logic_error("kill_rank: enable_resilience first (eviction needs a checkpoint)");
-  if (rank < 0 || rank >= nparts_) throw std::invalid_argument("kill_rank: rank out of range");
-  pending_kill_ = rank;
-}
-
-void CellPartitionedSolver::evict_and_redistribute(int32_t victim) {
-  if (nparts_ <= 1)
-    throw ResilienceError("rank " + std::to_string(victim) + " failed with no survivors");
-  rstats_.faults_detected += 1;
-  const double rec_before = bsp_.phases().recovery;
-  bsp_.evict_rank(victim);  // charges the heartbeat suspicion timeout
-  rstats_.recovery_seconds += bsp_.phases().recovery - rec_before;
-
-  // Survivors repartition the whole mesh (M parts), rebuild halo plans, and
-  // reload the last global checkpoint — everything moves, so the cost model
-  // charges the full image over the interconnect. The image is loaded through
-  // the guarded path (and before the shrink) so a restore that hangs or reads
-  // corrupted bytes retries / falls back a generation instead of leaving a
-  // half-shrunk topology behind.
-  const int64_t before = step_index_;
-  const rt::Snapshot snap = load_checkpoint_guarded(store_, res_, rstats_, [this](double s) {
-    bsp_.charge_recovery(s);
-    rstats_.recovery_seconds += s;
-  });
-  build_topology(nparts_ - 1);
-  restore(snap);
-  const double red_before = bsp_.phases().redistribution;
-  bsp_.charge_redistribution(store_.bytes_stored());
-  rstats_.redistribution_seconds += bsp_.phases().redistribution - red_before;
-  rstats_.evictions += 1;
-  rstats_.replayed_steps += before - step_index_;
-}
-
-// ---- silent-data-corruption defense (cell partitioning) ---------------------
-
-void CellPartitionedSolver::note_sdc_detection() {
-  rstats_.sdc_detections += 1;
-  // The audit runs every step, so a flip is caught at most one step after it
-  // lands; the stat records the bound.
-  rstats_.max_detection_latency_steps =
-      std::max<int64_t>(rstats_.max_detection_latency_steps, 1);
-}
-
 // Redundant recomputation of a few spread-out cells: each sentinel's sweep
 // result is recomputed from the same sources and compared bit-for-bit against
 // I_new before the commit, catching corruption that lands in freshly computed
-// state — an audit channel independent of the message checksums.
+// state — an audit channel independent of the message checksums. The
+// redundant recompute is itself the repair.
 void CellPartitionedSolver::audit_sentinels() {
   const auto t0 = Clock::now();
-  if (sentinel_cells_.empty()) {
-    const int32_t ncell = mesh_.num_cells();
-    const int n = std::min(res_.sdc.sentinel_cells, static_cast<int>(ncell));
-    for (int k = 0; k < n; ++k)
-      sentinel_cells_.push_back(
-          static_cast<int32_t>(static_cast<int64_t>(k + 1) * ncell / (n + 1)));
-  }
+  const size_t dofs = static_cast<size_t>(dofs_);
   for (Rank& r : ranks_) {
     sentinel_subset_.clear();
-    for (int32_t gc : sentinel_cells_) {
+    for (int32_t gc : sentinel_cells()) {
       const int32_t lo = r.global_to_local[static_cast<size_t>(gc)];
       if (lo >= 0 && static_cast<size_t>(lo) < r.owned.size())
         sentinel_subset_.push_back(static_cast<size_t>(lo));
     }
     if (sentinel_subset_.empty()) continue;
     sentinel_scratch_.resize(r.I_new.size());
-    sweep_owned_subset(r, sentinel_subset_, sentinel_scratch_);
+    sweep(r, sentinel_subset_, sentinel_scratch_);
     for (size_t lo : sentinel_subset_) {
       rstats_.sentinel_checks += 1;
-      const size_t off = lo * static_cast<size_t>(dofs_);
+      const size_t off = lo * dofs;
       if (std::memcmp(sentinel_scratch_.data() + off, r.I_new.data() + off,
-                      static_cast<size_t>(dofs_) * sizeof(double)) != 0) {
+                      dofs * sizeof(double)) != 0) {
         note_sdc_detection();
-        // The redundant recompute is itself the repair: adopt its result.
-        std::copy_n(sentinel_scratch_.data() + off, static_cast<size_t>(dofs_),
-                    r.I_new.data() + off);
+        std::copy_n(sentinel_scratch_.data() + off, dofs, r.I_new.data() + off);
         rstats_.block_repairs += 1;
       }
     }
   }
-  const double audit = seconds_since(t0);
-  bsp_.charge_audit(audit);
-  rstats_.audit_seconds += audit;
+  charge_audit(seconds_since(t0));
 }
 
-void CellPartitionedSolver::validate() {
-  rstats_.validations += 1;
-  if (resilient_ && res_.sdc.enabled) {
-    // Energy-balance tripwire: per-step drift of the Kahan-summed intensity
-    // beyond the tolerance is recorded, not health-failing (see SdcOptions).
-    rt::KahanSum e;
-    for (const Rank& r : ranks_) {
-      const size_t owned_len = r.owned.size() * static_cast<size_t>(dofs_);
-      for (size_t i = 0; i < owned_len; ++i) e.add(r.I[i]);
-    }
-    if (have_prev_energy_) {
-      const double drift =
-          std::abs(e.sum - prev_energy_) / std::max(std::abs(prev_energy_), 1e-300);
-      if (drift > res_.sdc.energy_drift_tol) rstats_.invariant_violations += 1;
-    }
-    prev_energy_ = e.sum;
-    have_prev_energy_ = true;
-  }
-  size_t bad = 0;
+bool CellPartitionedSolver::field_energy(double& energy) const {
+  rt::KahanSum e;
+  for (const Rank& r : ranks_)
+    for (size_t i = 0; i < r.owned.size() * static_cast<size_t>(dofs_); ++i) e.add(r.I[i]);
+  energy = e.sum;
+  return true;
+}
+
+void CellPartitionedSolver::scan_fields() {
   for (size_t p = 0; p < ranks_.size(); ++p) {
-    const Rank& r = ranks_[p];
-    if (!rt::all_finite(r.I, &bad)) {
-      health_.finite_ok = false;
-      health_.nonfinite_values += 1;
-      health_.detail = "rank " + std::to_string(p) + " I[" + std::to_string(bad) + "] non-finite";
-    }
-    if (!rt::all_finite(r.T, &bad)) {
-      health_.finite_ok = false;
-      health_.nonfinite_values += 1;
-      health_.detail = "rank " + std::to_string(p) + " T[" + std::to_string(bad) + "] non-finite";
-    }
+    require_finite(ranks_[p].I, static_cast<int>(p), "I");
+    require_finite(ranks_[p].T, static_cast<int>(p), "T");
   }
 }
 
-rt::Snapshot CellPartitionedSolver::snapshot() const {
-  // Canonical global layout (see checkpoint.hpp): no rank structure at all,
-  // so the image restores onto any survivor count.
-  const size_t ncell = static_cast<size_t>(mesh_.num_cells());
-  rt::Snapshot snap;
-  snap.step = step_index_;
-  std::vector<double> Io(ncell * static_cast<size_t>(nb_)), beta(Io.size());
+void CellPartitionedSolver::gather_coefficients(std::vector<double>& Io,
+                                                std::vector<double>& beta) const {
+  const size_t nb = static_cast<size_t>(nb_);
   for (const Rank& r : ranks_)
     for (size_t lo = 0; lo < r.owned.size(); ++lo) {
       const size_t gc = static_cast<size_t>(r.owned[lo]);
-      for (int b = 0; b < nb_; ++b) {
-        Io[gc * static_cast<size_t>(nb_) + static_cast<size_t>(b)] =
-            r.Io[lo * static_cast<size_t>(nb_) + static_cast<size_t>(b)];
-        beta[gc * static_cast<size_t>(nb_) + static_cast<size_t>(b)] =
-            r.beta[lo * static_cast<size_t>(nb_) + static_cast<size_t>(b)];
-      }
+      std::copy_n(&r.Io[lo * nb], nb, &Io[gc * nb]);
+      std::copy_n(&r.beta[lo * nb], nb, &beta[gc * nb]);
     }
-  snap.add("I", gather_intensity());
-  snap.add("T", gather_temperature());
-  snap.add("Io", Io);
-  snap.add("beta", beta);
-  return snap;
 }
 
-void CellPartitionedSolver::restore(const rt::Snapshot& snap) {
-  const size_t ncell = static_cast<size_t>(mesh_.num_cells());
+void CellPartitionedSolver::import_state(const rt::Snapshot& snap) {
   const auto& I = snap.field("I");
   const auto& T = snap.field("T");
   const auto& Io = snap.field("Io");
   const auto& beta = snap.field("beta");
-  if (I.size() != ncell * static_cast<size_t>(dofs_) || T.size() != ncell ||
-      Io.size() != ncell * static_cast<size_t>(nb_) || beta.size() != Io.size())
-    throw rt::CheckpointError("snapshot does not match problem size");
+  const size_t dofs = static_cast<size_t>(dofs_), nb = static_cast<size_t>(nb_);
   for (Rank& r : ranks_) {
     // Owned cells take state from the global image; ghosts take the owner's
     // values too (the first exchange of the next step would refresh them to
     // exactly these values anyway).
-    auto scatter_cell = [&](size_t lc, size_t gc) {
-      for (int k = 0; k < dofs_; ++k)
-        r.I[lc * static_cast<size_t>(dofs_) + static_cast<size_t>(k)] =
-            I[gc * static_cast<size_t>(dofs_) + static_cast<size_t>(k)];
+    const auto scatter_cell = [&](size_t lc, size_t gc) {
+      std::copy_n(&I[gc * dofs], dofs, &r.I[lc * dofs]);
     };
     for (size_t lo = 0; lo < r.owned.size(); ++lo) {
       const size_t gc = static_cast<size_t>(r.owned[lo]);
       scatter_cell(lo, gc);
       r.T[lo] = T[gc];
-      for (int b = 0; b < nb_; ++b) {
-        r.Io[lo * static_cast<size_t>(nb_) + static_cast<size_t>(b)] =
-            Io[gc * static_cast<size_t>(nb_) + static_cast<size_t>(b)];
-        r.beta[lo * static_cast<size_t>(nb_) + static_cast<size_t>(b)] =
-            beta[gc * static_cast<size_t>(nb_) + static_cast<size_t>(b)];
-      }
+      std::copy_n(&Io[gc * nb], nb, &r.Io[lo * nb]);
+      std::copy_n(&beta[gc * nb], nb, &r.beta[lo * nb]);
     }
     for (size_t gi = 0; gi < r.ghosts.size(); ++gi)
       scatter_cell(r.owned.size() + gi, static_cast<size_t>(r.ghosts[gi]));
   }
-  have_prev_energy_ = false;
-  step_index_ = snap.step;
 }
 
 std::vector<int32_t> CellPartitionedSolver::owner_counts() const {
@@ -694,26 +385,12 @@ std::vector<int32_t> CellPartitionedSolver::owner_counts() const {
   return counts;
 }
 
-void CellPartitionedSolver::take_checkpoint(const std::string& cancel_reason) {
-  store_.save(snapshot());
-  rstats_.checkpoints += 1;
-  write_run_manifest(res_, rstats_, "cell", nparts_, config_hash(), store_, cancel_reason);
-}
-
-void CellPartitionedSolver::restore_checkpoint() {
-  restore(load_checkpoint_guarded(store_, res_, rstats_, [this](double s) {
-    bsp_.charge_recovery(s);
-    rstats_.recovery_seconds += s;
-  }));
-}
-
 std::vector<double> CellPartitionedSolver::gather_intensity() const {
-  std::vector<double> out(static_cast<size_t>(mesh_.num_cells()) * dofs_);
+  const size_t dofs = static_cast<size_t>(dofs_);
+  std::vector<double> out(static_cast<size_t>(mesh_.num_cells()) * dofs);
   for (const Rank& r : ranks_)
     for (size_t lo = 0; lo < r.owned.size(); ++lo)
-      for (int k = 0; k < dofs_; ++k)
-        out[static_cast<size_t>(r.owned[lo]) * dofs_ + static_cast<size_t>(k)] =
-            r.I[lo * static_cast<size_t>(dofs_) + static_cast<size_t>(k)];
+      std::copy_n(&r.I[lo * dofs], dofs, &out[static_cast<size_t>(r.owned[lo]) * dofs]);
   return out;
 }
 
@@ -728,157 +405,37 @@ std::vector<double> CellPartitionedSolver::gather_temperature() const {
 
 BandPartitionedSolver::BandPartitionedSolver(const BteScenario& scenario,
                                              std::shared_ptr<const BtePhysics> physics, int nparts)
-    : scen_(scenario),
-      phys_(std::move(physics)),
-      bsp_(nparts < 1 ? 1 : nparts) {
+    : BspEngine(scenario, std::move(physics), nparts,
+                {"band", rt::FaultKind::RankFailure, "band-rank", "band-mem"}),
+      layout_(scen_, phys_) {
   if (nparts < 1) throw std::invalid_argument("BandPartitionedSolver: nparts >= 1");
-  nx_ = scen_.nx;
-  ny_ = scen_.ny;
-  nd_ = phys_->num_dirs();
-  nb_ = phys_->num_bands();
   if (nparts > nb_) throw std::invalid_argument("BandPartitionedSolver: more parts than bands");
-  hx_ = scen_.lx / nx_;
-  hy_ = scen_.ly / ny_;
-  dt_ = scen_.dt;
-  const int ncell = nx_ * ny_;
-  T_.assign(static_cast<size_t>(ncell), scen_.T_init);
-  G_global_.resize(static_cast<size_t>(ncell) * nb_);
   build_topology(nparts);
 }
 
-// (Re)builds the contiguous band ownership over `nparts` ranks with storage
-// initialized at T_init; used by the constructor and again — with fewer
-// ranks — when a rank is evicted (the caller then restores the checkpoint).
-void BandPartitionedSolver::build_topology(int nparts) {
-  std::vector<std::pair<int, int>> ranges(static_cast<size_t>(nparts));
-  for (int p = 0; p < nparts; ++p)
-    ranges[static_cast<size_t>(p)] = {p * nb_ / nparts, (p + 1) * nb_ / nparts};
-  rebuild_ranks(ranges);
-}
-
-void BandPartitionedSolver::rebuild_ranks(const std::vector<std::pair<int, int>>& ranges) {
-  const int nparts = static_cast<int>(ranges.size());
-  nparts_ = nparts;
-  const int ncell = nx_ * ny_;
-  ranks_.assign(static_cast<size_t>(nparts), Rank{});
-  for (int p = 0; p < nparts; ++p) {
-    Rank& r = ranks_[static_cast<size_t>(p)];
-    r.b_lo = ranges[static_cast<size_t>(p)].first;
-    r.b_hi = ranges[static_cast<size_t>(p)].second;
-    const int bl = r.b_hi - r.b_lo;
-    r.I.resize(static_cast<size_t>(ncell) * nd_ * bl);
-    r.I_new.resize(r.I.size());
-    r.Io.resize(static_cast<size_t>(ncell) * bl);
-    r.beta.resize(r.Io.size());
-    for (int b = r.b_lo; b < r.b_hi; ++b) {
-      const double i0 = phys_->table.I0(b, scen_.T_init);
-      const double be = phys_->table.beta(b, scen_.T_init);
-      const int lb = b - r.b_lo;
-      for (int c = 0; c < ncell; ++c) {
-        r.Io[static_cast<size_t>(c) * bl + lb] = i0;
-        r.beta[static_cast<size_t>(c) * bl + lb] = be;
-        for (int d = 0; d < nd_; ++d)
-          r.I[(static_cast<size_t>(c) * bl + lb) * nd_ + d] = i0;
-      }
-    }
-  }
+void BandPartitionedSolver::assign(const BandLayout::Ranges& ranges) {
+  layout_.assign(ranges);
+  wire_.assign(ranges.size(), Wire{});
+  nparts_ = static_cast<int>(ranges.size());
   // Per step: each rank contributes its slice of the per-cell, per-band sums
   // (allgather over ranks) before the temperature solve.
-  comm_.bytes_per_step = static_cast<int64_t>(ncell) * nb_ * 8;
-  comm_.messages_per_step = nparts;
+  comm_.bytes_per_step = static_cast<int64_t>(ncell_) * nb_ * 8;
+  comm_.messages_per_step = nparts_;
 }
 
-double BandPartitionedSolver::wall_temperature(double x) const {
-  const double xc = scen_.hot_center_frac * scen_.lx;
-  const double rr = x - xc;
-  return scen_.T_cold +
-         (scen_.T_hot - scen_.T_cold) * std::exp(-2.0 * rr * rr / (scen_.hot_w * scen_.hot_w));
+void BandPartitionedSolver::relayout_away(int32_t victim) {
+  assign(BandLayout::derated(nb_, nparts_, victim, bsp_.straggler().slowdown(victim)));
 }
 
-void BandPartitionedSolver::sweep_rank(Rank& r) {
-  const int bl = r.b_hi - r.b_lo;
-  const double ax = dt_ / hx_, ay = dt_ / hy_;
-  for (int b = r.b_lo; b < r.b_hi; ++b) {
-    const int lb = b - r.b_lo;
-    const double vg = phys_->bands[b].vg;
-    for (int d = 0; d < nd_; ++d) {
-      const double vx = vg * phys_->directions.s[static_cast<size_t>(d)].x;
-      const double vy = vg * phys_->directions.s[static_cast<size_t>(d)].y;
-      const int rx = phys_->directions.reflect_x[static_cast<size_t>(d)];
-      for (int j = 0; j < ny_; ++j) {
-        for (int i = 0; i < nx_; ++i) {
-          const int c = j * nx_ + i;
-          auto idx = [&](int cc, int dd) {
-            return (static_cast<size_t>(cc) * bl + lb) * nd_ + static_cast<size_t>(dd);
-          };
-          const double Ic = r.I[idx(c, d)];
-          const size_t cb = static_cast<size_t>(c) * bl + lb;
-          double val = Ic + dt_ * (r.Io[cb] - Ic) * r.beta[cb];
-
-          double Iw;
-          if (i > 0)
-            Iw = -vx > 0 ? Ic : r.I[idx(c - 1, d)];
-          else
-            Iw = -vx > 0 ? Ic : r.I[idx(c, rx)];
-          val -= ax * (-vx) * Iw;
-          double Ie;
-          if (i < nx_ - 1)
-            Ie = vx > 0 ? Ic : r.I[idx(c + 1, d)];
-          else
-            Ie = vx > 0 ? Ic : r.I[idx(c, rx)];
-          val -= ax * vx * Ie;
-          double Is;
-          if (j > 0)
-            Is = -vy > 0 ? Ic : r.I[idx(c - nx_, d)];
-          else
-            Is = -vy > 0 ? Ic : phys_->table.I0(b, scen_.T_cold);
-          val -= ay * (-vy) * Is;
-          double In;
-          if (j < ny_ - 1)
-            In = vy > 0 ? Ic : r.I[idx(c + nx_, d)];
-          else
-            In = vy > 0 ? Ic : phys_->table.I0(b, wall_temperature((i + 0.5) * hx_));
-          val -= ay * vy * In;
-
-          r.I_new[idx(c, d)] = val;
-        }
-      }
-    }
-  }
-  r.I.swap(r.I_new);
-}
-
-// Recompute payload entries [begin, end) from r.I — the reduction's inputs —
-// with the same weights in the same order, so the repair is bit-identical to
-// an uncorrupted pack (payload index idx reduces exactly r.I[idx*nd + d]).
-void BandPartitionedSolver::reduce_block(Rank& r, size_t begin, size_t end) {
-  for (size_t idx = begin; idx < end; ++idx) {
-    double g = 0.0;
-    for (int d = 0; d < nd_; ++d)
-      g += phys_->directions.weight[static_cast<size_t>(d)] *
-           r.I[idx * static_cast<size_t>(nd_) + static_cast<size_t>(d)];
-    r.payload[idx] = g;
-  }
-}
-
-void BandPartitionedSolver::gather_rank(Rank& r) {
+void BandPartitionedSolver::gather_rank(size_t p) {
   // One rank's contribution to the allgather of per-cell band sums (the only
-  // cross-rank coupling): pack the slice into a contiguous payload — what a
-  // real MPI_Allgatherv would put on the wire — then scatter into G_global_.
-  const int ncell = nx_ * ny_;
-  const int bl = r.b_hi - r.b_lo;
-  r.payload.resize(static_cast<size_t>(ncell) * static_cast<size_t>(bl));
-  std::vector<double>& payload = r.payload;
-  for (int b = r.b_lo; b < r.b_hi; ++b) {
-    const int lb = b - r.b_lo;
-    for (int c = 0; c < ncell; ++c) {
-      double g = 0.0;
-      for (int d = 0; d < nd_; ++d)
-        g += phys_->directions.weight[static_cast<size_t>(d)] *
-             r.I[(static_cast<size_t>(c) * bl + lb) * nd_ + static_cast<size_t>(d)];
-      payload[static_cast<size_t>(c) * bl + lb] = g;
-    }
-  }
+  // cross-rank coupling): pack the slice into a contiguous payload, then
+  // scatter it into the gathered sums.
+  const BandLayout::Slice& s = layout_.slices[p];
+  Wire& w = wire_[p];
+  const size_t n = static_cast<size_t>(ncell_) * static_cast<size_t>(s.bands());
+  w.payload.resize(n);
+  layout_.reduce(s, 0, n, w.payload.data());
 
   const bool sdc = resilient_ && res_.sdc.enabled;
   if (sdc) {
@@ -886,56 +443,38 @@ void BandPartitionedSolver::gather_rank(Rank& r) {
     // whole cells (cell-major payload) so a bad block maps to a cell range.
     const auto t0 = Clock::now();
     const size_t block = static_cast<size_t>(std::max(1, res_.sdc.block_cells)) *
-                         static_cast<size_t>(bl);
-    if (r.gledger.size() != payload.size() || r.gledger.block_size() != block)
-      r.gledger = rt::BlockLedger(payload.size(), block);
-    r.gledger.update(payload);
-    const double audit = seconds_since(t0);
-    bsp_.charge_audit(audit);
-    rstats_.audit_seconds += audit;
+                         static_cast<size_t>(s.bands());
+    if (w.ledger.size() != n || w.ledger.block_size() != block)
+      w.ledger = rt::BlockLedger(n, block);
+    w.ledger.update(w.payload);
+    charge_audit(seconds_since(t0));
   }
 
   rt::FaultInjector* fi = resilient_ ? res_.injector : nullptr;
   if (fi != nullptr) {
-    bool delivered = true;
-    for (int attempt = 0; fi->should_fault(rt::FaultKind::DroppedMessage, "gather"); ++attempt) {
-      rstats_.faults_detected += 1;
-      if (attempt >= res_.max_retries) {
-        delivered = false;
-        health_.transfer_ok = false;
-        health_.detail =
-            "gather contribution dropped after " + std::to_string(attempt) + " retries";
-        break;
-      }
-      const double delay = backoff_delay(res_, attempt);
-      bsp_.charge_fault(delay);
-      rstats_.recovery_seconds += delay;
-      rstats_.retries += 1;
-    }
     // An undelivered contribution leaves last step's (stale, finite) sums in
-    // G_global_ — invisible to the NaN scan, hence the explicit health flag.
-    if (!delivered) return;
+    // G — invisible to the NaN scan, hence deliver()'s explicit health flag.
+    if (!deliver("gather", "gather contribution")) return;
     if (fi->should_fault(rt::FaultKind::TransferCorruption, "gather"))
-      fi->corrupt(payload, "gather");
+      fi->corrupt(w.payload, "gather");
     if (sdc && fi->should_fault(rt::FaultKind::BitFlipReduction, "gather"))
-      fi->flip_bit(payload, rt::FaultKind::BitFlipReduction, "gather");
+      fi->flip_bit(w.payload, rt::FaultKind::BitFlipReduction, "gather");
   }
 
   if (sdc) {
     // Verify the in-flight contribution against the sender's ledger; a bad
-    // block is re-reduced from r.I (the reduction's intact inputs) instead of
-    // rolling the whole run back.
+    // block is re-reduced from the slice (the reduction's intact inputs)
+    // instead of rolling the whole run back.
     const auto t0 = Clock::now();
-    for (size_t blk : r.gledger.verify(payload)) {
+    for (size_t blk : w.ledger.verify(w.payload)) {
       note_sdc_detection();
-      const auto range = r.gledger.range(blk);
-      reduce_block(r, range.begin, range.end);
+      const auto range = w.ledger.range(blk);
+      layout_.reduce(s, range.begin, range.end, w.payload.data());
+      const std::span<double> repaired =
+          std::span<double>(w.payload).subspan(range.begin, range.end - range.begin);
       if (fi != nullptr && fi->should_fault(rt::FaultKind::BitFlipReduction, "gather-repair"))
-        fi->flip_bit(std::span<double>(payload).subspan(range.begin, range.end - range.begin),
-                     rt::FaultKind::BitFlipReduction, "gather-repair");
-      if (rt::block_checksum(std::span<const double>(payload)
-                                 .subspan(range.begin, range.end - range.begin))
-              .matches(r.gledger.checksum(blk))) {
+        fi->flip_bit(repaired, rt::FaultKind::BitFlipReduction, "gather-repair");
+      if (rt::block_checksum(repaired).matches(w.ledger.checksum(blk))) {
         rstats_.block_repairs += 1;
       } else {
         rstats_.repair_failures += 1;
@@ -944,17 +483,9 @@ void BandPartitionedSolver::gather_rank(Rank& r) {
                          " checksum failed twice; falling back to rollback";
       }
     }
-    const double audit = seconds_since(t0);
-    bsp_.charge_audit(audit);
-    rstats_.audit_seconds += audit;
+    charge_audit(seconds_since(t0));
   }
-
-  for (int b = r.b_lo; b < r.b_hi; ++b) {
-    const int lb = b - r.b_lo;
-    for (int c = 0; c < ncell; ++c)
-      G_global_[static_cast<size_t>(c) * nb_ + static_cast<size_t>(b)] =
-          payload[static_cast<size_t>(c) * bl + lb];
-  }
+  layout_.scatter_into_G(s, w.payload);
 }
 
 void BandPartitionedSolver::step() {
@@ -966,9 +497,11 @@ void BandPartitionedSolver::step() {
   std::vector<double> rank_seconds(static_cast<size_t>(nparts_));
   {
     rt::TraceSpan sweep_span("band.sweep", attrs);
-    for (size_t p = 0; p < ranks_.size(); ++p) {
+    for (size_t p = 0; p < layout_.slices.size(); ++p) {
       const auto t0 = Clock::now();
-      sweep_rank(ranks_[p]);
+      BandLayout::Slice& s = layout_.slices[p];
+      layout_.sweep(upwind_, s, s.I, s.I_new);
+      s.I.swap(s.I_new);
       rank_seconds[p] = seconds_since(t0);
     }
   }
@@ -977,7 +510,7 @@ void BandPartitionedSolver::step() {
 
   {
     rt::TraceSpan gather_span("band.gather", attrs);
-    for (Rank& r : ranks_) gather_rank(r);
+    for (size_t p = 0; p < layout_.slices.size(); ++p) gather_rank(p);
   }
   comm_.total_bytes += comm_.bytes_per_step;
   bsp_.gather(comm_.bytes_per_step / (nparts_ > 0 ? nparts_ : 1));
@@ -987,423 +520,58 @@ void BandPartitionedSolver::step() {
   // bands' Io/beta — executed once here since the result is identical.
   rt::TraceSpan temp_span("band.temperature", attrs);
   const auto t0 = Clock::now();
-  const int ncell = nx_ * ny_;
-  std::vector<double> G(static_cast<size_t>(nb_));
-  for (int c = 0; c < ncell; ++c) {
-    for (int b = 0; b < nb_; ++b) G[static_cast<size_t>(b)] = G_global_[static_cast<size_t>(c) * nb_ + static_cast<size_t>(b)];
-    const double Tc = phys_->table.solve_temperature(G, T_[static_cast<size_t>(c)]);
-    T_[static_cast<size_t>(c)] = Tc;
-    for (Rank& r : ranks_) {
-      const int bl = r.b_hi - r.b_lo;
-      for (int b = r.b_lo; b < r.b_hi; ++b) {
-        const int lb = b - r.b_lo;
-        r.Io[static_cast<size_t>(c) * bl + lb] = phys_->table.I0(b, Tc);
-        r.beta[static_cast<size_t>(c) * bl + lb] = phys_->table.beta(b, Tc);
-      }
-    }
-  }
+  layout_.update_temperature();
   bsp_.uniform_compute(seconds_since(t0), rt::BspSimulator::Phase::PostProcess);
-}
-
-void BandPartitionedSolver::run(int nsteps) {
-  if (!resilient_) {
-    for (int i = 0; i < nsteps; ++i) step();
-    return;
-  }
-  const int64_t target = step_index_ + nsteps;
-  int rollback_budget = res_.max_rollbacks;
-  while (step_index_ < target) {
-    // Cancel/deadline drain and resource-fault consult at the step boundary;
-    // see CellPartitionedSolver::run.
-    if (res_.cancel != nullptr && res_.cancel->should_drain(step_index_, bsp_.elapsed())) {
-      take_checkpoint(res_.cancel->drain_reason(step_index_, bsp_.elapsed()));
-      rstats_.cancel_drains += 1;
-      break;
-    }
-    consult_resource_faults(res_, rstats_, "band-mem", [this](double s) {
-      bsp_.charge_recovery(s);
-      rstats_.recovery_seconds += s;
-    });
-    if (pending_kill_ < 0 && res_.straggler.enabled && bsp_.hang_suspect() >= 0) {
-      pending_kill_ = bsp_.hang_suspect();
-      bsp_.clear_hang_suspect();
-      rstats_.hang_escalations += 1;
-    }
-    if (pending_kill_ < 0 && res_.injector != nullptr &&
-        res_.injector->should_fault(rt::FaultKind::RankFailure, "band-rank"))
-      pending_kill_ = static_cast<int32_t>(
-          res_.injector->pick(rt::FaultKind::RankFailure, "band-rank", static_cast<size_t>(nparts_)));
-    if (pending_kill_ >= 0) {
-      const int32_t victim = pending_kill_;
-      pending_kill_ = -1;
-      evict_and_redistribute(victim);
-      continue;
-    }
-    maybe_mitigate_stragglers();
-    health_ = StepHealth{};
-    step();
-    ++step_index_;
-    validate();
-    if (health_.ok()) {
-      if (res_.checkpoint.due(step_index_)) take_checkpoint();
-      continue;
-    }
-    rstats_.faults_detected += 1;
-    if (rollback_budget-- <= 0)
-      throw ResilienceError("rollback budget exhausted: " + health_.detail);
-    // Replay is measured against the step the restore actually lands on — a
-    // corrupted-newest-image restore can fall back a generation, losing more
-    // than the distance to the latest checkpoint.
-    const int64_t before = step_index_;
-    restore_checkpoint();
-    rstats_.rollbacks += 1;
-    rstats_.replayed_steps += before - step_index_;
-  }
-  sync_straggler_stats();
-  publish_resilience_metrics(rstats_, published_);
-}
-
-void BandPartitionedSolver::enable_resilience(const ResilienceOptions& options) {
-  validate_resilience_options(options);
-  res_ = options;
-  resilient_ = true;
-  bsp_.set_fault_injector(res_.injector);
-  bsp_.set_heartbeat(res_.heartbeat);
-  if (res_.straggler.enabled) bsp_.set_straggler(res_.straggler);
-  if (!res_.durable.dir.empty())
-    store_ = rt::CheckpointStore(res_.durable.dir, res_.durable.disk_generations);
-  register_memory_reliefs();
-  take_checkpoint();
-}
-
-// Graceful degradation, cheapest first; only rebuildable state is freed (the
-// gather payload buffers are resized before every gather).
-void BandPartitionedSolver::register_memory_reliefs() {
-  if (res_.memory == nullptr) return;
-  res_.memory->add_relief("ckpt-prev-generation",
-                          [this] { return store_.drop_previous_generation(); });
-  res_.memory->add_relief("scratch-shrink", [this] {
-    int64_t freed = 0;
-    for (Rank& r : ranks_) {
-      freed += static_cast<int64_t>(r.payload.capacity() * sizeof(double));
-      r.payload.clear();
-      r.payload.shrink_to_fit();
-    }
-    return freed;
-  });
-  res_.memory->add_relief("ckpt-spill", [this] { return store_.spill(); });
-}
-
-uint64_t BandPartitionedSolver::config_hash() const {
-  ConfigHasher h;
-  h.mix(static_cast<int64_t>(scen_.nx)).mix(static_cast<int64_t>(scen_.ny));
-  h.mix(scen_.lx).mix(scen_.ly);
-  h.mix(static_cast<int64_t>(scen_.kind == BteScenario::Kind::CornerSource ? 1 : 0));
-  h.mix(scen_.T_init).mix(scen_.T_cold).mix(scen_.T_hot);
-  h.mix(scen_.hot_w).mix(scen_.hot_center_frac).mix(scen_.dt);
-  h.mix(static_cast<int64_t>(nd_)).mix(static_cast<int64_t>(nb_));
-  return h.value();
-}
-
-void BandPartitionedSolver::resume_from(const rt::RunManifest& manifest,
-                                        const ResilienceOptions& options) {
-  validate_resilience_options(options);
-  if (options.durable.dir.empty())
-    throw std::invalid_argument("resume_from: options.durable.dir must name the manifest's dir");
-  check_manifest_matches(manifest, "band", config_hash());
-  res_ = options;
-  resilient_ = true;
-  bsp_.set_fault_injector(res_.injector);
-  bsp_.set_heartbeat(res_.heartbeat);
-  if (res_.straggler.enabled) bsp_.set_straggler(res_.straggler);
-  register_memory_reliefs();
-  store_ = rt::CheckpointStore(res_.durable.dir, res_.durable.disk_generations);
-  store_.resume_sequence(manifest.saves);
-  // Adopt the prior run's surviving generation files so the first
-  // post-resume manifest keeps them as fallback (satellite of ISSUE 8:
-  // without adoption a second crash with a damaged newest generation
-  // had nothing older to fall back to).
-  store_.adopt_disk_paths(manifest.checkpoints);
-  restore(load_manifest_checkpoint(manifest, rstats_));
-  if (res_.injector != nullptr)
-    res_.injector->import_counters(manifest.injector_counters, manifest.injector_events);
-  rstats_.resumes += 1;
-  take_checkpoint();
-}
-
-void BandPartitionedSolver::inject_slow_rank(int32_t rank, double factor) {
-  bsp_.set_slow_rank(rank, factor);
-}
-
-void BandPartitionedSolver::arm_speculation_if_chronic() {
-  if (!resilient_ || !res_.straggler.enabled || !res_.straggler.speculation) return;
-  const int32_t victim = bsp_.straggler().chronic_straggler();
-  if (victim < 0) return;
-  const int32_t helper = bsp_.straggler().least_loaded(victim);
-  if (helper < 0) return;
-  bsp_.arm_speculation(victim, helper);
-  rstats_.speculations += 1;
-}
-
-void BandPartitionedSolver::maybe_mitigate_stragglers() {
-  if (!res_.straggler.enabled || !res_.straggler.rebalance || nparts_ <= 1) return;
-  if (rstats_.rebalances >= res_.straggler.max_rebalances) return;
-  const int32_t victim = bsp_.straggler().chronic_straggler();
-  if (victim >= 0) rebalance_away(victim);
-}
-
-// Derate, not drain: bands are divisible, so the victim keeps a share of the
-// spectrum inversely proportional to its observed slowdown and the survivors
-// absorb the rest. The fleet keeps its rank count (unlike the cell solver's
-// drain) because the slow hardware still contributes usefully at a reduced
-// share — the cost is the live-state motion, charged to the rebalance phase.
-void BandPartitionedSolver::rebalance_away(int32_t victim) {
-  std::vector<double> w(static_cast<size_t>(nparts_), 1.0);
-  w[static_cast<size_t>(victim)] = 1.0 / bsp_.straggler().slowdown(victim);
-  double total = 0.0;
-  for (double x : w) total += x;
-  std::vector<std::pair<int, int>> ranges(static_cast<size_t>(nparts_));
-  double cum = 0.0;
-  int lo = 0;
-  for (size_t p = 0; p < w.size(); ++p) {
-    cum += w[p];
-    int hi = p + 1 == w.size()
-                 ? nb_
-                 : static_cast<int>(std::lround(static_cast<double>(nb_) * cum / total));
-    hi = std::clamp(hi, lo, nb_);
-    ranges[p] = {lo, hi};
-    lo = hi;
-  }
-
-  const rt::Snapshot live = snapshot();
-  int64_t bytes = 0;
-  for (const auto& f : live.fields) bytes += static_cast<int64_t>(f.second.size()) * 8;
-  rebuild_ranks(ranges);
-  restore(live);
-  const double reb_before = bsp_.phases().rebalance;
-  bsp_.charge_rebalance(bytes);
-  rstats_.rebalance_seconds += bsp_.phases().rebalance - reb_before;
-  rstats_.rebalances += 1;
-  // Old per-rank timing history does not describe the new shares.
-  bsp_.straggler().resize(nparts_);
-}
-
-void BandPartitionedSolver::sync_straggler_stats() {
-  rstats_.slow_steps = bsp_.slow_steps();
-  rstats_.jitter_events = bsp_.jitter_events();
-  rstats_.hang_events = bsp_.hang_events();
-  rstats_.hang_timeouts = bsp_.watchdog_timeouts();
-  rstats_.speculation_seconds = bsp_.phases().speculation;
-}
-
-void BandPartitionedSolver::kill_rank(int32_t rank) {
-  if (!resilient_)
-    throw std::logic_error("kill_rank: enable_resilience first (eviction needs a checkpoint)");
-  if (rank < 0 || rank >= nparts_) throw std::invalid_argument("kill_rank: rank out of range");
-  pending_kill_ = rank;
-}
-
-void BandPartitionedSolver::evict_and_redistribute(int32_t victim) {
-  if (nparts_ <= 1)
-    throw ResilienceError("rank " + std::to_string(victim) + " failed with no survivors");
-  rstats_.faults_detected += 1;
-  const double rec_before = bsp_.phases().recovery;
-  bsp_.evict_rank(victim);
-  rstats_.recovery_seconds += bsp_.phases().recovery - rec_before;
-
-  // The survivors take over the victim's bands (contiguous ranges recomputed
-  // over M ranks) and reload the last global checkpoint — through the guarded
-  // path, and before the shrink, so a hang or corrupted read mid-restore
-  // cannot leave a half-shrunk topology.
-  const int64_t before = step_index_;
-  const rt::Snapshot snap = load_checkpoint_guarded(store_, res_, rstats_, [this](double s) {
-    bsp_.charge_recovery(s);
-    rstats_.recovery_seconds += s;
-  });
-  build_topology(nparts_ - 1);
-  restore(snap);
-  const double red_before = bsp_.phases().redistribution;
-  bsp_.charge_redistribution(store_.bytes_stored());
-  rstats_.redistribution_seconds += bsp_.phases().redistribution - red_before;
-  rstats_.evictions += 1;
-  rstats_.replayed_steps += before - step_index_;
-}
-
-// ---- silent-data-corruption defense (band partitioning) ---------------------
-
-void BandPartitionedSolver::note_sdc_detection() {
-  rstats_.sdc_detections += 1;
-  rstats_.max_detection_latency_steps =
-      std::max<int64_t>(rstats_.max_detection_latency_steps, 1);
 }
 
 // Cross-rank redundancy on the gathered sums: a few spread-out cells' full G
 // rows are re-reduced from every owner rank's intensities and compared
-// bit-for-bit against G_global_ before the temperature solve — this audits
-// the scatter as well as the wire, independently of the per-rank ledgers.
+// bit-for-bit against G before the temperature solve — this audits the
+// scatter as well as the wire, independently of the per-rank ledgers. The
+// re-reduction is the repair.
 void BandPartitionedSolver::audit_sentinels() {
   const auto t0 = Clock::now();
-  const int ncell = nx_ * ny_;
-  if (sentinel_cells_.empty()) {
-    const int n = std::min(res_.sdc.sentinel_cells, ncell);
-    for (int k = 0; k < n; ++k)
-      sentinel_cells_.push_back(
-          static_cast<int32_t>(static_cast<int64_t>(k + 1) * ncell / (n + 1)));
-  }
-  for (int32_t c : sentinel_cells_) {
+  for (int32_t c : sentinel_cells()) {
     rstats_.sentinel_checks += 1;
-    for (Rank& r : ranks_) {
-      const int bl = r.b_hi - r.b_lo;
-      for (int b = r.b_lo; b < r.b_hi; ++b) {
-        const int lb = b - r.b_lo;
-        const size_t idx = static_cast<size_t>(c) * static_cast<size_t>(bl) +
-                           static_cast<size_t>(lb);
-        double g = 0.0;
-        for (int d = 0; d < nd_; ++d)
-          g += phys_->directions.weight[static_cast<size_t>(d)] *
-               r.I[idx * static_cast<size_t>(nd_) + static_cast<size_t>(d)];
-        double& dst = G_global_[static_cast<size_t>(c) * nb_ + static_cast<size_t>(b)];
+    for (const BandLayout::Slice& s : layout_.slices) {
+      for (int b = s.b_lo; b < s.b_hi; ++b) {
+        const size_t idx = static_cast<size_t>(c) * static_cast<size_t>(s.bands()) +
+                           static_cast<size_t>(b - s.b_lo);
+        const double g =
+            angular_sum(phys_->directions, &s.I[idx * static_cast<size_t>(nd_)]);
+        double& dst = layout_.G[static_cast<size_t>(c) * static_cast<size_t>(nb_) +
+                                static_cast<size_t>(b)];
         if (std::memcmp(&g, &dst, sizeof(double)) != 0) {
           note_sdc_detection();
-          // The re-reduction is the repair: adopt the redundant result.
           dst = g;
           rstats_.block_repairs += 1;
         }
       }
     }
   }
-  const double audit = seconds_since(t0);
-  bsp_.charge_audit(audit);
-  rstats_.audit_seconds += audit;
+  charge_audit(seconds_since(t0));
 }
 
-void BandPartitionedSolver::validate() {
-  rstats_.validations += 1;
-  if (resilient_ && res_.sdc.enabled) {
-    // Energy-balance tripwire over the gathered band sums (see SdcOptions:
-    // recorded, not health-failing).
-    rt::KahanSum e;
-    for (double g : G_global_) e.add(g);
-    if (have_prev_energy_) {
-      const double drift =
-          std::abs(e.sum - prev_energy_) / std::max(std::abs(prev_energy_), 1e-300);
-      if (drift > res_.sdc.energy_drift_tol) rstats_.invariant_violations += 1;
-    }
-    prev_energy_ = e.sum;
-    have_prev_energy_ = true;
-  }
-  size_t bad = 0;
-  for (size_t p = 0; p < ranks_.size(); ++p) {
-    if (!rt::all_finite(ranks_[p].I, &bad)) {
-      health_.finite_ok = false;
-      health_.nonfinite_values += 1;
-      health_.detail = "rank " + std::to_string(p) + " I[" + std::to_string(bad) + "] non-finite";
-    }
-  }
+bool BandPartitionedSolver::field_energy(double& energy) const {
+  rt::KahanSum e;
+  for (double g : layout_.G) e.add(g);
+  energy = e.sum;
+  return true;
+}
+
+void BandPartitionedSolver::scan_fields() {
+  for (size_t p = 0; p < layout_.slices.size(); ++p)
+    require_finite(layout_.slices[p].I, static_cast<int>(p), "I");
   // solve_temperature's bisection fallback returns a finite T even for NaN
   // band sums, so the gathered sums must be scanned directly.
-  if (!rt::all_finite(G_global_, &bad)) {
-    health_.finite_ok = false;
-    health_.nonfinite_values += 1;
-    health_.detail = "G[" + std::to_string(bad) + "] non-finite";
-  }
-  if (!rt::all_finite(T_, &bad)) {
-    health_.finite_ok = false;
-    health_.nonfinite_values += 1;
-    health_.detail = "T[" + std::to_string(bad) + "] non-finite";
-  }
+  require_finite(layout_.G, -1, "G");
+  require_finite(layout_.T, -1, "T");
 }
 
-rt::Snapshot BandPartitionedSolver::snapshot() const {
-  const size_t ncell = static_cast<size_t>(nx_) * static_cast<size_t>(ny_);
-  rt::Snapshot snap;
-  snap.step = step_index_;
-  std::vector<double> Io(ncell * static_cast<size_t>(nb_)), beta(Io.size());
-  for (const Rank& r : ranks_) {
-    const int bl = r.b_hi - r.b_lo;
-    for (int b = r.b_lo; b < r.b_hi; ++b) {
-      const int lb = b - r.b_lo;
-      for (size_t c = 0; c < ncell; ++c) {
-        Io[c * static_cast<size_t>(nb_) + static_cast<size_t>(b)] =
-            r.Io[c * static_cast<size_t>(bl) + static_cast<size_t>(lb)];
-        beta[c * static_cast<size_t>(nb_) + static_cast<size_t>(b)] =
-            r.beta[c * static_cast<size_t>(bl) + static_cast<size_t>(lb)];
-      }
-    }
-  }
-  snap.add("I", gather_intensity());
-  snap.add("T", T_);
-  snap.add("Io", Io);
-  snap.add("beta", beta);
-  return snap;
-}
-
-void BandPartitionedSolver::restore(const rt::Snapshot& snap) {
-  const size_t ncell = static_cast<size_t>(nx_) * static_cast<size_t>(ny_);
-  const auto& I = snap.field("I");
-  const auto& T = snap.field("T");
-  const auto& Io = snap.field("Io");
-  const auto& beta = snap.field("beta");
-  if (I.size() != ncell * static_cast<size_t>(nd_) * static_cast<size_t>(nb_) ||
-      T.size() != ncell || Io.size() != ncell * static_cast<size_t>(nb_) ||
-      beta.size() != Io.size())
-    throw rt::CheckpointError("snapshot does not match problem size");
-  T_ = T;
-  for (Rank& r : ranks_) {
-    const int bl = r.b_hi - r.b_lo;
-    for (int b = r.b_lo; b < r.b_hi; ++b) {
-      const int lb = b - r.b_lo;
-      for (size_t c = 0; c < ncell; ++c) {
-        r.Io[c * static_cast<size_t>(bl) + static_cast<size_t>(lb)] =
-            Io[c * static_cast<size_t>(nb_) + static_cast<size_t>(b)];
-        r.beta[c * static_cast<size_t>(bl) + static_cast<size_t>(lb)] =
-            beta[c * static_cast<size_t>(nb_) + static_cast<size_t>(b)];
-        for (int d = 0; d < nd_; ++d)
-          r.I[(c * static_cast<size_t>(bl) + static_cast<size_t>(lb)) * static_cast<size_t>(nd_) +
-              static_cast<size_t>(d)] =
-              I[c * static_cast<size_t>(nd_) * static_cast<size_t>(nb_) +
-                static_cast<size_t>(d + nd_ * b)];
-      }
-    }
-  }
-  have_prev_energy_ = false;
-  step_index_ = snap.step;
-}
-
-std::vector<int32_t> BandPartitionedSolver::owner_counts() const {
-  std::vector<int32_t> counts(static_cast<size_t>(nb_), 0);
-  for (const Rank& r : ranks_)
-    for (int b = r.b_lo; b < r.b_hi; ++b) counts[static_cast<size_t>(b)] += 1;
-  return counts;
-}
-
-void BandPartitionedSolver::take_checkpoint(const std::string& cancel_reason) {
-  store_.save(snapshot());
-  rstats_.checkpoints += 1;
-  write_run_manifest(res_, rstats_, "band", nparts_, config_hash(), store_, cancel_reason);
-}
-
-void BandPartitionedSolver::restore_checkpoint() {
-  restore(load_checkpoint_guarded(store_, res_, rstats_, [this](double s) {
-    bsp_.charge_recovery(s);
-    rstats_.recovery_seconds += s;
-  }));
-}
-
-std::vector<double> BandPartitionedSolver::gather_intensity() const {
-  const int ncell = nx_ * ny_;
-  std::vector<double> out(static_cast<size_t>(ncell) * nd_ * nb_);
-  for (const Rank& r : ranks_) {
-    const int bl = r.b_hi - r.b_lo;
-    for (int b = r.b_lo; b < r.b_hi; ++b) {
-      const int lb = b - r.b_lo;
-      for (int c = 0; c < ncell; ++c)
-        for (int d = 0; d < nd_; ++d)
-          out[static_cast<size_t>(c) * nd_ * nb_ + static_cast<size_t>(d + nd_ * b)] =
-              r.I[(static_cast<size_t>(c) * bl + lb) * nd_ + static_cast<size_t>(d)];
-    }
-  }
-  return out;
+int64_t BandPartitionedSolver::release_scratch() {
+  int64_t freed = 0;
+  for (Wire& w : wire_) freed += release(w.payload);
+  return freed;
 }
 
 }  // namespace finch::bte

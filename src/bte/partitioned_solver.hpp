@@ -1,5 +1,5 @@
 #pragma once
-// Executing distributed-memory solvers for the paper's two partitioning
+// Executing distributed-memory solvers for the paper's two host partitioning
 // strategies (§III.C, Fig. 3). Ranks are simulated in-process but own
 // genuinely separate storage and move data only through explicit exchanges,
 // so the communication pattern — and its volume — is real:
@@ -13,17 +13,17 @@
 //    band-directional sums before the temperature update ("the coupling of
 //    the bands only occurs in the temperature update", §III.C).
 //
-// Both produce fields bit-identical to the serial DirectSolver — tested —
-// and report the bytes they moved, which the perf models' figures price.
+// Both run on the shared DistributedEngine (run loop, recovery, checkpoints)
+// with the BSP simulator as their clock, produce fields bit-identical to the
+// serial DirectSolver — tested — and report the bytes they moved, which the
+// perf models' figures price.
 
 #include <cstdint>
 #include <memory>
-#include <utility>
 #include <vector>
 
-#include "bte_problem.hpp"
+#include "distributed_engine.hpp"
 #include "mesh/partition.hpp"
-#include "resilience.hpp"
 #include "runtime/abft.hpp"
 #include "runtime/simmpi.hpp"
 
@@ -35,78 +35,63 @@ struct CommVolume {
   int64_t total_bytes = 0;      // accumulated over run()
 };
 
-class CellPartitionedSolver {
+// The engine on the BSP virtual clock: measured compute, modeled
+// communication, heartbeat-timed evictions, the exchange watchdog's hang
+// escalation, and speculation against a chronic straggler.
+class BspEngine : public DistributedEngine {
+ public:
+  // Explicit deterministic performance fault: `rank` computes `factor`x
+  // slower from now on (the SlowRank fault with a hand-placed victim). The
+  // numerics are untouched — only the virtual clock feels it.
+  void inject_slow_rank(int32_t rank, double factor) { bsp_.set_slow_rank(rank, factor); }
+  const CommVolume& comm() const { return comm_; }
+
+ protected:
+  BspEngine(const BteScenario& scenario, std::shared_ptr<const BtePhysics> physics, int nparts,
+            Sites sites);
+
+  rt::PhaseLedger& ledger() override { return bsp_.ledger(); }
+  const rt::PhaseLedger& ledger() const override { return bsp_.ledger(); }
+  void charge(Slot slot, double seconds) override { bsp_.charge(slot, seconds); }
+  void attach_defenses() override;
+  rt::StragglerDetector& detector() override { return bsp_.straggler(); }
+  int32_t hang_victim() override;
+  double detect_loss(int32_t victim) override;
+  double restore_moving(const rt::Snapshot& snap, Slot slot, int64_t bytes) override;
+  void sync_fault_telemetry() override;
+
+  // Consults the injector for dropped messages at `site`: each drop is
+  // retransmitted after a bounded exponential backoff (charged as fault
+  // stall). Returns false — and marks the step unhealthy with "<what>
+  // dropped after N retries" — once the retry budget is spent.
+  bool deliver(const char* site, const char* what);
+  // Arms a one-shot speculative duplicate of the chronic straggler's shard
+  // on the least-loaded survivor, just before the compute superstep.
+  void arm_speculation_if_chronic();
+
+  rt::BspSimulator bsp_;
+  CommVolume comm_;
+};
+
+class CellPartitionedSolver : public BspEngine {
  public:
   CellPartitionedSolver(const BteScenario& scenario, std::shared_ptr<const BtePhysics> physics,
                         int nparts, mesh::PartitionMethod method = mesh::PartitionMethod::RCB);
 
-  void step();
-  void run(int nsteps);
+  // Halo exchange (dropped messages retried, ABFT sidecars verified once
+  // resilience is armed), sweep, sentinel audit, temperature update.
+  void step() override;
 
-  // Arms recovery: the halo exchange retries dropped messages with bounded
-  // backoff, every step is validated (NaN/Inf scan over the distributed
-  // fields), and a failed validation rolls back to the last checkpoint and
-  // replays. Costs are charged to the BSP virtual clock.
-  void enable_resilience(const ResilienceOptions& options);
-  bool resilient() const { return resilient_; }
-  const ResilienceStats& resilience_stats() const { return rstats_; }
-  const StepHealth& last_health() const { return health_; }
-  int64_t step_index() const { return step_index_; }
-
-  // Durable restart: arms resilience from `options` (which must carry the
-  // durable dir the manifest was written into), validates the manifest
-  // against this solver's configuration, restores the newest readable
-  // on-disk generation (falling back across recorded paths), re-imports the
-  // injector's counter/event state, and re-checkpoints — after which run()
-  // continues bit-exactly where the killed or drained process left off.
-  void resume_from(const rt::RunManifest& manifest, const ResilienceOptions& options);
-
-  // ---- elastic shrink-to-survivors ----------------------------------------
-  // Kills `rank` permanently; the death is discovered (heartbeat suspicion
-  // timeout) at the next run() step boundary, the survivors repartition the
-  // mesh via mesh::partition, rebuild their halo plans, and restart from the
-  // last checkpoint. Requires enable_resilience (eviction needs a rollback
-  // target). RankFailure injector policies drive the same path with a
-  // deterministically drawn victim.
-  void kill_rank(int32_t rank);
-
-  // Explicit deterministic performance fault: `rank` computes `factor`x
-  // slower from now on (the SlowRank fault with a hand-placed victim). The
-  // numerics are untouched — only the virtual clock feels it.
-  void inject_slow_rank(int32_t rank, double factor);
-
-  // Topology-independent snapshot in the canonical global layout ("I", "T",
-  // "Io", "beta"); an image taken at N ranks restores onto any M survivors.
-  rt::Snapshot snapshot() const;
-  void restore(const rt::Snapshot& snap);
-
-  // Per-cell owner multiplicity (how many ranks claim each cell); the
-  // eviction invariant tests assert every entry is exactly 1.
-  std::vector<int32_t> owner_counts() const;
-
-  int nparts() const { return nparts_; }
-  const CommVolume& comm() const { return comm_; }
-  // Virtual-time phase breakdown (measured compute, modeled communication).
-  const rt::PhaseTimes& phases() const { return bsp_.phases(); }
-  // Total virtual seconds on the BSP clock; equals phases().total() exactly.
-  double virtual_elapsed() const { return bsp_.elapsed(); }
-  // Routes this solver's virtual-time phase spans to Chrome-trace track
-  // `track` (see OBSERVABILITY.md); `label` names it in the exported file.
-  void set_trace_track(int32_t track, const std::string& label = "") {
-    bsp_.set_trace_track(track, label);
-  }
-
-  // Gathers the distributed field back to global ordering for comparison.
-  std::vector<double> gather_intensity() const;
-  std::vector<double> gather_temperature() const;
+  std::vector<double> gather_intensity() const override;
+  std::vector<double> gather_temperature() const override;
+  // Per-cell owner multiplicity.
+  std::vector<int32_t> owner_counts() const override;
 
  private:
   struct Rank {
     std::vector<int32_t> owned;            // global cell ids
     std::vector<int32_t> ghosts;           // global cell ids of halo copies
     std::vector<int32_t> global_to_local;  // -1 if not present on this rank
-    // Per-face neighbor resolution for owned cells: local index of the cell
-    // across each face (owned or ghost), -1 for boundary faces.
     std::vector<double> I, I_new;          // [(owned+ghost) * dofs]
     std::vector<double> Io, beta;          // [owned * nbands]
     std::vector<double> T;                 // [owned]
@@ -114,173 +99,76 @@ class CellPartitionedSolver {
     std::vector<size_t> all_owned;         // 0..owned.size()-1 (sweep subset arg)
   };
 
-  void build_topology(int nparts);
-  void evict_and_redistribute(int32_t victim);
-  // Dynamic rebalance away from a chronically slow (but alive) rank: the cell
-  // partitioner has no weighted mode, so the victim is *drained* — its whole
-  // shard moves to the survivors via the same repartition machinery as an
-  // eviction, but from a live snapshot: no suspicion timeout, no rollback, no
-  // replayed steps. Charged to the rebalance phase.
-  void rebalance_away(int32_t victim);
-  void maybe_mitigate_stragglers();
-  void arm_speculation_if_chronic();
-  void sync_straggler_stats();
-  void exchange_halos();
-  void sweep_rank(Rank& r);
-  void sweep_owned_subset(Rank& r, const std::vector<size_t>& cells, std::vector<double>& out);
-  void temperature_rank(Rank& r);
-  double wall_temperature(double x) const;
-  void audit_sentinels();
-  void note_sdc_detection();
-  void validate();
-  void take_checkpoint(const std::string& cancel_reason = "");
-  void restore_checkpoint();
-  uint64_t config_hash() const;
-  void register_memory_reliefs();
+  void build_topology(int nparts) override;
+  // The cell partitioner has no weighted mode, so a chronic straggler is
+  // drained: its whole shard moves to the survivors.
+  void relayout_away(int32_t victim) override;
+  void gather_coefficients(std::vector<double>& Io, std::vector<double>& beta) const override;
+  void import_state(const rt::Snapshot& snap) override;
+  bool field_energy(double& energy) const override;
+  void scan_fields() override;
+  int64_t release_scratch() override { return release(sentinel_scratch_); }
 
-  BteScenario scen_;
-  std::shared_ptr<const BtePhysics> phys_;
+  void exchange_halos();
+  // Sweep parameterized over the owned-cell subset and the output array:
+  // per-cell results depend only on r.I/r.Io/r.beta, so recomputing any
+  // subset (sentinel audit) reproduces the full sweep bit-identically.
+  void sweep(Rank& r, const std::vector<size_t>& cells, std::vector<double>& out);
+  void temperature_rank(Rank& r);
+  void audit_sentinels();
+
   mesh::Mesh mesh_;
   mesh::PartitionMethod method_;
   std::vector<int32_t> part_;
-  int nparts_;
-  int nd_, nb_, dofs_;
-  double dt_;
+  int dofs_;
   std::vector<Rank> ranks_;
-  CommVolume comm_;
   std::vector<double> g_scratch_;
-  rt::BspSimulator bsp_;
   std::vector<rt::Message> halo_messages_;
-
-  bool resilient_ = false;
-  ResilienceOptions res_;
-  ResilienceStats rstats_;
-  ResilienceStats published_;  // last rstats_ mirrored into the metrics registry
-  StepHealth health_;
-  rt::CheckpointStore store_;
-  int64_t step_index_ = 0;
-  int32_t pending_kill_ = -1;
-
-  // ---- SDC defense state ----
-  std::vector<int32_t> sentinel_cells_;   // global cell ids, redundant recompute
   std::vector<double> sentinel_scratch_;  // recompute target ([owned * dofs])
   std::vector<size_t> sentinel_subset_;   // per-rank local indices, reused
-  double prev_energy_ = 0.0;
-  bool have_prev_energy_ = false;
 };
 
-class BandPartitionedSolver {
+class BandPartitionedSolver : public BspEngine {
  public:
   BandPartitionedSolver(const BteScenario& scenario, std::shared_ptr<const BtePhysics> physics,
                         int nparts);
 
-  void step();
-  void run(int nsteps);
+  // Sweep, gather of the band sums (drops retried, ABFT-ledgered blocks
+  // re-reduced once resilience is armed), sentinel audit, temperature.
+  void step() override;
 
-  // Arms recovery for the band-sum gather (the solver's only cross-rank data
-  // motion): dropped contributions are re-gathered with bounded backoff,
-  // corrupted ones are caught by the per-step NaN/Inf validation and undone
-  // by rollback + replay from the last checkpoint.
-  void enable_resilience(const ResilienceOptions& options);
-  bool resilient() const { return resilient_; }
-  const ResilienceStats& resilience_stats() const { return rstats_; }
-  const StepHealth& last_health() const { return health_; }
-  int64_t step_index() const { return step_index_; }
-
-  // Durable restart from a manifest; see CellPartitionedSolver::resume_from.
-  void resume_from(const rt::RunManifest& manifest, const ResilienceOptions& options);
-
-  // Elastic shrink: kills `rank` permanently; at the next run() step boundary
-  // the survivors rebalance the band ownership over M = nparts()-1 ranks and
-  // restart from the last (topology-independent) checkpoint. Requires
-  // enable_resilience. RankFailure injector policies drive the same path.
-  void kill_rank(int32_t rank);
-
-  // Explicit deterministic performance fault: `rank` computes `factor`x
-  // slower from now on (SlowRank with a hand-placed victim).
-  void inject_slow_rank(int32_t rank, double factor);
-
-  // Canonical-global-layout snapshot/restore (N-to-M restart); images are
-  // interchangeable with CellPartitionedSolver / MultiGpuSolver snapshots.
-  rt::Snapshot snapshot() const;
-  void restore(const rt::Snapshot& snap);
-
-  // Per-band owner multiplicity; eviction invariant tests assert all 1.
-  std::vector<int32_t> owner_counts() const;
-
-  int nparts() const { return nparts_; }
-  const CommVolume& comm() const { return comm_; }
-  const rt::PhaseTimes& phases() const { return bsp_.phases(); }
-  // Total virtual seconds on the BSP clock; equals phases().total() exactly.
-  double virtual_elapsed() const { return bsp_.elapsed(); }
-  // Routes this solver's virtual-time phase spans to Chrome-trace track
-  // `track` (see OBSERVABILITY.md); `label` names it in the exported file.
-  void set_trace_track(int32_t track, const std::string& label = "") {
-    bsp_.set_trace_track(track, label);
-  }
-  std::vector<double> gather_intensity() const;
-  const std::vector<double>& temperature() const { return T_; }
+  std::vector<double> gather_intensity() const override { return layout_.gather_intensity(); }
+  std::vector<double> gather_temperature() const override { return layout_.T; }
+  const std::vector<double>& temperature() const { return layout_.T; }
+  // Per-band owner multiplicity.
+  std::vector<int32_t> owner_counts() const override { return layout_.owner_counts(); }
 
  private:
-  struct Rank {
-    int b_lo = 0, b_hi = 0;        // owned band range [b_lo, b_hi)
-    std::vector<double> I, I_new;  // [cells * dofs_local]
-    std::vector<double> Io, beta;  // [cells * bands_local]
-    // ABFT ledger over this rank's gather payload (blocks = cell ranges x
-    // the rank's band slice) and the payload buffer itself, reused per step.
-    rt::BlockLedger gledger;
+  // One rank's gather contribution: the payload a real MPI_Allgatherv would
+  // put on the wire, and the ABFT ledger over it.
+  struct Wire {
+    rt::BlockLedger ledger;
     std::vector<double> payload;
   };
 
-  void build_topology(int nparts);
-  // Rebuilds per-rank storage for explicit contiguous band ranges (ranges[p]
-  // = [b_lo, b_hi)); build_topology computes the equal split, the weighted
-  // rebalance a derated one. The caller restores state afterwards.
-  void rebuild_ranks(const std::vector<std::pair<int, int>>& ranges);
-  void evict_and_redistribute(int32_t victim);
-  // Dynamic rebalance: the chronic straggler keeps a band share inversely
-  // proportional to its observed slowdown; survivors absorb the rest. State
-  // moves via a live snapshot (bit-exact, no replay), charged to rebalance.
-  void rebalance_away(int32_t victim);
-  void maybe_mitigate_stragglers();
-  void arm_speculation_if_chronic();
-  void sync_straggler_stats();
-  void sweep_rank(Rank& r);
-  void gather_rank(Rank& r);
-  void reduce_block(Rank& r, size_t begin, size_t end);
+  void build_topology(int nparts) override { assign(BandLayout::equal(nb_, nparts)); }
+  // Derate, not drain: the victim keeps a band share inversely proportional
+  // to its observed slowdown and the survivors absorb the rest.
+  void relayout_away(int32_t victim) override;
+  void gather_coefficients(std::vector<double>& Io, std::vector<double>& beta) const override {
+    layout_.gather_coefficients(Io, beta);
+  }
+  void import_state(const rt::Snapshot& snap) override { layout_.import_state(snap); }
+  bool field_energy(double& energy) const override;
+  void scan_fields() override;
+  int64_t release_scratch() override;
+
+  void assign(const BandLayout::Ranges& ranges);
+  void gather_rank(size_t p);
   void audit_sentinels();
-  void note_sdc_detection();
-  double wall_temperature(double x) const;
-  void validate();
-  void take_checkpoint(const std::string& cancel_reason = "");
-  void restore_checkpoint();
-  uint64_t config_hash() const;
-  void register_memory_reliefs();
 
-  BteScenario scen_;
-  std::shared_ptr<const BtePhysics> phys_;
-  int nparts_;
-  int nx_, ny_, nd_, nb_;
-  double hx_, hy_, dt_;
-  std::vector<Rank> ranks_;
-  std::vector<double> T_;        // replicated temperature (each rank holds a copy)
-  std::vector<double> G_global_; // gathered band sums [cells * nb]
-  CommVolume comm_;
-  rt::BspSimulator bsp_;
-
-  bool resilient_ = false;
-  ResilienceOptions res_;
-  ResilienceStats rstats_;
-  ResilienceStats published_;  // last rstats_ mirrored into the metrics registry
-  StepHealth health_;
-  rt::CheckpointStore store_;
-  int64_t step_index_ = 0;
-  int32_t pending_kill_ = -1;
-
-  // ---- SDC defense state ----
-  std::vector<int32_t> sentinel_cells_;  // cell ids whose G row is re-reduced
-  double prev_energy_ = 0.0;
-  bool have_prev_energy_ = false;
+  BandLayout layout_;
+  std::vector<Wire> wire_;
 };
 
 }  // namespace finch::bte

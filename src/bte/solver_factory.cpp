@@ -51,74 +51,20 @@ AnySolver::AnySolver(const std::string& solver, const BteScenario& scenario,
                      std::shared_ptr<const BtePhysics> physics, int nparts)
     : kind_(solver), nparts_(nparts) {
   // Validate the backend request up front so job manifests with a typo fail
-  // at admission, not mid-run. The distributed solvers execute hand-written
-  // sweeps (no codegen), so only the VM-equivalent path exists for them —
+  // at admission, not mid-run. The distributed engine runs its own upwind
+  // update (no codegen), so only the VM-equivalent path exists for it —
   // "native"/"auto" are accepted and degrade to that path (CODEGEN.md §6;
-  // engine unification is ROADMAP item 3).
+  // running the generated kernel in the engine is tracked in ROADMAP.md).
   if (!scenario.backend.empty()) (void)dsl::backend_from_string(scenario.backend);
   if (solver == "cell") {
-    cell_ = std::make_unique<CellPartitionedSolver>(scenario, physics, nparts);
+    engine_ = std::make_unique<CellPartitionedSolver>(scenario, std::move(physics), nparts);
   } else if (solver == "band") {
-    band_ = std::make_unique<BandPartitionedSolver>(scenario, physics, nparts);
+    engine_ = std::make_unique<BandPartitionedSolver>(scenario, std::move(physics), nparts);
   } else if (solver == "mgpu") {
-    mgpu_ = std::make_unique<MultiGpuSolver>(scenario, physics, nparts);
+    engine_ = std::make_unique<MultiGpuSolver>(scenario, std::move(physics), nparts);
   } else {
     throw std::invalid_argument("AnySolver: unknown solver '" + solver + "'");
   }
-}
-
-void AnySolver::enable_resilience(const ResilienceOptions& options) {
-  if (cell_) cell_->enable_resilience(options);
-  if (band_) band_->enable_resilience(options);
-  if (mgpu_) mgpu_->enable_resilience(options);
-}
-
-void AnySolver::resume_from(const rt::RunManifest& manifest, const ResilienceOptions& options) {
-  if (cell_) cell_->resume_from(manifest, options);
-  if (band_) band_->resume_from(manifest, options);
-  if (mgpu_) mgpu_->resume_from(manifest, options);
-}
-
-void AnySolver::run(int nsteps) {
-  if (cell_) cell_->run(nsteps);
-  if (band_) band_->run(nsteps);
-  if (mgpu_) mgpu_->run(nsteps);
-}
-
-int64_t AnySolver::step_index() const {
-  if (cell_) return cell_->step_index();
-  if (band_) return band_->step_index();
-  return mgpu_->step_index();
-}
-
-const ResilienceStats& AnySolver::resilience_stats() const {
-  if (cell_) return cell_->resilience_stats();
-  if (band_) return band_->resilience_stats();
-  return mgpu_->resilience_stats();
-}
-
-std::vector<double> AnySolver::temperature() const {
-  if (cell_) return cell_->gather_temperature();
-  if (band_) return band_->temperature();
-  return mgpu_->temperature();
-}
-
-std::vector<double> AnySolver::intensity() const {
-  if (cell_) return cell_->gather_intensity();
-  if (band_) return band_->gather_intensity();
-  return mgpu_->gather_intensity();
-}
-
-double AnySolver::virtual_elapsed() const {
-  if (cell_) return cell_->virtual_elapsed();
-  if (band_) return band_->virtual_elapsed();
-  return mgpu_->virtual_elapsed();
-}
-
-double AnySolver::phase_total() const {
-  if (cell_) return cell_->phases().total();
-  if (band_) return band_->phases().total();
-  return mgpu_->phases().total();
 }
 
 }  // namespace finch::bte

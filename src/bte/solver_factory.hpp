@@ -4,10 +4,9 @@
 //
 // The job supervisor (src/svc) and the campaign drivers dispatch on a solver
 // *name* — "cell" | "band" | "mgpu" — the same strings the chaos schedules
-// and run manifests record. AnySolver type-erases that dispatch once: one
-// handle that constructs the named solver, arms or resumes resilience, runs,
-// and gathers the canonical global fields, so every driver stops repeating
-// the three-way if/else ladder of chaos_campaign.cpp.
+// and run manifests record. AnySolver resolves that name once into a
+// DistributedEngine; every caller then arms or resumes resilience, runs, and
+// gathers the canonical global fields through that one interface.
 //
 // estimate_memory_demand() is the admission-control side of the fallback
 // ladder: a deliberately conservative upper bound on what a configuration
@@ -60,26 +59,27 @@ struct MemoryDemand {
 MemoryDemand estimate_memory_demand(const std::string& solver, const BteScenario& scen,
                                     const BtePhysics& phys, int nparts);
 
-// Type-erased handle over CellPartitionedSolver / BandPartitionedSolver /
-// MultiGpuSolver, keyed by the canonical solver name. Throws
-// std::invalid_argument for an unknown name.
+// A distributed engine built by its canonical solver name ("cell" | "band" |
+// "mgpu"). Throws std::invalid_argument for an unknown name.
 class AnySolver {
  public:
   AnySolver(const std::string& solver, const BteScenario& scenario,
             std::shared_ptr<const BtePhysics> physics, int nparts);
 
-  void enable_resilience(const ResilienceOptions& options);
-  void resume_from(const rt::RunManifest& manifest, const ResilienceOptions& options);
-  void run(int nsteps);
+  void enable_resilience(const ResilienceOptions& options) { engine_->enable_resilience(options); }
+  void resume_from(const rt::RunManifest& manifest, const ResilienceOptions& options) {
+    engine_->resume_from(manifest, options);
+  }
+  void run(int nsteps) { engine_->run(nsteps); }
 
-  int64_t step_index() const;
-  const ResilienceStats& resilience_stats() const;
+  int64_t step_index() const { return engine_->step_index(); }
+  const ResilienceStats& resilience_stats() const { return engine_->resilience_stats(); }
   // Canonical global fields (identical layout across the three solvers).
-  std::vector<double> temperature() const;
-  std::vector<double> intensity() const;
+  std::vector<double> temperature() const { return engine_->gather_temperature(); }
+  std::vector<double> intensity() const { return engine_->gather_intensity(); }
   // Virtual clock and its phase-ledger sum (conservation oracle inputs).
-  double virtual_elapsed() const;
-  double phase_total() const;
+  double virtual_elapsed() const { return engine_->virtual_elapsed(); }
+  double phase_total() const { return engine_->phases().total(); }
 
   const std::string& kind() const { return kind_; }
   int nparts() const { return nparts_; }
@@ -87,9 +87,7 @@ class AnySolver {
  private:
   std::string kind_;
   int nparts_ = 0;
-  std::unique_ptr<CellPartitionedSolver> cell_;
-  std::unique_ptr<BandPartitionedSolver> band_;
-  std::unique_ptr<MultiGpuSolver> mgpu_;
+  std::unique_ptr<DistributedEngine> engine_;
 };
 
 }  // namespace finch::bte

@@ -13,39 +13,82 @@ namespace {
 
 int64_t virt_ns(double seconds) { return std::llround(seconds * 1e9); }
 
-const char* phase_span_name(BspSimulator::Phase phase) {
+using Slot = PhaseSlot;
+
+// Indexed by PhaseSlot: the field each slot charges and its span/metric name.
+constexpr double PhaseTimes::*kSlotField[] = {
+    &PhaseTimes::compute,     &PhaseTimes::post_process, &PhaseTimes::communication,
+    &PhaseTimes::fault_stall, &PhaseTimes::recovery,     &PhaseTimes::redistribution,
+    &PhaseTimes::audit,       &PhaseTimes::speculation,  &PhaseTimes::rebalance};
+constexpr const char* kSlotName[] = {"compute",     "post_process", "communication",
+                                     "fault_stall", "recovery",     "redistribution",
+                                     "audit",       "speculation",  "rebalance"};
+
+Slot slot_of(BspSimulator::Phase phase) {
   switch (phase) {
-    case BspSimulator::Phase::Compute: return "compute";
-    case BspSimulator::Phase::PostProcess: return "post_process";
-    case BspSimulator::Phase::Communication: return "communication";
-    case BspSimulator::Phase::Audit: return "audit";
+    case BspSimulator::Phase::Compute: return Slot::Compute;
+    case BspSimulator::Phase::PostProcess: return Slot::PostProcess;
+    case BspSimulator::Phase::Communication: return Slot::Communication;
+    case BspSimulator::Phase::Audit: return Slot::Audit;
   }
-  return "compute";
+  return Slot::Compute;
 }
 
 }  // namespace
+
+// ---- PhaseLedger -----------------------------------------------------------
+
+double PhaseTimes::operator[](PhaseSlot slot) const {
+  return this->*kSlotField[static_cast<size_t>(slot)];
+}
+double& PhaseTimes::operator[](PhaseSlot slot) {
+  return this->*kSlotField[static_cast<size_t>(slot)];
+}
+
+const char* PhaseLedger::name(Slot slot) { return kSlotName[static_cast<size_t>(slot)]; }
+
+void PhaseLedger::set_trace_track(int32_t track, const std::string& label) {
+  track_ = track;
+  if (!label.empty()) Tracer::global().set_track_name(1, track, label);
+}
+
+double PhaseLedger::advance(double seconds) {
+  const double start = clock_;
+  clock_ += seconds;
+  return start;
+}
+
+void PhaseLedger::record(Slot slot, double start, double seconds, int64_t step) {
+  if (seconds <= 0.0) return;
+  phases_[slot] += seconds;
+  const char* slot_name = name(slot);
+  Tracer& tr = Tracer::global();
+  if (tr.enabled()) {
+    SpanAttrs attrs;
+    attrs.step = step;
+    attrs.phase = slot_name;
+    tr.record_complete(slot_name, virt_ns(start), virt_ns(seconds), track_, attrs);
+  }
+  MetricsRegistry::global().counter(prefix_ + ".phase." + slot_name + "_seconds").add(seconds);
+}
+
+void PhaseLedger::charge(Slot slot, double seconds, int64_t step) {
+  if (seconds <= 0.0) return;
+  record(slot, clock_, seconds, step);
+  clock_ += seconds;
+}
+
+// ---- BspSimulator ------------------------------------------------------------
 
 BspSimulator::BspSimulator(int32_t nranks, CommModel model) : nranks_(nranks), model_(model) {
   if (nranks < 1) throw std::invalid_argument("BspSimulator: nranks must be >= 1");
 }
 
-void BspSimulator::set_trace_track(int32_t track, const std::string& label) {
-  trace_track_ = track;
-  if (!label.empty()) Tracer::global().set_track_name(1, track, label);
-}
-
-void BspSimulator::trace_charge(const char* name, double start, double seconds) {
-  if (seconds <= 0.0) return;
-  Tracer& tr = Tracer::global();
-  if (tr.enabled()) {
-    SpanAttrs attrs;
-    attrs.step = trace_step_;
-    attrs.phase = name;
-    tr.record_complete(name, virt_ns(start), virt_ns(seconds), trace_track_, attrs);
-  }
-  MetricsRegistry::global()
-      .counter(std::string("bsp.phase.") + name + "_seconds")
-      .add(seconds);
+void BspSimulator::charge_communication(double seconds, double stall) {
+  const double start = ledger_.advance(seconds);
+  const double stall_charge = std::min(stall, seconds);
+  ledger_.record(Slot::Communication, start, seconds, trace_step_);
+  ledger_.record(Slot::FaultStall, start + (seconds - stall_charge), stall_charge, trace_step_);
 }
 
 void BspSimulator::compute_step(std::span<const double> seconds, Phase phase) {
@@ -98,19 +141,11 @@ void BspSimulator::compute_step(std::span<const double> seconds, Phase phase) {
   spec_victim_ = spec_helper_ = -1;
 
   const double step = *std::max_element(scratch_.begin(), scratch_.end());
-  const double start = clock_;
-  clock_ += step;
+  const double start = ledger_.advance(step);
   const double spec_charge = std::min(spec_extra, step);
-  switch (phase) {
-    case Phase::Compute: phases_.compute += step - spec_charge; break;
-    case Phase::PostProcess: phases_.post_process += step - spec_charge; break;
-    case Phase::Communication: phases_.communication += step - spec_charge; break;
-    case Phase::Audit: phases_.audit += step - spec_charge; break;
-  }
-  phases_.speculation += spec_charge;
   rank_seconds_by_phase_[static_cast<size_t>(phase)] = scratch_;
-  trace_charge(phase_span_name(phase), start, step - spec_charge);
-  trace_charge("speculation", start + (step - spec_charge), spec_charge);
+  ledger_.record(slot_of(phase), start, step - spec_charge, trace_step_);
+  ledger_.record(Slot::Speculation, start + (step - spec_charge), spec_charge, trace_step_);
   if (phase == Phase::Compute) {
     trace_step_ += 1;
     MetricsRegistry::global().counter("bsp.steps").add(1.0);
@@ -167,13 +202,7 @@ void BspSimulator::exchange(std::span<const Message> messages) {
     step += stall;
     fault_cost += stall;
   }
-  const double start = clock_;
-  clock_ += step;
-  phases_.communication += step;
-  const double stall_charge = std::min(fault_cost, step);
-  phases_.fault_stall += stall_charge;
-  trace_charge("communication", start, step);
-  trace_charge("fault_stall", start + (step - stall_charge), stall_charge);
+  charge_communication(step, fault_cost);
 }
 
 double BspSimulator::hang_penalty(double nominal) {
@@ -224,11 +253,7 @@ void BspSimulator::evict_rank(int32_t rank) {
   if (nranks_ <= 1) throw std::invalid_argument("evict_rank: no survivors would remain");
   // Survivors confirm the death only after miss_threshold missed heartbeats;
   // that suspicion window is wall time the whole job loses.
-  const double timeout = heartbeat_.suspicion_timeout();
-  const double start = clock_;
-  clock_ += timeout;
-  phases_.recovery += timeout;
-  trace_charge("recovery", start, timeout);
+  charge(Slot::Recovery, heartbeat_.suspicion_timeout());
   MetricsRegistry::global().counter("bsp.evictions").add(1.0);
   nranks_ -= 1;
   evictions_ += 1;
@@ -283,12 +308,8 @@ void BspSimulator::charge_rebalance(int64_t bytes) {
   // Same scatter model as charge_redistribution, but the motion is a
   // scheduling decision (derating a straggler), not failure recovery — so it
   // lands in its own phase.
-  const double step = static_cast<double>(nranks_) * model_.latency_s +
-                      static_cast<double>(bytes) / model_.bandwidth_Bps;
-  const double start = clock_;
-  clock_ += step;
-  phases_.rebalance += step;
-  trace_charge("rebalance", start, step);
+  charge(Slot::Rebalance, static_cast<double>(nranks_) * model_.latency_s +
+                              static_cast<double>(bytes) / model_.bandwidth_Bps);
   MetricsRegistry::global().counter("bsp.rebalance.bytes").add(static_cast<double>(bytes));
 }
 
@@ -296,50 +317,21 @@ const std::vector<double>& BspSimulator::last_rank_seconds(Phase phase) const {
   return rank_seconds_by_phase_[static_cast<size_t>(phase)];
 }
 
-void BspSimulator::charge_recovery(double seconds) {
-  const double start = clock_;
-  clock_ += seconds;
-  phases_.recovery += seconds;
-  trace_charge("recovery", start, seconds);
-}
-
 void BspSimulator::charge_redistribution(int64_t bytes) {
   // The survivors re-read the checkpointed state and scatter it into the new
   // partitioning: one message per survivor plus the full image over the wire.
-  const double step = static_cast<double>(nranks_) * model_.latency_s +
-                      static_cast<double>(bytes) / model_.bandwidth_Bps;
-  const double start = clock_;
-  clock_ += step;
-  phases_.redistribution += step;
-  trace_charge("redistribution", start, step);
+  charge(Slot::Redistribution, static_cast<double>(nranks_) * model_.latency_s +
+                                   static_cast<double>(bytes) / model_.bandwidth_Bps);
   MetricsRegistry::global().counter("bsp.redistribution.bytes").add(static_cast<double>(bytes));
 }
 
-void BspSimulator::charge_audit(double seconds) {
-  const double start = clock_;
-  clock_ += seconds;
-  phases_.audit += seconds;
-  trace_charge("audit", start, seconds);
-}
-
-void BspSimulator::charge_fault(double seconds) {
-  const double start = clock_;
-  clock_ += seconds;
-  phases_.communication += seconds;
-  phases_.fault_stall += seconds;
-  trace_charge("communication", start, seconds);
-  trace_charge("fault_stall", start, seconds);
-}
+void BspSimulator::charge_fault(double seconds) { charge_communication(seconds, seconds); }
 
 void BspSimulator::allreduce(int64_t bytes) {
   if (nranks_ == 1) return;
   // Recursive doubling: ceil(log2 p) rounds, each alpha + bytes/bw.
   const double rounds = std::ceil(std::log2(static_cast<double>(nranks_)));
-  const double step = rounds * model_.per_message(bytes);
-  const double start = clock_;
-  clock_ += step;
-  phases_.communication += step;
-  trace_charge("communication", start, step);
+  charge(Slot::Communication, rounds * model_.per_message(bytes));
   MetricsRegistry::global().counter("bsp.allreduce.bytes").add(static_cast<double>(bytes));
 }
 
@@ -358,13 +350,7 @@ void BspSimulator::gather(int64_t bytes_per_rank) {
     step += stall;
     fault_cost += stall;
   }
-  const double start = clock_;
-  clock_ += step;
-  phases_.communication += step;
-  const double stall_charge = std::min(fault_cost, step);
-  phases_.fault_stall += stall_charge;
-  trace_charge("communication", start, step);
-  trace_charge("fault_stall", start + (step - stall_charge), stall_charge);
+  charge_communication(step, fault_cost);
   MetricsRegistry::global().counter("bsp.gather.bytes").add(static_cast<double>(bytes_per_rank) * (nranks_ - 1));
 }
 

@@ -18,6 +18,7 @@
 #include <span>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "abft.hpp"
@@ -39,6 +40,12 @@ struct Message {
   int32_t src = 0;
   int32_t dst = 0;
   int64_t bytes = 0;
+};
+
+// The phase slots of PhaseTimes, in field order.
+enum class PhaseSlot {
+  Compute, PostProcess, Communication, FaultStall, Recovery, Redistribution, Audit,
+  Speculation, Rebalance
 };
 
 // Per-phase accounting so breakdown figures (Figs 5 & 8) fall out directly.
@@ -67,6 +74,47 @@ struct PhaseTimes {
     return compute + post_process + communication + recovery + redistribution + audit +
            speculation + rebalance;
   }
+  double operator[](PhaseSlot slot) const;
+  double& operator[](PhaseSlot slot);
+};
+
+// The one phase-accounting gateway. Every virtual second is charged here
+// exactly once: added to its PhaseTimes slot, mirrored (when the global
+// rt::Tracer is enabled) as a pid-1 span named after the slot on the ledger's
+// track, and counted in `<prefix>.phase.<slot>_seconds`. BspSimulator charges
+// through a "bsp" ledger and the multi-GPU solver through an "mgpu" one on its
+// device clock, so both speak one phase vocabulary and reconcile the same
+// way: per-slot span sums equal phases(), and phases().total() equals
+// elapsed() to FP round-off (fault_stall nests inside communication).
+class PhaseLedger {
+ public:
+  // The span / metric name of a slot: exactly the PhaseTimes field name.
+  static const char* name(PhaseSlot slot);
+
+  explicit PhaseLedger(std::string metric_prefix, int32_t track = 1)
+      : prefix_(std::move(metric_prefix)), track_(track) {}
+
+  // Charges `seconds` to `slot` at the running clock and advances it; a
+  // non-positive charge is a no-op. `step` is the span's step attribute.
+  void charge(PhaseSlot slot, double seconds, int64_t step);
+  // The two halves of charge(), for a clock advance split across slots (a
+  // speculation tail, a nested fault_stall overlay): advance() moves the
+  // clock and returns its previous value; record() books `seconds` into
+  // `slot` with a span starting at `start` and leaves the clock alone.
+  double advance(double seconds);
+  void record(PhaseSlot slot, double start, double seconds, int64_t step);
+
+  const PhaseTimes& phases() const { return phases_; }
+  double elapsed() const { return clock_; }
+  // Routes the spans to virtual-timeline track `track`; `label` names it.
+  void set_trace_track(int32_t track, const std::string& label = "");
+  int32_t trace_track() const { return track_; }
+
+ private:
+  std::string prefix_;
+  int32_t track_;
+  double clock_ = 0.0;
+  PhaseTimes phases_;
 };
 
 class BspSimulator {
@@ -105,8 +153,13 @@ class BspSimulator {
   // Gather of `bytes` per rank to a root (linear-tree model).
   void gather(int64_t bytes_per_rank);
 
-  double elapsed() const { return clock_; }
-  const PhaseTimes& phases() const { return phases_; }
+  double elapsed() const { return ledger_.elapsed(); }
+  const PhaseTimes& phases() const { return ledger_.phases(); }
+  const PhaseLedger& ledger() const { return ledger_; }
+  PhaseLedger& ledger() { return ledger_; }
+  // Charges `seconds` of caller-measured work (recovery waits, ABFT audit
+  // work, ...) to `slot` at the current superstep.
+  void charge(PhaseSlot slot, double seconds) { ledger_.charge(slot, seconds, trace_step_); }
 
   // Optional fault injection for exchanges: dropped messages pay a timeout
   // plus a retransmit, a stuck rank stretches the superstep. Null disables.
@@ -128,14 +181,9 @@ class BspSimulator {
   void evict_rank(int32_t rank);
   int32_t evictions() const { return evictions_; }
 
-  // Extra virtual seconds of recovery work (replay waits, quiesce barriers).
-  void charge_recovery(double seconds);
   // Models respreading `bytes` of checkpointed state over the survivors
   // (scatter through the interconnect), charged to the redistribution phase.
   void charge_redistribution(int64_t bytes);
-  // ABFT verification work (checksum folds, sidecar checks, sentinel
-  // recomputation), charged to the audit phase.
-  void charge_audit(double seconds);
 
   // ---- performance faults (straggler / hang resilience) --------------------
   //
@@ -200,16 +248,18 @@ class BspSimulator {
   // bsp.steps, bsp.exchange.*), so by construction the per-phase span sums
   // reconcile with phases() and their total with elapsed() (fault_stall is
   // nested inside communication, never additional).
-  void set_trace_track(int32_t track, const std::string& label = "");
-  int32_t trace_track() const { return trace_track_; }
+  void set_trace_track(int32_t track, const std::string& label = "") {
+    ledger_.set_trace_track(track, label);
+  }
+  int32_t trace_track() const { return ledger_.trace_track(); }
 
  private:
   // Shared by evict_rank and retire_rank: remaps the sticky slow-rank index,
   // disarms any pending speculation, and restarts the detector cold.
   void shrink_bookkeeping(int32_t removed_rank);
-  // Mirrors one clock charge of `seconds` starting at virtual time `start`
-  // to the tracer (span named `name`) and the metrics registry.
-  void trace_charge(const char* name, double start, double seconds);
+  // Advances the clock by a communication superstep of `seconds`, the last
+  // `stall` of which is fault stall (nested, not additional).
+  void charge_communication(double seconds, double stall);
   // Consults the injector for a HangExchange on a superstep of `nominal`
   // seconds; returns the extra stall. Without the defense the full
   // hang_seconds() timeout is paid; with it the watchdog charges one deadline
@@ -220,8 +270,7 @@ class BspSimulator {
   CommModel model_;
   FaultInjector* faults_ = nullptr;
   HeartbeatModel heartbeat_;
-  double clock_ = 0.0;
-  PhaseTimes phases_;
+  PhaseLedger ledger_{"bsp"};
   int64_t dropped_messages_ = 0;
   int64_t stuck_events_ = 0;
   int64_t silent_flips_ = 0;
@@ -239,8 +288,7 @@ class BspSimulator {
   int64_t hang_events_ = 0;
   int64_t watchdog_timeouts_ = 0;
   int32_t retirements_ = 0;
-  int32_t trace_track_ = 1;  // virtual-timeline track id for emitted spans
-  int64_t trace_step_ = 0;   // superstep index attached to span attrs
+  int64_t trace_step_ = 0;  // superstep index attached to span attrs
   std::vector<std::vector<double>> rank_seconds_by_phase_{4};
   std::vector<double> scratch_;
 };

@@ -155,9 +155,9 @@ TEST(ElasticProperty, EveryBandShardOwnedExactlyOnceAcrossDevices) {
   MultiGpuSolver multi(s, phys(), 3);
   multi.enable_resilience(ResilienceOptions{});
   expect_all_ones(multi.owner_counts());
-  multi.kill_device(1);
+  multi.kill_rank(1);
   multi.run(1);
-  EXPECT_EQ(multi.num_devices(), 2);
+  EXPECT_EQ(multi.nparts(), 2);
   expect_all_ones(multi.owner_counts());
 }
 
@@ -270,9 +270,9 @@ TEST(ElasticRecovery, MultiGpuSurvivesDeviceLossWithRedistributionBilled) {
   opt.checkpoint.interval = 4;
   multi.enable_resilience(opt);
   multi.run(6);
-  multi.kill_device(0);
+  multi.kill_rank(0);
   multi.run(6);
-  EXPECT_EQ(multi.num_devices(), 2);
+  EXPECT_EQ(multi.nparts(), 2);
   EXPECT_EQ(multi.resilience_stats().evictions, 1);
   EXPECT_GT(multi.phases().recovery, 0.0);         // suspicion timeout
   EXPECT_GT(multi.phases().redistribution, 0.0);   // measured H2D re-upload
@@ -329,7 +329,7 @@ TEST(ElasticRecovery, InjectedDeviceLossOnMultiGpu) {
   opt.checkpoint.interval = 2;
   multi.enable_resilience(opt);
   multi.run(10);
-  EXPECT_EQ(multi.num_devices(), 1);
+  EXPECT_EQ(multi.nparts(), 1);
   EXPECT_EQ(multi.resilience_stats().evictions, 1);
   expect_bitwise_equal(serial.intensity(), multi.gather_intensity());
   expect_bitwise_equal(serial.temperature(), multi.temperature());
@@ -354,7 +354,7 @@ TEST(ElasticRecovery, KillRequiresResilienceAndValidVictim) {
   EXPECT_THROW(part.kill_rank(-1), std::invalid_argument);
   EXPECT_THROW(part.kill_rank(3), std::invalid_argument);
   MultiGpuSolver multi(s, phys(), 2);
-  EXPECT_THROW(multi.kill_device(0), std::logic_error);
+  EXPECT_THROW(multi.kill_rank(0), std::logic_error);
   multi.enable_resilience(ResilienceOptions{});
-  EXPECT_THROW(multi.kill_device(2), std::invalid_argument);
+  EXPECT_THROW(multi.kill_rank(2), std::invalid_argument);
 }

@@ -55,7 +55,7 @@ TEST(MultiGpu, DevicesLaunchAndTransfer) {
   BteScenario s = scen();
   MultiGpuSolver multi(s, phys(), 2);
   multi.run(5);
-  for (int d = 0; d < multi.num_devices(); ++d) {
+  for (int d = 0; d < multi.nparts(); ++d) {
     const auto& c = multi.device(d).counters();
     EXPECT_EQ(c.kernel_launches, 5);
     EXPECT_GT(c.bytes_h2d, 0);
@@ -83,8 +83,8 @@ TEST(MultiGpu, TemperatureUpdateDominatesPhases) {
   MultiGpuSolver multi(s, phys(), 2);
   multi.run(10);
   const auto& ph = multi.phases();
-  EXPECT_GT(ph.temperature, 0.0);
-  EXPECT_GT(ph.intensity, 0.0);
+  EXPECT_GT(ph.post_process, 0.0);
+  EXPECT_GT(ph.compute, 0.0);
   EXPECT_GT(ph.communication, 0.0);
 }
 

@@ -1,13 +1,18 @@
 // Distributed-execution tests: the cell-partitioned and band-partitioned
 // solvers (real per-rank storage, real halo exchange / band gather) must be
 // bit-identical to the serial hand-written solver for any partition count —
-// the executable counterpart of Fig. 3's two communication patterns.
+// the executable counterpart of Fig. 3's two communication patterns — and
+// every strategy of the shared engine must keep its step counter.
 #include <gtest/gtest.h>
 
+#include <initializer_list>
 #include <memory>
+#include <set>
 
 #include "bte/direct_solver.hpp"
+#include "bte/multi_gpu_solver.hpp"
 #include "bte/partitioned_solver.hpp"
+#include "runtime/trace.hpp"
 
 using namespace finch;
 using namespace finch::bte;
@@ -124,4 +129,36 @@ TEST(PartitionedComm, GreedyGraphMethodAlsoExact) {
   const auto& a = serial.intensity();
   const auto b = dist.gather_intensity();
   for (size_t i = 0; i < a.size(); ++i) ASSERT_EQ(a[i], b[i]);
+}
+
+// A plain (non-resilient) run() advances step_index() exactly like a
+// resilient one, so snapshots and the wall-clock step spans carry the real
+// step on every strategy.
+TEST(DistributedEngine, PlainRunAdvancesStepIndex) {
+  BteScenario s = scen();
+  CellPartitionedSolver cell(s, phys(), 3);
+  BandPartitionedSolver band(s, phys(), 3);
+  MultiGpuSolver mgpu(s, phys(), 3);
+  rt::TraceConfig cfg;
+  cfg.enabled = true;
+  rt::Tracer::global().configure(cfg);
+  rt::Tracer::global().clear();
+  const std::initializer_list<DistributedEngine*> engines = {&cell, &band, &mgpu};
+  for (DistributedEngine* engine : engines) {
+    engine->run(5);
+    EXPECT_EQ(engine->step_index(), 5);
+    EXPECT_EQ(engine->snapshot().step, 5);
+    engine->run(2);
+    EXPECT_EQ(engine->step_index(), 7);
+  }
+  std::set<int64_t> cell_steps, band_steps;
+  for (const rt::TraceEvent& ev : rt::Tracer::global().snapshot()) {
+    if (ev.name == "cell.step") cell_steps.insert(ev.attrs.step);
+    if (ev.name == "band.step") band_steps.insert(ev.attrs.step);
+  }
+  rt::Tracer::global().configure(rt::TraceConfig{});
+  rt::Tracer::global().clear();
+  const std::set<int64_t> all = {0, 1, 2, 3, 4, 5, 6};
+  EXPECT_EQ(cell_steps, all);
+  EXPECT_EQ(band_steps, all);
 }

@@ -605,7 +605,7 @@ TEST(StragglerMultiGpu, SlowDeviceIsDeratedBitExactly) {
   EXPECT_GE(multi.resilience_stats().rebalances, 1);
   EXPECT_GT(multi.phases().rebalance, 0.0);
   EXPECT_EQ(multi.resilience_stats().evictions, 0);
-  EXPECT_EQ(multi.num_devices(), 4);  // derated, not evicted
+  EXPECT_EQ(multi.nparts(), 4);  // derated, not evicted
   for (const int32_t owners : multi.owner_counts()) EXPECT_EQ(owners, 1);
   // The victim device keeps its slow hardware state across the rebalance.
   EXPECT_TRUE(multi.device(1).is_slow());
@@ -628,7 +628,7 @@ TEST(StragglerMultiGpu, InjectedSlowRankFaultSticksToOneDevice) {
   multi.enable_resilience(opt);
   multi.run(8);
   int slow_devices = 0;
-  for (int d = 0; d < multi.num_devices(); ++d)
+  for (int d = 0; d < multi.nparts(); ++d)
     if (multi.device(d).is_slow()) slow_devices += 1;
   EXPECT_EQ(slow_devices, 1);  // sticky: exactly the one consulted launch
   DirectSolver serial(s, phys);

@@ -1,8 +1,9 @@
 // Tests for the observability layer (runtime/trace.hpp, runtime/metrics.hpp):
 // span nesting and attributes under a fixed virtual clock, deterministic
 // golden Chrome-JSON export, the disabled-path-records-nothing regression,
-// metrics-counter conservation under fault injection, and the BSP invariant
-// that per-phase span sums reconcile with PhaseTimes and the virtual clock.
+// metrics-counter conservation under fault injection, and the phase-ledger
+// invariant — per-phase span sums reconcile with PhaseTimes and the virtual
+// clock — for the BSP simulator and the multi-GPU solver's device clock.
 //
 // The tracer and the metrics registry are process-wide singletons, so every
 // test (a) configures + clears the tracer on entry and restores the disabled
@@ -12,10 +13,12 @@
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "bte/multi_gpu_solver.hpp"
 #include "runtime/fault.hpp"
 #include "runtime/metrics.hpp"
 #include "runtime/simmpi.hpp"
@@ -333,6 +336,59 @@ TEST(Trace, BspSpanSumsReconcileWithPhasesAndClock) {
               sim.phases().compute, 1e-12);
   EXPECT_NEAR(MetricsRegistry::global().value("bsp.phase.communication_seconds") - comm0,
               sim.phases().communication, 1e-12);
+
+  restore_defaults();
+}
+
+// ---- multi-GPU reconciliation: same ledger, same names ----------------------
+
+TEST(Trace, MultiGpuSpanSumsReconcileWithPhasesAndClock) {
+  enable_tracing();
+  MetricsRegistry& mx = MetricsRegistry::global();
+  const double compute0 = mx.value("mgpu.phase.compute_seconds");
+  const double post0 = mx.value("mgpu.phase.post_process_seconds");
+
+  finch::bte::BteScenario s;
+  s.nx = 16;
+  s.ny = 12;
+  s.lx = s.ly = 50e-6;
+  s.hot_w = 20e-6;
+  s.ndirs = 8;
+  s.nbands = 8;
+  auto phys = std::make_shared<const finch::bte::BtePhysics>(s.nbands, s.ndirs);
+  finch::bte::MultiGpuSolver multi(s, phys, 4);
+  multi.set_trace_track(13);  // empty label: no track_name (keeps golden stable)
+  finch::bte::ResilienceOptions opt;
+  opt.straggler.enabled = true;
+  opt.straggler.rebalance = false;  // keep the straggler slow so speculation fires
+  multi.enable_resilience(opt);
+  multi.inject_slow_device(2, 50.0);
+  multi.run(24);
+  const PhaseTimes& ph = multi.phases();
+  ASSERT_GT(multi.resilience_stats().speculations, 0);
+  ASSERT_GT(ph.speculation, 0.0);
+  // The stats block carries exactly the charged (capped) speculation.
+  EXPECT_EQ(multi.resilience_stats().speculation_seconds, ph.speculation);
+
+  // Spans are keyed by the PhaseTimes names, never the retired
+  // intensity/temperature vocabulary, and each per-name sum equals its slot.
+  const auto spans = virtual_span_ns(13);
+  EXPECT_EQ(spans.count("intensity"), 0u);
+  EXPECT_EQ(spans.count("temperature"), 0u);
+  double span_total_s = 0;
+  for (const auto& [name, ns] : spans) span_total_s += static_cast<double>(ns) * 1e-9;
+  for (PhaseSlot slot : {PhaseSlot::Compute, PhaseSlot::PostProcess, PhaseSlot::Communication,
+                         PhaseSlot::Speculation}) {
+    const char* name = PhaseLedger::name(slot);
+    ASSERT_TRUE(spans.count(name)) << name;
+    EXPECT_NEAR(static_cast<double>(spans.at(name)) * 1e-9, ph[slot], 1e-7) << name;
+  }
+  EXPECT_NEAR(ph.total(), multi.virtual_elapsed(), 1e-12 * multi.virtual_elapsed());
+  EXPECT_NEAR(span_total_s, multi.virtual_elapsed(), 1e-6);
+
+  // The always-on counters carry the same names and charges.
+  EXPECT_NEAR(mx.value("mgpu.phase.compute_seconds") - compute0, ph.compute, 1e-12);
+  EXPECT_NEAR(mx.value("mgpu.phase.post_process_seconds") - post0, ph.post_process, 1e-12);
 
   restore_defaults();
 }
