@@ -259,94 +259,176 @@ Program compile(const sym::Expr& integrand, const CompileEnv& env) { return Comp
 
 namespace {
 
-template <bool Guarded>
-double eval_impl(const Program& p, const EvalContext& ctx, GuardReport* report) {
-  double regs[256];
+// Lane sources of the one interpreter below: how many lanes a dispatch covers
+// and which DOF (and ghost value) lane l of a Load resolves to. The state all
+// lanes share is read from `ctx`.
+struct OneLane {
+  static constexpr int kWidth = 1;
+  const EvalContext& ctx;
+  static constexpr int count() { return 1; }
+  auto dofs(const Binding& b, int32_t /*slot*/) const {
+    return [d = b.dof(ctx.loop_values)](int /*lane*/) { return d; };
+  }
+  double ghost(int /*lane*/) const { return ctx.ghost_value; }
+};
+
+struct BlockLanes {
+  static constexpr int kWidth = kLaneBlock;
+  const LaneBlock& ctx;
+  const LaneOffsets& offsets;
+  int count() const { return ctx.count; }
+  auto dofs(const Binding& /*b*/, int32_t slot) const {
+    return [row = offsets.row(slot) + ctx.first](int lane) { return static_cast<int64_t>(row[lane]); };
+  }
+  double ghost(int lane) const { return ctx.ghost_value[lane]; }
+};
+
+template <class Lanes>
+void load(const Binding& b, int32_t slot, const Lanes& lanes, double* d) {
+  const int n = lanes.count();
+  const auto dof = lanes.dofs(b, slot);
+  auto gather = [&](int32_t cell) {
+    for (int l = 0; l < n; ++l) d[l] = b.field->at(cell, static_cast<int32_t>(dof(l)));
+  };
+  switch (b.source) {
+    case Binding::Source::FieldSelf:
+      gather(lanes.ctx.cell);
+      break;
+    case Binding::Source::FieldNeighbor:
+      if (lanes.ctx.neighbor >= 0) {
+        gather(lanes.ctx.neighbor);
+      } else if (lanes.ctx.ghost_field == b.field) {
+        for (int l = 0; l < n; ++l) d[l] = lanes.ghost(l);
+      } else {
+        gather(lanes.ctx.cell);  // zero-gradient fallback
+      }
+      break;
+    case Binding::Source::CoefIndexed:
+      for (int l = 0; l < n; ++l) d[l] = b.coef[dof(l)];
+      break;
+    case Binding::Source::Scalar:
+      for (int l = 0; l < n; ++l) d[l] = b.scalar;
+      break;
+  }
+}
+
+// The interpreter: register r of lane l lives at regs[r * kWidth + l], and
+// every instruction is applied to lanes [0, count) before the next one.
+template <bool Guarded, class Lanes>
+void run(const Program& p, const Lanes& lanes, double* regs, double* out, GuardReport* reports) {
+  const int n = lanes.count();
+  auto reg = [regs](uint8_t r) { return regs + static_cast<size_t>(r) * Lanes::kWidth; };
   for (size_t ip = 0; ip < p.code.size(); ++ip) {
     const Instr& in = p.code[ip];
+    double* d = reg(in.dst);
+    auto fill = [&](double v) {
+      for (int l = 0; l < n; ++l) d[l] = v;
+    };
+    auto unary = [&](auto f) {
+      const double* a = reg(in.a);
+      for (int l = 0; l < n; ++l) d[l] = f(a[l]);
+    };
+    auto binary = [&](auto f) {
+      const double* a = reg(in.a);
+      const double* b = reg(in.b);
+      for (int l = 0; l < n; ++l) d[l] = f(a[l], b[l]);
+    };
+    auto compare = [&](auto f) { binary([f](double x, double y) { return f(x, y) ? 1.0 : 0.0; }); };
     switch (in.op) {
-      case Op::Const: regs[in.dst] = in.imm; break;
-      case Op::Load: {
-        const Binding& b = p.bindings[static_cast<size_t>(in.slot)];
-        switch (b.source) {
-          case Binding::Source::FieldSelf:
-            regs[in.dst] = b.field->at(ctx.cell, static_cast<int32_t>(b.dof(ctx.loop_values)));
-            break;
-          case Binding::Source::FieldNeighbor: {
-            const int32_t dof = static_cast<int32_t>(b.dof(ctx.loop_values));
-            if (ctx.neighbor >= 0) {
-              regs[in.dst] = b.field->at(ctx.neighbor, dof);
-            } else if (ctx.ghost_field == b.field) {
-              regs[in.dst] = ctx.ghost_value;
-            } else {
-              regs[in.dst] = b.field->at(ctx.cell, dof);  // zero-gradient fallback
-            }
-            break;
-          }
-          case Binding::Source::CoefIndexed:
-            regs[in.dst] = b.coef[b.dof(ctx.loop_values)];
-            break;
-          case Binding::Source::Scalar:
-            regs[in.dst] = b.scalar;
-            break;
-        }
+      case Op::Const: fill(in.imm); break;
+      case Op::Load: load(p.bindings[static_cast<size_t>(in.slot)], in.slot, lanes, d); break;
+      case Op::LoadNormal: fill(lanes.ctx.normal[static_cast<size_t>(in.slot)]); break;
+      case Op::LoadDt: fill(lanes.ctx.dt); break;
+      case Op::Add: binary([](double x, double y) { return x + y; }); break;
+      case Op::Sub: binary([](double x, double y) { return x - y; }); break;
+      case Op::Mul: binary([](double x, double y) { return x * y; }); break;
+      case Op::Div: binary([](double x, double y) { return x / y; }); break;
+      case Op::Neg: unary([](double x) { return -x; }); break;
+      case Op::Pow: binary([](double x, double y) { return std::pow(x, y); }); break;
+      case Op::CmpGT: compare([](double x, double y) { return x > y; }); break;
+      case Op::CmpGE: compare([](double x, double y) { return x >= y; }); break;
+      case Op::CmpLT: compare([](double x, double y) { return x < y; }); break;
+      case Op::CmpLE: compare([](double x, double y) { return x <= y; }); break;
+      case Op::CmpEQ: compare([](double x, double y) { return x == y; }); break;
+      case Op::CmpNE: compare([](double x, double y) { return x != y; }); break;
+      case Op::Select: {
+        const double* a = reg(in.a);
+        const double* b = reg(in.b);
+        const double* c = reg(in.c);
+        for (int l = 0; l < n; ++l) d[l] = a[l] != 0.0 ? b[l] : c[l];
         break;
       }
-      case Op::LoadNormal: regs[in.dst] = ctx.normal[static_cast<size_t>(in.slot)]; break;
-      case Op::LoadDt: regs[in.dst] = ctx.dt; break;
-      case Op::Add: regs[in.dst] = regs[in.a] + regs[in.b]; break;
-      case Op::Sub: regs[in.dst] = regs[in.a] - regs[in.b]; break;
-      case Op::Mul: regs[in.dst] = regs[in.a] * regs[in.b]; break;
-      case Op::Div: regs[in.dst] = regs[in.a] / regs[in.b]; break;
-      case Op::Neg: regs[in.dst] = -regs[in.a]; break;
-      case Op::Pow: regs[in.dst] = std::pow(regs[in.a], regs[in.b]); break;
-      case Op::CmpGT: regs[in.dst] = regs[in.a] > regs[in.b] ? 1.0 : 0.0; break;
-      case Op::CmpGE: regs[in.dst] = regs[in.a] >= regs[in.b] ? 1.0 : 0.0; break;
-      case Op::CmpLT: regs[in.dst] = regs[in.a] < regs[in.b] ? 1.0 : 0.0; break;
-      case Op::CmpLE: regs[in.dst] = regs[in.a] <= regs[in.b] ? 1.0 : 0.0; break;
-      case Op::CmpEQ: regs[in.dst] = regs[in.a] == regs[in.b] ? 1.0 : 0.0; break;
-      case Op::CmpNE: regs[in.dst] = regs[in.a] != regs[in.b] ? 1.0 : 0.0; break;
-      case Op::Select: regs[in.dst] = regs[in.a] != 0.0 ? regs[in.b] : regs[in.c]; break;
-      case Op::MathExp: regs[in.dst] = std::exp(regs[in.a]); break;
-      case Op::MathSqrt: regs[in.dst] = std::sqrt(regs[in.a]); break;
-      case Op::MathAbs: regs[in.dst] = std::abs(regs[in.a]); break;
-      case Op::MathSin: regs[in.dst] = std::sin(regs[in.a]); break;
-      case Op::MathCos: regs[in.dst] = std::cos(regs[in.a]); break;
-      case Op::MathLog: regs[in.dst] = std::log(regs[in.a]); break;
+      case Op::MathExp: unary([](double x) { return std::exp(x); }); break;
+      case Op::MathSqrt: unary([](double x) { return std::sqrt(x); }); break;
+      case Op::MathAbs: unary([](double x) { return std::abs(x); }); break;
+      case Op::MathSin: unary([](double x) { return std::sin(x); }); break;
+      case Op::MathCos: unary([](double x) { return std::cos(x); }); break;
+      case Op::MathLog: unary([](double x) { return std::log(x); }); break;
       case Op::Ret: {
-        const double result = regs[in.a];
-        if constexpr (Guarded) {
-          report->evals += 1;
-          if (!std::isfinite(result)) report->nonfinite_results += 1;
+        const double* a = reg(in.a);
+        for (int l = 0; l < n; ++l) {
+          out[l] = a[l];
+          if constexpr (Guarded) {
+            reports[l].evals += 1;
+            if (!std::isfinite(a[l])) reports[l].nonfinite_results += 1;
+          }
         }
-        return result;
+        return;
       }
     }
     if constexpr (Guarded) {
       // Audit every intermediate so the report pinpoints the op that went bad
       // (a Div by zero, Pow of a negative base, Log of a corrupted field).
-      if (!std::isfinite(regs[in.dst]) && report->first_instr < 0) {
-        report->first_instr = static_cast<int32_t>(ip);
-        report->first_op = in.op;
-        report->first_cell = ctx.cell;
+      for (int l = 0; l < n; ++l) {
+        if (!std::isfinite(d[l]) && reports[l].first_instr < 0) {
+          reports[l].first_instr = static_cast<int32_t>(ip);
+          reports[l].first_op = in.op;
+          reports[l].first_cell = lanes.ctx.cell;
+        }
       }
     }
   }
   throw std::logic_error("bytecode program missing Ret");
 }
 
+template <bool Guarded>
+double eval_one(const Program& p, const EvalContext& ctx, GuardReport* report) {
+  double regs[256];
+  double out;
+  run<Guarded>(p, OneLane{ctx}, regs, &out, report);
+  return out;
+}
+
 }  // namespace
 
-double eval(const Program& p, const EvalContext& ctx) { return eval_impl<false>(p, ctx, nullptr); }
+double eval(const Program& p, const EvalContext& ctx) { return eval_one<false>(p, ctx, nullptr); }
 
 double eval_guarded(const Program& p, const EvalContext& ctx, GuardReport& report) {
-  return eval_impl<true>(p, ctx, &report);
+  return eval_one<true>(p, ctx, &report);
 }
 
 double eval_audited(const Program& p, const EvalContext& ctx, rt::BlockChecksum& audit) {
-  const double v = eval_impl<false>(p, ctx, nullptr);
+  const double v = eval_one<false>(p, ctx, nullptr);
   audit.fold(v);
   return v;
+}
+
+LaneOffsets::LaneOffsets(const Program& p, std::span<const std::array<int32_t, 4>> lane_loop_values)
+    : lanes_(static_cast<int32_t>(lane_loop_values.size())),
+      dof_(p.bindings.size() * lane_loop_values.size()) {
+  for (size_t s = 0; s < p.bindings.size(); ++s)
+    for (size_t l = 0; l < lane_loop_values.size(); ++l)
+      dof_[s * lane_loop_values.size() + l] = static_cast<int32_t>(p.bindings[s].dof(lane_loop_values[l]));
+}
+
+void eval_block(const Program& p, const LaneOffsets& offsets, const LaneBlock& block,
+                double* regs, double* out) {
+  run<false>(p, BlockLanes{block, offsets}, regs, out, nullptr);
+}
+
+void eval_block_guarded(const Program& p, const LaneOffsets& offsets, const LaneBlock& block,
+                        double* regs, double* out, GuardReport* reports) {
+  run<true>(p, BlockLanes{block, offsets}, regs, out, reports);
 }
 
 void note_eval_batch(const Program& volume, const Program* surface,

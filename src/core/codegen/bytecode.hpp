@@ -166,6 +166,57 @@ double eval_guarded(const Program& p, const EvalContext& ctx, GuardReport& repor
 // sweep — the signature any later copy of that block must still match.
 double eval_audited(const Program& p, const EvalContext& ctx, rt::BlockChecksum& audit);
 
+// ---- lane blocks --------------------------------------------------------------
+// The sweeps' unit of interpretation: up to kLaneBlock DOFs ("lanes") of one
+// cell. Lanes share the cell, neighbor, face normal, dt and ghost field, and
+// differ only in their loop indices, so each instruction is dispatched once per
+// block and then applied lane by lane. Every lane performs the IEEE operations
+// of a one-lane eval() in the same order — block results are bit-identical to
+// scalar evaluation by construction, and eval()/eval_guarded() are the one-lane
+// instance of the same interpreter. (A NaN result is NaN on both paths, but
+// when two NaN operands meet, which one propagates is left open by IEEE 754
+// and by the compiler, so NaN sign and payload bits may differ.)
+inline constexpr int kLaneBlock = 64;
+
+// Per-lane DOF addressing of one program, built once per sweep: for every
+// binding, the DOF offset (Binding::dof) each lane resolves to. Lane l's loop
+// values are lane_loop_values[l], in EvalContext::loop_values form.
+class LaneOffsets {
+ public:
+  LaneOffsets() = default;
+  LaneOffsets(const Program& p, std::span<const std::array<int32_t, 4>> lane_loop_values);
+  // The DOF offsets of binding `slot`, one per lane.
+  const int32_t* row(int32_t slot) const {
+    return dof_.data() + static_cast<size_t>(slot) * static_cast<size_t>(lanes_);
+  }
+
+ private:
+  int32_t lanes_ = 0;
+  std::vector<int32_t> dof_;  // bindings x lanes
+};
+
+// Shared state of one block: lanes [first, first + count) of a LaneOffsets.
+struct LaneBlock {
+  int32_t cell = 0;
+  int32_t neighbor = -1;  // across the current face; -1 on boundary
+  std::array<double, 3> normal{{0, 0, 0}};
+  double dt = 0.0;
+  // Value-BC ghost, as in EvalContext, with one ghost value per lane of the
+  // block: ghost_value[0, count).
+  const fvm::CellField* ghost_field = nullptr;
+  const double* ghost_value = nullptr;
+  int32_t first = 0;
+  int count = 0;  // 1..kLaneBlock
+};
+
+// Evaluates every lane of `block` into out[0, count). `offsets` must be built
+// for `p`; `regs` is caller scratch of p.num_regs * kLaneBlock doubles. The
+// guarded form audits each lane like eval_guarded() into reports[0, count).
+void eval_block(const Program& p, const LaneOffsets& offsets, const LaneBlock& block,
+                double* regs, double* out);
+void eval_block_guarded(const Program& p, const LaneOffsets& offsets, const LaneBlock& block,
+                        double* regs, double* out, GuardReport* reports);
+
 // Observability hook (see OBSERVABILITY.md): folds one *batch* of VM
 // evaluations into the global metrics registry — vm.evals / vm.flops /
 // vm.loads / vm.branches / vm.fma_pairs scaled from the programs' static

@@ -152,59 +152,27 @@ class Emitter {
     std::string why;
   };
 
-  static bool contains(const std::vector<std::string>& v, const std::string& s) {
-    for (const auto& x : v)
-      if (x == s) return true;
-    return false;
-  }
-
   void note_slot(std::map<int, bool>& used, const Binding& b) {
     for (int k = 0; k < b.n_idx; ++k) used[b.loop_slot[static_cast<size_t>(k)]] = true;
   }
 
   void build_loops() {
-    const ir::StepProgram& prog = *in_.program;
     std::map<int, bool> used;
     for (const auto& b : vol_.bindings) note_slot(used, b);
     for (const auto& b : surf_.bindings) note_slot(used, b);
-    note_slot(used, *in_.var_addr);
-
-    std::map<int, bool> covered;
     // The updated variable's indices become real loops, emitted with the
-    // stride-1 index innermost so writes to `out` are contiguous. Indices the
-    // assembly-loop order omits stay at their default loop value (0), exactly
-    // as the VM leaves them.
+    // stride-1 index innermost so writes to `out` are contiguous. The
+    // assembly loops name the cell loop and each of these indices exactly
+    // once (build_step_program), so their declared order changes no value.
     const Binding& va = *in_.var_addr;
     for (int k = va.n_idx; k-- > 0;) {  // descending stride == outer to inner
       const int slot = va.loop_slot[static_cast<size_t>(k)];
-      const std::string& idx = prog.var_indices[static_cast<size_t>(k)];
-      bool in_loops = false;
-      for (const auto& l : prog.loops)
-        in_loops = in_loops || (l.kind == ir::LoopSpec::Kind::Index && l.index_name == idx);
-      if (in_loops)
-        loops_.push_back({slot, in_.env->index_extent[static_cast<size_t>(slot)]});
-      else
-        pinned_.push_back({slot, 0, "index \"" + idx + "\" not in the assembly loops"});
-      covered[slot] = true;
-      used[slot] = true;
-    }
-    // Assembly loops over indices the variable does not carry: every iteration
-    // overwrites the same out-dof, so the VM's final state is the last
-    // iteration's value — evaluate there only.
-    for (const auto& l : prog.loops) {
-      if (l.kind != ir::LoopSpec::Kind::Index) continue;
-      const int slot = in_.env->loop_slot_of(l.index_name);
-      if (covered.count(slot) != 0) continue;
-      covered[slot] = true;
-      pinned_.push_back({slot, static_cast<int>(l.extent) - 1,
-                         "loop \"" + l.index_name + "\" does not index the variable; last write wins"});
+      loops_.push_back({slot, in_.env->index_extent[static_cast<size_t>(slot)]});
+      used.erase(slot);
     }
     // Any slot a binding references outside the loop nest keeps the VM's
     // default loop value of zero.
-    for (const auto& [slot, _] : used) {
-      if (covered.count(slot) != 0) continue;
-      pinned_.push_back({slot, 0, "index outside the assembly loops"});
-    }
+    for (const auto& [slot, _] : used) pinned_.push_back({slot, 0, "index outside the assembly loops"});
   }
 
   int array_of(const Binding& b) {

@@ -28,7 +28,6 @@
 #include <vector>
 
 #include "bytecode.hpp"
-#include "core/ir/step_program.hpp"
 
 namespace finch::codegen {
 
@@ -90,7 +89,6 @@ struct NativeKernelInputs {
   std::string name;                          // e.g. "step_I"
   const Program* volume = nullptr;           // required
   const Program* surface = nullptr;          // null when no surface terms
-  const ir::StepProgram* program = nullptr;  // loop structure + var indices
   const CompileEnv* env = nullptr;           // loop-slot assignment
   const fvm::CellField* out = nullptr;       // updated field
   const Binding* var_addr = nullptr;         // out-dof addressing

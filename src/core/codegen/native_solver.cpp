@@ -56,7 +56,6 @@ class NativeSolver final : public StepSolverBase {
         in.name = "step_" + ce.field->name();
         in.volume = &ce.volume;
         in.surface = ce.has_surface ? &ce.surface : nullptr;
-        in.program = ce.program;
         in.env = &env_;
         in.out = ce.field;
         in.var_addr = &ce.var_addr;
@@ -92,15 +91,21 @@ class NativeSolver final : public StepSolverBase {
       fvm::CellField ref("jit_verify", out.num_cells(), out.dof_per_cell(), out.layout());
       std::copy(out.data().begin(), out.data().end(), ref.data().begin());
       run_kernel(e, out, dt_stage);
+      rt::SpanAttrs attrs;
+      attrs.phase = "compute";
+      rt::TraceSpan span("jit.verify", attrs);
+      const auto t0 = Clock::now();
       vm_sweep(e, ref, dt_stage);
+      auto& reg = rt::MetricsRegistry::global();
       if (std::memcmp(out.data().data(), ref.data().data(),
                       out.data().size() * sizeof(double)) != 0) {
-        auto& reg = rt::MetricsRegistry::global();
         reg.counter("jit.verify.mismatch").add();
         reg.counter("jit.fallback").add();
         en.plan.fn = nullptr;
         std::copy(ref.data().begin(), ref.data().end(), out.data().begin());
       }
+      reg.counter("jit.verify.sweeps").add();
+      reg.counter("jit.verify.seconds").add(seconds_since(t0));
       return;
     }
     en.verified = true;
@@ -264,7 +269,6 @@ class SourceProbe final : public StepSolverBase {
       in.name = "step_" + ce.field->name();
       in.volume = &ce.volume;
       in.surface = ce.has_surface ? &ce.surface : nullptr;
-      in.program = ce.program;
       in.env = &env_;
       in.out = ce.field;
       in.var_addr = &ce.var_addr;

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdint>
+#include <mutex>
 #include <stdexcept>
 
 #include "core/symbolic/simplify.hpp"
@@ -16,6 +18,22 @@ using Clock = std::chrono::steady_clock;
 double seconds_since(Clock::time_point t0) {
   return std::chrono::duration<double>(Clock::now() - t0).count();
 }
+
+// Guard tallies of a run of evaluations. The first offender kept is the one
+// with the lowest rank among the evaluations that returned a non-finite value.
+struct GuardTally {
+  GuardReport report;
+  int64_t first_rank = INT64_MAX;
+  void add(const GuardReport& g, int64_t rank) {
+    report.evals += g.evals;
+    report.nonfinite_results += g.nonfinite_results;
+    if (g.nonfinite_results == 0 || rank >= first_rank) return;
+    first_rank = rank;
+    report.first_instr = g.first_instr;
+    report.first_op = g.first_op;
+    report.first_cell = g.first_cell;
+  }
+};
 
 }  // namespace
 
@@ -60,10 +78,6 @@ void StepSolverBase::step() {
       euler_step();
     else
       rk2_step();
-  }
-  if (guard_enabled_) {
-    guard_report_.evals = guard_evals_.load(std::memory_order_relaxed);
-    guard_report_.nonfinite_results = guard_nonfinite_.load(std::memory_order_relaxed);
   }
   phases_.intensity += seconds_since(t0);
   t0 = Clock::now();
@@ -139,111 +153,172 @@ void StepSolverBase::vm_sweep(size_t eq, fvm::CellField& out, double dt_stage) {
   rt::TraceSpan span("cpu.sweep");
   const auto sweep_t0 = Clock::now();
   const mesh::Mesh& mesh = p_.mesh();
-  // Mixed-radix iteration following the assembly-loop ordering: the
-  // outermost loop is the most significant digit.
-  const auto& loops = ce.program->loops;
-  std::vector<int64_t> extent(loops.size());
-  int64_t total = 1;
-  for (size_t k = 0; k < loops.size(); ++k) {
-    extent[k] = loops[k].kind == ir::LoopSpec::Kind::Cells ? mesh.num_cells() : loops[k].extent;
-    total *= extent[k];
-  }
-  std::vector<int64_t> place(loops.size(), 1);
-  for (size_t k = loops.size(); k-- > 1;) place[k - 1] = place[k] * extent[k];
+  const int32_t ncells = mesh.num_cells();
+  const int32_t ndof = ce.field->dof_per_cell();
 
-  auto body = [&](int64_t it) {
-    EvalContext ctx;
-    ctx.dt = dt_stage;
-    int32_t cell = 0;
-    for (size_t k = 0; k < loops.size(); ++k) {
-      const int32_t digit = static_cast<int32_t>((it / place[k]) % extent[k]);
-      if (loops[k].kind == ir::LoopSpec::Kind::Cells)
-        cell = digit;
-      else
-        ctx.loop_values[static_cast<size_t>(env_.loop_slot_of(loops[k].index_name))] = digit;
+  // Lane d of a cell is DOF d of the updated variable: its loop values are
+  // the variable's indices, the first one fastest (var_addr's stride-1
+  // index). The assembly loops are exactly the cell loop plus these indices,
+  // so lanes cover the loop nest; slots the variable does not carry stay 0.
+  std::vector<std::array<int32_t, 4>> lane_loops(static_cast<size_t>(ndof), {0, 0, 0, 0});
+  for (int32_t d = 0; d < ndof; ++d) {
+    int32_t rem = d;
+    for (int k = ce.var_addr.n_idx; k-- > 0;) {
+      const auto kk = static_cast<size_t>(k);
+      lane_loops[static_cast<size_t>(d)][static_cast<size_t>(ce.var_addr.loop_slot[kk])] =
+          rem / ce.var_addr.stride[kk];
+      rem %= ce.var_addr.stride[kk];
     }
-    ctx.cell = cell;
-    double value;
-    if (guard_enabled_) {
-      GuardReport local;
-      value = eval_guarded(ce.volume, ctx, local);
-      if (ce.has_surface) value += surface_contribution(ce, ctx, cell, &local);
-      guard_evals_.fetch_add(local.evals, std::memory_order_relaxed);
-      if (local.nonfinite_results > 0) {
-        guard_nonfinite_.fetch_add(local.nonfinite_results, std::memory_order_relaxed);
-        std::lock_guard<std::mutex> lock(guard_mutex_);
-        if (guard_report_.first_cell < 0) {
-          guard_report_.first_cell = local.first_cell;
-          guard_report_.detail = ce.field->name() + " kernel, instr " +
-                                 std::to_string(local.first_instr) + " (op " +
-                                 std::to_string(static_cast<int>(local.first_op)) + ")";
-        }
+  }
+  const LaneOffsets vol_lanes(ce.volume, lane_loops);
+  const LaneOffsets surf_lanes = ce.has_surface ? LaneOffsets(ce.surface, lane_loops) : LaneOffsets();
+  const int nregs = std::max(ce.volume.num_regs, ce.has_surface ? ce.surface.num_regs : 0);
+
+  // Guard ranks: the position of (cell, lane) in a serial walk of the
+  // declared assembly loops (outermost loop = most significant digit), so
+  // the first offender reported does not depend on how the pool splits cells.
+  std::vector<int64_t> lane_rank;
+  int64_t cell_place = 0;
+  if (guard_enabled_) {
+    lane_rank.assign(static_cast<size_t>(ndof), 0);
+    int64_t place = 1;
+    const auto& loops = ce.program->loops;
+    for (size_t k = loops.size(); k-- > 0;) {
+      if (loops[k].kind == ir::LoopSpec::Kind::Cells) {
+        cell_place = place;
+        place *= ncells;
+        continue;
       }
-    } else {
-      value = eval(ce.volume, ctx);
-      if (ce.has_surface) value += surface_contribution(ce, ctx, cell, nullptr);
+      const auto slot = static_cast<size_t>(env_.loop_slot_of(loops[k].index_name));
+      for (int32_t d = 0; d < ndof; ++d)
+        lane_rank[static_cast<size_t>(d)] += lane_loops[static_cast<size_t>(d)][slot] * place;
+      place *= loops[k].extent;
     }
-    out.at(cell, static_cast<int32_t>(ce.var_addr.dof(ctx.loop_values))) = value;
+  }
+  GuardTally sweep_guard;
+  std::mutex guard_mutex;
+
+  // A face the surface term visits, in cell_faces order: interior, or a
+  // boundary face with a registered BC (BC-less walls are zero-flux).
+  struct FaceVisit {
+    int32_t face;
+    int32_t neighbor;  // -1 on boundary
+    mesh::Vec3 normal;
+    double scale;      // area / volume
+    const fvm::BoundaryCondition* bc;
   };
 
-  if (pool_ != nullptr) {
-    pool_->parallel_for(0, total, body, std::max<int64_t>(total / (8 * pool_->size()), 64));
-  } else {
-    for (int64_t it = 0; it < total; ++it) body(it);
+  auto sweep_cells = [&](int64_t begin, int64_t end) {
+    std::vector<double> regs(static_cast<size_t>(nregs) * kLaneBlock);
+    std::array<double, kLaneBlock> vol, acc, val, bc_value;
+    std::array<GuardReport, kLaneBlock> lane_guard;
+    GuardTally chunk_guard;
+    auto run = [&](const Program& prog, const LaneOffsets& lanes, const LaneBlock& blk, double* res) {
+      if (guard_enabled_)
+        eval_block_guarded(prog, lanes, blk, regs.data(), res, lane_guard.data());
+      else
+        eval_block(prog, lanes, blk, regs.data(), res);
+    };
+    std::vector<FaceVisit> faces;
+    fvm::BoundaryContext bctx;
+    bctx.mesh = &mesh;
+    bctx.fields = &p_.fields();
+    bctx.time = time_;
+    for (int64_t c = begin; c < end; ++c) {
+      const auto cell = static_cast<int32_t>(c);
+      faces.clear();
+      if (ce.has_surface) {
+        const double inv_vol = 1.0 / mesh.cell_volume(cell);
+        for (int32_t f : mesh.cell_faces(cell)) {
+          const mesh::Face& face = mesh.face(f);
+          const fvm::BoundaryCondition* bc = nullptr;
+          if (face.is_boundary()) {
+            bc = p_.boundaries().find(ce.field->name(), face.boundary_region);
+            if (bc == nullptr) continue;
+          }
+          faces.push_back({f, face.is_boundary() ? -1 : mesh.across(f, cell),
+                           mesh.outward_normal(f, cell), face.area * inv_vol, bc});
+        }
+      }
+      for (int32_t first = 0; first < ndof; first += kLaneBlock) {
+        const int n = std::min(kLaneBlock, ndof - first);
+        if (guard_enabled_) std::fill_n(lane_guard.begin(), n, GuardReport{});
+        LaneBlock blk;
+        blk.cell = cell;
+        blk.dt = dt_stage;
+        blk.first = first;
+        blk.count = n;
+        run(ce.volume, vol_lanes, blk, vol.data());
+        // Per lane: the volume value, then each face in cell_faces order.
+        std::fill_n(acc.begin(), n, 0.0);
+        for (const FaceVisit& fv : faces) {
+          blk.normal = {fv.normal.x, fv.normal.y, fv.normal.z};
+          blk.neighbor = fv.neighbor;
+          blk.ghost_field = nullptr;
+          if (fv.bc != nullptr) {
+            bctx.cell = cell;
+            bctx.face = fv.face;
+            bctx.normal = fv.normal;
+            for (int l = 0; l < n; ++l) {
+              const std::array<int32_t, 4>& lv = lane_loops[static_cast<size_t>(first + l)];
+              bctx.dof = first + l;
+              bctx.dir = ce.dir_slot >= 0 ? lv[static_cast<size_t>(ce.dir_slot)] : 0;
+              bctx.band = ce.band_slot >= 0 ? lv[static_cast<size_t>(ce.band_slot)] : 0;
+              bc_value[static_cast<size_t>(l)] = fv.bc->fn(bctx);
+            }
+            if (fv.bc->type == fvm::BcType::Flux) {
+              // The callback returns the physical outward flux integrand f;
+              // the discretization contributes -dt*(A/V)*f, matching the
+              // generated surface terms, which already carry the -dt factor
+              // (stage dt for RK).
+              for (int l = 0; l < n; ++l)
+                acc[static_cast<size_t>(l)] += fv.scale * (-dt_stage) * bc_value[static_cast<size_t>(l)];
+              continue;
+            }
+            blk.ghost_field = ce.field;  // value BC: the callback is the ghost
+            blk.ghost_value = bc_value.data();
+          }
+          run(ce.surface, surf_lanes, blk, val.data());
+          for (int l = 0; l < n; ++l) acc[static_cast<size_t>(l)] += fv.scale * val[static_cast<size_t>(l)];
+        }
+        for (int l = 0; l < n; ++l) {
+          const auto ul = static_cast<size_t>(l);
+          // No "+ 0.0" without surface terms: it would turn -0.0 into +0.0.
+          out.at(cell, first + l) = ce.has_surface ? vol[ul] + acc[ul] : vol[ul];
+          if (guard_enabled_)
+            chunk_guard.add(lane_guard[ul], c * cell_place + lane_rank[static_cast<size_t>(first + l)]);
+        }
+      }
+    }
+    if (!guard_enabled_) return;
+    std::lock_guard<std::mutex> lock(guard_mutex);
+    sweep_guard.add(chunk_guard.report, chunk_guard.first_rank);
+  };
+
+  if (pool_ != nullptr)
+    pool_->parallel_for_chunks(0, ncells, sweep_cells,
+                               std::max<int64_t>(ncells / (8 * static_cast<int64_t>(pool_->size())), 1));
+  else
+    sweep_cells(0, ncells);
+
+  if (guard_enabled_) {
+    const GuardReport& g = sweep_guard.report;
+    guard_report_.evals += g.evals;
+    guard_report_.nonfinite_results += g.nonfinite_results;
+    if (guard_report_.first_cell < 0 && g.first_cell >= 0) {
+      guard_report_.first_cell = g.first_cell;
+      guard_report_.detail = ce.field->name() + " kernel, instr " + std::to_string(g.first_instr) +
+                             " (op " + std::to_string(static_cast<int>(g.first_op)) + ")";
+    }
   }
   // Batch-level VM telemetry (per-eval timers would dominate the ~40-90 ns
   // evals). Surface evals are estimated as faces-per-cell x iterations.
+  const int64_t total = static_cast<int64_t>(ncells) * ndof;
   int64_t surface_evals = 0;
   if (ce.has_surface && mesh.num_cells() > 0)
     surface_evals = total * 2 * mesh.num_faces() / mesh.num_cells();
   note_eval_batch(ce.volume, ce.has_surface ? &ce.surface : nullptr, total,
                   surface_evals, seconds_since(sweep_t0));
-}
-
-double StepSolverBase::surface_contribution(CompiledEquation& ce, EvalContext& ctx, int32_t cell,
-                                            GuardReport* guard) {
-  const mesh::Mesh& mesh = p_.mesh();
-  auto run = [&](const Program& prog) {
-    return guard != nullptr ? eval_guarded(prog, ctx, *guard) : eval(prog, ctx);
-  };
-  const double inv_vol = 1.0 / mesh.cell_volume(cell);
-  double acc = 0.0;
-  for (int32_t f : mesh.cell_faces(cell)) {
-    const mesh::Face& face = mesh.face(f);
-    const mesh::Vec3 n = mesh.outward_normal(f, cell);
-    ctx.normal = {n.x, n.y, n.z};
-    const double scale = face.area * inv_vol;
-    if (!face.is_boundary()) {
-      ctx.neighbor = mesh.across(f, cell);
-      acc += scale * run(ce.surface);
-      ctx.neighbor = -1;
-      continue;
-    }
-    const fvm::BoundaryCondition* bc = p_.boundaries().find(ce.field->name(), face.boundary_region);
-    if (bc == nullptr) continue;  // default: zero-flux (symmetry-like) wall
-    fvm::BoundaryContext bctx;
-    bctx.mesh = &mesh;
-    bctx.fields = &p_.fields();
-    bctx.cell = cell;
-    bctx.face = f;
-    bctx.normal = n;
-    bctx.dof = static_cast<int32_t>(ce.var_addr.dof(ctx.loop_values));
-    bctx.dir = ce.dir_slot >= 0 ? ctx.loop_values[static_cast<size_t>(ce.dir_slot)] : 0;
-    bctx.band = ce.band_slot >= 0 ? ctx.loop_values[static_cast<size_t>(ce.band_slot)] : 0;
-    bctx.time = time_;
-    if (bc->type == fvm::BcType::Flux) {
-      // Callback returns the physical outward flux integrand f; the
-      // discretization contributes -dt*(A/V)*f, matching the generated
-      // surface terms which already carry the -dt factor (stage dt for RK).
-      acc += scale * (-ctx.dt) * bc->fn(bctx);
-    } else {
-      ctx.ghost_field = ce.field;
-      ctx.ghost_value = bc->fn(bctx);
-      acc += scale * run(ce.surface);
-      ctx.ghost_field = nullptr;
-    }
-  }
-  return acc;
 }
 
 }  // namespace finch::codegen

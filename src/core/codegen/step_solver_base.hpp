@@ -7,9 +7,7 @@
 // sweep_equation() with kernel execution, keeping every scheme/BC/guard
 // behavior — and the VM as a drop-in oracle — in one place.
 
-#include <atomic>
 #include <cstdint>
-#include <mutex>
 #include <vector>
 
 #include "bytecode.hpp"
@@ -44,14 +42,16 @@ class StepSolverBase : public dsl::Solver {
   virtual void sweep_equation(size_t e, fvm::CellField& out, double dt_stage);
 
   // The interpreter sweep — the portable path and the differential oracle.
+  // Walks cells (split across the pool when one is set) and evaluates each
+  // cell's DOFs as lane blocks (see LaneBlock); each (cell, DOF) value is
+  // computed independently, so neither the declared loop order nor the
+  // pool's split can change a bit.
   void vm_sweep(size_t e, fvm::CellField& out, double dt_stage);
 
   void euler_step();
   void rk2_step();
   void commit();
   size_t backup_offset(size_t e) const;
-  double surface_contribution(CompiledEquation& ce, EvalContext& ctx, int32_t cell,
-                              GuardReport* guard);
 
   dsl::Problem& p_;
   rt::ThreadPool* pool_;
@@ -59,11 +59,6 @@ class StepSolverBase : public dsl::Solver {
   std::vector<CompiledEquation> eqs_;
   std::vector<fvm::CellField> scratch_;
   std::vector<double> backup_;
-  // Guard tallies: atomics so pooled sweeps can report without contention;
-  // the mutex only serializes recording the (rare) first offender.
-  std::atomic<int64_t> guard_evals_{0};
-  std::atomic<int64_t> guard_nonfinite_{0};
-  std::mutex guard_mutex_;
 
  private:
   void build_env();

@@ -70,6 +70,7 @@ StepProgram build_step_program(const std::string& variable, const sym::Classifie
   bool saw_cells = false;
   for (const auto& name : order) {
     if (name == "cells" || name == "elements") {
+      if (saw_cells) throw std::invalid_argument("assemblyLoops: the cell loop is named twice");
       p.loops.push_back(LoopSpec{LoopSpec::Kind::Cells, "", 0});
       saw_cells = true;
     } else {
@@ -77,6 +78,8 @@ StepProgram build_step_program(const std::string& variable, const sym::Classifie
       if (info == nullptr) throw std::invalid_argument("assemblyLoops: unknown index " + name);
       if (std::find(p.var_indices.begin(), p.var_indices.end(), name) == p.var_indices.end())
         throw std::invalid_argument("assemblyLoops: index " + name + " not used by variable " + variable);
+      for (const auto& l : p.loops)
+        if (l.index_name == name) throw std::invalid_argument("assemblyLoops: index " + name + " is named twice");
       p.loops.push_back(LoopSpec{LoopSpec::Kind::Index, name, info->extent()});
     }
   }

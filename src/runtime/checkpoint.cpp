@@ -205,11 +205,16 @@ void write_bytes_atomic(const std::string& path, std::span<const std::byte> imag
 }
 
 std::vector<std::byte> read_bytes_file(const std::string& path) {
-  std::ifstream is(path, std::ios::binary);
+  std::ifstream is(path, std::ios::binary | std::ios::ate);
   if (!is) throw CheckpointError("cannot open checkpoint: " + path);
-  std::vector<char> raw((std::istreambuf_iterator<char>(is)), std::istreambuf_iterator<char>());
-  std::vector<std::byte> bytes(raw.size());
-  std::memcpy(bytes.data(), raw.data(), raw.size());
+  const std::streamoff size = is.tellg();
+  if (size < 0) throw CheckpointError("cannot size checkpoint: " + path);
+  // Read straight into the result; an empty file yields an empty image, which
+  // deserialize() rejects as truncated.
+  std::vector<std::byte> bytes(static_cast<size_t>(size));
+  is.seekg(0);
+  if (!bytes.empty() && !is.read(reinterpret_cast<char*>(bytes.data()), size))
+    throw CheckpointError("short read from checkpoint: " + path);
   return bytes;
 }
 

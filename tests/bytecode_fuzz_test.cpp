@@ -3,8 +3,13 @@
 // expressions over the full node grammar (seeded, deterministic).
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
+#include <cstring>
+#include <limits>
 #include <random>
+#include <tuple>
+#include <vector>
 
 #include "core/codegen/bytecode.hpp"
 #include "core/symbolic/printer.hpp"
@@ -22,15 +27,15 @@ struct Env {
   std::map<std::string, double> scalars;
   codegen::CompileEnv cenv;
 
-  Env() {
+  explicit Env(fvm::Layout layout = fvm::Layout::CellMajor) {
     table.declare_index("d", 1, 3);
     table.declare_index("b", 1, 2);
     table.declare({"I", sym::EntityKind::Variable, 1, {"d", "b"}});
     table.declare({"u", sym::EntityKind::Variable, 1, {}});
     table.declare({"Sx", sym::EntityKind::Coefficient, 1, {"d"}});
     table.declare({"k", sym::EntityKind::Coefficient, 1, {}});
-    fields.add("I", 4, 6);
-    fields.add("u", 4, 1);
+    fields.add("I", 4, 6, layout);
+    fields.add("u", 4, 1, layout);
     for (int32_t c = 0; c < 4; ++c) {
       fields.get("u").at(c, 0) = 0.5 + c;
       for (int32_t dof = 0; dof < 6; ++dof) fields.get("I").at(c, dof) = 0.1 * (c + 1) * (dof + 1);
@@ -128,7 +133,9 @@ double ref_eval(const sym::Expr& e, const Env& env, const EvalContext& ctx) {
 // Random expression generator over the supported grammar.
 class Gen {
  public:
-  explicit Gen(uint32_t seed) : rng_(seed) {}
+  // `neighbor_field_loads` also draws the CELL2 side for I[d,b] leaves.
+  explicit Gen(uint32_t seed, bool neighbor_field_loads = false)
+      : rng_(seed), neighbor_field_loads_(neighbor_field_loads) {}
 
   sym::Expr expr(int depth) {
     if (depth <= 0) return leaf();
@@ -168,12 +175,17 @@ class Gen {
       case 2: return sym::sym(rng_() % 2 == 0 ? "NORMAL_1" : "NORMAL_2");
       case 3: return sym::entity("u", sym::EntityKind::Variable, 1, {},
                                  rng_() % 2 == 0 ? sym::CellSide::Self : sym::CellSide::Cell2);
-      case 4: return sym::entity("I", sym::EntityKind::Variable, 1, {sym::sym("d"), sym::sym("b")});
+      case 4: {
+        const sym::CellSide side = neighbor_field_loads_ && rng_() % 2 == 0 ? sym::CellSide::Cell2
+                                                                            : sym::CellSide::Self;
+        return sym::entity("I", sym::EntityKind::Variable, 1, {sym::sym("d"), sym::sym("b")}, side);
+      }
       default: return sym::entity("Sx", sym::EntityKind::Coefficient, 1, {sym::sym("d")});
     }
   }
 
   std::mt19937 rng_;
+  bool neighbor_field_loads_;
 };
 
 }  // namespace
@@ -301,3 +313,112 @@ TEST(BytecodeGuard, GuardedMatchesUnguardedOnFuzzedExpressions) {
   }
   EXPECT_EQ(report.evals, 40);
 }
+
+// ---- lane blocks ------------------------------------------------------------
+// eval_block() must reproduce the one-lane eval() bit for bit on every lane:
+// for lane counts that leave a partial block (1, 3), fill one exactly
+// (kLaneBlock) or spill into a second (kLaneBlock + 1); under both field
+// layouts; for interior-neighbor, value-BC ghost and zero-gradient loads; and
+// with NaN/Inf among the field and ghost inputs. The guarded form must also
+// match eval_guarded()'s per-evaluation report.
+
+namespace {
+
+// Bitwise equality, except that any two NaNs match: when both operands of an
+// add or multiply are NaN, IEEE 754 leaves open which one the result carries,
+// and the compiler may commute the operands differently in the vectorized
+// lane loop than in the one-lane code (seen as +nan vs -nan at -O2).
+bool same_bits(double a, double b) {
+  return (std::isnan(a) && std::isnan(b)) || std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+}  // namespace
+
+class LaneBlockFuzz : public ::testing::TestWithParam<std::tuple<int, fvm::Layout>> {};
+
+TEST_P(LaneBlockFuzz, BlocksMatchOneLaneEvalBitwise) {
+  const auto [lanes, layout] = GetParam();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  Env env(layout);
+  env.fields.get("I").at(1, 4) = nan;
+  env.fields.get("I").at(2, 1) = inf;
+  env.fields.get("u").at(2, 0) = -inf;
+  std::mt19937 rng(static_cast<uint32_t>(lanes));
+  std::vector<std::array<int32_t, 4>> lane_loops(static_cast<size_t>(lanes));
+  std::vector<double> ghost(static_cast<size_t>(lanes));
+  for (int l = 0; l < lanes; ++l) {
+    // Slot 0 is b (extent 2), slot 1 is d (extent 3): see Env::cenv.
+    lane_loops[static_cast<size_t>(l)] = {static_cast<int32_t>(rng() % 2),
+                                          static_cast<int32_t>(rng() % 3), 0, 0};
+    ghost[static_cast<size_t>(l)] = l % 7 == 3 ? nan : l % 7 == 5 ? -inf : 0.25 * l - 2.0;
+  }
+  struct Face {
+    int32_t cell, neighbor;
+    const fvm::CellField* ghost_field;
+  };
+  const Face faces[] = {
+      {1, 2, nullptr},                    // interior: neighbor loads read cell 2
+      {1, -1, &env.fields.get("I")},      // value BC on I: I's neighbor loads read the ghost
+      {2, -1, &env.fields.get("u")},      // value BC on u; I falls back to zero gradient
+      {2, -1, nullptr},                   // no ghost: every neighbor load is zero-gradient
+  };
+  Gen gen(1000u + static_cast<uint32_t>(lanes), /*neighbor_field_loads=*/true);
+  for (int round = 0; round < 40; ++round) {
+    const codegen::Program prog = codegen::compile(sym::simplify(gen.expr(3)), env.cenv);
+    const codegen::LaneOffsets offsets(prog, lane_loops);
+    std::vector<double> regs(static_cast<size_t>(prog.num_regs) * codegen::kLaneBlock);
+    for (const Face& f : faces) {
+      for (int first = 0; first < lanes; first += codegen::kLaneBlock) {
+        codegen::LaneBlock blk;
+        blk.cell = f.cell;
+        blk.neighbor = f.neighbor;
+        blk.normal = {0.6, -0.8, 0.0};
+        blk.dt = 0.3;
+        blk.ghost_field = f.ghost_field;
+        blk.ghost_value = ghost.data() + first;
+        blk.first = first;
+        blk.count = std::min(codegen::kLaneBlock, lanes - first);
+        std::array<double, codegen::kLaneBlock> out{}, guarded{};
+        std::array<codegen::GuardReport, codegen::kLaneBlock> reports{};
+        codegen::eval_block(prog, offsets, blk, regs.data(), out.data());
+        codegen::eval_block_guarded(prog, offsets, blk, regs.data(), guarded.data(), reports.data());
+        for (int l = 0; l < blk.count; ++l) {
+          const auto lane = static_cast<size_t>(first + l);
+          EvalContext ctx;
+          ctx.cell = blk.cell;
+          ctx.neighbor = blk.neighbor;
+          ctx.normal = blk.normal;
+          ctx.dt = blk.dt;
+          ctx.loop_values = lane_loops[lane];
+          ctx.ghost_field = blk.ghost_field;
+          ctx.ghost_value = ghost[lane];
+          codegen::GuardReport want;
+          const double plain = codegen::eval(prog, ctx);
+          const double audited = codegen::eval_guarded(prog, ctx, want);
+          const codegen::GuardReport& got = reports[static_cast<size_t>(l)];
+          SCOPED_TRACE(::testing::Message() << "round " << round << ", lane " << lane << ", cell "
+                                            << f.cell << ", neighbor " << f.neighbor);
+          EXPECT_TRUE(same_bits(out[static_cast<size_t>(l)], plain))
+              << out[static_cast<size_t>(l)] << " vs " << plain;
+          EXPECT_TRUE(same_bits(guarded[static_cast<size_t>(l)], audited))
+              << guarded[static_cast<size_t>(l)] << " vs " << audited;
+          EXPECT_EQ(got.evals, want.evals);
+          EXPECT_EQ(got.nonfinite_results, want.nonfinite_results);
+          EXPECT_EQ(got.first_instr, want.first_instr);
+          EXPECT_EQ(got.first_op, want.first_op);
+          EXPECT_EQ(got.first_cell, want.first_cell);
+        }
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    LaneCounts, LaneBlockFuzz,
+    ::testing::Combine(::testing::Values(1, 3, codegen::kLaneBlock, codegen::kLaneBlock + 1),
+                       ::testing::Values(fvm::Layout::CellMajor, fvm::Layout::DofMajor)),
+    [](const ::testing::TestParamInfo<std::tuple<int, fvm::Layout>>& info) {
+      return std::to_string(std::get<0>(info.param)) + "Lanes" +
+             (std::get<1>(info.param) == fvm::Layout::CellMajor ? "CellMajor" : "DofMajor");
+    });

@@ -164,6 +164,24 @@ TEST(DslPipeline, AssemblyLoopOrderDoesNotChangeResults) {
   EXPECT_EQ(base, run_with_order({"cells", "b", "d"}));
 }
 
+TEST(DslPipeline, AssemblyLoopsNameEachLoopOnce) {
+  auto compile_with_order = [](std::vector<std::string> order) {
+    Problem p("dup");
+    p.set_mesh(mesh::Mesh::structured_quad(2, 2, 1.0, 1.0));
+    p.set_steps(0.005, 1);
+    p.index("d", 1, 2);
+    p.index("b", 1, 3);
+    p.variable("I", {"d", "b"});
+    p.conservation_form("I", "-I[d,b]");
+    p.assembly_loops(std::move(order));
+    p.compile(Target::CpuSerial);
+  };
+  // Same length as a full nest, but "b" is never looped over.
+  EXPECT_THROW(compile_with_order({"cells", "d", "d"}), std::invalid_argument);
+  EXPECT_THROW(compile_with_order({"cells", "cells", "d"}), std::invalid_argument);
+  EXPECT_NO_THROW(compile_with_order({"d", "cells", "b"}));
+}
+
 TEST(DslPipeline, ThreadedTargetMatchesSerialBitwise) {
   auto build = [](rt::ThreadPool* pool) {
     auto p = std::make_unique<Problem>("mt");

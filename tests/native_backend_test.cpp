@@ -12,7 +12,10 @@
 #include <filesystem>
 #include <fstream>
 #include <random>
+#include <span>
+#include <sstream>
 #include <string>
+#include <vector>
 
 #include "bte/bte_problem.hpp"
 #include "bte/gray.hpp"
@@ -101,11 +104,12 @@ class NativeBackendTest : public ::testing::Test {
     auto pn = toy_problem(eq, dsl::Backend::Native, layout, scheme, value_bc);
     auto sv = pv->compile(dsl::Target::CpuSerial);
     const double fb0 = counter("jit.fallback");
+    const double mismatch0 = counter("jit.verify.mismatch");  // the planted-kernel test adds one
     auto sn = pn->compile(dsl::Target::CpuSerial);
     ASSERT_EQ(counter("jit.fallback"), fb0) << "JIT fell back instead of compiling: " << eq;
     sv->run(steps);
     sn->run(steps);
-    EXPECT_EQ(counter("jit.verify.mismatch"), 0.0);
+    EXPECT_EQ(counter("jit.verify.mismatch"), mismatch0);
     EXPECT_TRUE(bits_equal(pv->fields().get("I"), pn->fields().get("I"))) << "eq: " << eq;
   }
 
@@ -375,6 +379,53 @@ TEST_F(NativeBackendTest, GuardedSolverStaysOnVm) {
   EXPECT_TRUE(s->nonfinite_report().clean());
 }
 
+// The guard through a real VM sweep: the volume term divides by Io[b], which
+// is zero for band 1 of cell 4 and band 0 of cell 23. The report must name the
+// offender a serial walk of the declared assembly loops reaches first (cell 4
+// when cells are outermost, cell 23 when bands are), the dividing
+// instruction, and count every evaluation the sweep made (one volume eval per
+// DOF plus one surface eval per interior face visit; the flux-BC and BC-less
+// walls never run the surface program) — the same on a pool as serially.
+dsl::NonFiniteReport expect_guard_report(rt::ThreadPool* pool, std::vector<std::string> order,
+                                         int32_t first_cell) {
+  auto p = toy_problem("(Io[b] - I[d,b]) * k / Io[b] - surface(vg * upwind([Sx[d];Sy[d]], I[d,b]))",
+                       dsl::Backend::Vm);
+  p->initial("Io", [](int32_t c, std::span<const int32_t> idx) {
+    return (c == 4 && idx[0] == 1) || (c == 23 && idx[0] == 0) ? 0.0 : 0.4 + 0.2 * idx[0];
+  });
+  if (!order.empty()) p->assembly_loops(std::move(order));
+  if (pool != nullptr) p->use_threads(pool);
+  auto s = p->compile(pool != nullptr ? dsl::Target::CpuThreads : dsl::Target::CpuSerial);
+  s->enable_nonfinite_guard();
+  s->run(1);
+
+  const mesh::Mesh& m = p->mesh();
+  int64_t interior_visits = 0;
+  for (int32_t c = 0; c < m.num_cells(); ++c)
+    for (int32_t f : m.cell_faces(c)) interior_visits += m.face(f).is_boundary() ? 0 : 1;
+  const int64_t ndof = p->fields().get("I").dof_per_cell();
+  const dsl::NonFiniteReport& r = s->nonfinite_report();
+  EXPECT_EQ(r.evals, ndof * (m.num_cells() + interior_visits));
+  EXPECT_EQ(r.nonfinite_results, 2 * 3);  // the volume evals of 3 directions in two (cell, band)s
+  EXPECT_EQ(r.first_cell, first_cell);
+  const std::string div = "(op " + std::to_string(static_cast<int>(codegen::Op::Div)) + ")";
+  EXPECT_EQ(r.detail.rfind("I kernel, instr ", 0), 0u) << r.detail;
+  EXPECT_EQ(r.detail.substr(r.detail.size() - div.size()), div) << r.detail;
+  return r;
+}
+
+TEST_F(NativeBackendTest, GuardReportsFirstNonFiniteCellSerially) {
+  expect_guard_report(nullptr, {}, 4);
+  expect_guard_report(nullptr, {"b", "cells", "d"}, 23);
+}
+
+TEST_F(NativeBackendTest, ThreadedGuardReportsTheSerialFirstCell) {
+  rt::ThreadPool pool(2);
+  EXPECT_EQ(expect_guard_report(&pool, {}, 4).detail, expect_guard_report(nullptr, {}, 4).detail);
+  EXPECT_EQ(expect_guard_report(&pool, {"b", "cells", "d"}, 23).detail,
+            expect_guard_report(nullptr, {"b", "cells", "d"}, 23).detail);
+}
+
 // ---- emission ---------------------------------------------------------------
 
 TEST_F(NativeBackendTest, EmittedSourceIsDeterministicAndStructured) {
@@ -401,6 +452,74 @@ TEST_F(NativeBackendTest, CsePrunesTheUpwindExpansion) {
   // The upwind select evaluates s·n for the condition and both branches; CSE
   // must collapse those repeats, so the SSA graph is strictly smaller.
   EXPECT_LT(after, before);
+}
+
+// The first-sweep verify against a kernel that does not compute what its
+// cache key names: a kernel compiled from the toy equation with one extra
+// constant (same array and scalar manifest, so the ABI call is well formed) is
+// planted under the toy equation's key. The solve must load it from disk,
+// catch the disagreement on the first sweep, demote the equation to the VM and
+// end bit-identical to a VM-only solve.
+TEST_F(NativeBackendTest, VerifyDemotesAPlantedWrongKernel) {
+  constexpr const char* kWrongEq =
+      "(Io[b] - I[d,b]) * k * 1.5 - surface(vg * upwind([Sx[d];Sy[d]], I[d,b]))";
+  auto manifest = [](const std::string& src) {
+    std::string m;
+    std::istringstream lines(src);
+    for (std::string line; std::getline(lines, line);)
+      if (line.rfind("// arrays[", 0) == 0 || line.rfind("// scalars[", 0) == 0) m += line + "\n";
+    return m;
+  };
+  auto shared_object_in = [](const std::string& dir) {
+    std::vector<fs::path> found;
+    for (const auto& ent : fs::directory_iterator(dir))
+      if (ent.path().extension() == ".so") found.push_back(ent.path());
+    EXPECT_EQ(found.size(), 1u) << dir;
+    return found.empty() ? fs::path() : found.front();
+  };
+  auto source = [](const std::string& eq) {
+    return toy_problem(eq, dsl::Backend::Native)->generated_native_source();
+  };
+  const std::string right_src = source(kToySurfaceEq);
+  const std::string wrong_src = source(kWrongEq);
+  ASSERT_NE(right_src, wrong_src);
+  ASSERT_EQ(manifest(right_src), manifest(wrong_src));
+  ASSERT_FALSE(manifest(right_src).empty());
+
+  auto compile_native = [](const std::string& eq) {
+    auto p = toy_problem(eq, dsl::Backend::Native);
+    auto s = p->compile(dsl::Target::CpuSerial);
+  };
+  compile_native(kToySurfaceEq);
+  const std::string wrong_dir = cache_dir_ + "_wrong";
+  fs::remove_all(wrong_dir);
+  codegen::jit_config().cache_dir = wrong_dir;
+  compile_native(kWrongEq);
+  codegen::jit_config().cache_dir = cache_dir_;
+  // Copy, then rename over the entry: a new inode, so the dynamic linker
+  // cannot hand back the mapping of the kernel compiled above.
+  const fs::path entry = shared_object_in(cache_dir_);
+  const fs::path planted = entry.string() + ".planted";
+  fs::copy_file(shared_object_in(wrong_dir), planted);
+  fs::rename(planted, entry);
+  fs::remove_all(wrong_dir);
+  codegen::reset_native_memory_cache();
+
+  const double disk0 = counter("jit.cache.hit_disk");
+  const double mismatch0 = counter("jit.verify.mismatch");
+  const double fb0 = counter("jit.fallback");
+  const double sweeps0 = counter("jit.verify.sweeps");
+  auto pv = toy_problem(kToySurfaceEq, dsl::Backend::Vm);
+  auto pn = toy_problem(kToySurfaceEq, dsl::Backend::Native);
+  auto sv = pv->compile(dsl::Target::CpuSerial);
+  auto sn = pn->compile(dsl::Target::CpuSerial);
+  sv->run(3);
+  sn->run(3);
+  EXPECT_EQ(counter("jit.cache.hit_disk"), disk0 + 1);
+  EXPECT_EQ(counter("jit.verify.mismatch"), mismatch0 + 1);
+  EXPECT_EQ(counter("jit.fallback"), fb0 + 1);
+  EXPECT_EQ(counter("jit.verify.sweeps"), sweeps0 + 1);
+  EXPECT_TRUE(bits_equal(pv->fields().get("I"), pn->fields().get("I")));
 }
 
 TEST_F(NativeBackendTest, VerifyKnobIsHonored) {

@@ -297,8 +297,10 @@ TEST(Supervisor, FlakyJobRetryResumesFromManifestNotStepZero) {
   // Backoff was charged to the virtual clock, deterministically.
   EXPECT_DOUBLE_EQ(o.attempts[1].backoff_s,
                    backoff_with_jitter(opt.retry, o.spec.id, 0));
+  // Summed per attempt, backoff first, as the supervisor charges it: another
+  // association can round one ulp above the supervisor's total.
   EXPECT_GE(o.time_to_terminal_s,
-            o.attempts[0].virtual_s + o.attempts[1].virtual_s + o.attempts[1].backoff_s);
+            o.attempts[0].virtual_s + (o.attempts[1].backoff_s + o.attempts[1].virtual_s));
 }
 
 TEST(Supervisor, DeadlineDrainsToCancelledAndStaysResumable) {
