@@ -53,12 +53,12 @@ int main(int argc, char** argv) {
 
   auto isothermal = [&dirs, vg, c_over](const fvm::BoundaryContext& ctx, double T_wall) {
     const double sdotn = dirs.s[static_cast<size_t>(ctx.dir)].dot(ctx.normal);
-    if (sdotn > 0) return vg * sdotn * ctx.fields->get("I").at(ctx.cell, ctx.dof);
+    if (sdotn > 0) return vg * sdotn * ctx.field->at(ctx.cell, ctx.dof);
     return vg * sdotn * c_over * T_wall;
   };
   auto symmetric = [&dirs, vg](const fvm::BoundaryContext& ctx) {
     const double sdotn = dirs.s[static_cast<size_t>(ctx.dir)].dot(ctx.normal);
-    const auto& I = ctx.fields->get("I");
+    const fvm::CellField& I = *ctx.field;
     if (sdotn > 0) return vg * sdotn * I.at(ctx.cell, ctx.dof);
     return vg * sdotn * I.at(ctx.cell, dirs.reflect(ctx.dir, ctx.normal));
   };

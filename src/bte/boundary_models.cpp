@@ -10,7 +10,7 @@ fvm::BoundaryCallback make_isothermal_wall(std::shared_ptr<const BtePhysics> phy
     const mesh::Vec3& s = physics->directions.s[static_cast<size_t>(ctx.dir)];
     const double sdotn = s.dot(ctx.normal);
     const double vg = physics->bands[ctx.band].vg;
-    if (sdotn > 0) return vg * sdotn * ctx.fields->get("I").at(ctx.cell, ctx.dof);
+    if (sdotn > 0) return vg * sdotn * ctx.field->at(ctx.cell, ctx.dof);
     return vg * sdotn * physics->table.I0(ctx.band, T_wall);
   };
 }
@@ -20,7 +20,7 @@ fvm::BoundaryCallback make_specular_wall(std::shared_ptr<const BtePhysics> physi
     const mesh::Vec3& s = physics->directions.s[static_cast<size_t>(ctx.dir)];
     const double sdotn = s.dot(ctx.normal);
     const double vg = physics->bands[ctx.band].vg;
-    const auto& I = ctx.fields->get("I");
+    const fvm::CellField& I = *ctx.field;
     if (sdotn > 0) return vg * sdotn * I.at(ctx.cell, ctx.dof);
     const int r = physics->directions.reflect(ctx.dir, ctx.normal);
     return vg * sdotn * I.at(ctx.cell, r + physics->num_dirs() * ctx.band);
@@ -35,7 +35,7 @@ fvm::BoundaryCallback make_diffuse_wall(std::shared_ptr<const BtePhysics> physic
     const mesh::Vec3& s = dirs.s[static_cast<size_t>(ctx.dir)];
     const double sdotn = s.dot(ctx.normal);
     const double vg = physics->bands[ctx.band].vg;
-    const auto& I = ctx.fields->get("I");
+    const fvm::CellField& I = *ctx.field;
     if (sdotn > 0) return vg * sdotn * I.at(ctx.cell, ctx.dof);
 
     // Specular part.

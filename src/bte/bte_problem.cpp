@@ -82,6 +82,28 @@ std::vector<double> BtePhysics::sz() const {
   return v;
 }
 
+namespace {
+
+// The post-step temperature update of both spectral problems: the per-cell
+// energy balance from I, then T and the Io/beta equilibrium rows, in
+// whichever layout the problem stores its fields.
+void update_temperature(const BtePhysics& ph, fvm::FieldSet& fields) {
+  const fvm::CellField& I = fields.get("I");
+  fvm::CellField& Io = fields.get("Io");
+  fvm::CellField& beta = fields.get("beta");
+  fvm::CellField& T = fields.get("T");
+  auto rows = [](const fvm::CellField& f) {
+    return f.layout() == fvm::Layout::CellMajor
+               ? RowStrides{static_cast<size_t>(f.dof_per_cell()), 1}
+               : RowStrides{1, static_cast<size_t>(f.num_cells())};
+  };
+  ph.table.update_temperature(ph.directions, static_cast<size_t>(I.num_cells()),
+                              I.data().data(), rows(I), T.data().data(), Io.data().data(),
+                              beta.data().data(), rows(Io));
+}
+
+}  // namespace
+
 BteProblem::BteProblem(const BteScenario& scenario, std::shared_ptr<const BtePhysics> physics)
     : scenario_(scenario), physics_(std::move(physics)) {
   build();
@@ -151,14 +173,14 @@ void BteProblem::build() {
     const mesh::Vec3& s = phys->directions.s[static_cast<size_t>(ctx.dir)];
     const double sdotn = s.dot(ctx.normal);
     const double vg = phys->bands[ctx.band].vg;
-    if (sdotn > 0) return vg * sdotn * ctx.fields->get("I").at(ctx.cell, ctx.dof);
+    if (sdotn > 0) return vg * sdotn * ctx.field->at(ctx.cell, ctx.dof);
     return vg * sdotn * phys->table.I0(ctx.band, T_wall);
   };
   auto symmetric = [phys](const fvm::BoundaryContext& ctx) {
     const mesh::Vec3& s = phys->directions.s[static_cast<size_t>(ctx.dir)];
     const double sdotn = s.dot(ctx.normal);
     const double vg = phys->bands[ctx.band].vg;
-    const auto& I = ctx.fields->get("I");
+    const fvm::CellField& I = *ctx.field;
     if (sdotn > 0) return vg * sdotn * I.at(ctx.cell, ctx.dof);
     const int r = phys->directions.reflect(ctx.dir, ctx.normal);
     const int32_t rdof = r + phys->num_dirs() * ctx.band;
@@ -181,27 +203,7 @@ void BteProblem::build() {
   p.boundary("I", 4, dsl::BcType::Flux, "symmetry", symmetric);
 
   // ---- temperature update (post-step, CPU) ----------------------------------
-  p.post_step([phys, nb, nd](dsl::Problem& prob, double) {
-    auto& I = prob.fields().get("I");
-    auto& Io = prob.fields().get("Io");
-    auto& beta = prob.fields().get("beta");
-    auto& T = prob.fields().get("T");
-    std::vector<double> G(static_cast<size_t>(nb));
-    for (int32_t c = 0; c < I.num_cells(); ++c) {
-      for (int b = 0; b < nb; ++b) {
-        double g = 0.0;
-        for (int d = 0; d < nd; ++d)
-          g += phys->directions.weight[static_cast<size_t>(d)] * I.at(c, d + nd * b);
-        G[static_cast<size_t>(b)] = g;
-      }
-      const double Tc = phys->table.solve_temperature(G, T.at(c, 0));
-      T.at(c, 0) = Tc;
-      for (int b = 0; b < nb; ++b) {
-        Io.at(c, b) = phys->table.I0(b, Tc);
-        beta.at(c, b) = phys->table.beta(b, Tc);
-      }
-    }
-  });
+  p.post_step([phys](dsl::Problem& prob, double) { update_temperature(*phys, prob.fields()); });
   // Movement annotations for the GPU target: the CPU post-step reads I and
   // produces Io/beta (T remains host-only, the kernel never touches it).
   p.post_step_touches({"I"}, {"Io", "beta"});
@@ -294,14 +296,14 @@ void BteProblem3d::build() {
     const mesh::Vec3& s = phys->directions.s[static_cast<size_t>(ctx.dir)];
     const double sdotn = s.dot(ctx.normal);
     const double vg = phys->bands[ctx.band].vg;
-    if (sdotn > 0) return vg * sdotn * ctx.fields->get("I").at(ctx.cell, ctx.dof);
+    if (sdotn > 0) return vg * sdotn * ctx.field->at(ctx.cell, ctx.dof);
     return vg * sdotn * phys->table.I0(ctx.band, T_wall);
   };
   auto symmetric = [phys](const fvm::BoundaryContext& ctx) {
     const mesh::Vec3& s = phys->directions.s[static_cast<size_t>(ctx.dir)];
     const double sdotn = s.dot(ctx.normal);
     const double vg = phys->bands[ctx.band].vg;
-    const auto& I = ctx.fields->get("I");
+    const fvm::CellField& I = *ctx.field;
     if (sdotn > 0) return vg * sdotn * I.at(ctx.cell, ctx.dof);
     const int r = phys->directions.reflect(ctx.dir, ctx.normal);
     return vg * sdotn * I.at(ctx.cell, r + phys->num_dirs() * ctx.band);
@@ -320,27 +322,7 @@ void BteProblem3d::build() {
   for (int region : {1, 2, 3, 4})
     p.boundary("I", region, dsl::BcType::Flux, "symmetry", symmetric);
 
-  p.post_step([phys, nb, nd](dsl::Problem& prob, double) {
-    auto& I = prob.fields().get("I");
-    auto& Io = prob.fields().get("Io");
-    auto& beta = prob.fields().get("beta");
-    auto& T = prob.fields().get("T");
-    std::vector<double> G(static_cast<size_t>(nb));
-    for (int32_t c = 0; c < I.num_cells(); ++c) {
-      for (int b = 0; b < nb; ++b) {
-        double g = 0.0;
-        for (int d = 0; d < nd; ++d)
-          g += phys->directions.weight[static_cast<size_t>(d)] * I.at(c, d + nd * b);
-        G[static_cast<size_t>(b)] = g;
-      }
-      const double Tc = phys->table.solve_temperature(G, T.at(c, 0));
-      T.at(c, 0) = Tc;
-      for (int b = 0; b < nb; ++b) {
-        Io.at(c, b) = phys->table.I0(b, Tc);
-        beta.at(c, b) = phys->table.beta(b, Tc);
-      }
-    }
-  });
+  p.post_step([phys](dsl::Problem& prob, double) { update_temperature(*phys, prob.fields()); });
   p.post_step_touches({"I"}, {"Io", "beta"});
 }
 

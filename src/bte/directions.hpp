@@ -10,6 +10,7 @@
 // 3D: product quadrature, Gauss-Legendre in cos(theta) x uniform azimuth.
 
 #include <array>
+#include <cstddef>
 #include <vector>
 
 #include "mesh/geometry.hpp"
@@ -29,6 +30,12 @@ struct DirectionSet {
   // Direction index of the specular reflection of direction d across a wall
   // with unit outward normal n (axis-aligned normals only).
   int reflect(int d, const mesh::Vec3& n) const;
+
+  // Angular sums of nb bands: G[b] = sum_d weight[d] * I[(d + size()*b) * item].
+  // Several bands are summed at a time so their add chains overlap, but each
+  // band is summed in direction order from 0.0, so every G[b] is bitwise the
+  // serial per-band loop. item = 1 for directions stored contiguously.
+  void band_sums(const double* I, size_t item, size_t nb, double* G) const;
 };
 
 DirectionSet make_directions_2d(int ndirs);

@@ -134,17 +134,16 @@ void BandLayout::sweep(const Upwind& up, const Slice& s, std::span<const int32_t
 }
 
 void BandLayout::reduce(const Slice& s, size_t begin, size_t end, double* out) const {
-  for (size_t idx = begin; idx < end; ++idx)
-    out[idx] = angular_sum(phys_->directions, &s.I[idx * static_cast<size_t>(nd_)]);
+  // Rows idx = c * bands + local band are consecutive runs of nd intensities.
+  phys_->directions.band_sums(s.I.data() + begin * static_cast<size_t>(nd_), 1, end - begin,
+                              out + begin);
 }
 
 void BandLayout::reduce_into_G(const Slice& s) {
   const size_t bl = static_cast<size_t>(s.bands());
-  for (int b = s.b_lo; b < s.b_hi; ++b)
-    for (size_t c = 0; c < static_cast<size_t>(ncell_); ++c)
-      G[c * static_cast<size_t>(nb_) + static_cast<size_t>(b)] = angular_sum(
-          phys_->directions,
-          &s.I[(c * bl + static_cast<size_t>(b - s.b_lo)) * static_cast<size_t>(nd_)]);
+  for (size_t c = 0; c < static_cast<size_t>(ncell_); ++c)
+    phys_->directions.band_sums(s.I.data() + c * bl * static_cast<size_t>(nd_), 1, bl,
+                                G.data() + c * static_cast<size_t>(nb_) + static_cast<size_t>(s.b_lo));
 }
 
 void BandLayout::scatter_into_G(const Slice& s, std::span<const double> payload) {
@@ -156,19 +155,13 @@ void BandLayout::scatter_into_G(const Slice& s, std::span<const double> payload)
 }
 
 void BandLayout::update_temperature() {
-  std::vector<double> g(static_cast<size_t>(nb_));
+  const size_t nb = static_cast<size_t>(nb_);
   for (size_t c = 0; c < static_cast<size_t>(ncell_); ++c) {
-    std::copy_n(G.begin() + static_cast<std::ptrdiff_t>(c * static_cast<size_t>(nb_)), nb_,
-                g.begin());
-    const double Tc = phys_->table.solve_temperature(g, T[c]);
+    const double Tc = phys_->table.solve_temperature({G.data() + c * nb, nb}, T[c]);
     T[c] = Tc;
     for (Slice& s : slices) {
-      const size_t bl = static_cast<size_t>(s.bands());
-      for (int b = s.b_lo; b < s.b_hi; ++b) {
-        const size_t cb = c * bl + static_cast<size_t>(b - s.b_lo);
-        s.Io[cb] = phys_->table.I0(b, Tc);
-        s.beta[cb] = phys_->table.beta(b, Tc);
-      }
+      const size_t cb = c * static_cast<size_t>(s.bands());
+      phys_->table.equilibrium(Tc, s.b_lo, s.b_hi, s.Io.data() + cb, s.beta.data() + cb);
     }
   }
 }

@@ -35,14 +35,6 @@
 
 namespace finch::bte {
 
-// Sum over one band's directions of w_d * I[d], in quadrature order: the
-// reduction every strategy feeds the temperature update.
-inline double angular_sum(const DirectionSet& dirs, const double* I) {
-  double g = 0.0;
-  for (size_t d = 0; d < dirs.weight.size(); ++d) g += dirs.weight[d] * I[d];
-  return g;
-}
-
 // The explicit first-order upwind update of one (cell, direction, band) DOF
 // on the structured 2-D mesh: specular x walls, the cold south wall and the
 // hot-spot north wall. This is the one copy the distributed strategies run;

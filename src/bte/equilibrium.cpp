@@ -1,5 +1,6 @@
 #include "equilibrium.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
@@ -42,27 +43,34 @@ EquilibriumTable::EquilibriumTable(const BandSet& bands, const RelaxationModel& 
     : nbands_(bands.size()), T_min_(T_min), T_max_(T_max), dT_(dT) {
   if (T_max <= T_min || dT <= 0) throw std::invalid_argument("EquilibriumTable: bad temperature grid");
   nT_ = static_cast<int>(std::ceil((T_max - T_min) / dT)) + 1;
-  i0_.resize(static_cast<size_t>(nbands_) * nT_);
-  beta_.resize(static_cast<size_t>(nbands_) * nT_);
-  inv_vg_.resize(static_cast<size_t>(nbands_));
+  const size_t nb = static_cast<size_t>(nbands_);
+  i0_.resize(nb * static_cast<size_t>(nT_));
+  beta_.resize(nb * static_cast<size_t>(nT_));
+  inv_vg_.resize(nb);
   for (int b = 0; b < nbands_; ++b) {
     inv_vg_[static_cast<size_t>(b)] = 1.0 / bands[b].vg;
     for (int t = 0; t < nT_; ++t) {
       const double T = T_min + t * dT;
-      i0_[static_cast<size_t>(b) * nT_ + t] = equilibrium_intensity(bands[b], T);
-      beta_[static_cast<size_t>(b) * nT_ + t] = relax.inverse_tau(bands[b], T);
+      const size_t at = static_cast<size_t>(t) * nb + static_cast<size_t>(b);
+      i0_[at] = equilibrium_intensity(bands[b], T);
+      beta_[at] = relax.inverse_tau(bands[b], T);
     }
   }
 }
 
-double EquilibriumTable::lookup(const std::vector<double>& table, int band, double T) const {
+EquilibriumTable::GridPos EquilibriumTable::position(double T) const {
   double pos = (T - T_min_) / dT_;
   if (pos < 0) pos = 0;
   if (pos > nT_ - 1) pos = nT_ - 1;
   const int i = std::min(static_cast<int>(pos), nT_ - 2);
-  const double f = pos - i;
-  const double* row = table.data() + static_cast<size_t>(band) * nT_;
-  return row[i] * (1.0 - f) + row[i + 1] * f;
+  return {static_cast<size_t>(i), pos - i};
+}
+
+double EquilibriumTable::lookup(const std::vector<double>& table, int band, double T) const {
+  const GridPos p = position(T);
+  const size_t nb = static_cast<size_t>(nbands_);
+  const double* at = table.data() + p.i * nb + static_cast<size_t>(band);
+  return at[0] * (1.0 - p.f) + at[nb] * p.f;
 }
 
 double EquilibriumTable::I0(int band, double T) const { return lookup(i0_, band, T); }
@@ -73,16 +81,41 @@ double EquilibriumTable::dI0_dT(int band, double T) const {
   return (I0(band, T + h) - I0(band, T - h)) / (2.0 * h);
 }
 
-template <typename WeightFn>
-double EquilibriumTable::solve(const std::vector<double>& G, double T_guess, WeightFn weight) const {
+void EquilibriumTable::equilibrium(double T, int b_lo, int b_hi, double* io, double* beta,
+                                   size_t stride) const {
+  const GridPos p = position(T);
+  const size_t nb = static_cast<size_t>(nbands_);
+  const double* i0 = i0_.data() + p.i * nb;  // rows i and i + 1
+  const double* be = beta_.data() + p.i * nb;
+  const double g = 1.0 - p.f;
+  for (size_t b = static_cast<size_t>(b_lo), k = 0; b < static_cast<size_t>(b_hi); ++b, k += stride) {
+    io[k] = i0[b] * g + i0[nb + b] * p.f;
+    beta[k] = be[b] * g + be[nb + b] * p.f;
+  }
+}
+
+// F(T) = sum_b w_b(T) * (4 pi I0_b(T) - G_b), summed in band order, with
+// w_b = beta_b(T) / vg_b (relaxation weights) or 1 / vg_b (energy weights).
+template <bool kRelaxationWeights>
+double EquilibriumTable::residual(std::span<const double> G, double T) const {
+  const GridPos p = position(T);
+  const size_t nb = static_cast<size_t>(nbands_);
+  const double* i0 = i0_.data() + p.i * nb;
+  const double* be = beta_.data() + p.i * nb;
+  const double g = 1.0 - p.f;
+  double F = 0.0;
+  for (size_t b = 0; b < nb; ++b) {
+    const double w = kRelaxationWeights ? (be[b] * g + be[nb + b] * p.f) * inv_vg_[b] : inv_vg_[b];
+    F += w * (4.0 * M_PI * (i0[b] * g + i0[nb + b] * p.f) - G[b]);
+  }
+  return F;
+}
+
+template <bool kRelaxationWeights>
+double EquilibriumTable::solve(std::span<const double> G, double T_guess) const {
   if (static_cast<int>(G.size()) != nbands_)
     throw std::invalid_argument("solve_temperature: band count mismatch");
-  auto F = [&](double T) {
-    double f = 0.0;
-    for (int b = 0; b < nbands_; ++b)
-      f += weight(b, T) * (4.0 * M_PI * I0(b, T) - G[static_cast<size_t>(b)]);
-    return f;
-  };
+  auto F = [&](double T) { return residual<kRelaxationWeights>(G, T); };
   // Bracket the root: F is monotone increasing in T (I0 increases with T).
   double lo = T_min_, hi = T_max_;
   double T = std::min(std::max(T_guess, lo + 1e-6), hi - 1e-6);
@@ -107,14 +140,24 @@ double EquilibriumTable::solve(const std::vector<double>& G, double T_guess, Wei
   return T;
 }
 
-double EquilibriumTable::solve_temperature(const std::vector<double>& G, double T_guess) const {
-  return solve(G, T_guess, [this](int b, double T) { return beta(b, T) * inv_vg_[static_cast<size_t>(b)]; });
+double EquilibriumTable::solve_temperature(std::span<const double> G, double T_guess) const {
+  return solve<true>(G, T_guess);
 }
 
-double EquilibriumTable::solve_energy_temperature(const std::vector<double>& G, double T_guess) const {
-  return solve(G, T_guess, [this](int b, double) {
-    return inv_vg_[static_cast<size_t>(b)];  // energy density weights e_b = 4 pi I_b / vg_b
-  });
+double EquilibriumTable::solve_energy_temperature(std::span<const double> G, double T_guess) const {
+  return solve<false>(G, T_guess);  // energy density weights e_b = 4 pi I_b / vg_b
+}
+
+void EquilibriumTable::update_temperature(const DirectionSet& dirs, size_t ncells, const double* I,
+                                          RowStrides I_rows, double* T, double* Io, double* beta,
+                                          RowStrides eq_rows) const {
+  const size_t nb = static_cast<size_t>(nbands_);
+  std::vector<double> G(nb);
+  for (size_t c = 0; c < ncells; ++c) {
+    dirs.band_sums(I + c * I_rows.cell, I_rows.item, nb, G.data());
+    T[c] = solve_temperature(G, T[c]);
+    equilibrium(T[c], 0, nbands_, Io + c * eq_rows.cell, beta + c * eq_rows.cell, eq_rows.item);
+  }
 }
 
 }  // namespace finch::bte

@@ -14,9 +14,12 @@
 // beta_b(T) = 1/tau_b(T) are precomputed on a fine temperature grid so the
 // per-cell solve is table lookups only.
 
+#include <cstddef>
+#include <span>
 #include <vector>
 
 #include "bands.hpp"
+#include "directions.hpp"
 #include "relaxation.hpp"
 
 namespace finch::bte {
@@ -28,7 +31,17 @@ double d_bose_einstein_dT(double omega, double T);
 // Direct (quadrature) evaluation of I0_b(T); nquad midpoint panels.
 double equilibrium_intensity(const Band& band, double T, int nquad = 8);
 
-// Tabulated physics for fast per-cell solves.
+// Where element k of cell c of a per-cell array sits: at c * cell + k * item.
+// Cell-major storage of n values per cell is {n, 1}; dof-major storage over
+// ncells cells is {1, ncells}.
+struct RowStrides {
+  size_t cell = 0;
+  size_t item = 1;
+};
+
+// Tabulated physics for fast per-cell solves. I0 and beta are stored once,
+// temperature-major ([T][band]), so every band's value at one temperature
+// comes from one grid position and two contiguous rows.
 class EquilibriumTable {
  public:
   EquilibriumTable(const BandSet& bands, const RelaxationModel& relax, double T_min = 100.0,
@@ -41,24 +54,46 @@ class EquilibriumTable {
   double T_max() const { return T_max_; }
   int num_bands() const { return nbands_; }
 
+  // I0_b(T) and beta_b(T) of bands [b_lo, b_hi) from one grid position, into
+  // io[(b - b_lo) * stride] and beta[(b - b_lo) * stride]. Bitwise equal to
+  // I0(b, T) and beta(b, T).
+  void equilibrium(double T, int b_lo, int b_hi, double* io, double* beta, size_t stride = 1) const;
+
   // Solves F(T) = 0 given per-band directional sums G_b = sum_d w_d I_db.
   // Safeguarded Newton with bisection fallback; returns the temperature.
-  double solve_temperature(const std::vector<double>& G, double T_guess) const;
+  double solve_temperature(std::span<const double> G, double T_guess) const;
 
   // "Energy temperature" used for reporting: sum_b 4 pi I0_b(T) = sum_b G_b
   // (no 1/(vg tau) weights).
-  double solve_energy_temperature(const std::vector<double>& G, double T_guess) const;
+  double solve_energy_temperature(std::span<const double> G, double T_guess) const;
+
+  // The temperature update every strategy shares, over `ncells` cells. For
+  // cell c: the angular sums G = dirs.band_sums(I of cell c), then
+  // solve_temperature warm-started from T[c], then the cell's Io/beta rows
+  // at the new T[c]. I is laid out by I_rows (element d + nd*b of a cell),
+  // Io and beta by eq_rows, and T is contiguous.
+  void update_temperature(const DirectionSet& dirs, size_t ncells, const double* I,
+                          RowStrides I_rows, double* T, double* Io, double* beta,
+                          RowStrides eq_rows) const;
 
  private:
+  // Grid interval i and offset f of temperature T, clamped to the table.
+  struct GridPos {
+    size_t i;
+    double f;
+  };
+  GridPos position(double T) const;
   double lookup(const std::vector<double>& table, int band, double T) const;
-  template <typename WeightFn>
-  double solve(const std::vector<double>& G, double T_guess, WeightFn weight) const;
+  template <bool kRelaxationWeights>
+  double residual(std::span<const double> G, double T) const;
+  template <bool kRelaxationWeights>
+  double solve(std::span<const double> G, double T_guess) const;
 
   int nbands_ = 0;
   double T_min_, T_max_, dT_;
   int nT_ = 0;
-  std::vector<double> i0_;        // [band][Ti]
-  std::vector<double> beta_;      // [band][Ti]
+  std::vector<double> i0_;        // [Ti][band]
+  std::vector<double> beta_;      // [Ti][band]
   std::vector<double> inv_vg_;    // per band
 };
 

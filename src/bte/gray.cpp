@@ -41,13 +41,13 @@ GrayBteProblem::GrayBteProblem(const GrayScenario& scenario)
   auto isothermal = [dirs, scen, c_over](const fvm::BoundaryContext& ctx, double T_wall) {
     const mesh::Vec3& s = dirs->s[static_cast<size_t>(ctx.dir)];
     const double sdotn = s.dot(ctx.normal);
-    if (sdotn > 0) return scen.vg * sdotn * ctx.fields->get("I").at(ctx.cell, ctx.dof);
+    if (sdotn > 0) return scen.vg * sdotn * ctx.field->at(ctx.cell, ctx.dof);
     return scen.vg * sdotn * (c_over * T_wall);
   };
   auto symmetric = [dirs, scen](const fvm::BoundaryContext& ctx) {
     const mesh::Vec3& s = dirs->s[static_cast<size_t>(ctx.dir)];
     const double sdotn = s.dot(ctx.normal);
-    const auto& I = ctx.fields->get("I");
+    const fvm::CellField& I = *ctx.field;
     if (sdotn > 0) return scen.vg * sdotn * I.at(ctx.cell, ctx.dof);
     return scen.vg * sdotn * I.at(ctx.cell, dirs->reflect(ctx.dir, ctx.normal));
   };

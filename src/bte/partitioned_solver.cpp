@@ -98,7 +98,6 @@ CellPartitionedSolver::CellPartitionedSolver(const BteScenario& scenario,
       method_(method) {
   if (nparts < 1) throw std::invalid_argument("CellPartitionedSolver: nparts >= 1");
   dofs_ = nd_ * nb_;
-  g_scratch_.resize(static_cast<size_t>(nb_));
   build_topology(nparts);
 }
 
@@ -249,18 +248,9 @@ void CellPartitionedSolver::sweep(Rank& r, const std::vector<size_t>& cells,
 }
 
 void CellPartitionedSolver::temperature_rank(Rank& r) {
-  const size_t dofs = static_cast<size_t>(dofs_), nb = static_cast<size_t>(nb_);
-  for (size_t lo = 0; lo < r.owned.size(); ++lo) {
-    for (int b = 0; b < nb_; ++b)
-      g_scratch_[static_cast<size_t>(b)] =
-          angular_sum(phys_->directions, &r.I[lo * dofs + static_cast<size_t>(nd_ * b)]);
-    const double Tc = phys_->table.solve_temperature(g_scratch_, r.T[lo]);
-    r.T[lo] = Tc;
-    for (int b = 0; b < nb_; ++b) {
-      r.Io[lo * nb + static_cast<size_t>(b)] = phys_->table.I0(b, Tc);
-      r.beta[lo * nb + static_cast<size_t>(b)] = phys_->table.beta(b, Tc);
-    }
-  }
+  phys_->table.update_temperature(phys_->directions, r.owned.size(), r.I.data(),
+                                  {static_cast<size_t>(dofs_), 1}, r.T.data(), r.Io.data(),
+                                  r.beta.data(), {static_cast<size_t>(nb_), 1});
 }
 
 void CellPartitionedSolver::step() {
@@ -531,19 +521,21 @@ void BandPartitionedSolver::step() {
 // re-reduction is the repair.
 void BandPartitionedSolver::audit_sentinels() {
   const auto t0 = Clock::now();
+  std::vector<double> g;
   for (int32_t c : sentinel_cells()) {
     rstats_.sentinel_checks += 1;
     for (const BandLayout::Slice& s : layout_.slices) {
+      const size_t bl = static_cast<size_t>(s.bands());
+      g.resize(bl);
+      phys_->directions.band_sums(s.I.data() + static_cast<size_t>(c) * bl * static_cast<size_t>(nd_),
+                                  1, bl, g.data());
       for (int b = s.b_lo; b < s.b_hi; ++b) {
-        const size_t idx = static_cast<size_t>(c) * static_cast<size_t>(s.bands()) +
-                           static_cast<size_t>(b - s.b_lo);
-        const double g =
-            angular_sum(phys_->directions, &s.I[idx * static_cast<size_t>(nd_)]);
+        const double gb = g[static_cast<size_t>(b - s.b_lo)];
         double& dst = layout_.G[static_cast<size_t>(c) * static_cast<size_t>(nb_) +
                                 static_cast<size_t>(b)];
-        if (std::memcmp(&g, &dst, sizeof(double)) != 0) {
+        if (std::memcmp(&gb, &dst, sizeof(double)) != 0) {
           note_sdc_detection();
-          dst = g;
+          dst = gb;
           rstats_.block_repairs += 1;
         }
       }

@@ -122,7 +122,6 @@ class CellPartitionedSolver : public BspEngine {
   std::vector<int32_t> part_;
   int dofs_;
   std::vector<Rank> ranks_;
-  std::vector<double> g_scratch_;
   std::vector<rt::Message> halo_messages_;
   std::vector<double> sentinel_scratch_;  // recompute target ([owned * dofs])
   std::vector<size_t> sentinel_subset_;   // per-rank local indices, reused

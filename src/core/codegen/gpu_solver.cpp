@@ -265,6 +265,7 @@ class GpuSolver final : public dsl::Solver {
             fvm::BoundaryContext bctx;
             bctx.mesh = &mesh;
             bctx.fields = &p_.fields();
+            bctx.field = ce.field;
             bctx.cell = cell;
             bctx.face = f;
             bctx.normal = n;

@@ -102,6 +102,7 @@ struct ArrayInfo {
   std::string cname;       // F0, F1, ...
   const double* ptr;       // runtime base pointer
   bool is_field = false;   // indexed with a cell coordinate
+  const fvm::CellField* field = nullptr;  // the field behind ptr (is_field only)
   fvm::Layout layout = fvm::Layout::CellMajor;
   int32_t dpc = 1;         // field dof_per_cell
   std::string entity;      // manifest comment
@@ -128,7 +129,10 @@ class Emitter {
     p.ir_fingerprint = fingerprint(vol_);
     if (has_surface_) p.ir_fingerprint = fingerprint(surf_) ^ (p.ir_fingerprint * 1099511628211ull);
     p.ndof = ndof_;
-    for (const auto& a : arrays_) p.arrays.push_back(a.ptr);
+    for (const auto& a : arrays_) {
+      p.arrays.push_back(a.ptr);
+      p.array_fields.push_back(a.field);
+    }
     p.scalars = scalars_;
     p.source = render(p.ir_fingerprint);
     return p;
@@ -186,6 +190,7 @@ class Emitter {
     a.is_field = is_field;
     a.entity = b.debug_name;
     if (is_field) {
+      a.field = b.field;
       a.ptr = b.field->data().data();
       a.layout = b.field->layout();
       a.dpc = b.field->dof_per_cell();

@@ -79,6 +79,9 @@ struct NativePlan {
   uint64_t key = 0;                   // cache key of the variant actually loaded
   std::string flags;                  // compiler flags of that variant
   std::vector<const double*> arrays;  // arrays[i] backs the TU's Fi
+  // The field behind arrays[i], or null for a coefficient. Fields swap
+  // storage at every commit, so launches re-read arrays[i] from it.
+  std::vector<const fvm::CellField*> array_fields;
   std::vector<double> scalars;
   int64_t ndof = 0;
   KernelFnV1 fn = nullptr;

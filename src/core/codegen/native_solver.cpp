@@ -82,7 +82,7 @@ class NativeSolver final : public StepSolverBase {
       vm_sweep(e, out, dt_stage);
       return;
     }
-    refresh_bc(e, dt_stage);
+    refresh_bc(e);
     if (!en.verified && jit_config().verify_first_sweep) {
       en.verified = true;
       // Differential check: replay this exact sweep on the VM oracle and
@@ -169,20 +169,25 @@ class NativeSolver final : public StepSolverBase {
   // before launching the kernel. Legal because sweeps write scratch storage —
   // fields are static for the duration of a sweep, so the callbacks see the
   // same state they would see inside the VM's lazy per-face evaluation.
-  void refresh_bc(size_t e, double /*dt_stage*/) {
+  void refresh_bc(size_t e) {
     CompiledEquation& ce = eqs_[e];
     EquationNative& en = native_[e];
+    rt::SpanAttrs attrs;
+    attrs.phase = "compute";
+    rt::TraceSpan span("jit.bc_refresh", attrs);
+    const auto t0 = Clock::now();
     const int64_t ndof = ce.field->dof_per_cell();
     const int n = ce.var_addr.n_idx;
+    fvm::BoundaryContext bctx;
+    bctx.mesh = &p_.mesh();
+    bctx.fields = &p_.fields();
+    bctx.field = ce.field;
+    bctx.time = time_;
     for (size_t s = 0; s < en.slots.size(); ++s) {
       const BcSlot& slot = en.slots[s];
-      fvm::BoundaryContext bctx;
-      bctx.mesh = &p_.mesh();
-      bctx.fields = &p_.fields();
       bctx.cell = slot.cell;
       bctx.face = slot.face;
       bctx.normal = slot.normal;
-      bctx.time = time_;
       // Odometer over the variable's indices, first index fastest — the
       // first index has stride 1, so `dof` advances sequentially.
       std::array<int32_t, 3> iv{{0, 0, 0}};
@@ -197,11 +202,15 @@ class NativeSolver final : public StepSolverBase {
         }
       }
     }
+    rt::MetricsRegistry::global().counter("jit.bc_refresh.seconds").add(seconds_since(t0));
   }
 
   void run_kernel(size_t e, fvm::CellField& out, double dt_stage) {
     EquationNative& en = native_[e];
     const int64_t nc = p_.mesh().num_cells();
+    // Commits swap field storage, so each launch re-reads the base pointers.
+    for (size_t i = 0; i < en.plan.arrays.size(); ++i)
+      if (const fvm::CellField* f = en.plan.array_fields[i]) en.plan.arrays[i] = f->data().data();
     KernelArgsV1 args;
     args.ncells = nc;
     args.dt = dt_stage;

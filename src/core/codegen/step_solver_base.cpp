@@ -61,10 +61,14 @@ StepSolverBase::StepSolverBase(dsl::Problem& p, rt::ThreadPool* pool) : p_(p), p
     if (info.indices.size() > 1) ce.band_slot = env_.loop_slot_of(info.indices[1]);
     eqs_.push_back(std::move(ce));
   }
-  // Scratch new-value storage mirroring each updated field.
-  for (auto& ce : eqs_)
-    scratch_.emplace_back(ce.field->name() + "_new", ce.field->num_cells(), ce.field->dof_per_cell(),
-                          ce.field->layout());
+  // Scratch new-value storage mirroring each updated field, plus the RK2
+  // stage-2 buffers.
+  for (const auto& ce : eqs_) {
+    const fvm::CellField& f = *ce.field;
+    scratch_.emplace_back(f.name() + "_new", f.num_cells(), f.dof_per_cell(), f.layout());
+    if (p.scheme() == dsl::TimeScheme::RK2Midpoint)
+      stage_.emplace_back(f.name() + "_stage", f.num_cells(), f.dof_per_cell(), f.layout());
+  }
 }
 
 void StepSolverBase::step() {
@@ -104,37 +108,23 @@ void StepSolverBase::euler_step() {
 // E(u, h) = u + h*f(u), so
 //   mid   = E(u_old, dt/2)
 //   u_new = u_old + (E(mid, dt) - mid) = u_old + dt*f(mid).
+// After the stage-1 commit the old state sits in scratch, so stage 2 sweeps
+// into its own buffer and the update reads u_old from scratch.
 void StepSolverBase::rk2_step() {
   const double dt = p_.dt();
-  // Save old state, compute midpoint into the fields.
-  backup_.resize(backup_offset(eqs_.size()));
-  for (size_t e = 0; e < eqs_.size(); ++e) {
-    auto src = eqs_[e].field->data();
-    std::copy(src.begin(), src.end(), backup_.begin() + static_cast<std::ptrdiff_t>(backup_offset(e)));
-  }
   for (size_t e = 0; e < eqs_.size(); ++e) sweep_equation(e, scratch_[e], dt / 2);
   commit();  // fields now hold the midpoint state (BC callbacks see it too)
-  for (size_t e = 0; e < eqs_.size(); ++e) sweep_equation(e, scratch_[e], dt);
+  for (size_t e = 0; e < eqs_.size(); ++e) sweep_equation(e, stage_[e], dt);
   for (size_t e = 0; e < eqs_.size(); ++e) {
     std::span<double> field = eqs_[e].field->data();       // midpoint state
-    std::span<const double> y = scratch_[e].data();        // E(mid, dt)
-    const double* old = backup_.data() + backup_offset(e);
+    std::span<const double> y = stage_[e].data();          // E(mid, dt)
+    std::span<const double> old = scratch_[e].data();      // u_old
     for (size_t i = 0; i < field.size(); ++i) field[i] = old[i] + (y[i] - field[i]);
   }
 }
 
-size_t StepSolverBase::backup_offset(size_t e) const {
-  size_t off = 0;
-  for (size_t k = 0; k < e; ++k) off += eqs_[k].field->data().size();
-  return off;
-}
-
 void StepSolverBase::commit() {
-  for (size_t e = 0; e < eqs_.size(); ++e) {
-    std::span<const double> src = scratch_[e].data();
-    std::span<double> dst = eqs_[e].field->data();
-    std::copy(src.begin(), src.end(), dst.begin());
-  }
+  for (size_t e = 0; e < eqs_.size(); ++e) eqs_[e].field->swap_storage(scratch_[e]);
 }
 
 void StepSolverBase::build_env() {
@@ -223,6 +213,7 @@ void StepSolverBase::vm_sweep(size_t eq, fvm::CellField& out, double dt_stage) {
     fvm::BoundaryContext bctx;
     bctx.mesh = &mesh;
     bctx.fields = &p_.fields();
+    bctx.field = ce.field;
     bctx.time = time_;
     for (int64_t c = begin; c < end; ++c) {
       const auto cell = static_cast<int32_t>(c);

@@ -6,6 +6,13 @@
 // this class directly; the native JIT backend subclasses it and overrides
 // sweep_equation() with kernel execution, keeping every scheme/BC/guard
 // behavior — and the VM as a drop-in oracle — in one place.
+//
+// Double-buffering swaps storage, it does not copy: a sweep writes the
+// equation's scratch field, and commit() exchanges the updated field's storage
+// with it (CellField::swap_storage), so afterwards scratch holds the previous
+// state. A field's data pointer therefore changes at every commit; anything
+// that reads field storage directly (the native kernels' array tables) must
+// re-read it before each launch rather than cache it at construction.
 
 #include <cstdint>
 #include <vector>
@@ -50,15 +57,15 @@ class StepSolverBase : public dsl::Solver {
 
   void euler_step();
   void rk2_step();
+  // Swaps each updated field's storage with its scratch field.
   void commit();
-  size_t backup_offset(size_t e) const;
 
   dsl::Problem& p_;
   rt::ThreadPool* pool_;
   CompileEnv env_;
   std::vector<CompiledEquation> eqs_;
   std::vector<fvm::CellField> scratch_;
-  std::vector<double> backup_;
+  std::vector<fvm::CellField> stage_;  // RK2 stage-2 sweeps; empty for ForwardEuler
 
  private:
   void build_env();

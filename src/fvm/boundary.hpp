@@ -23,6 +23,9 @@ enum class BcType { Flux, Value };
 struct BoundaryContext {
   const mesh::Mesh* mesh = nullptr;
   const FieldSet* fields = nullptr;
+  // The variable the condition is registered for (fields->get(its name)), so
+  // a callback reading its own variable needs no per-DOF lookup by name.
+  const CellField* field = nullptr;
   int32_t cell = 0;
   int32_t face = 0;
   mesh::Vec3 normal;   // outward

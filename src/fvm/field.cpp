@@ -18,4 +18,11 @@ void CellField::convert_layout(Layout to) {
   layout_ = to;
 }
 
+void CellField::swap_storage(CellField& other) {
+  if (num_cells_ != other.num_cells_ || dof_per_cell_ != other.dof_per_cell_ || layout_ != other.layout_)
+    throw std::invalid_argument("CellField::swap_storage: '" + name_ + "' and '" + other.name_ +
+                                "' differ in shape or layout");
+  data_.swap(other.data_);
+}
+
 }  // namespace finch::fvm

@@ -53,6 +53,12 @@ class CellField {
 
   void fill(double v) { data_.assign(data_.size(), v); }
 
+  // Exchanges this field's values with `other`'s in O(1): the storage moves,
+  // the names stay. Both fields must have the same cells, DOFs per cell and
+  // layout; throws std::invalid_argument otherwise. Spans and pointers taken
+  // from data() follow the storage, not the field.
+  void swap_storage(CellField& other);
+
   // Re-layouts the data in place (used when handing arrays to a target with a
   // different preferred layout; the movement planner accounts for its cost).
   void convert_layout(Layout to);

@@ -2,8 +2,12 @@
 // intensity, and the direction sets.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <numeric>
+#include <vector>
 
 #include "bte/bands.hpp"
 #include "bte/directions.hpp"
@@ -175,6 +179,244 @@ TEST(Equilibrium, TemperatureSolveMonotoneInEnergy) {
   for (auto& g : G) g *= 1.05;  // add energy
   const double T2 = table.solve_temperature(G, 300.0);
   EXPECT_GT(T2, T1);
+}
+
+// ---- batched table paths vs the per-band table ----------------------------------
+
+namespace {
+
+// The table and Newton loop as they stood before I0/beta moved to one
+// temperature-major store: [band][T] rows, one grid position per lookup, F
+// summed band by band. Frozen here as the bitwise reference for the batched
+// paths; do not "fix" it.
+class FrozenTable {
+ public:
+  FrozenTable(const BandSet& bands, const RelaxationModel& relax, double T_min = 100.0,
+              double T_max = 1000.0, double dT = 0.5)
+      : nbands_(bands.size()), T_min_(T_min), T_max_(T_max), dT_(dT) {
+    nT_ = static_cast<int>(std::ceil((T_max - T_min) / dT)) + 1;
+    i0_.resize(static_cast<size_t>(nbands_) * nT_);
+    beta_.resize(static_cast<size_t>(nbands_) * nT_);
+    inv_vg_.resize(static_cast<size_t>(nbands_));
+    for (int b = 0; b < nbands_; ++b) {
+      inv_vg_[static_cast<size_t>(b)] = 1.0 / bands[b].vg;
+      for (int t = 0; t < nT_; ++t) {
+        const double T = T_min + t * dT;
+        i0_[static_cast<size_t>(b) * nT_ + t] = equilibrium_intensity(bands[b], T);
+        beta_[static_cast<size_t>(b) * nT_ + t] = relax.inverse_tau(bands[b], T);
+      }
+    }
+  }
+
+  double I0(int band, double T) const { return lookup(i0_, band, T); }
+  double beta(int band, double T) const { return lookup(beta_, band, T); }
+
+  double solve_temperature(const std::vector<double>& G, double T_guess) const {
+    return solve(G, T_guess, [this](int b, double T) { return beta(b, T) * inv_vg_[static_cast<size_t>(b)]; });
+  }
+  double solve_energy_temperature(const std::vector<double>& G, double T_guess) const {
+    return solve(G, T_guess, [this](int b, double) { return inv_vg_[static_cast<size_t>(b)]; });
+  }
+
+ private:
+  double lookup(const std::vector<double>& table, int band, double T) const {
+    double pos = (T - T_min_) / dT_;
+    if (pos < 0) pos = 0;
+    if (pos > nT_ - 1) pos = nT_ - 1;
+    const int i = std::min(static_cast<int>(pos), nT_ - 2);
+    const double f = pos - i;
+    const double* row = table.data() + static_cast<size_t>(band) * nT_;
+    return row[i] * (1.0 - f) + row[i + 1] * f;
+  }
+
+  template <typename WeightFn>
+  double solve(const std::vector<double>& G, double T_guess, WeightFn weight) const {
+    auto F = [&](double T) {
+      double f = 0.0;
+      for (int b = 0; b < nbands_; ++b)
+        f += weight(b, T) * (4.0 * M_PI * I0(b, T) - G[static_cast<size_t>(b)]);
+      return f;
+    };
+    double lo = T_min_, hi = T_max_;
+    double T = std::min(std::max(T_guess, lo + 1e-6), hi - 1e-6);
+    for (int it = 0; it < 60; ++it) {
+      const double f = F(T);
+      if (std::abs(f) < 1e-12 * (1.0 + std::abs(f))) break;
+      if (f > 0)
+        hi = T;
+      else
+        lo = T;
+      const double h = 1e-3;
+      const double df = (F(T + h) - F(T - h)) / (2.0 * h);
+      double T_new = df != 0.0 ? T - f / df : 0.5 * (lo + hi);
+      if (!(T_new > lo && T_new < hi)) T_new = 0.5 * (lo + hi);
+      if (std::abs(T_new - T) < 1e-10) {
+        T = T_new;
+        break;
+      }
+      T = T_new;
+    }
+    return T;
+  }
+
+  int nbands_ = 0;
+  double T_min_, T_max_, dT_;
+  int nT_ = 0;
+  std::vector<double> i0_, beta_, inv_vg_;
+};
+
+uint64_t bits(double x) { return std::bit_cast<uint64_t>(x); }
+
+// Deterministic uniform draws in [0, 1).
+struct Draws {
+  uint64_t state;
+  double next() {
+    uint64_t z = (state += 0x9E3779B97F4A7C15ull);
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
+    return static_cast<double>((z ^ (z >> 31)) >> 11) * 0x1.0p-53;
+  }
+};
+
+// Temperatures at the table's edges: below T_min, on grid points (T_min and
+// T_max included), inside and at the ends of the last interval, above T_max.
+std::vector<double> edge_temperatures() {
+  return {-5.0,  50.0,  99.75, 100.0 - 1e-9, 100.0, 100.5, 300.0,         300.5,  717.0,
+          998.5, 999.5, 999.6, 999.75,       999.9, 1000.0 - 1e-9, 1000.0, 1000.0 + 1e-9,
+          1200.0};
+}
+
+struct BatchedTableTest : ::testing::Test {
+  Dispersion si = Dispersion::silicon();
+  BandSet set = make_bands(si, 40);  // 55 resolved bands: blocks plus a remainder
+  RelaxationModel rm = RelaxationModel::silicon(si);
+  EquilibriumTable table{set, rm};
+  FrozenTable frozen{set, rm};
+  int nb = set.size();
+};
+
+}  // namespace
+
+TEST(BandSums, MatchTheSerialPerBandLoopBitwise) {
+  Draws draw{5};
+  for (const DirectionSet& dirs : {make_directions_2d(20), make_directions_3d(4, 6)}) {
+    const size_t nd = static_cast<size_t>(dirs.size());
+    // Band counts below, at and past one block, and the 55 of the hot spot;
+    // contiguous directions and a stride of 3.
+    for (size_t nb : {1u, 3u, 4u, 5u, 55u}) {
+      for (size_t item : {1u, 3u}) {
+        std::vector<double> I(nb * nd * item);
+        for (double& x : I) x = 1e-3 * (0.5 + draw.next());
+        std::vector<double> G(nb);
+        dirs.band_sums(I.data(), item, nb, G.data());
+        for (size_t b = 0; b < nb; ++b) {
+          double g = 0.0;
+          for (size_t d = 0; d < nd; ++d) g += dirs.weight[d] * I[(d + nd * b) * item];
+          EXPECT_EQ(bits(G[b]), bits(g)) << "nd " << nd << " nb " << nb << " item " << item << " band " << b;
+        }
+      }
+    }
+  }
+}
+
+TEST_F(BatchedTableTest, LookupsAndRowsMatchTheFrozenTableBitwise) {
+  std::vector<double> temps = edge_temperatures();
+  Draws draw{17};
+  for (int k = 0; k < 200; ++k) temps.push_back(90.0 + 920.0 * draw.next());
+  std::vector<double> io(static_cast<size_t>(nb)), be(static_cast<size_t>(nb));
+  std::vector<double> io3(3 * static_cast<size_t>(nb)), be3(3 * static_cast<size_t>(nb));
+  for (double T : temps) {
+    table.equilibrium(T, 0, nb, io.data(), be.data());
+    table.equilibrium(T, 7, 30, io3.data(), be3.data(), 3);  // a band slice, strided
+    for (int b = 0; b < nb; ++b) {
+      const auto ub = static_cast<size_t>(b);
+      ASSERT_EQ(bits(table.I0(b, T)), bits(frozen.I0(b, T))) << "band " << b << " T " << T;
+      ASSERT_EQ(bits(table.beta(b, T)), bits(frozen.beta(b, T))) << "band " << b << " T " << T;
+      ASSERT_EQ(bits(io[ub]), bits(table.I0(b, T))) << "band " << b << " T " << T;
+      ASSERT_EQ(bits(be[ub]), bits(table.beta(b, T))) << "band " << b << " T " << T;
+      if (b < 7 || b >= 30) continue;
+      ASSERT_EQ(bits(io3[3 * (ub - 7)]), bits(io[ub])) << "band " << b << " T " << T;
+      ASSERT_EQ(bits(be3[3 * (ub - 7)]), bits(be[ub])) << "band " << b << " T " << T;
+    }
+  }
+}
+
+TEST_F(BatchedTableTest, NewtonMatchesTheFrozenLoopBitwise) {
+  Draws draw{29};
+  std::vector<double> G(static_cast<size_t>(nb));
+  int solves = 0;
+  for (int k = 0; k < 60; ++k) {
+    // Near-equilibrium per-band sums around a seeded T*, some outside the table.
+    const double T_star = 60.0 + 1040.0 * draw.next();
+    for (int b = 0; b < nb; ++b)
+      G[static_cast<size_t>(b)] = 4.0 * M_PI * frozen.I0(b, T_star) * (0.98 + 0.04 * draw.next());
+    std::vector<double> guesses = edge_temperatures();
+    guesses.push_back(T_star);
+    for (double guess : guesses) {
+      ASSERT_EQ(bits(table.solve_temperature(G, guess)), bits(frozen.solve_temperature(G, guess)))
+          << "T* " << T_star << " guess " << guess;
+      ASSERT_EQ(bits(table.solve_energy_temperature(G, guess)),
+                bits(frozen.solve_energy_temperature(G, guess)))
+          << "T* " << T_star << " guess " << guess;
+      ++solves;
+    }
+  }
+  EXPECT_EQ(solves, 60 * 19);
+}
+
+TEST_F(BatchedTableTest, UpdateMatchesThePerCellLoopBitwise) {
+  const DirectionSet dirs = make_directions_2d(20);
+  const size_t nd = static_cast<size_t>(dirs.size()), ub = static_cast<size_t>(nb);
+  const size_t ncells = 11, dofs = nd * ub;
+  Draws draw{41};
+  std::vector<double> I(ncells * dofs), T0(ncells);
+  for (size_t c = 0; c < ncells; ++c) {
+    // Guesses on a grid point, below T_min, above T_max, in the last interval.
+    const double guesses[] = {300.0, 80.0, 1100.0, 999.7};
+    T0[c] = c < 4 ? guesses[c] : 250.0 + 150.0 * draw.next();
+    const double T_cell = 260.0 + 120.0 * draw.next();
+    for (size_t b = 0; b < ub; ++b)
+      for (size_t d = 0; d < nd; ++d)
+        I[c * dofs + d + nd * b] = frozen.I0(static_cast<int>(b), T_cell) * (0.9 + 0.2 * draw.next());
+  }
+
+  // The per-cell loop the solvers ran before the batched update.
+  std::vector<double> T_ref = T0, Io_ref(ncells * ub), beta_ref(ncells * ub);
+  std::vector<double> G(ub);
+  for (size_t c = 0; c < ncells; ++c) {
+    for (size_t b = 0; b < ub; ++b) {
+      double g = 0.0;
+      for (size_t d = 0; d < nd; ++d) g += dirs.weight[d] * I[c * dofs + d + nd * b];
+      G[b] = g;
+    }
+    T_ref[c] = frozen.solve_temperature(G, T_ref[c]);
+    for (size_t b = 0; b < ub; ++b) {
+      Io_ref[c * ub + b] = frozen.I0(static_cast<int>(b), T_ref[c]);
+      beta_ref[c * ub + b] = frozen.beta(static_cast<int>(b), T_ref[c]);
+    }
+  }
+
+  // Cell-major storage.
+  std::vector<double> T = T0, Io(ncells * ub), beta(ncells * ub);
+  table.update_temperature(dirs, ncells, I.data(), {dofs, 1}, T.data(), Io.data(),
+                           beta.data(), {ub, 1});
+  // Dof-major storage of the same cells.
+  std::vector<double> I_dm(ncells * dofs), T_dm = T0, Io_dm(ncells * ub), beta_dm(ncells * ub);
+  for (size_t c = 0; c < ncells; ++c)
+    for (size_t k = 0; k < dofs; ++k) I_dm[k * ncells + c] = I[c * dofs + k];
+  table.update_temperature(dirs, ncells, I_dm.data(), {1, ncells}, T_dm.data(),
+                           Io_dm.data(), beta_dm.data(), {1, ncells});
+
+  for (size_t c = 0; c < ncells; ++c) {
+    EXPECT_EQ(bits(T[c]), bits(T_ref[c])) << "cell " << c;
+    EXPECT_EQ(bits(T_dm[c]), bits(T_ref[c])) << "cell " << c;
+    for (size_t b = 0; b < ub; ++b) {
+      EXPECT_EQ(bits(Io[c * ub + b]), bits(Io_ref[c * ub + b])) << "cell " << c << " band " << b;
+      EXPECT_EQ(bits(beta[c * ub + b]), bits(beta_ref[c * ub + b])) << "cell " << c << " band " << b;
+      EXPECT_EQ(bits(Io_dm[b * ncells + c]), bits(Io_ref[c * ub + b])) << "cell " << c << " band " << b;
+      EXPECT_EQ(bits(beta_dm[b * ncells + c]), bits(beta_ref[c * ub + b])) << "cell " << c << " band " << b;
+    }
+  }
 }
 
 // ---- directions ----------------------------------------------------------------

@@ -7,6 +7,7 @@
 #include <cmath>
 #include <numeric>
 
+#include "bc_field_probe.hpp"
 #include "core/dsl/problem.hpp"
 #include "mesh/mesh.hpp"
 
@@ -240,6 +241,32 @@ TEST(DslPipeline, GpuTargetMatchesSerialBitwise) {
   // The device did real work and real transfers.
   EXPECT_GT(gpu.counters().kernel_launches, 0);
   EXPECT_GT(gpu.counters().bytes_d2h, 0);
+}
+
+TEST(DslPipeline, BoundaryContextCarriesTheRegisteredFieldOnVmAndGpu) {
+  using finch::test_support::FieldProbe;
+  FieldProbe vm;
+  auto pv = finch::test_support::coupled_problem(dsl::Backend::Vm, vm);
+  pv->compile(Target::CpuSerial)->run(3);
+
+  FieldProbe dev;
+  rt::SimGpu gpu(rt::GpuSpec::a6000());
+  auto pg = finch::test_support::coupled_problem(dsl::Backend::Vm, dev);
+  pg->use_cuda(&gpu);
+  pg->compile()->run(3);
+
+  for (const FieldProbe* probe : {&vm, &dev}) {
+    for (int t = 0; t < 2; ++t) {
+      EXPECT_GT(probe->calls[t], 0) << (probe == &vm ? "vm" : "gpu") << " type " << t;
+      EXPECT_EQ(probe->wrong[t], 0) << (probe == &vm ? "vm" : "gpu") << " type " << t;
+    }
+  }
+  // The two paths see the same fields, so they agree bit for bit.
+  for (const char* var : {"u", "v"}) {
+    auto a = pv->fields().get(var).data();
+    auto b = pg->fields().get(var).data();
+    for (size_t i = 0; i < a.size(); ++i) EXPECT_EQ(a[i], b[i]) << var << " " << i;
+  }
 }
 
 TEST(DslPipeline, PostStepCallbackRunsEachStep) {

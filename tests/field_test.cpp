@@ -73,3 +73,27 @@ TEST(FieldSet, AddGetHas) {
   EXPECT_THROW(fs.get("J"), std::out_of_range);
   EXPECT_THROW(fs.add("I", 5, 3), std::invalid_argument);
 }
+
+TEST(CellField, SwapStorageExchangesValuesNotNames) {
+  CellField a("I", 4, 3, Layout::CellMajor, 1.0);
+  CellField b("I_new", 4, 3, Layout::CellMajor, 2.0);
+  const double* a_data = a.data().data();
+  a.swap_storage(b);
+  EXPECT_EQ(a.name(), "I");
+  EXPECT_EQ(b.name(), "I_new");
+  EXPECT_DOUBLE_EQ(a.at(3, 2), 2.0);
+  EXPECT_DOUBLE_EQ(b.at(0, 0), 1.0);
+  EXPECT_EQ(b.data().data(), a_data);  // the storage moved, it was not copied
+}
+
+TEST(CellField, SwapStorageRejectsMismatchedShapeOrLayout) {
+  CellField f("I", 4, 3, Layout::CellMajor, 1.0);
+  CellField fewer_cells("x", 3, 3, Layout::CellMajor);
+  CellField fewer_dofs("x", 4, 2, Layout::CellMajor);
+  CellField same_size_transposed("x", 3, 4, Layout::CellMajor);
+  CellField other_layout("x", 4, 3, Layout::DofMajor);
+  for (CellField* g : {&fewer_cells, &fewer_dofs, &same_size_transposed, &other_layout}) {
+    EXPECT_THROW(f.swap_storage(*g), std::invalid_argument) << g->num_cells() << "x" << g->dof_per_cell();
+    EXPECT_DOUBLE_EQ(f.at(3, 2), 1.0);  // a rejected swap leaves both fields alone
+  }
+}

@@ -17,6 +17,7 @@
 #include <string>
 #include <vector>
 
+#include "bc_field_probe.hpp"
 #include "bte/bte_problem.hpp"
 #include "bte/gray.hpp"
 #include "core/codegen/native_backend.hpp"
@@ -129,6 +130,28 @@ TEST_F(NativeBackendTest, VolumeOnlyBitIdentical) {
 TEST_F(NativeBackendTest, ValueBcBitIdentical) {
   expect_differential_identity(kToySurfaceEq, fvm::Layout::CellMajor,
                                sym::TimeScheme::ForwardEuler, /*value_bc=*/true);
+}
+
+TEST_F(NativeBackendTest, CoupledEquationsSeeSwappedStorageAndTheirOwnBcField) {
+  finch::test_support::FieldProbe vm, native;
+  auto pv = finch::test_support::coupled_problem(dsl::Backend::Vm, vm);
+  auto pn = finch::test_support::coupled_problem(dsl::Backend::Native, native);
+  auto sv = pv->compile(dsl::Target::CpuSerial);
+  const double fb0 = counter("jit.fallback");
+  const double batches0 = counter("jit.exec.batches");
+  auto sn = pn->compile(dsl::Target::CpuSerial);
+  ASSERT_EQ(counter("jit.fallback"), fb0) << "JIT fell back instead of compiling";
+  sv->run(4);
+  sn->run(4);
+  // Two kernels per step; the first sweep of each is the verified one.
+  EXPECT_GE(counter("jit.exec.batches") - batches0, 8.0);
+  for (int t = 0; t < 2; ++t) {
+    EXPECT_GT(native.calls[t], 0) << "type " << t;
+    EXPECT_EQ(native.wrong[t], 0) << "type " << t;
+    EXPECT_EQ(vm.wrong[t], 0) << "type " << t;
+  }
+  EXPECT_TRUE(bits_equal(pv->fields().get("u"), pn->fields().get("u")));
+  EXPECT_TRUE(bits_equal(pv->fields().get("v"), pn->fields().get("v")));
 }
 
 TEST_F(NativeBackendTest, Rk2MidpointBitIdentical) {
