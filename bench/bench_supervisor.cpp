@@ -1,32 +1,34 @@
-// Supervisor bench: multi-job goodput under fault pressure, plus the
-// crash-restart acceptance run for the resilient job supervisor.
+// bench_supervisor: multi-job goodput under fault pressure, plus the
+// crash-restart acceptance run for the job scheduler. Acts 1 and 2 and act
+// 3's serial baseline run on a one-slot svc::Scheduler, the serial case.
 //
 // Act 1 sweeps a deterministic mixed job stream (plain / chaos / flaky /
-// poison / deadline jobs, see bte::SupervisorCampaign) through the supervisor
+// poison / deadline jobs, see bte::SupervisorCampaign) through the scheduler
 // at three fault densities — none, low, high — and reports throughput
-// (jobs/sec wall), virtual time-to-terminal percentiles, and goodput
-// (completed solver steps per virtual second, so retries, backoff and
-// quarantined work all show up as lost goodput). Every stream must end with
-// 100% of jobs in a terminal state, the campaign oracle clean (completed
-// jobs bit-exact vs the fault-free reference), and zero step-0 replays:
-// durable retries resume from the newest manifest checkpoint.
+// (jobs/sec wall), time-to-terminal percentiles, and goodput (completed
+// solver steps per virtual second, so retries, backoff and quarantined work
+// all show up as lost goodput). A job's time is what its attempts measured:
+// each attempt's backoff plus its solver virtual seconds, summed per job.
+// Every stream must end with 100% of jobs in a terminal state, the campaign
+// oracle clean (completed jobs bit-exact vs the fault-free reference), and
+// zero step-0 replays: durable retries resume from the newest manifest
+// checkpoint.
 //
 // Act 2 is the crash acceptance criterion: a child process runs a faulted
 // campaign and SIGKILLs itself from inside a manifest-commit window; the
-// parent restarts a fresh supervisor on the same durable root, re-adopts
-// every orphaned job, drains them to terminal states, and the oracle must
+// parent restarts a fresh scheduler on the same durable root, re-adopts
+// every orphaned job, runs them to terminal states, and the oracle must
 // hold across the restart — completed-before-death jobs stay terminal on
 // disk, adopted in-flight jobs resume instead of replaying from step 0.
 //
-// Act 3 is the ISSUE-9 overload acceptance: the same job mix first runs
-// serially through the PR-8 supervisor (calibrating the scheduler's cost
-// model from its virtual clock), then arrives open-loop at 2x the service
-// capacity of a 4-slot scheduler across 3 equal-weight tenants with a
-// bounded queue. The extended oracle must hold — 100% of admitted jobs
-// terminal, every tenant's goodput >= 60% of its fair share, sheds strictly
-// lowest-priority-first, zero starvation-watchdog violations — and the
-// scheduler's virtual-clock throughput must be >= 2x the serial supervisor's
-// on the same mix.
+// Act 3 is the ISSUE-9 overload acceptance: the same job mix first runs on
+// one slot (its measured seconds calibrate the scheduler's cost model),
+// then arrives open-loop at 2x the service capacity of a 4-slot scheduler
+// across 3 equal-weight tenants with a bounded queue. The extended oracle
+// must hold — 100% of admitted jobs terminal, every tenant's goodput >= 60%
+// of its fair share, sheds strictly lowest-priority-first, zero
+// starvation-watchdog violations — and the 4-slot virtual-clock throughput
+// must be >= 2x the one-slot baseline's on the same mix.
 //
 // Usage: bench_supervisor [--njobs N] [--seed N] [--json FILE]
 //                         [--metrics-json FILE] [--trace FILE]
@@ -43,7 +45,7 @@
 #include "fig_common.hpp"
 #include "runtime/checkpoint.hpp"
 #include "svc/job_file.hpp"
-#include "svc/supervisor.hpp"
+#include "svc/scheduler.hpp"
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <csignal>
@@ -96,6 +98,14 @@ double percentile(std::vector<double> v, double p) {
   return v[std::min(idx, v.size() - 1)];
 }
 
+// A job's measured time: each attempt's backoff plus its solver virtual
+// seconds, in attempt order.
+double job_seconds(const svc::JobOutcome& o) {
+  double s = 0.0;
+  for (const svc::AttemptRecord& a : o.attempts) s += a.backoff_s + a.virtual_s;
+  return s;
+}
+
 // Completed solver steps per virtual second across the whole stream — the
 // bench's goodput: faults, retries and backoff spend virtual time without
 // adding completed steps.
@@ -108,9 +118,9 @@ double goodput(const SupervisorReport& rep, double virtual_total_s) {
 
 #ifdef FINCH_HAVE_FORK
 
-// Child: submit the whole stream, start draining, and die from inside the
-// Nth manifest-commit window — mid-job, checkpoints already durable.
-void run_child_until_kill(const BteScenario& base, const svc::SupervisorOptions& opt,
+// Child: run the whole stream and die from inside the Nth manifest-commit
+// window — mid-job, checkpoints already durable.
+void run_child_until_kill(const BteScenario& base, const svc::SchedulerOptions& opt,
                           const std::vector<svc::JobSpec>& jobs, int kill_at_commit) {
   static int commits = 0;
   static int target = 0;
@@ -120,13 +130,14 @@ void run_child_until_kill(const BteScenario& base, const svc::SupervisorOptions&
     if (path.find("manifest.json") == std::string::npos) return;
     if (++commits == target) ::raise(SIGKILL);
   });
-  svc::Supervisor sup(base, opt);
-  for (const svc::JobSpec& j : jobs) sup.submit(j);
-  (void)sup.drain();
+  svc::Scheduler sched(base, opt);
+  std::vector<svc::Arrival> arrivals;
+  for (const svc::JobSpec& j : jobs) arrivals.push_back(svc::Arrival{0.0, j, false});
+  (void)sched.run(std::move(arrivals));
   ::_exit(41);  // the kill point never fired: distinct failure code
 }
 
-bool crash_child(const BteScenario& base, const svc::SupervisorOptions& opt,
+bool crash_child(const BteScenario& base, const svc::SchedulerOptions& opt,
                  const std::vector<svc::JobSpec>& jobs, int kill_at_commit) {
   std::fflush(stdout);
   const pid_t pid = fork();
@@ -166,21 +177,25 @@ int main(int argc, char** argv) {
   for (const Density& d : densities()) {
     StreamShape shape = d.shape;
     shape.njobs = njobs;
-    svc::SupervisorOptions opt;
-    opt.durable_root = fresh_root(d.name);
-    svc::Supervisor sup(base, opt);
+    svc::SchedulerOptions opt;
+    opt.supervisor.durable_root = fresh_root(d.name);
+    svc::Scheduler sched(base, opt);
     const std::vector<svc::JobSpec> jobs = campaign.mixed_stream(args.seed, shape);
 
     const auto t0 = std::chrono::steady_clock::now();
-    const SupervisorReport rep = campaign.run_stream(sup, jobs);
+    const SupervisorReport rep = campaign.run_stream(sched, jobs);
     const double wall_s =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
 
     std::vector<double> ttt;
-    for (const svc::JobOutcome& o : rep.outcomes) ttt.push_back(o.time_to_terminal_s);
+    double virtual_total_s = 0.0;
+    for (const svc::JobOutcome& o : rep.outcomes) {
+      ttt.push_back(job_seconds(o));
+      virtual_total_s += ttt.back();
+    }
     const double jobs_per_s = wall_s > 0 ? static_cast<double>(rep.total) / wall_s : 0.0;
     const double p50 = percentile(ttt, 0.50), p99 = percentile(ttt, 0.99);
-    const double gp = goodput(rep, sup.virtual_now());
+    const double gp = goodput(rep, virtual_total_s);
     std::printf("%-6s %6d %8.1f %9.2es %9.2es %10.1f %6d %5d %5d %5d %5d\n", d.name, rep.total,
                 jobs_per_s, p50, p99, gp, rep.faulted_jobs, rep.completed, rep.cancelled,
                 rep.quarantined, rep.shed);
@@ -223,44 +238,46 @@ int main(int argc, char** argv) {
           "high density: retried jobs resumed from durable manifests (" +
               std::to_string(high_rep.resumed_retries) + " resumed retries)");
   if (njobs >= 100) {
-    check(high_rep.retried_jobs > 0, "high density: the stream exercised supervisor retries");
+    check(high_rep.retried_jobs > 0, "high density: the stream exercised retries");
     check(high_rep.quarantined > 0, "high density: the stream tripped the poison breaker");
     check(high_rep.cancelled > 0, "high density: the stream drained deadline jobs");
   }
 
-  // ---- act 2: SIGKILL the supervisor mid-campaign, restart, re-adopt -------
+  // ---- act 2: SIGKILL the scheduler mid-campaign, restart, re-adopt --------
 #ifdef FINCH_HAVE_FORK
   {
     const int kill_jobs = fast ? 10 : 24;
     StreamShape shape;  // high-density defaults
     shape.njobs = kill_jobs;
-    svc::SupervisorOptions opt;
-    opt.durable_root = fresh_root("kill");
+    svc::SchedulerOptions opt;
+    opt.supervisor.durable_root = fresh_root("kill");
     const std::vector<svc::JobSpec> jobs =
         campaign.mixed_stream(args.seed ^ 0x5eedULL, shape);
     // Far enough in that several jobs are already terminal and one is mid-run
     // with durable checkpoints, early enough that a tail of jobs is queued.
     const int kill_at_commit = 2 * kill_jobs;
     const bool killed = crash_child(base, opt, jobs, kill_at_commit);
-    check(killed, "child supervisor died by SIGKILL inside a manifest-commit window");
+    check(killed, "child scheduler died by SIGKILL inside a manifest-commit window");
 
     int terminal_before = 0;
     for (const svc::JobSpec& j : jobs)
-      if (svc::file_exists(opt.durable_root + "/" + j.id + "/terminal.json")) ++terminal_before;
+      if (svc::file_exists(opt.supervisor.durable_root + "/" + j.id + "/terminal.json"))
+        ++terminal_before;
 
-    svc::Supervisor restarted(base, opt);
+    svc::Scheduler restarted(base, opt);
     const std::vector<std::string> adopted = restarted.adopt_orphans();
     check(!adopted.empty() && terminal_before + static_cast<int>(adopted.size()) ==
                                   static_cast<int>(jobs.size()),
           "restart accounts for every job: " + std::to_string(terminal_before) +
               " terminal before death + " + std::to_string(adopted.size()) + " adopted");
 
-    const std::vector<svc::JobOutcome> outcomes = restarted.drain();
+    const std::vector<svc::JobOutcome> outcomes = restarted.run({}).outcomes;
     std::vector<svc::JobSpec> adopted_specs;
     for (const svc::JobSpec& j : jobs)
       for (const std::string& id : adopted)
         if (j.id == id) adopted_specs.push_back(j);
-    const SupervisorReport rep = campaign.judge(adopted_specs, outcomes, restarted.options());
+    const SupervisorReport rep =
+        campaign.judge(adopted_specs, outcomes, restarted.options().supervisor);
     for (const std::string& v : rep.violations) std::printf("  VIOLATION %s\n", v.c_str());
     int resumed_adopted = 0;
     for (const svc::JobOutcome& o : outcomes)
@@ -288,33 +305,36 @@ int main(int argc, char** argv) {
     oshape.njobs = fast ? 60 : 300;
     const int mc = 4;
 
-    // Serial baseline: the PR-8 supervisor runs the identical job mix one
-    // attempt at a time. Its virtual clock calibrates the scheduler's cost
-    // model, so the two throughput numbers share one currency. The default
-    // retry backoff (0.5 s base) was tuned for much larger jobs; these run
-    // in tens of milliseconds, so both runs scale the policy to the job
-    // scale — otherwise backoff tails, not service, dominate both clocks.
+    // Serial baseline: a one-slot scheduler runs the identical job mix as
+    // one batch. Its measured seconds (backoff plus solver virtual seconds,
+    // summed over every attempt) calibrate the 4-slot run's cost model, so
+    // the two throughput numbers share one currency. The default retry
+    // backoff (0.5 s base) was tuned for much larger jobs; these run in tens
+    // of milliseconds, so both runs scale the policy to the job scale —
+    // otherwise backoff tails, not service, dominate both clocks.
     svc::RetryPolicy retry;
     retry.backoff_base_s = 0.002;
     retry.backoff_max_s = 0.032;
     const std::vector<svc::Arrival> shape_only =
         campaign.overload_stream(args.seed, oshape, svc::SchedulerOptions{}.cost_per_unit_s, mc);
-    svc::SupervisorOptions serial_opt;
-    serial_opt.durable_root = fresh_root("overload_serial");
-    serial_opt.retry = retry;
-    svc::Supervisor serial(base, serial_opt);
+    svc::SchedulerOptions serial_opt;
+    serial_opt.supervisor.durable_root = fresh_root("overload_serial");
+    serial_opt.supervisor.retry = retry;
+    svc::Scheduler serial(base, serial_opt);
     double offered_units = 0.0;
+    std::vector<svc::Arrival> batch;
     for (const svc::Arrival& a : shape_only) {
       offered_units += static_cast<double>(a.spec.nsteps) * a.spec.nx * a.spec.ny *
                        a.spec.ndirs * a.spec.nbands;
-      serial.submit(a.spec);
+      batch.push_back(svc::Arrival{0.0, a.spec, false});
     }
-    double serial_completed_units = 0.0;
-    for (const svc::JobOutcome& o : serial.drain())
+    double serial_completed_units = 0.0, serial_vt = 0.0;
+    for (const svc::JobOutcome& o : serial.run(std::move(batch)).outcomes) {
+      serial_vt += job_seconds(o);
       if (o.state == svc::TerminalState::Completed)
         serial_completed_units += static_cast<double>(o.spec.nsteps) * o.spec.nx * o.spec.ny *
                                   o.spec.ndirs * o.spec.nbands;
-    const double serial_vt = serial.virtual_now();
+    }
     const double serial_tp = serial_vt > 0 ? serial_completed_units / serial_vt : 0.0;
     const double cpu_cal = offered_units > 0 ? serial_vt / offered_units : 5e-9;
 
@@ -360,7 +380,7 @@ int main(int argc, char** argv) {
     check(rep.min_fair_share_ratio >= 0.60,
           "overload: no tenant's goodput below 60% of fair share");
     check(res.stats.watchdog_violations == 0, "overload: the starvation watchdog never fired");
-    check(speedup >= 2.0, "overload: scheduler throughput >= 2x serial supervisor (" +
+    check(speedup >= 2.0, "overload: 4-slot throughput >= 2x the one-slot baseline (" +
                               std::to_string(speedup) + "x)");
 
     json.set("overload_jobs", oshape.njobs);

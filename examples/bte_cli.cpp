@@ -18,23 +18,24 @@
 //   bte_cli --solver cellpart --durable job/ --steps 200 --resume
 //
 // Batch mode: --jobs FILE hands a JSON job list ({"jobs":[...]}, see
-// svc/job_file.hpp) to the resilient supervisor, which drives every job to a
-// terminal state under retry/quarantine/admission/deadline policies. With
-// --durable ROOT each job keeps <ROOT>/<id>/ durable state and a re-run of
-// the same command after a crash re-adopts in-flight jobs and skips already
-// terminal ones. --budget-mb N arms admission control against a shared
-// memory budget (jobs degrade down their fallback ladder or are shed).
-//
-// Concurrent batch: --max-concurrency N (N > 1) runs the list through the
-// multi-tenant overload-resilient scheduler instead — up to N attempts in
-// flight, deficit-round-robin fair share across the job file's "tenant"
-// labels, priority-aware shedding. --queue-capacity M bounds the admission
-// queue; arrivals refused by backpressure exit 5 and print a retry-after
-// hint (they never enter the system, so no terminal record is written).
+// svc/job_file.hpp) to the job scheduler (svc/scheduler.hpp), which drives
+// every job to a terminal state under retry/quarantine/admission/deadline
+// policies. It runs one attempt at a time by default; --max-concurrency N
+// runs up to N at once, with deficit-round-robin fair share across the job
+// file's "tenant" labels. A job file with any invalid job is refused whole
+// (exit 1, nothing written). With --durable ROOT each job keeps
+// <ROOT>/<id>/ durable state and a re-run of the same command after a crash
+// re-adopts in-flight jobs and skips already terminal ones. --budget-mb N
+// arms admission control against a shared memory budget (jobs degrade down
+// their fallback ladder or are shed); a job waiting out a retry backoff
+// keeps its reservation. --queue-capacity M bounds the admission queue:
+// overflow arrivals are shed lowest-priority-first or refused by
+// backpressure with a retry-after hint (exit 5; they never enter the
+// system, so no terminal record is written).
 //
 // Exit codes (single run and batch; batch takes the worst across jobs):
 //   0  completed        all steps ran
-//   1  usage error      bad flags / malformed job file
+//   1  usage error      bad flags / malformed or invalid job file
 //   2  cancelled        a deadline drained the run (resumable when durable)
 //   3  failed           solver threw, or a batch job was shed / not runnable
 //   4  quarantined      the poison circuit breaker tripped (batch only)
@@ -57,7 +58,6 @@
 #include "runtime/manifest.hpp"
 #include "svc/job_file.hpp"
 #include "svc/scheduler.hpp"
-#include "svc/supervisor.hpp"
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <sys/stat.h>
@@ -80,9 +80,9 @@ struct Options {
   bool resume = false;          // continue from the manifest in `durable`
   int ckpt_interval = 16;       // durable checkpoint period (steps)
   long cancel_after_steps = 0;  // > 0: drain at this step deadline
-  std::string jobs;             // batch mode: JSON job file for the supervisor
+  std::string jobs;             // batch mode: JSON job file for the scheduler
   long budget_mb = 0;           // > 0: admission-control memory budget (batch)
-  int max_concurrency = 1;      // > 1: concurrent multi-tenant scheduler
+  int max_concurrency = 1;      // batch: attempts in flight at once
   int queue_capacity = 0;       // > 0: bounded admission queue (backpressure)
 };
 
@@ -109,16 +109,16 @@ void usage() {
       "  --cancel-after-steps N            drain cleanly (final checkpoint + manifest)\n"
       "                                    once N total steps have completed\n"
       "  --jobs FILE                       batch mode: run a JSON job list under the\n"
-      "                                    resilient supervisor (--durable ROOT keeps\n"
+      "                                    job scheduler (--durable ROOT keeps\n"
       "                                    per-job state; re-runs adopt orphans)\n"
       "  --budget-mb N                     batch admission-control memory budget\n"
-      "  --max-concurrency N               batch: run up to N attempts at once under\n"
-      "                                    the multi-tenant fair-share scheduler\n"
+      "  --max-concurrency N               batch: run up to N attempts at once with\n"
+      "                                    fair share across tenants (default 1)\n"
       "  --queue-capacity N                batch: bound the admission queue; overflow\n"
       "                                    arrivals are shed (low priority) or\n"
       "                                    rejected with a retry-after hint\n"
-      "exit codes: 0 completed, 2 cancelled/drained, 3 failed/shed, 4 quarantined,\n"
-      "            5 rejected by backpressure\n");
+      "exit codes: 0 completed, 1 usage error or invalid job file, 2 cancelled/drained,\n"
+      "            3 failed/shed, 4 quarantined, 5 rejected by backpressure\n");
 }
 
 bool parse(int argc, char** argv, Options& o) {
@@ -265,41 +265,49 @@ void print_outcome(const svc::JobOutcome& out) {
   if (!out.repro_path.empty()) std::printf("  quarantine repro: %s\n", out.repro_path.c_str());
 }
 
-// Concurrent batch (--max-concurrency > 1 / --queue-capacity set): the job
-// list becomes an arrival schedule (everything arrives at virtual time zero,
-// in file order) for the multi-tenant scheduler. Rejected arrivals never
-// enter the system; they print a retry-after hint and force exit code 5.
-int run_batch_scheduled(const Options& o, std::vector<svc::JobSpec> jobs,
-                        rt::MemoryBudget* budget) {
+// Batch mode: the job list becomes an arrival schedule (everything arrives
+// at virtual time zero, in file order) for the scheduler. Exits with the
+// worst per-job code (5 rejected > 4 quarantined > 3 failed/shed >
+// 2 cancelled > 0 completed), or 1 when the flags or the job list are
+// refused before anything runs.
+int run_batch(const Options& o) {
+  std::vector<svc::JobSpec> jobs;
+  try {
+    jobs = svc::jobs_from_json(svc::read_text_file(o.jobs));
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "bad job file %s: %s\n", o.jobs.c_str(), e.what());
+    return 1;
+  }
+  rt::MemoryBudget budget(o.budget_mb * 1000000);
   svc::SchedulerOptions sopt;
   sopt.supervisor.durable_root = o.durable;
   sopt.supervisor.defense.checkpoint_interval = o.ckpt_interval;
-  sopt.supervisor.memory = budget;
-  sopt.max_concurrency = std::max(1, o.max_concurrency);
+  sopt.supervisor.memory = o.budget_mb > 0 ? &budget : nullptr;
+  sopt.max_concurrency = o.max_concurrency;
   sopt.queue_capacity = o.queue_capacity;
-  svc::Scheduler sched(o.scenario, sopt);
 
   int worst = 0;
-  std::set<std::string> skip;
-  if (!o.durable.empty()) {
-    for (const std::string& id : sched.adopt_orphans()) {
-      std::printf("re-adopted orphaned job %s (durable state survived)\n", id.c_str());
-      skip.insert(id);
-    }
-    skip_already_terminal(o, jobs, skip, worst);
-  }
-  std::vector<svc::Arrival> arrivals;
-  for (svc::JobSpec& j : jobs) {
-    if (skip.count(j.id) != 0) continue;
-    svc::Arrival a;
-    a.spec = std::move(j);
-    arrivals.push_back(std::move(a));
-  }
   svc::ScheduleResult res;
   try {
+    svc::Scheduler sched(o.scenario, sopt);
+    std::set<std::string> skip;  // already terminal or re-adopted
+    if (!o.durable.empty()) {
+      for (const std::string& id : sched.adopt_orphans()) {
+        std::printf("re-adopted orphaned job %s (durable state survived)\n", id.c_str());
+        skip.insert(id);
+      }
+      skip_already_terminal(o, jobs, skip, worst);
+    }
+    std::vector<svc::Arrival> arrivals;
+    for (svc::JobSpec& j : jobs) {
+      if (skip.count(j.id) != 0) continue;
+      svc::Arrival a;
+      a.spec = std::move(j);
+      arrivals.push_back(std::move(a));
+    }
     res = sched.run(std::move(arrivals));
   } catch (const std::exception& e) {
-    std::fprintf(stderr, "scheduler refused the job list: %s\n", e.what());
+    std::fprintf(stderr, "scheduler refused the batch: %s\n", e.what());
     return 1;
   }
   for (const svc::JobOutcome& out : res.outcomes) {
@@ -315,52 +323,6 @@ int run_batch_scheduled(const Options& o, std::vector<svc::JobSpec> jobs,
               "max queue depth %zu, drained at t=%.3f s (virtual)\n",
               res.stats.dispatched, res.stats.retries, res.stats.shed_audits.size(),
               res.stats.rejects.size(), res.stats.max_queue_depth, res.stats.drain_vtime_s);
-  return worst;
-}
-
-// Batch mode: hand the job file to the supervisor (or, with concurrency
-// flags, the scheduler) and exit with the worst per-job code (5 rejected >
-// 4 quarantined > 3 failed/shed > 2 cancelled > 0 completed).
-int run_batch(const Options& o) {
-  std::vector<svc::JobSpec> jobs;
-  try {
-    jobs = svc::jobs_from_json(svc::read_text_file(o.jobs));
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "bad job file %s: %s\n", o.jobs.c_str(), e.what());
-    return 1;
-  }
-  rt::MemoryBudget budget(o.budget_mb * 1000000);
-  rt::MemoryBudget* bp = o.budget_mb > 0 ? &budget : nullptr;
-  if (o.max_concurrency > 1 || o.queue_capacity > 0) return run_batch_scheduled(o, std::move(jobs), bp);
-
-  svc::SupervisorOptions sopt;
-  sopt.durable_root = o.durable;
-  sopt.defense.checkpoint_interval = o.ckpt_interval;
-  sopt.memory = bp;
-  svc::Supervisor sup(o.scenario, sopt);
-
-  int worst = 0;
-  std::set<std::string> skip;  // already terminal or re-adopted
-  if (!o.durable.empty()) {
-    for (const std::string& id : sup.adopt_orphans()) {
-      std::printf("re-adopted orphaned job %s (durable state survived)\n", id.c_str());
-      skip.insert(id);
-    }
-    skip_already_terminal(o, jobs, skip, worst);
-  }
-  for (svc::JobSpec& j : jobs) {
-    if (skip.count(j.id) != 0) continue;
-    try {
-      sup.submit(std::move(j));
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "submit failed: %s\n", e.what());
-      worst = std::max(worst, 3);
-    }
-  }
-  for (const svc::JobOutcome& out : sup.drain()) {
-    print_outcome(out);
-    worst = std::max(worst, exit_code_for(out.state));
-  }
   return worst;
 }
 

@@ -199,19 +199,19 @@ const SupervisorCampaign::Reference& SupervisorCampaign::reference(const svc::Jo
   return refs_.emplace(key, std::move(ref)).first->second;
 }
 
-SupervisorReport SupervisorCampaign::run_stream(svc::Supervisor& supervisor,
+SupervisorReport SupervisorCampaign::run_stream(svc::Scheduler& scheduler,
                                                 const std::vector<svc::JobSpec>& jobs) {
-  std::vector<std::string> submit_errors;
-  for (const svc::JobSpec& spec : jobs) {
-    try {
-      supervisor.submit(spec);
-    } catch (const std::exception& e) {
-      submit_errors.push_back("submit '" + spec.id + "': " + e.what());
-    }
+  std::vector<svc::Arrival> arrivals;
+  for (const svc::JobSpec& spec : jobs) arrivals.push_back(svc::Arrival{0.0, spec, false});
+  std::vector<svc::JobOutcome> outcomes;
+  std::string refused;
+  try {
+    outcomes = scheduler.run(std::move(arrivals)).outcomes;
+  } catch (const std::exception& e) {
+    refused = std::string("stream refused: ") + e.what();
   }
-  SupervisorReport report = judge(jobs, supervisor.drain(), supervisor.options());
-  report.violations.insert(report.violations.begin(), submit_errors.begin(),
-                           submit_errors.end());
+  SupervisorReport report = judge(jobs, outcomes, scheduler.options().supervisor);
+  if (!refused.empty()) report.violations.insert(report.violations.begin(), refused);
   return report;
 }
 

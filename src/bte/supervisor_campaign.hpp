@@ -1,6 +1,6 @@
 #pragma once
-// Supervisor campaign: deterministic mixed job streams + the terminal-state
-// oracle that validates the svc::Supervisor end to end.
+// SupervisorCampaign: deterministic mixed job streams + the terminal-state
+// oracle that validates the svc::Scheduler end to end.
 //
 // A campaign is (seed, StreamShape): a reproducible stream of jobs mixing
 // plain solves, survivable chaos schedules (drawn from rt::ChaosEngine, so
@@ -34,7 +34,6 @@
 #include <vector>
 
 #include "svc/scheduler.hpp"
-#include "svc/supervisor.hpp"
 
 namespace finch::bte {
 
@@ -105,12 +104,12 @@ class SupervisorCampaign {
   // Deterministic in (seed, shape): same stream forever.
   std::vector<svc::JobSpec> mixed_stream(uint64_t seed, const StreamShape& shape);
 
-  // Submits `jobs`, drains the supervisor, judges the outcomes. Submission
-  // failures become violations, not exceptions.
-  SupervisorReport run_stream(svc::Supervisor& supervisor,
-                              const std::vector<svc::JobSpec>& jobs);
+  // Runs `jobs` as one batch arriving at virtual time zero, in order, and
+  // judges the outcomes. A stream the scheduler refuses (a malformed or
+  // duplicate spec) becomes a violation, not an exception.
+  SupervisorReport run_stream(svc::Scheduler& scheduler, const std::vector<svc::JobSpec>& jobs);
 
-  // Judge pre-existing outcomes (e.g. after a crash-restart drain) against
+  // Judge pre-existing outcomes (e.g. after a crash-restart run) against
   // their specs and the supervisor options they ran under.
   SupervisorReport judge(const std::vector<svc::JobSpec>& jobs,
                          const std::vector<svc::JobOutcome>& outcomes,

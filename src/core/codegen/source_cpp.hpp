@@ -13,4 +13,16 @@ namespace finch::codegen {
 
 std::string emit_cpp_source(const ir::StepProgram& program, const sym::EntityTable& table);
 
+// What the C-family source targets (this one and source_cuda) spell
+// differently in an expression: an entity reference and the power function.
+struct CSpelling {
+  std::string (*entity)(const sym::EntityRefNode& ref, const sym::EntityTable& table);
+  const char* pow;  // e.g. "std::pow"
+};
+
+// Renders an integrand expression as C-family code. NORMAL_i become the
+// normal_x/y/z locals the loop scaffolding provides, conditionals become
+// ternaries and x^-1 factors divisions.
+std::string c_expr(const sym::Expr& e, const sym::EntityTable& table, const CSpelling& spell);
+
 }  // namespace finch::codegen

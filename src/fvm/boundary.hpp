@@ -10,6 +10,7 @@
 #include <functional>
 #include <map>
 #include <string>
+#include <vector>
 
 #include "field.hpp"
 #include "mesh/mesh.hpp"
@@ -53,6 +54,13 @@ class BoundaryTable {
     return it == table_.end() ? nullptr : &it->second;
   }
   size_t size() const { return table_.size(); }
+  // Regions with a condition registered for `variable`, ascending.
+  std::vector<int> regions(const std::string& variable) const {
+    std::vector<int> out;
+    for (const auto& [key, bc] : table_)
+      if (key.first == variable) out.push_back(key.second);
+    return out;
+  }
 
  private:
   std::map<std::pair<std::string, int>, BoundaryCondition> table_;

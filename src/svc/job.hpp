@@ -1,21 +1,22 @@
 #pragma once
-// Job model for the resilient supervisor: specs, attempts, terminal outcomes.
+// Job model for the job service: specs, attempts, terminal outcomes.
 //
 // A JobSpec describes one BTE solve the way a scientist would hand it to a
 // queue: which solver, what discretization, how many steps, an optional
 // deterministic chaos schedule to survive, an optional step deadline, and a
 // declared fallback ladder of smaller configurations admission control may
-// degrade to. The supervisor (svc/supervisor.hpp) drives every accepted spec
+// degrade to. The scheduler (svc/scheduler.hpp) drives every admitted spec
 // to exactly one terminal state:
 //
 //   Completed   — run finished all steps (possibly after retries/resumes)
-//   Cancelled   — deadline or external cancel drained the run at a step
-//                 boundary; durable jobs stay resumable on disk
+//   Cancelled   — a step deadline drained the run at a step boundary;
+//                 durable jobs stay resumable on disk
 //   Quarantined — the poison circuit breaker tripped: repeated failures
 //                 across distinct injector seeds, never retried again,
 //                 minimized repro attached
 //   Shed        — admission control refused every rung of the fallback
-//                 ladder; the job never allocated anything
+//                 ladder, or a full queue evicted it for a higher-priority
+//                 arrival; the job never allocated anything
 //
 // AttemptRecord is the audit trail the oracle (bte/supervisor_campaign.hpp)
 // checks: per-attempt injection accounting, resume provenance (did a retry
@@ -54,11 +55,10 @@ struct JobConfig {
 
 struct JobSpec {
   std::string id;
-  // Multi-tenant scheduling (svc/scheduler.hpp): the tenant this job is
-  // billed to (fair-share queue + memory partition) and its shedding
-  // priority — higher values survive overload longer; under a full admission
-  // queue the lowest-priority job is shed first. The serial Supervisor
-  // ignores both.
+  // Multi-tenant scheduling: the tenant this job is billed to (fair-share
+  // queue + memory partition) and its shedding priority — higher values
+  // survive overload longer; under a full admission queue the lowest-priority
+  // job is shed first. With one tenant and an unbounded queue both are inert.
   std::string tenant = "default";
   int priority = 0;
   std::string solver = "cell";  // "cell" | "band" | "mgpu"
@@ -81,7 +81,7 @@ struct JobSpec {
   std::vector<JobConfig> fallbacks;
 };
 
-// Audit record of one supervisor attempt at a job.
+// Audit record of one attempt at a job.
 struct AttemptRecord {
   int index = 0;
   uint64_t injector_seed = 0;
@@ -104,7 +104,7 @@ struct JobOutcome {
   int degraded_rung = -1;  // -1 = top-level config; >=0 = fallbacks[i]
   bool adopted = false;    // re-adopted from an orphaned durable manifest
   int64_t final_step = 0;
-  double time_to_terminal_s = 0.0;  // virtual seconds submit -> terminal
+  double time_to_terminal_s = 0.0;  // virtual seconds arrival -> terminal
   std::vector<AttemptRecord> attempts;
   std::vector<double> temperature;  // populated for Completed jobs
   std::vector<double> intensity;

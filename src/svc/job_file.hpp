@@ -1,20 +1,20 @@
 #pragma once
-// JSON codec + durable records for supervisor jobs.
+// JSON codec + durable records for scheduler jobs.
 //
 // Two artifacts live here. First, the batch job file (`bte_cli --jobs FILE`):
 // a strict JSON list of JobSpecs, written/read with the same rt::JsonCursor
 // contract as chaos repros and run manifests — whitespace-insensitive, key
 // order-insensitive, throws std::invalid_argument on anything unexpected,
 // never half-parses. All numeric fields are integers (physical doubles come
-// from the supervisor's base scenario), fault kinds are the canonical
+// from the scheduler's base scenario), fault kinds are the canonical
 // fault_kind_name strings, so a quarantine repro's faults paste straight
 // back into a job file.
 //
 // Second, the per-job durable records the crash-restart scan keys on:
-// `<root>/<id>/job.json` (the spec, committed at submit) and
+// `<root>/<id>/job.json` (the spec, committed at admission) and
 // `<root>/<id>/terminal.json` (state + detail, committed atomically at the
 // terminal transition). A job directory with a spec but no terminal record
-// is an orphan: the supervisor died mid-job, and a restarted supervisor
+// is an orphan: the scheduler died mid-job, and a restarted scheduler
 // re-adopts it.
 
 #include <string>

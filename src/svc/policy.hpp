@@ -1,5 +1,6 @@
 #pragma once
-// Supervisor robustness policies: retry/backoff, quarantine, admission.
+// Job-service robustness policies (svc::Scheduler): retry/backoff,
+// quarantine, admission.
 //
 // Policies are plain data validated at construction time (same contract as
 // bte::validate_resilience_options): a contradictory combination is a
@@ -14,7 +15,8 @@
 // Backoff is deterministic: jitter is drawn from an FNV-1a hash of
 // (job id, failure index), not from a global RNG, so a re-run of the same
 // job stream charges bit-identical virtual backoff — the property the
-// supervisor-campaign oracle and the CI soak rely on.
+// supervisor-campaign oracle and the CI soak rely on. (The scheduler's
+// retry-storm damper may stretch it, deterministically too.)
 
 #include <cstdint>
 #include <stdexcept>

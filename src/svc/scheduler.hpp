@@ -1,13 +1,41 @@
 #pragma once
-// Concurrent, multi-tenant, overload-resilient executor for BTE jobs.
+// The job service: drives every admitted BTE job to exactly one terminal
+// state under composed robustness policies, running up to `max_concurrency`
+// attempts at once. The defaults — one slot, an unbounded queue, the one
+// `default` tenant — are the serial case: jobs run in arrival order, one
+// attempt at a time.
 //
-// The Scheduler is the service front end of the supervisor family: it drives
-// an open-loop *arrival schedule* (jobs with virtual-clock arrival times) to
-// completion, running up to `max_concurrency` attempts at once on an
-// rt::ThreadPool while keeping every PR-8 invariant — exactly one terminal
-// state per admitted job, no step-0 replays past a durable checkpoint,
-// cancel > quarantine > retry > shed precedence, crash-restart adoption —
-// intact under interleaving.
+// The per-attempt mechanics live in AttemptEngine, an attempt-granularity
+// state machine that composes the runtime primitives the earlier layers
+// proved out:
+//
+//   retry     — a failed attempt is retried with exponential backoff +
+//               deterministic jitter charged to the virtual clock, under a
+//               distinct derived injector seed; when the job is durable the
+//               retry resumes from the newest rt::RunManifest checkpoint
+//               instead of replaying from step 0
+//   quarantine— the poison circuit breaker: `threshold` consecutive failures
+//               across distinct seeds (or an exhausted retry budget) parks
+//               the job permanently, with the fault schedule ddmin-minimized
+//               into a replayable repro artifact
+//   admission — before anything allocates, the job's declared fallback
+//               ladder is walked against its tenant's partition of the
+//               shared rt::MemoryBudget using the estimate_memory_demand
+//               model; the first rung that fits is admitted (degraded if it
+//               is not the top rung), and a job no rung can fit is shed
+//               WITHOUT ever touching the budget
+//   deadline  — per-job step deadlines drain the run cooperatively at a step
+//               boundary via rt::CancelToken; a drained durable job stays
+//               resumable on disk
+//
+// Policy precedence within one pass: cancel > quarantine > retry > shed.
+//
+// Crash safety: with a durable root every job directory carries job.json
+// (committed at admission) and terminal.json (committed atomically at the
+// terminal transition). A restarted scheduler calls adopt_orphans() to
+// re-queue every job directory that has a spec but no terminal record —
+// exactly the jobs a dead scheduler left in flight — and their first attempt
+// resumes from the on-disk manifest like any retry.
 //
 // Determinism under concurrency. The scheduler is a discrete-event simulator
 // on the shared virtual clock: arrivals, retry timers and attempt completions
@@ -22,7 +50,8 @@
 // the scheduling trajectory — admission, fair-share order, shedding, watchdog
 // decisions — is a pure function of (arrivals, options). Actual solver
 // virtual seconds still land in the AttemptRecords for the oracle's ledger
-// checks.
+// checks. A retry waits out its backoff on a timer and re-queues behind the
+// jobs already queued, keeping its budget reservation meanwhile.
 //
 // Overload behavior, in precedence order at a full admission queue:
 //   reject  — an arrival that would not out-rank any queued job is refused
@@ -52,7 +81,8 @@
 // `storm_factor` (on top of per-job FNV jitter decorrelation).
 //
 // Observability: the run is wrapped in an `svc.sched` span, execution waves
-// in `svc.sched.wave`; metrics land under `svc.sched.*` (queue depth/age,
+// in `svc.sched.wave`, attempts in `svc.attempt`; metrics land under `svc.*`
+// and `svc.sched.*` (terminal transitions, retries, queue depth/age,
 // shed-by-priority, per-tenant goodput — see OBSERVABILITY.md).
 
 #include <cstdint>
@@ -61,14 +91,82 @@
 #include <string>
 #include <vector>
 
+#include "bte/solver_factory.hpp"
+#include "job.hpp"
+#include "policy.hpp"
 #include "runtime/memory.hpp"
-#include "supervisor.hpp"
 
 namespace finch::rt {
 class ThreadPool;
 }
 
 namespace finch::svc {
+
+// Attempt-granularity execution core. resolve() and run_attempt() are safe
+// to call from several threads at once for DISTINCT jobs (each attempt owns
+// its solver, injector and cancel token; the physics cache and any shared
+// MemoryBudget serialize internally). decide() and minimize_repro() are pure
+// policy/replay helpers driven from the coordinating thread.
+class AttemptEngine {
+ public:
+  // A spec resolved onto one rung of its ladder: concrete config, scenario
+  // and shared physics.
+  struct Resolved {
+    JobSpec spec;
+    JobConfig cfg;
+    bte::BteScenario scenario;
+    std::shared_ptr<const bte::BtePhysics> physics;
+  };
+  struct Result {
+    AttemptRecord rec;
+    bte::ResilienceStats stats;
+    bool completed = false;
+    bool drained = false;
+    std::string drain_reason;
+    std::vector<double> T, I;
+  };
+  // The state machine's verdict on what attempt k's result means for the job.
+  enum class Next {
+    Complete,    // terminal: Completed
+    Drain,       // terminal: Cancelled (step deadline)
+    Retry,       // schedule attempt k+1 after backoff
+    Quarantine,  // terminal: circuit breaker or retry budget exhausted
+  };
+  struct Decision {
+    Next next = Next::Retry;
+    std::string detail;  // terminal detail for Complete/Drain/Quarantine
+  };
+
+  // `options` must outlive the engine (the owning Scheduler holds and
+  // validates it).
+  AttemptEngine(const bte::BteScenario& base, const SupervisorOptions* options);
+
+  // Derived injector seed for retry `attempt` (attempt 0 uses the base seed
+  // itself) — the same golden-ratio mix the chaos campaigns use, so the
+  // circuit breaker's "distinct seeds" guarantee is auditable from the
+  // attempt records.
+  static uint64_t attempt_seed(uint64_t base, int attempt);
+
+  Resolved resolve(const JobSpec& spec, int rung);
+  // Runs one attempt: arm faults, resume from the durable manifest when one
+  // exists, run to the end or a drain, classify. `memory` is the budget this
+  // attempt's live allocations charge (the scheduler passes a per-attempt
+  // view of the tenant partition; nullptr = unbudgeted).
+  Result run_attempt(const Resolved& rj, int attempt_index, uint64_t seed,
+                     const std::string& job_dir, const std::vector<rt::ChaosFault>& faults,
+                     rt::MemoryBudget* memory) const;
+  // Attempt-granularity transition: `failures` counts consecutive failures
+  // INCLUDING this one when it failed; `attempt_index` is the index just run.
+  Decision decide(const Result& r, int attempt_index, int failures) const;
+  // ddmin the job's fault schedule down to a minimal still-failing repro
+  // (unbudgeted, non-durable attempt-0 replays).
+  std::vector<rt::ChaosFault> minimize_repro(const Resolved& rj);
+
+ private:
+  bte::BteScenario base_;
+  const SupervisorOptions* options_;
+  bte::PhysicsCache physics_;
+};
 
 struct TenantSpec {
   std::string name;
@@ -88,8 +186,8 @@ struct SchedulerOptions {
   std::vector<TenantSpec> tenants;
   // Predicted virtual seconds per abstract cost unit
   // (nsteps × nx × ny × ndirs × nbands); drives completion-event ordering
-  // and retry_after estimates. Calibrate from a serial run when comparing
-  // clocks across schedulers.
+  // and retry_after estimates. Calibrate from a one-slot run when comparing
+  // clocks across slot counts.
   double cost_per_unit_s = 5e-9;
   // DRR quantum in cost units; 0 = auto (the largest arrival's cost, so any
   // job is servable within one visit).
@@ -174,6 +272,9 @@ struct ScheduleResult {
 
 class Scheduler {
  public:
+  // `base` supplies the physical parameters (domain size, temperatures, dt);
+  // each job overrides the discretization. Throws std::invalid_argument on
+  // invalid options.
   Scheduler(const bte::BteScenario& base, SchedulerOptions options);
   ~Scheduler();
 
@@ -183,8 +284,10 @@ class Scheduler {
   std::vector<std::string> adopt_orphans();
 
   // Drives the arrival schedule to completion: every admitted job reaches
-  // exactly one terminal state. Throws std::invalid_argument on malformed
-  // specs, duplicate ids or unsorted arrival times. One run per Scheduler.
+  // exactly one terminal state. Throws std::invalid_argument — before any
+  // job is admitted or any job.json is written — on an empty id, an unknown
+  // solver name (fallback rungs included), non-positive nsteps, a duplicate
+  // id or unsorted arrival times. One run per Scheduler.
   ScheduleResult run(std::vector<Arrival> arrivals);
 
   const SchedulerOptions& options() const { return options_; }
@@ -209,7 +312,6 @@ class Scheduler {
   void check_starvation();
   size_t total_queued() const;
 
-  bte::BteScenario base_;
   SchedulerOptions options_;
   AttemptEngine engine_;  // holds &options_.supervisor
   std::unique_ptr<rt::ThreadPool> pool_;

@@ -21,7 +21,6 @@
 #include "runtime/memory.hpp"
 #include "svc/job_file.hpp"
 #include "svc/scheduler.hpp"
-#include "svc/supervisor.hpp"
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <sys/wait.h>
@@ -128,9 +127,10 @@ TEST(SchedulerOptions_, ValidationRejectsContradictions) {
   EXPECT_THROW(sched.run({}), std::invalid_argument);  // one run per scheduler
 }
 
-TEST(SchedulerEquivalence, SingleSlotMatchesSerialSupervisorBitExactly) {
-  // mc=1, unbounded queue, one tenant: the scheduler is a reordering-free
-  // supervisor; completed fields must be bit-identical to the serial path.
+TEST(SchedulerEquivalence, OneSlotAndFourSlotsAgreePerJobBitExactly) {
+  // Unbounded queue, one tenant: the slot count changes only when attempts
+  // run, never what they compute. Each job must end the same way at one
+  // slot (the serial case) and at four, with bit-identical fields.
   std::vector<JobSpec> specs;
   specs.push_back(small_job("a", "cell"));
   specs.push_back(small_job("b", "band"));
@@ -139,25 +139,29 @@ TEST(SchedulerEquivalence, SingleSlotMatchesSerialSupervisorBitExactly) {
   specs.push_back(d);
   specs.push_back(poison_job("p"));
 
-  Supervisor serial(base_scenario(), SupervisorOptions{});
-  for (const JobSpec& s : specs) serial.submit(s);
-  const std::vector<JobOutcome> ref = serial.drain();
-
-  Scheduler sched(base_scenario(), SchedulerOptions{});
-  const ScheduleResult got = sched.run(at_time_zero(specs));
-  ASSERT_EQ(got.outcomes.size(), ref.size());
-  for (const JobOutcome& r : ref) {
+  Scheduler one(base_scenario(), SchedulerOptions{});
+  const ScheduleResult ref = one.run(at_time_zero(specs));
+  SchedulerOptions four_opt;
+  four_opt.max_concurrency = 4;
+  Scheduler four(base_scenario(), four_opt);
+  const ScheduleResult got = four.run(at_time_zero(specs));
+  ASSERT_EQ(ref.outcomes.size(), specs.size());
+  ASSERT_EQ(got.outcomes.size(), specs.size());
+  for (const JobOutcome& r : ref.outcomes) {
     const JobOutcome* g = find_outcome(got.outcomes, r.spec.id);
     ASSERT_NE(g, nullptr) << r.spec.id;
     EXPECT_EQ(g->state, r.state) << r.spec.id;
     EXPECT_EQ(g->attempts.size(), r.attempts.size()) << r.spec.id;
+    EXPECT_EQ(g->final_step, r.final_step) << r.spec.id;
     EXPECT_EQ(g->temperature, r.temperature) << r.spec.id;
     EXPECT_EQ(g->intensity, r.intensity) << r.spec.id;
   }
 
   bte::SupervisorCampaign campaign(base_scenario());
-  const auto report = campaign.judge(specs, got.outcomes, sched.options().supervisor);
-  EXPECT_TRUE(report.ok()) << (report.violations.empty() ? "" : report.violations.front());
+  for (const ScheduleResult* res : {&ref, &got}) {
+    const auto report = campaign.judge(specs, res->outcomes, SupervisorOptions{});
+    EXPECT_TRUE(report.ok()) << (report.violations.empty() ? "" : report.violations.front());
+  }
 }
 
 TEST(SchedulerOverload, FullQueueRejectsWithRetryAfterAndShedsLowestPriorityFirst) {

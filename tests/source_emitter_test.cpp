@@ -117,6 +117,23 @@ TEST(CudaEmitter, RegisteredCallbacksAreNamed) {
   EXPECT_NE(src.find("callback_symmetry"), std::string::npos);
 }
 
+TEST(CudaEmitter, EveryRegisteredBoundaryRegionIsDriven) {
+  // gmsh physical tags become region ids unchanged, so a condition may sit on
+  // any region number; the host driver runs each one, in ascending order.
+  auto p = bte_like_problem();
+  p.boundary("I", 12, dsl::BcType::Flux, "far_wall", [](const fvm::BoundaryContext&) { return 0.0; });
+  std::string src = p.generated_cuda_source();
+  const size_t r1 = src.find("compute_boundary_region(h, /*region=*/1, callback_isothermal_cold);");
+  const size_t r3 = src.find("compute_boundary_region(h, /*region=*/3, callback_symmetry);");
+  const size_t r12 = src.find("compute_boundary_region(h, /*region=*/12, callback_far_wall);");
+  ASSERT_NE(r1, std::string::npos);
+  ASSERT_NE(r3, std::string::npos);
+  ASSERT_NE(r12, std::string::npos);
+  EXPECT_LT(r1, r3);
+  EXPECT_LT(r3, r12);
+  EXPECT_EQ(src.find("compute_boundary_contribution(h)"), std::string::npos);
+}
+
 TEST(IrPseudocode, ShowsLoopsTermsAndComments) {
   auto p = bte_like_problem();
   std::string ir = p.ir_pseudocode();

@@ -1,6 +1,7 @@
-// Resilient job supervisor: terminal-state guarantees, policy precedence
-// (cancel > quarantine > retry > shed), retry-with-resume, the poison circuit
-// breaker, admission control with fallback ladders, deadline drains, and
+// Job-service policies at the serial case (a one-slot svc::Scheduler, the
+// default): terminal-state guarantees, policy precedence (cancel >
+// quarantine > retry > shed), retry-with-resume, the poison circuit breaker,
+// admission control with fallback ladders, deadline drains, and
 // crash-restart adoption of orphaned durable jobs.
 //
 // The tentpole property: every submitted job reaches exactly one terminal
@@ -21,7 +22,7 @@
 #include "runtime/checkpoint.hpp"
 #include "runtime/memory.hpp"
 #include "svc/job_file.hpp"
-#include "svc/supervisor.hpp"
+#include "svc/scheduler.hpp"
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <sys/stat.h>
@@ -79,6 +80,25 @@ std::string fresh_root(const std::string& name) {
   [[maybe_unused]] const int rc = std::system(cmd.c_str());
 #endif
   return root;
+}
+
+// One-slot scheduler (the serial case) under `opt`'s policies.
+SchedulerOptions serial(const SupervisorOptions& opt = {}) {
+  SchedulerOptions so;
+  so.supervisor = opt;
+  return so;
+}
+
+std::vector<Arrival> at_time_zero(const std::vector<JobSpec>& specs) {
+  std::vector<Arrival> arrivals;
+  for (const JobSpec& s : specs) arrivals.push_back(Arrival{0.0, s, false});
+  return arrivals;
+}
+
+// Runs `specs` as one batch on a fresh one-slot scheduler.
+std::vector<JobOutcome> run_jobs(const SupervisorOptions& opt, const std::vector<JobSpec>& specs) {
+  Scheduler sched(base_scenario(), serial(opt));
+  return sched.run(at_time_zero(specs)).outcomes;
 }
 
 JobOutcome only(const std::vector<JobOutcome>& outcomes) {
@@ -171,8 +191,8 @@ TEST(Supervisor, FaultFreeStreamCompletesBitExact) {
   const auto jobs = campaign.mixed_stream(11, shape);
   ASSERT_EQ(jobs.size(), 6u);
 
-  Supervisor sup(base_scenario(), SupervisorOptions{});
-  const bte::SupervisorReport report = campaign.run_stream(sup, jobs);
+  Scheduler sched(base_scenario(), serial());
+  const bte::SupervisorReport report = campaign.run_stream(sched, jobs);
   EXPECT_TRUE(report.ok()) << (report.violations.empty() ? "" : report.violations.front());
   EXPECT_EQ(report.completed, 6);
   EXPECT_EQ(report.nonterminal, 0);
@@ -191,8 +211,8 @@ TEST(Supervisor, ChaosScheduleSurvivesWithinOneAttempt) {
   spec.faults = engine.generate("cell", cs, 0).faults;
   ASSERT_FALSE(spec.faults.empty());
 
-  Supervisor sup(base_scenario(), SupervisorOptions{});
-  const bte::SupervisorReport report = campaign.run_stream(sup, {spec});
+  Scheduler sched(base_scenario(), serial());
+  const bte::SupervisorReport report = campaign.run_stream(sched, {spec});
   EXPECT_TRUE(report.ok()) << (report.violations.empty() ? "" : report.violations.front());
   const JobOutcome o = only(report.outcomes);
   EXPECT_EQ(o.state, TerminalState::Completed);
@@ -205,9 +225,7 @@ TEST(Supervisor, PoisonJobTripsCircuitBreakerWithRepro) {
   const std::string root = fresh_root("poison");
   SupervisorOptions opt;
   opt.durable_root = root;
-  Supervisor sup(base_scenario(), opt);
-  sup.submit(poison_job("toxic"));
-  const JobOutcome o = only(sup.drain());
+  const JobOutcome o = only(run_jobs(opt, {poison_job("toxic")}));
 
   EXPECT_EQ(o.state, TerminalState::Quarantined);
   EXPECT_NE(o.detail.find("circuit breaker"), std::string::npos) << o.detail;
@@ -225,12 +243,12 @@ TEST(Supervisor, PoisonJobTripsCircuitBreakerWithRepro) {
   ASSERT_FALSE(o.repro_path.empty());
   EXPECT_EQ(rt::schedule_from_json(read_text_file(o.repro_path)).faults.size(),
             repro.faults.size());
-  // Terminal record committed: a restarted supervisor must NOT re-adopt it.
+  // Terminal record committed: a restarted scheduler must NOT re-adopt it.
   TerminalState ts{};
   std::string detail;
   terminal_from_json(read_text_file(root + "/toxic/terminal.json"), &ts, &detail);
   EXPECT_EQ(ts, TerminalState::Quarantined);
-  Supervisor again(base_scenario(), opt);
+  Scheduler again(base_scenario(), serial(opt));
   EXPECT_TRUE(again.adopt_orphans().empty());
 }
 
@@ -242,9 +260,7 @@ TEST(Supervisor, RetryBudgetExhaustedExactlyAtQuarantineThreshold) {
   opt.durable_root = root;
   opt.quarantine.threshold = 3;
   opt.retry.max_retries = 2;
-  Supervisor sup(base_scenario(), opt);
-  sup.submit(poison_job("edge"));
-  const JobOutcome o = only(sup.drain());
+  const JobOutcome o = only(run_jobs(opt, {poison_job("edge")}));
   EXPECT_EQ(o.state, TerminalState::Quarantined);
   EXPECT_EQ(o.attempts.size(), 3u);
   // Precedence: the breaker (quarantine) claims it, and only one terminal
@@ -260,9 +276,7 @@ TEST(Supervisor, RetryBudgetExhaustedExactlyAtQuarantineThreshold) {
   SupervisorOptions tight = opt;
   tight.durable_root = fresh_root("budget_tight");
   tight.retry.max_retries = 1;
-  Supervisor sup2(base_scenario(), tight);
-  sup2.submit(poison_job("tight"));
-  const JobOutcome o2 = only(sup2.drain());
+  const JobOutcome o2 = only(run_jobs(tight, {poison_job("tight")}));
   EXPECT_EQ(o2.state, TerminalState::Quarantined);
   EXPECT_EQ(o2.attempts.size(), 2u);
   EXPECT_NE(o2.detail.find("retry budget exhausted"), std::string::npos) << o2.detail;
@@ -281,8 +295,8 @@ TEST(Supervisor, FlakyJobRetryResumesFromManifestNotStepZero) {
 
   SupervisorOptions opt;
   opt.durable_root = fresh_root("flaky");
-  Supervisor sup(base_scenario(), opt);
-  const bte::SupervisorReport report = campaign.run_stream(sup, jobs);
+  Scheduler sched(base_scenario(), serial(opt));
+  const bte::SupervisorReport report = campaign.run_stream(sched, jobs);
   EXPECT_TRUE(report.ok()) << (report.violations.empty() ? "" : report.violations.front());
   const JobOutcome o = only(report.outcomes);
   EXPECT_EQ(o.state, TerminalState::Completed);
@@ -297,23 +311,23 @@ TEST(Supervisor, FlakyJobRetryResumesFromManifestNotStepZero) {
   // Backoff was charged to the virtual clock, deterministically.
   EXPECT_DOUBLE_EQ(o.attempts[1].backoff_s,
                    backoff_with_jitter(opt.retry, o.spec.id, 0));
-  // Summed per attempt, backoff first, as the supervisor charges it: another
-  // association can round one ulp above the supervisor's total.
-  EXPECT_GE(o.time_to_terminal_s,
-            o.attempts[0].virtual_s + (o.attempts[1].backoff_s + o.attempts[1].virtual_s));
+  // Time to terminal is on the scheduler's clock: attempt 0's predicted
+  // duration, then the backoff timer, then attempt 1's predicted duration,
+  // summed in the order the event loop advances.
+  const double attempt_s =
+      predict_cost_units(o.ran, o.spec.nsteps) * sched.options().cost_per_unit_s;
+  EXPECT_EQ(o.time_to_terminal_s, (attempt_s + o.attempts[1].backoff_s) + attempt_s);
 }
 
 TEST(Supervisor, DeadlineDrainsToCancelledAndStaysResumable) {
   const std::string root = fresh_root("deadline");
   SupervisorOptions opt;
   opt.durable_root = root;
-  Supervisor sup(base_scenario(), opt);
   JobSpec spec = small_job("late");
   spec.nsteps = 10;
   spec.deadline_steps = 4;
   spec.ckpt_interval = 2;
-  sup.submit(spec);
-  const JobOutcome o = only(sup.drain());
+  const JobOutcome o = only(run_jobs(opt, {spec}));
   EXPECT_EQ(o.state, TerminalState::Cancelled);
   EXPECT_NE(o.detail.find("deadline"), std::string::npos) << o.detail;
   EXPECT_GE(o.final_step, 4);
@@ -324,34 +338,14 @@ TEST(Supervisor, DeadlineDrainsToCancelledAndStaysResumable) {
   EXPECT_FALSE(m.cancel_reason.empty());
 }
 
-TEST(Supervisor, CancelRequestPreemptsQueuedJob) {
-  Supervisor sup(base_scenario(), SupervisorOptions{});
-  sup.submit(small_job("first"));
-  sup.submit(small_job("second"));
-  EXPECT_EQ(sup.queue_depth(), 2u);
-  EXPECT_TRUE(sup.request_cancel("second", "operator said no"));
-  EXPECT_FALSE(sup.request_cancel("nonexistent"));
-  const auto outcomes = sup.drain();
-  ASSERT_EQ(outcomes.size(), 2u);
-  EXPECT_EQ(outcomes[0].state, TerminalState::Completed);
-  EXPECT_EQ(outcomes[1].state, TerminalState::Cancelled);
-  EXPECT_NE(outcomes[1].detail.find("operator said no"), std::string::npos);
-  // Cancel beat admission and retry: the job never ran an attempt.
-  EXPECT_TRUE(outcomes[1].attempts.empty());
-  // Terminal jobs cannot be cancelled again.
-  EXPECT_FALSE(sup.request_cancel("second"));
-}
-
 TEST(Supervisor, ShedJobNeverTouchesTheMemoryBudget) {
   rt::MemoryBudget budget(8 << 20);  // 8 MB: far too small for any solve
   SupervisorOptions opt;
   opt.memory = &budget;
-  Supervisor sup(base_scenario(), opt);
   JobSpec spec = small_job("huge");
   spec.nx = 64;
   spec.ny = 64;
-  sup.submit(spec);
-  const JobOutcome o = only(sup.drain());
+  const JobOutcome o = only(run_jobs(opt, {spec}));
   EXPECT_EQ(o.state, TerminalState::Shed);
   EXPECT_TRUE(o.attempts.empty());
   // The shed path is pure arithmetic: no reservation, no relief chain run,
@@ -378,7 +372,6 @@ TEST(Supervisor, FallbackLadderDegradesBeforeShedding) {
   rt::MemoryBudget budget(small_demand.total_bytes() * 2);
   SupervisorOptions opt;
   opt.memory = &budget;
-  Supervisor sup(base_scenario(), opt);
   JobSpec spec = small_job("ladder");
   spec.nx = 64;
   spec.ny = 64;
@@ -386,8 +379,7 @@ TEST(Supervisor, FallbackLadderDegradesBeforeShedding) {
   rung.nx = 12;
   rung.ny = 8;
   spec.fallbacks.push_back(rung);
-  sup.submit(spec);
-  const JobOutcome o = only(sup.drain());
+  const JobOutcome o = only(run_jobs(opt, {spec}));
   EXPECT_EQ(o.state, TerminalState::Completed);
   EXPECT_EQ(o.degraded_rung, 0);
   EXPECT_EQ(o.ran.nx, 12);
@@ -402,29 +394,31 @@ TEST(Supervisor, FallbackLadderDegradesBeforeShedding) {
 }
 
 TEST(Supervisor, DuplicateAndInvalidSubmissionsRejected) {
-  Supervisor sup(base_scenario(), SupervisorOptions{});
-  sup.submit(small_job("dup"));
-  EXPECT_THROW(sup.submit(small_job("dup")), std::invalid_argument);
+  // Validation runs before admission: a batch holding any invalid spec is
+  // refused whole, so not even its valid job commits a job.json.
   JobSpec no_id = small_job("");
-  EXPECT_THROW(sup.submit(no_id), std::invalid_argument);
   JobSpec bad_solver = small_job("bad");
   bad_solver.solver = "quantum";
-  EXPECT_THROW(sup.submit(bad_solver), std::invalid_argument);
   JobSpec bad_steps = small_job("steps");
   bad_steps.nsteps = 0;
-  EXPECT_THROW(sup.submit(bad_steps), std::invalid_argument);
   JobSpec bad_fallback = small_job("fb");
   JobConfig fb;
   fb.solver = "quantum";
   bad_fallback.fallbacks.push_back(fb);
-  EXPECT_THROW(sup.submit(bad_fallback), std::invalid_argument);
-  EXPECT_EQ(sup.queue_depth(), 1u);
+  for (const JobSpec& bad : {small_job("dup"), no_id, bad_solver, bad_steps, bad_fallback}) {
+    SupervisorOptions opt;
+    opt.durable_root = fresh_root("invalid");
+    Scheduler sched(base_scenario(), serial(opt));
+    EXPECT_THROW(sched.run(at_time_zero({small_job("dup"), bad})), std::invalid_argument)
+        << "'" << bad.id << "'";
+    EXPECT_FALSE(file_exists(opt.durable_root + "/dup/job.json")) << "'" << bad.id << "'";
+  }
 }
 
 #ifdef FINCH_HAVE_FORK
-// Supervisor crash-restart: the child supervisor is SIGKILLed mid-job right
-// after a run manifest commits (the PR-7 commit-hook harness, filtered to
-// manifest renames). The restarted parent supervisor adopts the orphaned job
+// Crash-restart: the child scheduler is SIGKILLed mid-job right after a run
+// manifest commits (the PR-7 commit-hook harness, filtered to manifest
+// renames). The restarted parent scheduler adopts the orphaned job
 // directory — job.json present, terminal.json absent — and drives it to
 // Completed bit-exactly, resuming from the committed manifest.
 TEST(SupervisorCrash, RestartReadoptsJobWhoseManifestCommittedBeforeDeath) {
@@ -446,9 +440,8 @@ TEST(SupervisorCrash, RestartReadoptsJobWhoseManifestCommittedBeforeDeath) {
       if (path.find("manifest.json") == std::string::npos) return;
       if (++manifest_commits == 3) ::raise(SIGKILL);
     });
-    Supervisor victim(base_scenario(), opt);
-    victim.submit(spec);
-    victim.drain();
+    Scheduler victim(base_scenario(), serial(opt));
+    victim.run(at_time_zero({spec}));
     ::_exit(42);  // unreachable when the kill landed
   }
   int status = 0;
@@ -462,11 +455,11 @@ TEST(SupervisorCrash, RestartReadoptsJobWhoseManifestCommittedBeforeDeath) {
   EXPECT_FALSE(file_exists(root + "/orphan/terminal.json"));
   EXPECT_EQ(rt::read_manifest(root + "/orphan/manifest.json").last_step, 4);
 
-  Supervisor restarted(base_scenario(), opt);
+  Scheduler restarted(base_scenario(), serial(opt));
   const auto adopted = restarted.adopt_orphans();
   ASSERT_EQ(adopted.size(), 1u);
   EXPECT_EQ(adopted[0], "orphan");
-  const JobOutcome o = only(restarted.drain());
+  const JobOutcome o = only(restarted.run({}).outcomes);
   EXPECT_EQ(o.state, TerminalState::Completed);
   EXPECT_TRUE(o.adopted);
   ASSERT_EQ(o.attempts.size(), 1u);
