@@ -5,8 +5,9 @@
 // child process is forked, runs durably, and SIGKILLs itself at a seeded
 // kill point — either at a step boundary or from *inside* a checkpoint's
 // .tmp-write window (via the commit hook), the instant a naive in-place
-// writer would tear its only image. The parent reads the surviving
-// manifest, resumes in a fresh solver and demands the finished run be
+// writer would tear its only image. The parent finds the newest surviving
+// generation, resumes in a fresh solver (or starts at step 0 when the kill
+// landed before the first generation) and demands the finished run be
 // bit-identical to an uninterrupted reference. The second act rides out
 // injected AllocFailure/MemoryPressure storms on a tight memory budget via
 // the graceful-degradation relief chain; the third drains on a deadline and
@@ -18,6 +19,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -27,7 +29,6 @@
 #include "fig_common.hpp"
 #include "runtime/cancel.hpp"
 #include "runtime/checkpoint.hpp"
-#include "runtime/manifest.hpp"
 #include "runtime/memory.hpp"
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -95,15 +96,24 @@ FinalState reference_run(const std::string& solver,
   return out;
 }
 
-// Resume from `dir`'s manifest in a fresh solver and finish the run.
+// Restart the job in `dir` in a fresh solver — from its newest readable
+// generation, or from step 0 when none was committed — and finish the run.
+template <typename Solver>
+void restart(Solver& sol, const std::optional<rt::Generation>& gen, const std::string& dir) {
+  if (gen)
+    sol.resume_from(*gen, durable_options(dir));
+  else
+    sol.enable_resilience(durable_options(dir));
+}
+
 FinalState resume_and_finish(const std::string& solver, const std::string& dir,
                              const std::shared_ptr<const BtePhysics>& phys) {
   const BteScenario s = small_scenario();
-  const rt::RunManifest manifest = rt::read_manifest(dir + "/manifest.json");
+  const std::optional<rt::Generation> gen = rt::find_latest_generation(dir);
   FinalState out;
   if (solver == "cell") {
     CellPartitionedSolver sol(s, phys, kParts);
-    sol.resume_from(manifest, durable_options(dir));
+    restart(sol, gen, dir);
     out.resumed_step = sol.step_index();
     sol.run(kSteps - static_cast<int>(sol.step_index()));
     out.T = sol.gather_temperature();
@@ -111,7 +121,7 @@ FinalState resume_and_finish(const std::string& solver, const std::string& dir,
     out.stats = sol.resilience_stats();
   } else if (solver == "band") {
     BandPartitionedSolver sol(s, phys, kParts);
-    sol.resume_from(manifest, durable_options(dir));
+    restart(sol, gen, dir);
     out.resumed_step = sol.step_index();
     sol.run(kSteps - static_cast<int>(sol.step_index()));
     out.T = sol.temperature();
@@ -119,7 +129,7 @@ FinalState resume_and_finish(const std::string& solver, const std::string& dir,
     out.stats = sol.resilience_stats();
   } else {
     MultiGpuSolver sol(s, phys, kParts);
-    sol.resume_from(manifest, durable_options(dir));
+    restart(sol, gen, dir);
     out.resumed_step = sol.step_index();
     sol.run(kSteps - static_cast<int>(sol.step_index()));
     out.T = sol.temperature();
@@ -134,9 +144,11 @@ std::string fresh_dir(const std::string& name) {
 #ifdef FINCH_HAVE_FORK
   ::mkdir(dir.c_str(), 0755);
 #endif
-  for (int seq = 0; seq < 64; ++seq)
-    std::remove((dir + "/checkpoint_" + std::to_string(seq) + ".bin").c_str());
-  std::remove((dir + "/manifest.json").c_str());
+  for (int seq = 0; seq < 64; ++seq) {
+    const std::string path = dir + "/checkpoint_" + std::to_string(seq) + ".bin";
+    std::remove(path.c_str());
+    std::remove((path + ".tmp").c_str());
+  }
   return dir;
 }
 
@@ -153,8 +165,7 @@ void run_child_until_kill(const std::string& solver, const std::string& dir,
   const BteScenario s = small_scenario();
   if (kp.ckpt_write >= 1) {
     // Die mid-commit: inside the window where checkpoint_<seq>.bin.tmp is
-    // written+fsynced but the rename has not landed. Manifest writes share the
-    // hook, so filter to checkpoint images only.
+    // written+fsynced but the rename has not landed.
     static int writes = 0;
     static int target = 0;
     target = kp.ckpt_write;
@@ -236,7 +247,7 @@ int main(int argc, char** argv) {
       points.push_back({.step = 1 + static_cast<int>(x % (kSteps - 1)), .ckpt_write = -1});
     }
     for (int k = 0; k < midwrite_kills; ++k)
-      points.push_back({.step = -1, .ckpt_write = 2 + k});  // 1st write is step 0's
+      points.push_back({.step = -1, .ckpt_write = 2 + k});  // 2nd write is step 4's
 
     for (size_t k = 0; k < points.size(); ++k) {
       const std::string dir =
@@ -331,9 +342,10 @@ int main(int argc, char** argv) {
             "deadline drained the run at step " + std::to_string(sol.step_index()) +
                 " with a final checkpoint");
     }
-    const rt::RunManifest manifest = rt::read_manifest(dir + "/manifest.json");
-    check(manifest.cancel_reason == "deadline: steps",
-          "manifest records the drain reason ('" + manifest.cancel_reason + "')");
+    const std::optional<rt::Generation> drained = rt::find_latest_generation(dir);
+    const std::string reason = drained ? drained->manifest.cancel_reason : "";
+    check(reason == "deadline: steps", "final generation records the drain reason ('" + reason +
+                                           "')");
     const FinalState fin = resume_and_finish("cell", dir, phys);
     check(fin.resumed_step == kSteps / 2 && bitwise_equal(fin.T, ref.T) &&
               bitwise_equal(fin.I, ref.I),

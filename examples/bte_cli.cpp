@@ -10,9 +10,12 @@
 //   bte_cli --solver cellpart --parts 4    # distributed cell partitioning
 //   bte_cli --scenario corner --vtk out.vtk --csv out.csv
 //
-// Durable runs (cellpart / bandpart / multigpu): --durable DIR keeps on-disk
-// checkpoint generations plus a manifest in DIR, --cancel-after-steps N drains
-// cleanly at step N, and --resume continues a killed/drained job bit-exactly:
+// Durable runs (cellpart / bandpart / multigpu): --durable DIR commits every
+// --ckpt-interval steps one checkpoint_<seq>.bin generation file into DIR,
+// each carrying its run manifest; --cancel-after-steps N drains cleanly at
+// step N, and --resume continues a killed/drained job bit-exactly from the
+// newest readable generation (from step 0 when DIR holds none; exit 1 when
+// every generation in DIR is unreadable):
 //
 //   bte_cli --solver cellpart --durable job/ --steps 200 --cancel-after-steps 50
 //   bte_cli --solver cellpart --durable job/ --steps 200 --resume
@@ -35,7 +38,8 @@
 //
 // Exit codes (single run and batch; batch takes the worst across jobs):
 //   0  completed        all steps ran
-//   1  usage error      bad flags / malformed or invalid job file
+//   1  usage error      bad flags / malformed or invalid job file / --resume
+//                       on a durable dir whose every generation is unreadable
 //   2  cancelled        a deadline drained the run (resumable when durable)
 //   3  failed           solver threw, or a batch job was shed / not runnable
 //   4  quarantined      the poison circuit breaker tripped (batch only)
@@ -44,6 +48,7 @@
 #include <cstdio>
 #include <cstring>
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -55,7 +60,7 @@
 #include "bte/resilience.hpp"
 #include "mesh/vtk_io.hpp"
 #include "runtime/cancel.hpp"
-#include "runtime/manifest.hpp"
+#include "runtime/checkpoint.hpp"
 #include "svc/job_file.hpp"
 #include "svc/scheduler.hpp"
 
@@ -76,8 +81,8 @@ struct Options {
   int devices = 1;
   int parts = 2;
   std::string vtk, csv;
-  std::string durable;          // directory for checkpoints + manifest
-  bool resume = false;          // continue from the manifest in `durable`
+  std::string durable;          // directory for checkpoint generations
+  bool resume = false;          // continue from the newest generation in `durable`
   int ckpt_interval = 16;       // durable checkpoint period (steps)
   long cancel_after_steps = 0;  // > 0: drain at this step deadline
   std::string jobs;             // batch mode: JSON job file for the scheduler
@@ -103,10 +108,11 @@ void usage() {
       "  --parts N                         ranks for cellpart/bandpart\n"
       "  --vtk FILE --csv FILE             temperature field outputs\n"
       "  --durable DIR                     durable run: on-disk checkpoint generations\n"
-      "                                    + manifest in DIR (cellpart/bandpart/multigpu)\n"
+      "                                    in DIR (cellpart/bandpart/multigpu)\n"
       "  --ckpt-interval N                 durable checkpoint period in steps (default 16)\n"
-      "  --resume                          continue bit-exactly from DIR's manifest\n"
-      "  --cancel-after-steps N            drain cleanly (final checkpoint + manifest)\n"
+      "  --resume                          continue bit-exactly from DIR's newest\n"
+      "                                    readable generation (step 0 when none)\n"
+      "  --cancel-after-steps N            drain cleanly (final checkpoint generation)\n"
       "                                    once N total steps have completed\n"
       "  --jobs FILE                       batch mode: run a JSON job list under the\n"
       "                                    job scheduler (--durable ROOT keeps\n"
@@ -117,7 +123,8 @@ void usage() {
       "  --queue-capacity N                batch: bound the admission queue; overflow\n"
       "                                    arrivals are shed (low priority) or\n"
       "                                    rejected with a retry-after hint\n"
-      "exit codes: 0 completed, 1 usage error or invalid job file, 2 cancelled/drained,\n"
+      "exit codes: 0 completed, 1 usage error, invalid job file or unreadable\n"
+      "            generations on --resume, 2 cancelled/drained,\n"
       "            3 failed/shed, 4 quarantined, 5 rejected by backpressure\n");
 }
 
@@ -173,11 +180,13 @@ bool parse(int argc, char** argv, Options& o) {
 }
 
 // Drives one of the distributed solvers for `nsteps`, honoring the durable /
-// resume / cancel flags. Returns the step the run actually stopped at (equal
-// to nsteps unless a deadline drained it first, in which case `drained` is
-// set and the process exits 2).
+// resume / cancel flags; `resume_point` is what --resume found in the durable
+// dir. Returns the step the run actually stopped at (equal to nsteps unless a
+// deadline drained it first, in which case `drained` is set and the process
+// exits 2).
 template <typename Solver>
-int64_t drive(Solver& solver, const Options& o, int nsteps, bool& drained) {
+int64_t drive(Solver& solver, const Options& o, const std::optional<rt::Generation>& resume_point,
+              int nsteps, bool& drained) {
   if (o.durable.empty() && o.cancel_after_steps <= 0) {
     solver.run(nsteps);
     return solver.step_index();
@@ -190,14 +199,15 @@ int64_t drive(Solver& solver, const Options& o, int nsteps, bool& drained) {
     cancel.set_step_deadline(o.cancel_after_steps);
     ropt.cancel = &cancel;
   }
-  if (o.resume) {
-    const rt::RunManifest m = rt::read_manifest(ropt.durable.manifest_path());
-    solver.resume_from(m, ropt);
-    std::printf("resumed from %s at step %lld%s%s\n", ropt.durable.manifest_path().c_str(),
+  if (resume_point) {
+    solver.resume_from(*resume_point, ropt);
+    const std::string& reason = resume_point->manifest.cancel_reason;
+    std::printf("resumed from %s at step %lld%s%s\n", resume_point->path.c_str(),
                 static_cast<long long>(solver.step_index()),
-                m.cancel_reason.empty() ? "" : ", previously drained: ",
-                m.cancel_reason.c_str());
+                reason.empty() ? "" : ", previously drained: ", reason.c_str());
   } else {
+    if (o.resume)
+      std::printf("no checkpoint generation in %s; starting at step 0\n", o.durable.c_str());
 #if defined(__unix__) || defined(__APPLE__)
     if (!o.durable.empty()) ::mkdir(o.durable.c_str(), 0755);
 #endif
@@ -339,13 +349,22 @@ int main(int argc, char** argv) {
   const bool durable_solver =
       o.solver == "cellpart" || o.solver == "bandpart" || o.solver == "multigpu";
   if (o.resume && o.durable.empty()) {
-    std::fprintf(stderr, "--resume requires --durable DIR (the manifest's directory)\n");
+    std::fprintf(stderr, "--resume requires --durable DIR (the generations' directory)\n");
     return 1;
   }
   if (durable_flags && !durable_solver) {
     std::fprintf(stderr, "--durable/--resume/--cancel-after-steps require "
                          "--solver cellpart|bandpart|multigpu\n");
     return 1;
+  }
+  std::optional<rt::Generation> resume_point;
+  if (o.resume) {
+    try {
+      resume_point = rt::find_latest_generation(o.durable);
+    } catch (const rt::CheckpointError& e) {
+      std::fprintf(stderr, "cannot resume: %s\n", e.what());
+      return 1;
+    }
   }
   const BteScenario& s = o.scenario;
   auto phys = std::make_shared<const BtePhysics>(s.nbands, s.ndirs);
@@ -364,7 +383,7 @@ int main(int argc, char** argv) {
                 solver.temperature_seconds());
   } else if (o.solver == "multigpu") {
     MultiGpuSolver solver(s, phys, o.devices);
-    drive(solver, o, s.nsteps, drained);
+    drive(solver, o, resume_point, s.nsteps, drained);
     T = solver.temperature();
     report(T, s.nsteps * s.dt * 1e9);
     const auto& ph = solver.phases();
@@ -376,7 +395,7 @@ int main(int argc, char** argv) {
                   (solver.device(d).counters().bytes_h2d + solver.device(d).counters().bytes_d2h) / 1e6);
   } else if (o.solver == "cellpart") {
     CellPartitionedSolver solver(s, phys, o.parts);
-    drive(solver, o, s.nsteps, drained);
+    drive(solver, o, resume_point, s.nsteps, drained);
     T = solver.gather_temperature();
     report(T, s.nsteps * s.dt * 1e9);
     std::printf("halo exchange: %.2f MB/step over %lld messages\n",
@@ -384,7 +403,7 @@ int main(int argc, char** argv) {
                 static_cast<long long>(solver.comm().messages_per_step));
   } else if (o.solver == "bandpart") {
     BandPartitionedSolver solver(s, phys, o.parts);
-    drive(solver, o, s.nsteps, drained);
+    drive(solver, o, resume_point, s.nsteps, drained);
     T = solver.temperature();
     report(T, s.nsteps * s.dt * 1e9);
     std::printf("band gather: %.2f MB/step\n", solver.comm().bytes_per_step / 1e6);

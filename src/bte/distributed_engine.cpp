@@ -3,8 +3,210 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <string_view>
+
+#include "runtime/metrics.hpp"
 
 namespace finch::bte {
+
+namespace {
+
+// Mirrors a solver's recovery tallies into the global metrics registry under
+// `solver.*` names (OBSERVABILITY.md). ResilienceStats counters only grow, so
+// publication is delta-based against `published` — the caller keeps one
+// previously-published copy per solver and calls this at the end of run();
+// repeated runs then accumulate correctly instead of double-counting.
+void publish_resilience_metrics(const ResilienceStats& now, ResilienceStats& published) {
+  auto& mx = rt::MetricsRegistry::global();
+  const auto count = [&mx](const char* name, int64_t cur, int64_t prev) {
+    if (cur > prev) mx.counter(name).add(static_cast<double>(cur - prev));
+  };
+  const auto secs = [&mx](const char* name, double cur, double prev) {
+    if (cur > prev) mx.counter(name).add(cur - prev);
+  };
+  count("solver.retries", now.retries, published.retries);
+  count("solver.rollbacks", now.rollbacks, published.rollbacks);
+  count("solver.replayed_steps", now.replayed_steps, published.replayed_steps);
+  count("solver.checkpoints", now.checkpoints, published.checkpoints);
+  count("solver.validations", now.validations, published.validations);
+  count("solver.faults_detected", now.faults_detected, published.faults_detected);
+  count("solver.evictions", now.evictions, published.evictions);
+  count("solver.sdc_detections", now.sdc_detections, published.sdc_detections);
+  count("solver.block_repairs", now.block_repairs, published.block_repairs);
+  count("solver.repair_failures", now.repair_failures, published.repair_failures);
+  count("solver.sentinel_checks", now.sentinel_checks, published.sentinel_checks);
+  count("solver.invariant_violations", now.invariant_violations, published.invariant_violations);
+  count("solver.hang_escalations", now.hang_escalations, published.hang_escalations);
+  count("solver.speculations", now.speculations, published.speculations);
+  count("solver.rebalances", now.rebalances, published.rebalances);
+  count("solver.ckpt_restore_retries", now.ckpt_restore_retries, published.ckpt_restore_retries);
+  count("solver.ckpt_generation_fallbacks", now.ckpt_generation_fallbacks,
+        published.ckpt_generation_fallbacks);
+  count("solver.ckpt_hang_stalls", now.ckpt_hang_stalls, published.ckpt_hang_stalls);
+  count("solver.alloc_failures", now.alloc_failures, published.alloc_failures);
+  count("solver.pressure_events", now.pressure_events, published.pressure_events);
+  count("solver.reliefs", now.reliefs, published.reliefs);
+  count("solver.relieved_bytes", now.relieved_bytes, published.relieved_bytes);
+  count("run.generations_committed", now.generations_committed, published.generations_committed);
+  count("run.resumes", now.resumes, published.resumes);
+  count("cancel.drains", now.cancel_drains, published.cancel_drains);
+  secs("solver.recovery_seconds", now.recovery_seconds, published.recovery_seconds);
+  secs("solver.redistribution_seconds", now.redistribution_seconds, published.redistribution_seconds);
+  secs("solver.audit_seconds", now.audit_seconds, published.audit_seconds);
+  secs("solver.speculation_seconds", now.speculation_seconds, published.speculation_seconds);
+  secs("solver.rebalance_seconds", now.rebalance_seconds, published.rebalance_seconds);
+  published = now;
+}
+
+// ---- hardened checkpoint restore --------------------------------------------
+//
+// The restore path is itself a fault surface: the process re-reading an image
+// can hang mid-read ("HangExchange @ ckpt-restore") and the bytes it reads can
+// take a flip in flight ("BitFlipMessage @ ckpt-restore") — cross-class
+// interactions the per-step defenses never see because they strike *during*
+// recovery. This loader hardens every rollback / eviction restore:
+//
+//   for each checkpoint generation (newest first):
+//     for each read attempt (<= max_retries):
+//       ride out an injected hang (bounded: the heartbeat suspicion timeout
+//         when the fail-slow defense is armed, the raw hang timeout otherwise),
+//       read a fresh copy of the image, apply any injected in-flight flip,
+//       deserialize — the image checksums catch torn/flipped bytes — and
+//       return on success; on CheckpointError charge a backoff and re-read.
+//     every read of this generation corrupted -> fall back one generation
+//     (older step, more replay, still bit-exact).
+//
+// Only when every read of every generation fails does the restore surface
+// ResilienceError. `charge_stall(seconds)` bills virtual stall time to the
+// caller's recovery phase. Tallies land in ResilienceStats::ckpt_*.
+template <typename ChargeStall>
+rt::Snapshot load_checkpoint_guarded(const rt::CheckpointStore& store,
+                                     const ResilienceOptions& opt, ResilienceStats& stats,
+                                     ChargeStall&& charge_stall) {
+  if (store.generations() == 0) throw rt::CheckpointError("no checkpoint saved");
+  std::string last_error;
+  for (int gen = 0; gen < store.generations(); ++gen) {
+    for (int attempt = 0; attempt <= opt.max_retries; ++attempt) {
+      if (opt.injector != nullptr &&
+          opt.injector->should_fault(rt::FaultKind::HangExchange, "ckpt-restore")) {
+        stats.ckpt_hang_stalls += 1;
+        charge_stall(opt.straggler.enabled ? opt.heartbeat.suspicion_timeout()
+                                           : opt.injector->hang_seconds());
+      }
+      std::vector<std::byte> image = store.image_copy(gen);
+      if (opt.injector != nullptr && !image.empty() &&
+          opt.injector->should_fault(rt::FaultKind::BitFlipMessage, "ckpt-restore"))
+        opt.injector->flip_raw_bit(image, rt::FaultKind::BitFlipMessage, "ckpt-restore");
+      try {
+        return rt::deserialize(image);
+      } catch (const rt::CheckpointError& err) {
+        last_error = err.what();
+        stats.ckpt_restore_retries += 1;
+        charge_stall(backoff_delay(opt, attempt));
+        // With no injector the bytes cannot change between reads; re-reading
+        // the same in-memory image would fail identically, so fall through to
+        // the older generation at once.
+        if (opt.injector == nullptr) break;
+      }
+    }
+    if (gen + 1 < store.generations()) stats.ckpt_generation_fallbacks += 1;
+  }
+  throw ResilienceError("checkpoint restore failed on every generation: " + last_error);
+}
+
+// ---- durable-run helpers ----------------------------------------------------
+
+// Order-sensitive bitwise FNV-1a accumulator over the run configuration. The
+// manifest records the hash so resume_from() can refuse to graft a checkpoint
+// onto a solver built from a different scenario/topology — a silent mismatch
+// would "resume" into garbage that still looks finite.
+struct ConfigHasher {
+  uint64_t h = 0xcbf29ce484222325ULL;
+  ConfigHasher& mix_bytes(const void* p, size_t n) {
+    const auto* b = static_cast<const unsigned char*>(p);
+    for (size_t i = 0; i < n; ++i) {
+      h ^= b[i];
+      h *= 0x100000001b3ULL;
+    }
+    return *this;
+  }
+  ConfigHasher& mix(double v) { return mix_bytes(&v, sizeof v); }
+  ConfigHasher& mix(int64_t v) { return mix_bytes(&v, sizeof v); }
+  ConfigHasher& mix(const std::string& s) {
+    mix(static_cast<int64_t>(s.size()));
+    return mix_bytes(s.data(), s.size());
+  }
+  uint64_t value() const { return h; }
+};
+
+// Step-boundary consult of the resource fault class. MemoryPressure models an
+// external squeeze (co-tenant, OS): the usable budget transiently halves and
+// the relief chain restores headroom. AllocFailure models a failed first
+// allocation attempt inside the step: relief runs, then the retried
+// allocation is charged one backoff of virtual stall time. Both are absorbed
+// — graceful degradation only ever frees rebuildable state (the second
+// checkpoint generation, scratch, the in-memory images once spilled to disk),
+// so the numerical trajectory stays bit-exact. `charge_stall(seconds)` bills
+// the caller's recovery phase.
+template <typename ChargeStall>
+void consult_resource_faults(const ResilienceOptions& opt, ResilienceStats& stats,
+                             std::string_view site, ChargeStall&& charge_stall) {
+  if (opt.injector == nullptr) return;
+  const auto relieve = [&](int64_t headroom) {
+    if (opt.memory == nullptr) return;
+    const int64_t freed = opt.memory->run_relief(headroom);
+    if (freed > 0) {
+      stats.reliefs += 1;
+      stats.relieved_bytes += freed;
+    }
+  };
+  if (opt.injector->should_fault(rt::FaultKind::MemoryPressure, site)) {
+    stats.pressure_events += 1;
+    if (opt.memory != nullptr) opt.memory->spike(0.5);
+    relieve(0);
+  }
+  if (opt.injector->should_fault(rt::FaultKind::AllocFailure, site)) {
+    stats.alloc_failures += 1;
+    relieve(0);
+    charge_stall(backoff_delay(opt, 0));
+  }
+}
+
+// The run state a durable generation carries beside the fields. The
+// injector's whole resumable state (counters + event log) rides along so a
+// restarted process draws the exact fault sequence the killed one would have;
+// the store stamps the generation's step and sequence number.
+rt::RunManifest run_manifest(const ResilienceOptions& opt, const char* solver, int nparts,
+                             uint64_t config_hash, const std::string& cancel_reason) {
+  rt::RunManifest m;
+  m.config_hash = config_hash;
+  m.injector_seed = opt.injector != nullptr ? opt.injector->seed() : 0;
+  m.solver = solver;
+  m.nparts = nparts;
+  if (opt.injector != nullptr) {
+    m.injector_counters = opt.injector->export_counters();
+    m.injector_events = opt.injector->events();
+  }
+  m.cancel_reason = cancel_reason;
+  return m;
+}
+
+// Refuses to resume a generation on the wrong solver or problem — a silent
+// mismatch would continue into a finite-looking but wrong trajectory.
+void check_generation_matches(const rt::Generation& gen, std::string_view solver,
+                              uint64_t config_hash) {
+  if (gen.manifest.solver != solver)
+    throw rt::CheckpointError("generation solver mismatch: " + gen.path + " was written by a '" +
+                              gen.manifest.solver + "' solver but a '" + std::string(solver) +
+                              "' solver is resuming");
+  if (gen.manifest.config_hash != config_hash)
+    throw rt::CheckpointError("generation config-hash mismatch: " + gen.path +
+                              " was written by a run with a different scenario/discretization; "
+                              "refusing to resume");
+}
+
+}  // namespace
+
 
 // ---- Upwind --------------------------------------------------------------------
 
@@ -245,8 +447,8 @@ void DistributedEngine::run(int nsteps) {
   int rollback_budget = res_.max_rollbacks;
   while (step_index_ < target) {
     // Cooperative cancellation: a cancel request or deadline drains at the
-    // step boundary — final checkpoint at the current step, manifest carrying
-    // the reason — leaving the job resumable exactly like a crashed one.
+    // step boundary — a final generation at the current step, carrying the
+    // reason — leaving the job resumable exactly like a crashed one.
     if (res_.cancel != nullptr && res_.cancel->should_drain(step_index_, virtual_elapsed())) {
       take_checkpoint(res_.cancel->drain_reason(step_index_, virtual_elapsed()));
       rstats_.cancel_drains += 1;
@@ -316,32 +518,38 @@ void DistributedEngine::enable_resilience(const ResilienceOptions& options) {
   arm(options);
   if (!res_.durable.dir.empty())
     store_ = rt::CheckpointStore(res_.durable.dir, res_.durable.disk_generations);
-  take_checkpoint();  // rollback target before any resilient step runs
+  // The rollback target before any resilient step runs. Step 0 stays in
+  // memory: the spec regenerates it bit-exactly, so a crash before the first
+  // periodic generation restarts from step 0 and loses nothing.
+  if (step_index_ == 0) {
+    store_.hold(snapshot());
+    rstats_.checkpoints += 1;
+  } else {
+    take_checkpoint();
+  }
 }
 
-void DistributedEngine::resume_from(const rt::RunManifest& manifest,
-                                    const ResilienceOptions& options) {
+void DistributedEngine::resume_from(const rt::Generation& gen, const ResilienceOptions& options) {
   validate_resilience_options(options);
   if (options.durable.dir.empty())
-    throw std::invalid_argument("resume_from: options.durable.dir must name the manifest's dir");
-  check_manifest_matches(manifest, sites_.solver, config_hash());
+    throw std::invalid_argument(
+        "resume_from: options.durable.dir must name the generation's directory");
+  check_generation_matches(gen, sites_.solver, config_hash());
   arm(options);
+  restore(gen.state);
+  // The restored image is the newest generation again, in memory and backed
+  // by the file it came from, so resuming commits nothing. The generation's
+  // older siblings stay its fallbacks.
   store_ = rt::CheckpointStore(res_.durable.dir, res_.durable.disk_generations);
-  store_.resume_sequence(manifest.saves);
-  // Adopt the prior run's surviving generation files so the first
-  // post-resume manifest keeps them as fallback: without them a second crash
-  // with a damaged newest generation has nothing older to fall back to.
-  store_.adopt_disk_paths(manifest.checkpoints);
-  restore(load_manifest_checkpoint(manifest, rstats_));
+  store_.resume(gen);
+  rstats_.ckpt_generation_fallbacks += gen.skipped;
   // The injector resumes the exact draw sequence the killed process would
-  // have produced — counters key every draw, the event-log size keys victim
-  // and flip draws.
+  // have produced from this generation — counters key every draw, the
+  // event-log size keys victim and flip draws. State and counters come from
+  // one file, so a fallback generation brings its own draw position.
   if (res_.injector != nullptr)
-    res_.injector->import_counters(manifest.injector_counters, manifest.injector_events);
+    res_.injector->import_counters(gen.manifest.injector_counters, gen.manifest.injector_events);
   rstats_.resumes += 1;
-  // Re-checkpoint the restored state: primes the in-memory rollback target
-  // (and a fresh generation file + manifest) without consuming any draws.
-  take_checkpoint();
 }
 
 // Graceful degradation, cheapest first. Every relief frees only rebuildable
@@ -422,10 +630,15 @@ void DistributedEngine::maybe_mitigate_stragglers() {
 }
 
 void DistributedEngine::take_checkpoint(const std::string& cancel_reason) {
-  store_.save(snapshot());
+  if (res_.durable.dir.empty()) {
+    store_.save(snapshot());
+  } else {
+    const rt::RunManifest m = run_manifest(res_, sites_.solver, nparts_, config_hash(),
+                                           cancel_reason);
+    store_.save(snapshot(), &m);
+    rstats_.generations_committed += 1;
+  }
   rstats_.checkpoints += 1;
-  write_run_manifest(res_, rstats_, sites_.solver, nparts_, config_hash(), store_,
-                     cancel_reason);
 }
 
 void DistributedEngine::restore_checkpoint() {

@@ -10,7 +10,8 @@
 //    validate and checkpoint or roll back (the state machine documented in
 //    resilience.hpp);
 //  * enable_resilience / resume_from, eviction and rebalance orchestration,
-//    checkpoints with their durable manifest and config hash;
+//    checkpoints, and durable generations carrying their run manifest and
+//    config hash;
 //  * memory reliefs, SDC detection bookkeeping and stats publication;
 //  * the upwind update (Upwind), and the band layout (BandLayout) the band
 //    and multi-GPU strategies share.
@@ -182,19 +183,20 @@ class DistributedEngine {
 
   // Arms recovery with `options` and takes the first checkpoint: every step
   // of run() is then validated, and fault sites retry with bounded backoff.
+  // A durable run keeps a step-0 checkpoint in memory only; later ones are
+  // committed as generation files.
   void enable_resilience(const ResilienceOptions& options);
   bool resilient() const { return resilient_; }
   const ResilienceStats& resilience_stats() const { return rstats_; }
   const StepHealth& last_health() const { return health_; }
   int64_t step_index() const { return step_index_; }
 
-  // Durable restart: arms resilience from `options` (which must carry the
-  // durable dir the manifest was written into), validates the manifest
-  // against this solver's configuration, restores the newest readable
-  // on-disk generation (falling back across recorded paths), re-imports the
-  // injector's counter/event state, and re-checkpoints — after which run()
-  // continues bit-exactly where the killed or drained process left off.
-  void resume_from(const rt::RunManifest& manifest, const ResilienceOptions& options);
+  // Durable restart from `gen` (rt::find_latest_generation of the durable
+  // dir `options` names): arms resilience, refuses a generation written by
+  // another solver or configuration, restores its state and re-imports its
+  // injector counter/event state. Nothing is committed; run() then continues
+  // bit-exactly where the killed or drained process left off.
+  void resume_from(const rt::Generation& gen, const ResilienceOptions& options);
 
   // Elastic shrink: kills `rank` (a device, for MultiGpuSolver) permanently.
   // The death is discovered at the next run() step boundary; the survivors

@@ -29,21 +29,20 @@
 // breakdown (detection under `recovery`, state respread under
 // `redistribution`), so benchmarks can plot recovery overhead vs. fault rate
 // on the same axes as the paper's phase figures.
+//
+// This header holds the options, their validation, the stats and the backoff
+// rule; the machinery that runs them lives in distributed_engine.cpp.
 
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <stdexcept>
 #include <string>
-#include <string_view>
-#include <vector>
 
 #include "runtime/cancel.hpp"
 #include "runtime/checkpoint.hpp"
 #include "runtime/fault.hpp"
-#include "runtime/manifest.hpp"
 #include "runtime/memory.hpp"
-#include "runtime/metrics.hpp"
 #include "runtime/straggler.hpp"
 
 namespace finch::bte {
@@ -76,15 +75,13 @@ struct SdcOptions {
   double energy_drift_tol = 0.05;
 };
 
-// Durable-run configuration: with a non-empty `dir` the solver keeps its
-// CheckpointStore on disk (`checkpoint_<seq>.bin` generation files) and
-// maintains an atomically-written `manifest.json` sidecar next to them after
-// every checkpoint, so a SIGKILLed/OOMed process restarts bit-exactly via
-// resume_from() (see runtime/manifest.hpp).
+// Durable-run configuration: with a non-empty `dir` the solver commits every
+// periodic checkpoint as one `checkpoint_<seq>.bin` generation file carrying
+// its run manifest, so a SIGKILLed/OOMed process restarts bit-exactly via
+// rt::find_latest_generation() and resume_from() (see runtime/checkpoint.hpp).
 struct DurableOptions {
   std::string dir;           // empty: in-memory checkpoints only (not durable)
   int disk_generations = 2;  // on-disk generation files retained (>= 1)
-  std::string manifest_path() const { return dir + "/manifest.json"; }
 };
 
 struct ResilienceOptions {
@@ -125,7 +122,8 @@ struct ResilienceOptions {
   // Durable runs: on-disk checkpoint generations + manifest sidecar.
   DurableOptions durable;
   // Cooperative cancellation: consulted at every step boundary; a hit drains
-  // (final checkpoint + manifest) and returns instead of aborting. Null: off.
+  // (a final generation carrying the reason) and returns instead of
+  // aborting. Null: off.
   rt::CancelToken* cancel = nullptr;
   // Resource-exhaustion defense: AllocFailure / MemoryPressure faults run
   // this budget's relief chain (drop the second checkpoint generation, shrink
@@ -184,57 +182,10 @@ struct ResilienceStats {
   int64_t reliefs = 0;           // relief-chain runs that freed something
   int64_t relieved_bytes = 0;    // total bytes freed by graceful degradation
   // ---- durable runs --------------------------------------------------------
-  int64_t manifests_written = 0;  // manifest sidecar writes (one per checkpoint)
+  int64_t generations_committed = 0;  // durable generation files written
   int64_t resumes = 0;            // resume_from() restarts absorbed by this solver
   int64_t cancel_drains = 0;      // runs that drained on a cancel/deadline
 };
-
-// Mirrors a solver's recovery tallies into the global metrics registry under
-// `solver.*` names (OBSERVABILITY.md). ResilienceStats counters only grow, so
-// publication is delta-based against `published` — the caller keeps one
-// previously-published copy per solver and calls this at the end of run();
-// repeated runs then accumulate correctly instead of double-counting.
-inline void publish_resilience_metrics(const ResilienceStats& now, ResilienceStats& published) {
-  auto& mx = rt::MetricsRegistry::global();
-  const auto count = [&mx](const char* name, int64_t cur, int64_t prev) {
-    if (cur > prev) mx.counter(name).add(static_cast<double>(cur - prev));
-  };
-  const auto secs = [&mx](const char* name, double cur, double prev) {
-    if (cur > prev) mx.counter(name).add(cur - prev);
-  };
-  count("solver.retries", now.retries, published.retries);
-  count("solver.rollbacks", now.rollbacks, published.rollbacks);
-  count("solver.replayed_steps", now.replayed_steps, published.replayed_steps);
-  count("solver.checkpoints", now.checkpoints, published.checkpoints);
-  count("solver.validations", now.validations, published.validations);
-  count("solver.faults_detected", now.faults_detected, published.faults_detected);
-  count("solver.evictions", now.evictions, published.evictions);
-  count("solver.sdc_detections", now.sdc_detections, published.sdc_detections);
-  count("solver.block_repairs", now.block_repairs, published.block_repairs);
-  count("solver.repair_failures", now.repair_failures, published.repair_failures);
-  count("solver.sentinel_checks", now.sentinel_checks, published.sentinel_checks);
-  count("solver.invariant_violations", now.invariant_violations, published.invariant_violations);
-  count("solver.hang_escalations", now.hang_escalations, published.hang_escalations);
-  count("solver.speculations", now.speculations, published.speculations);
-  count("solver.rebalances", now.rebalances, published.rebalances);
-  count("solver.ckpt_restore_retries", now.ckpt_restore_retries, published.ckpt_restore_retries);
-  count("solver.ckpt_generation_fallbacks", now.ckpt_generation_fallbacks,
-        published.ckpt_generation_fallbacks);
-  count("solver.ckpt_hang_stalls", now.ckpt_hang_stalls, published.ckpt_hang_stalls);
-  count("solver.alloc_failures", now.alloc_failures, published.alloc_failures);
-  count("solver.pressure_events", now.pressure_events, published.pressure_events);
-  count("solver.reliefs", now.reliefs, published.reliefs);
-  count("solver.relieved_bytes", now.relieved_bytes, published.relieved_bytes);
-  count("run.manifests_written", now.manifests_written, published.manifests_written);
-  count("run.resumes", now.resumes, published.resumes);
-  count("cancel.drains", now.cancel_drains, published.cancel_drains);
-  secs("solver.recovery_seconds", now.recovery_seconds, published.recovery_seconds);
-  secs("solver.redistribution_seconds", now.redistribution_seconds, published.redistribution_seconds);
-  secs("solver.audit_seconds", now.audit_seconds, published.audit_seconds);
-  secs("solver.speculation_seconds", now.speculation_seconds, published.speculation_seconds);
-  secs("solver.rebalance_seconds", now.rebalance_seconds, published.rebalance_seconds);
-  published = now;
-}
 
 // Exponential backoff cost for attempt k (0-based): base * 2^k, clamped to
 // backoff_max_s so an unlucky retry chain cannot dominate the step time.
@@ -310,177 +261,6 @@ inline void validate_resilience_options(const ResilienceOptions& opt) {
          std::to_string(opt.checkpoint.interval) +
          " never writes a generation, so a crash always restarts from step 0; give "
          "checkpoint.interval a positive period or clear durable.dir");
-}
-
-// ---- hardened checkpoint restore --------------------------------------------
-//
-// The restore path is itself a fault surface: the process re-reading an image
-// can hang mid-read ("HangExchange @ ckpt-restore") and the bytes it reads can
-// take a flip in flight ("BitFlipMessage @ ckpt-restore") — cross-class
-// interactions the per-step defenses never see because they strike *during*
-// recovery. This loader hardens every rollback / eviction restore:
-//
-//   for each checkpoint generation (newest first):
-//     for each read attempt (<= max_retries):
-//       ride out an injected hang (bounded: the heartbeat suspicion timeout
-//         when the fail-slow defense is armed, the raw hang timeout otherwise),
-//       read a fresh copy of the image, apply any injected in-flight flip,
-//       deserialize — the image checksums catch torn/flipped bytes — and
-//       return on success; on CheckpointError charge a backoff and re-read.
-//     every read of this generation corrupted -> fall back one generation
-//     (older step, more replay, still bit-exact).
-//
-// Only when every read of every generation fails does the restore surface
-// ResilienceError. `charge_stall(seconds)` bills virtual stall time to the
-// caller's recovery phase. Tallies land in ResilienceStats::ckpt_*.
-template <typename ChargeStall>
-rt::Snapshot load_checkpoint_guarded(const rt::CheckpointStore& store,
-                                     const ResilienceOptions& opt, ResilienceStats& stats,
-                                     ChargeStall&& charge_stall) {
-  if (store.generations() == 0) throw rt::CheckpointError("no checkpoint saved");
-  std::string last_error;
-  for (int gen = 0; gen < store.generations(); ++gen) {
-    for (int attempt = 0; attempt <= opt.max_retries; ++attempt) {
-      if (opt.injector != nullptr &&
-          opt.injector->should_fault(rt::FaultKind::HangExchange, "ckpt-restore")) {
-        stats.ckpt_hang_stalls += 1;
-        charge_stall(opt.straggler.enabled ? opt.heartbeat.suspicion_timeout()
-                                           : opt.injector->hang_seconds());
-      }
-      std::vector<std::byte> image = store.image_copy(gen);
-      if (opt.injector != nullptr && !image.empty() &&
-          opt.injector->should_fault(rt::FaultKind::BitFlipMessage, "ckpt-restore"))
-        opt.injector->flip_raw_bit(image, rt::FaultKind::BitFlipMessage, "ckpt-restore");
-      try {
-        return rt::deserialize(image);
-      } catch (const rt::CheckpointError& err) {
-        last_error = err.what();
-        stats.ckpt_restore_retries += 1;
-        charge_stall(backoff_delay(opt, attempt));
-        // With no injector the bytes cannot change between reads; re-reading
-        // the same in-memory image would fail identically, so fall through to
-        // the older generation at once.
-        if (opt.injector == nullptr) break;
-      }
-    }
-    if (gen + 1 < store.generations()) stats.ckpt_generation_fallbacks += 1;
-  }
-  throw ResilienceError("checkpoint restore failed on every generation: " + last_error);
-}
-
-// ---- durable-run helpers ----------------------------------------------------
-
-// Order-sensitive bitwise FNV-1a accumulator over the run configuration. The
-// manifest records the hash so resume_from() can refuse to graft a checkpoint
-// onto a solver built from a different scenario/topology — a silent mismatch
-// would "resume" into garbage that still looks finite.
-struct ConfigHasher {
-  uint64_t h = 0xcbf29ce484222325ULL;
-  ConfigHasher& mix_bytes(const void* p, size_t n) {
-    const auto* b = static_cast<const unsigned char*>(p);
-    for (size_t i = 0; i < n; ++i) {
-      h ^= b[i];
-      h *= 0x100000001b3ULL;
-    }
-    return *this;
-  }
-  ConfigHasher& mix(double v) { return mix_bytes(&v, sizeof v); }
-  ConfigHasher& mix(int64_t v) { return mix_bytes(&v, sizeof v); }
-  ConfigHasher& mix(const std::string& s) {
-    mix(static_cast<int64_t>(s.size()));
-    return mix_bytes(s.data(), s.size());
-  }
-  uint64_t value() const { return h; }
-};
-
-// Step-boundary consult of the resource fault class. MemoryPressure models an
-// external squeeze (co-tenant, OS): the usable budget transiently halves and
-// the relief chain restores headroom. AllocFailure models a failed first
-// allocation attempt inside the step: relief runs, then the retried
-// allocation is charged one backoff of virtual stall time. Both are absorbed
-// — graceful degradation only ever frees rebuildable state (the second
-// checkpoint generation, scratch, the in-memory images once spilled to disk),
-// so the numerical trajectory stays bit-exact. `charge_stall(seconds)` bills
-// the caller's recovery phase.
-template <typename ChargeStall>
-void consult_resource_faults(const ResilienceOptions& opt, ResilienceStats& stats,
-                             std::string_view site, ChargeStall&& charge_stall) {
-  if (opt.injector == nullptr) return;
-  const auto relieve = [&](int64_t headroom) {
-    if (opt.memory == nullptr) return;
-    const int64_t freed = opt.memory->run_relief(headroom);
-    if (freed > 0) {
-      stats.reliefs += 1;
-      stats.relieved_bytes += freed;
-    }
-  };
-  if (opt.injector->should_fault(rt::FaultKind::MemoryPressure, site)) {
-    stats.pressure_events += 1;
-    if (opt.memory != nullptr) opt.memory->spike(0.5);
-    relieve(0);
-  }
-  if (opt.injector->should_fault(rt::FaultKind::AllocFailure, site)) {
-    stats.alloc_failures += 1;
-    relieve(0);
-    charge_stall(backoff_delay(opt, 0));
-  }
-}
-
-// Builds and atomically writes the durable manifest for a solver's current
-// checkpoint state. No-op when the run is not durable. The injector's whole
-// resumable state (counters + event log) rides along so a restarted process
-// draws the exact fault sequence the killed one would have.
-inline void write_run_manifest(const ResilienceOptions& opt, ResilienceStats& stats,
-                               const std::string& solver, int nparts, uint64_t config_hash,
-                               const rt::CheckpointStore& store,
-                               const std::string& cancel_reason = "") {
-  if (opt.durable.dir.empty()) return;
-  rt::RunManifest m;
-  m.config_hash = config_hash;
-  m.injector_seed = opt.injector != nullptr ? opt.injector->seed() : 0;
-  m.solver = solver;
-  m.nparts = nparts;
-  m.last_step = store.latest_step();
-  m.saves = store.saves();
-  m.checkpoints = store.disk_paths();
-  if (opt.injector != nullptr) {
-    m.injector_counters = opt.injector->export_counters();
-    m.injector_events = opt.injector->events();
-  }
-  m.cancel_reason = cancel_reason;
-  rt::write_manifest_atomic(opt.durable.manifest_path(), m);
-  stats.manifests_written += 1;
-}
-
-// Refuses to graft a manifest onto the wrong solver or problem — a silent
-// mismatch would "resume" into a finite-looking but wrong trajectory.
-inline void check_manifest_matches(const rt::RunManifest& m, std::string_view solver,
-                                   uint64_t config_hash) {
-  if (m.solver != solver)
-    throw rt::CheckpointError("manifest solver mismatch: manifest records '" + m.solver +
-                              "' but a '" + std::string(solver) + "' solver is resuming");
-  if (m.config_hash != config_hash)
-    throw rt::CheckpointError(
-        "manifest config-hash mismatch: the manifest was written by a run with a different "
-        "scenario/discretization; refusing to resume");
-}
-
-// Loads the newest readable generation file recorded by the manifest, falling
-// back across the recorded paths (older step, more replay, still bit-exact)
-// exactly like the in-memory guarded restore falls back across generations.
-// Every failure is a named CheckpointError; only when every recorded path is
-// missing or corrupt does the resume itself fail.
-inline rt::Snapshot load_manifest_checkpoint(const rt::RunManifest& m, ResilienceStats& stats) {
-  std::string last_error = "manifest records no checkpoint generations";
-  for (size_t g = 0; g < m.checkpoints.size(); ++g) {
-    try {
-      return rt::CheckpointStore::read_file(m.checkpoints[g]);
-    } catch (const rt::CheckpointError& err) {
-      last_error = err.what();
-      if (g + 1 < m.checkpoints.size()) stats.ckpt_generation_fallbacks += 1;
-    }
-  }
-  throw rt::CheckpointError("resume failed, every manifest checkpoint unreadable: " + last_error);
 }
 
 }  // namespace finch::bte

@@ -67,8 +67,8 @@ class AnySolver {
             std::shared_ptr<const BtePhysics> physics, int nparts);
 
   void enable_resilience(const ResilienceOptions& options) { engine_->enable_resilience(options); }
-  void resume_from(const rt::RunManifest& manifest, const ResilienceOptions& options) {
-    engine_->resume_from(manifest, options);
+  void resume_from(const rt::Generation& gen, const ResilienceOptions& options) {
+    engine_->resume_from(gen, options);
   }
   void run(int nsteps) { engine_->run(nsteps); }
 

@@ -116,7 +116,7 @@ std::vector<svc::JobSpec> SupervisorCampaign::mixed_stream(uint64_t seed,
       // Flaky: two scheduled corruptions in well-separated steps with a
       // rollback budget of one per attempt and a checkpoint every step.
       // Attempt 0 absorbs the first fire, dies on the second; the retry
-      // resumes from the durable manifest just before the second fire with
+      // resumes from the durable generation just before the second fire with
       // a fresh budget, absorbs it on replay, completes.
       s.solver = "cell";
       s.nparts = 4;
@@ -405,17 +405,18 @@ SupervisorReport SupervisorCampaign::judge(const std::vector<svc::JobSpec>& jobs
           violate(spec.id, "attempts " + std::to_string(j) + " and " + std::to_string(k) +
                                " reused one injector seed");
       if (k > 0 && !options.durable_root.empty()) {
+        // Step 0 is never committed, so a retry has something to resume
+        // from exactly when an earlier attempt left a generation on disk.
+        bool on_disk = false;
+        for (size_t j = 0; j < k; ++j)
+          on_disk = on_disk || o.attempts[j].resumed || o.attempts[j].generations > 0;
+        if (on_disk) ++report.resumable_retries;
         if (a.resumed) {
           ++report.resumed_retries;
-        } else {
-          const int interval = spec.ckpt_interval >= 0
-                                   ? spec.ckpt_interval
-                                   : options.defense.checkpoint_interval;
-          if (interval > 0 && o.attempts[k - 1].end_step >= interval) {
-            ++report.step0_replays;
-            violate(spec.id, "attempt " + std::to_string(k) +
-                                 " replayed from step 0 past a durable checkpoint");
-          }
+        } else if (on_disk) {
+          ++report.step0_replays;
+          violate(spec.id, "attempt " + std::to_string(k) +
+                               " replayed from step 0 past a durable checkpoint");
         }
       }
     }

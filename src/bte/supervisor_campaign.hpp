@@ -5,7 +5,7 @@
 // A campaign is (seed, StreamShape): a reproducible stream of jobs mixing
 // plain solves, survivable chaos schedules (drawn from rt::ChaosEngine, so
 // they exercise in-attempt recovery), engineered *flaky* jobs (fail one
-// attempt, then succeed on a manifest resume), engineered *poison* jobs
+// attempt, then succeed on a durable resume), engineered *poison* jobs
 // (fail every attempt and trip the quarantine breaker), deadline jobs that
 // must drain to Cancelled, and oversized jobs that must degrade down their
 // fallback ladder or be shed. The judge then checks, per outcome:
@@ -58,10 +58,13 @@ struct SupervisorReport {
   int nonterminal = 0;
   int faulted_jobs = 0;    // jobs submitted with a non-empty fault schedule
   int degraded = 0;        // admitted on a fallback rung
-  int adopted = 0;         // re-adopted from an orphaned durable manifest
+  int adopted = 0;         // re-adopted from an orphaned durable job directory
   int retried_jobs = 0;    // jobs that needed more than one attempt
-  int resumed_retries = 0; // retry attempts that resumed from a manifest
-  int step0_replays = 0;   // retry attempts that illegally replayed from 0
+  int resumed_retries = 0; // retry attempts that resumed from a durable generation
+  // Retry attempts that followed an attempt which left a durable generation
+  // (committed one, or resumed from one): each must resume.
+  int resumable_retries = 0;
+  int step0_replays = 0;   // resumable retries that illegally replayed from 0
   std::vector<std::string> violations;
   std::vector<svc::JobOutcome> outcomes;
 

@@ -5,9 +5,9 @@
 // running job: request() flags it, and deadlines bound it by completed steps
 // or by virtual simulated seconds. The solvers consult should_drain() at
 // every step boundary — the one place where the state is consistent and a
-// checkpoint is cheap — and on a hit they *drain* instead of aborting: take a
-// final checkpoint at the current step, write a manifest carrying the reason,
-// and return. A drained job is indistinguishable from a crashed-and-not-yet-
+// checkpoint is cheap — and on a hit they *drain* instead of aborting: commit
+// a final checkpoint generation at the current step whose run manifest
+// carries the reason, and return. A drained job is indistinguishable from a crashed-and-not-yet-
 // resumed one to resume_from(), which is the point: cancel, deadline, OOM
 // kill and SIGKILL all converge on the same durable restart path.
 //
@@ -41,7 +41,7 @@ class CancelToken {
     return false;
   }
 
-  // The reason recorded in the final manifest.
+  // The reason recorded in the final generation's manifest.
   std::string drain_reason(int64_t steps_completed, double virtual_seconds) const {
     if (requested()) return reason_.empty() ? "cancelled" : reason_;
     if (step_deadline_ > 0 && steps_completed >= step_deadline_) return "deadline: steps";

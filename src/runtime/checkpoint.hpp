@@ -4,22 +4,38 @@
 // A Snapshot is an ordered list of named double arrays plus the step index it
 // was taken at. Serialization is a raw little-endian binary image with a
 // magic/version header, a per-field FNV-1a checksum after each field's
-// payload, and a trailing FNV-1a checksum over everything before it, so a
-// restore either reproduces the saved state bit-for-bit or throws
-// CheckpointError — silently restoring from a torn or corrupted image is the
-// one failure mode a resilience layer must never have. The per-field
-// checksums exist for diagnosis: a truncated or corrupted image names the
-// field (index and name) where the damage sits instead of a bare "checksum
-// mismatch", which is what separates "the file lost its tail" from "field 2
-// ('Io') took a bit flip" in a post-mortem.
+// payload, an optional run-manifest section, and a trailing FNV-1a checksum
+// over everything before it, so a restore either reproduces the saved state
+// bit-for-bit or throws CheckpointError — silently restoring from a torn or
+// corrupted image is the one failure mode a resilience layer must never have.
+// The per-field checksums exist for diagnosis: a truncated or corrupted image
+// names the field (index and name) where the damage sits instead of a bare
+// "checksum mismatch", which is what separates "the file lost its tail" from
+// "field 2 ('Io') took a bit flip" in a post-mortem.
+//
+// Image v3 layout (all integers u64):
+//
+//   magic | version | step
+//   field count | per field: name length, name, element count, doubles, FNV
+//   manifest length | manifest text (manifest_to_json, its own #fnv1a
+//                     trailer; length 0 when the image carries none)
+//   FNV over every byte before it
+//
+// The manifest section is what makes a durable generation self-contained: the
+// run state a restarted process needs (config hash, solver, injector counters
+// and event log, drain reason — runtime/manifest.hpp) lives in the same file
+// as the fields, so the state and the injector state it resumes with can never
+// come from different generations.
 //
 // CheckpointStore keeps the latest image in memory (fast rollback path) plus
 // the previous generation — the fallback the hardened restore path drops to
-// when every read of the newest image arrives corrupted (see bte/resilience
-// load_checkpoint_guarded) — and can mirror the latest to disk for restart
-// across processes. Disk writes go through a .tmp sibling + atomic rename,
-// so a crash mid-write never destroys the previous complete image.
-// CheckpointPolicy is the periodic-interval schedule the solvers consult.
+// when every read of the newest image arrives corrupted — and can mirror
+// saves to disk for restart across processes. Disk writes go through a .tmp
+// sibling + atomic rename, so a crash mid-write never destroys the previous
+// complete image. In durable mode every committed save is one
+// `checkpoint_<seq>.bin` file, and find_latest_generation() is the one way a
+// restarted process finds what to resume from. CheckpointPolicy is the
+// periodic-interval schedule the solvers consult.
 //
 // Topology independence: snapshots carry no rank/device structure. The
 // distributed solvers serialize their state in a canonical *global* layout
@@ -31,12 +47,15 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <span>
 #include <stdexcept>
 #include <string>
 #include <string_view>
 #include <utility>
 #include <vector>
+
+#include "manifest.hpp"
 
 namespace finch::rt {
 
@@ -64,13 +83,15 @@ struct Snapshot {
   bool has(std::string_view name) const;
 };
 
-std::vector<std::byte> serialize(const Snapshot& snap);
+// `manifest` non-null: the image carries it in its manifest section.
+std::vector<std::byte> serialize(const Snapshot& snap, const RunManifest* manifest = nullptr);
 // Throws CheckpointError on bad magic, unsupported version, truncation, or
-// checksum mismatch. Truncation and payload corruption name the field where
-// parsing or verification failed ("truncated in field 2 ('Io')"); only
-// header/metadata damage falls through to the generic trailing-checksum
-// mismatch.
-Snapshot deserialize(std::span<const std::byte> bytes);
+// checksum mismatch. Truncation and payload corruption name the field or
+// section where parsing or verification failed ("truncated in field 2
+// ('Io')", "truncated in manifest section"); only header/metadata damage
+// falls through to the generic trailing-checksum mismatch. With `manifest`
+// non-null the image must carry one, which is parsed into it.
+Snapshot deserialize(std::span<const std::byte> bytes, RunManifest* manifest = nullptr);
 
 struct CheckpointPolicy {
   int interval = 16;  // checkpoint every `interval` completed steps; <= 0: never
@@ -82,8 +103,9 @@ struct CheckpointPolicy {
 // Crash-safe byte-image write: stream into a `.tmp` sibling, flush + fsync,
 // atomically rename over the destination, fsync the parent directory. A crash
 // at any point leaves either the previous complete file or the new one at
-// `path` — never a torn or missing one. Shared by checkpoint images and the
-// run manifest (runtime/manifest.hpp).
+// `path` — never a torn or missing one. Shared by checkpoint generations and
+// the job service's records. Each call counts in `ckpt.atomic_writes`, each
+// fsync (data and directory) in `ckpt.fsyncs` and `ckpt.fsync_seconds`.
 void write_bytes_atomic(const std::string& path, std::span<const std::byte> image);
 // Whole-file read; throws CheckpointError when the file cannot be opened.
 std::vector<std::byte> read_bytes_file(const std::string& path);
@@ -98,21 +120,54 @@ enum class CommitPhase { AfterTmpWrite, AfterRename };
 using CommitHook = std::function<void(const std::string& path, CommitPhase phase)>;
 void set_checkpoint_commit_hook(CommitHook hook);
 
+// The newest readable generation of a durable directory: what a restarted
+// run resumes from (find_latest_generation).
+struct Generation {
+  std::string path;                    // its checkpoint_<seq>.bin
+  std::vector<std::byte> image;        // the verified file bytes
+  Snapshot state;
+  RunManifest manifest;                // the run state the image carries
+  // Older readable generations of the same run (same solver and config
+  // hash, no later step), newest first: the fallbacks a resumed store keeps.
+  std::vector<std::string> fallbacks;
+  int skipped = 0;  // newer generation files passed over as unreadable
+};
+
+// Scans `dir` for `checkpoint_<seq>.bin` files (`.tmp` leftovers and other
+// names are ignored) and reads them newest first. Returns nullopt when there
+// is no generation file at all — the run starts at step 0, which its spec
+// regenerates exactly. Throws CheckpointError naming the newest failure when
+// every generation file is unreadable, or carries no run manifest: a
+// directory of damaged state must never be mistaken for a fresh start.
+std::optional<Generation> find_latest_generation(const std::string& dir);
+
 class CheckpointStore {
  public:
   // `dir` empty: in-memory only. Otherwise saves are mirrored to disk:
-  // `disk_generations` == 1 keeps the legacy single `<dir>/checkpoint.bin`
-  // mirror; >= 2 is the durable mode — each save lands in a fresh
+  // `disk_generations` 0 keeps the single `<dir>/checkpoint.bin` mirror;
+  // >= 1 is the durable mode — each save lands in a fresh
   // `<dir>/checkpoint_<seq>.bin` (an already-committed generation is never
-  // rewritten, so a crash mid-save cannot touch it) and the oldest file
-  // beyond the retention count is deleted.
-  explicit CheckpointStore(std::string dir = "", int disk_generations = 1)
-      : dir_(std::move(dir)), disk_generations_(disk_generations < 1 ? 1 : disk_generations) {}
+  // rewritten, so a crash mid-save cannot touch it), numbered past every
+  // generation file already in `dir`, and the oldest file beyond the
+  // retention count is deleted.
+  explicit CheckpointStore(std::string dir = "", int disk_generations = 0);
 
-  void save(const Snapshot& snap);
+  // Commits `snap`, carrying `manifest` when given (the store stamps the
+  // generation's step and sequence number into it).
+  void save(const Snapshot& snap, const RunManifest* manifest = nullptr);
+  // Makes `snap` the newest generation in memory only, with no file: for
+  // state the caller can regenerate exactly (a run's step 0). Throws
+  // std::logic_error once a generation is on disk — a memory-only generation
+  // is always the oldest. Takes no sequence number.
+  void hold(const Snapshot& snap);
+  // Continues a durable run from `gen`: its image becomes the newest
+  // generation, in memory and backed by the file it was read from, with the
+  // generation's fallbacks behind it. Writes nothing.
+  void resume(const Generation& gen);
   bool has_checkpoint() const { return generations() > 0; }
   int64_t latest_step() const { return latest_step_; }
   int64_t bytes_stored() const { return latest_bytes_; }
+  // Sequence number of the newest save().
   int64_t saves() const { return saves_; }
   // Deserializes (and checksum-validates) the most recent image.
   Snapshot load_latest() const;
@@ -123,8 +178,9 @@ class CheckpointStore {
   // generation, so a restore whose every read of the newest image is
   // corrupted can fall back one checkpoint (older step, more replay, still
   // bit-exact). Generation 0 is the newest. In durable mode the on-disk
-  // files extend the same numbering, and memory is only a cache: a
-  // generation dropped by the resource-relief path is re-read from its file.
+  // files extend the same numbering (disk_paths()[g] backs generation g), and
+  // memory is only a cache: a generation dropped by the resource-relief path
+  // is re-read from its file. A held generation has no file.
   int generations() const;
   // Deserializes generation `g` (0 = newest).
   Snapshot load(int generation) const;
@@ -132,22 +188,10 @@ class CheckpointStore {
   // the copy (FaultInjector::flip_raw_bit) without poisoning the store.
   std::vector<std::byte> image_copy(int generation) const;
 
-  // ---- durable mode (runtime/manifest.hpp, rt::MemoryBudget relief) --------
+  // ---- durable mode (rt::MemoryBudget relief) -------------------------------
   //
-  // On-disk generation files, newest first — what the run manifest records.
+  // On-disk generation files, newest first.
   const std::vector<std::string>& disk_paths() const { return disk_paths_; }
-  // Continues the save sequence of a resumed run so new generation files do
-  // not collide with ones an old manifest still references.
-  void resume_sequence(int64_t saves) { saves_ = saves; }
-  // Re-adopts a resumed run's surviving generation files (newest first, as
-  // the manifest records them). Each candidate is fully read and
-  // deserialized before adoption — a missing or truncated file is skipped,
-  // never adopted as a fake fallback. Returns how many were adopted. Without
-  // this, the fresh store of a resumed run starts with no disk paths, so its
-  // first post-resume manifest would orphan every older generation and a
-  // second crash with a damaged newest file would have nothing to fall back
-  // to.
-  int adopt_disk_paths(const std::vector<std::string>& paths);
   // Graceful-degradation reliefs, in increasing severity; each returns the
   // bytes freed (0 when nothing could be freed safely — a generation is only
   // dropped from memory when a disk file still backs it).
@@ -159,7 +203,7 @@ class CheckpointStore {
 
  private:
   std::string dir_;
-  int disk_generations_ = 1;
+  int disk_generations_ = 0;
   std::vector<std::byte> image_;
   std::vector<std::byte> prev_image_;
   std::vector<std::string> disk_paths_;  // newest first

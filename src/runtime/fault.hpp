@@ -141,9 +141,10 @@ struct FaultEvent {
   int64_t event_index = 0;  // per-(kind, site) consultation counter value
 };
 
-// One (kind, site) counter pair of an injector, in exportable form. A durable
-// run's manifest persists these so a restarted process resumes the fault draw
-// sequence exactly where the killed process left it (counters key every draw).
+// One (kind, site) counter pair of an injector, in exportable form. Each
+// durable generation's run manifest persists these so a restarted process
+// resumes the fault draw sequence exactly where the killed process left it
+// (counters key every draw).
 struct FaultCounter {
   int kind = 0;
   std::string site;

@@ -1,28 +1,25 @@
 #pragma once
-// Run manifest: the atomically-written JSON sidecar that makes a run durable
-// across process death.
+// Run manifest: the run state a fresh process needs, beyond the fields, to
+// continue a durable job bit-exactly.
 //
-// A durable run keeps, next to its on-disk CheckpointStore generations, one
-// small `manifest.json` describing everything a fresh process needs to
-// continue the job bit-exactly: a hash of the problem configuration (so a
+// Every durable checkpoint generation carries one in its image's manifest
+// section (runtime/checkpoint.hpp): a hash of the problem configuration (so a
 // resume against the wrong scenario is refused, not silently wrong), the
+// solver and its part count, the generation's step and sequence number, the
 // injector seed and its full counter/event state (the fault draw sequence
-// resumes exactly where the killed process left it), the last checkpointed
-// step, the generation file paths newest-first, and — when the run drained on
-// a cancel or deadline — the reason.
+// resumes exactly where the killed process left it), and — when the run
+// drained on a cancel or deadline — the reason. Because the manifest and the
+// state share one file and one atomic commit, a resume that falls back to an
+// older generation also falls back to that generation's injector state.
 //
-// The manifest is written through the same `.tmp` + fsync + atomic-rename
-// protocol as checkpoint images (write_bytes_atomic) and carries a trailing
-// FNV-1a checksum line over the JSON text, so a reader either gets a complete,
-// verified document or a named CheckpointError ("manifest truncated",
-// "manifest checksum mismatch") — never a half-written one. SIGKILL at any
-// point leaves either the previous manifest or the new one.
+// The text form is JSON with a trailing FNV-1a checksum line, so a reader
+// either gets a complete, verified document or a named CheckpointError
+// ("manifest truncated", "manifest checksum mismatch") — never a half-written
+// one.
 //
-// resume_from(manifest) on the three distributed solvers (partitioned_solver
-// .hpp, multi_gpu_solver.hpp) consumes this: it validates the config hash,
-// loads the newest readable generation (falling back across the recorded
-// paths like the in-memory guarded restore falls back across generations),
-// restores, and re-imports the injector counters.
+// write_manifest_atomic/read_manifest keep the older standalone sidecar form
+// (`manifest.json` next to the generation files) that the benchmark's
+// checkpoint probe still times; durable runs no longer write it.
 
 #include <cstdint>
 #include <string>
@@ -37,9 +34,11 @@ struct RunManifest {
   uint64_t injector_seed = 0;  // 0 when the run had no injector
   std::string solver;          // "cell" | "band" | "mgpu"
   int nparts = 0;              // informational: resume may use any M (N-to-M)
-  int64_t last_step = 0;       // last checkpointed step
-  int64_t saves = 0;           // checkpoint sequence counter (file numbering resumes)
-  std::vector<std::string> checkpoints;  // generation file paths, newest first
+  int64_t last_step = 0;       // step of the generation
+  int64_t saves = 0;           // sequence number of the generation
+  // Sidecar form only: generation file paths, newest first. Empty inside a
+  // generation, whose directory is the record of its siblings.
+  std::vector<std::string> checkpoints;
   std::vector<FaultCounter> injector_counters;
   std::vector<FaultEvent> injector_events;
   std::string cancel_reason;   // non-empty when the run drained on cancel/deadline
@@ -52,7 +51,8 @@ std::string manifest_to_json(const RunManifest& m);
 // parse error wrapped as "manifest unreadable: ...").
 RunManifest manifest_from_json(std::string_view text);
 
-// Atomic write via the checkpoint commit protocol (tmp + fsync + rename).
+// Standalone sidecar: atomic write via the checkpoint commit protocol (tmp +
+// fsync + rename).
 void write_manifest_atomic(const std::string& path, const RunManifest& m);
 // Reads and verifies; throws CheckpointError when missing, torn or corrupt.
 RunManifest read_manifest(const std::string& path);

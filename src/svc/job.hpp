@@ -20,7 +20,7 @@
 //
 // AttemptRecord is the audit trail the oracle (bte/supervisor_campaign.hpp)
 // checks: per-attempt injection accounting, resume provenance (did a retry
-// restart from the durable manifest or from step 0), and backoff charged to
+// restart from a durable generation or from step 0), and backoff charged to
 // the virtual clock.
 
 #include <cstdint>
@@ -85,9 +85,10 @@ struct JobSpec {
 struct AttemptRecord {
   int index = 0;
   uint64_t injector_seed = 0;
-  bool resumed = false;    // restarted from a durable manifest
+  bool resumed = false;    // restarted from a durable generation
   int64_t start_step = 0;  // step_index the attempt began at
   int64_t end_step = 0;    // step_index when the attempt ended
+  int64_t generations = 0; // durable checkpoint generations it committed
   double backoff_s = 0.0;  // virtual backoff charged before this attempt
   double virtual_s = 0.0;  // solver virtual clock consumed by this attempt
   double phase_total_s = 0.0;
@@ -102,7 +103,7 @@ struct JobOutcome {
   std::string detail;      // human-readable reason for the terminal state
   JobConfig ran;           // resolved config of the rung that actually ran
   int degraded_rung = -1;  // -1 = top-level config; >=0 = fallbacks[i]
-  bool adopted = false;    // re-adopted from an orphaned durable manifest
+  bool adopted = false;    // re-adopted from an orphaned durable job directory
   int64_t final_step = 0;
   double time_to_terminal_s = 0.0;  // virtual seconds arrival -> terminal
   std::vector<AttemptRecord> attempts;

@@ -42,7 +42,8 @@ struct QuarantinePolicy {
 
 struct SupervisorOptions {
   // Root for per-job durable state (<root>/<job id>/...). Empty = in-memory
-  // only: no manifests, retries restart from step 0, no crash adoption.
+  // only: no generation files, retries restart from step 0, no crash
+  // adoption.
   std::string durable_root;
   RetryPolicy retry;
   QuarantinePolicy quarantine;

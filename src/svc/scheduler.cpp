@@ -4,13 +4,14 @@
 #include <deque>
 #include <dirent.h>
 #include <limits>
+#include <optional>
 #include <set>
 #include <stdexcept>
 #include <sys/stat.h>
 #include <utility>
 
 #include "job_file.hpp"
-#include "runtime/manifest.hpp"
+#include "runtime/checkpoint.hpp"
 #include "runtime/metrics.hpp"
 #include "runtime/thread_pool.hpp"
 #include "runtime/trace.hpp"
@@ -160,13 +161,14 @@ AttemptEngine::Result AttemptEngine::run_attempt(const Resolved& rj, int attempt
   try {
     solver = make();
     bool resumed = false;
-    if (!dir.empty() && file_exists(ropt.durable.manifest_path())) {
+    if (!dir.empty()) {
       try {
-        const rt::RunManifest m = rt::read_manifest(ropt.durable.manifest_path());
-        solver->resume_from(m, ropt);
-        resumed = true;
+        if (const std::optional<rt::Generation> gen = rt::find_latest_generation(dir)) {
+          solver->resume_from(*gen, ropt);
+          resumed = true;
+        }
       } catch (const std::exception&) {
-        solver = make();  // damaged manifest / mismatched rung: start fresh
+        solver = make();  // unreadable generations / mismatched rung: start fresh
       }
     }
     if (!resumed) solver->enable_resilience(ropt);
@@ -182,6 +184,7 @@ AttemptEngine::Result AttemptEngine::run_attempt(const Resolved& rj, int attempt
     r.rec.virtual_s = solver->virtual_elapsed();
     r.rec.phase_total_s = solver->phase_total();
     r.stats = solver->resilience_stats();
+    r.rec.generations = r.stats.generations_committed;
   }
   r.rec.injected = injector.stats().total_injected();
   r.rec.events_logged = static_cast<int64_t>(injector.events().size());
@@ -591,7 +594,7 @@ void Scheduler::dispatch_ready() {
 
     if (j.rung == -2) {
       // First dispatch: choose the rung once (retries must resume the same
-      // configuration's manifests). Brownout forces the floor up under
+      // configuration's generations). Brownout forces the floor up under
       // pressure; within the allowed range the first rung whose demand fits
       // the tenant partition wins — pure arithmetic, budget untouched.
       const int level = brownout_level();

@@ -12,8 +12,8 @@
 //   retry     — a failed attempt is retried with exponential backoff +
 //               deterministic jitter charged to the virtual clock, under a
 //               distinct derived injector seed; when the job is durable the
-//               retry resumes from the newest rt::RunManifest checkpoint
-//               instead of replaying from step 0
+//               retry resumes from the newest readable checkpoint generation
+//               (rt::find_latest_generation) instead of replaying from step 0
 //   quarantine— the poison circuit breaker: `threshold` consecutive failures
 //               across distinct seeds (or an exhausted retry budget) parks
 //               the job permanently, with the fault schedule ddmin-minimized
@@ -35,7 +35,7 @@
 // terminal transition). A restarted scheduler calls adopt_orphans() to
 // re-queue every job directory that has a spec but no terminal record —
 // exactly the jobs a dead scheduler left in flight — and their first attempt
-// resumes from the on-disk manifest like any retry.
+// resumes from the newest on-disk generation like any retry.
 //
 // Determinism under concurrency. The scheduler is a discrete-event simulator
 // on the shared virtual clock: arrivals, retry timers and attempt completions
@@ -148,8 +148,8 @@ class AttemptEngine {
   static uint64_t attempt_seed(uint64_t base, int attempt);
 
   Resolved resolve(const JobSpec& spec, int rung);
-  // Runs one attempt: arm faults, resume from the durable manifest when one
-  // exists, run to the end or a drain, classify. `memory` is the budget this
+  // Runs one attempt: arm faults, resume from the newest durable generation
+  // when one exists, run to the end or a drain, classify. `memory` is the budget this
   // attempt's live allocations charge (the scheduler passes a per-attempt
   // view of the tenant partition; nullptr = unbudgeted).
   Result run_attempt(const Resolved& rj, int attempt_index, uint64_t seed,

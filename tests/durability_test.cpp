@@ -1,12 +1,12 @@
-// Durable runs: the manifest sidecar, on-disk checkpoint generations,
-// resource-exhaustion faults with graceful degradation, cooperative
-// cancellation, and process-crash restart.
+// Durable runs: the run manifest, on-disk checkpoint generations and their
+// discovery, resource-exhaustion faults with graceful degradation,
+// cooperative cancellation, and process-crash restart.
 //
 // The tentpole property under test: for any interruption — SIGKILL at a step
 // boundary, SIGKILL inside a checkpoint's .tmp-write window, an OOM-style
-// drain, an operator cancel — restarting via resume_from(manifest) continues
-// the run bit-exactly versus an uninterrupted reference, on all three
-// distributed solvers. The crash itself is exercised here with a real fork +
+// drain, an operator cancel — restarting via find_latest_generation() and
+// resume_from() continues the run bit-exactly versus an uninterrupted
+// reference, on all three distributed solvers. The crash itself is exercised here with a real fork +
 // SIGKILL child (bench_durability sweeps many kill points; this suite proves
 // the mechanism).
 #include <gtest/gtest.h>
@@ -16,6 +16,8 @@
 #include <fstream>
 #include <iterator>
 #include <memory>
+#include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -69,19 +71,33 @@ bool bitwise_equal(const std::vector<double>& a, const std::vector<double>& b) {
 }
 
 // Fresh cwd-relative directory for one test's durable store (ctest runs in
-// the build tree; stale files from a previous run are removed so retention
-// assertions see only this run's generations).
+// the build tree; stale files from a previous run are removed so numbering
+// and retention assertions see only this run's generations).
 std::string fresh_dir(const std::string& name) {
   const std::string dir = "durability_" + name;
 #if defined(__unix__) || defined(__APPLE__)
   ::mkdir(dir.c_str(), 0755);
 #endif
-  for (int seq = 0; seq < 64; ++seq)
-    std::remove((dir + "/checkpoint_" + std::to_string(seq) + ".bin").c_str());
+  for (int seq = 0; seq < 64; ++seq) {
+    const std::string path = dir + "/checkpoint_" + std::to_string(seq) + ".bin";
+    std::remove(path.c_str());
+    std::remove((path + ".tmp").c_str());
+  }
   std::remove((dir + "/checkpoint.bin").c_str());
-  std::remove((dir + "/manifest.json").c_str());
   return dir;
 }
+
+// The newest readable generation of `dir`; fails the test when there is none.
+rt::Generation latest_generation(const std::string& dir) {
+  std::optional<rt::Generation> gen = rt::find_latest_generation(dir);
+  if (!gen) {
+    ADD_FAILURE() << "no checkpoint generation in " << dir;
+    return {};
+  }
+  return std::move(*gen);
+}
+
+bool file_exists(const std::string& path) { return std::ifstream(path).good(); }
 
 ResilienceOptions durable_options(const std::string& dir, int interval = 2) {
   ResilienceOptions opt;
@@ -416,7 +432,8 @@ TEST(DurableResume, CellCancelDrainThenResumeIsBitExact) {
     EXPECT_EQ(first.step_index(), 5);
     EXPECT_EQ(first.resilience_stats().cancel_drains, 1);
   }
-  const rt::RunManifest manifest = rt::read_manifest(dir + "/manifest.json");
+  const rt::Generation gen = latest_generation(dir);
+  const rt::RunManifest& manifest = gen.manifest;
   EXPECT_EQ(manifest.solver, "cell");
   EXPECT_EQ(manifest.last_step, 5);
   EXPECT_EQ(manifest.cancel_reason, "deadline: steps");
@@ -429,7 +446,7 @@ TEST(DurableResume, CellCancelDrainThenResumeIsBitExact) {
   CellPartitionedSolver second(scen, phys, 3);
   ResilienceOptions opt = durable_options(dir);
   opt.injector = &resumed_inj;
-  second.resume_from(manifest, opt);
+  second.resume_from(gen, opt);
   EXPECT_EQ(second.step_index(), 5);
   EXPECT_EQ(second.resilience_stats().resumes, 1);
   second.run(nsteps - static_cast<int>(second.step_index()));
@@ -439,7 +456,7 @@ TEST(DurableResume, CellCancelDrainThenResumeIsBitExact) {
 }
 
 // Same bit-exactness property through the band and multi-GPU solvers (plain
-// abandon-and-resume, as after a crash whose manifest survived).
+// abandon-and-resume, as after a crash whose generations survived).
 TEST(DurableResume, BandAbandonedRunResumesBitExact) {
   const auto scen = tiny_scenario();
   const auto phys = tiny_physics();
@@ -457,13 +474,13 @@ TEST(DurableResume, BandAbandonedRunResumesBitExact) {
     first.enable_resilience(durable_options(dir));
     first.run(6);  // abandoned: the process "dies" here with step 6 checkpointed
   }
-  const rt::RunManifest manifest = rt::read_manifest(dir + "/manifest.json");
-  EXPECT_EQ(manifest.solver, "band");
-  EXPECT_EQ(manifest.last_step, 6);
-  EXPECT_TRUE(manifest.cancel_reason.empty());
+  const rt::Generation gen = latest_generation(dir);
+  EXPECT_EQ(gen.manifest.solver, "band");
+  EXPECT_EQ(gen.manifest.last_step, 6);
+  EXPECT_TRUE(gen.manifest.cancel_reason.empty());
 
   BandPartitionedSolver second(scen, phys, 3);
-  second.resume_from(manifest, durable_options(dir));
+  second.resume_from(gen, durable_options(dir));
   EXPECT_EQ(second.step_index(), 6);
   second.run(nsteps - static_cast<int>(second.step_index()));
   EXPECT_TRUE(bitwise_equal(second.temperature(), ref.temperature()));
@@ -504,17 +521,17 @@ TEST(DurableResume, MultiGpuResumesBitExactUnderResourceFaults) {
     first.enable_resilience(opt);
     first.run(6);
   }
-  const rt::RunManifest manifest = rt::read_manifest(dir + "/manifest.json");
-  EXPECT_EQ(manifest.solver, "mgpu");
+  const rt::Generation gen = latest_generation(dir);
+  EXPECT_EQ(gen.manifest.solver, "mgpu");
 
-  rt::FaultInjector resumed_inj(manifest.injector_seed);
+  rt::FaultInjector resumed_inj(gen.manifest.injector_seed);
   arm(resumed_inj);
   rt::MemoryBudget resumed_budget(int64_t{64} << 20);
   MultiGpuSolver second(scen, phys, 2);
   ResilienceOptions opt = durable_options(dir);
   opt.injector = &resumed_inj;
   opt.memory = &resumed_budget;
-  second.resume_from(manifest, opt);
+  second.resume_from(gen, opt);
   second.run(nsteps - static_cast<int>(second.step_index()));
   EXPECT_TRUE(bitwise_equal(second.temperature(), ref.temperature()));
   EXPECT_TRUE(bitwise_equal(second.gather_intensity(), ref.gather_intensity()));
@@ -531,45 +548,15 @@ TEST(DurableResume, ManifestForTheWrongSolverOrConfigIsRefused) {
     s.enable_resilience(durable_options(dir));
     s.run(4);
   }
-  const rt::RunManifest manifest = rt::read_manifest(dir + "/manifest.json");
+  const rt::Generation gen = latest_generation(dir);
 
   BandPartitionedSolver wrong_solver(scen, phys, 2);
-  EXPECT_THROW(wrong_solver.resume_from(manifest, durable_options(dir)), rt::CheckpointError);
+  EXPECT_THROW(wrong_solver.resume_from(gen, durable_options(dir)), rt::CheckpointError);
 
   BteScenario other = scen;
   other.nx = 10;
   CellPartitionedSolver wrong_config(other, phys, 2);
-  EXPECT_THROW(wrong_config.resume_from(manifest, durable_options(dir)), rt::CheckpointError);
-}
-
-TEST(DurableResume, MissingNewestGenerationFallsBackCorruptAllFails) {
-  const auto scen = tiny_scenario();
-  const auto phys = tiny_physics();
-  const std::string dir = fresh_dir("resume_fallback");
-  {
-    CellPartitionedSolver s(scen, phys, 2);
-    s.enable_resilience(durable_options(dir));
-    s.run(6);  // generations at steps 6 (newest) and 4
-  }
-  rt::RunManifest manifest = rt::read_manifest(dir + "/manifest.json");
-  ASSERT_EQ(manifest.checkpoints.size(), 2u);
-  EXPECT_EQ(manifest.last_step, 6);
-
-  // Newest generation file lost: resume falls back to the older one.
-  std::remove(manifest.checkpoints[0].c_str());
-  {
-    CellPartitionedSolver s(scen, phys, 2);
-    s.resume_from(manifest, durable_options(dir));
-    EXPECT_EQ(s.step_index(), 4);
-    EXPECT_GE(s.resilience_stats().ckpt_generation_fallbacks, 1);
-  }
-
-  // Every recorded generation unreadable: a named error, not a silent restart.
-  std::remove(manifest.checkpoints[1].c_str());
-  {
-    CellPartitionedSolver s(scen, phys, 2);
-    EXPECT_THROW(s.resume_from(manifest, durable_options(dir)), rt::CheckpointError);
-  }
+  EXPECT_THROW(wrong_config.resume_from(gen, durable_options(dir)), rt::CheckpointError);
 }
 
 namespace {
@@ -589,6 +576,51 @@ void truncate_file_to_half(const std::string& path) {
 }
 }  // namespace
 
+TEST(DurableResume, MissingNewestGenerationFallsBackCorruptAllFails) {
+  const auto scen = tiny_scenario();
+  const auto phys = tiny_physics();
+  const std::string dir = fresh_dir("resume_fallback");
+  {
+    CellPartitionedSolver s(scen, phys, 2);
+    s.enable_resilience(durable_options(dir));
+    s.run(6);  // generations at steps 6 (newest) and 4
+  }
+  const rt::Generation found = latest_generation(dir);
+  ASSERT_EQ(found.fallbacks.size(), 1u);
+  EXPECT_EQ(found.manifest.last_step, 6);
+
+  // Newest generation file lost: resume falls back to the older one. No
+  // record names the lost file, so this is not a counted fallback.
+  std::remove(found.path.c_str());
+  {
+    const rt::Generation gen = latest_generation(dir);
+    EXPECT_EQ(gen.path, found.fallbacks[0]);
+    CellPartitionedSolver s(scen, phys, 2);
+    s.resume_from(gen, durable_options(dir));
+    EXPECT_EQ(s.step_index(), 4);
+    EXPECT_EQ(s.resilience_stats().ckpt_generation_fallbacks, 0);
+  }
+
+  // Every generation unreadable: a named error, not a silent restart.
+  const std::string again = fresh_dir("resume_fallback");
+  {
+    CellPartitionedSolver s(scen, phys, 2);
+    s.enable_resilience(durable_options(again));
+    s.run(6);
+  }
+  const rt::Generation both = latest_generation(again);
+  ASSERT_EQ(both.fallbacks.size(), 1u);
+  truncate_file_to_half(both.path);
+  truncate_file_to_half(both.fallbacks[0]);
+  try {
+    rt::find_latest_generation(again);
+    FAIL() << "a directory of unreadable generations was taken for a fresh start";
+  } catch (const rt::CheckpointError& err) {
+    EXPECT_NE(std::string(err.what()).find("no readable checkpoint generation"), std::string::npos)
+        << err.what();
+  }
+}
+
 TEST(DurableResume, TruncatedNewestGenerationFallsBack) {
   const auto scen = tiny_scenario();
   const auto phys = tiny_physics();
@@ -606,19 +638,84 @@ TEST(DurableResume, TruncatedNewestGenerationFallsBack) {
     s.enable_resilience(durable_options(dir));
     s.run(6);  // generations at steps 6 (newest) and 4
   }
-  rt::RunManifest manifest = rt::read_manifest(dir + "/manifest.json");
-  ASSERT_EQ(manifest.checkpoints.size(), 2u);
+  const rt::Generation found = latest_generation(dir);
+  ASSERT_EQ(found.fallbacks.size(), 1u);
 
-  // Newest generation torn (truncated, not deleted): resume must reject it
+  // Newest generation torn (truncated, not deleted): discovery must reject it
   // by content and fall back to the older generation, then finish bit-exact.
-  truncate_file_to_half(manifest.checkpoints[0]);
+  truncate_file_to_half(found.path);
+  const rt::Generation gen = latest_generation(dir);
+  EXPECT_EQ(gen.skipped, 1);
   CellPartitionedSolver resumed(scen, phys, 2);
-  resumed.resume_from(manifest, durable_options(dir));
+  resumed.resume_from(gen, durable_options(dir));
   EXPECT_EQ(resumed.step_index(), 4);
   EXPECT_GE(resumed.resilience_stats().ckpt_generation_fallbacks, 1);
   resumed.run(nsteps - static_cast<int>(resumed.step_index()));
   EXPECT_TRUE(bitwise_equal(resumed.gather_temperature(), ref.gather_temperature()));
   EXPECT_TRUE(bitwise_equal(resumed.gather_intensity(), ref.gather_intensity()));
+}
+
+// A fallback restores the whole run state of the generation it lands on: the
+// injector counters and event log come from the same file as the fields, so
+// the finished run's draw stream is positionally identical to the
+// uninterrupted run's, not the newer generation's.
+TEST(DurableResume, FallbackResumeRestoresThatGenerationsDrawSequence) {
+  const auto scen = tiny_scenario();
+  const auto phys = tiny_physics();
+  const int nsteps = 12;
+  const auto make_injector = [](uint64_t seed) {
+    rt::FaultInjector inj(seed);
+    inj.set_policy(rt::FaultKind::DroppedMessage, {.probability = 0, .first_event = 3, .every = 17});
+    inj.set_policy(rt::FaultKind::MemoryPressure, {.probability = 0, .first_event = 2, .every = 5});
+    return inj;
+  };
+
+  rt::FaultInjector ref_inj = make_injector(21);
+  CellPartitionedSolver ref(scen, phys, 3);
+  ResilienceOptions ref_opt;
+  ref_opt.checkpoint.interval = 2;
+  ref_opt.injector = &ref_inj;
+  ref.enable_resilience(ref_opt);
+  ref.run(nsteps);
+
+  const std::string dir = fresh_dir("fallback_draws");
+  {
+    rt::FaultInjector inj = make_injector(21);
+    CellPartitionedSolver first(scen, phys, 3);
+    ResilienceOptions opt = durable_options(dir);
+    opt.injector = &inj;
+    first.enable_resilience(opt);
+    first.run(6);  // generations at steps 6 (newest) and 4
+  }
+  truncate_file_to_half(latest_generation(dir).path);
+  const rt::Generation gen = latest_generation(dir);
+  ASSERT_EQ(gen.manifest.last_step, 4);
+
+  rt::FaultInjector resumed_inj = make_injector(gen.manifest.injector_seed);
+  CellPartitionedSolver second(scen, phys, 3);
+  ResilienceOptions opt = durable_options(dir);
+  opt.injector = &resumed_inj;
+  second.resume_from(gen, opt);
+  EXPECT_EQ(second.step_index(), 4);
+  second.run(nsteps - static_cast<int>(second.step_index()));
+
+  EXPECT_TRUE(bitwise_equal(second.gather_temperature(), ref.gather_temperature()));
+  EXPECT_TRUE(bitwise_equal(second.gather_intensity(), ref.gather_intensity()));
+  const std::vector<rt::FaultCounter> got = resumed_inj.export_counters();
+  const std::vector<rt::FaultCounter> want = ref_inj.export_counters();
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].kind, want[i].kind) << i;
+    EXPECT_EQ(got[i].site, want[i].site) << i;
+    EXPECT_EQ(got[i].consulted, want[i].consulted) << got[i].site;
+    EXPECT_EQ(got[i].fired, want[i].fired) << got[i].site;
+  }
+  ASSERT_EQ(resumed_inj.events().size(), ref_inj.events().size());
+  for (size_t i = 0; i < ref_inj.events().size(); ++i) {
+    EXPECT_EQ(resumed_inj.events()[i].kind, ref_inj.events()[i].kind) << i;
+    EXPECT_EQ(resumed_inj.events()[i].site, ref_inj.events()[i].site) << i;
+    EXPECT_EQ(resumed_inj.events()[i].event_index, ref_inj.events()[i].event_index) << i;
+  }
 }
 
 TEST(DurableResume, ResumedRunAdoptsOlderGenerationsAsFallback) {
@@ -630,37 +727,121 @@ TEST(DurableResume, ResumedRunAdoptsOlderGenerationsAsFallback) {
     s.enable_resilience(durable_options(dir));
     s.run(6);
   }
-  const rt::RunManifest first = rt::read_manifest(dir + "/manifest.json");
-  ASSERT_EQ(first.checkpoints.size(), 2u);
+  const rt::Generation first = latest_generation(dir);
+  ASSERT_EQ(first.fallbacks.size(), 1u);
 
-  // Resume and immediately "crash" (drop the solver). The resume itself
-  // commits a fresh checkpoint + manifest; the ISSUE-8 fragility was that
-  // this manifest recorded ONLY the new generation, orphaning the files the
-  // first manifest still had — adoption must keep an older one as fallback.
+  // Resume and immediately "crash" (drop the solver). The resume commits
+  // nothing — the generation it read is already on disk — so the older
+  // generation stays behind it as the fallback.
   {
     CellPartitionedSolver s(scen, phys, 2);
     s.resume_from(first, durable_options(dir));
     EXPECT_EQ(s.step_index(), 6);
   }
-  rt::RunManifest second = rt::read_manifest(dir + "/manifest.json");
-  ASSERT_EQ(second.checkpoints.size(), 2u)
-      << "post-resume manifest forgot the adopted generation";
-  EXPECT_NE(second.checkpoints[0], second.checkpoints[1]);
+  const rt::Generation second = latest_generation(dir);
+  EXPECT_EQ(second.path, first.path);
+  ASSERT_EQ(second.fallbacks.size(), 1u) << "post-resume directory lost the older generation";
+  EXPECT_NE(second.path, second.fallbacks[0]);
+
+  // The resumed store adopts the generations it found: its next commit
+  // prunes the oldest by retention and keeps step 6 as the fallback.
+  {
+    CellPartitionedSolver s(scen, phys, 2);
+    s.resume_from(second, durable_options(dir));
+    s.run(2);
+  }
+  const rt::Generation third = latest_generation(dir);
+  EXPECT_EQ(third.manifest.last_step, 8);
+  ASSERT_EQ(third.fallbacks.size(), 1u);
+  EXPECT_EQ(third.fallbacks[0], first.path);
+  EXPECT_FALSE(file_exists(first.fallbacks[0])) << "retention forgot the adopted generation";
 
   // Second crash with the newest generation torn: the adopted fallback is
   // what makes this resumable at all.
-  truncate_file_to_half(second.checkpoints[0]);
+  truncate_file_to_half(third.path);
   CellPartitionedSolver resumed(scen, phys, 2);
-  resumed.resume_from(second, durable_options(dir));
+  resumed.resume_from(latest_generation(dir), durable_options(dir));
   EXPECT_EQ(resumed.step_index(), 6);
   EXPECT_GE(resumed.resilience_stats().ckpt_generation_fallbacks, 1);
 }
 
-TEST(DurableResume, AdoptDiskPathsSkipsDamagedCandidates) {
-  rt::CheckpointStore store("", 2);
-  // Neither path exists; adoption must validate by content and adopt nothing.
-  EXPECT_EQ(store.adopt_disk_paths({"durability_missing_a.bin", "durability_missing_b.bin"}), 0);
-  EXPECT_TRUE(store.disk_paths().empty());
+// Discovery reads only `checkpoint_<seq>.bin` names and validates every
+// fallback by content: a torn older file is never adopted as a fake
+// fallback, and `.tmp` leftovers or look-alike names are not generations.
+TEST(DurableResume, DiscoverySkipsDamagedFallbacksAndForeignNames) {
+  EXPECT_FALSE(rt::find_latest_generation("durability_missing_dir").has_value());
+  const auto scen = tiny_scenario();
+  const auto phys = tiny_physics();
+  const std::string dir = fresh_dir("discovery");
+  {
+    CellPartitionedSolver s(scen, phys, 2);
+    s.enable_resilience(durable_options(dir));
+    s.run(6);
+  }
+  const rt::Generation found = latest_generation(dir);
+  ASSERT_EQ(found.fallbacks.size(), 1u);
+  truncate_file_to_half(found.fallbacks[0]);
+  for (const char* name : {"/checkpoint_99.bin.tmp", "/checkpoint_x.bin", "/checkpoint_.bin"})
+    std::ofstream(dir + name) << "not a generation";
+  const rt::Generation gen = latest_generation(dir);
+  EXPECT_EQ(gen.path, found.path);
+  EXPECT_EQ(gen.skipped, 0);
+  EXPECT_TRUE(gen.fallbacks.empty());
+  for (const char* name : {"/checkpoint_99.bin.tmp", "/checkpoint_x.bin", "/checkpoint_.bin"})
+    std::remove((dir + name).c_str());
+}
+
+// A fresh run in a directory that already holds generations numbers its
+// files past them — a committed generation is never rewritten — and the next
+// resume picks the fresh run's generation.
+TEST(DurableResume, FreshStoreNumbersPastExistingGenerations) {
+  const auto scen = tiny_scenario();
+  const auto phys = tiny_physics();
+  const std::string dir = fresh_dir("number_past");
+  {
+    CellPartitionedSolver s(scen, phys, 2);
+    s.enable_resilience(durable_options(dir));
+    s.run(6);  // commits #1..#3 at steps 2, 4, 6
+  }
+  EXPECT_EQ(latest_generation(dir).path, dir + "/checkpoint_3.bin");
+  {
+    CellPartitionedSolver s(scen, phys, 2);
+    s.enable_resilience(durable_options(dir));
+    s.run(2);
+  }
+  const rt::Generation gen = latest_generation(dir);
+  EXPECT_EQ(gen.path, dir + "/checkpoint_4.bin");
+  EXPECT_EQ(gen.manifest.last_step, 2);
+  EXPECT_EQ(gen.manifest.saves, 4);
+  EXPECT_EQ(rt::CheckpointStore::read_file(dir + "/checkpoint_3.bin").step, 6);
+  // The older run's later steps are no fallback for a step-2 generation.
+  EXPECT_TRUE(gen.fallbacks.empty());
+  CellPartitionedSolver resumed(scen, phys, 2);
+  resumed.resume_from(gen, durable_options(dir));
+  EXPECT_EQ(resumed.step_index(), 2);
+}
+
+TEST(DurableResume, GenerationForAnotherConfigIsRefusedByName) {
+  const auto scen = tiny_scenario();
+  const auto phys = tiny_physics();
+  const std::string dir = fresh_dir("other_config");
+  BteScenario other = scen;
+  other.dt = 2 * scen.dt;  // same sizes: only the config hash tells them apart
+  {
+    CellPartitionedSolver s(other, phys, 2);
+    s.enable_resilience(durable_options(dir));
+    s.run(2);
+  }
+  const rt::Generation gen = latest_generation(dir);
+  CellPartitionedSolver mine(scen, phys, 2);
+  try {
+    mine.resume_from(gen, durable_options(dir));
+    FAIL() << "resumed a generation written for another configuration";
+  } catch (const rt::CheckpointError& err) {
+    const std::string msg = err.what();
+    EXPECT_NE(msg.find("config-hash mismatch"), std::string::npos) << msg;
+    EXPECT_NE(msg.find(gen.path), std::string::npos) << msg;
+  }
 }
 
 TEST(DurableResume, OptionValidationCoversDurableKnobs) {
@@ -677,9 +858,83 @@ TEST(DurableResume, OptionValidationCoversDurableKnobs) {
   no_checkpoints.max_rollbacks = 0;
   EXPECT_THROW(s.enable_resilience(no_checkpoints), std::invalid_argument);
 
-  const rt::RunManifest manifest;  // never mind the contents:
-  ResilienceOptions no_dir;        // resume without a durable dir is refused first
-  EXPECT_THROW(s.resume_from(manifest, no_dir), std::invalid_argument);
+  const rt::Generation gen;  // never mind the contents:
+  ResilienceOptions no_dir;  // resume without a durable dir is refused first
+  EXPECT_THROW(s.resume_from(gen, no_dir), std::invalid_argument);
+}
+
+// ---- generation image format ------------------------------------------------
+
+// A generation carries its run manifest in the image: state and run state
+// round-trip through one file, and an image without one cannot be resumed.
+TEST(DurableFormat, ImageCarriesItsRunManifest) {
+  rt::RunManifest m;
+  m.solver = "band";
+  m.config_hash = 0xfeedULL;
+  m.injector_counters = {{2, "halo", 12, 1}};
+  m.cancel_reason = "deadline: steps";
+  const std::vector<std::byte> image = rt::serialize(tiny_snapshot(5), &m);
+  rt::RunManifest back;
+  const rt::Snapshot snap = rt::deserialize(image, &back);
+  EXPECT_EQ(snap.step, 5);
+  EXPECT_EQ(snap.field("I")[2], 8.0);
+  EXPECT_EQ(back.solver, "band");
+  EXPECT_EQ(back.config_hash, 0xfeedULL);
+  ASSERT_EQ(back.injector_counters.size(), 1u);
+  EXPECT_EQ(back.injector_counters[0].consulted, 12);
+  EXPECT_EQ(back.cancel_reason, "deadline: steps");
+  EXPECT_EQ(rt::deserialize(image).field("T")[1], 301.0);  // state-only reads skip it
+  EXPECT_THROW(rt::deserialize(rt::serialize(tiny_snapshot(5)), &back), rt::CheckpointError);
+}
+
+// The v2 layout (no manifest section) is refused by version, never parsed
+// with the v3 walk.
+TEST(DurableFormat, V2ImageIsAnUnsupportedVersion) {
+  std::vector<std::byte> v2;
+  const auto put = [&v2](uint64_t v) {
+    for (int i = 0; i < 8; ++i) v2.push_back(static_cast<std::byte>((v >> (8 * i)) & 0xff));
+  };
+  const std::vector<double> T = {300.0, 301.0};
+  const auto raw = std::as_bytes(std::span<const double>(T));
+  put(0x46434e4b50543031ULL);  // magic
+  put(2);                      // version
+  put(7);                      // step
+  put(1);                      // one field
+  put(1);
+  v2.push_back(static_cast<std::byte>('T'));
+  put(T.size());
+  v2.insert(v2.end(), raw.begin(), raw.end());
+  put(rt::fnv1a64(raw));
+  put(rt::fnv1a64(v2));
+  try {
+    rt::deserialize(v2);
+    FAIL() << "v2 image parsed";
+  } catch (const rt::CheckpointError& err) {
+    EXPECT_NE(std::string(err.what()).find("unsupported checkpoint version 2"), std::string::npos)
+        << err.what();
+  }
+}
+
+// A manifest length that runs past the end of the image is a named error at
+// the bound check — never a read out of the buffer.
+TEST(DurableFormat, ManifestLengthOverrunIsANamedError) {
+  rt::RunManifest m;
+  m.solver = "cell";
+  const std::vector<std::byte> good = rt::serialize(tiny_snapshot(3), &m);
+  const size_t text_len = rt::manifest_to_json(m).size();
+  const size_t length_at = good.size() - 8 - text_len - 8;  // just after the fields
+  // One byte into the trailing checksum, and far past the end.
+  for (uint64_t len : {uint64_t{text_len + 1}, uint64_t{1} << 62}) {
+    std::vector<std::byte> bad = good;
+    for (int i = 0; i < 8; ++i)
+      bad[length_at + static_cast<size_t>(i)] = static_cast<std::byte>((len >> (8 * i)) & 0xff);
+    try {
+      rt::deserialize(bad, &m);
+      FAIL() << "overrunning manifest length " << len << " parsed";
+    } catch (const rt::CheckpointError& err) {
+      EXPECT_NE(std::string(err.what()).find("manifest section"), std::string::npos) << err.what();
+    }
+  }
 }
 
 // ---- chaos: resource class composes with the rest ---------------------------
@@ -703,11 +958,11 @@ TEST(DurabilityChaos, ResourceClassScheduleSurvivesTheOracle) {
 // ---- crash harness: SIGKILL inside the checkpoint .tmp-write window ---------
 
 #ifdef FINCH_HAVE_FORK
-// The child is killed while the third checkpoint's `.tmp` sibling is being
+// The child is killed while the third generation's `.tmp` sibling is being
 // written (rename still pending). The commit protocol guarantees the previous
-// generation and the previous manifest are untouched, so the parent resumes
-// from the prior step and finishes bit-exactly (satellite: the mid-write
-// window is the one a naive in-place writer corrupts).
+// generation is untouched, so the parent resumes from the prior step and
+// finishes bit-exactly (the mid-write window is the one a naive in-place
+// writer corrupts).
 TEST(CrashHarness, SigkillDuringTmpWriteLeavesPriorGenerationResumable) {
   const auto scen = tiny_scenario();
   const auto phys = tiny_physics();
@@ -724,8 +979,8 @@ TEST(CrashHarness, SigkillDuringTmpWriteLeavesPriorGenerationResumable) {
   ASSERT_GE(pid, 0);
   if (pid == 0) {
     // Child: SIGKILL from inside the .tmp-write window of the third
-    // checkpoint image (enable_resilience writes #1 at step 0, then steps 2
-    // and 4 write #2 and #3).
+    // generation (step 0 is held in memory; steps 2, 4 and 6 write #1, #2
+    // and #3).
     static int checkpoint_tmp_writes = 0;
     rt::set_checkpoint_commit_hook([](const std::string& path, rt::CommitPhase phase) {
       if (phase != rt::CommitPhase::AfterTmpWrite) return;
@@ -742,18 +997,56 @@ TEST(CrashHarness, SigkillDuringTmpWriteLeavesPriorGenerationResumable) {
   ASSERT_TRUE(WIFSIGNALED(status)) << "child exited with " << WEXITSTATUS(status);
   ASSERT_EQ(WTERMSIG(status), SIGKILL);
 
-  // The manifest on disk is the one from the second checkpoint (step 2), its
-  // newest generation is intact, and the torn write left no readable trace.
-  const rt::RunManifest manifest = rt::read_manifest(dir + "/manifest.json");
-  EXPECT_EQ(manifest.last_step, 2);
-  ASSERT_FALSE(manifest.checkpoints.empty());
-  EXPECT_EQ(rt::CheckpointStore::read_file(manifest.checkpoints[0]).step, 2);
+  // The newest generation on disk is the second (step 4) and intact; the torn
+  // write left only its `.tmp` sibling, which discovery ignores.
+  EXPECT_TRUE(file_exists(dir + "/checkpoint_3.bin.tmp"));
+  const rt::Generation gen = latest_generation(dir);
+  EXPECT_EQ(gen.manifest.last_step, 4);
+  EXPECT_EQ(rt::CheckpointStore::read_file(gen.path).step, 4);
 
   CellPartitionedSolver resumed(scen, phys, 2);
-  resumed.resume_from(manifest, durable_options(dir));
-  EXPECT_EQ(resumed.step_index(), 2);
+  resumed.resume_from(gen, durable_options(dir));
+  EXPECT_EQ(resumed.step_index(), 4);
   resumed.run(nsteps - static_cast<int>(resumed.step_index()));
   EXPECT_TRUE(bitwise_equal(resumed.gather_temperature(), ref.gather_temperature()));
   EXPECT_TRUE(bitwise_equal(resumed.gather_intensity(), ref.gather_intensity()));
+}
+
+// Killed at step 1 with interval 2: no generation was ever committed (step 0
+// lives in memory only), so the directory says "start at step 0" and the
+// restart finishes bit-exactly.
+TEST(CrashHarness, SigkillBeforeFirstGenerationRestartsFromStepZero) {
+  const auto scen = tiny_scenario();
+  const auto phys = tiny_physics();
+  const int nsteps = 8;
+
+  CellPartitionedSolver ref(scen, phys, 2);
+  ResilienceOptions ref_opt;
+  ref_opt.checkpoint.interval = 2;
+  ref.enable_resilience(ref_opt);
+  ref.run(nsteps);
+
+  const std::string dir = fresh_dir("crash_step1");
+  const pid_t pid = fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    CellPartitionedSolver victim(scen, phys, 2);
+    victim.enable_resilience(durable_options(dir));
+    victim.run(1);
+    ::raise(SIGKILL);
+    ::_exit(42);  // unreachable
+  }
+  int status = 0;
+  ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+  ASSERT_TRUE(WIFSIGNALED(status)) << "child exited with " << WEXITSTATUS(status);
+  ASSERT_EQ(WTERMSIG(status), SIGKILL);
+
+  EXPECT_FALSE(rt::find_latest_generation(dir).has_value());
+  CellPartitionedSolver restarted(scen, phys, 2);
+  restarted.enable_resilience(durable_options(dir));
+  EXPECT_EQ(restarted.step_index(), 0);
+  restarted.run(nsteps);
+  EXPECT_TRUE(bitwise_equal(restarted.gather_temperature(), ref.gather_temperature()));
+  EXPECT_TRUE(bitwise_equal(restarted.gather_intensity(), ref.gather_intensity()));
 }
 #endif  // FINCH_HAVE_FORK

@@ -2,8 +2,9 @@
 // max_concurrency > 1, bounded-queue backpressure (reject-with-retry-after),
 // strictly lowest-priority-first overload shedding, deficit-round-robin fair
 // share, brownout ladder degradation, starvation watchdog boosts, retry-storm
-// damping, per-tenant budget partitions, and crash-restart adoption with
-// attempts in flight — all judged by the extended SupervisorCampaign oracle.
+// damping, per-tenant budget partitions, crash-restart adoption with
+// attempts in flight, and the durable I/O per job — all judged by the
+// extended SupervisorCampaign oracle.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -17,8 +18,8 @@
 
 #include "bte/supervisor_campaign.hpp"
 #include "runtime/checkpoint.hpp"
-#include "runtime/manifest.hpp"
 #include "runtime/memory.hpp"
+#include "runtime/metrics.hpp"
 #include "svc/job_file.hpp"
 #include "svc/scheduler.hpp"
 
@@ -463,6 +464,33 @@ TEST(SchedulerDeterminism, IdenticalRunsProduceIdenticalTrajectories) {
   EXPECT_DOUBLE_EQ(a.stats.drain_vtime_s, b.stats.drain_vtime_s);
 }
 
+// Tripwire on the durability protocol's I/O: a fault-free durable job
+// commits job.json, one generation per checkpoint interval (none at step 0)
+// and terminal.json — four atomic writes of two fsyncs each (data, then the
+// directory after the rename).
+TEST(SchedulerDurability, FaultFreeJobsCommitFourFilesEach) {
+  SchedulerOptions opt;
+  opt.max_concurrency = 1;
+  opt.supervisor.durable_root = fresh_root("io_tripwire");
+  std::vector<JobSpec> specs;
+  for (int i = 0; i < 2; ++i) {
+    JobSpec s = small_job("io-" + std::to_string(i));
+    s.nsteps = 8;
+    s.ckpt_interval = 4;
+    specs.push_back(s);
+  }
+  auto& mx = rt::MetricsRegistry::global();
+  const double writes0 = mx.value("ckpt.atomic_writes");
+  const double fsyncs0 = mx.value("ckpt.fsyncs");
+  Scheduler sched(base_scenario(), opt);
+  const ScheduleResult res = sched.run(at_time_zero(specs));
+  ASSERT_EQ(res.outcomes.size(), 2u);
+  for (const JobOutcome& o : res.outcomes)
+    EXPECT_EQ(o.state, TerminalState::Completed) << o.spec.id;
+  EXPECT_EQ(mx.value("ckpt.atomic_writes") - writes0, 8.0);
+  EXPECT_EQ(mx.value("ckpt.fsyncs") - fsyncs0, 16.0);
+}
+
 #if FINCH_HAVE_FORK
 TEST(SchedulerCrash, RestartReadoptsEveryJobInFlightAcrossSlots) {
   // Satellite: SIGKILL while two attempts are mid-flight in one wave. The
@@ -483,20 +511,20 @@ TEST(SchedulerCrash, RestartReadoptsEveryJobInFlightAcrossSlots) {
   const pid_t pid = fork();
   ASSERT_GE(pid, 0);
   if (pid == 0) {
-    // Child: die once both job directories have committed a step>=2 manifest
-    // — both attempts are provably mid-flight, neither terminal.
+    // Child: die once both job directories have committed a step>=2
+    // generation — both attempts are provably mid-flight, neither terminal.
     static std::mutex mu;
     static std::map<std::string, int> commits;
     rt::set_checkpoint_commit_hook([](const std::string& path, rt::CommitPhase phase) {
       if (phase != rt::CommitPhase::AfterRename) return;
-      if (path.find("manifest.json") == std::string::npos) return;
+      if (path.find("checkpoint_") == std::string::npos) return;
       std::lock_guard<std::mutex> lk(mu);
       const size_t cut = path.find("/flight-");
       if (cut == std::string::npos) return;
       ++commits[path.substr(cut, 9)];
       int armed = 0;
       for (const auto& [dir, n] : commits)
-        if (n >= 2) ++armed;  // step-0 commit + at least one step-2 commit
+        if (n >= 1) ++armed;  // step 0 commits nothing: the first is step 2's
       if (armed >= 2) ::raise(SIGKILL);
     });
     Scheduler victim(base_scenario(), opt);

@@ -7,12 +7,13 @@
 // The tentpole property: every submitted job reaches exactly one terminal
 // state, Completed jobs are bit-exact vs a fault-free reference of whatever
 // configuration actually ran, and retries of durable jobs resume from the
-// newest manifest checkpoint instead of replaying from step 0 — all judged
+// newest checkpoint generation instead of replaying from step 0 — all judged
 // by the bte::SupervisorCampaign oracle that the CI soak reuses.
 #include <gtest/gtest.h>
 
 #include <csignal>
 #include <cstdio>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -302,7 +303,7 @@ TEST(Supervisor, FlakyJobRetryResumesFromManifestNotStepZero) {
   EXPECT_EQ(o.state, TerminalState::Completed);
   ASSERT_EQ(o.attempts.size(), 2u);
   EXPECT_FALSE(o.attempts[0].error.empty());
-  // The retry resumed from the durable manifest: provenance says resumed,
+  // The retry resumed from a durable generation: provenance says resumed,
   // and it started past step 0 (no step-0 replay).
   EXPECT_TRUE(o.attempts[1].resumed);
   EXPECT_GT(o.attempts[1].start_step, 0);
@@ -333,7 +334,9 @@ TEST(Supervisor, DeadlineDrainsToCancelledAndStaysResumable) {
   EXPECT_GE(o.final_step, 4);
   EXPECT_LT(o.final_step, 10);
   // Drain-then-resume: the durable state on disk is a valid resume point.
-  const rt::RunManifest m = rt::read_manifest(root + "/late/manifest.json");
+  const std::optional<rt::Generation> gen = rt::find_latest_generation(root + "/late");
+  ASSERT_TRUE(gen.has_value());
+  const rt::RunManifest& m = gen->manifest;
   EXPECT_EQ(m.last_step, o.final_step);
   EXPECT_FALSE(m.cancel_reason.empty());
 }
@@ -416,11 +419,11 @@ TEST(Supervisor, DuplicateAndInvalidSubmissionsRejected) {
 }
 
 #ifdef FINCH_HAVE_FORK
-// Crash-restart: the child scheduler is SIGKILLed mid-job right after a run
-// manifest commits (the PR-7 commit-hook harness, filtered to manifest
-// renames). The restarted parent scheduler adopts the orphaned job
+// Crash-restart: the child scheduler is SIGKILLed mid-job right after a
+// checkpoint generation commits (the commit-hook harness, filtered to
+// generation renames). The restarted parent scheduler adopts the orphaned job
 // directory — job.json present, terminal.json absent — and drives it to
-// Completed bit-exactly, resuming from the committed manifest.
+// Completed bit-exactly, resuming from the committed generation.
 TEST(SupervisorCrash, RestartReadoptsJobWhoseManifestCommittedBeforeDeath) {
   const std::string root = fresh_root("crash");
   JobSpec spec = small_job("orphan");
@@ -432,13 +435,13 @@ TEST(SupervisorCrash, RestartReadoptsJobWhoseManifestCommittedBeforeDeath) {
   const pid_t pid = fork();
   ASSERT_GE(pid, 0);
   if (pid == 0) {
-    // Child: die mid-step once the manifest for step 4 has committed
-    // (enable_resilience commits step 0, then steps 2 and 4).
-    static int manifest_commits = 0;
+    // Child: die mid-step once the generation for step 6 has committed
+    // (step 0 stays in memory; steps 2, 4 and 6 commit).
+    static int generation_commits = 0;
     rt::set_checkpoint_commit_hook([](const std::string& path, rt::CommitPhase phase) {
       if (phase != rt::CommitPhase::AfterRename) return;
-      if (path.find("manifest.json") == std::string::npos) return;
-      if (++manifest_commits == 3) ::raise(SIGKILL);
+      if (path.find("checkpoint_") == std::string::npos) return;
+      if (++generation_commits == 3) ::raise(SIGKILL);
     });
     Scheduler victim(base_scenario(), serial(opt));
     victim.run(at_time_zero({spec}));
@@ -449,11 +452,13 @@ TEST(SupervisorCrash, RestartReadoptsJobWhoseManifestCommittedBeforeDeath) {
   ASSERT_TRUE(WIFSIGNALED(status)) << "child exited with " << WEXITSTATUS(status);
   ASSERT_EQ(WTERMSIG(status), SIGKILL);
 
-  // The job is an orphan: spec committed, no terminal record, manifest at
-  // step 4.
+  // The job is an orphan: spec committed, no terminal record, newest
+  // generation at step 6.
   EXPECT_TRUE(file_exists(root + "/orphan/job.json"));
   EXPECT_FALSE(file_exists(root + "/orphan/terminal.json"));
-  EXPECT_EQ(rt::read_manifest(root + "/orphan/manifest.json").last_step, 4);
+  const std::optional<rt::Generation> gen = rt::find_latest_generation(root + "/orphan");
+  ASSERT_TRUE(gen.has_value());
+  EXPECT_EQ(gen->manifest.last_step, 6);
 
   Scheduler restarted(base_scenario(), serial(opt));
   const auto adopted = restarted.adopt_orphans();
@@ -464,7 +469,7 @@ TEST(SupervisorCrash, RestartReadoptsJobWhoseManifestCommittedBeforeDeath) {
   EXPECT_TRUE(o.adopted);
   ASSERT_EQ(o.attempts.size(), 1u);
   EXPECT_TRUE(o.attempts[0].resumed);
-  EXPECT_EQ(o.attempts[0].start_step, 4);
+  EXPECT_EQ(o.attempts[0].start_step, 6);
 
   // The oracle holds across the crash: bit-exact vs fault-free reference.
   bte::SupervisorCampaign campaign(base_scenario());
