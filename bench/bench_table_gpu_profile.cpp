@@ -52,5 +52,5 @@ int main() {
               100 * cnt.flop_fraction, 100 * cnt.mem_fraction, cnt.bytes_h2d / 1e6,
               cnt.bytes_d2h / 1e6);
   bench::check(cnt.kernel_launches == 5, "one interior kernel launch per time step");
-  return 0;
+  return bench::check_failures() > 0 ? 1 : 0;
 }

@@ -1,8 +1,10 @@
 #include "bytecode.hpp"
 
 #include <cmath>
+#include <cstring>
 #include <map>
 #include <sstream>
+#include <tuple>
 
 #include "core/symbolic/operators.hpp"
 #include "core/symbolic/printer.hpp"
@@ -18,109 +20,102 @@ int CompileEnv::loop_slot_of(const std::string& index_name) const {
   throw CompileError("undeclared index in expression: " + index_name);
 }
 
+std::string Binding::signature() const {
+  std::string s;
+  s += static_cast<char>('0' + static_cast<int>(source));
+  s += '|';
+  s += debug_name;
+  s += '|';
+  for (int k = 0; k < n_idx; ++k) {
+    s += std::to_string(loop_slot[static_cast<size_t>(k)]);
+    s += ':';
+    s += std::to_string(stride[static_cast<size_t>(k)]);
+    s += ',';
+  }
+  return s;
+}
+
 namespace {
 
+uint64_t bits_of(double d) {
+  uint64_t u = 0;
+  std::memcpy(&u, &d, sizeof u);
+  return u;
+}
+
+// Lowers a tree to the node list in one walk, operands before users. node()
+// value-numbers as it goes: a node structurally equal to an earlier one (op,
+// operand ids, binding, Const bits) is that node, so repeated subtrees
+// collapse and every emitted node is used.
 class Compiler {
  public:
   explicit Compiler(const CompileEnv& env) : env_(env) {}
 
   Program run(const sym::Expr& e) {
-    uint8_t r = emit(e);
-    prog_.code.push_back({Op::Ret, 0, r, 0, 0, 0, 0.0});
-    prog_.num_regs = next_reg_;
+    prog_.ret = emit(e);
     return std::move(prog_);
   }
 
  private:
-  // Registers are recycled once consumed (every emitted value is used exactly
-  // once since expressions are trees), so live registers track tree depth.
-  uint8_t alloc() {
-    if (!free_.empty()) {
-      const uint8_t r = free_.back();
-      free_.pop_back();
-      return r;
-    }
-    if (next_reg_ >= 250) throw CompileError("expression too large (register overflow)");
-    return static_cast<uint8_t>(next_reg_++);
+  int32_t node(Op op, int32_t a = -1, int32_t b = -1, int32_t c = -1, int32_t slot = 0,
+               double imm = 0.0) {
+    const Key key{op, a, b, c, slot, op == Op::Const ? bits_of(imm) : 0};
+    auto [it, fresh] = values_.try_emplace(key, static_cast<int32_t>(prog_.nodes.size()));
+    if (fresh) prog_.nodes.push_back({op, a, b, c, slot, op == Op::Const ? imm : 0.0});
+    return it->second;
   }
 
-  void release(uint8_t r) { free_.push_back(r); }
-
-  uint8_t emit_binary(Op op, const sym::Expr& a, const sym::Expr& b) {
-    uint8_t ra = emit(a), rb = emit(b);
-    release(ra);
-    release(rb);
-    uint8_t rd = alloc();
-    prog_.code.push_back({op, rd, ra, rb, 0, 0, 0.0});
-    return rd;
+  // Operands are emitted left to right: the node order (and so the native
+  // kernel's text) follows the tree.
+  int32_t emit_binary(Op op, const sym::Expr& a, const sym::Expr& b) {
+    const int32_t na = emit(a);
+    const int32_t nb = emit(b);
+    return node(op, na, nb);
   }
 
-  uint8_t emit(const sym::Expr& e) {
+  int32_t emit(const sym::Expr& e) {
     switch (e->kind()) {
-      case sym::Kind::Number: {
-        uint8_t rd = alloc();
-        prog_.code.push_back({Op::Const, rd, 0, 0, 0, 0, sym::as<sym::NumberNode>(e)->value});
-        return rd;
-      }
+      case sym::Kind::Number:
+        return node(Op::Const, -1, -1, -1, 0, sym::as<sym::NumberNode>(e)->value);
       case sym::Kind::Symbol:
         return emit_symbol(*sym::as<sym::SymbolNode>(e));
       case sym::Kind::EntityRef:
         return emit_entity(*sym::as<sym::EntityRefNode>(e));
       case sym::Kind::Add: {
         const auto& terms = sym::as<sym::AddNode>(e)->terms;
-        uint8_t acc = emit(terms[0]);
+        int32_t acc = emit(terms[0]);
         for (size_t i = 1; i < terms.size(); ++i) {
-          uint8_t rt = emit(terms[i]);
-          release(acc);
-          release(rt);
-          uint8_t rd = alloc();
-          prog_.code.push_back({Op::Add, rd, acc, rt, 0, 0, 0.0});
-          acc = rd;
+          const int32_t t = emit(terms[i]);
+          acc = node(Op::Add, acc, t);
         }
         return acc;
       }
       case sym::Kind::Mul: {
         const auto& fs = sym::as<sym::MulNode>(e)->factors;
-        uint8_t acc = emit(fs[0]);
+        int32_t acc = emit(fs[0]);
         for (size_t i = 1; i < fs.size(); ++i) {
           // x * y^-1 lowers to a divide.
           if (const auto* p = sym::as<sym::PowNode>(fs[i]);
               p != nullptr && sym::is_number(p->expo, -1.0)) {
-            uint8_t rb = emit(p->base);
-            release(acc);
-            release(rb);
-            uint8_t rd = alloc();
-            prog_.code.push_back({Op::Div, rd, acc, rb, 0, 0, 0.0});
-            acc = rd;
+            const int32_t d = emit(p->base);
+            acc = node(Op::Div, acc, d);
             continue;
           }
-          uint8_t rf = emit(fs[i]);
-          release(acc);
-          release(rf);
-          uint8_t rd = alloc();
-          prog_.code.push_back({Op::Mul, rd, acc, rf, 0, 0, 0.0});
-          acc = rd;
+          const int32_t f = emit(fs[i]);
+          acc = node(Op::Mul, acc, f);
         }
         return acc;
       }
       case sym::Kind::Pow: {
         const auto* p = sym::as<sym::PowNode>(e);
         if (sym::is_number(p->expo, 2.0)) {
-          uint8_t ra = emit(p->base);
-          release(ra);
-          uint8_t rd = alloc();
-          prog_.code.push_back({Op::Mul, rd, ra, ra, 0, 0, 0.0});
-          return rd;
+          const int32_t base = emit(p->base);
+          return node(Op::Mul, base, base);
         }
         if (sym::is_number(p->expo, -1.0)) {
-          uint8_t rone = alloc();
-          prog_.code.push_back({Op::Const, rone, 0, 0, 0, 0, 1.0});
-          uint8_t ra = emit(p->base);
-          release(rone);
-          release(ra);
-          uint8_t rd = alloc();
-          prog_.code.push_back({Op::Div, rd, rone, ra, 0, 0, 0.0});
-          return rd;
+          const int32_t one = node(Op::Const, -1, -1, -1, 0, 1.0);
+          const int32_t base = emit(p->base);
+          return node(Op::Div, one, base);
         }
         return emit_binary(Op::Pow, p->base, p->expo);
       }
@@ -146,18 +141,12 @@ class Compiler {
     throw CompileError("unknown node kind");
   }
 
-  uint8_t emit_symbol(const sym::SymbolNode& s) {
-    if (s.name == "dt") {
-      uint8_t rd = alloc();
-      prog_.code.push_back({Op::LoadDt, rd, 0, 0, 0, 0, 0.0});
-      return rd;
-    }
+  int32_t emit_symbol(const sym::SymbolNode& s) {
+    if (s.name == "dt") return node(Op::LoadDt);
     if (s.name.rfind("NORMAL_", 0) == 0) {
       int comp = std::stoi(s.name.substr(7)) - 1;
       if (comp < 0 || comp > 2) throw CompileError("bad normal component: " + s.name);
-      uint8_t rd = alloc();
-      prog_.code.push_back({Op::LoadNormal, rd, 0, 0, 0, comp, 0.0});
-      return rd;
+      return node(Op::LoadNormal, -1, -1, -1, comp);
     }
     if (s.name == sym::kSurfaceMarker || s.name == sym::kTimeDerivativeMarker)
       throw CompileError("marker symbol '" + s.name + "' reached the executable target; "
@@ -165,11 +154,10 @@ class Compiler {
     throw CompileError("unbound symbol in integrand: " + s.name);
   }
 
-  uint8_t emit_entity(const sym::EntityRefNode& r) {
+  int32_t emit_entity(const sym::EntityRefNode& r) {
     Binding b;
     b.debug_name = r.name;
     // DOF addressing from the entity's declared index list.
-    const sym::EntityInfo* info = env_.table == nullptr ? nullptr : env_.table->find(r.name);
     auto fill_indices = [&](const std::vector<sym::Expr>& idx) {
       b.n_idx = 0;
       int32_t stride = 1;
@@ -209,26 +197,18 @@ class Compiler {
         throw CompileError("no storage bound for coefficient " + r.name);
       }
     }
-    (void)info;
-    int32_t slot = static_cast<int32_t>(prog_.bindings.size());
-    prog_.bindings.push_back(std::move(b));
-    uint8_t rd = alloc();
-    prog_.code.push_back({Op::Load, rd, 0, 0, 0, slot, 0.0});
-    return rd;
+    auto [it, fresh] = binding_ids_.try_emplace(b.signature(), static_cast<int32_t>(prog_.bindings.size()));
+    if (fresh) prog_.bindings.push_back(std::move(b));
+    return node(Op::Load, -1, -1, -1, it->second);
   }
 
-  uint8_t emit_call(const sym::CallNode& c) {
+  int32_t emit_call(const sym::CallNode& c) {
     if (c.func == "conditional") {
       if (c.args.size() != 3) throw CompileError("conditional takes 3 arguments");
-      uint8_t rc = emit(c.args[0]);
-      uint8_t rt = emit(c.args[1]);
-      uint8_t rf = emit(c.args[2]);
-      release(rc);
-      release(rt);
-      release(rf);
-      uint8_t rd = alloc();
-      prog_.code.push_back({Op::Select, rd, rc, rt, rf, 0, 0.0});
-      return rd;
+      const int32_t cond = emit(c.args[0]);
+      const int32_t t = emit(c.args[1]);
+      const int32_t f = emit(c.args[2]);
+      return node(Op::Select, cond, t, f);
     }
     static const std::map<std::string, Op> kMath = {
         {"exp", Op::MathExp}, {"sqrt", Op::MathSqrt}, {"abs", Op::MathAbs},
@@ -237,20 +217,19 @@ class Compiler {
     auto it = kMath.find(c.func);
     if (it != kMath.end()) {
       if (c.args.size() != 1) throw CompileError(c.func + " takes 1 argument");
-      uint8_t ra = emit(c.args[0]);
-      release(ra);
-      uint8_t rd = alloc();
-      prog_.code.push_back({it->second, rd, ra, 0, 0, 0, 0.0});
-      return rd;
+      const int32_t a = emit(c.args[0]);
+      return node(it->second, a);
     }
     throw CompileError("call to '" + c.func + "' cannot be lowered; register it as a symbolic "
                        "operator or route it through a boundary/post-step callback");
   }
 
+  using Key = std::tuple<Op, int32_t, int32_t, int32_t, int32_t, uint64_t>;
+
   const CompileEnv& env_;
   Program prog_;
-  int next_reg_ = 0;
-  std::vector<uint8_t> free_;
+  std::map<Key, int32_t> values_;                 // structural key -> node id
+  std::map<std::string, int32_t> binding_ids_;    // Binding::signature -> binding id
 };
 
 }  // namespace
@@ -312,25 +291,25 @@ void load(const Binding& b, int32_t slot, const Lanes& lanes, double* d) {
   }
 }
 
-// The interpreter: register r of lane l lives at regs[r * kWidth + l], and
-// every instruction is applied to lanes [0, count) before the next one.
+// The interpreter: the value of node i for lane l lives at vals[i * kWidth + l],
+// and every node is applied to lanes [0, count) before the next one.
 template <bool Guarded, class Lanes>
-void run(const Program& p, const Lanes& lanes, double* regs, double* out, GuardReport* reports) {
+void run(const Program& p, const Lanes& lanes, double* vals, double* out, GuardReport* reports) {
   const int n = lanes.count();
-  auto reg = [regs](uint8_t r) { return regs + static_cast<size_t>(r) * Lanes::kWidth; };
-  for (size_t ip = 0; ip < p.code.size(); ++ip) {
-    const Instr& in = p.code[ip];
-    double* d = reg(in.dst);
+  auto val = [vals](int32_t id) { return vals + static_cast<size_t>(id) * Lanes::kWidth; };
+  for (size_t i = 0; i < p.nodes.size(); ++i) {
+    const Node& in = p.nodes[i];
+    double* d = val(static_cast<int32_t>(i));
     auto fill = [&](double v) {
       for (int l = 0; l < n; ++l) d[l] = v;
     };
     auto unary = [&](auto f) {
-      const double* a = reg(in.a);
+      const double* a = val(in.a);
       for (int l = 0; l < n; ++l) d[l] = f(a[l]);
     };
     auto binary = [&](auto f) {
-      const double* a = reg(in.a);
-      const double* b = reg(in.b);
+      const double* a = val(in.a);
+      const double* b = val(in.b);
       for (int l = 0; l < n; ++l) d[l] = f(a[l], b[l]);
     };
     auto compare = [&](auto f) { binary([f](double x, double y) { return f(x, y) ? 1.0 : 0.0; }); };
@@ -352,9 +331,9 @@ void run(const Program& p, const Lanes& lanes, double* regs, double* out, GuardR
       case Op::CmpEQ: compare([](double x, double y) { return x == y; }); break;
       case Op::CmpNE: compare([](double x, double y) { return x != y; }); break;
       case Op::Select: {
-        const double* a = reg(in.a);
-        const double* b = reg(in.b);
-        const double* c = reg(in.c);
+        const double* a = val(in.a);
+        const double* b = val(in.b);
+        const double* c = val(in.c);
         for (int l = 0; l < n; ++l) d[l] = a[l] != 0.0 ? b[l] : c[l];
         break;
       }
@@ -364,38 +343,38 @@ void run(const Program& p, const Lanes& lanes, double* regs, double* out, GuardR
       case Op::MathSin: unary([](double x) { return std::sin(x); }); break;
       case Op::MathCos: unary([](double x) { return std::cos(x); }); break;
       case Op::MathLog: unary([](double x) { return std::log(x); }); break;
-      case Op::Ret: {
-        const double* a = reg(in.a);
-        for (int l = 0; l < n; ++l) {
-          out[l] = a[l];
-          if constexpr (Guarded) {
-            reports[l].evals += 1;
-            if (!std::isfinite(a[l])) reports[l].nonfinite_results += 1;
-          }
-        }
-        return;
-      }
     }
     if constexpr (Guarded) {
       // Audit every intermediate so the report pinpoints the op that went bad
       // (a Div by zero, Pow of a negative base, Log of a corrupted field).
       for (int l = 0; l < n; ++l) {
         if (!std::isfinite(d[l]) && reports[l].first_instr < 0) {
-          reports[l].first_instr = static_cast<int32_t>(ip);
+          reports[l].first_instr = static_cast<int32_t>(i);
           reports[l].first_op = in.op;
           reports[l].first_cell = lanes.ctx.cell;
         }
       }
     }
   }
-  throw std::logic_error("bytecode program missing Ret");
+  const double* r = val(p.ret);
+  for (int l = 0; l < n; ++l) {
+    out[l] = r[l];
+    if constexpr (Guarded) {
+      reports[l].evals += 1;
+      if (!std::isfinite(r[l])) reports[l].nonfinite_results += 1;
+    }
+  }
 }
 
 template <bool Guarded>
 double eval_one(const Program& p, const EvalContext& ctx, GuardReport* report) {
-  double regs[256];
+  // One value slot per node: small programs stay on the stack, larger ones
+  // (no size cap) take a heap buffer.
+  constexpr size_t kStackNodes = 256;
+  double stack[kStackNodes];
+  std::vector<double> heap(p.nodes.size() > kStackNodes ? p.nodes.size() : 0);
   double out;
-  run<Guarded>(p, OneLane{ctx}, regs, &out, report);
+  run<Guarded>(p, OneLane{ctx}, heap.empty() ? stack : heap.data(), &out, report);
   return out;
 }
 
@@ -407,12 +386,6 @@ double eval_guarded(const Program& p, const EvalContext& ctx, GuardReport& repor
   return eval_one<true>(p, ctx, &report);
 }
 
-double eval_audited(const Program& p, const EvalContext& ctx, rt::BlockChecksum& audit) {
-  const double v = eval_one<false>(p, ctx, nullptr);
-  audit.fold(v);
-  return v;
-}
-
 LaneOffsets::LaneOffsets(const Program& p, std::span<const std::array<int32_t, 4>> lane_loop_values)
     : lanes_(static_cast<int32_t>(lane_loop_values.size())),
       dof_(p.bindings.size() * lane_loop_values.size()) {
@@ -422,13 +395,13 @@ LaneOffsets::LaneOffsets(const Program& p, std::span<const std::array<int32_t, 4
 }
 
 void eval_block(const Program& p, const LaneOffsets& offsets, const LaneBlock& block,
-                double* regs, double* out) {
-  run<false>(p, BlockLanes{block, offsets}, regs, out, nullptr);
+                double* vals, double* out) {
+  run<false>(p, BlockLanes{block, offsets}, vals, out, nullptr);
 }
 
 void eval_block_guarded(const Program& p, const LaneOffsets& offsets, const LaneBlock& block,
-                        double* regs, double* out, GuardReport* reports) {
-  run<true>(p, BlockLanes{block, offsets}, regs, out, reports);
+                        double* vals, double* out, GuardReport* reports) {
+  run<true>(p, BlockLanes{block, offsets}, vals, out, reports);
 }
 
 void note_eval_batch(const Program& volume, const Program* surface,
@@ -464,9 +437,9 @@ void note_eval_batch(const Program& volume, const Program* surface,
 
 Program::Stats Program::analyze() const {
   Stats s;
-  // FMA detection: a Mul whose destination feeds exactly the next Add.
-  for (size_t i = 0; i < code.size(); ++i) {
-    const Instr& in = code[i];
+  // FMA detection: a Mul feeding the node right after it, an Add or Sub.
+  for (size_t i = 0; i < nodes.size(); ++i) {
+    const Node& in = nodes[i];
     switch (in.op) {
       case Op::Add: case Op::Sub: case Op::Mul: case Op::Div: case Op::Neg:
         ++s.flops;
@@ -491,9 +464,10 @@ Program::Stats Program::analyze() const {
       default:
         break;
     }
-    if (in.op == Op::Mul && i + 1 < code.size()) {
-      const Instr& nx = code[i + 1];
-      if ((nx.op == Op::Add || nx.op == Op::Sub) && (nx.a == in.dst || nx.b == in.dst)) ++s.fma_pairs;
+    if (in.op == Op::Mul && i + 1 < nodes.size()) {
+      const Node& nx = nodes[i + 1];
+      const auto self = static_cast<int32_t>(i);
+      if ((nx.op == Op::Add || nx.op == Op::Sub) && (nx.a == self || nx.b == self)) ++s.fma_pairs;
     }
   }
   return s;
@@ -526,17 +500,20 @@ std::string disassemble(const Program& p) {
       case Op::MathSin: return "sin";
       case Op::MathCos: return "cos";
       case Op::MathLog: return "log";
-      case Op::Ret: return "ret";
     }
     return "?";
   };
-  for (const Instr& in : p.code) {
-    os << name(in.op) << " r" << static_cast<int>(in.dst) << " r" << static_cast<int>(in.a) << " r"
-       << static_cast<int>(in.b);
+  for (size_t i = 0; i < p.nodes.size(); ++i) {
+    const Node& in = p.nodes[i];
+    os << "%" << i << " = " << name(in.op);
+    for (int32_t operand : {in.a, in.b, in.c})
+      if (operand >= 0) os << " %" << operand;
+    if (in.op == Op::LoadNormal) os << " " << in.slot;
     if (in.op == Op::Load) os << "  ; " << p.bindings[static_cast<size_t>(in.slot)].debug_name;
     if (in.op == Op::Const) os << "  ; " << in.imm;
     os << "\n";
   }
+  os << "ret %" << p.ret << "\n";
   return os.str();
 }
 

@@ -1,15 +1,19 @@
 #pragma once
-// Executable lowering of classified integrands.
+// The one lowered form of a classified integrand, and the bytecode VM.
 //
-// Source-text targets (C++/CUDA emitters) render the IR for humans; this
-// target lowers each integrand to a compact register bytecode that the
-// in-process solvers execute, so DSL-generated programs really run. The
-// instruction set covers exactly what the expanded symbolic forms contain:
-// loads of entity values (self / neighbor side, with index-computed DOF
-// offsets), geometric quantities (NORMAL_i, face area, cell volume), dt,
-// arithmetic, comparisons, a select (for `conditional`), and a few math
-// builtins. A static analysis pass reports flop counts for the GPU roofline
-// model and the perf module.
+// Source-text targets (C++/CUDA emitters) render the symbolic IR for humans;
+// this target lowers each integrand to a `Program`: an SSA value graph whose
+// nodes cover exactly what the expanded symbolic forms contain — loads of
+// entity values (self / neighbor side, with index-computed DOF offsets),
+// geometric quantities (NORMAL_i), dt, arithmetic, comparisons, a select (for
+// `conditional`) and a few math builtins. compile() value-numbers the nodes
+// as it walks the expression tree, so a computation the tree repeats (the
+// upwind select evaluates s·n for its condition and for each branch) is one
+// node. Every executor runs this one node list: the VM below keeps one value
+// slot per node, the native emitter (native_backend.hpp) writes one C
+// statement per node, and the GPU target sweeps the VM over its interior
+// cells on the simulated device. A static analysis pass reports the
+// instruction mix for the GPU roofline model and the vm.* metrics.
 
 #include <array>
 #include <cstdint>
@@ -22,29 +26,28 @@
 #include "core/symbolic/entities.hpp"
 #include "core/symbolic/expr.hpp"
 #include "fvm/field.hpp"
-#include "runtime/abft.hpp"
 
 namespace finch::codegen {
 
 enum class Op : uint8_t {
-  Const,      // dst = imm
-  Load,       // dst = binding[slot] resolved against the context
-  LoadNormal, // dst = normal[imm_i]
-  LoadDt,     // dst = dt
-  Add, Sub, Mul, Div,  // dst = a (op) b
-  Neg,        // dst = -a
-  Pow,        // dst = pow(a, b)
-  CmpGT, CmpGE, CmpLT, CmpLE, CmpEQ, CmpNE,  // dst = (a op b) ? 1 : 0
-  Select,     // dst = (a != 0) ? b : c
-  MathExp, MathSqrt, MathAbs, MathSin, MathCos, MathLog,  // dst = f(a)
-  Ret,        // return reg a
+  Const,      // imm
+  Load,       // bindings[slot] resolved against the context
+  LoadNormal, // normal[slot]
+  LoadDt,     // dt
+  Add, Sub, Mul, Div,  // a (op) b
+  Neg,        // -a
+  Pow,        // pow(a, b)
+  CmpGT, CmpGE, CmpLT, CmpLE, CmpEQ, CmpNE,  // (a op b) ? 1 : 0
+  Select,     // (a != 0) ? b : c
+  MathExp, MathSqrt, MathAbs, MathSin, MathCos, MathLog,  // f(a)
 };
 
-struct Instr {
-  Op op;
-  uint8_t dst = 0, a = 0, b = 0, c = 0;
-  int32_t slot = 0;   // binding table index (Load) or component (LoadNormal)
-  double imm = 0.0;   // Const
+// One SSA value. Operands name earlier nodes of the same program.
+struct Node {
+  Op op = Op::Const;
+  int32_t a = -1, b = -1, c = -1;  // operand node ids; -1 past the op's arity
+  int32_t slot = 0;                // binding id (Load) or component (LoadNormal)
+  double imm = 0.0;                // Const
 };
 
 // How a Load resolves a value. DOF offsets are computed from the live loop
@@ -66,6 +69,12 @@ struct Binding {
   std::array<int32_t, 3> stride{{0, 0, 0}};
   std::string debug_name;
 
+  // Everything that determines which value a Load produces, with no raw
+  // pointers (entities are unique by name) and no scalar values (scalars are
+  // runtime kernel arguments): the compiler's deduplication key and part of
+  // the native kernel's IR fingerprint.
+  std::string signature() const;
+
   int64_t dof(std::span<const int32_t> loop_values) const {
     int64_t d = 0;
     for (int k = 0; k < n_idx; ++k) d += static_cast<int64_t>(loop_values[static_cast<size_t>(loop_slot[static_cast<size_t>(k)])]) * stride[static_cast<size_t>(k)];
@@ -73,12 +82,15 @@ struct Binding {
   }
 };
 
+// A lowered integrand. No two nodes are structurally equal (same op, operand
+// ids, binding and Const bits), and a tree walk leaves no dead node.
 struct Program {
-  std::vector<Instr> code;
-  std::vector<Binding> bindings;
-  int num_regs = 0;
+  std::vector<Node> nodes;        // topological: operands precede their users
+  std::vector<Binding> bindings;  // one per distinct signature; Node::slot indexes here
+  int32_t ret = -1;               // node id of the result
 
-  // Static instruction-mix analysis (drives the GPU roofline model).
+  // Static instruction-mix analysis over the nodes (drives the GPU roofline
+  // model and the vm.* metrics).
   struct Stats {
     int flops = 0;       // floating arithmetic ops
     int fma_pairs = 0;   // mul feeding add (fusable)
@@ -135,42 +147,25 @@ Program compile(const sym::Expr& integrand, const CompileEnv& env);
 double eval(const Program& p, const EvalContext& ctx);
 
 // Non-finite guard: eval_guarded() runs the same interpreter but audits every
-// instruction result, so a NaN/Inf produced anywhere in a step — a divide at a
+// node's value, so a NaN/Inf produced anywhere in a step — a divide at a
 // degenerate face, pow of a negative base, log of a corrupted (negative) field
 // value — is *reported* instead of silently propagating into the solution.
-// The report is cheap to merge, so per-thread instances can be combined.
 struct GuardReport {
   int64_t evals = 0;              // guarded evaluations performed
   int64_t nonfinite_results = 0;  // evaluations returning NaN or +/-Inf
-  int32_t first_instr = -1;       // instruction index that first went non-finite
-  Op first_op = Op::Ret;          // its opcode
+  int32_t first_instr = -1;       // first node, in evaluation order, that went non-finite
+  Op first_op = Op::Const;        // its opcode (when first_instr >= 0)
   int32_t first_cell = -1;        // ctx.cell of the first offending evaluation
   bool clean() const { return nonfinite_results == 0; }
-  void merge(const GuardReport& other) {
-    evals += other.evals;
-    nonfinite_results += other.nonfinite_results;
-    if (first_instr < 0 && other.first_instr >= 0) {
-      first_instr = other.first_instr;
-      first_op = other.first_op;
-      first_cell = other.first_cell;
-    }
-  }
 };
 
 double eval_guarded(const Program& p, const EvalContext& ctx, GuardReport& report);
 
-// ABFT hook: same interpreter, but every result the VM produces is folded
-// incrementally into the caller's block checksum (Fletcher lanes + Kahan sum,
-// see rt::BlockChecksum). A solver that sweeps a block through eval_audited
-// therefore gets the block's ABFT signature for free as a by-product of the
-// sweep — the signature any later copy of that block must still match.
-double eval_audited(const Program& p, const EvalContext& ctx, rt::BlockChecksum& audit);
-
 // ---- lane blocks --------------------------------------------------------------
 // The sweeps' unit of interpretation: up to kLaneBlock DOFs ("lanes") of one
 // cell. Lanes share the cell, neighbor, face normal, dt and ghost field, and
-// differ only in their loop indices, so each instruction is dispatched once per
-// block and then applied lane by lane. Every lane performs the IEEE operations
+// differ only in their loop indices, so each node is dispatched once per block
+// and then applied lane by lane. Every lane performs the IEEE operations
 // of a one-lane eval() in the same order — block results are bit-identical to
 // scalar evaluation by construction, and eval()/eval_guarded() are the one-lane
 // instance of the same interpreter. (A NaN result is NaN on both paths, but
@@ -210,12 +205,12 @@ struct LaneBlock {
 };
 
 // Evaluates every lane of `block` into out[0, count). `offsets` must be built
-// for `p`; `regs` is caller scratch of p.num_regs * kLaneBlock doubles. The
+// for `p`; `vals` is caller scratch of p.nodes.size() * kLaneBlock doubles. The
 // guarded form audits each lane like eval_guarded() into reports[0, count).
 void eval_block(const Program& p, const LaneOffsets& offsets, const LaneBlock& block,
-                double* regs, double* out);
+                double* vals, double* out);
 void eval_block_guarded(const Program& p, const LaneOffsets& offsets, const LaneBlock& block,
-                        double* regs, double* out, GuardReport* reports);
+                        double* vals, double* out, GuardReport* reports);
 
 // Observability hook (see OBSERVABILITY.md): folds one *batch* of VM
 // evaluations into the global metrics registry — vm.evals / vm.flops /

@@ -1,10 +1,14 @@
 #pragma once
-// GPU code-generation target (hybrid CPU+GPU configuration of Fig. 6):
-// the interior-bulk update runs as a flattened one-thread-per-DOF kernel on
-// the (simulated) device while boundary contributions — user callbacks — run
-// asynchronously on the CPU; results are combined, the CPU post-step
-// (temperature update) executes, and the movement plan's per-step transfers
-// are charged to the communication phase.
+// GPU code-generation target (hybrid CPU+GPU configuration of Fig. 6), a
+// StepSolverBase that overrides only step(). The interior-cell update is one
+// launch on the (simulated) device: the VM sweep of the equation's shared
+// Program over the interior cells, charged with that program's roofline
+// profile (one thread per DOF). The boundary cells — the ones whose faces
+// need user callbacks — are swept by the same VM on the CPU, overlapping the
+// kernel. Results are combined, the CPU post-step (temperature update)
+// executes, and the movement plan's per-step transfers are charged to the
+// communication phase. Fields, vm.* counts and the non-finite guard report
+// equal the CPU target's.
 
 #include <memory>
 

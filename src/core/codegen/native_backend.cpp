@@ -1,20 +1,24 @@
 #include "native_backend.hpp"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <map>
 #include <mutex>
+#include <span>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
 
 #include <unistd.h>
 
-#include "native_ir.hpp"
+#include "runtime/checkpoint.hpp"
 #include "runtime/metrics.hpp"
 #include "runtime/trace.hpp"
 
@@ -84,6 +88,35 @@ JitConfig config_from_env() {
 
 // ---- emission ---------------------------------------------------------------
 
+// FNV-1a-64 over text and over one trivially copyable value, chained by `h`.
+uint64_t hash_text(std::string_view s, uint64_t h = rt::kFnv1aOffset) {
+  return rt::fnv1a64(std::as_bytes(std::span<const char>(s.data(), s.size())), h);
+}
+
+template <class T>
+uint64_t hash_value(const T& v, uint64_t h) {
+  return rt::fnv1a64(std::as_bytes(std::span<const T, 1>(&v, 1)), h);
+}
+
+// Structural fingerprint of a program: ops, operand edges, binding
+// signatures and Const bits. Runtime array contents and scalar-coefficient
+// values are excluded (they arrive through the kernel argument block), so
+// the same structure fingerprints identically across runs and processes.
+uint64_t fingerprint(const Program& p) {
+  uint64_t h = rt::kFnv1aOffset;
+  for (const Node& n : p.nodes) {
+    const std::array<int32_t, 5> head{{static_cast<int32_t>(n.op), n.a, n.b, n.c, n.slot}};
+    h = hash_value(head, h);
+    if (n.op == Op::Const) {
+      uint64_t bits = 0;
+      std::memcpy(&bits, &n.imm, sizeof bits);
+      h = hash_value(bits, h);
+    }
+  }
+  for (const Binding& b : p.bindings) h = hash_text(b.signature(), h);
+  return hash_value(p.ret, h);
+}
+
 // Evaluation flavor of one code region. The VM resolves neighbor-side loads
 // differently per region (cpu solver sweep semantics); the emitter mirrors
 // each case exactly.
@@ -110,12 +143,9 @@ struct ArrayInfo {
 
 class Emitter {
  public:
-  explicit Emitter(const NativeKernelInputs& in) : in_(in) {
-    vol_ = lower_kernel_ir(*in.volume);
-    if (in.surface != nullptr) {
-      surf_ = lower_kernel_ir(*in.surface);
-      has_surface_ = true;
-    }
+  explicit Emitter(const NativeKernelInputs& in)
+      : in_(in), vol_(*in.volume), surf_(in.surface != nullptr ? *in.surface : kNoSurface),
+        has_surface_(in.surface != nullptr) {
     ndof_ = in.out->dof_per_cell();
     if (ndof_ > 16384)
       throw std::runtime_error("native backend: dof_per_cell too large for stack staging");
@@ -136,13 +166,6 @@ class Emitter {
     p.scalars = scalars_;
     p.source = render(p.ir_fingerprint);
     return p;
-  }
-
-  KernelIr::Stats stats() const {
-    KernelIr::Stats s = vol_.stats;
-    s.instrs_before += surf_.stats.instrs_before;
-    s.nodes_after += surf_.stats.nodes_after;
-    return s;
   }
 
  private:
@@ -276,8 +299,8 @@ class Emitter {
     return std::string(hex) + " /* " + dec + " */";
   }
 
-  std::string node_expr(const KernelIr& ir, const KernelIr::Node& n,
-                        const std::vector<std::string>& name, Flavor f) const {
+  std::string node_expr(const Program& ir, const Node& n, const std::vector<std::string>& name,
+                        Flavor f) const {
     auto A = [&] { return name[static_cast<size_t>(n.a)]; };
     auto B = [&] { return name[static_cast<size_t>(n.b)]; };
     auto C = [&] { return name[static_cast<size_t>(n.c)]; };
@@ -333,16 +356,12 @@ class Emitter {
         return "cos(" + A() + ")";
       case Op::MathLog:
         return "log(" + A() + ")";
-      case Op::Ret:
-        break;
     }
     throw std::runtime_error("native backend: unexpected opcode in SSA graph");
   }
 
   // Placement scope per node for a given flavor (operands dominate).
-  std::vector<int> scopes(const KernelIr& ir, bool surface) const {
-    std::vector<bool> facevar;
-    if (surface) facevar = face_invariant_mask(ir);
+  std::vector<int> scopes(const Program& ir, bool surface) const {
     std::vector<int> sc(ir.nodes.size(), kScopeFn);
     for (size_t i = 0; i < ir.nodes.size(); ++i) {
       const auto& n = ir.nodes[i];
@@ -380,7 +399,7 @@ class Emitter {
 
   // Emits `const double <name> = <expr>;` for every node whose scope is in
   // [lo, hi], assigning fresh names; nodes outside keep their prior names.
-  void emit_nodes(std::string& out, const KernelIr& ir, const std::vector<int>& sc, int lo, int hi,
+  void emit_nodes(std::string& out, const Program& ir, const std::vector<int>& sc, int lo, int hi,
                   std::vector<std::string>& name, const char* prefix, Flavor f,
                   const std::string& ind) const {
     for (size_t i = 0; i < ir.nodes.size(); ++i) {
@@ -552,9 +571,12 @@ class Emitter {
     return s;
   }
 
+  static inline const Program kNoSurface{};
+
   const NativeKernelInputs& in_;
-  KernelIr vol_, surf_;
-  bool has_surface_ = false;
+  const Program& vol_;
+  const Program& surf_;  // kNoSurface when the equation has no surface terms
+  bool has_surface_;
   int64_t ndof_ = 0;
   std::vector<LoopVar> loops_;     // emission order: outermost first
   std::vector<PinnedVar> pinned_;  // slots fixed to a constant loop value
@@ -677,12 +699,8 @@ void reset_native_memory_cache() {
 NativePlan emit_native_plan(const NativeKernelInputs& in) {
   rt::TraceSpan span("jit.emit");
   const auto t0 = Clock::now();
-  Emitter em(in);
-  NativePlan plan = em.plan();
-  auto& reg = rt::MetricsRegistry::global();
-  reg.counter("jit.emit_seconds").add(seconds_since(t0));
-  reg.counter("jit.ir.nodes_before").add(em.stats().instrs_before);
-  reg.counter("jit.ir.nodes_after").add(em.stats().nodes_after);
+  NativePlan plan = Emitter(in).plan();
+  rt::MetricsRegistry::global().counter("jit.emit_seconds").add(seconds_since(t0));
   return plan;
 }
 
@@ -708,9 +726,9 @@ bool load_native_plan(NativePlan& plan, std::string* error) {
 
   std::string log;
   for (const std::string& flags : variants) {
-    uint64_t key = fnv1a64(plan.source);
-    key = fnv1a64(cfg.compiler, key);
-    key = fnv1a64(flags, key);
+    uint64_t key = hash_text(plan.source);
+    key = hash_text(cfg.compiler, key);
+    key = hash_text(flags, key);
 
     {
       std::lock_guard<std::mutex> lk(g_cache_mu);

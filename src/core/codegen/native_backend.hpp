@@ -1,18 +1,18 @@
 #pragma once
 // Native JIT kernel backend: emit → compile → dlopen (CODEGEN.md §4–§6).
 //
-// Takes the same optimized bytecode programs the VM interprets, renders one
-// self-contained C++ translation unit per equation (one `const double`
-// statement per SSA node, so the compiled kernel performs op-for-op the same
-// IEEE arithmetic as the interpreter), invokes the system compiler at solve
-// time to produce a shared object, and resolves the kernel through a stable
-// `extern "C"` v1 ABI. Shared objects live in a content-addressed on-disk
-// cache keyed by (TU text — itself a pure function of the IR — compiler,
-// flags), fronted by an in-process handle cache, so repeated solves and
-// `finch::svc` job fleets amortize compilation. Every failure mode — no
-// compiler, compile error, corrupt cache entry, dlopen/dlsym failure — is
-// reported to the caller, which falls back to the VM; the backend never
-// guesses.
+// Takes the same programs the VM interprets (the value-numbered node lists of
+// bytecode.hpp) and renders one self-contained C++ translation unit per
+// equation: one `const double` statement per node, so the compiled kernel
+// performs op-for-op the same IEEE arithmetic as the interpreter. It invokes
+// the system compiler at solve time to produce a shared object and resolves
+// the kernel through a stable `extern "C"` v1 ABI. Shared objects live in a
+// content-addressed on-disk cache keyed by (TU text — itself a pure function
+// of the programs — compiler, flags), fronted by an in-process handle cache,
+// so repeated solves and `finch::svc` job fleets amortize compilation. Every
+// failure mode — no compiler, compile error, corrupt cache entry,
+// dlopen/dlsym failure — is reported to the caller, which falls back to the
+// VM; the backend never guesses.
 //
 // Environment knobs (all optional; see CODEGEN.md §6 for the full matrix):
 //   FINCH_BACKEND        vm | native | auto — default backend for dsl::Problem
@@ -75,7 +75,7 @@ using KernelFnV1 = void (*)(const KernelArgsV1*);
 struct NativePlan {
   std::string name;
   std::string source;
-  uint64_t ir_fingerprint = 0;        // structural hash of the lowered IR
+  uint64_t ir_fingerprint = 0;        // structural hash of the programs
   uint64_t key = 0;                   // cache key of the variant actually loaded
   std::string flags;                  // compiler flags of that variant
   std::vector<const double*> arrays;  // arrays[i] backs the TU's Fi
@@ -97,8 +97,7 @@ struct NativeKernelInputs {
   const Binding* var_addr = nullptr;         // out-dof addressing
 };
 
-// Pure emission: lowers through KernelIr (CSE + DCE) and renders the TU.
-// No I/O. Throws std::runtime_error on structures the emitter cannot lower.
+// Pure emission: renders the TU from the programs' node lists. No I/O. Throws std::runtime_error on structures the emitter cannot lower.
 NativePlan emit_native_plan(const NativeKernelInputs& in);
 
 // Compile-or-fetch: memory cache → disk cache (dlopen) → compile. Fills

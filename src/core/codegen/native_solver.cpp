@@ -76,10 +76,10 @@ class NativeSolver final : public StepSolverBase {
  protected:
   void sweep_equation(size_t e, fvm::CellField& out, double dt_stage) override {
     EquationNative& en = native_[e];
-    // The non-finite guard audits per VM instruction — native kernels cannot
+    // The non-finite guard audits every VM node — native kernels cannot
     // observe at that granularity, so guarded solves stay on the VM.
     if (en.plan.fn == nullptr || guard_enabled_) {
-      vm_sweep(e, out, dt_stage);
+      StepSolverBase::sweep_equation(e, out, dt_stage);
       return;
     }
     refresh_bc(e);
@@ -95,7 +95,7 @@ class NativeSolver final : public StepSolverBase {
       attrs.phase = "compute";
       rt::TraceSpan span("jit.verify", attrs);
       const auto t0 = Clock::now();
-      vm_sweep(e, ref, dt_stage);
+      vm_sweep(e, ref, dt_stage, all_cells_);
       auto& reg = rt::MetricsRegistry::global();
       if (std::memcmp(out.data().data(), ref.data().data(),
                       out.data().size() * sizeof(double)) != 0) {

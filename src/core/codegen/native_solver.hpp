@@ -9,7 +9,7 @@
 // equation is verified bit-for-bit against the VM (FINCH_JIT_VERIFY=0 skips);
 // a mismatch demotes that equation to the VM permanently. Solvers with the
 // non-finite guard armed always take the VM path, which is where the
-// per-instruction auditing lives.
+// per-node auditing lives.
 
 #include <memory>
 

@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cstdint>
 #include <mutex>
+#include <numeric>
 #include <stdexcept>
 
 #include "core/symbolic/simplify.hpp"
@@ -19,23 +20,17 @@ double seconds_since(Clock::time_point t0) {
   return std::chrono::duration<double>(Clock::now() - t0).count();
 }
 
-// Guard tallies of a run of evaluations. The first offender kept is the one
-// with the lowest rank among the evaluations that returned a non-finite value.
-struct GuardTally {
-  GuardReport report;
-  int64_t first_rank = INT64_MAX;
-  void add(const GuardReport& g, int64_t rank) {
-    report.evals += g.evals;
-    report.nonfinite_results += g.nonfinite_results;
-    if (g.nonfinite_results == 0 || rank >= first_rank) return;
-    first_rank = rank;
-    report.first_instr = g.first_instr;
-    report.first_op = g.first_op;
-    report.first_cell = g.first_cell;
-  }
-};
-
 }  // namespace
+
+void GuardTally::add(const GuardReport& g, int64_t rank) {
+  report.evals += g.evals;
+  report.nonfinite_results += g.nonfinite_results;
+  if (g.nonfinite_results == 0 || rank >= first_rank) return;
+  first_rank = rank;
+  report.first_instr = g.first_instr;
+  report.first_op = g.first_op;
+  report.first_cell = g.first_cell;
+}
 
 StepSolverBase::StepSolverBase(dsl::Problem& p, rt::ThreadPool* pool) : p_(p), pool_(pool) {
   if (p.scheme() != dsl::TimeScheme::ForwardEuler && p.scheme() != dsl::TimeScheme::RK2Midpoint)
@@ -61,6 +56,8 @@ StepSolverBase::StepSolverBase(dsl::Problem& p, rt::ThreadPool* pool) : p_(p), p
     if (info.indices.size() > 1) ce.band_slot = env_.loop_slot_of(info.indices[1]);
     eqs_.push_back(std::move(ce));
   }
+  all_cells_.resize(static_cast<size_t>(p.mesh().num_cells()));
+  std::iota(all_cells_.begin(), all_cells_.end(), 0);
   // Scratch new-value storage mirroring each updated field, plus the RK2
   // stage-2 buffers.
   for (const auto& ce : eqs_) {
@@ -96,7 +93,7 @@ void StepSolverBase::step() {
 }
 
 void StepSolverBase::sweep_equation(size_t e, fvm::CellField& out, double dt_stage) {
-  vm_sweep(e, out, dt_stage);
+  report_guard(e, vm_sweep(e, out, dt_stage, all_cells_));
 }
 
 void StepSolverBase::euler_step() {
@@ -138,12 +135,12 @@ void StepSolverBase::build_env() {
   env_.scalar_coefficients = &p_.scalar_coefficients();
 }
 
-void StepSolverBase::vm_sweep(size_t eq, fvm::CellField& out, double dt_stage) {
+GuardTally StepSolverBase::vm_sweep(size_t eq, fvm::CellField& out, double dt_stage,
+                                    std::span<const int32_t> cells) {
   CompiledEquation& ce = eqs_[eq];
   rt::TraceSpan span("cpu.sweep");
   const auto sweep_t0 = Clock::now();
   const mesh::Mesh& mesh = p_.mesh();
-  const int32_t ncells = mesh.num_cells();
   const int32_t ndof = ce.field->dof_per_cell();
 
   // Lane d of a cell is DOF d of the updated variable: its loop values are
@@ -162,11 +159,12 @@ void StepSolverBase::vm_sweep(size_t eq, fvm::CellField& out, double dt_stage) {
   }
   const LaneOffsets vol_lanes(ce.volume, lane_loops);
   const LaneOffsets surf_lanes = ce.has_surface ? LaneOffsets(ce.surface, lane_loops) : LaneOffsets();
-  const int nregs = std::max(ce.volume.num_regs, ce.has_surface ? ce.surface.num_regs : 0);
+  const size_t nvals = std::max(ce.volume.nodes.size(), ce.has_surface ? ce.surface.nodes.size() : 0);
 
   // Guard ranks: the position of (cell, lane) in a serial walk of the
   // declared assembly loops (outermost loop = most significant digit), so
-  // the first offender reported does not depend on how the pool splits cells.
+  // the first offender reported does not depend on how the pool splits cells
+  // or which cells this sweep walks.
   std::vector<int64_t> lane_rank;
   int64_t cell_place = 0;
   if (guard_enabled_) {
@@ -176,7 +174,7 @@ void StepSolverBase::vm_sweep(size_t eq, fvm::CellField& out, double dt_stage) {
     for (size_t k = loops.size(); k-- > 0;) {
       if (loops[k].kind == ir::LoopSpec::Kind::Cells) {
         cell_place = place;
-        place *= ncells;
+        place *= mesh.num_cells();
         continue;
       }
       const auto slot = static_cast<size_t>(env_.loop_slot_of(loops[k].index_name));
@@ -186,7 +184,8 @@ void StepSolverBase::vm_sweep(size_t eq, fvm::CellField& out, double dt_stage) {
     }
   }
   GuardTally sweep_guard;
-  std::mutex guard_mutex;
+  int64_t surface_evals = 0;
+  std::mutex merge_mutex;
 
   // A face the surface term visits, in cell_faces order: interior, or a
   // boundary face with a registered BC (BC-less walls are zero-flux).
@@ -199,15 +198,16 @@ void StepSolverBase::vm_sweep(size_t eq, fvm::CellField& out, double dt_stage) {
   };
 
   auto sweep_cells = [&](int64_t begin, int64_t end) {
-    std::vector<double> regs(static_cast<size_t>(nregs) * kLaneBlock);
+    std::vector<double> vals(nvals * kLaneBlock);
     std::array<double, kLaneBlock> vol, acc, val, bc_value;
     std::array<GuardReport, kLaneBlock> lane_guard;
     GuardTally chunk_guard;
+    int64_t chunk_surface_evals = 0;
     auto run = [&](const Program& prog, const LaneOffsets& lanes, const LaneBlock& blk, double* res) {
       if (guard_enabled_)
-        eval_block_guarded(prog, lanes, blk, regs.data(), res, lane_guard.data());
+        eval_block_guarded(prog, lanes, blk, vals.data(), res, lane_guard.data());
       else
-        eval_block(prog, lanes, blk, regs.data(), res);
+        eval_block(prog, lanes, blk, vals.data(), res);
     };
     std::vector<FaceVisit> faces;
     fvm::BoundaryContext bctx;
@@ -215,8 +215,8 @@ void StepSolverBase::vm_sweep(size_t eq, fvm::CellField& out, double dt_stage) {
     bctx.fields = &p_.fields();
     bctx.field = ce.field;
     bctx.time = time_;
-    for (int64_t c = begin; c < end; ++c) {
-      const auto cell = static_cast<int32_t>(c);
+    for (int64_t i = begin; i < end; ++i) {
+      const int32_t cell = cells[static_cast<size_t>(i)];
       faces.clear();
       if (ce.has_surface) {
         const double inv_vol = 1.0 / mesh.cell_volume(cell);
@@ -270,6 +270,7 @@ void StepSolverBase::vm_sweep(size_t eq, fvm::CellField& out, double dt_stage) {
             blk.ghost_value = bc_value.data();
           }
           run(ce.surface, surf_lanes, blk, val.data());
+          chunk_surface_evals += n;
           for (int l = 0; l < n; ++l) acc[static_cast<size_t>(l)] += fv.scale * val[static_cast<size_t>(l)];
         }
         for (int l = 0; l < n; ++l) {
@@ -277,39 +278,40 @@ void StepSolverBase::vm_sweep(size_t eq, fvm::CellField& out, double dt_stage) {
           // No "+ 0.0" without surface terms: it would turn -0.0 into +0.0.
           out.at(cell, first + l) = ce.has_surface ? vol[ul] + acc[ul] : vol[ul];
           if (guard_enabled_)
-            chunk_guard.add(lane_guard[ul], c * cell_place + lane_rank[static_cast<size_t>(first + l)]);
+            chunk_guard.add(lane_guard[ul], cell * cell_place + lane_rank[static_cast<size_t>(first + l)]);
         }
       }
     }
-    if (!guard_enabled_) return;
-    std::lock_guard<std::mutex> lock(guard_mutex);
-    sweep_guard.add(chunk_guard.report, chunk_guard.first_rank);
+    std::lock_guard<std::mutex> lock(merge_mutex);
+    surface_evals += chunk_surface_evals;
+    sweep_guard.add(chunk_guard);
   };
 
+  const auto ncells = static_cast<int64_t>(cells.size());
   if (pool_ != nullptr)
     pool_->parallel_for_chunks(0, ncells, sweep_cells,
                                std::max<int64_t>(ncells / (8 * static_cast<int64_t>(pool_->size())), 1));
   else
     sweep_cells(0, ncells);
 
-  if (guard_enabled_) {
-    const GuardReport& g = sweep_guard.report;
-    guard_report_.evals += g.evals;
-    guard_report_.nonfinite_results += g.nonfinite_results;
-    if (guard_report_.first_cell < 0 && g.first_cell >= 0) {
-      guard_report_.first_cell = g.first_cell;
-      guard_report_.detail = ce.field->name() + " kernel, instr " + std::to_string(g.first_instr) +
-                             " (op " + std::to_string(static_cast<int>(g.first_op)) + ")";
-    }
-  }
   // Batch-level VM telemetry (per-eval timers would dominate the ~40-90 ns
-  // evals). Surface evals are estimated as faces-per-cell x iterations.
-  const int64_t total = static_cast<int64_t>(ncells) * ndof;
-  int64_t surface_evals = 0;
-  if (ce.has_surface && mesh.num_cells() > 0)
-    surface_evals = total * 2 * mesh.num_faces() / mesh.num_cells();
-  note_eval_batch(ce.volume, ce.has_surface ? &ce.surface : nullptr, total,
-                  surface_evals, seconds_since(sweep_t0));
+  // evals), counting exactly the surface evaluations the sweep ran: interior
+  // and value-BC faces, not flux-BC or BC-less walls.
+  note_eval_batch(ce.volume, ce.has_surface ? &ce.surface : nullptr, ncells * ndof, surface_evals,
+                  seconds_since(sweep_t0));
+  return sweep_guard;
+}
+
+void StepSolverBase::report_guard(size_t e, const GuardTally& tally) {
+  if (!guard_enabled_) return;
+  const GuardReport& g = tally.report;
+  guard_report_.evals += g.evals;
+  guard_report_.nonfinite_results += g.nonfinite_results;
+  if (guard_report_.first_cell < 0 && g.first_cell >= 0) {
+    guard_report_.first_cell = g.first_cell;
+    guard_report_.detail = eqs_[e].field->name() + " kernel, instr " + std::to_string(g.first_instr) +
+                           " (op " + std::to_string(static_cast<int>(g.first_op)) + ")";
+  }
 }
 
 }  // namespace finch::codegen

@@ -1,11 +1,14 @@
 #pragma once
 // Shared scaffolding for in-process step solvers executing compiled
-// StepPrograms: equation compilation, scratch/commit double-buffering, the
-// ForwardEuler and RK2-midpoint schemes, the bytecode-VM sweep (with the
-// non-finite guard) and the boundary-condition handling. The CPU targets use
-// this class directly; the native JIT backend subclasses it and overrides
-// sweep_equation() with kernel execution, keeping every scheme/BC/guard
-// behavior — and the VM as a drop-in oracle — in one place.
+// StepPrograms: equation compilation (one Program per integrand, the form
+// every executor runs), scratch/commit double-buffering, the ForwardEuler and
+// RK2-midpoint schemes, the bytecode-VM sweep (with the non-finite guard) and
+// the boundary-condition handling. The CPU targets use this class directly;
+// the native JIT backend subclasses it and overrides sweep_equation() with
+// kernel execution; the GPU target subclasses it and overrides step() to
+// sweep its interior cells inside a simulated-device launch and its boundary
+// cells on the host. Every scheme/BC/guard behavior — and the VM as a
+// drop-in oracle — stays in one place.
 //
 // Double-buffering swaps storage, it does not copy: a sweep writes the
 // equation's scratch field, and commit() exchanges the updated field's storage
@@ -15,6 +18,7 @@
 // re-read it before each launch rather than cache it at construction.
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "bytecode.hpp"
@@ -36,6 +40,17 @@ struct CompiledEquation {
   int dir_slot = -1, band_slot = -1;
 };
 
+// Guard tallies of a run of evaluations. The first offender kept is the one
+// with the lowest rank — its position in a serial walk of the declared
+// assembly loops — among the evaluations that returned a non-finite value,
+// so tallies of disjoint cell sets merge to the report of one serial sweep.
+struct GuardTally {
+  GuardReport report;
+  int64_t first_rank = INT64_MAX;
+  void add(const GuardReport& g, int64_t rank);
+  void add(const GuardTally& t) { add(t.report, t.first_rank); }
+};
+
 class StepSolverBase : public dsl::Solver {
  public:
   StepSolverBase(dsl::Problem& p, rt::ThreadPool* pool);
@@ -49,11 +64,14 @@ class StepSolverBase : public dsl::Solver {
   virtual void sweep_equation(size_t e, fvm::CellField& out, double dt_stage);
 
   // The interpreter sweep — the portable path and the differential oracle.
-  // Walks cells (split across the pool when one is set) and evaluates each
-  // cell's DOFs as lane blocks (see LaneBlock); each (cell, DOF) value is
-  // computed independently, so neither the declared loop order nor the
-  // pool's split can change a bit.
-  void vm_sweep(size_t e, fvm::CellField& out, double dt_stage);
+  // Walks `cells` (split across the pool when one is set) and evaluates each
+  // cell's DOFs as lane blocks (see LaneBlock), writing only those cells of
+  // `out`; each (cell, DOF) value is computed independently, so neither the
+  // declared loop order, the pool's split nor a split of the cell set can
+  // change a bit. Returns the sweep's guard tally (empty when the guard is
+  // off); report_guard() adds it to the solver's report.
+  GuardTally vm_sweep(size_t e, fvm::CellField& out, double dt_stage, std::span<const int32_t> cells);
+  void report_guard(size_t e, const GuardTally& tally);
 
   void euler_step();
   void rk2_step();
@@ -66,6 +84,7 @@ class StepSolverBase : public dsl::Solver {
   std::vector<CompiledEquation> eqs_;
   std::vector<fvm::CellField> scratch_;
   std::vector<fvm::CellField> stage_;  // RK2 stage-2 sweeps; empty for ForwardEuler
+  std::vector<int32_t> all_cells_;     // 0 .. num_cells - 1
 
  private:
   void build_env();

@@ -86,9 +86,11 @@ class Solver {
   double time() const { return time_; }
   const SolvePhases& phases() const { return phases_; }
 
-  // Arms per-evaluation NaN/Inf auditing in targets that execute bytecode
-  // (the CPU targets). Off by default — the unguarded interpreter runs and
-  // numerics are untouched either way; the guard only observes.
+  // Arms per-evaluation NaN/Inf auditing in the targets that execute the
+  // bytecode VM: the CPU targets, the GPU target (both its device launch and
+  // its host boundary sweep) and the native target, which takes the VM path
+  // while the guard is armed. Off by default — the unguarded interpreter runs
+  // and numerics are untouched either way; the guard only observes.
   void enable_nonfinite_guard(bool on = true) { guard_enabled_ = on; }
   bool nonfinite_guard_enabled() const { return guard_enabled_; }
   const NonFiniteReport& nonfinite_report() const { return guard_report_; }

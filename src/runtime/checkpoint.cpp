@@ -42,8 +42,7 @@ uint64_t get_u64(std::span<const std::byte> bytes, size_t& off) {
 
 }  // namespace
 
-uint64_t fnv1a64(std::span<const std::byte> bytes) {
-  uint64_t h = 0xcbf29ce484222325ULL;
+uint64_t fnv1a64(std::span<const std::byte> bytes, uint64_t h) {
   for (std::byte b : bytes) {
     h ^= static_cast<uint64_t>(b);
     h *= 0x100000001b3ULL;

@@ -64,9 +64,11 @@ class CheckpointError : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
-// Bitwise FNV-1a over the raw bytes of the doubles: NaN payloads, signed
-// zeros and infinities all hash distinctly, so any corruption is visible.
-uint64_t fnv1a64(std::span<const std::byte> bytes);
+// Bitwise FNV-1a-64 over raw bytes: NaN payloads, signed zeros and
+// infinities all hash distinctly, so any corruption is visible. Passing the
+// previous hash as `h` chains several spans into one digest.
+inline constexpr uint64_t kFnv1aOffset = 0xcbf29ce484222325ULL;
+uint64_t fnv1a64(std::span<const std::byte> bytes, uint64_t h = kFnv1aOffset);
 uint64_t checksum_doubles(std::span<const double> data);
 
 // Scans for NaN/Inf; reports the first offending index through `first_bad`.

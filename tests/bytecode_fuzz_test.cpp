@@ -130,7 +130,9 @@ double ref_eval(const sym::Expr& e, const Env& env, const EvalContext& ctx) {
   }
 }
 
-// Random expression generator over the supported grammar.
+// Random expression generator over the supported grammar. Now and then it
+// reuses one of its recent compound subtrees, so the compiler must merge whole
+// repeated subtrees (not just repeated leaves) without changing a value.
 class Gen {
  public:
   // `neighbor_field_loads` also draws the CELL2 side for I[d,b] leaves.
@@ -139,6 +141,15 @@ class Gen {
 
   sym::Expr expr(int depth) {
     if (depth <= 0) return leaf();
+    if (!recent_.empty() && rng_() % 5 == 0) return recent_[rng_() % recent_.size()];
+    sym::Expr e = compound(depth);
+    recent_.push_back(e);
+    if (recent_.size() > 8) recent_.erase(recent_.begin());
+    return e;
+  }
+
+ private:
+  sym::Expr compound(int depth) {
     switch (rng_() % 7) {
       case 0: case 1: {
         std::vector<sym::Expr> t;
@@ -162,7 +173,6 @@ class Gen {
     }
   }
 
- private:
   sym::Expr scaled_leaf() {
     // keep exp() arguments small
     return sym::mul({sym::num(0.1), leaf()});
@@ -186,6 +196,7 @@ class Gen {
 
   std::mt19937 rng_;
   bool neighbor_field_loads_;
+  std::vector<sym::Expr> recent_;  // the last few compound subtrees drawn
 };
 
 }  // namespace
@@ -367,7 +378,7 @@ TEST_P(LaneBlockFuzz, BlocksMatchOneLaneEvalBitwise) {
   for (int round = 0; round < 40; ++round) {
     const codegen::Program prog = codegen::compile(sym::simplify(gen.expr(3)), env.cenv);
     const codegen::LaneOffsets offsets(prog, lane_loops);
-    std::vector<double> regs(static_cast<size_t>(prog.num_regs) * codegen::kLaneBlock);
+    std::vector<double> vals(prog.nodes.size() * codegen::kLaneBlock);
     for (const Face& f : faces) {
       for (int first = 0; first < lanes; first += codegen::kLaneBlock) {
         codegen::LaneBlock blk;
@@ -381,8 +392,8 @@ TEST_P(LaneBlockFuzz, BlocksMatchOneLaneEvalBitwise) {
         blk.count = std::min(codegen::kLaneBlock, lanes - first);
         std::array<double, codegen::kLaneBlock> out{}, guarded{};
         std::array<codegen::GuardReport, codegen::kLaneBlock> reports{};
-        codegen::eval_block(prog, offsets, blk, regs.data(), out.data());
-        codegen::eval_block_guarded(prog, offsets, blk, regs.data(), guarded.data(), reports.data());
+        codegen::eval_block(prog, offsets, blk, vals.data(), out.data());
+        codegen::eval_block_guarded(prog, offsets, blk, vals.data(), guarded.data(), reports.data());
         for (int l = 0; l < blk.count; ++l) {
           const auto lane = static_cast<size_t>(first + l);
           EvalContext ctx;
@@ -422,3 +433,53 @@ INSTANTIATE_TEST_SUITE_P(
       return std::to_string(std::get<0>(info.param)) + "Lanes" +
              (std::get<1>(info.param) == fvm::Layout::CellMajor ? "CellMajor" : "DofMajor");
     });
+
+// ---- program size -----------------------------------------------------------
+// Nothing caps a program's size. A sum of 400 distinct products lowers to more
+// than 1,000 nodes; it must match the tree-walking reference one lane at a
+// time, and lane blocks must match the one-lane eval bit for bit.
+
+TEST(BytecodeSize, SumOfFourHundredProductsMatchesReference) {
+  Env env;
+  std::vector<sym::Expr> terms;
+  for (int i = 0; i < 400; ++i) {
+    const sym::CellSide side = i % 2 == 0 ? sym::CellSide::Self : sym::CellSide::Cell2;
+    terms.push_back(sym::mul(
+        {sym::num(0.01 * (i + 1)),
+         sym::entity("I", sym::EntityKind::Variable, 1, {sym::sym("d"), sym::sym("b")}, side),
+         sym::entity("Sx", sym::EntityKind::Coefficient, 1, {sym::sym("d")})}));
+  }
+  const sym::Expr e = sym::add(std::move(terms));
+  const codegen::Program prog = codegen::compile(e, env.cenv);
+  ASSERT_GT(prog.nodes.size(), 1000u);
+
+  const int lanes = codegen::kLaneBlock + 1;
+  std::vector<std::array<int32_t, 4>> lane_loops(static_cast<size_t>(lanes));
+  for (int l = 0; l < lanes; ++l) lane_loops[static_cast<size_t>(l)] = {l % 2, l % 3, 0, 0};
+  const codegen::LaneOffsets offsets(prog, lane_loops);
+  std::vector<double> vals(prog.nodes.size() * codegen::kLaneBlock);
+  for (int first = 0; first < lanes; first += codegen::kLaneBlock) {
+    codegen::LaneBlock blk;
+    blk.cell = 1;
+    blk.neighbor = 2;
+    blk.dt = 0.3;
+    blk.first = first;
+    blk.count = std::min(codegen::kLaneBlock, lanes - first);
+    std::array<double, codegen::kLaneBlock> out{};
+    codegen::eval_block(prog, offsets, blk, vals.data(), out.data());
+    for (int l = 0; l < blk.count; ++l) {
+      EvalContext ctx;
+      ctx.cell = blk.cell;
+      ctx.neighbor = blk.neighbor;
+      ctx.dt = blk.dt;
+      ctx.loop_values = lane_loops[static_cast<size_t>(first + l)];
+      const double want = ref_eval(e, env, ctx);
+      const double one = codegen::eval(prog, ctx);
+      codegen::GuardReport report;
+      EXPECT_NEAR(one, want, 1e-12 * (1.0 + std::abs(want))) << "lane " << first + l;
+      EXPECT_TRUE(same_bits(out[static_cast<size_t>(l)], one)) << "lane " << first + l;
+      EXPECT_TRUE(same_bits(codegen::eval_guarded(prog, ctx, report), one)) << "lane " << first + l;
+      EXPECT_TRUE(report.clean());
+    }
+  }
+}

@@ -128,6 +128,19 @@ TEST(Bytecode, ConditionalSelect) {
   EXPECT_DOUBLE_EQ(f.run("conditional(2 != 2, 1, 0)", ctx), 0.0);
 }
 
+// Value numbering keys a node on its op and every operand: nodes that differ
+// only in a select's else branch, in operand order, or in a Const's bits must
+// stay distinct nodes.
+TEST(Bytecode, NodesDifferingInOneOperandStayDistinct) {
+  Fixture f;
+  EvalContext ctx;
+  ctx.cell = 1;                    // u = 8
+  ctx.loop_values = {0, 2, 0, 0};  // d = 2: Sx = 0.3
+  EXPECT_DOUBLE_EQ(f.run("conditional(0 > u, k, u) + conditional(0 > u, k, Sx[d])", ctx), 8.3);
+  EXPECT_DOUBLE_EQ(f.run("(u - k) * 10 + (k - u)", ctx), 49.5);
+  EXPECT_DOUBLE_EQ(f.run("u * 0.5 + u * 0.25", ctx), 6.0);
+}
+
 TEST(Bytecode, MathBuiltins) {
   Fixture f;
   EvalContext ctx;

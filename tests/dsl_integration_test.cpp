@@ -5,11 +5,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <functional>
 #include <numeric>
+#include <utility>
 
 #include "bc_field_probe.hpp"
 #include "core/dsl/problem.hpp"
 #include "mesh/mesh.hpp"
+#include "runtime/metrics.hpp"
 
 using namespace finch;
 using dsl::Problem;
@@ -267,6 +270,103 @@ TEST(DslPipeline, BoundaryContextCarriesTheRegisteredFieldOnVmAndGpu) {
     auto b = pg->fields().get(var).data();
     for (size_t i = 0; i < a.size(); ++i) EXPECT_EQ(a[i], b[i]) << var << " " << i;
   }
+}
+
+// vm.evals counts the evaluations a sweep runs: one volume eval per DOF plus
+// one surface eval per interior face visit and per value-BC face. Flux-BC
+// faces and BC-less walls never run the surface program. On a 3x3 mesh with
+// a value BC on ymin, a flux BC on ymax and no BC on the x walls that is
+// 9 + 24 + 3 = 36, the guard's own count.
+TEST(DslPipeline, VmEvalsCountTheEvaluationsTheSweepRuns) {
+  Problem p("evals");
+  p.set_mesh(mesh::Mesh::structured_quad(3, 3, 1.0, 1.0));
+  p.set_steps(0.01, 1);
+  p.variable("u");
+  p.coefficient("bx", 1.0);
+  p.coefficient("by", 0.5);
+  p.conservation_form("u", "-surface(upwind([bx; by], u))");
+  p.initial("u", [](int32_t c, std::span<const int32_t>) { return 1.0 + 0.1 * c; });
+  p.boundary("u", 1, dsl::BcType::Value, "inflow", [](const fvm::BoundaryContext&) { return 2.0; });
+  p.boundary("u", 2, dsl::BcType::Flux, "outflow", [](const fvm::BoundaryContext&) { return 0.5; });
+  auto solver = p.compile(Target::CpuSerial);
+  solver->enable_nonfinite_guard();
+  rt::Counter& evals = rt::MetricsRegistry::global().counter("vm.evals");
+  const double before = evals.value();
+  solver->step();
+  EXPECT_EQ(solver->nonfinite_report().evals, 36);
+  EXPECT_EQ(evals.value() - before, 36.0);
+}
+
+namespace {
+
+// A 5x5 upwind problem with a value BC on ymin, a flux BC on xmin and a
+// volume term that divides by the cell field w.
+std::unique_ptr<Problem> gpu_check_problem(rt::SimGpu* gpu, std::function<double(int32_t)> w) {
+  auto p = std::make_unique<Problem>("gpu-check");
+  p->set_mesh(mesh::Mesh::structured_quad(5, 5, 1.0, 1.0));
+  p->set_steps(0.002, 1);
+  p->index("d", 1, 3);
+  p->variable("I", {"d"});
+  p->variable("w");
+  p->coefficient("Sx", {1.0, -0.5, 0.25}, {"d"});
+  p->coefficient("Sy", {0.5, 1.0, -0.75}, {"d"});
+  p->conservation_form("I", "(1 - I[d]) / w - surface(upwind([Sx[d];Sy[d]], I[d]))");
+  p->initial("I", [](int32_t c, std::span<const int32_t> idx) { return 1.0 + 0.3 * c - 0.1 * idx[0]; });
+  p->initial("w", [w](int32_t c, std::span<const int32_t>) { return w(c); });
+  p->boundary("I", 1, dsl::BcType::Value, "zero", [](const fvm::BoundaryContext&) { return 0.0; });
+  p->boundary("I", 3, dsl::BcType::Flux, "leak",
+              [](const fvm::BoundaryContext& ctx) { return 0.2 + 0.1 * ctx.dir; });
+  if (gpu != nullptr) p->use_cuda(gpu);
+  return p;
+}
+
+}  // namespace
+
+// The GPU target sweeps interior and boundary cells separately; per step it
+// must count the CPU target's vm.evals and vm.flops exactly.
+TEST(DslPipeline, GpuTargetCountsTheCpuTargetsVmEvals) {
+  auto& mx = rt::MetricsRegistry::global();
+  auto per_step = [&mx](rt::SimGpu* gpu) {
+    auto p = gpu_check_problem(gpu, [](int32_t c) { return 1.0 + 0.01 * c; });
+    auto solver = p->compile();
+    const double evals = mx.counter("vm.evals").value(), flops = mx.counter("vm.flops").value();
+    solver->step();
+    return std::make_pair(mx.counter("vm.evals").value() - evals, mx.counter("vm.flops").value() - flops);
+  };
+  rt::SimGpu gpu(rt::GpuSpec::a6000());
+  const auto cpu = per_step(nullptr);
+  const auto dev = per_step(&gpu);
+  EXPECT_GT(cpu.first, 0.0);
+  EXPECT_EQ(dev.first, cpu.first);
+  EXPECT_EQ(dev.second, cpu.second);
+}
+
+// With the guard armed, the GPU target reports what the serial VM reports.
+// w is zero in boundary cell 1 and interior cell 12, so the volume divide
+// goes non-finite in every direction of both. The GPU target sweeps the
+// interior first, yet must name cell 1, the offender a serial walk meets
+// first.
+TEST(DslPipeline, GpuTargetGuardReportEqualsTheSerialVms) {
+  auto w = [](int32_t c) { return c == 1 || c == 12 ? 0.0 : 1.0; };
+  auto ps = gpu_check_problem(nullptr, w);
+  auto ss = ps->compile();
+  ss->enable_nonfinite_guard();
+  ss->run(1);
+  rt::SimGpu gpu(rt::GpuSpec::a6000());
+  auto pg = gpu_check_problem(&gpu, w);
+  auto sg = pg->compile();
+  sg->enable_nonfinite_guard();
+  sg->run(1);
+
+  const dsl::NonFiniteReport& want = ss->nonfinite_report();
+  const dsl::NonFiniteReport& got = sg->nonfinite_report();
+  EXPECT_GT(want.evals, 0);
+  EXPECT_EQ(want.nonfinite_results, 2 * 3);
+  EXPECT_EQ(want.first_cell, 1);
+  EXPECT_EQ(got.evals, want.evals);
+  EXPECT_EQ(got.nonfinite_results, want.nonfinite_results);
+  EXPECT_EQ(got.first_cell, want.first_cell);
+  EXPECT_EQ(got.detail, want.detail);
 }
 
 TEST(DslPipeline, PostStepCallbackRunsEachStep) {

@@ -16,10 +16,7 @@
 #include "bte/multi_gpu_solver.hpp"
 #include "bte/partitioned_solver.hpp"
 #include "bte/resilience.hpp"
-#include "core/codegen/bytecode.hpp"
 #include "core/codegen/movement.hpp"
-#include "core/symbolic/parser.hpp"
-#include "core/symbolic/simplify.hpp"
 #include "runtime/abft.hpp"
 #include "runtime/fault.hpp"
 #include "runtime/simmpi.hpp"
@@ -191,22 +188,6 @@ TEST(SilentFaults, TransmitSealsSidecarBeforeTheFlip) {
 }
 
 // ---- codegen tier ------------------------------------------------------------
-
-TEST(SdcCodegen, EvalAuditedFoldsEveryResult) {
-  sym::EntityTable table;
-  codegen::CompileEnv env;
-  env.table = &table;
-  const sym::Expr e = sym::simplify(sym::parse_expression("1 + 2 * 3", table));
-  const codegen::Program p = codegen::compile(e, env);
-  codegen::EvalContext ctx;
-  rt::BlockChecksum audit;
-  const double a = codegen::eval_audited(p, ctx, audit);
-  EXPECT_DOUBLE_EQ(a, codegen::eval(p, ctx));
-  EXPECT_EQ(audit.count, 1u);
-  EXPECT_DOUBLE_EQ(audit.sum, 7.0);
-  codegen::eval_audited(p, ctx, audit);
-  EXPECT_EQ(audit.count, 2u);
-}
 
 TEST(SdcCodegen, TransferSidecarVerifiesOnReceipt) {
   codegen::MovementPlan::Transfer t;
