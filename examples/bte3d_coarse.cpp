@@ -33,6 +33,7 @@ int main(int argc, char** argv) {
   p.variable("I", {"d"});
   p.variable("Io");
   p.variable("T");
+  p.variable("G");
   std::vector<double> sx(static_cast<size_t>(nd)), sy(static_cast<size_t>(nd)), sz(static_cast<size_t>(nd));
   for (int d = 0; d < nd; ++d) {
     sx[static_cast<size_t>(d)] = dirs.s[static_cast<size_t>(d)].x;
@@ -44,43 +45,52 @@ int main(int argc, char** argv) {
   p.coefficient("Sz", sz, {"d"});
   p.coefficient("vg", vg);
   p.coefficient("invtau", 1.0 / tau);
+  p.coefficient("W", dirs.weight, {"d"});
   p.conservation_form("I", "(Io - I[d]) * invtau - surface(vg * upwind([Sx[d];Sy[d];Sz[d]], I[d]))");
+  // The energy sum G = sum_d W[d] I[d], formed with every step.
+  p.reduction("G", "I", "d", "W");
 
   const double c_over = cv * vg / (4.0 * M_PI);
   p.initial("I", [=](int32_t, std::span<const int32_t>) { return c_over * T0; });
   p.initial("Io", [=](int32_t, std::span<const int32_t>) { return c_over * T0; });
   p.initial("T", [=](int32_t, std::span<const int32_t>) { return T0; });
 
-  auto isothermal = [&dirs, vg, c_over](const fvm::BoundaryContext& ctx, double T_wall) {
-    const double sdotn = dirs.s[static_cast<size_t>(ctx.dir)].dot(ctx.normal);
-    if (sdotn > 0) return vg * sdotn * ctx.field->at(ctx.cell, ctx.dof);
-    return vg * sdotn * c_over * T_wall;
+  // Boundary callbacks fill one face's ordinates at a time: outgoing ones
+  // carry the cell's intensity, incoming ones the wall's.
+  auto isothermal = [&dirs, vg, c_over](const fvm::BoundaryContext& ctx, std::span<double> out,
+                                        double T_wall) {
+    for (int d = 0; d < dirs.size(); ++d) {
+      const double sdotn = dirs.s[static_cast<size_t>(d)].dot(ctx.normal);
+      out[static_cast<size_t>(d)] =
+          sdotn > 0 ? vg * sdotn * ctx.field->at(ctx.cell, d) : vg * sdotn * c_over * T_wall;
+    }
   };
-  auto symmetric = [&dirs, vg](const fvm::BoundaryContext& ctx) {
-    const double sdotn = dirs.s[static_cast<size_t>(ctx.dir)].dot(ctx.normal);
+  auto symmetric = [&dirs, vg](const fvm::BoundaryContext& ctx, std::span<double> out) {
     const fvm::CellField& I = *ctx.field;
-    if (sdotn > 0) return vg * sdotn * I.at(ctx.cell, ctx.dof);
-    return vg * sdotn * I.at(ctx.cell, dirs.reflect(ctx.dir, ctx.normal));
+    for (int d = 0; d < dirs.size(); ++d) {
+      const double sdotn = dirs.s[static_cast<size_t>(d)].dot(ctx.normal);
+      out[static_cast<size_t>(d)] = sdotn > 0 ? vg * sdotn * I.at(ctx.cell, d)
+                                              : vg * sdotn * I.at(ctx.cell, dirs.reflect(d, ctx.normal));
+    }
   };
   // z-min (region 5) cold, z-max (region 6) hot spot, side walls symmetric.
   p.boundary("I", 5, dsl::BcType::Flux, "iso_cold",
-             [=](const fvm::BoundaryContext& ctx) { return isothermal(ctx, T0); });
-  p.boundary("I", 6, dsl::BcType::Flux, "iso_hot", [=](const fvm::BoundaryContext& ctx) {
-    const auto& f = ctx.mesh->face(ctx.face).centroid;
-    const double dx = f.x - 0.5 * L, dy = f.y - 0.5 * L;
-    const double Tw = T0 + (T_hot - T0) * std::exp(-2.0 * (dx * dx + dy * dy) / (hot_w * hot_w));
-    return isothermal(ctx, Tw);
-  });
+             [=](const fvm::BoundaryContext& ctx, std::span<double> out) { isothermal(ctx, out, T0); });
+  p.boundary("I", 6, dsl::BcType::Flux, "iso_hot",
+             [=](const fvm::BoundaryContext& ctx, std::span<double> out) {
+               const auto& f = ctx.mesh->face(ctx.face).centroid;
+               const double dx = f.x - 0.5 * L, dy = f.y - 0.5 * L;
+               const double Tw = T0 + (T_hot - T0) * std::exp(-2.0 * (dx * dx + dy * dy) / (hot_w * hot_w));
+               isothermal(ctx, out, Tw);
+             });
   for (int region : {1, 2, 3, 4}) p.boundary("I", region, dsl::BcType::Flux, "symmetry", symmetric);
 
-  p.post_step([&dirs, cv, vg, c_over, nd](dsl::Problem& prob, double) {
-    auto& I = prob.fields().get("I");
+  p.post_step([cv, vg, c_over](dsl::Problem& prob, double) {
+    const auto& G = prob.fields().get("G");
     auto& Io = prob.fields().get("Io");
     auto& T = prob.fields().get("T");
-    for (int32_t c = 0; c < I.num_cells(); ++c) {
-      double e = 0;
-      for (int d = 0; d < nd; ++d) e += dirs.weight[static_cast<size_t>(d)] * I.at(c, d);
-      const double Tc = e / (cv * vg);
+    for (int32_t c = 0; c < G.num_cells(); ++c) {
+      const double Tc = G.at(c, 0) / (cv * vg);
       T.at(c, 0) = Tc;
       Io.at(c, 0) = c_over * Tc;
     }

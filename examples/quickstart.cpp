@@ -9,6 +9,7 @@
 // the solution.
 //
 // Run:  ./quickstart
+#include <algorithm>
 #include <cstdio>
 
 #include "core/dsl/problem.hpp"
@@ -41,7 +42,7 @@ int main() {
   // Inflow boundaries bring in zero; outflow is upwinded automatically.
   for (int region = 1; region <= 4; ++region)
     p.boundary("u", region, dsl::BcType::Value, "zero_inflow",
-               [](const fvm::BoundaryContext&) { return 0.0; });
+               [](const fvm::BoundaryContext&, std::span<double> out) { std::ranges::fill(out, 0.0); });
 
   std::printf("=== DSL input ===\n-k*u - surface(upwind([bx; by], u))\n\n");
   const auto& rec = [&]() -> const dsl::Problem::EquationRecord& {

@@ -3,6 +3,8 @@
 #include <cmath>
 #include <fstream>
 
+#include "boundary_models.hpp"
+
 namespace finch::bte {
 
 BteScenario BteScenario::paper_hotspot() {
@@ -84,22 +86,62 @@ std::vector<double> BtePhysics::sz() const {
 
 namespace {
 
-// The post-step temperature update of both spectral problems: the per-cell
-// energy balance from I, then T and the Io/beta equilibrium rows, in
-// whichever layout the problem stores its fields.
-void update_temperature(const BtePhysics& ph, fvm::FieldSet& fields) {
-  const fvm::CellField& I = fields.get("I");
-  fvm::CellField& Io = fields.get("Io");
-  fvm::CellField& beta = fields.get("beta");
-  fvm::CellField& T = fields.get("T");
-  auto rows = [](const fvm::CellField& f) {
-    return f.layout() == fvm::Layout::CellMajor
-               ? RowStrides{static_cast<size_t>(f.dof_per_cell()), 1}
-               : RowStrides{1, static_cast<size_t>(f.num_cells())};
-  };
-  ph.table.update_temperature(ph.directions, static_cast<size_t>(I.num_cells()),
-                              I.data().data(), rows(I), T.data().data(), Io.data().data(),
-                              beta.data().data(), rows(Io));
+// What the 2-D and 3-D problems share beyond the mesh: the equation's
+// variables and coefficients, the angular sums G = sum_d W[d] I[d,b] their
+// step declares, the initial equilibrium at T_init, and the post-step
+// temperature update from G (per cell: T, then the Io/beta rows, in
+// whichever layout the problem stores its fields).
+void declare_spectral_problem(dsl::Problem& p, const std::shared_ptr<const BtePhysics>& physics,
+                              double T_init) {
+  const BtePhysics& ph = *physics;
+  const int nb = ph.num_bands();
+  p.index("d", 1, ph.num_dirs());
+  p.index("b", 1, nb);
+  p.variable("I", {"d", "b"});
+  p.variable("Io", {"b"});
+  p.variable("beta", {"b"});
+  p.variable("T");
+  p.variable("G", {"b"});
+  p.coefficient("Sx", ph.sx(), {"d"});
+  p.coefficient("Sy", ph.sy(), {"d"});
+  if (p.dimension() == 3) p.coefficient("Sz", ph.sz(), {"d"});
+  p.coefficient("vg", ph.vg(), {"b"});
+  p.coefficient("W", ph.directions.weight, {"d"});
+  p.reduction("G", "I", "d", "W");
+
+  std::vector<double> I0_init(static_cast<size_t>(nb)), beta_init(static_cast<size_t>(nb));
+  for (int b = 0; b < nb; ++b) {
+    I0_init[static_cast<size_t>(b)] = ph.table.I0(b, T_init);
+    beta_init[static_cast<size_t>(b)] = ph.table.beta(b, T_init);
+  }
+  p.initial("I", [I0_init](int32_t, std::span<const int32_t> idx) {
+    return I0_init[static_cast<size_t>(idx[1])];  // idx = (d, b)
+  });
+  p.initial("Io", [I0_init](int32_t, std::span<const int32_t> idx) {
+    return I0_init[static_cast<size_t>(idx[0])];
+  });
+  p.initial("beta", [beta_init](int32_t, std::span<const int32_t> idx) {
+    return beta_init[static_cast<size_t>(idx[0])];
+  });
+  p.initial("T", [T_init](int32_t, std::span<const int32_t>) { return T_init; });
+
+  p.post_step([phys = physics.get()](dsl::Problem& prob, double) {
+    fvm::FieldSet& fields = prob.fields();
+    const fvm::CellField& G = fields.get("G");
+    fvm::CellField& Io = fields.get("Io");
+    auto rows = [](const fvm::CellField& f) {
+      return f.layout() == fvm::Layout::CellMajor
+                 ? RowStrides{static_cast<size_t>(f.dof_per_cell()), 1}
+                 : RowStrides{1, static_cast<size_t>(f.num_cells())};
+    };
+    phys->table.update_temperature(static_cast<size_t>(G.num_cells()), G.data().data(), rows(G),
+                                   fields.get("T").data().data(), Io.data().data(),
+                                   fields.get("beta").data().data(), rows(Io));
+  });
+  // Movement annotations for the GPU target: the host forms G from I after
+  // the step and produces Io/beta (T remains host-only, the kernel never
+  // touches it).
+  p.post_step_touches({"I"}, {"Io", "beta"});
 }
 
 }  // namespace
@@ -118,10 +160,6 @@ double BteProblem::wall_temperature(double x) const {
 }
 
 void BteProblem::build() {
-  const BtePhysics& ph = *physics_;
-  const int nb = ph.num_bands();
-  const int nd = ph.num_dirs();
-
   problem_ = std::make_unique<dsl::Problem>("bte2d");
   dsl::Problem& p = *problem_;
   p.domain(2).solver_type(dsl::SolverType::FV).time_stepper(dsl::TimeScheme::ForwardEuler);
@@ -130,83 +168,25 @@ void BteProblem::build() {
   if (!scenario_.backend.empty())
     p.execution_backend(dsl::backend_from_string(scenario_.backend));
 
-  p.index("d", 1, nd);
-  p.index("b", 1, nb);
-  p.variable("I", {"d", "b"});
-  p.variable("Io", {"b"});
-  p.variable("beta", {"b"});
-  p.variable("T");
-  p.coefficient("Sx", ph.sx(), {"d"});
-  p.coefficient("Sy", ph.sy(), {"d"});
-  p.coefficient("vg", ph.vg(), {"b"});
-
+  declare_spectral_problem(p, physics_, scenario_.T_init);
   p.conservation_form(
       "I", "(Io[b] - I[d,b]) * beta[b] - surface(vg[b] * upwind([Sx[d];Sy[d]], I[d,b]))");
 
-  // ---- initial equilibrium at T_init ---------------------------------------
-  const double T0 = scenario_.T_init;
-  std::vector<double> I0_init(static_cast<size_t>(nb)), beta_init(static_cast<size_t>(nb));
-  for (int b = 0; b < nb; ++b) {
-    I0_init[static_cast<size_t>(b)] = ph.table.I0(b, T0);
-    beta_init[static_cast<size_t>(b)] = ph.table.beta(b, T0);
-  }
-  p.initial("I", [I0_init](int32_t, std::span<const int32_t> idx) {
-    return I0_init[static_cast<size_t>(idx[1])];  // idx = (d, b)
-  });
-  p.initial("Io", [I0_init](int32_t, std::span<const int32_t> idx) {
-    return I0_init[static_cast<size_t>(idx[0])];
-  });
-  p.initial("beta", [beta_init](int32_t, std::span<const int32_t> idx) {
-    return beta_init[static_cast<size_t>(idx[0])];
-  });
-  p.initial("T", [T0](int32_t, std::span<const int32_t>) { return T0; });
-
   // ---- boundary callbacks (CPU, as in the paper) ----------------------------
-  const BtePhysics* phys = physics_.get();
-  const BteScenario scen = scenario_;
+  // The physical outward flux integrand f = vg (s.n) I_face with the face
+  // value upwinded: outgoing directions take the cell value, incoming take
+  // the ghost (wall-equilibrium or reflected) value — Eq. (6).
   auto self = this;
-
-  // Physical outward flux integrand f = vg (s.n) I_face with the face value
-  // upwinded: outgoing directions take the cell value, incoming take the
-  // ghost (wall-equilibrium or reflected) value — Eq. (6).
-  auto isothermal = [phys](const fvm::BoundaryContext& ctx, double T_wall) {
-    const mesh::Vec3& s = phys->directions.s[static_cast<size_t>(ctx.dir)];
-    const double sdotn = s.dot(ctx.normal);
-    const double vg = phys->bands[ctx.band].vg;
-    if (sdotn > 0) return vg * sdotn * ctx.field->at(ctx.cell, ctx.dof);
-    return vg * sdotn * phys->table.I0(ctx.band, T_wall);
-  };
-  auto symmetric = [phys](const fvm::BoundaryContext& ctx) {
-    const mesh::Vec3& s = phys->directions.s[static_cast<size_t>(ctx.dir)];
-    const double sdotn = s.dot(ctx.normal);
-    const double vg = phys->bands[ctx.band].vg;
-    const fvm::CellField& I = *ctx.field;
-    if (sdotn > 0) return vg * sdotn * I.at(ctx.cell, ctx.dof);
-    const int r = phys->directions.reflect(ctx.dir, ctx.normal);
-    const int32_t rdof = r + phys->num_dirs() * ctx.band;
-    return vg * sdotn * I.at(ctx.cell, rdof);
-  };
-
   // Region 1 (y-min): cold isothermal wall at T_cold.
-  p.boundary("I", 1, dsl::BcType::Flux, "isothermal_cold",
-             [isothermal, scen](const fvm::BoundaryContext& ctx) {
-               return isothermal(ctx, scen.T_cold);
-             });
+  p.boundary("I", 1, dsl::BcType::Flux, "isothermal_cold", make_isothermal_wall(physics_, scenario_.T_cold));
   // Region 2 (y-max): isothermal with the centered Gaussian hot spot.
   p.boundary("I", 2, dsl::BcType::Flux, "isothermal_hot",
-             [isothermal, self](const fvm::BoundaryContext& ctx) {
-               const double x = ctx.mesh->face(ctx.face).centroid.x;
-               return isothermal(ctx, self->wall_temperature(x));
-             });
+             make_isothermal_wall(physics_, [self](const fvm::BoundaryContext& ctx) {
+               return self->wall_temperature(ctx.mesh->face(ctx.face).centroid.x);
+             }));
   // Regions 3/4 (x-min/x-max): symmetry (specular reflection).
-  p.boundary("I", 3, dsl::BcType::Flux, "symmetry", symmetric);
-  p.boundary("I", 4, dsl::BcType::Flux, "symmetry", symmetric);
-
-  // ---- temperature update (post-step, CPU) ----------------------------------
-  p.post_step([phys](dsl::Problem& prob, double) { update_temperature(*phys, prob.fields()); });
-  // Movement annotations for the GPU target: the CPU post-step reads I and
-  // produces Io/beta (T remains host-only, the kernel never touches it).
-  p.post_step_touches({"I"}, {"Io", "beta"});
+  p.boundary("I", 3, dsl::BcType::Flux, "symmetry", make_specular_wall(physics_));
+  p.boundary("I", 4, dsl::BcType::Flux, "symmetry", make_specular_wall(physics_));
 }
 
 std::vector<double> BteProblem::temperature() const {
@@ -247,83 +227,26 @@ double BteProblem3d::wall_temperature(double x, double y) const {
 }
 
 void BteProblem3d::build() {
-  const BtePhysics& ph = *physics_;
-  const int nb = ph.num_bands();
-  const int nd = ph.num_dirs();
-
   problem_ = std::make_unique<dsl::Problem>("bte3d");
   dsl::Problem& p = *problem_;
   p.domain(3).solver_type(dsl::SolverType::FV).time_stepper(dsl::TimeScheme::ForwardEuler);
   p.set_steps(scenario_.dt, scenario_.nsteps);
   p.set_mesh(mesh::Mesh::structured_hex(scenario_.nx, scenario_.ny, scenario_.nz, scenario_.lx,
                                         scenario_.ly, scenario_.lz));
-  p.index("d", 1, nd);
-  p.index("b", 1, nb);
-  p.variable("I", {"d", "b"});
-  p.variable("Io", {"b"});
-  p.variable("beta", {"b"});
-  p.variable("T");
-  p.coefficient("Sx", ph.sx(), {"d"});
-  p.coefficient("Sy", ph.sy(), {"d"});
-  p.coefficient("Sz", ph.sz(), {"d"});
-  p.coefficient("vg", ph.vg(), {"b"});
-
+  declare_spectral_problem(p, physics_, scenario_.T_init);
   p.conservation_form(
       "I", "(Io[b] - I[d,b]) * beta[b] - surface(vg[b] * upwind([Sx[d];Sy[d];Sz[d]], I[d,b]))");
 
-  const double T0 = scenario_.T_init;
-  std::vector<double> I0_init(static_cast<size_t>(nb)), beta_init(static_cast<size_t>(nb));
-  for (int b = 0; b < nb; ++b) {
-    I0_init[static_cast<size_t>(b)] = ph.table.I0(b, T0);
-    beta_init[static_cast<size_t>(b)] = ph.table.beta(b, T0);
-  }
-  p.initial("I", [I0_init](int32_t, std::span<const int32_t> idx) {
-    return I0_init[static_cast<size_t>(idx[1])];
-  });
-  p.initial("Io", [I0_init](int32_t, std::span<const int32_t> idx) {
-    return I0_init[static_cast<size_t>(idx[0])];
-  });
-  p.initial("beta", [beta_init](int32_t, std::span<const int32_t> idx) {
-    return beta_init[static_cast<size_t>(idx[0])];
-  });
-  p.initial("T", [T0](int32_t, std::span<const int32_t>) { return T0; });
-
-  const BtePhysics* phys = physics_.get();
-  const Bte3dScenario scen = scenario_;
-  auto self = this;
-
-  auto isothermal = [phys](const fvm::BoundaryContext& ctx, double T_wall) {
-    const mesh::Vec3& s = phys->directions.s[static_cast<size_t>(ctx.dir)];
-    const double sdotn = s.dot(ctx.normal);
-    const double vg = phys->bands[ctx.band].vg;
-    if (sdotn > 0) return vg * sdotn * ctx.field->at(ctx.cell, ctx.dof);
-    return vg * sdotn * phys->table.I0(ctx.band, T_wall);
-  };
-  auto symmetric = [phys](const fvm::BoundaryContext& ctx) {
-    const mesh::Vec3& s = phys->directions.s[static_cast<size_t>(ctx.dir)];
-    const double sdotn = s.dot(ctx.normal);
-    const double vg = phys->bands[ctx.band].vg;
-    const fvm::CellField& I = *ctx.field;
-    if (sdotn > 0) return vg * sdotn * I.at(ctx.cell, ctx.dof);
-    const int r = phys->directions.reflect(ctx.dir, ctx.normal);
-    return vg * sdotn * I.at(ctx.cell, r + phys->num_dirs() * ctx.band);
-  };
-
   // z-min cold, z-max hot spot (regions 5/6), sides symmetric (1-4).
-  p.boundary("I", 5, dsl::BcType::Flux, "isothermal_cold",
-             [isothermal, scen](const fvm::BoundaryContext& ctx) {
-               return isothermal(ctx, scen.T_cold);
-             });
+  auto self = this;
+  p.boundary("I", 5, dsl::BcType::Flux, "isothermal_cold", make_isothermal_wall(physics_, scenario_.T_cold));
   p.boundary("I", 6, dsl::BcType::Flux, "isothermal_hot",
-             [isothermal, self](const fvm::BoundaryContext& ctx) {
+             make_isothermal_wall(physics_, [self](const fvm::BoundaryContext& ctx) {
                const auto& f = ctx.mesh->face(ctx.face).centroid;
-               return isothermal(ctx, self->wall_temperature(f.x, f.y));
-             });
+               return self->wall_temperature(f.x, f.y);
+             }));
   for (int region : {1, 2, 3, 4})
-    p.boundary("I", region, dsl::BcType::Flux, "symmetry", symmetric);
-
-  p.post_step([phys](dsl::Problem& prob, double) { update_temperature(*phys, prob.fields()); });
-  p.post_step_touches({"I"}, {"Io", "beta"});
+    p.boundary("I", region, dsl::BcType::Flux, "symmetry", make_specular_wall(physics_));
 }
 
 std::vector<double> BteProblem3d::temperature() const {

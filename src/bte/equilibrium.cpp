@@ -148,6 +148,21 @@ double EquilibriumTable::solve_energy_temperature(std::span<const double> G, dou
   return solve<false>(G, T_guess);  // energy density weights e_b = 4 pi I_b / vg_b
 }
 
+void EquilibriumTable::update_temperature(size_t ncells, const double* G, RowStrides G_rows, double* T,
+                                          double* Io, double* beta, RowStrides eq_rows) const {
+  const size_t nb = static_cast<size_t>(nbands_);
+  std::vector<double> row(G_rows.item == 1 ? 0 : nb);  // strided sums, gathered
+  for (size_t c = 0; c < ncells; ++c) {
+    const double* g = G + c * G_rows.cell;
+    if (G_rows.item != 1) {
+      for (size_t b = 0; b < nb; ++b) row[b] = g[b * G_rows.item];
+      g = row.data();
+    }
+    T[c] = solve_temperature({g, nb}, T[c]);
+    equilibrium(T[c], 0, nbands_, Io + c * eq_rows.cell, beta + c * eq_rows.cell, eq_rows.item);
+  }
+}
+
 void EquilibriumTable::update_temperature(const DirectionSet& dirs, size_t ncells, const double* I,
                                           RowStrides I_rows, double* T, double* Io, double* beta,
                                           RowStrides eq_rows) const {
@@ -155,8 +170,8 @@ void EquilibriumTable::update_temperature(const DirectionSet& dirs, size_t ncell
   std::vector<double> G(nb);
   for (size_t c = 0; c < ncells; ++c) {
     dirs.band_sums(I + c * I_rows.cell, I_rows.item, nb, G.data());
-    T[c] = solve_temperature(G, T[c]);
-    equilibrium(T[c], 0, nbands_, Io + c * eq_rows.cell, beta + c * eq_rows.cell, eq_rows.item);
+    update_temperature(1, G.data(), {nb, 1}, T + c, Io + c * eq_rows.cell, beta + c * eq_rows.cell,
+                       eq_rows);
   }
 }
 

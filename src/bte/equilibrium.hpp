@@ -67,11 +67,16 @@ class EquilibriumTable {
   // (no 1/(vg tau) weights).
   double solve_energy_temperature(std::span<const double> G, double T_guess) const;
 
-  // The temperature update every strategy shares, over `ncells` cells. For
-  // cell c: the angular sums G = dirs.band_sums(I of cell c), then
-  // solve_temperature warm-started from T[c], then the cell's Io/beta rows
-  // at the new T[c]. I is laid out by I_rows (element d + nd*b of a cell),
-  // Io and beta by eq_rows, and T is contiguous.
+  // The temperature update from the angular sums, over `ncells` cells. For
+  // cell c: solve_temperature of its sums G (element b at G_rows) warm-started
+  // from T[c], then the cell's Io/beta rows at the new T[c]. Io and beta are
+  // laid out by eq_rows, and T is contiguous. The DSL problems' post-steps
+  // call this with the sums their step declared (dsl::Problem::reduction).
+  void update_temperature(size_t ncells, const double* G, RowStrides G_rows, double* T, double* Io,
+                          double* beta, RowStrides eq_rows) const;
+
+  // The same update from the intensities: per cell, the angular sums
+  // dirs.band_sums of I (element d + nd*b at I_rows), then the sums form.
   void update_temperature(const DirectionSet& dirs, size_t ncells, const double* I,
                           RowStrides I_rows, double* T, double* Io, double* beta,
                           RowStrides eq_rows) const;

@@ -17,6 +17,7 @@ GrayBteProblem::GrayBteProblem(const GrayScenario& scenario)
   p.variable("I", {"d"});
   p.variable("Io");
   p.variable("T");
+  p.variable("G");
   std::vector<double> sx(static_cast<size_t>(nd)), sy(static_cast<size_t>(nd));
   for (int d = 0; d < nd; ++d) {
     sx[static_cast<size_t>(d)] = dirs_.s[static_cast<size_t>(d)].x;
@@ -26,8 +27,11 @@ GrayBteProblem::GrayBteProblem(const GrayScenario& scenario)
   p.coefficient("Sy", sy, {"d"});
   p.coefficient("vg", scen_.vg);
   p.coefficient("invtau", 1.0 / scen_.tau);
+  p.coefficient("W", dirs_.weight, {"d"});
 
   p.conservation_form("I", "(Io - I[d]) * invtau - surface(vg * upwind([Sx[d];Sy[d]], I[d]))");
+  // The energy sum G = sum_d W[d] I[d], formed with the step.
+  p.reduction("G", "I", "d", "W");
 
   const double I_init = equilibrium_intensity(scen_.T_init);
   p.initial("I", [I_init](int32_t, std::span<const int32_t>) { return I_init; });
@@ -38,43 +42,44 @@ GrayBteProblem::GrayBteProblem(const GrayScenario& scenario)
   const DirectionSet* dirs = &dirs_;
   const double c_over = scen.cv * scen.vg / (4.0 * M_PI);
 
-  auto isothermal = [dirs, scen, c_over](const fvm::BoundaryContext& ctx, double T_wall) {
-    const mesh::Vec3& s = dirs->s[static_cast<size_t>(ctx.dir)];
-    const double sdotn = s.dot(ctx.normal);
-    if (sdotn > 0) return scen.vg * sdotn * ctx.field->at(ctx.cell, ctx.dof);
-    return scen.vg * sdotn * (c_over * T_wall);
-  };
-  auto symmetric = [dirs, scen](const fvm::BoundaryContext& ctx) {
-    const mesh::Vec3& s = dirs->s[static_cast<size_t>(ctx.dir)];
-    const double sdotn = s.dot(ctx.normal);
+  // Face fill vg (s.n) I with the face value upwinded (Eq. 6): the cell's own
+  // intensity on outgoing directions, incoming(d) on the others.
+  auto fill = [dirs, scen](const fvm::BoundaryContext& ctx, std::span<double> out, auto incoming) {
     const fvm::CellField& I = *ctx.field;
-    if (sdotn > 0) return scen.vg * sdotn * I.at(ctx.cell, ctx.dof);
-    return scen.vg * sdotn * I.at(ctx.cell, dirs->reflect(ctx.dir, ctx.normal));
+    for (int d = 0; d < dirs->size(); ++d) {
+      const double sdotn = dirs->s[static_cast<size_t>(d)].dot(ctx.normal);
+      out[static_cast<size_t>(d)] =
+          sdotn > 0 ? scen.vg * sdotn * I.at(ctx.cell, d) : scen.vg * sdotn * incoming(d);
+    }
+  };
+  auto isothermal = [fill, c_over](double T_wall) {
+    return [fill, c_over, T_wall](const fvm::BoundaryContext& ctx, std::span<double> out) {
+      fill(ctx, out, [&](int) { return c_over * T_wall; });
+    };
+  };
+  auto symmetric = [fill, dirs](const fvm::BoundaryContext& ctx, std::span<double> out) {
+    fill(ctx, out, [&](int d) { return ctx.field->at(ctx.cell, dirs->reflect(d, ctx.normal)); });
   };
 
-  p.boundary("I", 1, dsl::BcType::Flux, "gray_isothermal_cold",
-             [isothermal, scen](const fvm::BoundaryContext& ctx) { return isothermal(ctx, scen.T_cold); });
+  p.boundary("I", 1, dsl::BcType::Flux, "gray_isothermal_cold", isothermal(scen.T_cold));
   p.boundary("I", 2, dsl::BcType::Flux, "gray_isothermal_hot",
-             [isothermal, scen](const fvm::BoundaryContext& ctx) {
+             [isothermal, scen](const fvm::BoundaryContext& ctx, std::span<double> out) {
                const double x = ctx.mesh->face(ctx.face).centroid.x;
                const double xc = 0.5 * scen.lx;
                const double dTw = (scen.T_hot - scen.T_cold) *
                                   std::exp(-2.0 * (x - xc) * (x - xc) / (scen.hot_w * scen.hot_w));
-               return isothermal(ctx, scen.T_cold + dTw);
+               isothermal(scen.T_cold + dTw)(ctx, out);
              });
   p.boundary("I", 3, dsl::BcType::Flux, "gray_symmetry", symmetric);
   p.boundary("I", 4, dsl::BcType::Flux, "gray_symmetry", symmetric);
 
-  // Gray temperature update: T = sum_d w_d I_d / (cv vg), Io = cv vg T / 4pi.
-  p.post_step([dirs, c_over, scen](dsl::Problem& prob, double) {
-    auto& I = prob.fields().get("I");
+  // Gray temperature update: T = G / (cv vg), Io = cv vg T / 4pi.
+  p.post_step([c_over, scen](dsl::Problem& prob, double) {
+    const auto& G = prob.fields().get("G");
     auto& Io = prob.fields().get("Io");
     auto& T = prob.fields().get("T");
-    const int nd = dirs->size();
-    for (int32_t c = 0; c < I.num_cells(); ++c) {
-      double e = 0.0;
-      for (int d = 0; d < nd; ++d) e += dirs->weight[static_cast<size_t>(d)] * I.at(c, d);
-      const double Tc = e / (scen.cv * scen.vg);
+    for (int32_t c = 0; c < G.num_cells(); ++c) {
+      const double Tc = G.at(c, 0) / (scen.cv * scen.vg);
       T.at(c, 0) = Tc;
       Io.at(c, 0) = c_over * Tc;
     }

@@ -115,8 +115,10 @@ class GpuSolver final : public StepSolverBase {
     commit();
     phases_.intensity += std::max(kernel_seconds, cpu_boundary_seconds);
 
-    // 4. CPU post-processing (temperature update).
+    // 4. CPU post-processing: the declared reductions of the committed
+    // fields, then the post-steps (temperature update).
     t0 = Clock::now();
+    for (size_t e = 0; e < eqs_.size(); ++e) reduce(e);
     p_.run_post_steps(time_);
     phases_.post_process += seconds_since(t0);
 

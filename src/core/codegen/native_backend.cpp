@@ -127,9 +127,23 @@ enum class Flavor {
              // ghost value, other neighbor loads fall back to self
 };
 
-// Placement scope of an SSA node: 0 = function top (loop invariant),
-// 1 = per cell, 2 = per dof, 3 = per face (face-variant surface values).
-constexpr int kScopeFn = 0, kScopeCell = 1, kScopeDof = 2, kScopeFace = 3;
+// What a node's value varies with, unioned over its operands.
+constexpr unsigned kDepCell = 1;   // a field value (of the cell or across a face)
+constexpr unsigned kDepFace = 2;   // the face: its normal or the cell across it
+constexpr unsigned kDepInner = 4;  // the variable's stride-1 index
+constexpr unsigned kDepOuter = 8;  // another index of the variable
+
+// Placement scope of an SSA node: each node is emitted once, at the
+// outermost scope its dependencies allow. Face and Dir apply to the surface
+// program of a variable with more than one index (the only case with a loop
+// outside the stride-1 one to hoist out of).
+enum class Scope {
+  Fn,    // function top: constants, dt, scalar coefficients
+  Cell,  // per cell
+  Face,  // per face, before the direction loop: the face alone
+  Dir,   // per (face, stride-1 index), into a stack array: no field, no outer index
+  Dof,   // inside the dof loops
+};
 
 struct ArrayInfo {
   std::string cname;       // F0, F1, ...
@@ -239,6 +253,7 @@ class Emitter {
   void resolve_arrays() {
     for (const auto& b : vol_.bindings) resolve_binding(b);
     for (const auto& b : surf_.bindings) resolve_binding(b);
+    if (in_.reduce_target != nullptr) resolve_binding(*in_.reduce_weight);
   }
   void resolve_binding(const Binding& b) {
     if (b.source == Binding::Source::Scalar)
@@ -360,50 +375,56 @@ class Emitter {
     throw std::runtime_error("native backend: unexpected opcode in SSA graph");
   }
 
-  // Placement scope per node for a given flavor (operands dominate).
-  std::vector<int> scopes(const Program& ir, bool surface) const {
-    std::vector<int> sc(ir.nodes.size(), kScopeFn);
+  // Placement scope per node (see Scope); operands' dependencies dominate.
+  std::vector<Scope> scopes(const Program& ir, bool surface) const {
+    const bool nested = surface && loops_.size() > 1;
+    const int inner = loops_.empty() ? -1 : loops_.back().slot;
+    std::vector<unsigned> deps(ir.nodes.size(), 0);
+    std::vector<Scope> sc(ir.nodes.size(), Scope::Fn);
     for (size_t i = 0; i < ir.nodes.size(); ++i) {
-      const auto& n = ir.nodes[i];
-      int own = kScopeFn;
-      switch (n.op) {
-        case Op::Load: {
-          const Binding& b = ir.bindings[static_cast<size_t>(n.slot)];
-          bool loops_dof = false;
-          for (int k = 0; k < b.n_idx; ++k)
-            for (const auto& lv : loops_)
-              loops_dof = loops_dof || lv.slot == b.loop_slot[static_cast<size_t>(k)];
-          if (b.source == Binding::Source::Scalar)
-            own = kScopeFn;
-          else if (b.source == Binding::Source::CoefIndexed)
-            own = loops_dof ? kScopeDof : kScopeFn;
-          else if (surface && b.source == Binding::Source::FieldNeighbor)
-            own = kScopeFace;
-          else
-            own = loops_dof ? kScopeDof : kScopeCell;
-          break;
+      const Node& n = ir.nodes[i];
+      unsigned d = 0;
+      if (n.op == Op::Load) {
+        const Binding& b = ir.bindings[static_cast<size_t>(n.slot)];
+        for (int k = 0; k < b.n_idx; ++k) {
+          const int slot = b.loop_slot[static_cast<size_t>(k)];
+          if (slot == inner)
+            d |= kDepInner;
+          else if (std::any_of(loops_.begin(), loops_.end(),
+                               [&](const LoopVar& lv) { return lv.slot == slot; }))
+            d |= kDepOuter;  // pinned slots are constants
         }
-        case Op::LoadNormal:
-          own = surface ? kScopeFace : kScopeFn;
-          break;
-        default:
-          own = kScopeFn;
+        const bool field =
+            b.source == Binding::Source::FieldSelf || b.source == Binding::Source::FieldNeighbor;
+        if (field) d |= kDepCell;
+        if (surface && b.source == Binding::Source::FieldNeighbor) d |= kDepFace;
+      } else if (n.op == Op::LoadNormal && surface) {
+        d |= kDepFace;
       }
-      if (n.a >= 0) own = std::max(own, sc[static_cast<size_t>(n.a)]);
-      if (n.b >= 0) own = std::max(own, sc[static_cast<size_t>(n.b)]);
-      if (n.c >= 0) own = std::max(own, sc[static_cast<size_t>(n.c)]);
-      sc[i] = own;
+      for (const int32_t operand : {n.a, n.b, n.c})
+        if (operand >= 0) d |= deps[static_cast<size_t>(operand)];
+      deps[i] = d;
+      if (d == 0)
+        sc[i] = Scope::Fn;
+      else if (nested && d == kDepFace)
+        sc[i] = Scope::Face;
+      else if (nested && (d & kDepInner) != 0 && (d & (kDepCell | kDepOuter)) == 0)
+        sc[i] = Scope::Dir;
+      else if (d == kDepCell)
+        sc[i] = Scope::Cell;
+      else
+        sc[i] = Scope::Dof;
     }
     return sc;
   }
 
-  // Emits `const double <name> = <expr>;` for every node whose scope is in
-  // [lo, hi], assigning fresh names; nodes outside keep their prior names.
-  void emit_nodes(std::string& out, const Program& ir, const std::vector<int>& sc, int lo, int hi,
+  // Emits `const double <name> = <expr>;` for every node placed at `scope`,
+  // assigning fresh names; other nodes keep their prior names.
+  void emit_nodes(std::string& out, const Program& ir, const std::vector<Scope>& sc, Scope scope,
                   std::vector<std::string>& name, const char* prefix, Flavor f,
                   const std::string& ind) const {
     for (size_t i = 0; i < ir.nodes.size(); ++i) {
-      if (sc[i] < lo || sc[i] > hi) continue;
+      if (sc[i] != scope) continue;
       name[i] = std::string(prefix) + std::to_string(i);
       out += ind + "const double " + name[i] + " = " + node_expr(ir, ir.nodes[i], name, f) + ";\n";
     }
@@ -415,21 +436,106 @@ class Emitter {
     return "(" + dof + ")*nc + cell";
   }
 
+  static std::string loop_var(const LoopVar& lv) { return "i" + std::to_string(lv.slot); }
+
+  // Opens loops_[first, last) at indentation *cur, deepening it; returns the
+  // matching closers.
+  std::string open_loops(std::string& out, size_t first, size_t last, std::string* cur) const {
+    std::string close;
+    for (size_t k = first; k < last; ++k) {
+      const std::string v = loop_var(loops_[k]);
+      out += *cur + "for (int64_t " + v + " = 0; " + v + " < " + std::to_string(loops_[k].extent) +
+             "; ++" + v + ") {\n";
+      close = *cur + "}\n" + close;
+      *cur += "  ";
+    }
+    return close;
+  }
+
   // Opens the variable's dof loop nest; returns the matching closers and the
   // loop body indentation.
   std::string open_dof_loops(std::string& out, const std::string& ind, std::string* body_ind) const {
-    std::string close;
-    std::string cur = ind;
-    for (const auto& lv : loops_) {
-      const std::string v = "i" + std::to_string(lv.slot);
-      out += cur + "for (int64_t " + v + " = 0; " + v + " < " + std::to_string(lv.extent) + "; ++" +
-             v + ") {\n";
-      close = cur + "}\n" + close;
-      cur += "  ";
-    }
-    out += cur + "const int64_t dof = " + dof_expr(*in_.var_addr) + ";\n";
-    *body_ind = cur;
+    *body_ind = ind;
+    const std::string close = open_loops(out, 0, loops_.size(), body_ind);
+    out += *body_ind + "const int64_t dof = " + dof_expr(*in_.var_addr) + ";\n";
     return close;
+  }
+
+  // The reduction target's element of the current cell for the outer loop
+  // indices: its DOF is the variable's DOF over the stride-1 extent.
+  std::string reduce_index() const {
+    const fvm::CellField& t = *in_.reduce_target;
+    if (t.dof_per_cell() == 1) return "cell";
+    const Binding& va = *in_.var_addr;
+    Binding rest;
+    for (int k = 1; k < va.n_idx; ++k, ++rest.n_idx) {
+      rest.loop_slot[static_cast<size_t>(rest.n_idx)] = va.loop_slot[static_cast<size_t>(k)];
+      rest.stride[static_cast<size_t>(rest.n_idx)] = va.stride[static_cast<size_t>(k)] / loops_.back().extent;
+    }
+    if (t.layout() == fvm::Layout::CellMajor)
+      return "cell*" + std::to_string(t.dof_per_cell()) + " + " + dof_expr(rest);
+    return "(" + dof_expr(rest) + ")*nc + cell";
+  }
+
+  // The final write loop nest. `value` appends the statements of one DOF's
+  // new value at the given indentation and returns its expression. With a
+  // declared reduction, the stride-1 loop also accumulates w[i] * value from
+  // 0.0 in index order, the post-pass's order, and stores the sum per outer
+  // index tuple once that loop closes.
+  template <class ValueFn>
+  void emit_write_loop(std::string& s, const std::string& ind, ValueFn value) const {
+    if (in_.reduce_target == nullptr) {
+      std::string body;
+      const std::string close = open_dof_loops(s, ind, &body);
+      const std::string v = value(body);
+      s += body + "OUT[" + out_index("dof") + "] = " + v + ";\n";
+      s += close;
+      return;
+    }
+    std::string cur = ind;
+    const std::string close = open_loops(s, 0, loops_.size() - 1, &cur);
+    s += cur + "double red = 0.0;\n";
+    std::string body = cur;
+    const std::string inner_close = open_loops(s, loops_.size() - 1, loops_.size(), &body);
+    s += body + "const int64_t dof = " + dof_expr(*in_.var_addr) + ";\n";
+    const std::string v = value(body);
+    s += body + "const double o = " + v + ";\n";
+    s += body + "OUT[" + out_index("dof") + "] = o;\n";
+    s += body + "red += " + load_expr(*in_.reduce_weight, Flavor::Volume) + " * o;\n";
+    s += inner_close;
+    s += cur + "RED[" + reduce_index() + "] = red;\n";
+    s += close;
+  }
+
+  // Per face, ahead of the dof loops: the face-only values, then one loop
+  // over the stride-1 index computing the Dir values into stack arrays S<id>
+  // that the interior and ghost regions read. Renames the exported nodes.
+  void emit_face_prologue(std::string& s, const std::vector<Scope>& sc, std::vector<std::string>& sn) const {
+    emit_nodes(s, surf_, sc, Scope::Face, sn, "s", Flavor::Interior, "      ");
+    if (std::find(sc.begin(), sc.end(), Scope::Dir) == sc.end()) return;
+    std::vector<bool> exported(surf_.nodes.size(), false);
+    for (size_t i = 0; i < surf_.nodes.size(); ++i) {
+      if (sc[i] != Scope::Dof) continue;
+      for (const int32_t operand : {surf_.nodes[i].a, surf_.nodes[i].b, surf_.nodes[i].c})
+        if (operand >= 0 && sc[static_cast<size_t>(operand)] == Scope::Dir)
+          exported[static_cast<size_t>(operand)] = true;
+    }
+    if (sc[static_cast<size_t>(surf_.ret)] == Scope::Dir) exported[static_cast<size_t>(surf_.ret)] = true;
+    const LoopVar& inner = loops_.back();
+    s += "      // Per face and direction: the values that vary with the face and the\n";
+    s += "      // stride-1 index only, computed once here rather than once per dof.\n";
+    for (size_t i = 0; i < surf_.nodes.size(); ++i)
+      if (exported[i]) s += "      double S" + std::to_string(i) + "[" + std::to_string(inner.extent) + "];\n";
+    std::string body = "      ";
+    const std::string close = open_loops(s, loops_.size() - 1, loops_.size(), &body);
+    emit_nodes(s, surf_, sc, Scope::Dir, sn, "s", Flavor::Interior, body);
+    for (size_t i = 0; i < surf_.nodes.size(); ++i) {
+      if (!exported[i]) continue;
+      const std::string arr = "S" + std::to_string(i) + "[" + loop_var(inner) + "]";
+      s += body + arr + " = " + sn[i] + ";\n";
+      sn[i] = arr;
+    }
+    s += close;
   }
 
   std::string render(uint64_t fp) const {
@@ -453,6 +559,7 @@ class Emitter {
     s += "  const int32_t* face_bslot;\n";
     s += "  const uint8_t* bc_kind;\n";
     s += "  const double* bc_value;\n";
+    s += "  double* reduce_out;\n";
     s += "} finch_kernel_args_v1;\n\n";
     s += "extern \"C\" int32_t finch_kernel_abi_version(void) { return 1; }\n\n";
     // Manifest: how the host fills arrays[] / scalars[].
@@ -474,32 +581,31 @@ class Emitter {
       s += "  const double* __restrict__ " + arrays_[i].cname + " = A->arrays[" +
            std::to_string(i) + "];\n";
     s += "  double* __restrict__ OUT = A->out;\n";
+    if (in_.reduce_target != nullptr) s += "  double* __restrict__ RED = A->reduce_out;\n";
     for (const auto& p : pinned_)
       s += "  const int64_t i" + std::to_string(p.slot) + " = " + std::to_string(p.value) +
            ";  // pinned: " + p.why + "\n";
 
-    const std::vector<int> vsc = scopes(vol_, false);
-    const std::vector<int> ssc = has_surface_ ? scopes(surf_, true) : std::vector<int>{};
+    const std::vector<Scope> vsc = scopes(vol_, false);
+    const std::vector<Scope> ssc = has_surface_ ? scopes(surf_, true) : std::vector<Scope>{};
     std::vector<std::string> vn(vol_.nodes.size());
     std::vector<std::string> sn(surf_.nodes.size());
 
     // Loop-invariant values (scalars, dt, constants and arithmetic on them).
-    emit_nodes(s, vol_, vsc, kScopeFn, kScopeFn, vn, "v", Flavor::Volume, "  ");
-    if (has_surface_) emit_nodes(s, surf_, ssc, kScopeFn, kScopeFn, sn, "s", Flavor::Interior, "  ");
+    emit_nodes(s, vol_, vsc, Scope::Fn, vn, "v", Flavor::Volume, "  ");
+    if (has_surface_) emit_nodes(s, surf_, ssc, Scope::Fn, sn, "s", Flavor::Interior, "  ");
 
     s += "  for (int64_t cell = A->cell_begin; cell < A->cell_end; ++cell) {\n";
-    emit_nodes(s, vol_, vsc, kScopeCell, kScopeCell, vn, "v", Flavor::Volume, "    ");
-    if (has_surface_)
-      emit_nodes(s, surf_, ssc, kScopeCell, kScopeCell, sn, "s", Flavor::Interior, "    ");
+    emit_nodes(s, vol_, vsc, Scope::Cell, vn, "v", Flavor::Volume, "    ");
+    if (has_surface_) emit_nodes(s, surf_, ssc, Scope::Cell, sn, "s", Flavor::Interior, "    ");
 
     const std::string nd = std::to_string(ndof_);
     if (!has_surface_) {
       // Volume-only update: write out directly, no flux staging needed.
-      std::string body;
-      const std::string close = open_dof_loops(s, "    ", &body);
-      emit_nodes(s, vol_, vsc, kScopeDof, kScopeFace, vn, "v", Flavor::Volume, body);
-      s += body + "OUT[" + out_index("dof") + "] = " + vn[static_cast<size_t>(vol_.ret)] + ";\n";
-      s += close;
+      emit_write_loop(s, "    ", [&](const std::string& body) {
+        emit_nodes(s, vol_, vsc, Scope::Dof, vn, "v", Flavor::Volume, body);
+        return vn[static_cast<size_t>(vol_.ret)];
+      });
       s += "  }\n}\n";
       return s;
     }
@@ -512,7 +618,7 @@ class Emitter {
     {
       std::string body;
       const std::string close = open_dof_loops(s, "    ", &body);
-      emit_nodes(s, vol_, vsc, kScopeDof, kScopeFace, vn, "v", Flavor::Volume, body);
+      emit_nodes(s, vol_, vsc, Scope::Dof, vn, "v", Flavor::Volume, body);
       s += body + "vol[dof] = " + vn[static_cast<size_t>(vol_.ret)] + ";\n";
       s += body + "flux[dof] = 0.0;\n";
       s += close;
@@ -526,11 +632,12 @@ class Emitter {
     s += "      const double nz = A->face_geom[4*fs + 2]; (void)nz;\n";
     s += "      const double scale = A->face_geom[4*fs + 3];  // area / cell volume\n";
     s += "      const int64_t nbr = (int64_t)A->face_nbr[fs];\n";
+    emit_face_prologue(s, ssc, sn);
     s += "      if (nbr >= 0) {\n";
     {
       std::string body;
       const std::string close = open_dof_loops(s, "        ", &body);
-      emit_nodes(s, surf_, ssc, kScopeDof, kScopeFace, sn, "s", Flavor::Interior, body);
+      emit_nodes(s, surf_, ssc, Scope::Dof, sn, "s", Flavor::Interior, body);
       s += body + "flux[dof] += scale * " + sn[static_cast<size_t>(surf_.ret)] + ";\n";
       s += close;
     }
@@ -546,7 +653,7 @@ class Emitter {
       std::string body;
       const std::string close = open_dof_loops(s, "            ", &body);
       s += body + "const double gv = BCV[dof]; (void)gv;\n";
-      emit_nodes(s, surf_, ssc, kScopeDof, kScopeFace, gn, "g", Flavor::Ghost, body);
+      emit_nodes(s, surf_, ssc, Scope::Dof, gn, "g", Flavor::Ghost, body);
       s += body + "flux[dof] += scale * " + gn[static_cast<size_t>(surf_.ret)] + ";\n";
       s += close;
     }
@@ -561,12 +668,11 @@ class Emitter {
     s += "          }\n        }\n      }\n    }\n";
     s += "    // Update: volume value plus the face accumulation, exactly once\n";
     s += "    // per (cell, dof).\n";
-    {
-      std::string body;
-      const std::string close = open_dof_loops(s, "    ", &body);
-      s += body + "OUT[" + out_index("dof") + "] = vol[dof] + flux[dof];\n";
-      s += close;
+    if (in_.reduce_target != nullptr) {
+      s += "    // The declared sum rides along: red accumulates w * value from 0.0\n";
+      s += "    // in stride-1 index order, as the VM's post-pass does.\n";
     }
+    emit_write_loop(s, "    ", [](const std::string&) { return std::string("vol[dof] + flux[dof]"); });
     s += "  }\n}\n";
     return s;
   }

@@ -66,7 +66,8 @@ struct KernelArgsV1 {
   const double* face_geom = nullptr;      // per slot: nx, ny, nz, area/volume
   const int32_t* face_bslot = nullptr;    // boundary-condition slot or -1
   const uint8_t* bc_kind = nullptr;       // per bslot: 1 = value (ghost), 2 = flux
-  const double* bc_value = nullptr;       // per (bslot, out-dof), refreshed per sweep
+  const double* bc_value = nullptr;       // per (bslot, out-dof), one callback per bslot per sweep
+  double* reduce_out = nullptr;           // storage of the declared reduction's target
 };
 using KernelFnV1 = void (*)(const KernelArgsV1*);
 
@@ -95,6 +96,11 @@ struct NativeKernelInputs {
   const CompileEnv* env = nullptr;           // loop-slot assignment
   const fvm::CellField* out = nullptr;       // updated field
   const Binding* var_addr = nullptr;         // out-dof addressing
+  // The equation's declared reduction (ir::Reduction), or a null target: the
+  // kernel accumulates target[rest] = sum_i w[i] * out[i, rest] in its write
+  // loop and stores it through KernelArgsV1::reduce_out.
+  const fvm::CellField* reduce_target = nullptr;
+  const Binding* reduce_weight = nullptr;    // CoefIndexed over the stride-1 index
 };
 
 // Pure emission: renders the TU from the programs' node lists. No I/O. Throws std::runtime_error on structures the emitter cannot lower.

@@ -1,9 +1,9 @@
 #include "native_solver.hpp"
 
 #include <algorithm>
-#include <array>
 #include <chrono>
 #include <cstring>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -38,7 +38,6 @@ struct EquationNative {
   std::vector<BcSlot> slots;
   std::vector<uint8_t> bc_kind;      // per slot: 1 = value (ghost), 2 = flux
   std::vector<double> bc_value;      // slots × ndof, refreshed every sweep
-  std::array<int32_t, 3> idx_extent{{1, 1, 1}};  // variable index extents
 };
 
 class NativeSolver final : public StepSolverBase {
@@ -59,6 +58,8 @@ class NativeSolver final : public StepSolverBase {
         in.env = &env_;
         in.out = ce.field;
         in.var_addr = &ce.var_addr;
+        in.reduce_target = ce.reduce_target;
+        in.reduce_weight = &ce.reduce_weight;
         en.plan = emit_native_plan(in);
         std::string err;
         if (!load_native_plan(en.plan, &err)) {
@@ -74,20 +75,18 @@ class NativeSolver final : public StepSolverBase {
   }
 
  protected:
-  void sweep_equation(size_t e, fvm::CellField& out, double dt_stage) override {
+  bool sweep_equation(size_t e, fvm::CellField& out, double dt_stage) override {
     EquationNative& en = native_[e];
     // The non-finite guard audits every VM node — native kernels cannot
     // observe at that granularity, so guarded solves stay on the VM.
-    if (en.plan.fn == nullptr || guard_enabled_) {
-      StepSolverBase::sweep_equation(e, out, dt_stage);
-      return;
-    }
+    if (en.plan.fn == nullptr || guard_enabled_) return StepSolverBase::sweep_equation(e, out, dt_stage);
     refresh_bc(e);
     if (!en.verified && jit_config().verify_first_sweep) {
       en.verified = true;
       // Differential check: replay this exact sweep on the VM oracle and
-      // require bit identity. A mismatch demotes the equation to the VM and
-      // keeps the oracle's answer — never a wrong result.
+      // require bit identity of the field and of the fused sum against the
+      // post-pass. A mismatch demotes the equation to the VM and keeps the
+      // oracle's answer — never a wrong result.
       fvm::CellField ref("jit_verify", out.num_cells(), out.dof_per_cell(), out.layout());
       std::copy(out.data().begin(), out.data().end(), ref.data().begin());
       run_kernel(e, out, dt_stage);
@@ -96,9 +95,15 @@ class NativeSolver final : public StepSolverBase {
       rt::TraceSpan span("jit.verify", attrs);
       const auto t0 = Clock::now();
       vm_sweep(e, ref, dt_stage, all_cells_);
+      bool same = bits_equal(out, ref);
+      if (const fvm::CellField* target = eqs_[e].reduce_target; target != nullptr && same) {
+        fvm::CellField ref_sum("jit_verify_sum", target->num_cells(), target->dof_per_cell(),
+                               target->layout());
+        reduce_into(eqs_[e], ref, ref_sum);
+        same = bits_equal(*target, ref_sum);
+      }
       auto& reg = rt::MetricsRegistry::global();
-      if (std::memcmp(out.data().data(), ref.data().data(),
-                      out.data().size() * sizeof(double)) != 0) {
+      if (!same) {
         reg.counter("jit.verify.mismatch").add();
         reg.counter("jit.fallback").add();
         en.plan.fn = nullptr;
@@ -106,10 +111,11 @@ class NativeSolver final : public StepSolverBase {
       }
       reg.counter("jit.verify.sweeps").add();
       reg.counter("jit.verify.seconds").add(seconds_since(t0));
-      return;
+      return same;
     }
     en.verified = true;
     run_kernel(e, out, dt_stage);
+    return true;
   }
 
  private:
@@ -142,11 +148,12 @@ class NativeSolver final : public StepSolverBase {
     }
   }
 
+  static bool bits_equal(const fvm::CellField& a, const fvm::CellField& b) {
+    return std::memcmp(a.data().data(), b.data().data(), a.data().size() * sizeof(double)) == 0;
+  }
+
   void build_bc_table(const CompiledEquation& ce, EquationNative& en) {
     const mesh::Mesh& mesh = p_.mesh();
-    for (int k = 0; k < ce.var_addr.n_idx; ++k)
-      en.idx_extent[static_cast<size_t>(k)] =
-          env_.index_extent[static_cast<size_t>(ce.var_addr.loop_slot[static_cast<size_t>(k)])];
     en.face_bslot.assign(face_id_.size(), -1);
     size_t s = 0;
     for (int32_t cell = 0; cell < mesh.num_cells(); ++cell) {
@@ -165,10 +172,10 @@ class NativeSolver final : public StepSolverBase {
     en.bc_value.assign(en.slots.size() * static_cast<size_t>(ce.field->dof_per_cell()), 0.0);
   }
 
-  // Host pre-pass: evaluate every boundary callback for every (slot, dof)
+  // Host pre-pass: one boundary callback per slot fills that face's DOFs
   // before launching the kernel. Legal because sweeps write scratch storage —
   // fields are static for the duration of a sweep, so the callbacks see the
-  // same state they would see inside the VM's lazy per-face evaluation.
+  // same state they would see inside the VM's per-cell evaluation.
   void refresh_bc(size_t e) {
     CompiledEquation& ce = eqs_[e];
     EquationNative& en = native_[e];
@@ -176,33 +183,23 @@ class NativeSolver final : public StepSolverBase {
     attrs.phase = "compute";
     rt::TraceSpan span("jit.bc_refresh", attrs);
     const auto t0 = Clock::now();
-    const int64_t ndof = ce.field->dof_per_cell();
-    const int n = ce.var_addr.n_idx;
+    const auto ndof = static_cast<size_t>(ce.field->dof_per_cell());
     fvm::BoundaryContext bctx;
     bctx.mesh = &p_.mesh();
     bctx.fields = &p_.fields();
     bctx.field = ce.field;
+    bctx.extent = ce.extent;
     bctx.time = time_;
     for (size_t s = 0; s < en.slots.size(); ++s) {
       const BcSlot& slot = en.slots[s];
       bctx.cell = slot.cell;
       bctx.face = slot.face;
       bctx.normal = slot.normal;
-      // Odometer over the variable's indices, first index fastest — the
-      // first index has stride 1, so `dof` advances sequentially.
-      std::array<int32_t, 3> iv{{0, 0, 0}};
-      for (int64_t dof = 0; dof < ndof; ++dof) {
-        bctx.dof = static_cast<int32_t>(dof);
-        bctx.dir = n > 0 ? iv[0] : 0;
-        bctx.band = n > 1 ? iv[1] : 0;
-        en.bc_value[s * static_cast<size_t>(ndof) + static_cast<size_t>(dof)] = slot.bc->fn(bctx);
-        for (int k = 0; k < n; ++k) {
-          if (++iv[static_cast<size_t>(k)] < en.idx_extent[static_cast<size_t>(k)]) break;
-          iv[static_cast<size_t>(k)] = 0;
-        }
-      }
+      slot.bc->fn(bctx, std::span<double>(en.bc_value).subspan(s * ndof, ndof));
     }
-    rt::MetricsRegistry::global().counter("jit.bc_refresh.seconds").add(seconds_since(t0));
+    auto& reg = rt::MetricsRegistry::global();
+    reg.counter("bc.calls").add(static_cast<double>(en.slots.size()));
+    reg.counter("jit.bc_refresh.seconds").add(seconds_since(t0));
   }
 
   void run_kernel(size_t e, fvm::CellField& out, double dt_stage) {
@@ -223,6 +220,7 @@ class NativeSolver final : public StepSolverBase {
     args.face_bslot = en.face_bslot.data();
     args.bc_kind = en.bc_kind.data();
     args.bc_value = en.bc_value.data();
+    if (fvm::CellField* target = eqs_[e].reduce_target) args.reduce_out = target->data().data();
     rt::SpanAttrs attrs;
     attrs.phase = "compute";
     rt::TraceSpan span("jit.exec", attrs);
@@ -281,6 +279,8 @@ class SourceProbe final : public StepSolverBase {
       in.env = &env_;
       in.out = ce.field;
       in.var_addr = &ce.var_addr;
+      in.reduce_target = ce.reduce_target;
+      in.reduce_weight = &ce.reduce_weight;
       if (!out.empty()) out += "\n";
       out += emit_native_plan(in).source;
     }

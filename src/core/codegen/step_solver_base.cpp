@@ -8,6 +8,7 @@
 #include <stdexcept>
 
 #include "core/symbolic/simplify.hpp"
+#include "runtime/metrics.hpp"
 #include "runtime/trace.hpp"
 
 namespace finch::codegen {
@@ -47,13 +48,25 @@ StepSolverBase::StepSolverBase(dsl::Problem& p, rt::ThreadPool* pool) : p_(p), p
     int32_t stride = 1;
     ce.var_addr.n_idx = 0;
     for (const auto& idx : info.indices) {
-      ce.var_addr.loop_slot[static_cast<size_t>(ce.var_addr.n_idx)] = env_.loop_slot_of(idx);
-      ce.var_addr.stride[static_cast<size_t>(ce.var_addr.n_idx)] = stride;
-      stride *= p.entities().find_index(idx)->extent();
+      const auto k = static_cast<size_t>(ce.var_addr.n_idx);
+      ce.var_addr.loop_slot[k] = env_.loop_slot_of(idx);
+      ce.var_addr.stride[k] = stride;
+      ce.extent[k] = p.entities().find_index(idx)->extent();
+      stride *= ce.extent[k];
       ++ce.var_addr.n_idx;
     }
-    if (!info.indices.empty()) ce.dir_slot = env_.loop_slot_of(info.indices[0]);
-    if (info.indices.size() > 1) ce.band_slot = env_.loop_slot_of(info.indices[1]);
+    if (const auto& r = rec.program.reduction) {
+      ce.reduce_target = &p.fields().get(r->target);
+      const std::vector<double>& w = p.indexed_coefficients().at(r->weight);
+      Binding& b = ce.reduce_weight;
+      b.source = Binding::Source::CoefIndexed;
+      b.coef = w.data();
+      b.coef_len = static_cast<int32_t>(w.size());
+      b.n_idx = 1;
+      b.loop_slot[0] = ce.var_addr.loop_slot[0];
+      b.stride[0] = 1;
+      b.debug_name = r->weight;
+    }
     eqs_.push_back(std::move(ce));
   }
   all_cells_.resize(static_cast<size_t>(p.mesh().num_cells()));
@@ -92,13 +105,17 @@ void StepSolverBase::step() {
   time_ += p_.dt();
 }
 
-void StepSolverBase::sweep_equation(size_t e, fvm::CellField& out, double dt_stage) {
+bool StepSolverBase::sweep_equation(size_t e, fvm::CellField& out, double dt_stage) {
   report_guard(e, vm_sweep(e, out, dt_stage, all_cells_));
+  return false;
 }
 
 void StepSolverBase::euler_step() {
-  for (size_t e = 0; e < eqs_.size(); ++e) sweep_equation(e, scratch_[e], p_.dt());
+  std::vector<char> fused(eqs_.size());
+  for (size_t e = 0; e < eqs_.size(); ++e) fused[e] = sweep_equation(e, scratch_[e], p_.dt());
   commit();
+  for (size_t e = 0; e < eqs_.size(); ++e)
+    if (!fused[e]) reduce(e);
 }
 
 // RK2 midpoint via the Euler-form programs: the generated update computes
@@ -118,10 +135,29 @@ void StepSolverBase::rk2_step() {
     std::span<const double> old = scratch_[e].data();      // u_old
     for (size_t i = 0; i < field.size(); ++i) field[i] = old[i] + (y[i] - field[i]);
   }
+  // A stage's fused sum is not of the committed value: always the post-pass.
+  for (size_t e = 0; e < eqs_.size(); ++e) reduce(e);
 }
 
 void StepSolverBase::commit() {
   for (size_t e = 0; e < eqs_.size(); ++e) eqs_[e].field->swap_storage(scratch_[e]);
+}
+
+void reduce_into(const CompiledEquation& ce, const fvm::CellField& src, fvm::CellField& dst) {
+  const int32_t n = ce.extent[0];
+  const double* w = ce.reduce_weight.coef;
+  for (int32_t cell = 0; cell < src.num_cells(); ++cell) {
+    for (int32_t rest = 0; rest < dst.dof_per_cell(); ++rest) {
+      double sum = 0.0;
+      for (int32_t i = 0; i < n; ++i) sum += w[i] * src.at(cell, i + n * rest);
+      dst.at(cell, rest) = sum;
+    }
+  }
+}
+
+void StepSolverBase::reduce(size_t e) {
+  const CompiledEquation& ce = eqs_[e];
+  if (ce.reduce_target != nullptr) reduce_into(ce, *ce.field, *ce.reduce_target);
 }
 
 void StepSolverBase::build_env() {
@@ -184,7 +220,7 @@ GuardTally StepSolverBase::vm_sweep(size_t eq, fvm::CellField& out, double dt_st
     }
   }
   GuardTally sweep_guard;
-  int64_t surface_evals = 0;
+  int64_t surface_evals = 0, bc_calls = 0;
   std::mutex merge_mutex;
 
   // A face the surface term visits, in cell_faces order: interior, or a
@@ -199,10 +235,12 @@ GuardTally StepSolverBase::vm_sweep(size_t eq, fvm::CellField& out, double dt_st
 
   auto sweep_cells = [&](int64_t begin, int64_t end) {
     std::vector<double> vals(nvals * kLaneBlock);
-    std::array<double, kLaneBlock> vol, acc, val, bc_value;
+    std::array<double, kLaneBlock> vol, acc, val;
     std::array<GuardReport, kLaneBlock> lane_guard;
     GuardTally chunk_guard;
-    int64_t chunk_surface_evals = 0;
+    int64_t chunk_surface_evals = 0, chunk_bc_calls = 0;
+    // The callback values of the cell's faces: face k's DOFs at k * ndof.
+    std::vector<double> bc_values;
     auto run = [&](const Program& prog, const LaneOffsets& lanes, const LaneBlock& blk, double* res) {
       if (guard_enabled_)
         eval_block_guarded(prog, lanes, blk, vals.data(), res, lane_guard.data());
@@ -214,6 +252,7 @@ GuardTally StepSolverBase::vm_sweep(size_t eq, fvm::CellField& out, double dt_st
     bctx.mesh = &mesh;
     bctx.fields = &p_.fields();
     bctx.field = ce.field;
+    bctx.extent = ce.extent;
     bctx.time = time_;
     for (int64_t i = begin; i < end; ++i) {
       const int32_t cell = cells[static_cast<size_t>(i)];
@@ -230,6 +269,17 @@ GuardTally StepSolverBase::vm_sweep(size_t eq, fvm::CellField& out, double dt_st
           faces.push_back({f, face.is_boundary() ? -1 : mesh.across(f, cell),
                            mesh.outward_normal(f, cell), face.area * inv_vol, bc});
         }
+        // One callback per boundary face, before the lane blocks.
+        bc_values.resize(faces.size() * static_cast<size_t>(ndof));
+        for (size_t k = 0; k < faces.size(); ++k) {
+          if (faces[k].bc == nullptr) continue;
+          bctx.cell = cell;
+          bctx.face = faces[k].face;
+          bctx.normal = faces[k].normal;
+          faces[k].bc->fn(bctx, std::span<double>(bc_values).subspan(k * static_cast<size_t>(ndof),
+                                                                     static_cast<size_t>(ndof)));
+          ++chunk_bc_calls;
+        }
       }
       for (int32_t first = 0; first < ndof; first += kLaneBlock) {
         const int n = std::min(kLaneBlock, ndof - first);
@@ -242,32 +292,23 @@ GuardTally StepSolverBase::vm_sweep(size_t eq, fvm::CellField& out, double dt_st
         run(ce.volume, vol_lanes, blk, vol.data());
         // Per lane: the volume value, then each face in cell_faces order.
         std::fill_n(acc.begin(), n, 0.0);
-        for (const FaceVisit& fv : faces) {
+        for (size_t k = 0; k < faces.size(); ++k) {
+          const FaceVisit& fv = faces[k];
           blk.normal = {fv.normal.x, fv.normal.y, fv.normal.z};
           blk.neighbor = fv.neighbor;
           blk.ghost_field = nullptr;
           if (fv.bc != nullptr) {
-            bctx.cell = cell;
-            bctx.face = fv.face;
-            bctx.normal = fv.normal;
-            for (int l = 0; l < n; ++l) {
-              const std::array<int32_t, 4>& lv = lane_loops[static_cast<size_t>(first + l)];
-              bctx.dof = first + l;
-              bctx.dir = ce.dir_slot >= 0 ? lv[static_cast<size_t>(ce.dir_slot)] : 0;
-              bctx.band = ce.band_slot >= 0 ? lv[static_cast<size_t>(ce.band_slot)] : 0;
-              bc_value[static_cast<size_t>(l)] = fv.bc->fn(bctx);
-            }
+            const double* bc_value = bc_values.data() + k * static_cast<size_t>(ndof) + first;
             if (fv.bc->type == fvm::BcType::Flux) {
               // The callback returns the physical outward flux integrand f;
               // the discretization contributes -dt*(A/V)*f, matching the
               // generated surface terms, which already carry the -dt factor
               // (stage dt for RK).
-              for (int l = 0; l < n; ++l)
-                acc[static_cast<size_t>(l)] += fv.scale * (-dt_stage) * bc_value[static_cast<size_t>(l)];
+              for (int l = 0; l < n; ++l) acc[static_cast<size_t>(l)] += fv.scale * (-dt_stage) * bc_value[l];
               continue;
             }
             blk.ghost_field = ce.field;  // value BC: the callback is the ghost
-            blk.ghost_value = bc_value.data();
+            blk.ghost_value = bc_value;
           }
           run(ce.surface, surf_lanes, blk, val.data());
           chunk_surface_evals += n;
@@ -284,6 +325,7 @@ GuardTally StepSolverBase::vm_sweep(size_t eq, fvm::CellField& out, double dt_st
     }
     std::lock_guard<std::mutex> lock(merge_mutex);
     surface_evals += chunk_surface_evals;
+    bc_calls += chunk_bc_calls;
     sweep_guard.add(chunk_guard);
   };
 
@@ -299,6 +341,7 @@ GuardTally StepSolverBase::vm_sweep(size_t eq, fvm::CellField& out, double dt_st
   // and value-BC faces, not flux-BC or BC-less walls.
   note_eval_batch(ce.volume, ce.has_surface ? &ce.surface : nullptr, ncells * ndof, surface_evals,
                   seconds_since(sweep_t0));
+  rt::MetricsRegistry::global().counter("bc.calls").add(static_cast<double>(bc_calls));
   return sweep_guard;
 }
 

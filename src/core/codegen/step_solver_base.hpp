@@ -10,6 +10,15 @@
 // cells on the host. Every scheme/BC/guard behavior — and the VM as a
 // drop-in oracle — stays in one place.
 //
+// Boundary callbacks fill one face at a time (fvm::BoundaryCallback): the VM
+// sweep fills each boundary face of a cell once, before that cell's lane
+// blocks, and counts the calls in `bc.calls`.
+//
+// Declared reductions (ir::Reduction) are formed from the committed field by
+// one post-pass, reduce(), after ForwardEuler's commit or RK2's combine. The
+// native kernel forms them in its write loop instead (sweep_equation returns
+// true), and the GPU target runs the post-pass on the host after the D2H.
+//
 // Double-buffering swaps storage, it does not copy: a sweep writes the
 // equation's scratch field, and commit() exchanges the updated field's storage
 // with it (CellField::swap_storage), so afterwards scratch holds the previous
@@ -17,6 +26,7 @@
 // that reads field storage directly (the native kernels' array tables) must
 // re-read it before each launch rather than cache it at construction.
 
+#include <array>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -36,8 +46,12 @@ struct CompiledEquation {
   fvm::CellField* field = nullptr;
   // DOF addressing of the updated variable from loop_values.
   Binding var_addr;
-  // Loop-slot ids of the variable's first/second index (for BC context).
-  int dir_slot = -1, band_slot = -1;
+  // The variable's index extents, as boundary callbacks see them.
+  std::array<int32_t, 3> extent{{1, 1, 1}};
+  // The declared reduction (ir::Reduction), or a null target: the weight is
+  // a CoefIndexed binding over the variable's stride-1 index.
+  fvm::CellField* reduce_target = nullptr;
+  Binding reduce_weight;
 };
 
 // Guard tallies of a run of evaluations. The first offender kept is the one
@@ -51,6 +65,11 @@ struct GuardTally {
   void add(const GuardTally& t) { add(t.report, t.first_rank); }
 };
 
+// Writes ce's reduction of `src` into `dst` (shaped like the target):
+// dst[rest] = sum_i w[i] * src[i + n*rest] over the stride-1 index i, summed
+// in i order from 0.0. The oracle of the native kernel's fused sum.
+void reduce_into(const CompiledEquation& ce, const fvm::CellField& src, fvm::CellField& dst);
+
 class StepSolverBase : public dsl::Solver {
  public:
   StepSolverBase(dsl::Problem& p, rt::ThreadPool* pool);
@@ -60,8 +79,10 @@ class StepSolverBase : public dsl::Solver {
   // Computes one equation's stage update for `dt_stage` into `out` (the
   // equation's scratch field). The base class runs the bytecode VM; the
   // native backend overrides this with JIT-kernel execution and falls back
-  // to vm_sweep() whenever a kernel is unavailable.
-  virtual void sweep_equation(size_t e, fvm::CellField& out, double dt_stage);
+  // to vm_sweep() whenever a kernel is unavailable. Returns true when the
+  // sweep also wrote the equation's reduction of `out` into its target (the
+  // native kernel's fused sum); ForwardEuler then skips reduce() for it.
+  virtual bool sweep_equation(size_t e, fvm::CellField& out, double dt_stage);
 
   // The interpreter sweep — the portable path and the differential oracle.
   // Walks `cells` (split across the pool when one is set) and evaluates each
@@ -77,6 +98,9 @@ class StepSolverBase : public dsl::Solver {
   void rk2_step();
   // Swaps each updated field's storage with its scratch field.
   void commit();
+  // The reduction post-pass: forms equation e's declared sum (if any) from
+  // its committed field.
+  void reduce(size_t e);
 
   dsl::Problem& p_;
   rt::ThreadPool* pool_;

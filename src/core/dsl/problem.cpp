@@ -1,5 +1,6 @@
 #include "problem.hpp"
 
+#include <algorithm>
 #include <cstdlib>
 #include <stdexcept>
 
@@ -144,7 +145,15 @@ Problem& Problem::conservation_form(const std::string& variable, const std::stri
 
 Problem& Problem::boundary(const std::string& variable, int region, BcType type,
                            const std::string& callback_name, fvm::BoundaryCallback cb) {
+  if (const sym::EntityInfo* v = table_.find(variable); v == nullptr || v->kind != sym::EntityKind::Variable)
+    throw std::invalid_argument("boundary: unknown variable " + variable);
   boundary_.set(variable, region, fvm::BoundaryCondition{type, std::move(cb), callback_name});
+  return *this;
+}
+
+Problem& Problem::reduction(const std::string& target, const std::string& variable,
+                            const std::string& index, const std::string& weight) {
+  reductions_.push_back({variable, ir::Reduction{target, index, weight}});
   return *this;
 }
 
@@ -252,7 +261,36 @@ void Problem::finalize() {
     equations_.push_back(std::move(rec));
   }
   if (equations_.empty()) throw std::logic_error("Problem: no conservation_form equation given");
+  for (const auto& [variable, r] : reductions_) attach_reduction(variable, r);
   finalized_ = true;
+}
+
+void Problem::attach_reduction(const std::string& variable, const ir::Reduction& r) {
+  const std::string what = "reduction " + r.target + " = sum_" + r.index + " " + r.weight + "[" +
+                           r.index + "] * " + variable + ": ";
+  auto reject = [&](const std::string& why) { throw std::invalid_argument(what + why); };
+  auto is_variable = [&](const std::string& name) {
+    const sym::EntityInfo* e = table_.find(name);
+    return e != nullptr && e->kind == sym::EntityKind::Variable;
+  };
+  if (!is_variable(variable)) reject("unknown variable " + variable);
+  if (!is_variable(r.target)) reject("unknown target variable " + r.target);
+  auto rec = std::find_if(equations_.begin(), equations_.end(),
+                          [&](const EquationRecord& e) { return e.variable == variable; });
+  if (rec == equations_.end()) reject("no equation updates " + variable);
+  if (rec->program.reduction) reject(variable + " already has a reduction");
+  const std::vector<std::string>& idx = table_.find(variable)->indices;
+  if (idx.empty() || idx.front() != r.index)
+    reject("the summed index must be the first (stride-1) index of " + variable);
+  if (table_.find(r.target)->indices != std::vector<std::string>(idx.begin() + 1, idx.end()))
+    reject("the target's indices must be the remaining indices of " + variable);
+  const sym::EntityInfo* w = table_.find(r.weight);
+  if (w == nullptr || coef_arrays_.count(r.weight) == 0 || w->indices != std::vector<std::string>{r.index})
+    reject("the weight must be an indexed coefficient over " + r.index + " alone");
+  for (const EquationRecord& e : equations_)
+    if (e.variable == r.target || e.program.find_usage(r.target) != nullptr)
+      reject("the equation of " + e.variable + " reads or updates the target");
+  rec->program.reduction = r;
 }
 
 std::unique_ptr<Solver> Problem::compile() {

@@ -12,6 +12,8 @@
 //   p.coefficient("Sx", dir_x, {"d"});   ...
 //   p.boundary("I", 1, BcType::Flux, "isothermal", callback);
 //   p.initial("I", [](...){...});
+//   p.variable("G", {"b"});  p.coefficient("W", weights, {"d"});
+//   p.reduction("G", "I", "d", "W");     // G[b] = sum_d W[d]*I[d,b] every step
 //   p.post_step([](double t){ update_temperature(...); });
 //   p.assembly_loops({"cells","d","b"});
 //   p.conservation_form("I", "(Io[b]-I[d,b])*beta[b] - surface(vg[b]*upwind([Sx[d];Sy[d]],I[d,b]))");
@@ -139,8 +141,20 @@ class Problem {
 
   // ---- model ----------------------------------------------------------------
   Problem& conservation_form(const std::string& variable, const std::string& equation);
+  // Registers the condition of a declared variable on a boundary region;
+  // throws std::invalid_argument for an undeclared variable.
   Problem& boundary(const std::string& variable, int region, BcType type,
                     const std::string& callback_name, fvm::BoundaryCallback cb);
+  // Declares the per-step sum target[rest] = sum_index weight[index] *
+  // variable[index, rest] of an updated variable over its first (stride-1)
+  // index (ir::Reduction). The native kernel forms it in its write loop;
+  // every other path in one pass after the commit. compile() throws
+  // std::invalid_argument, naming the reduction, when `index` is not the
+  // variable's first index, `target`'s indices are not the remaining ones,
+  // `weight` is not an indexed coefficient over `index` alone, or an
+  // equation reads or updates `target`.
+  Problem& reduction(const std::string& target, const std::string& variable,
+                     const std::string& index, const std::string& weight);
   Problem& initial(const std::string& variable,
                    const std::function<double(int32_t cell, std::span<const int32_t> idx)>& fn);
   Problem& assembly_loops(std::vector<std::string> order);
@@ -214,6 +228,7 @@ class Problem {
 
  private:
   void finalize();  // allocate fields, run symbolic pipeline (idempotent)
+  void attach_reduction(const std::string& variable, const ir::Reduction& r);
 
   std::string name_;
   int dim_ = 2;
@@ -244,6 +259,7 @@ class Problem {
     std::string variable, input;
   };
   std::vector<PendingEquation> pending_;
+  std::vector<std::pair<std::string, ir::Reduction>> reductions_;  // (variable, sum)
   std::vector<EquationRecord> equations_;
   bool finalized_ = false;
 };

@@ -12,6 +12,7 @@
 // nested loops, flattened GPU kernels, source emitters) can each lower it in
 // their own shape.
 
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -43,11 +44,24 @@ struct CommentNode {
   std::string text;
 };
 
+// A sum of the updated variable over its stride-1 (first) index, formed from
+// the committed value every step:
+//   target[rest] = sum_i weight[i] * variable[i, rest]
+// summed in index order from 0.0 (the order DirectionSet::band_sums uses
+// within each band). `weight` is an indexed coefficient over `index` alone;
+// `target` is a variable over the remaining indices that no equation reads.
+struct Reduction {
+  std::string target;  // e.g. "G"
+  std::string index;   // e.g. "d"
+  std::string weight;  // e.g. "W"
+};
+
 struct StepProgram {
   std::string name;                       // e.g. "step_I"
   std::string variable;                   // updated variable
   std::vector<std::string> var_indices;   // its index names, e.g. {"d","b"}
   int dimension = 2;
+  std::optional<Reduction> reduction;     // Problem::reduction, if declared
 
   std::vector<LoopSpec> loops;            // assembly-loop ordering
   sym::ClassifiedTerms terms;             // LHS volume / RHS volume / RHS surface

@@ -3,12 +3,16 @@
 //
 // The paper keeps complex boundary conditions as user-supplied CPU callbacks
 // ("@callbackFunction ... boundary(I, 1, FLUX, \"isothermal(...)\")"). A
-// BoundaryTable maps (variable, region) -> condition; FLUX conditions return
-// the *outward surface flux integrand* for one (face, dof) pair and VALUE
-// conditions return a ghost value to use as the neighbor state.
+// BoundaryTable maps (variable, region) -> condition. A callback fills one
+// boundary face of one cell: every DOF of the variable at once, so a value
+// that varies only per face, direction or band is computed once, not once per
+// DOF. FLUX conditions write the *outward surface flux integrand* of each DOF
+// and VALUE conditions the ghost value to use as the neighbor state.
 
+#include <array>
 #include <functional>
 #include <map>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -30,13 +34,16 @@ struct BoundaryContext {
   int32_t cell = 0;
   int32_t face = 0;
   mesh::Vec3 normal;   // outward
-  int32_t dof = 0;     // flattened dof index
-  int32_t dir = 0;     // direction index (0-based)
-  int32_t band = 0;    // band index (0-based)
+  // The variable's index extents in declaration order; entries past its last
+  // index are 1. The DOF of index values (i0, i1, i2) is
+  // i0 + extent[0] * (i1 + extent[1] * i2): the first index is fastest.
+  std::array<int32_t, 3> extent{{1, 1, 1}};
   double time = 0.0;
 };
 
-using BoundaryCallback = std::function<double(const BoundaryContext&)>;
+// Fills `out` (one entry per DOF of the variable, in DOF order) for the face
+// ctx.face of cell ctx.cell. Called once per (cell, boundary face) per sweep.
+using BoundaryCallback = std::function<void(const BoundaryContext&, std::span<double> out)>;
 
 struct BoundaryCondition {
   BcType type = BcType::Flux;

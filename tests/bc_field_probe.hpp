@@ -2,6 +2,7 @@
 // A two-variable problem whose boundary callbacks check
 // BoundaryContext::field, shared by the VM/GPU and native-backend tests.
 
+#include <algorithm>
 #include <memory>
 #include <string>
 
@@ -39,13 +40,15 @@ inline std::unique_ptr<dsl::Problem> coupled_problem(dsl::Backend backend, Field
     for (const dsl::BcType type : {dsl::BcType::Flux, dsl::BcType::Value}) {
       const int t = type == dsl::BcType::Flux ? 0 : 1;
       p->boundary(var, t == 0 ? 1 : 3, type, var + (t == 0 ? "_flux" : "_value"),
-                  [&probe, var, t](const fvm::BoundaryContext& ctx) {
+                  [&probe, var, t](const fvm::BoundaryContext& ctx, std::span<double> out) {
                     ++probe.calls[t];
                     if (ctx.field != &ctx.fields->get(var)) {
                       ++probe.wrong[t];
-                      return 0.0;
+                      std::ranges::fill(out, 0.0);
+                      return;
                     }
-                    return 0.5 * ctx.field->at(ctx.cell, ctx.dof);
+                    for (size_t dof = 0; dof < out.size(); ++dof)
+                      out[dof] = 0.5 * ctx.field->at(ctx.cell, static_cast<int32_t>(dof));
                   });
     }
   }

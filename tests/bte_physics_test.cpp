@@ -406,10 +406,21 @@ TEST_F(BatchedTableTest, UpdateMatchesThePerCellLoopBitwise) {
     for (size_t k = 0; k < dofs; ++k) I_dm[k * ncells + c] = I[c * dofs + k];
   table.update_temperature(dirs, ncells, I_dm.data(), {1, ncells}, T_dm.data(),
                            Io_dm.data(), beta_dm.data(), {1, ncells});
+  // The sums form, from dof-major sums (the DSL problems' G in that layout).
+  std::vector<double> G_dm(ncells * ub), T_sums = T0, Io_sums(ncells * ub), beta_sums(ncells * ub);
+  for (size_t c = 0; c < ncells; ++c) {
+    dirs.band_sums(I.data() + c * dofs, 1, ub, G.data());
+    for (size_t b = 0; b < ub; ++b) G_dm[b * ncells + c] = G[b];
+  }
+  table.update_temperature(ncells, G_dm.data(), {1, ncells}, T_sums.data(), Io_sums.data(),
+                           beta_sums.data(), {1, ncells});
+  EXPECT_EQ(Io_sums, Io_dm);
+  EXPECT_EQ(beta_sums, beta_dm);
 
   for (size_t c = 0; c < ncells; ++c) {
     EXPECT_EQ(bits(T[c]), bits(T_ref[c])) << "cell " << c;
     EXPECT_EQ(bits(T_dm[c]), bits(T_ref[c])) << "cell " << c;
+    EXPECT_EQ(bits(T_sums[c]), bits(T_ref[c])) << "cell " << c;
     for (size_t b = 0; b < ub; ++b) {
       EXPECT_EQ(bits(Io[c * ub + b]), bits(Io_ref[c * ub + b])) << "cell " << c << " band " << b;
       EXPECT_EQ(bits(beta[c * ub + b]), bits(beta_ref[c * ub + b])) << "cell " << c << " band " << b;

@@ -4,6 +4,7 @@
 // identical) and loop-order invariance.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <functional>
 #include <numeric>
@@ -59,7 +60,7 @@ TEST(DslPipeline, UniformFieldIsAdvectionFixedPoint) {
   p.initial("u", [](int32_t, std::span<const int32_t>) { return 3.0; });
   for (int region = 1; region <= 4; ++region)
     p.boundary("u", region, dsl::BcType::Value, "const3",
-               [](const fvm::BoundaryContext&) { return 3.0; });
+               [](const fvm::BoundaryContext&, std::span<double> out) { std::ranges::fill(out, 3.0); });
   auto solver = p.compile(Target::CpuSerial);
   solver->run(20);
   for (int32_t c = 0; c < 36; ++c) EXPECT_NEAR(p.fields().get("u").at(c, 0), 3.0, 1e-12);
@@ -94,7 +95,8 @@ TEST(DslPipeline, UpwindTransportMovesFrontDownstream) {
   p.coefficient("by", 0.0);
   p.conservation_form("u", "-surface(upwind([bx; by], u))");
   p.initial("u", [n](int32_t c, std::span<const int32_t>) { return (c % n) < n / 4 ? 1.0 : 0.0; });
-  p.boundary("u", 3, dsl::BcType::Value, "inflow1", [](const fvm::BoundaryContext&) { return 1.0; });
+  p.boundary("u", 3, dsl::BcType::Value, "inflow1",
+             [](const fvm::BoundaryContext&, std::span<double> out) { std::ranges::fill(out, 1.0); });
   auto solver = p.compile(Target::CpuSerial);
   solver->run(13);  // ~0.26 time units
   const auto& u = p.fields().get("u");
@@ -227,7 +229,8 @@ TEST(DslPipeline, GpuTargetMatchesSerialBitwise) {
     p->coefficient("Sy", {0.5, 1.0, -0.75}, {"d"});
     p->conservation_form("I", "-surface(upwind([Sx[d];Sy[d]], I[d]))");
     p->initial("I", [](int32_t c, std::span<const int32_t> idx) { return 1.0 + 0.3 * c - 0.1 * idx[0]; });
-    p->boundary("I", 1, dsl::BcType::Value, "zero", [](const fvm::BoundaryContext&) { return 0.0; });
+    p->boundary("I", 1, dsl::BcType::Value, "zero",
+                [](const fvm::BoundaryContext&, std::span<double> out) { std::ranges::fill(out, 0.0); });
     if (gpu != nullptr) p->use_cuda(gpu);
     return p;
   };
@@ -286,8 +289,10 @@ TEST(DslPipeline, VmEvalsCountTheEvaluationsTheSweepRuns) {
   p.coefficient("by", 0.5);
   p.conservation_form("u", "-surface(upwind([bx; by], u))");
   p.initial("u", [](int32_t c, std::span<const int32_t>) { return 1.0 + 0.1 * c; });
-  p.boundary("u", 1, dsl::BcType::Value, "inflow", [](const fvm::BoundaryContext&) { return 2.0; });
-  p.boundary("u", 2, dsl::BcType::Flux, "outflow", [](const fvm::BoundaryContext&) { return 0.5; });
+  p.boundary("u", 1, dsl::BcType::Value, "inflow",
+             [](const fvm::BoundaryContext&, std::span<double> out) { std::ranges::fill(out, 2.0); });
+  p.boundary("u", 2, dsl::BcType::Flux, "outflow",
+             [](const fvm::BoundaryContext&, std::span<double> out) { std::ranges::fill(out, 0.5); });
   auto solver = p.compile(Target::CpuSerial);
   solver->enable_nonfinite_guard();
   rt::Counter& evals = rt::MetricsRegistry::global().counter("vm.evals");
@@ -313,9 +318,13 @@ std::unique_ptr<Problem> gpu_check_problem(rt::SimGpu* gpu, std::function<double
   p->conservation_form("I", "(1 - I[d]) / w - surface(upwind([Sx[d];Sy[d]], I[d]))");
   p->initial("I", [](int32_t c, std::span<const int32_t> idx) { return 1.0 + 0.3 * c - 0.1 * idx[0]; });
   p->initial("w", [w](int32_t c, std::span<const int32_t>) { return w(c); });
-  p->boundary("I", 1, dsl::BcType::Value, "zero", [](const fvm::BoundaryContext&) { return 0.0; });
+  p->boundary("I", 1, dsl::BcType::Value, "zero",
+              [](const fvm::BoundaryContext&, std::span<double> out) { std::ranges::fill(out, 0.0); });
   p->boundary("I", 3, dsl::BcType::Flux, "leak",
-              [](const fvm::BoundaryContext& ctx) { return 0.2 + 0.1 * ctx.dir; });
+              [](const fvm::BoundaryContext& ctx, std::span<double> out) {
+                for (size_t dof = 0; dof < out.size(); ++dof)
+                  out[dof] = 0.2 + 0.1 * static_cast<int32_t>(dof % static_cast<size_t>(ctx.extent[0]));
+              });
   if (gpu != nullptr) p->use_cuda(gpu);
   return p;
 }
@@ -424,4 +433,85 @@ TEST(DslErrors, GpuTargetRequiresDevice) {
   p.conservation_form("u", "-k*u");
   p.initial("u", [](int32_t, std::span<const int32_t>) { return 1.0; });
   EXPECT_THROW(p.compile(Target::Gpu), std::logic_error);
+}
+
+// A condition registered for a name no variable has would be stored and
+// never applied, leaving that wall zero-flux without a word.
+TEST(DslErrors, BoundaryRejectsAnUndeclaredVariable) {
+  Problem p("typo");
+  p.set_mesh(mesh::Mesh::structured_quad(2, 2, 1.0, 1.0));
+  p.variable("u");
+  p.coefficient("k", 1.0);
+  auto fill = [](const fvm::BoundaryContext&, std::span<double> out) { std::ranges::fill(out, 1.0); };
+  try {
+    p.boundary("uu", 1, dsl::BcType::Value, "inflow", fill);
+    FAIL() << "boundary() accepted an undeclared variable";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("uu"), std::string::npos) << e.what();
+  }
+  EXPECT_THROW(p.boundary("k", 1, dsl::BcType::Value, "inflow", fill), std::invalid_argument);
+  EXPECT_NO_THROW(p.boundary("u", 1, dsl::BcType::Value, "inflow", fill));
+}
+
+namespace {
+
+// I[d,b] with an equation, G over the remaining index b and weights W over
+// d; `declare` adds the reduction (and anything else) under test. Returns
+// compile()'s std::invalid_argument message, or "" when it compiles.
+std::string reduction_error(const std::function<void(Problem&)>& declare) {
+  Problem p("sums");
+  p.set_mesh(mesh::Mesh::structured_quad(3, 2, 1.0, 1.0));
+  p.index("d", 1, 3);
+  p.index("b", 1, 2);
+  p.variable("I", {"d", "b"});
+  p.variable("G", {"b"});
+  p.variable("H", {"d"});
+  p.coefficient("W", {0.5, 1.0, 2.0}, {"d"});
+  p.coefficient("Wb", {1.0, 1.0}, {"b"});
+  p.coefficient("k", 0.3);
+  p.conservation_form("I", "-k*I[d,b]");
+  declare(p);
+  try {
+    p.compile(Target::CpuSerial);
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "";
+}
+
+}  // namespace
+
+TEST(DslErrors, CompileRejectsAMisdeclaredReduction) {
+  EXPECT_EQ(reduction_error([](Problem& p) { p.reduction("G", "I", "d", "W"); }), "");
+  const std::vector<std::pair<std::string, std::function<void(Problem&)>>> bad = {
+      {"the summed index is not the stride-1 one", [](Problem& p) { p.reduction("H", "I", "b", "Wb"); }},
+      {"the target keeps the summed index", [](Problem& p) { p.reduction("H", "I", "d", "W"); }},
+      {"the weight is over another index", [](Problem& p) { p.reduction("G", "I", "d", "Wb"); }},
+      {"the weight is a scalar", [](Problem& p) { p.reduction("G", "I", "d", "k"); }},
+      {"the summed variable has no equation", [](Problem& p) { p.reduction("I", "H", "d", "W"); }},
+      {"a second reduction of the same variable",
+       [](Problem& p) {
+         p.reduction("G", "I", "d", "W");
+         p.reduction("G", "I", "d", "W");
+       }},
+  };
+  for (const auto& [why, declare] : bad) {
+    const std::string msg = reduction_error(declare);
+    EXPECT_NE(msg.find("reduction "), std::string::npos) << why << ": " << msg;
+  }
+  // Named in the message: the declared sum itself.
+  EXPECT_NE(reduction_error([](Problem& p) { p.reduction("H", "I", "b", "Wb"); })
+                .find("reduction H = sum_b Wb[b] * I"),
+            std::string::npos);
+
+  // An equation that reads the target would see sums of another stage.
+  Problem q("reads");
+  q.set_mesh(mesh::Mesh::structured_quad(3, 2, 1.0, 1.0));
+  q.index("d", 1, 2);
+  q.variable("I", {"d"});
+  q.variable("G");
+  q.coefficient("W", {1.0, 1.0}, {"d"});
+  q.conservation_form("I", "G - I[d]");
+  q.reduction("G", "I", "d", "W");
+  EXPECT_THROW(q.compile(Target::CpuSerial), std::invalid_argument);
 }

@@ -2,6 +2,7 @@
 // VTK export, and space-time (per-step re-materialized) coefficients.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <sstream>
 
@@ -40,10 +41,13 @@ TEST(Mesh1D, AdvectionThroughTheDslPipeline) {
   p.coefficient("bx", 1.0);
   p.conservation_form("u", "-surface(upwind([bx], u))");
   p.initial("u", [](int32_t, std::span<const int32_t>) { return 0.0; });
-  p.boundary("u", 1, dsl::BcType::Value, "inflow", [](const fvm::BoundaryContext&) { return 1.0; });
+  p.boundary("u", 1, dsl::BcType::Value, "inflow",
+             [](const fvm::BoundaryContext&, std::span<double> out) { std::ranges::fill(out, 1.0); });
   // Outflow: the upwinded flux bx * u(cell) leaves through the x-max end.
   p.boundary("u", 2, dsl::BcType::Flux, "outflow",
-             [](const fvm::BoundaryContext& ctx) { return ctx.fields->get("u").at(ctx.cell, 0); });
+             [](const fvm::BoundaryContext& ctx, std::span<double> out) {
+               out[0] = ctx.fields->get("u").at(ctx.cell, 0);
+             });
   auto solver = p.compile(dsl::Target::CpuSerial);
   solver->run(3 * n);  // t = 1.5: front has crossed the whole domain
   for (int32_t c = 0; c < n; ++c) EXPECT_NEAR(p.fields().get("u").at(c, 0), 1.0, 0.05) << c;
@@ -58,7 +62,8 @@ TEST(Mesh1D, DiffusionFreeUpwindIsMonotone1D) {
   p.coefficient("bx", 1.0);
   p.conservation_form("u", "-surface(upwind([bx], u))");
   p.initial("u", [n](int32_t c, std::span<const int32_t>) { return c < n / 3 ? 1.0 : 0.0; });
-  p.boundary("u", 1, dsl::BcType::Value, "inflow", [](const fvm::BoundaryContext&) { return 1.0; });
+  p.boundary("u", 1, dsl::BcType::Value, "inflow",
+             [](const fvm::BoundaryContext&, std::span<double> out) { std::ranges::fill(out, 1.0); });
   auto solver = p.compile(dsl::Target::CpuSerial);
   solver->run(10);
   const auto& u = p.fields().get("u");

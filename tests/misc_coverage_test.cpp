@@ -3,6 +3,7 @@
 // conservation sweeps across grid shapes and velocity fields.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "bte/bte_problem.hpp"
@@ -78,7 +79,8 @@ TEST(DslCustomOperator, LaxFriedrichsFluxRunsThroughTheSolver) {
   p.conservation_form("u", "-surface(laxf([bx; by], u))");
   p.initial("u", [](int32_t, std::span<const int32_t>) { return 2.5; });
   for (int region = 1; region <= 4; ++region)
-    p.boundary("u", region, dsl::BcType::Value, "const", [](const fvm::BoundaryContext&) { return 2.5; });
+    p.boundary("u", region, dsl::BcType::Value, "const",
+               [](const fvm::BoundaryContext&, std::span<double> out) { std::ranges::fill(out, 2.5); });
   auto solver = p.compile(dsl::Target::CpuSerial);
   solver->run(15);
   for (int32_t c = 0; c < 36; ++c) EXPECT_NEAR(p.fields().get("u").at(c, 0), 2.5, 1e-12);

@@ -26,6 +26,7 @@
 #include "core/dsl/problem.hpp"
 #include "core/symbolic/simplify.hpp"
 #include "runtime/metrics.hpp"
+#include "runtime/simgpu.hpp"
 #include "runtime/thread_pool.hpp"
 
 using namespace finch;
@@ -67,13 +68,20 @@ std::unique_ptr<dsl::Problem> toy_problem(const std::string& eq, dsl::Backend ba
   p->initial("Io", [](int32_t c, std::span<const int32_t> idx) {
     return 0.4 + 0.01 * c + 0.2 * idx[0];
   });
-  p->boundary("I", 1, dsl::BcType::Flux, "toy_flux", [](const fvm::BoundaryContext& ctx) {
-    return 0.1 * (ctx.cell + 1) + 0.01 * ctx.dof + 0.02 * ctx.dir - 0.005 * ctx.band;
-  });
+  p->boundary("I", 1, dsl::BcType::Flux, "toy_flux",
+              [](const fvm::BoundaryContext& ctx, std::span<double> out) {
+                for (int32_t dof = 0; dof < static_cast<int32_t>(out.size()); ++dof) {
+                  const int32_t dir = dof % ctx.extent[0], band = dof / ctx.extent[0];
+                  out[static_cast<size_t>(dof)] =
+                      0.1 * (ctx.cell + 1) + 0.01 * dof + 0.02 * dir - 0.005 * band;
+                }
+              });
   if (value_bc) {
-    p->boundary("I", 2, dsl::BcType::Value, "toy_value", [](const fvm::BoundaryContext& ctx) {
-      return 0.2 + 0.03 * ctx.dof + 0.001 * ctx.cell;
-    });
+    p->boundary("I", 2, dsl::BcType::Value, "toy_value",
+                [](const fvm::BoundaryContext& ctx, std::span<double> out) {
+                  for (int32_t dof = 0; dof < static_cast<int32_t>(out.size()); ++dof)
+                    out[static_cast<size_t>(dof)] = 0.2 + 0.03 * dof + 0.001 * ctx.cell;
+                });
   }
   p->conservation_form("I", eq);
   return p;
@@ -611,6 +619,223 @@ TEST_F(NativeBackendTest, VerifyKnobIsHonored) {
   sv->run(2);
   sn->run(2);
   EXPECT_TRUE(bits_equal(pv->fields().get("I"), pn->fields().get("I")));
+}
+
+// ---- one value, one evaluation -------------------------------------------------
+
+// In the two-index toy TU, s·n and the upwind test depend on the face and the
+// direction only: they sit in the per-face direction loop, ahead of the
+// interior and ghost regions' band loops, which read them from stack arrays.
+// The kernel stays bitwise equal to the VM in both regions.
+TEST_F(NativeBackendTest, DirectionOnlyValuesLeaveTheBandLoop) {
+  const std::string src = toy_problem(kToySurfaceEq, dsl::Backend::Vm)->generated_native_source();
+  const size_t face_loop = src.find("for (int64_t fs");
+  const size_t branch = src.find("if (nbr >= 0)");
+  const size_t upwind_test = src.find("? 1.0 : 0.0");
+  ASSERT_NE(face_loop, std::string::npos);
+  ASSERT_NE(branch, std::string::npos);
+  EXPECT_LT(face_loop, upwind_test);
+  EXPECT_LT(upwind_test, branch) << src;
+  EXPECT_EQ(src.find("? 1.0 : 0.0", upwind_test + 1), std::string::npos) << "upwind test emitted twice";
+  EXPECT_EQ(src.find("nx", branch), std::string::npos) << "normal read inside a band loop";
+  EXPECT_NE(src.find("double S", face_loop), std::string::npos);
+  // One index: no loop outside the direction loop to hoist out of.
+  bte::GrayScenario gray;
+  gray.ndirs = 4;
+  EXPECT_EQ(bte::GrayBteProblem(gray).problem().generated_native_source().find("double S"),
+            std::string::npos);
+  expect_differential_identity(kToySurfaceEq, fvm::Layout::CellMajor, sym::TimeScheme::ForwardEuler,
+                               /*value_bc=*/true);
+  expect_differential_identity(kToySurfaceEq, fvm::Layout::DofMajor, sym::TimeScheme::ForwardEuler,
+                               /*value_bc=*/true);
+}
+
+namespace {
+
+bte::BteScenario small_hot_spot(const char* backend) {
+  bte::BteScenario s = bte::BteScenario::small();
+  s.nx = 6;
+  s.ny = 5;
+  s.ndirs = 4;
+  s.nbands = 3;
+  s.backend = backend;
+  return s;
+}
+
+std::shared_ptr<const bte::BtePhysics> small_physics() {
+  static auto phys = std::make_shared<const bte::BtePhysics>(3, 4);
+  return phys;
+}
+
+// The angular sums of the committed intensities, by DirectionSet::band_sums,
+// laid out like the problem's G field.
+std::vector<double> band_sums_of(bte::BteProblem& bp) {
+  const fvm::CellField& I = bp.problem().fields().get("I");
+  const fvm::CellField& G = bp.problem().fields().get("G");
+  const size_t nc = static_cast<size_t>(I.num_cells()), nb = static_cast<size_t>(G.dof_per_cell());
+  const bool cell_major = I.layout() == fvm::Layout::CellMajor;
+  std::vector<double> sums(G.size()), row(nb);
+  for (size_t c = 0; c < nc; ++c) {
+    const double* first = I.data().data() + (cell_major ? c * static_cast<size_t>(I.dof_per_cell()) : c);
+    bp.physics().directions.band_sums(first, cell_major ? 1 : nc, nb, row.data());
+    for (size_t b = 0; b < nb; ++b) sums[cell_major ? c * nb + b : b * nc + c] = row[b];
+  }
+  return sums;
+}
+
+}  // namespace
+
+// After five steps G is bitwise the band_sums of the committed field on every
+// target: the VM (serial, guarded), the native kernel (serial, two threads),
+// the GPU target, in both layouts, and under RK2, whose stage sweeps are not
+// the committed value.
+TEST_F(NativeBackendTest, DeclaredSumsEqualBandSumsOfTheCommittedField) {
+  rt::ThreadPool pool(2);
+  rt::SimGpu gpu(rt::GpuSpec::a6000());
+  struct Case {
+    const char* name;
+    const char* backend;
+    dsl::Target target;
+    sym::TimeScheme scheme = sym::TimeScheme::ForwardEuler;
+    bool guard = false;
+  };
+  const Case cases[] = {
+      {"vm", "vm", dsl::Target::CpuSerial},
+      {"native", "native", dsl::Target::CpuSerial},
+      {"native x2", "native", dsl::Target::CpuThreads},
+      {"guarded", "native", dsl::Target::CpuSerial, sym::TimeScheme::ForwardEuler, true},
+      {"gpu", "vm", dsl::Target::Gpu},
+      {"vm rk2", "vm", dsl::Target::CpuSerial, sym::TimeScheme::RK2Midpoint},
+      {"native rk2", "native", dsl::Target::CpuSerial, sym::TimeScheme::RK2Midpoint},
+  };
+  for (const Case& c : cases) {
+    for (const fvm::Layout layout : {fvm::Layout::CellMajor, fvm::Layout::DofMajor}) {
+      SCOPED_TRACE(std::string(c.name) + (layout == fvm::Layout::CellMajor ? " cell-major" : " dof-major"));
+      bte::BteProblem bp(small_hot_spot(c.backend), small_physics());
+      bp.problem().layout(layout).time_stepper(c.scheme).use_threads(&pool).use_cuda(&gpu);
+      const double fb0 = counter("jit.fallback"), mismatch0 = counter("jit.verify.mismatch");
+      auto solver = bp.compile(c.target);
+      solver->enable_nonfinite_guard(c.guard);
+      solver->run(5);
+      EXPECT_EQ(counter("jit.fallback"), fb0);
+      EXPECT_EQ(counter("jit.verify.mismatch"), mismatch0);
+      const std::vector<double> expect = band_sums_of(bp);
+      const fvm::CellField& G = bp.problem().fields().get("G");
+      ASSERT_EQ(G.size(), expect.size());
+      EXPECT_EQ(std::memcmp(G.data().data(), expect.data(), expect.size() * sizeof(double)), 0);
+    }
+  }
+}
+
+// A sum over the first of three indices leaves a two-index target: the
+// kernel's per-(b, p) store and the VM's post-pass agree bitwise, in both
+// layouts.
+TEST_F(NativeBackendTest, ThreeIndexSumMatchesThePostPass) {
+  auto problem = [](dsl::Backend backend, fvm::Layout layout) {
+    auto p = std::make_unique<dsl::Problem>("three");
+    p->domain(2).set_steps(0.01, 3);
+    p->set_mesh(mesh::Mesh::structured_quad(5, 4, 1.0, 1.0));
+    p->layout(layout).execution_backend(backend);
+    p->index("d", 1, 3).index("b", 1, 2).index("p", 1, 2);
+    p->variable("I", {"d", "b", "p"}).variable("G", {"b", "p"});
+    p->coefficient("Sx", {0.6, -0.8, 0.2}, {"d"}).coefficient("Sy", {0.4, 0.3, -0.9}, {"d"});
+    p->coefficient("W", {0.5, 1.25, 2.0}, {"d"}).coefficient("vb", {1.0, 1.5}, {"b"});
+    p->coefficient("k", 0.7);
+    p->initial("I", [](int32_t c, std::span<const int32_t> i) {
+      return 0.05 * (c + 1) + 0.3 * i[0] - 0.17 * i[1] + 0.11 * i[2];
+    });
+    p->boundary("I", 1, dsl::BcType::Flux, "three_flux",
+                [](const fvm::BoundaryContext& ctx, std::span<double> out) {
+                  for (size_t k = 0; k < out.size(); ++k) out[k] = 0.1 * (ctx.cell + 1) + 0.01 * k;
+                });
+    p->conservation_form("I", "-k*I[d,b,p] - surface(vb[b] * upwind([Sx[d];Sy[d]], I[d,b,p]))");
+    p->reduction("G", "I", "d", "W");
+    return p;
+  };
+  for (const fvm::Layout layout : {fvm::Layout::CellMajor, fvm::Layout::DofMajor}) {
+    auto pv = problem(dsl::Backend::Vm, layout);
+    auto pn = problem(dsl::Backend::Native, layout);
+    const double fb0 = counter("jit.fallback"), mismatch0 = counter("jit.verify.mismatch");
+    auto sv = pv->compile(dsl::Target::CpuSerial);
+    auto sn = pn->compile(dsl::Target::CpuSerial);
+    sv->run(4);
+    sn->run(4);
+    EXPECT_EQ(counter("jit.fallback"), fb0);
+    EXPECT_EQ(counter("jit.verify.mismatch"), mismatch0);
+    EXPECT_TRUE(bits_equal(pv->fields().get("I"), pn->fields().get("I")));
+    EXPECT_TRUE(bits_equal(pv->fields().get("G"), pn->fields().get("G")));
+  }
+}
+
+// One sweep calls each boundary callback once per (cell, boundary face) on
+// every target, whatever the number of DOFs per cell.
+TEST_F(NativeBackendTest, OneBoundaryCallPerFacePerSweep) {
+  rt::SimGpu gpu(rt::GpuSpec::a6000());
+  bte::BteProblem vm(small_hot_spot("vm"), small_physics());
+  const mesh::Mesh& m = vm.problem().mesh();
+  int64_t bc_faces = 0;  // every wall region has a condition
+  for (int32_t c = 0; c < m.num_cells(); ++c)
+    for (int32_t f : m.cell_faces(c)) bc_faces += m.face(f).is_boundary() ? 1 : 0;
+  ASSERT_EQ(bc_faces, 2 * (6 + 5));
+  auto calls_in_step = [](dsl::Solver& s) {
+    const double before = counter("bc.calls");
+    s.step();
+    return static_cast<int64_t>(counter("bc.calls") - before);
+  };
+  EXPECT_EQ(calls_in_step(*vm.compile(dsl::Target::CpuSerial)), bc_faces);
+  bte::BteProblem dev(small_hot_spot("vm"), small_physics());
+  dev.problem().use_cuda(&gpu);
+  EXPECT_EQ(calls_in_step(*dev.compile(dsl::Target::Gpu)), bc_faces);
+  bte::BteProblem native(small_hot_spot("native"), small_physics());
+  auto sn = native.compile(dsl::Target::CpuSerial);
+  // The first sweep's verify replays the VM sweep, callbacks included.
+  EXPECT_EQ(calls_in_step(*sn), 2 * bc_faces);
+  EXPECT_EQ(calls_in_step(*sn), bc_faces);
+}
+
+// A kernel whose field is right but whose fused sum is not: the first-sweep
+// verify compares the sum too, demotes the equation and keeps the post-pass's
+// sums, so the solve ends bit-identical to a VM-only one.
+TEST_F(NativeBackendTest, VerifyDemotesAKernelWithAWrongFusedSum) {
+  auto hot_spot = [](const char* backend) {
+    return std::make_unique<bte::BteProblem>(small_hot_spot(backend), small_physics());
+  };
+  const std::string right_src = hot_spot("native")->problem().generated_native_source();
+  const std::string accumulate = "red += ";
+  const size_t at = right_src.find(accumulate);
+  ASSERT_NE(at, std::string::npos);
+  std::string wrong_src = right_src;
+  wrong_src.replace(at, accumulate.size(), "red += 0.5 * ");
+  (void)hot_spot("native")->compile(dsl::Target::CpuSerial);  // publishes the right kernel
+  fs::path entry;
+  for (const auto& ent : fs::directory_iterator(cache_dir_))
+    if (ent.path().extension() == ".so") entry = ent.path();
+  ASSERT_FALSE(entry.empty());
+  codegen::NativePlan wrong;
+  wrong.source = wrong_src;
+  const std::string wrong_dir = cache_dir_ + "_wrong";
+  fs::remove_all(wrong_dir);
+  codegen::jit_config().cache_dir = wrong_dir;
+  std::string err;
+  ASSERT_TRUE(codegen::load_native_plan(wrong, &err)) << err;
+  codegen::jit_config().cache_dir = cache_dir_;
+  fs::path wrong_so;
+  for (const auto& ent : fs::directory_iterator(wrong_dir))
+    if (ent.path().extension() == ".so") wrong_so = ent.path();
+  const fs::path planted = entry.string() + ".planted";
+  fs::copy_file(wrong_so, planted);
+  fs::rename(planted, entry);
+  fs::remove_all(wrong_dir);
+  codegen::reset_native_memory_cache();
+
+  const double mismatch0 = counter("jit.verify.mismatch");
+  auto bv = hot_spot("vm");
+  auto bn = hot_spot("native");
+  bv->compile(dsl::Target::CpuSerial)->run(3);
+  bn->compile(dsl::Target::CpuSerial)->run(3);
+  EXPECT_EQ(counter("jit.verify.mismatch"), mismatch0 + 1);
+  for (const char* f : {"I", "G", "T", "Io", "beta"})
+    EXPECT_TRUE(bits_equal(bv->problem().fields().get(f), bn->problem().fields().get(f))) << f;
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 // the advective system.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "core/dsl/problem.hpp"
@@ -87,7 +88,7 @@ TEST(Rk2, UniformAdvectionFixedPointWithValueBc) {
   p.initial("u", [](int32_t, std::span<const int32_t>) { return 4.0; });
   for (int region = 1; region <= 4; ++region)
     p.boundary("u", region, dsl::BcType::Value, "const4",
-               [](const fvm::BoundaryContext&) { return 4.0; });
+               [](const fvm::BoundaryContext&, std::span<double> out) { std::ranges::fill(out, 4.0); });
   auto solver = p.compile(Target::CpuSerial);
   solver->run(25);
   for (int32_t c = 0; c < 25; ++c) EXPECT_NEAR(p.fields().get("u").at(c, 0), 4.0, 1e-12);

@@ -2,6 +2,8 @@
 // assembly order, comment nodes) and CUDA (flattened one-thread-per-DOF
 // kernel + the §II.B host driver) renderings of the IR.
 #include <gtest/gtest.h>
+#include <algorithm>
+
 
 #include "core/dsl/problem.hpp"
 #include "mesh/mesh.hpp"
@@ -24,8 +26,10 @@ dsl::Problem bte_like_problem() {
   p.coefficient("vg", {1, 2, 3}, {"b"});
   p.conservation_form("I", "(Io[b]-I[d,b])*beta[b] - surface(vg[b]*upwind([Sx[d];Sy[d]], I[d,b]))");
   p.initial("I", [](int32_t, std::span<const int32_t>) { return 1.0; });
-  p.boundary("I", 1, dsl::BcType::Flux, "isothermal_cold", [](const fvm::BoundaryContext&) { return 0.0; });
-  p.boundary("I", 3, dsl::BcType::Flux, "symmetry", [](const fvm::BoundaryContext&) { return 0.0; });
+  p.boundary("I", 1, dsl::BcType::Flux, "isothermal_cold",
+             [](const fvm::BoundaryContext&, std::span<double> out) { std::ranges::fill(out, 0.0); });
+  p.boundary("I", 3, dsl::BcType::Flux, "symmetry",
+             [](const fvm::BoundaryContext&, std::span<double> out) { std::ranges::fill(out, 0.0); });
   return p;
 }
 
@@ -121,7 +125,8 @@ TEST(CudaEmitter, EveryRegisteredBoundaryRegionIsDriven) {
   // gmsh physical tags become region ids unchanged, so a condition may sit on
   // any region number; the host driver runs each one, in ascending order.
   auto p = bte_like_problem();
-  p.boundary("I", 12, dsl::BcType::Flux, "far_wall", [](const fvm::BoundaryContext&) { return 0.0; });
+  p.boundary("I", 12, dsl::BcType::Flux, "far_wall",
+             [](const fvm::BoundaryContext&, std::span<double> out) { std::ranges::fill(out, 0.0); });
   std::string src = p.generated_cuda_source();
   const size_t r1 = src.find("compute_boundary_region(h, /*region=*/1, callback_isothermal_cold);");
   const size_t r3 = src.find("compute_boundary_region(h, /*region=*/3, callback_symmetry);");
