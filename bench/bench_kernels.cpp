@@ -247,12 +247,17 @@ void paper_check_native_vs_vm(bench::JsonBench& json) {
   bench::check(jit_counter("jit.fallback") == fallback0,
                "native backend compiled the sweep kernel (no jit.fallback)");
 
+  const double general0 = jit_counter("jit.exec.general_cells");
+  const double sweeps0 = jit_counter("jit.exec.batches");
   sv->run(warm);
   sn->run(warm);
   const double vm0 = sv->phases().intensity;
   const double native0 = sn->phases().intensity;
   sv->run(steps);
   sn->run(steps);
+  const double sweeps = jit_counter("jit.exec.batches") - sweeps0;
+  const double general_per_sweep =
+      sweeps > 0.0 ? (jit_counter("jit.exec.general_cells") - general0) / sweeps : -1.0;
   const double vm_s = sv->phases().intensity - vm0;
   const double native_s = sn->phases().intensity - native0;
   const double speedup = native_s > 0.0 ? vm_s / native_s : 0.0;
@@ -272,6 +277,21 @@ void paper_check_native_vs_vm(bench::JsonBench& json) {
   bench::check(jit_counter("jit.verify.mismatch") == 0.0,
                "first-sweep verification found no native/VM divergence");
 
+  // Every wall is a flux BC, so exactly the boundary ring runs the kernel's
+  // general body: an interior cell off the fused body fails this gate.
+  const mesh::Mesh& mesh = pn.problem().mesh();
+  int64_t boundary_cells = 0;
+  for (int32_t c = 0; c < mesh.num_cells(); ++c) {
+    bool wall = false;
+    for (int32_t f : mesh.cell_faces(c)) wall = wall || mesh.face(f).is_boundary();
+    boundary_cells += wall ? 1 : 0;
+  }
+  std::snprintf(claim, sizeof claim,
+                "interior cells run the fused kernel body: jit.exec.general_cells per sweep "
+                "(%.0f) equals the boundary cells (%lld)",
+                general_per_sweep, static_cast<long long>(boundary_cells));
+  bench::check(general_per_sweep == static_cast<double>(boundary_cells), claim);
+
   // A second identical solve must reuse the compiled kernel.
   const double hit0 = jit_counter("jit.cache.hit");
   bte::BteProblem pn2(s, phys);
@@ -283,6 +303,7 @@ void paper_check_native_vs_vm(bench::JsonBench& json) {
   json.set("sweep_native_seconds", native_s);
   json.set("sweep_speedup", speedup);
   json.set("sweep_bit_identical", bits ? 1.0 : 0.0);
+  json.set("general_cells_per_sweep", general_per_sweep);
   json.set("jit_compile_seconds", jit_counter("jit.compile_seconds"));
   json.set("jit_cache_hits", jit_counter("jit.cache.hit"));
   json.set("jit_cache_misses", jit_counter("jit.cache.miss"));

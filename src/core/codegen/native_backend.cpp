@@ -122,9 +122,12 @@ uint64_t fingerprint(const Program& p) {
 // each case exactly.
 enum class Flavor {
   Volume,    // no face: NORMAL = 0, neighbor loads read the self cell
-  Interior,  // interior face: neighbor loads read the cell across the face
+  Interior,  // a face of the face table: neighbor loads read the row the
+             // table holds for that field (the cell across an interior face;
+             // on a value-BC face the BC row for the updated field, the self
+             // row for every other field)
   Ghost,     // value-BC face: neighbor loads of the updated field read the
-             // ghost value, other neighbor loads fall back to self
+             // BC row at the lane's DOF, other neighbor loads fall back to self
 };
 
 // What a node's value varies with, unioned over its operands.
@@ -134,15 +137,21 @@ constexpr unsigned kDepInner = 4;  // the variable's stride-1 index
 constexpr unsigned kDepOuter = 8;  // another index of the variable
 
 // Placement scope of an SSA node: each node is emitted once, at the
-// outermost scope its dependencies allow. Face and Dir apply to the surface
-// program of a variable with more than one index (the only case with a loop
-// outside the stride-1 one to hoist out of).
+// outermost scope its dependencies allow. Face and Dir values of the surface
+// program are computed while the face table is built; Dir applies to a
+// variable with more than one index (the only case with a loop outside the
+// stride-1 one to hoist out of).
 enum class Scope {
   Fn,    // function top: constants, dt, scalar coefficients
   Cell,  // per cell
-  Face,  // per face, before the direction loop: the face alone
-  Dir,   // per (face, stride-1 index), into a stack array: no field, no outer index
+  Face,  // per face, into the face table: the face alone
+  Dir,   // per (face, stride-1 index), into the face table: no field, no outer index
   Dof,   // inside the dof loops
+};
+
+struct Placement {
+  std::vector<Scope> scope;
+  std::vector<unsigned> deps;
 };
 
 struct ArrayInfo {
@@ -159,12 +168,18 @@ class Emitter {
  public:
   explicit Emitter(const NativeKernelInputs& in)
       : in_(in), vol_(*in.volume), surf_(in.surface != nullptr ? *in.surface : kNoSurface),
-        has_surface_(in.surface != nullptr) {
+        has_surface_(in.surface != nullptr), k_(in.max_faces) {
     ndof_ = in.out->dof_per_cell();
+    // The general body stages vol[NDOF] and flux[NDOF] on the stack.
     if (ndof_ > 16384)
       throw std::runtime_error("native backend: dof_per_cell too large for stack staging");
+    if (has_surface_ && k_ < 1) throw std::runtime_error("native backend: no face count for the face table");
     build_loops();
     resolve_arrays();
+    vol_place_ = place(vol_, false);
+    surf_place_ = place(surf_, true);
+    mark_exports();
+    fused_ = has_fused_body();
   }
 
   NativePlan plan() {
@@ -173,6 +188,7 @@ class Emitter {
     p.ir_fingerprint = fingerprint(vol_);
     if (has_surface_) p.ir_fingerprint = fingerprint(surf_) ^ (p.ir_fingerprint * 1099511628211ull);
     p.ndof = ndof_;
+    p.fused_faces = fused_ ? k_ : 0;
     for (const auto& a : arrays_) {
       p.arrays.push_back(a.ptr);
       p.array_fields.push_back(a.field);
@@ -252,7 +268,14 @@ class Emitter {
 
   void resolve_arrays() {
     for (const auto& b : vol_.bindings) resolve_binding(b);
-    for (const auto& b : surf_.bindings) resolve_binding(b);
+    for (const auto& b : surf_.bindings) {
+      resolve_binding(b);
+      // A field read across a face gets a row column in the face table.
+      if (b.source != Binding::Source::FieldNeighbor) continue;
+      const int id = array_ids_.at("field:" + b.debug_name);
+      if (std::find(row_arrays_.begin(), row_arrays_.end(), id) == row_arrays_.end())
+        row_arrays_.push_back(id);
+    }
     if (in_.reduce_target != nullptr) resolve_binding(*in_.reduce_weight);
   }
   void resolve_binding(const Binding& b) {
@@ -260,6 +283,22 @@ class Emitter {
       scalar_of(b);
     else
       array_of(b);
+  }
+
+  // The fused body reads every face through the table's rows, value-BC faces
+  // included, so it needs cell-major fields (a row is contiguous, like the
+  // BC row) and the updated field read across a face at its own DOF (the
+  // ghost value of lane d is BC row entry d). Dof-major fields would not
+  // vectorize in either body; they run the general body only.
+  bool has_fused_body() const {
+    if (!has_surface_ || in_.out->layout() != fvm::Layout::CellMajor) return false;
+    for (const ArrayInfo& a : arrays_)
+      if (a.is_field && a.layout != fvm::Layout::CellMajor) return false;
+    for (const Binding& b : surf_.bindings)
+      if (b.source == Binding::Source::FieldNeighbor && b.field == in_.out &&
+          dof_expr(b) != dof_expr(*in_.var_addr))
+        return false;
+    return true;
   }
 
   // dof = sum_k i<slot_k> * stride_k for a binding's index tuple.
@@ -284,7 +323,21 @@ class Emitter {
     return a.cname + "[(" + dof + ")*nc + " + cell + "]";
   }
 
-  std::string load_expr(const Binding& b, Flavor f) const {
+  // A field's row of `cell`, and a DOF's element of the row at face-table
+  // index `k` (cell-major rows are contiguous, dof-major ones stride nc).
+  static std::string row_ptr(const ArrayInfo& a, const std::string& cell) {
+    if (a.layout == fvm::Layout::CellMajor && a.dpc > 1)
+      return a.cname + " + " + cell + "*" + std::to_string(a.dpc);
+    return a.cname + " + " + cell;
+  }
+  static std::string row_elem(const ArrayInfo& a, const std::string& k, const std::string& dof) {
+    const std::string row = "T" + a.cname + "[" + k + "]";
+    if (a.layout == fvm::Layout::CellMajor) return row + "[" + (a.dpc == 1 ? "0" : dof) + "]";
+    return row + "[(" + dof + ")*nc]";
+  }
+
+  // `face` is the face-table index of a face region.
+  std::string load_expr(const Binding& b, Flavor f, const std::string& face) const {
     switch (b.source) {
       case Binding::Source::Scalar:
         return "SC[" + std::to_string(scalar_ids_.at(b.debug_name)) + "]";
@@ -296,11 +349,11 @@ class Emitter {
         const ArrayInfo& a = arrays_[static_cast<size_t>(array_ids_.at("field:" + b.debug_name))];
         if (b.source == Binding::Source::FieldSelf || f == Flavor::Volume)
           return elem(a, "cell", dof_expr(b));
-        if (f == Flavor::Interior) return elem(a, "nbr", dof_expr(b));
+        if (f == Flavor::Interior) return row_elem(a, face, dof_expr(b));
         // Ghost: the updated variable reads the boundary callback's ghost
         // value; every other field falls back to the self cell (zero
         // gradient) — the VM's EvalContext semantics verbatim.
-        if (b.field == in_.out) return "gv";
+        if (b.field == in_.out) return "TB[" + face + "][dof]";
         return elem(a, "cell", dof_expr(b));
       }
     }
@@ -315,7 +368,7 @@ class Emitter {
   }
 
   std::string node_expr(const Program& ir, const Node& n, const std::vector<std::string>& name,
-                        Flavor f) const {
+                        Flavor f, const std::string& face) const {
     auto A = [&] { return name[static_cast<size_t>(n.a)]; };
     auto B = [&] { return name[static_cast<size_t>(n.b)]; };
     auto C = [&] { return name[static_cast<size_t>(n.c)]; };
@@ -327,7 +380,7 @@ class Emitter {
       case Op::Const:
         return literal(n.imm);
       case Op::Load:
-        return load_expr(ir.bindings[static_cast<size_t>(n.slot)], f);
+        return load_expr(ir.bindings[static_cast<size_t>(n.slot)], f, face);
       case Op::LoadNormal:
         if (f == Flavor::Volume) return "0.0";  // the VM's zeroed volume normal
         return n.slot == 0 ? "nx" : n.slot == 1 ? "ny" : "nz";
@@ -376,11 +429,10 @@ class Emitter {
   }
 
   // Placement scope per node (see Scope); operands' dependencies dominate.
-  std::vector<Scope> scopes(const Program& ir, bool surface) const {
+  Placement place(const Program& ir, bool surface) const {
     const bool nested = surface && loops_.size() > 1;
     const int inner = loops_.empty() ? -1 : loops_.back().slot;
-    std::vector<unsigned> deps(ir.nodes.size(), 0);
-    std::vector<Scope> sc(ir.nodes.size(), Scope::Fn);
+    Placement p{std::vector<Scope>(ir.nodes.size(), Scope::Fn), std::vector<unsigned>(ir.nodes.size(), 0)};
     for (size_t i = 0; i < ir.nodes.size(); ++i) {
       const Node& n = ir.nodes[i];
       unsigned d = 0;
@@ -402,32 +454,66 @@ class Emitter {
         d |= kDepFace;
       }
       for (const int32_t operand : {n.a, n.b, n.c})
-        if (operand >= 0) d |= deps[static_cast<size_t>(operand)];
-      deps[i] = d;
+        if (operand >= 0) d |= p.deps[static_cast<size_t>(operand)];
+      p.deps[i] = d;
       if (d == 0)
-        sc[i] = Scope::Fn;
-      else if (nested && d == kDepFace)
-        sc[i] = Scope::Face;
+        p.scope[i] = Scope::Fn;
+      else if (d == kDepFace)
+        p.scope[i] = Scope::Face;
       else if (nested && (d & kDepInner) != 0 && (d & (kDepCell | kDepOuter)) == 0)
-        sc[i] = Scope::Dir;
+        p.scope[i] = Scope::Dir;
       else if (d == kDepCell)
-        sc[i] = Scope::Cell;
+        p.scope[i] = Scope::Cell;
       else
-        sc[i] = Scope::Dof;
+        p.scope[i] = Scope::Dof;
     }
-    return sc;
+    return p;
   }
 
-  // Emits `const double <name> = <expr>;` for every node placed at `scope`,
-  // assigning fresh names; other nodes keep their prior names.
-  void emit_nodes(std::string& out, const Program& ir, const std::vector<Scope>& sc, Scope scope,
-                  std::vector<std::string>& name, const char* prefix, Flavor f,
-                  const std::string& ind) const {
-    for (size_t i = 0; i < ir.nodes.size(); ++i) {
-      if (sc[i] != scope) continue;
-      name[i] = std::string(prefix) + std::to_string(i);
-      out += ind + "const double " + name[i] + " = " + node_expr(ir, ir.nodes[i], name, f) + ";\n";
+  // Face and Dir values a body reads (a dof-loop operand or the surface
+  // value itself) go into the face table; the rest stay local to its build.
+  void mark_exports() {
+    const std::vector<Scope>& sc = surf_place_.scope;
+    exported_.assign(surf_.nodes.size(), false);
+    auto tabled = [&](int32_t i) {
+      if (i < 0) return false;
+      const Scope at = sc[static_cast<size_t>(i)];
+      return at == Scope::Face || at == Scope::Dir;
+    };
+    for (size_t i = 0; i < surf_.nodes.size(); ++i) {
+      if (sc[i] != Scope::Dof) continue;
+      for (const int32_t operand : {surf_.nodes[i].a, surf_.nodes[i].b, surf_.nodes[i].c})
+        if (tabled(operand)) exported_[static_cast<size_t>(operand)] = true;
     }
+    if (has_surface_ && tabled(surf_.ret)) exported_[static_cast<size_t>(surf_.ret)] = true;
+  }
+
+  // Surface node names inside a body for face-table index `k`: the exported
+  // face and per-direction values are read from the table.
+  std::vector<std::string> face_names(std::vector<std::string> n, const std::string& k) const {
+    for (size_t i = 0; i < surf_.nodes.size(); ++i) {
+      if (!exported_[i]) continue;
+      const std::string id = std::to_string(i);
+      n[i] = surf_place_.scope[i] == Scope::Face ? "TV" + id + "[" + k + "]"
+                                                  : "S" + id + "[" + k + "][" + loop_var(loops_.back()) + "]";
+    }
+    return n;
+  }
+
+  // Emits `const double <prefix><id><suffix> = <expr>;` for every node `pick`
+  // selects, naming it so; other nodes keep their prior names.
+  template <class Pick>
+  void emit_nodes(std::string& out, const Program& ir, Pick pick, std::vector<std::string>& name,
+                  const std::string& prefix, Flavor f, const std::string& ind,
+                  const std::string& face = "", const std::string& suffix = "") const {
+    for (size_t i = 0; i < ir.nodes.size(); ++i) {
+      if (!pick(i)) continue;
+      name[i] = prefix + std::to_string(i) + suffix;
+      out += ind + "const double " + name[i] + " = " + node_expr(ir, ir.nodes[i], name, f, face) + ";\n";
+    }
+  }
+  static auto at(const Placement& p, Scope scope) {
+    return [&p, scope](size_t i) { return p.scope[i] == scope; };
   }
 
   std::string out_index(const std::string& dof) const {
@@ -461,6 +547,147 @@ class Emitter {
     return close;
   }
 
+  // The face table: the cell's contributing faces in CSR order, with each
+  // face's kind, scale, rows and hoisted values. Both bodies read it.
+  void emit_face_table(std::string& s, std::vector<std::string> sn) const {
+    const std::string K = std::to_string(k_);
+    const std::vector<Scope>& sc = surf_place_.scope;
+    s += "    // Face table: the cell's contributing faces in CSR order, built once.\n";
+    s += "    // A boundary face without a registered BC is a zero-flux wall and is\n";
+    s += "    // skipped, as in the VM. Per face: its kind, its scale, the row each\n";
+    s += "    // field read across it comes from, and its face and per-direction values.\n";
+    s += "    int64_t nf = 0;\n";
+    s += "    uint8_t TK[" + K + "];  // 0 interior, 1 value BC, 2 flux BC\n";
+    s += "    double TS[" + K + "];  // area / cell volume\n";
+    s += "    const double* TB[" + K + "];  // BC row of a boundary face\n";
+    for (const int j : row_arrays_) {
+      const ArrayInfo& a = arrays_[static_cast<size_t>(j)];
+      s += "    const double* T" + a.cname + "[" + K + "];  // row of " + a.cname + " (" + a.entity +
+           ") read across the face\n";
+    }
+    for (size_t i = 0; i < surf_.nodes.size(); ++i) {
+      if (!exported_[i]) continue;
+      s += sc[i] == Scope::Face ? "    double TV" + std::to_string(i) + "[" + K + "];\n"
+                                : "    double S" + std::to_string(i) + "[" + K + "][" +
+                                      std::to_string(loops_.back().extent) + "];\n";
+    }
+    s += "    for (int64_t fs = A->face_off[cell]; fs < A->face_off[cell + 1]; ++fs) {\n";
+    s += "      const int64_t nbr = (int64_t)A->face_nbr[fs];\n";
+    s += "      const int32_t bs = nbr >= 0 ? -1 : A->face_bslot[fs];\n";
+    s += "      if (nbr < 0 && bs < 0) continue;\n";
+    s += "      const int64_t k = nf++;\n";
+    s += "      const double nx = A->face_geom[4*fs + 0]; (void)nx;\n";
+    s += "      const double ny = A->face_geom[4*fs + 1]; (void)ny;\n";
+    s += "      const double nz = A->face_geom[4*fs + 2]; (void)nz;\n";
+    s += "      TS[k] = A->face_geom[4*fs + 3];\n";
+    emit_nodes(s, surf_, at(surf_place_, Scope::Face), sn, "s", Flavor::Interior, "      ");
+    for (size_t i = 0; i < surf_.nodes.size(); ++i)
+      if (exported_[i] && sc[i] == Scope::Face)
+        s += "      TV" + std::to_string(i) + "[k] = " + sn[i] + ";\n";
+    if (std::find(sc.begin(), sc.end(), Scope::Dir) != sc.end()) {
+      s += "      // Per face and direction: the values that vary with the face and the\n";
+      s += "      // stride-1 index only, computed once here rather than once per dof.\n";
+      std::string body = "      ";
+      const std::string close = open_loops(s, loops_.size() - 1, loops_.size(), &body);
+      emit_nodes(s, surf_, at(surf_place_, Scope::Dir), sn, "s", Flavor::Interior, body);
+      for (size_t i = 0; i < surf_.nodes.size(); ++i)
+        if (exported_[i] && sc[i] == Scope::Dir)
+          s += body + "S" + std::to_string(i) + "[k][" + loop_var(loops_.back()) + "] = " + sn[i] + ";\n";
+      s += close;
+    }
+    s += "      if (nbr >= 0) {\n";
+    s += "        TK[k] = 0;\n";
+    for (const int j : row_arrays_) {
+      const ArrayInfo& a = arrays_[static_cast<size_t>(j)];
+      s += "        T" + a.cname + "[k] = " + row_ptr(a, "nbr") + ";\n";
+    }
+    s += "      } else {\n";
+    s += "        TK[k] = A->bc_kind[bs];\n";
+    s += "        TB[k] = A->bc_value + (int64_t)bs * " + std::to_string(ndof_) + ";\n";
+    for (const int j : row_arrays_) {
+      const ArrayInfo& a = arrays_[static_cast<size_t>(j)];
+      s += "        T" + a.cname + "[k] = " +
+           (a.field == in_.out ? "TB[k];  // the ghost of a value BC" : row_ptr(a, "cell") + ";") + "\n";
+    }
+    s += "      }\n";
+    s += "    }\n";
+  }
+
+  // Cells with exactly K interior or value-BC faces: one pass over the DOFs,
+  // each summing its face terms in a register.
+  void emit_fused_body(std::string& s, const std::string& ind, std::vector<std::string> vn,
+                       std::vector<std::string> sn) const {
+    const std::vector<Scope>& sc = surf_place_.scope;
+    auto per_face = [&](size_t i) {
+      return sc[i] == Scope::Dof && (surf_place_.deps[i] & kDepFace) != 0;
+    };
+    s += ind + "// Fused body: all " + std::to_string(k_) +
+         " faces are interior or value BCs. Each DOF\n";
+    s += ind + "// adds its face terms into a register in CSR order, the VM's order,\n";
+    s += ind + "// and writes volume plus faces once.\n";
+    emit_write_loop(s, ind, [&](const std::string& body) {
+      emit_nodes(s, vol_, at(vol_place_, Scope::Dof), vn, "v", Flavor::Volume, body);
+      emit_nodes(s, surf_, [&](size_t i) { return sc[i] == Scope::Dof && !per_face(i); }, sn, "s",
+                 Flavor::Interior, body);
+      s += body + "double flux = 0.0;\n";
+      for (int k = 0; k < k_; ++k) {
+        const std::string kk = std::to_string(k);
+        std::vector<std::string> fn = face_names(sn, kk);
+        emit_nodes(s, surf_, per_face, fn, "s", Flavor::Interior, body, kk, "_" + kk);
+        s += body + "flux += TS[" + kk + "] * " + fn[static_cast<size_t>(surf_.ret)] + ";\n";
+      }
+      return vn[static_cast<size_t>(vol_.ret)] + " + flux";
+    });
+  }
+
+  // Every other cell: volume and flux staged per DOF, the faces of the table
+  // outermost so each face's dof loops vectorize.
+  void emit_general_body(std::string& s, const std::string& ind, std::vector<std::string> vn,
+                         const std::vector<std::string>& sn) const {
+    const std::string nd = std::to_string(ndof_);
+    s += ind + "// General body: volume and face terms staged per DOF.\n";
+    s += ind + "double vol[" + nd + "];\n";
+    s += ind + "double flux[" + nd + "];\n";
+    s += ind + "// Volume terms, fused with the flux reset. The dof loops run the\n";
+    s += ind + "// variable's stride-1 index innermost, so these writes vectorize\n";
+    s += ind + "// across directions/bands.\n";
+    std::string body;
+    std::string close = open_dof_loops(s, ind, &body);
+    emit_nodes(s, vol_, at(vol_place_, Scope::Dof), vn, "v", Flavor::Volume, body);
+    s += body + "vol[dof] = " + vn[static_cast<size_t>(vol_.ret)] + ";\n";
+    s += body + "flux[dof] = 0.0;\n";
+    s += close;
+    s += ind + "// Surface terms: the face loop is outermost so the dof loops\n";
+    s += ind + "// vectorize; per dof the faces accumulate in the VM's order, so\n";
+    s += ind + "// the sum is bit-identical to the interpreter's.\n";
+    s += ind + "for (int64_t k = 0; k < nf; ++k) {\n";
+    const std::string in1 = ind + "  ", in2 = ind + "    ";
+    auto surface_terms = [&](const char* prefix, Flavor f) {
+      std::vector<std::string> kn = face_names(sn, "k");
+      close = open_dof_loops(s, in2, &body);
+      emit_nodes(s, surf_, at(surf_place_, Scope::Dof), kn, prefix, f, body, "k");
+      s += body + "flux[dof] += scale * " + kn[static_cast<size_t>(surf_.ret)] + ";\n";
+      s += close;
+    };
+    s += in1 + "const double scale = TS[k];\n";
+    s += in1 + "if (TK[k] == 0) {\n";
+    surface_terms("s", Flavor::Interior);
+    s += in1 + "} else if (TK[k] == 1) {\n";
+    s += in2 + "// Value BC: the callback's ghost value substitutes for the\n";
+    s += in2 + "// updated variable across the face.\n";
+    surface_terms("g", Flavor::Ghost);
+    s += in1 + "} else {\n";
+    s += in2 + "// Flux BC: callback integrand enters as -dt * (A/V) * f.\n";
+    close = open_dof_loops(s, in2, &body);
+    s += body + "flux[dof] += scale * (-dt) * TB[k][dof];\n";
+    s += close;
+    s += in1 + "}\n";
+    s += ind + "}\n";
+    s += ind + "// Update: volume value plus the face accumulation, exactly once\n";
+    s += ind + "// per (cell, dof).\n";
+    emit_write_loop(s, ind, [](const std::string&) { return std::string("vol[dof] + flux[dof]"); });
+  }
+
   // The reduction target's element of the current cell for the outer loop
   // indices: its DOF is the variable's DOF over the stride-1 extent.
   std::string reduce_index() const {
@@ -477,11 +704,12 @@ class Emitter {
     return "(" + dof_expr(rest) + ")*nc + cell";
   }
 
-  // The final write loop nest. `value` appends the statements of one DOF's
-  // new value at the given indentation and returns its expression. With a
-  // declared reduction, the stride-1 loop also accumulates w[i] * value from
-  // 0.0 in index order, the post-pass's order, and stores the sum per outer
-  // index tuple once that loop closes.
+  // The loop nest that writes the cell's DOFs. `value` appends the statements
+  // of one DOF's new value at the given indentation and returns its
+  // expression. With a declared reduction, each stride-1 loop is followed by
+  // its sum: w[i] * out[i] added from 0.0 in index order, the post-pass's
+  // order. Kept out of the written loop, the add chain does not stop it from
+  // vectorizing, and it overlaps the next outer index's loop.
   template <class ValueFn>
   void emit_write_loop(std::string& s, const std::string& ind, ValueFn value) const {
     if (in_.reduce_target == nullptr) {
@@ -494,47 +722,21 @@ class Emitter {
     }
     std::string cur = ind;
     const std::string close = open_loops(s, 0, loops_.size() - 1, &cur);
-    s += cur + "double red = 0.0;\n";
     std::string body = cur;
-    const std::string inner_close = open_loops(s, loops_.size() - 1, loops_.size(), &body);
+    std::string inner_close = open_loops(s, loops_.size() - 1, loops_.size(), &body);
     s += body + "const int64_t dof = " + dof_expr(*in_.var_addr) + ";\n";
     const std::string v = value(body);
-    s += body + "const double o = " + v + ";\n";
-    s += body + "OUT[" + out_index("dof") + "] = o;\n";
-    s += body + "red += " + load_expr(*in_.reduce_weight, Flavor::Volume) + " * o;\n";
+    s += body + "OUT[" + out_index("dof") + "] = " + v + ";\n";
+    s += inner_close;
+    s += cur + "// The declared sum over the stride-1 index, from 0.0 in index order\n";
+    s += cur + "// as the VM's post-pass adds it.\n";
+    s += cur + "double red = 0.0;\n";
+    body = cur;
+    inner_close = open_loops(s, loops_.size() - 1, loops_.size(), &body);
+    s += body + "red += " + load_expr(*in_.reduce_weight, Flavor::Volume, "") + " * OUT[" +
+         out_index(dof_expr(*in_.var_addr)) + "];\n";
     s += inner_close;
     s += cur + "RED[" + reduce_index() + "] = red;\n";
-    s += close;
-  }
-
-  // Per face, ahead of the dof loops: the face-only values, then one loop
-  // over the stride-1 index computing the Dir values into stack arrays S<id>
-  // that the interior and ghost regions read. Renames the exported nodes.
-  void emit_face_prologue(std::string& s, const std::vector<Scope>& sc, std::vector<std::string>& sn) const {
-    emit_nodes(s, surf_, sc, Scope::Face, sn, "s", Flavor::Interior, "      ");
-    if (std::find(sc.begin(), sc.end(), Scope::Dir) == sc.end()) return;
-    std::vector<bool> exported(surf_.nodes.size(), false);
-    for (size_t i = 0; i < surf_.nodes.size(); ++i) {
-      if (sc[i] != Scope::Dof) continue;
-      for (const int32_t operand : {surf_.nodes[i].a, surf_.nodes[i].b, surf_.nodes[i].c})
-        if (operand >= 0 && sc[static_cast<size_t>(operand)] == Scope::Dir)
-          exported[static_cast<size_t>(operand)] = true;
-    }
-    if (sc[static_cast<size_t>(surf_.ret)] == Scope::Dir) exported[static_cast<size_t>(surf_.ret)] = true;
-    const LoopVar& inner = loops_.back();
-    s += "      // Per face and direction: the values that vary with the face and the\n";
-    s += "      // stride-1 index only, computed once here rather than once per dof.\n";
-    for (size_t i = 0; i < surf_.nodes.size(); ++i)
-      if (exported[i]) s += "      double S" + std::to_string(i) + "[" + std::to_string(inner.extent) + "];\n";
-    std::string body = "      ";
-    const std::string close = open_loops(s, loops_.size() - 1, loops_.size(), &body);
-    emit_nodes(s, surf_, sc, Scope::Dir, sn, "s", Flavor::Interior, body);
-    for (size_t i = 0; i < surf_.nodes.size(); ++i) {
-      if (!exported[i]) continue;
-      const std::string arr = "S" + std::to_string(i) + "[" + loop_var(inner) + "]";
-      s += body + arr + " = " + sn[i] + ";\n";
-      sn[i] = arr;
-    }
     s += close;
   }
 
@@ -560,6 +762,7 @@ class Emitter {
     s += "  const uint8_t* bc_kind;\n";
     s += "  const double* bc_value;\n";
     s += "  double* reduce_out;\n";
+    s += "  const uint8_t* cell_fused;\n";
     s += "} finch_kernel_args_v1;\n\n";
     s += "extern \"C\" int32_t finch_kernel_abi_version(void) { return 1; }\n\n";
     // Manifest: how the host fills arrays[] / scalars[].
@@ -586,93 +789,34 @@ class Emitter {
       s += "  const int64_t i" + std::to_string(p.slot) + " = " + std::to_string(p.value) +
            ";  // pinned: " + p.why + "\n";
 
-    const std::vector<Scope> vsc = scopes(vol_, false);
-    const std::vector<Scope> ssc = has_surface_ ? scopes(surf_, true) : std::vector<Scope>{};
     std::vector<std::string> vn(vol_.nodes.size());
     std::vector<std::string> sn(surf_.nodes.size());
 
     // Loop-invariant values (scalars, dt, constants and arithmetic on them).
-    emit_nodes(s, vol_, vsc, Scope::Fn, vn, "v", Flavor::Volume, "  ");
-    if (has_surface_) emit_nodes(s, surf_, ssc, Scope::Fn, sn, "s", Flavor::Interior, "  ");
+    emit_nodes(s, vol_, at(vol_place_, Scope::Fn), vn, "v", Flavor::Volume, "  ");
+    emit_nodes(s, surf_, at(surf_place_, Scope::Fn), sn, "s", Flavor::Interior, "  ");
 
     s += "  for (int64_t cell = A->cell_begin; cell < A->cell_end; ++cell) {\n";
-    emit_nodes(s, vol_, vsc, Scope::Cell, vn, "v", Flavor::Volume, "    ");
-    if (has_surface_) emit_nodes(s, surf_, ssc, Scope::Cell, sn, "s", Flavor::Interior, "    ");
-
-    const std::string nd = std::to_string(ndof_);
+    emit_nodes(s, vol_, at(vol_place_, Scope::Cell), vn, "v", Flavor::Volume, "    ");
+    emit_nodes(s, surf_, at(surf_place_, Scope::Cell), sn, "s", Flavor::Interior, "    ");
     if (!has_surface_) {
       // Volume-only update: write out directly, no flux staging needed.
       emit_write_loop(s, "    ", [&](const std::string& body) {
-        emit_nodes(s, vol_, vsc, Scope::Dof, vn, "v", Flavor::Volume, body);
+        emit_nodes(s, vol_, at(vol_place_, Scope::Dof), vn, "v", Flavor::Volume, body);
         return vn[static_cast<size_t>(vol_.ret)];
       });
-      s += "  }\n}\n";
-      return s;
+    } else {
+      emit_face_table(s, sn);
+      if (fused_) {
+        s += "    if (A->cell_fused[cell]) {\n";
+        emit_fused_body(s, "      ", vn, sn);
+        s += "    } else {\n";
+        emit_general_body(s, "      ", vn, sn);
+        s += "    }\n";
+      } else {
+        emit_general_body(s, "    ", vn, sn);
+      }
     }
-
-    s += "    double vol[" + nd + "];\n";
-    s += "    double flux[" + nd + "];\n";
-    s += "    // Volume terms, fused with the flux reset. The dof loops run the\n";
-    s += "    // variable's stride-1 index innermost, so these writes vectorize\n";
-    s += "    // across directions/bands.\n";
-    {
-      std::string body;
-      const std::string close = open_dof_loops(s, "    ", &body);
-      emit_nodes(s, vol_, vsc, Scope::Dof, vn, "v", Flavor::Volume, body);
-      s += body + "vol[dof] = " + vn[static_cast<size_t>(vol_.ret)] + ";\n";
-      s += body + "flux[dof] = 0.0;\n";
-      s += close;
-    }
-    s += "    // Surface terms: the face loop is outermost so the dof loops\n";
-    s += "    // vectorize; per dof the faces accumulate in the VM's order, so\n";
-    s += "    // the sum is bit-identical to the interpreter's.\n";
-    s += "    for (int64_t fs = A->face_off[cell]; fs < A->face_off[cell + 1]; ++fs) {\n";
-    s += "      const double nx = A->face_geom[4*fs + 0]; (void)nx;\n";
-    s += "      const double ny = A->face_geom[4*fs + 1]; (void)ny;\n";
-    s += "      const double nz = A->face_geom[4*fs + 2]; (void)nz;\n";
-    s += "      const double scale = A->face_geom[4*fs + 3];  // area / cell volume\n";
-    s += "      const int64_t nbr = (int64_t)A->face_nbr[fs];\n";
-    emit_face_prologue(s, ssc, sn);
-    s += "      if (nbr >= 0) {\n";
-    {
-      std::string body;
-      const std::string close = open_dof_loops(s, "        ", &body);
-      emit_nodes(s, surf_, ssc, Scope::Dof, sn, "s", Flavor::Interior, body);
-      s += body + "flux[dof] += scale * " + sn[static_cast<size_t>(surf_.ret)] + ";\n";
-      s += close;
-    }
-    s += "      } else {\n";
-    s += "        const int32_t bs = A->face_bslot[fs];\n";
-    s += "        if (bs >= 0) {\n";
-    s += "          const double* __restrict__ BCV = A->bc_value + (int64_t)bs * " + nd + ";\n";
-    s += "          if (A->bc_kind[bs] == 1) {\n";
-    s += "            // Value BC: the callback's ghost value substitutes for the\n";
-    s += "            // updated variable across the face.\n";
-    {
-      std::vector<std::string> gn = sn;  // ghost region reuses hoisted s-values
-      std::string body;
-      const std::string close = open_dof_loops(s, "            ", &body);
-      s += body + "const double gv = BCV[dof]; (void)gv;\n";
-      emit_nodes(s, surf_, ssc, Scope::Dof, gn, "g", Flavor::Ghost, body);
-      s += body + "flux[dof] += scale * " + gn[static_cast<size_t>(surf_.ret)] + ";\n";
-      s += close;
-    }
-    s += "          } else {\n";
-    s += "            // Flux BC: callback integrand enters as -dt * (A/V) * f.\n";
-    {
-      std::string body;
-      const std::string close = open_dof_loops(s, "            ", &body);
-      s += body + "flux[dof] += scale * (-dt) * BCV[dof];\n";
-      s += close;
-    }
-    s += "          }\n        }\n      }\n    }\n";
-    s += "    // Update: volume value plus the face accumulation, exactly once\n";
-    s += "    // per (cell, dof).\n";
-    if (in_.reduce_target != nullptr) {
-      s += "    // The declared sum rides along: red accumulates w * value from 0.0\n";
-      s += "    // in stride-1 index order, as the VM's post-pass does.\n";
-    }
-    emit_write_loop(s, "    ", [](const std::string&) { return std::string("vol[dof] + flux[dof]"); });
     s += "  }\n}\n";
     return s;
   }
@@ -683,7 +827,12 @@ class Emitter {
   const Program& vol_;
   const Program& surf_;  // kNoSurface when the equation has no surface terms
   bool has_surface_;
+  int32_t k_;            // K: the face table's capacity, the fused body's face count
   int64_t ndof_ = 0;
+  Placement vol_place_, surf_place_;
+  std::vector<bool> exported_;  // surface Face/Dir nodes the face table holds
+  std::vector<int> row_arrays_; // fields read across a face: one row column each
+  bool fused_ = false;
   std::vector<LoopVar> loops_;     // emission order: outermost first
   std::vector<PinnedVar> pinned_;  // slots fixed to a constant loop value
   std::vector<ArrayInfo> arrays_;

@@ -68,6 +68,7 @@ struct KernelArgsV1 {
   const uint8_t* bc_kind = nullptr;       // per bslot: 1 = value (ghost), 2 = flux
   const double* bc_value = nullptr;       // per (bslot, out-dof), one callback per bslot per sweep
   double* reduce_out = nullptr;           // storage of the declared reduction's target
+  const uint8_t* cell_fused = nullptr;    // per cell: 1 = fused body (NativePlan::fused_faces)
 };
 using KernelFnV1 = void (*)(const KernelArgsV1*);
 
@@ -85,6 +86,10 @@ struct NativePlan {
   std::vector<const fvm::CellField*> array_fields;
   std::vector<double> scalars;
   int64_t ndof = 0;
+  // K when the TU has the fused body, else 0. A cell runs it when exactly K
+  // of its faces contribute and each is interior or a value BC; the host
+  // marks those cells in KernelArgsV1::cell_fused.
+  int32_t fused_faces = 0;
   KernelFnV1 fn = nullptr;
 };
 
@@ -101,6 +106,7 @@ struct NativeKernelInputs {
   // loop and stores it through KernelArgsV1::reduce_out.
   const fvm::CellField* reduce_target = nullptr;
   const Binding* reduce_weight = nullptr;    // CoefIndexed over the stride-1 index
+  int32_t max_faces = 0;                     // K: the mesh's largest cell_faces() count
 };
 
 // Pure emission: renders the TU from the programs' node lists. No I/O. Throws std::runtime_error on structures the emitter cannot lower.

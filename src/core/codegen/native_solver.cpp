@@ -23,6 +23,29 @@ double seconds_since(Clock::time_point t0) {
   return std::chrono::duration<double>(Clock::now() - t0).count();
 }
 
+// K: the largest number of faces of any cell, the face table's capacity and
+// the fused body's face count.
+int32_t max_cell_faces(const mesh::Mesh& mesh) {
+  size_t k = 0;
+  for (int32_t c = 0; c < mesh.num_cells(); ++c) k = std::max<size_t>(k, mesh.cell_faces(c).size());
+  return static_cast<int32_t>(k);
+}
+
+// What the emitter needs about one compiled equation.
+NativeKernelInputs kernel_inputs(const CompiledEquation& ce, const CompileEnv& env, int32_t max_faces) {
+  NativeKernelInputs in;
+  in.name = "step_" + ce.field->name();
+  in.volume = &ce.volume;
+  in.surface = ce.has_surface ? &ce.surface : nullptr;
+  in.env = &env;
+  in.out = ce.field;
+  in.var_addr = &ce.var_addr;
+  in.reduce_target = ce.reduce_target;
+  in.reduce_weight = &ce.reduce_weight;
+  in.max_faces = max_faces;
+  return in;
+}
+
 // One boundary-condition slot: a (cell, face) pair with an applicable BC.
 struct BcSlot {
   int32_t cell = 0;
@@ -38,6 +61,8 @@ struct EquationNative {
   std::vector<BcSlot> slots;
   std::vector<uint8_t> bc_kind;      // per slot: 1 = value (ghost), 2 = flux
   std::vector<double> bc_value;      // slots × ndof, refreshed every sweep
+  std::vector<uint8_t> cell_fused;   // per cell: 1 = runs the kernel's fused body
+  int64_t general_cells = 0;         // cells on the general body, per sweep
 };
 
 class NativeSolver final : public StepSolverBase {
@@ -51,16 +76,8 @@ class NativeSolver final : public StepSolverBase {
       EquationNative& en = native_[e];
       build_bc_table(ce, en);
       try {
-        NativeKernelInputs in;
-        in.name = "step_" + ce.field->name();
-        in.volume = &ce.volume;
-        in.surface = ce.has_surface ? &ce.surface : nullptr;
-        in.env = &env_;
-        in.out = ce.field;
-        in.var_addr = &ce.var_addr;
-        in.reduce_target = ce.reduce_target;
-        in.reduce_weight = &ce.reduce_weight;
-        en.plan = emit_native_plan(in);
+        en.plan = emit_native_plan(kernel_inputs(ce, env_, max_faces_));
+        classify_cells(en);
         std::string err;
         if (!load_native_plan(en.plan, &err)) {
           en.plan.fn = nullptr;
@@ -127,6 +144,7 @@ class NativeSolver final : public StepSolverBase {
       face_off_[static_cast<size_t>(c) + 1] =
           face_off_[static_cast<size_t>(c)] +
           static_cast<int64_t>(mesh.cell_faces(static_cast<int32_t>(c)).size());
+    max_faces_ = max_cell_faces(mesh);
     const size_t nslots = static_cast<size_t>(face_off_[static_cast<size_t>(nc)]);
     face_id_.reserve(nslots);
     face_nbr_.reserve(nslots);
@@ -170,6 +188,29 @@ class NativeSolver final : public StepSolverBase {
       }
     }
     en.bc_value.assign(en.slots.size() * static_cast<size_t>(ce.field->dof_per_cell()), 0.0);
+  }
+
+  // Which body each cell runs, the one place the rule lives: the fused body
+  // when the kernel has one (NativePlan::fused_faces = K) and exactly K of
+  // the cell's faces contribute, each interior or a value BC. A boundary
+  // face without a BC contributes nothing; a flux BC needs the general body.
+  void classify_cells(EquationNative& en) const {
+    const int64_t nc = p_.mesh().num_cells();
+    en.cell_fused.assign(static_cast<size_t>(nc), 0);
+    en.general_cells = 0;
+    for (int64_t c = 0; c < nc; ++c) {
+      int32_t contributing = 0;
+      bool flux = false;
+      for (int64_t fs = face_off_[static_cast<size_t>(c)]; fs < face_off_[static_cast<size_t>(c) + 1]; ++fs) {
+        const int32_t bs = en.face_bslot[static_cast<size_t>(fs)];
+        if (face_nbr_[static_cast<size_t>(fs)] < 0 && bs < 0) continue;
+        ++contributing;
+        flux = flux || (bs >= 0 && en.bc_kind[static_cast<size_t>(bs)] == 2);
+      }
+      const bool fused = en.plan.fused_faces > 0 && contributing == en.plan.fused_faces && !flux;
+      en.cell_fused[static_cast<size_t>(c)] = fused ? 1 : 0;
+      en.general_cells += fused ? 0 : 1;
+    }
   }
 
   // Host pre-pass: one boundary callback per slot fills that face's DOFs
@@ -221,6 +262,7 @@ class NativeSolver final : public StepSolverBase {
     args.bc_kind = en.bc_kind.data();
     args.bc_value = en.bc_value.data();
     if (fvm::CellField* target = eqs_[e].reduce_target) args.reduce_out = target->data().data();
+    args.cell_fused = en.cell_fused.data();
     rt::SpanAttrs attrs;
     attrs.phase = "compute";
     rt::TraceSpan span("jit.exec", attrs);
@@ -244,6 +286,7 @@ class NativeSolver final : public StepSolverBase {
     reg.counter("jit.exec.batches").add();
     reg.counter("jit.exec.seconds").add(seconds_since(t0));
     reg.counter("jit.exec.evals").add(static_cast<double>(nc * en.plan.ndof));
+    reg.counter("jit.exec.general_cells").add(static_cast<double>(en.general_cells));
   }
 
   // Face CSR shared by every equation: faces of cell c occupy slots
@@ -252,6 +295,7 @@ class NativeSolver final : public StepSolverBase {
   std::vector<int32_t> face_id_;
   std::vector<int32_t> face_nbr_;
   std::vector<double> face_geom_;  // nx, ny, nz, area/volume per slot
+  int32_t max_faces_ = 0;
   std::vector<EquationNative> native_;
 };
 
@@ -270,19 +314,10 @@ class SourceProbe final : public StepSolverBase {
   explicit SourceProbe(dsl::Problem& p) : StepSolverBase(p, nullptr) {}
   std::string sources() {
     std::string out;
-    for (size_t e = 0; e < eqs_.size(); ++e) {
-      CompiledEquation& ce = eqs_[e];
-      NativeKernelInputs in;
-      in.name = "step_" + ce.field->name();
-      in.volume = &ce.volume;
-      in.surface = ce.has_surface ? &ce.surface : nullptr;
-      in.env = &env_;
-      in.out = ce.field;
-      in.var_addr = &ce.var_addr;
-      in.reduce_target = ce.reduce_target;
-      in.reduce_weight = &ce.reduce_weight;
+    const int32_t max_faces = max_cell_faces(p_.mesh());
+    for (const CompiledEquation& ce : eqs_) {
       if (!out.empty()) out += "\n";
-      out += emit_native_plan(in).source;
+      out += emit_native_plan(kernel_inputs(ce, env_, max_faces)).source;
     }
     return out;
   }

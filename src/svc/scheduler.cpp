@@ -717,7 +717,9 @@ void Scheduler::settle_terminal(size_t ji, TerminalState state, std::string deta
     case TerminalState::Shed: ++led.shed; break;
     case TerminalState::Pending: break;
   }
-  result_.outcomes.push_back(j.out);
+  // A terminal job's outcome is never read again through the job: move it,
+  // so its final fields are not held twice for the scheduler's lifetime.
+  result_.outcomes.push_back(std::move(j.out));
 }
 
 void Scheduler::process_completion(size_t slot_index) {

@@ -7,6 +7,7 @@
 // produce the VM's exact answer.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
@@ -40,6 +41,32 @@ bool bits_equal(const fvm::CellField& a, const fvm::CellField& b) {
   if (a.data().size() != b.data().size()) return false;
   return std::memcmp(a.data().data(), b.data().data(), a.data().size() * sizeof(double)) == 0;
 }
+
+// Cells a native sweep runs on the kernel's general body, by the rule of
+// CODEGEN.md §4 restated for these meshes (every cell has the mesh's K
+// faces): a cell with a face that is neither interior nor on one of
+// `value_regions` — a flux BC or a wall without a BC — is general; the rest
+// run the fused body.
+int64_t general_cells_of(const mesh::Mesh& m, const std::set<int32_t>& value_regions) {
+  int64_t general = 0;
+  for (int32_t c = 0; c < m.num_cells(); ++c) {
+    bool off = false;
+    for (int32_t f : m.cell_faces(c))
+      off = off || (m.face(f).is_boundary() && value_regions.count(m.face(f).boundary_region) == 0);
+    general += off ? 1 : 0;
+  }
+  return general;
+}
+
+// jit.exec.general_cells per native kernel sweep since construction.
+struct GeneralCellsPerSweep {
+  double general0 = counter("jit.exec.general_cells");
+  double sweeps0 = counter("jit.exec.batches");
+  double value() const {
+    const double sweeps = counter("jit.exec.batches") - sweeps0;
+    return sweeps > 0.0 ? (counter("jit.exec.general_cells") - general0) / sweeps : -1.0;
+  }
+};
 
 // Small toy problem over a 6x5 quad mesh: I[d,b] with direction/band indices,
 // a flux BC on the y-min wall, optionally a value BC on y-max, and the x walls
@@ -624,9 +651,10 @@ TEST_F(NativeBackendTest, VerifyKnobIsHonored) {
 // ---- one value, one evaluation -------------------------------------------------
 
 // In the two-index toy TU, s·n and the upwind test depend on the face and the
-// direction only: they sit in the per-face direction loop, ahead of the
-// interior and ghost regions' band loops, which read them from stack arrays.
-// The kernel stays bitwise equal to the VM in both regions.
+// direction only: they sit in the per-face direction loop of the face table's
+// CSR walk, ahead of both bodies' band loops, which read them from the table's
+// per-(face, direction) arrays. The kernel stays bitwise equal to the VM in
+// the interior and ghost regions.
 TEST_F(NativeBackendTest, DirectionOnlyValuesLeaveTheBandLoop) {
   const std::string src = toy_problem(kToySurfaceEq, dsl::Backend::Vm)->generated_native_source();
   const size_t face_loop = src.find("for (int64_t fs");
@@ -638,7 +666,9 @@ TEST_F(NativeBackendTest, DirectionOnlyValuesLeaveTheBandLoop) {
   EXPECT_LT(upwind_test, branch) << src;
   EXPECT_EQ(src.find("? 1.0 : 0.0", upwind_test + 1), std::string::npos) << "upwind test emitted twice";
   EXPECT_EQ(src.find("nx", branch), std::string::npos) << "normal read inside a band loop";
-  EXPECT_NE(src.find("double S", face_loop), std::string::npos);
+  const size_t table = src.find("double S");
+  EXPECT_LT(table, face_loop) << "per-direction arrays are declared with the face table";
+  EXPECT_NE(src.find("[k][i", face_loop), std::string::npos) << "and filled per face in the CSR walk";
   // One index: no loop outside the direction loop to hoist out of.
   bte::GrayScenario gray;
   gray.ndirs = 4;
@@ -791,6 +821,100 @@ TEST_F(NativeBackendTest, OneBoundaryCallPerFacePerSweep) {
   // The first sweep's verify replays the VM sweep, callbacks included.
   EXPECT_EQ(calls_in_step(*sn), 2 * bc_faces);
   EXPECT_EQ(calls_in_step(*sn), bc_faces);
+}
+
+// The toy with its value BC: the x walls have no BC and y-min is a flux BC,
+// so those cells run the general body, while y-max cells (a value-BC face)
+// and the interior run the fused one — both bodies in one solve, bitwise the
+// VM's, and the counter names exactly the general cells.
+TEST_F(NativeBackendTest, ToyRunsBothKernelBodiesBitIdentical) {
+  auto pv = toy_problem(kToySurfaceEq, dsl::Backend::Vm, fvm::Layout::CellMajor,
+                        sym::TimeScheme::ForwardEuler, /*value_bc=*/true);
+  auto pn = toy_problem(kToySurfaceEq, dsl::Backend::Native, fvm::Layout::CellMajor,
+                        sym::TimeScheme::ForwardEuler, /*value_bc=*/true);
+  const int64_t general = general_cells_of(pn->mesh(), {2});
+  ASSERT_GT(general, 0);
+  ASSERT_LT(general, pn->mesh().num_cells());
+  auto sv = pv->compile(dsl::Target::CpuSerial);
+  const double fb0 = counter("jit.fallback"), mismatch0 = counter("jit.verify.mismatch");
+  auto sn = pn->compile(dsl::Target::CpuSerial);
+  ASSERT_EQ(counter("jit.fallback"), fb0);
+  const GeneralCellsPerSweep per_sweep;
+  sv->run(4);
+  sn->run(4);
+  EXPECT_EQ(counter("jit.verify.mismatch"), mismatch0);
+  EXPECT_EQ(per_sweep.value(), static_cast<double>(general));
+  EXPECT_TRUE(bits_equal(pv->fields().get("I"), pn->fields().get("I")));
+}
+
+// The spectral BTE on a 3-D hex mesh (K = 6) with a flux BC on every wall:
+// the boundary shell runs the general body, the interior the fused one, and
+// every field matches the VM's bitwise.
+TEST_F(NativeBackendTest, Bte3dHexMeshBitIdentical) {
+  auto phys = std::make_shared<const bte::BtePhysics>(4, 2, 4);
+  bte::Bte3dScenario s;
+  s.nx = s.ny = s.nz = 5;
+  s.lx = s.ly = s.lz = 25e-6;
+  s.hot_w = 10e-6;
+  s.n_polar = 2;
+  s.n_azimuth = 4;
+  s.nbands = 4;
+  bte::BteProblem3d bv(s, phys), bn(s, phys);
+  bv.problem().execution_backend(dsl::Backend::Vm);
+  bn.problem().execution_backend(dsl::Backend::Native);
+  const mesh::Mesh& m = bn.problem().mesh();
+  ASSERT_EQ(m.cell_faces(0).size(), 6u);
+  const int64_t general = general_cells_of(m, {});
+  ASSERT_EQ(general, 5 * 5 * 5 - 3 * 3 * 3);
+  auto sv = bv.compile(dsl::Target::CpuSerial);
+  const double fb0 = counter("jit.fallback"), mismatch0 = counter("jit.verify.mismatch");
+  auto sn = bn.compile(dsl::Target::CpuSerial);
+  ASSERT_EQ(counter("jit.fallback"), fb0);
+  const GeneralCellsPerSweep per_sweep;
+  sv->run(3);
+  sn->run(3);
+  EXPECT_EQ(counter("jit.verify.mismatch"), mismatch0);
+  EXPECT_EQ(per_sweep.value(), static_cast<double>(general));
+  for (const char* f : {"I", "G", "T", "Io", "beta"})
+    EXPECT_TRUE(bits_equal(bv.problem().fields().get(f), bn.problem().fields().get(f))) << f;
+}
+
+// The general body stages vol[NDOF] and flux[NDOF] on the stack, so the
+// emitter lowers up to 16384 DOFs per cell. One past the cap, the equation
+// runs on the VM (counted in jit.fallback) with the VM's exact answer.
+TEST_F(NativeBackendTest, DofsPerCellPastTheStagingCapRunOnTheVm) {
+  auto wide = [](int ndirs, dsl::Backend backend) {
+    auto p = std::make_unique<dsl::Problem>("wide");
+    p->domain(2).set_steps(0.01, 2);
+    p->set_mesh(mesh::Mesh::structured_quad(2, 1, 1.0, 1.0));
+    p->execution_backend(backend);
+    p->index("d", 1, ndirs);
+    p->variable("I", {"d"});
+    std::vector<double> sx(static_cast<size_t>(ndirs)), sy(sx.size());
+    for (size_t d = 0; d < sx.size(); ++d) {
+      sx[d] = std::cos(1e-3 * static_cast<double>(d));
+      sy[d] = std::sin(1e-3 * static_cast<double>(d));
+    }
+    p->coefficient("Sx", sx, {"d"}).coefficient("Sy", sy, {"d"});
+    p->coefficient("k", 0.7).coefficient("vg", 1.3);
+    p->initial("I", [](int32_t c, std::span<const int32_t> idx) { return 0.1 * (c + 1) + 1e-4 * idx[0]; });
+    p->conservation_form("I", "-k * I[d] - surface(vg * upwind([Sx[d];Sy[d]], I[d]))");
+    return p;
+  };
+  for (const int ndofs : {16384, 16385}) {
+    SCOPED_TRACE(ndofs);
+    const bool lowered = ndofs <= 16384;
+    auto pv = wide(ndofs, dsl::Backend::Vm);
+    auto pn = wide(ndofs, dsl::Backend::Native);
+    auto sv = pv->compile(dsl::Target::CpuSerial);
+    const double fb0 = counter("jit.fallback"), batches0 = counter("jit.exec.batches");
+    auto sn = pn->compile(dsl::Target::CpuSerial);
+    EXPECT_EQ(counter("jit.fallback"), fb0 + (lowered ? 0.0 : 1.0));
+    sv->run(2);
+    sn->run(2);
+    EXPECT_EQ(counter("jit.exec.batches") > batches0, lowered);
+    EXPECT_TRUE(bits_equal(pv->fields().get("I"), pn->fields().get("I")));
+  }
 }
 
 // A kernel whose field is right but whose fused sum is not: the first-sweep
