@@ -27,8 +27,8 @@ int main() {
 
   DirectSolver cpu(s, phys);
   cpu.run(steps);
-  const double cpu_intensity = cpu.intensity_seconds();
-  const double cpu_temp = cpu.temperature_seconds();
+  const double cpu_intensity = cpu.phases().compute;
+  const double cpu_temp = cpu.phases().post_process;
   std::printf("%-18s intensity %.4f s   temperature %.4f s   total %.4f s\n", "CPU (measured)",
               cpu_intensity, cpu_temp, cpu_intensity + cpu_temp);
 

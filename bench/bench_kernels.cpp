@@ -251,15 +251,15 @@ void paper_check_native_vs_vm(bench::JsonBench& json) {
   const double sweeps0 = jit_counter("jit.exec.batches");
   sv->run(warm);
   sn->run(warm);
-  const double vm0 = sv->phases().intensity;
-  const double native0 = sn->phases().intensity;
+  const double vm0 = sv->phases().compute;
+  const double native0 = sn->phases().compute;
   sv->run(steps);
   sn->run(steps);
   const double sweeps = jit_counter("jit.exec.batches") - sweeps0;
   const double general_per_sweep =
       sweeps > 0.0 ? (jit_counter("jit.exec.general_cells") - general0) / sweeps : -1.0;
-  const double vm_s = sv->phases().intensity - vm0;
-  const double native_s = sn->phases().intensity - native0;
+  const double vm_s = sv->phases().compute - vm0;
+  const double native_s = sn->phases().compute - native0;
   const double speedup = native_s > 0.0 ? vm_s / native_s : 0.0;
 
   const auto& iv = pv.problem().fields().get("I").data();

@@ -69,11 +69,11 @@ int main(int argc, char** argv) {
     std::printf("\n[direct solver] after %.2f ns: min %.3f K, max %.3f K\n", direct.time() * 1e9,
                 lo, hi);
     std::printf("measured: intensity %.2f s (%.1f ns/DOF), temperature update %.2f s (%.2f us/cell)\n",
-                direct.intensity_seconds(),
-                1e9 * direct.intensity_seconds() /
+                direct.phases().compute,
+                1e9 * direct.phases().compute /
                     (static_cast<double>(direct.num_cells()) * direct.dofs_per_cell() * s.nsteps),
-                direct.temperature_seconds(),
-                1e6 * direct.temperature_seconds() / (static_cast<double>(direct.num_cells()) * s.nsteps));
+                direct.phases().post_process,
+                1e6 * direct.phases().post_process / (static_cast<double>(direct.num_cells()) * s.nsteps));
     ascii_field(T, s.nx, s.ny, lo, std::max(hi, lo + 1e-9));
     mesh::Mesh m = mesh::Mesh::structured_quad(s.nx, s.ny, s.lx, s.ly);
     mesh::write_vtk_cells_file("bte2d_hotspot_temperature.vtk", m, s.nx, s.ny, 1, "temperature", T);
@@ -105,7 +105,7 @@ int main(int argc, char** argv) {
   const auto& ph = solver->phases();
   const double tot = ph.total();
   std::printf("phase breakdown: intensity %.1f%%, temperature update %.1f%%, communication %.1f%%\n",
-              100 * ph.intensity / tot, 100 * ph.post_process / tot, 100 * ph.communication / tot);
+              100 * ph.compute / tot, 100 * ph.post_process / tot, 100 * ph.communication / tot);
   if (use_gpu) {
     const auto& c = gpu.counters();
     std::printf("simulated GPU: %lld kernel launches, %.2f MB H2D, %.2f MB D2H, SM util %.0f%%\n",

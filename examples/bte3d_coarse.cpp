@@ -5,6 +5,7 @@
 // walls — demonstrating that nothing in the pipeline is 2-D specific.
 #include <cstdio>
 
+#include "bte/bte_problem.hpp"
 #include "bte/directions.hpp"
 #include "core/dsl/problem.hpp"
 #include "mesh/mesh.hpp"
@@ -80,8 +81,7 @@ int main(int argc, char** argv) {
              [=](const fvm::BoundaryContext& ctx, std::span<double> out) {
                const auto& f = ctx.mesh->face(ctx.face).centroid;
                const double dx = f.x - 0.5 * L, dy = f.y - 0.5 * L;
-               const double Tw = T0 + (T_hot - T0) * std::exp(-2.0 * (dx * dx + dy * dy) / (hot_w * hot_w));
-               isothermal(ctx, out, Tw);
+               isothermal(ctx, out, bte::hot_spot_temperature(T0, T_hot, hot_w, dx * dx + dy * dy));
              });
   for (int region : {1, 2, 3, 4}) p.boundary("I", region, dsl::BcType::Flux, "symmetry", symmetric);
 

@@ -379,8 +379,8 @@ int main(int argc, char** argv) {
     solver.run(s.nsteps);
     T = solver.temperature();
     report(T, solver.time() * 1e9);
-    std::printf("phases: intensity %.3f s, temperature %.3f s\n", solver.intensity_seconds(),
-                solver.temperature_seconds());
+    std::printf("phases: intensity %.3f s, temperature %.3f s\n", solver.phases().compute,
+                solver.phases().post_process);
   } else if (o.solver == "multigpu") {
     MultiGpuSolver solver(s, phys, o.devices);
     drive(solver, o, resume_point, s.nsteps, drained);
@@ -421,7 +421,7 @@ int main(int argc, char** argv) {
     T = bp.temperature();
     report(T, solver->time() * 1e9);
     const auto& ph = solver->phases();
-    std::printf("phases: intensity %.3f s, temperature %.3f s, comm %.4f s\n", ph.intensity,
+    std::printf("phases: intensity %.3f s, temperature %.3f s, comm %.4f s\n", ph.compute,
                 ph.post_process, ph.communication);
     if (o.solver == "gpu")
       std::printf("simulated GPU: %lld launches, H2D %.1f MB, D2H %.1f MB\n",

@@ -77,7 +77,7 @@ int main() {
   std::printf("=== result after %d steps (t = %.3f) ===\n", p.num_steps(), solver->time());
   std::printf("blob advected from (0.30, 0.30) to (%.2f, %.2f); peak %.4f; mass %.5f\n", pc.x, pc.y,
               peak, total);
-  std::printf("intensity phase %.3f s, post-step %.3f s\n", solver->phases().intensity,
+  std::printf("intensity phase %.3f s, post-step %.3f s\n", solver->phases().compute,
               solver->phases().post_process);
   return 0;
 }

@@ -7,6 +7,15 @@
 
 namespace finch::bte {
 
+double hot_spot_temperature(double T_cold, double T_hot, double hot_w, double r2) {
+  return T_cold + (T_hot - T_cold) * std::exp(-2.0 * r2 / (hot_w * hot_w));
+}
+
+double BteScenario::wall_temperature(double x) const {
+  const double r = x - hot_center_frac * lx;
+  return hot_spot_temperature(T_cold, T_hot, hot_w, r * r);
+}
+
 BteScenario BteScenario::paper_hotspot() {
   BteScenario s;
   s.nx = s.ny = 120;
@@ -151,14 +160,6 @@ BteProblem::BteProblem(const BteScenario& scenario, std::shared_ptr<const BtePhy
   build();
 }
 
-double BteProblem::wall_temperature(double x) const {
-  const double xc = scenario_.hot_center_frac * scenario_.lx;
-  const double r = x - xc;
-  // Gaussian with 1/e^2 radius hot_w: dT * exp(-2 r^2 / w^2).
-  return scenario_.T_cold +
-         (scenario_.T_hot - scenario_.T_cold) * std::exp(-2.0 * r * r / (scenario_.hot_w * scenario_.hot_w));
-}
-
 void BteProblem::build() {
   problem_ = std::make_unique<dsl::Problem>("bte2d");
   dsl::Problem& p = *problem_;
@@ -176,13 +177,12 @@ void BteProblem::build() {
   // The physical outward flux integrand f = vg (s.n) I_face with the face
   // value upwinded: outgoing directions take the cell value, incoming take
   // the ghost (wall-equilibrium or reflected) value — Eq. (6).
-  auto self = this;
   // Region 1 (y-min): cold isothermal wall at T_cold.
   p.boundary("I", 1, dsl::BcType::Flux, "isothermal_cold", make_isothermal_wall(physics_, scenario_.T_cold));
   // Region 2 (y-max): isothermal with the centered Gaussian hot spot.
   p.boundary("I", 2, dsl::BcType::Flux, "isothermal_hot",
-             make_isothermal_wall(physics_, [self](const fvm::BoundaryContext& ctx) {
-               return self->wall_temperature(ctx.mesh->face(ctx.face).centroid.x);
+             make_isothermal_wall(physics_, [s = scenario_](const fvm::BoundaryContext& ctx) {
+               return s.wall_temperature(ctx.mesh->face(ctx.face).centroid.x);
              }));
   // Regions 3/4 (x-min/x-max): symmetry (specular reflection).
   p.boundary("I", 3, dsl::BcType::Flux, "symmetry", make_specular_wall(physics_));
@@ -219,13 +219,6 @@ BteProblem3d::BteProblem3d(const Bte3dScenario& scenario, std::shared_ptr<const 
   build();
 }
 
-double BteProblem3d::wall_temperature(double x, double y) const {
-  const double dx = x - 0.5 * scenario_.lx, dy = y - 0.5 * scenario_.ly;
-  const double r2 = dx * dx + dy * dy;
-  return scenario_.T_cold + (scenario_.T_hot - scenario_.T_cold) *
-                                std::exp(-2.0 * r2 / (scenario_.hot_w * scenario_.hot_w));
-}
-
 void BteProblem3d::build() {
   problem_ = std::make_unique<dsl::Problem>("bte3d");
   dsl::Problem& p = *problem_;
@@ -238,12 +231,12 @@ void BteProblem3d::build() {
       "I", "(Io[b] - I[d,b]) * beta[b] - surface(vg[b] * upwind([Sx[d];Sy[d];Sz[d]], I[d,b]))");
 
   // z-min cold, z-max hot spot (regions 5/6), sides symmetric (1-4).
-  auto self = this;
   p.boundary("I", 5, dsl::BcType::Flux, "isothermal_cold", make_isothermal_wall(physics_, scenario_.T_cold));
   p.boundary("I", 6, dsl::BcType::Flux, "isothermal_hot",
-             make_isothermal_wall(physics_, [self](const fvm::BoundaryContext& ctx) {
+             make_isothermal_wall(physics_, [s = scenario_](const fvm::BoundaryContext& ctx) {
                const auto& f = ctx.mesh->face(ctx.face).centroid;
-               return self->wall_temperature(f.x, f.y);
+               const double dx = f.x - 0.5 * s.lx, dy = f.y - 0.5 * s.ly;
+               return hot_spot_temperature(s.T_cold, s.T_hot, s.hot_w, dx * dx + dy * dy);
              }));
   for (int region : {1, 2, 3, 4})
     p.boundary("I", region, dsl::BcType::Flux, "symmetry", make_specular_wall(physics_));

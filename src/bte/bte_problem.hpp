@@ -24,6 +24,12 @@
 
 namespace finch::bte {
 
+// The hot spot's Gaussian wall temperature at squared distance r2 from the
+// spot's center: T_cold + (T_hot - T_cold) * exp(-2 r2 / w^2), w being the
+// spot's 1/e^2 radius. Every hot wall evaluates this one function, so the
+// solvers that cross-check each other share its bits.
+double hot_spot_temperature(double T_cold, double T_hot, double hot_w, double r2);
+
 struct BteScenario {
   int nx = 40, ny = 40;
   double lx = 525e-6, ly = 525e-6;       // paper: 525um x 525um
@@ -47,6 +53,9 @@ struct BteScenario {
   static BteScenario small();
   // Fig. 10: smaller elongated domain, source in one corner.
   static BteScenario corner();
+
+  // Temperature of the hot (y-max) wall at position x along it.
+  double wall_temperature(double x) const;
 };
 
 // Immutable shared physics tables for a discretization choice.
@@ -85,8 +94,6 @@ class BteProblem {
 
   // Per-cell temperature (after at least one post-step).
   std::vector<double> temperature() const;
-  // Hot-wall temperature profile at position x along the wall.
-  double wall_temperature(double x) const;
 
   // Writes "x,y,T" CSV rows for the temperature field (Fig. 2 / Fig. 10).
   void write_temperature_csv(const std::string& path) const;
@@ -121,7 +128,6 @@ class BteProblem3d {
   std::unique_ptr<dsl::Solver> compile() { return problem_->compile(); }
   std::unique_ptr<dsl::Solver> compile(dsl::Target t) { return problem_->compile(t); }
   std::vector<double> temperature() const;
-  double wall_temperature(double x, double y) const;
 
  private:
   void build();

@@ -50,12 +50,6 @@ DirectSolver::DirectSolver(const BteScenario& scenario, std::shared_ptr<const Bt
   }
 }
 
-double DirectSolver::wall_temperature(double x) const {
-  const double xc = scen_.hot_center_frac * scen_.lx;
-  const double r = x - xc;
-  return scen_.T_cold + (scen_.T_hot - scen_.T_cold) * std::exp(-2.0 * r * r / (scen_.hot_w * scen_.hot_w));
-}
-
 void DirectSolver::sweep_intensity() {
   const int dofs = nd_ * nb_;
   const double ax = dt_ / hx_, ay = dt_ / hy_;  // dt * A/V per face pair
@@ -105,7 +99,7 @@ void DirectSolver::sweep_intensity() {
           if (j < ny_ - 1)
             In = vy > 0 ? Ic : I_[ci + static_cast<size_t>(dofs) * nx_];
           else
-            In = vy > 0 ? Ic : phys_->table.I0(b, wall_temperature((i + 0.5) * hx_));
+            In = vy > 0 ? Ic : phys_->table.I0(b, scen_.wall_temperature((i + 0.5) * hx_));
           val -= ay * vy * In;
 
           I_new_[ci] = val;
@@ -139,10 +133,10 @@ void DirectSolver::update_temperature() {
 void DirectSolver::step() {
   auto t0 = Clock::now();
   sweep_intensity();
-  t_intensity_ += seconds_since(t0);
+  phases_.compute += seconds_since(t0);
   t0 = Clock::now();
   update_temperature();
-  t_temperature_ += seconds_since(t0);
+  phases_.post_process += seconds_since(t0);
   time_ += dt_;
 }
 

@@ -32,15 +32,15 @@ class DirectSolver {
   int dofs_per_cell() const { return nd_ * nb_; }
   int num_cells() const { return nx_ * ny_; }
 
-  // Phase timers (seconds) for the breakdown comparisons.
-  double intensity_seconds() const { return t_intensity_; }
-  double temperature_seconds() const { return t_temperature_; }
+  // Phase timers (seconds) for the breakdown comparisons, in dsl::Solver's
+  // vocabulary: compute is the intensity sweep, post_process the
+  // temperature update.
+  const rt::PhaseTimes& phases() const { return phases_; }
 
  private:
   int cell_id(int i, int j) const { return j * nx_ + i; }
   void sweep_intensity();
   void update_temperature();
-  double wall_temperature(double x) const;
 
   BteScenario scen_;
   std::shared_ptr<const BtePhysics> phys_;
@@ -50,7 +50,7 @@ class DirectSolver {
   std::vector<double> vg_, sx_, sy_, wdir_;
   std::vector<int> reflect_x_, reflect_y_;
   double time_ = 0.0;
-  double t_intensity_ = 0.0, t_temperature_ = 0.0;
+  rt::PhaseTimes phases_;
   std::vector<double> g_scratch_;
 };
 

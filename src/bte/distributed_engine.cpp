@@ -218,15 +218,7 @@ Upwind::Upwind(const BteScenario& scen, const BtePhysics& phys)
       hx_(scen.lx / scen.nx),
       ax_(scen.dt / (scen.lx / scen.nx)),
       ay_(scen.dt / (scen.ly / scen.ny)),
-      T_cold_(scen.T_cold),
-      T_hot_(scen.T_hot),
-      hot_w_(scen.hot_w),
-      hot_xc_(scen.hot_center_frac * scen.lx) {}
-
-double Upwind::wall_temperature(double x) const {
-  const double rr = x - hot_xc_;
-  return T_cold_ + (T_hot_ - T_cold_) * std::exp(-2.0 * rr * rr / (hot_w_ * hot_w_));
-}
+      scen_(scen) {}
 
 // ---- BandLayout ----------------------------------------------------------------
 

@@ -84,27 +84,25 @@ class Upwind {
     if (j > 0)
       Is = -r.vy > 0 ? Ic : at(c - nx_, r.d);
     else
-      Is = -r.vy > 0 ? Ic : phys_->table.I0(r.b, T_cold_);
+      Is = -r.vy > 0 ? Ic : phys_->table.I0(r.b, scen_.T_cold);
     val -= r.cs * Is;
     double In;
     if (j < ny_ - 1)
       In = r.vy > 0 ? Ic : at(c + nx_, r.d);
     else
-      In = r.vy > 0 ? Ic : phys_->table.I0(r.b, wall_temperature((i + 0.5) * hx_));
+      In = r.vy > 0 ? Ic : phys_->table.I0(r.b, scen_.wall_temperature((i + 0.5) * hx_));
     val -= r.cn * In;
     return val;
   }
 
   int nx() const { return nx_; }
   int ny() const { return ny_; }
-  // Hot-wall temperature at position x along the north wall.
-  double wall_temperature(double x) const;
 
  private:
   const BtePhysics* phys_;
   int nx_, ny_;
   double dt_, hx_, ax_, ay_;
-  double T_cold_, T_hot_, hot_w_, hot_xc_;
+  BteScenario scen_;  // the walls: T_cold and the hot spot
 };
 
 // Contiguous band ownership shared by the band-partitioned and multi-GPU

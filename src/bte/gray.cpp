@@ -2,6 +2,8 @@
 
 #include <cmath>
 
+#include "bte_problem.hpp"
+
 namespace finch::bte {
 
 GrayBteProblem::GrayBteProblem(const GrayScenario& scenario)
@@ -64,11 +66,8 @@ GrayBteProblem::GrayBteProblem(const GrayScenario& scenario)
   p.boundary("I", 1, dsl::BcType::Flux, "gray_isothermal_cold", isothermal(scen.T_cold));
   p.boundary("I", 2, dsl::BcType::Flux, "gray_isothermal_hot",
              [isothermal, scen](const fvm::BoundaryContext& ctx, std::span<double> out) {
-               const double x = ctx.mesh->face(ctx.face).centroid.x;
-               const double xc = 0.5 * scen.lx;
-               const double dTw = (scen.T_hot - scen.T_cold) *
-                                  std::exp(-2.0 * (x - xc) * (x - xc) / (scen.hot_w * scen.hot_w));
-               isothermal(scen.T_cold + dTw)(ctx, out);
+               const double r = ctx.mesh->face(ctx.face).centroid.x - 0.5 * scen.lx;
+               isothermal(hot_spot_temperature(scen.T_cold, scen.T_hot, scen.hot_w, r * r))(ctx, out);
              });
   p.boundary("I", 3, dsl::BcType::Flux, "gray_symmetry", symmetric);
   p.boundary("I", 4, dsl::BcType::Flux, "gray_symmetry", symmetric);

@@ -3,8 +3,9 @@
 // StepSolverBase that overrides only step(). The interior-cell update is one
 // launch on the (simulated) device: the VM sweep of the equation's shared
 // Program over the interior cells, charged with that program's roofline
-// profile (one thread per DOF). The boundary cells — the ones whose faces
-// need user callbacks — are swept by the same VM on the CPU, overlapping the
+// profile (one thread per DOF). The host fills the boundary values once per
+// step before the launch (StepSolverBase::fill_boundary, the user callbacks),
+// and the boundary cells are swept by the same VM on the CPU, overlapping the
 // kernel. Results are combined, the CPU post-step (temperature update)
 // executes, and the movement plan's per-step transfers are charged to the
 // communication phase. Fields, vm.* counts and the non-finite guard report

@@ -13,15 +13,9 @@
 
 namespace finch::codegen {
 
-namespace {
-
-using Clock = std::chrono::steady_clock;
-
 double seconds_since(Clock::time_point t0) {
   return std::chrono::duration<double>(Clock::now() - t0).count();
 }
-
-}  // namespace
 
 void GuardTally::add(const GuardReport& g, int64_t rank) {
   report.evals += g.evals;
@@ -37,6 +31,7 @@ StepSolverBase::StepSolverBase(dsl::Problem& p, rt::ThreadPool* pool) : p_(p), p
   if (p.scheme() != dsl::TimeScheme::ForwardEuler && p.scheme() != dsl::TimeScheme::RK2Midpoint)
     throw std::invalid_argument("CPU target lowers ForwardEuler and RK2Midpoint");
   build_env();
+  build_faces();
   for (const auto& rec : p.equations()) {
     CompiledEquation ce;
     ce.program = &rec.program;
@@ -67,6 +62,8 @@ StepSolverBase::StepSolverBase(dsl::Problem& p, rt::ThreadPool* pool) : p_(p), p
       b.stride[0] = 1;
       b.debug_name = r->weight;
     }
+    build_bc_table(ce);
+    build_lanes(ce);
     eqs_.push_back(std::move(ce));
   }
   all_cells_.resize(static_cast<size_t>(p.mesh().num_cells()));
@@ -93,7 +90,7 @@ void StepSolverBase::step() {
     else
       rk2_step();
   }
-  phases_.intensity += seconds_since(t0);
+  phases_.compute += seconds_since(t0);
   t0 = Clock::now();
   {
     rt::SpanAttrs attrs;
@@ -106,6 +103,7 @@ void StepSolverBase::step() {
 }
 
 bool StepSolverBase::sweep_equation(size_t e, fvm::CellField& out, double dt_stage) {
+  fill_boundary(e);
   report_guard(e, vm_sweep(e, out, dt_stage, all_cells_));
   return false;
 }
@@ -171,14 +169,46 @@ void StepSolverBase::build_env() {
   env_.scalar_coefficients = &p_.scalar_coefficients();
 }
 
-GuardTally StepSolverBase::vm_sweep(size_t eq, fvm::CellField& out, double dt_stage,
-                                    std::span<const int32_t> cells) {
-  CompiledEquation& ce = eqs_[eq];
-  rt::TraceSpan span("cpu.sweep");
-  const auto sweep_t0 = Clock::now();
+void StepSolverBase::build_faces() {
   const mesh::Mesh& mesh = p_.mesh();
-  const int32_t ndof = ce.field->dof_per_cell();
+  faces_.off.assign(1, 0);
+  for (int32_t cell = 0; cell < mesh.num_cells(); ++cell) {
+    // Inverse volume first, then area * inv_vol: the scale every executor uses.
+    const double inv_vol = 1.0 / mesh.cell_volume(cell);
+    for (int32_t f : mesh.cell_faces(cell)) {
+      const mesh::Face& face = mesh.face(f);
+      const mesh::Vec3 n = mesh.outward_normal(f, cell);
+      faces_.nbr.push_back(face.is_boundary() ? -1 : mesh.across(f, cell));
+      faces_.geom.insert(faces_.geom.end(), {n.x, n.y, n.z, face.area * inv_vol});
+    }
+    const auto nf = static_cast<int64_t>(mesh.cell_faces(cell).size());
+    faces_.off.push_back(faces_.off.back() + nf);
+    faces_.max_faces = std::max(faces_.max_faces, static_cast<int32_t>(nf));
+  }
+}
 
+void StepSolverBase::build_bc_table(CompiledEquation& ce) const {
+  const mesh::Mesh& mesh = p_.mesh();
+  BcTable& t = ce.bc;
+  t.face_bslot.assign(faces_.nbr.size(), -1);
+  if (!ce.has_surface) return;  // nothing reads a boundary face
+  size_t fs = 0;
+  for (int32_t cell = 0; cell < mesh.num_cells(); ++cell) {
+    for (int32_t f : mesh.cell_faces(cell)) {
+      const size_t slot = fs++;
+      if (faces_.nbr[slot] >= 0) continue;
+      const fvm::BoundaryCondition* bc = p_.boundaries().find(ce.field->name(), mesh.face(f).boundary_region);
+      if (bc == nullptr) continue;  // a wall with no condition: zero flux
+      t.face_bslot[slot] = static_cast<int32_t>(t.slots.size());
+      t.slots.push_back({cell, f, mesh.outward_normal(f, cell), bc});
+      t.kind.push_back(bc->type == fvm::BcType::Flux ? BcTable::kFlux : BcTable::kValue);
+    }
+  }
+  t.value.assign(t.slots.size() * static_cast<size_t>(ce.field->dof_per_cell()), 0.0);
+}
+
+void StepSolverBase::build_lanes(CompiledEquation& ce) const {
+  const int32_t ndof = ce.field->dof_per_cell();
   // Lane d of a cell is DOF d of the updated variable: its loop values are
   // the variable's indices, the first one fastest (var_addr's stride-1
   // index). The assembly loops are exactly the cell loop plus these indices,
@@ -193,94 +223,83 @@ GuardTally StepSolverBase::vm_sweep(size_t eq, fvm::CellField& out, double dt_st
       rem %= ce.var_addr.stride[kk];
     }
   }
-  const LaneOffsets vol_lanes(ce.volume, lane_loops);
-  const LaneOffsets surf_lanes = ce.has_surface ? LaneOffsets(ce.surface, lane_loops) : LaneOffsets();
-  const size_t nvals = std::max(ce.volume.nodes.size(), ce.has_surface ? ce.surface.nodes.size() : 0);
+  ce.vol_lanes = LaneOffsets(ce.volume, lane_loops);
+  if (ce.has_surface) ce.surf_lanes = LaneOffsets(ce.surface, lane_loops);
 
   // Guard ranks: the position of (cell, lane) in a serial walk of the
   // declared assembly loops (outermost loop = most significant digit), so
   // the first offender reported does not depend on how the pool splits cells
-  // or which cells this sweep walks.
-  std::vector<int64_t> lane_rank;
-  int64_t cell_place = 0;
-  if (guard_enabled_) {
-    lane_rank.assign(static_cast<size_t>(ndof), 0);
-    int64_t place = 1;
-    const auto& loops = ce.program->loops;
-    for (size_t k = loops.size(); k-- > 0;) {
-      if (loops[k].kind == ir::LoopSpec::Kind::Cells) {
-        cell_place = place;
-        place *= mesh.num_cells();
-        continue;
-      }
-      const auto slot = static_cast<size_t>(env_.loop_slot_of(loops[k].index_name));
-      for (int32_t d = 0; d < ndof; ++d)
-        lane_rank[static_cast<size_t>(d)] += lane_loops[static_cast<size_t>(d)][slot] * place;
-      place *= loops[k].extent;
+  // or which cells a sweep walks.
+  ce.lane_rank.assign(static_cast<size_t>(ndof), 0);
+  int64_t place = 1;
+  const auto& loops = ce.program->loops;
+  for (size_t k = loops.size(); k-- > 0;) {
+    if (loops[k].kind == ir::LoopSpec::Kind::Cells) {
+      ce.cell_place = place;
+      place *= p_.mesh().num_cells();
+      continue;
     }
+    const auto slot = static_cast<size_t>(env_.loop_slot_of(loops[k].index_name));
+    for (int32_t d = 0; d < ndof; ++d)
+      ce.lane_rank[static_cast<size_t>(d)] += lane_loops[static_cast<size_t>(d)][slot] * place;
+    place *= loops[k].extent;
   }
-  GuardTally sweep_guard;
-  int64_t surface_evals = 0, bc_calls = 0;
-  std::mutex merge_mutex;
+}
 
-  // A face the surface term visits, in cell_faces order: interior, or a
-  // boundary face with a registered BC (BC-less walls are zero-flux).
-  struct FaceVisit {
-    int32_t face;
-    int32_t neighbor;  // -1 on boundary
-    mesh::Vec3 normal;
-    double scale;      // area / volume
-    const fvm::BoundaryCondition* bc;
-  };
+void StepSolverBase::fill_boundary(size_t e) {
+  CompiledEquation& ce = eqs_[e];
+  rt::SpanAttrs attrs;
+  attrs.phase = "compute";
+  rt::TraceSpan span("bc.fill", attrs);
+  const auto t0 = Clock::now();
+  const auto ndof = static_cast<size_t>(ce.field->dof_per_cell());
+  fvm::BoundaryContext bctx;
+  bctx.mesh = &p_.mesh();
+  bctx.fields = &p_.fields();
+  bctx.field = ce.field;
+  bctx.extent = ce.extent;
+  bctx.time = time_;
+  for (size_t s = 0; s < ce.bc.slots.size(); ++s) {
+    const BcTable::Slot& slot = ce.bc.slots[s];
+    bctx.cell = slot.cell;
+    bctx.face = slot.face;
+    bctx.normal = slot.normal;
+    slot.bc->fn(bctx, std::span<double>(ce.bc.value).subspan(s * ndof, ndof));
+  }
+  auto& reg = rt::MetricsRegistry::global();
+  reg.counter("bc.calls").add(static_cast<double>(ce.bc.slots.size()));
+  reg.counter("bc.fill.seconds").add(seconds_since(t0));
+}
+
+GuardTally StepSolverBase::vm_sweep(size_t eq, fvm::CellField& out, double dt_stage,
+                                    std::span<const int32_t> cells) {
+  const CompiledEquation& ce = eqs_[eq];
+  const BcTable& bct = ce.bc;
+  rt::TraceSpan span("cpu.sweep");
+  const auto sweep_t0 = Clock::now();
+  const int32_t ndof = ce.field->dof_per_cell();
+  const size_t nvals = std::max(ce.volume.nodes.size(), ce.has_surface ? ce.surface.nodes.size() : 0);
+  GuardTally sweep_guard;
+  int64_t surface_evals = 0;
+  std::mutex merge_mutex;
 
   auto sweep_cells = [&](int64_t begin, int64_t end) {
     std::vector<double> vals(nvals * kLaneBlock);
     std::array<double, kLaneBlock> vol, acc, val;
     std::array<GuardReport, kLaneBlock> lane_guard;
     GuardTally chunk_guard;
-    int64_t chunk_surface_evals = 0, chunk_bc_calls = 0;
-    // The callback values of the cell's faces: face k's DOFs at k * ndof.
-    std::vector<double> bc_values;
+    int64_t chunk_surface_evals = 0;
     auto run = [&](const Program& prog, const LaneOffsets& lanes, const LaneBlock& blk, double* res) {
       if (guard_enabled_)
         eval_block_guarded(prog, lanes, blk, vals.data(), res, lane_guard.data());
       else
         eval_block(prog, lanes, blk, vals.data(), res);
     };
-    std::vector<FaceVisit> faces;
-    fvm::BoundaryContext bctx;
-    bctx.mesh = &mesh;
-    bctx.fields = &p_.fields();
-    bctx.field = ce.field;
-    bctx.extent = ce.extent;
-    bctx.time = time_;
     for (int64_t i = begin; i < end; ++i) {
       const int32_t cell = cells[static_cast<size_t>(i)];
-      faces.clear();
-      if (ce.has_surface) {
-        const double inv_vol = 1.0 / mesh.cell_volume(cell);
-        for (int32_t f : mesh.cell_faces(cell)) {
-          const mesh::Face& face = mesh.face(f);
-          const fvm::BoundaryCondition* bc = nullptr;
-          if (face.is_boundary()) {
-            bc = p_.boundaries().find(ce.field->name(), face.boundary_region);
-            if (bc == nullptr) continue;
-          }
-          faces.push_back({f, face.is_boundary() ? -1 : mesh.across(f, cell),
-                           mesh.outward_normal(f, cell), face.area * inv_vol, bc});
-        }
-        // One callback per boundary face, before the lane blocks.
-        bc_values.resize(faces.size() * static_cast<size_t>(ndof));
-        for (size_t k = 0; k < faces.size(); ++k) {
-          if (faces[k].bc == nullptr) continue;
-          bctx.cell = cell;
-          bctx.face = faces[k].face;
-          bctx.normal = faces[k].normal;
-          faces[k].bc->fn(bctx, std::span<double>(bc_values).subspan(k * static_cast<size_t>(ndof),
-                                                                     static_cast<size_t>(ndof)));
-          ++chunk_bc_calls;
-        }
-      }
+      // Face slots the surface term visits: none without surface terms.
+      const int64_t fs_begin = faces_.off[static_cast<size_t>(cell)];
+      const int64_t fs_end = ce.has_surface ? faces_.off[static_cast<size_t>(cell) + 1] : fs_begin;
       for (int32_t first = 0; first < ndof; first += kLaneBlock) {
         const int n = std::min(kLaneBlock, ndof - first);
         if (guard_enabled_) std::fill_n(lane_guard.begin(), n, GuardReport{});
@@ -289,43 +308,46 @@ GuardTally StepSolverBase::vm_sweep(size_t eq, fvm::CellField& out, double dt_st
         blk.dt = dt_stage;
         blk.first = first;
         blk.count = n;
-        run(ce.volume, vol_lanes, blk, vol.data());
-        // Per lane: the volume value, then each face in cell_faces order.
+        run(ce.volume, ce.vol_lanes, blk, vol.data());
+        // Per lane: the volume value, then each face slot in CSR order.
         std::fill_n(acc.begin(), n, 0.0);
-        for (size_t k = 0; k < faces.size(); ++k) {
-          const FaceVisit& fv = faces[k];
-          blk.normal = {fv.normal.x, fv.normal.y, fv.normal.z};
-          blk.neighbor = fv.neighbor;
+        for (int64_t fs = fs_begin; fs < fs_end; ++fs) {
+          const auto ufs = static_cast<size_t>(fs);
+          const int32_t bs = bct.face_bslot[ufs];
+          if (faces_.nbr[ufs] < 0 && bs < 0) continue;  // a wall with no condition: zero flux
+          const double* geom = faces_.geom.data() + 4 * ufs;
+          const double scale = geom[3];
+          blk.normal = {geom[0], geom[1], geom[2]};
+          blk.neighbor = faces_.nbr[ufs];
           blk.ghost_field = nullptr;
-          if (fv.bc != nullptr) {
-            const double* bc_value = bc_values.data() + k * static_cast<size_t>(ndof) + first;
-            if (fv.bc->type == fvm::BcType::Flux) {
+          if (bs >= 0) {
+            const double* bc_value = bct.value.data() + static_cast<size_t>(bs) * static_cast<size_t>(ndof) + first;
+            if (bct.kind[static_cast<size_t>(bs)] == BcTable::kFlux) {
               // The callback returns the physical outward flux integrand f;
               // the discretization contributes -dt*(A/V)*f, matching the
               // generated surface terms, which already carry the -dt factor
               // (stage dt for RK).
-              for (int l = 0; l < n; ++l) acc[static_cast<size_t>(l)] += fv.scale * (-dt_stage) * bc_value[l];
+              for (int l = 0; l < n; ++l) acc[static_cast<size_t>(l)] += scale * (-dt_stage) * bc_value[l];
               continue;
             }
-            blk.ghost_field = ce.field;  // value BC: the callback is the ghost
+            blk.ghost_field = ce.field;  // value BC: the filled values are the ghost
             blk.ghost_value = bc_value;
           }
-          run(ce.surface, surf_lanes, blk, val.data());
+          run(ce.surface, ce.surf_lanes, blk, val.data());
           chunk_surface_evals += n;
-          for (int l = 0; l < n; ++l) acc[static_cast<size_t>(l)] += fv.scale * val[static_cast<size_t>(l)];
+          for (int l = 0; l < n; ++l) acc[static_cast<size_t>(l)] += scale * val[static_cast<size_t>(l)];
         }
         for (int l = 0; l < n; ++l) {
           const auto ul = static_cast<size_t>(l);
           // No "+ 0.0" without surface terms: it would turn -0.0 into +0.0.
           out.at(cell, first + l) = ce.has_surface ? vol[ul] + acc[ul] : vol[ul];
           if (guard_enabled_)
-            chunk_guard.add(lane_guard[ul], cell * cell_place + lane_rank[static_cast<size_t>(first + l)]);
+            chunk_guard.add(lane_guard[ul], cell * ce.cell_place + ce.lane_rank[static_cast<size_t>(first + l)]);
         }
       }
     }
     std::lock_guard<std::mutex> lock(merge_mutex);
     surface_evals += chunk_surface_evals;
-    bc_calls += chunk_bc_calls;
     sweep_guard.add(chunk_guard);
   };
 
@@ -341,7 +363,6 @@ GuardTally StepSolverBase::vm_sweep(size_t eq, fvm::CellField& out, double dt_st
   // and value-BC faces, not flux-BC or BC-less walls.
   note_eval_batch(ce.volume, ce.has_surface ? &ce.surface : nullptr, ncells * ndof, surface_evals,
                   seconds_since(sweep_t0));
-  rt::MetricsRegistry::global().counter("bc.calls").add(static_cast<double>(bc_calls));
   return sweep_guard;
 }
 

@@ -10,9 +10,13 @@
 // cells on the host. Every scheme/BC/guard behavior — and the VM as a
 // drop-in oracle — stays in one place.
 //
-// Boundary callbacks fill one face at a time (fvm::BoundaryCallback): the VM
-// sweep fills each boundary face of a cell once, before that cell's lane
-// blocks, and counts the calls in `bc.calls`.
+// Every executor reads the same per-sweep inputs: one face table (FaceTable,
+// built once per solver) and, per equation, one boundary table (BcTable,
+// built once) whose values fill_boundary() refreshes before any executor
+// sweeps the equation. Boundary callbacks (fvm::BoundaryCallback) therefore
+// run serially on the solving thread, once per (cell, face with a condition)
+// per sweep, and are counted in `bc.calls`; the VM sweep, the native kernel
+// and its first-sweep verify replay only read the filled values.
 //
 // Declared reductions (ir::Reduction) are formed from the committed field by
 // one post-pass, reduce(), after ForwardEuler's commit or RK2's combine. The
@@ -27,6 +31,7 @@
 // re-read it before each launch rather than cache it at construction.
 
 #include <array>
+#include <chrono>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -36,6 +41,38 @@
 #include "runtime/thread_pool.hpp"
 
 namespace finch::codegen {
+
+// The executors' phase and counter timers.
+using Clock = std::chrono::steady_clock;
+double seconds_since(Clock::time_point t0);
+
+// The mesh's faces in CSR form, built once per solver: the faces of cell c
+// occupy slots [off[c], off[c + 1]) in mesh.cell_faces() order. The native
+// kernel reads these arrays as KernelArgsV1's face_off/face_nbr/face_geom.
+struct FaceTable {
+  std::vector<int64_t> off;
+  std::vector<int32_t> nbr;  // cell across each slot; -1 on a boundary
+  std::vector<double> geom;  // per slot: outward nx, ny, nz, then area * (1/volume)
+  int32_t max_faces = 0;     // K: the largest face count of any cell
+};
+
+// One equation's boundary conditions: a slot per (cell, boundary face) with a
+// condition registered for the variable, and the values the slot's callback
+// fills each sweep. An equation without surface terms has no slots.
+struct BcTable {
+  static constexpr uint8_t kValue = 1;  // the values are the ghost state
+  static constexpr uint8_t kFlux = 2;   // the values are the outward flux integrand
+  struct Slot {
+    int32_t cell = 0;
+    int32_t face = 0;
+    mesh::Vec3 normal{};
+    const fvm::BoundaryCondition* bc = nullptr;
+  };
+  std::vector<int32_t> face_bslot;  // per face slot: its BC slot, or -1 (interior, or a wall with no condition)
+  std::vector<Slot> slots;
+  std::vector<uint8_t> kind;        // per slot: kValue or kFlux
+  std::vector<double> value;        // slots x ndof, written by fill_boundary()
+};
 
 // One compiled equation: programs plus the addressing info for its variable.
 struct CompiledEquation {
@@ -52,6 +89,13 @@ struct CompiledEquation {
   // a CoefIndexed binding over the variable's stride-1 index.
   fvm::CellField* reduce_target = nullptr;
   Binding reduce_weight;
+  BcTable bc;
+  // The VM's lane addressing (lane d is DOF d): each program's per-lane DOF
+  // offsets, and each lane's guard rank within its cell (lane_rank) plus the
+  // rank's weight of one cell (cell_place).
+  LaneOffsets vol_lanes, surf_lanes;
+  std::vector<int64_t> lane_rank;
+  int64_t cell_place = 0;
 };
 
 // Guard tallies of a run of evaluations. The first offender kept is the one
@@ -84,11 +128,20 @@ class StepSolverBase : public dsl::Solver {
   // native kernel's fused sum); ForwardEuler then skips reduce() for it.
   virtual bool sweep_equation(size_t e, fvm::CellField& out, double dt_stage);
 
+  // Calls each of equation e's boundary slots' callback once, from the
+  // current fields, into its BcTable values. Runs on the solving thread
+  // before any executor sweeps the equation; counts `bc.calls`. Filling
+  // ahead is exact because a sweep writes scratch storage, not the fields
+  // the callbacks read.
+  void fill_boundary(size_t e);
+
   // The interpreter sweep — the portable path and the differential oracle.
   // Walks `cells` (split across the pool when one is set) and evaluates each
-  // cell's DOFs as lane blocks (see LaneBlock), writing only those cells of
-  // `out`; each (cell, DOF) value is computed independently, so neither the
-  // declared loop order, the pool's split nor a split of the cell set can
+  // cell's DOFs as lane blocks (see LaneBlock), visiting each cell's face
+  // slots in CSR order and reading boundary values from the equation's
+  // BcTable as the last fill_boundary() left them. Writes only those cells
+  // of `out`; each (cell, DOF) value is computed independently, so neither
+  // the declared loop order, the pool's split nor a split of the cell set can
   // change a bit. Returns the sweep's guard tally (empty when the guard is
   // off); report_guard() adds it to the solver's report.
   GuardTally vm_sweep(size_t e, fvm::CellField& out, double dt_stage, std::span<const int32_t> cells);
@@ -109,9 +162,13 @@ class StepSolverBase : public dsl::Solver {
   std::vector<fvm::CellField> scratch_;
   std::vector<fvm::CellField> stage_;  // RK2 stage-2 sweeps; empty for ForwardEuler
   std::vector<int32_t> all_cells_;     // 0 .. num_cells - 1
+  FaceTable faces_;
 
  private:
   void build_env();
+  void build_faces();
+  void build_bc_table(CompiledEquation& ce) const;
+  void build_lanes(CompiledEquation& ce) const;
 };
 
 }  // namespace finch::codegen

@@ -35,6 +35,7 @@
 #include "fvm/field.hpp"
 #include "mesh/mesh.hpp"
 #include "runtime/simgpu.hpp"
+#include "runtime/simmpi.hpp"
 #include "runtime/thread_pool.hpp"
 
 namespace finch::dsl {
@@ -58,14 +59,6 @@ Backend default_backend_from_env();
 using sym::TimeScheme;
 using fvm::BcType;
 
-// Phase timing collected by every solver (drives the breakdown figures).
-struct SolvePhases {
-  double intensity = 0.0;       // "solve for intensity" — the generated kernels
-  double post_process = 0.0;    // "temperature update" — user callbacks
-  double communication = 0.0;   // host<->device traffic (GPU target only)
-  double total() const { return intensity + post_process + communication; }
-};
-
 // Tally of non-finite values produced by the generated kernels, filled when
 // the non-finite guard is armed. A NaN or Inf escaping a kernel normally
 // poisons the whole field silently; the guard makes it a reportable event the
@@ -86,7 +79,11 @@ class Solver {
     for (int i = 0; i < nsteps; ++i) step();
   }
   double time() const { return time_; }
-  const SolvePhases& phases() const { return phases_; }
+  // Phase timing in the one vocabulary every solver reports (drives the
+  // breakdown figures): compute is "solve for intensity" (the generated
+  // kernels), post_process the "temperature update" (user post-steps), and
+  // communication the host<->device traffic (GPU target only).
+  const rt::PhaseTimes& phases() const { return phases_; }
 
   // Arms per-evaluation NaN/Inf auditing in the targets that execute the
   // bytecode VM: the CPU targets, the GPU target (both its device launch and
@@ -100,7 +97,7 @@ class Solver {
 
  protected:
   double time_ = 0.0;
-  SolvePhases phases_;
+  rt::PhaseTimes phases_;
   bool guard_enabled_ = false;
   NonFiniteReport guard_report_;
 };

@@ -42,7 +42,10 @@ struct BoundaryContext {
 };
 
 // Fills `out` (one entry per DOF of the variable, in DOF order) for the face
-// ctx.face of cell ctx.cell. Called once per (cell, boundary face) per sweep.
+// ctx.face of cell ctx.cell. Called once per (cell, boundary face with a
+// condition) per sweep, before the sweep, serially on the thread that steps
+// the solver (never on a pool worker), whichever executor runs the sweep;
+// never for a variable whose equation has no surface terms.
 using BoundaryCallback = std::function<void(const BoundaryContext&, std::span<double> out)>;
 
 struct BoundaryCondition {

@@ -29,8 +29,8 @@ CalibratedCosts CalibratedCosts::measure() {
   // The first step pays one-time page/TLB warm-up on the ~60 MB arrays;
   // measure steady-state steps only.
   solver.step();
-  const double warm_int = solver.intensity_seconds();
-  const double warm_temp = solver.temperature_seconds();
+  const double warm_int = solver.phases().compute;
+  const double warm_temp = solver.phases().post_process;
   const int steps = 3;
   solver.run(steps);
   CalibratedCosts c;
@@ -38,12 +38,12 @@ CalibratedCosts CalibratedCosts::measure() {
   const double cells = static_cast<double>(solver.num_cells()) * steps;
   // The hand-written solver *is* the 2x-faster baseline; the DSL-generated
   // code costs ~2x more per DOF (paper: "roughly twice as long").
-  const double direct_per_dof = (solver.intensity_seconds() - warm_int) / dofs;
+  const double direct_per_dof = (solver.phases().compute - warm_int) / dofs;
   c.sec_per_dof_intensity = 2.0 * direct_per_dof;
   // Temperature cost is measured at the paper's own 55-band discretization,
   // so no band-count normalization is needed (Newton iteration counts do not
   // scale linearly with bands).
-  c.sec_per_cell_temperature = (solver.temperature_seconds() - warm_temp) / cells;
+  c.sec_per_cell_temperature = (solver.phases().post_process - warm_temp) / cells;
   c.fortran_speedup = 2.0;
   return c;
 }

@@ -84,19 +84,27 @@ std::string schedule_to_json(const ChaosSchedule& s) {
      << "  \"nparts\": " << s.nparts << ",\n"
      << "  \"nsteps\": " << s.nsteps << ",\n"
      << "  \"faults\": [\n";
-  for (size_t i = 0; i < s.faults.size(); ++i) {
-    const ChaosFault& f = s.faults[i];
-    os << "    {\"kind\": \"" << fault_kind_name(f.kind) << "\", \"site\": \"" << f.site
-       << "\", \"first\": " << f.first_event << ", \"stride\": " << f.stride
-       << ", \"count\": " << f.count << "}" << (i + 1 < s.faults.size() ? "," : "") << "\n";
-  }
+  for (size_t i = 0; i < s.faults.size(); ++i)
+    os << "    " << fault_to_json(s.faults[i]) << (i + 1 < s.faults.size() ? "," : "") << "\n";
   os << "  ]\n}\n";
   return os.str();
 }
 
-namespace {
+std::string fault_error(const ChaosFault& f) {
+  if (f.site.empty()) return "fault is missing a site";
+  if (f.first_event < 0 || f.stride < 1 || f.count < 1) return "fault timing out of range";
+  return "";
+}
 
-ChaosFault parse_fault(JsonCursor& c) {
+std::string fault_to_json(const ChaosFault& f) {
+  std::ostringstream os;
+  os << "{\"kind\": \"" << fault_kind_name(f.kind) << "\", \"site\": \"" << f.site
+     << "\", \"first_event\": " << f.first_event << ", \"stride\": " << f.stride
+     << ", \"count\": " << f.count << "}";
+  return os.str();
+}
+
+ChaosFault fault_from_json(JsonCursor& c) {
   ChaosFault f;
   c.expect('{');
   bool first = true;
@@ -109,7 +117,7 @@ ChaosFault parse_fault(JsonCursor& c) {
       f.kind = fault_kind_from_name(c.parse_string());
     else if (key == "site")
       f.site = c.parse_string();
-    else if (key == "first")
+    else if (key == "first_event")
       f.first_event = c.parse_int();
     else if (key == "stride")
       f.stride = c.parse_int();
@@ -119,12 +127,9 @@ ChaosFault parse_fault(JsonCursor& c) {
       c.fail("unknown fault key '" + key + "'");
   }
   c.expect('}');
-  if (f.site.empty()) c.fail("fault is missing a site");
-  if (f.first_event < 0 || f.stride < 1 || f.count < 1) c.fail("fault timing out of range");
+  if (const std::string err = fault_error(f); !err.empty()) c.fail(err);
   return f;
 }
-
-}  // namespace
 
 ChaosSchedule schedule_from_json(std::string_view json) {
   JsonCursor c{json, 0, "chaos schedule JSON"};
@@ -152,7 +157,7 @@ ChaosSchedule schedule_from_json(std::string_view json) {
       while (!c.peek(']')) {
         if (!first_fault) c.expect(',');
         first_fault = false;
-        out.faults.push_back(parse_fault(c));
+        out.faults.push_back(fault_from_json(c));
       }
       c.expect(']');
     } else {

@@ -27,6 +27,8 @@
 
 namespace finch::rt {
 
+struct JsonCursor;
+
 // One armed fault: `count` fires of `kind` at `site`, placed on consultation
 // indices first_event, first_event + stride, ... of that (kind, site)
 // counter. Consultation indices, not step numbers: sites are consulted a
@@ -39,6 +41,16 @@ struct ChaosFault {
   int64_t stride = 1;
   int64_t count = 1;
 };
+
+// The one fault codec, shared by chaos schedules, job files and durable job
+// records: {"kind": K, "site": S, "first_event": N, "stride": N, "count": N}.
+// fault_error() says why a fault cannot be armed (an empty site,
+// first_event < 0, stride < 1 or count < 1), or returns "" when it can;
+// fault_from_json() rejects such a fault like any malformed input, and
+// svc::Scheduler::run() refuses a job spec that carries one.
+std::string fault_error(const ChaosFault& f);
+std::string fault_to_json(const ChaosFault& f);
+ChaosFault fault_from_json(JsonCursor& c);
 
 // A deterministic multi-class fault schedule replayed against one solver.
 struct ChaosSchedule {

@@ -34,42 +34,9 @@ TerminalState terminal_state_from_name(std::string_view name) {
 
 namespace {
 
-void append_fault(std::ostringstream& os, const rt::ChaosFault& f) {
-  os << "{\"kind\":\"" << rt::fault_kind_name(f.kind) << "\",\"site\":\"" << f.site
-     << "\",\"first_event\":" << f.first_event << ",\"stride\":" << f.stride
-     << ",\"count\":" << f.count << "}";
-}
-
 void append_config(std::ostringstream& os, const JobConfig& c) {
   os << "{\"solver\":\"" << c.solver << "\",\"nparts\":" << c.nparts << ",\"nx\":" << c.nx
      << ",\"ny\":" << c.ny << ",\"ndirs\":" << c.ndirs << ",\"nbands\":" << c.nbands << "}";
-}
-
-rt::ChaosFault parse_fault(rt::JsonCursor& c) {
-  rt::ChaosFault f;
-  c.expect('{');
-  bool first = true;
-  while (!c.peek('}')) {
-    if (!first) c.expect(',');
-    first = false;
-    const std::string key = c.parse_string();
-    c.expect(':');
-    if (key == "kind") {
-      f.kind = rt::fault_kind_from_name(c.parse_string());
-    } else if (key == "site") {
-      f.site = c.parse_string();
-    } else if (key == "first_event") {
-      f.first_event = c.parse_int();
-    } else if (key == "stride") {
-      f.stride = c.parse_int();
-    } else if (key == "count") {
-      f.count = c.parse_int();
-    } else {
-      c.fail("unknown fault key '" + key + "'");
-    }
-  }
-  c.expect('}');
-  return f;
 }
 
 JobConfig parse_config(rt::JsonCursor& c) {
@@ -141,7 +108,7 @@ JobSpec parse_job(rt::JsonCursor& c) {
     } else if (key == "faults") {
       c.expect('[');
       while (!c.peek(']')) {
-        spec.faults.push_back(parse_fault(c));
+        spec.faults.push_back(rt::fault_from_json(c));
         if (!c.eat(',')) break;
       }
       c.expect(']');
@@ -172,7 +139,7 @@ void append_job(std::ostringstream& os, const JobSpec& spec) {
      << ",\"ckpt_interval\":" << spec.ckpt_interval << ",\"faults\":[";
   for (size_t i = 0; i < spec.faults.size(); ++i) {
     if (i) os << ",";
-    append_fault(os, spec.faults[i]);
+    os << rt::fault_to_json(spec.faults[i]);
   }
   os << "],\"fallbacks\":[";
   for (size_t i = 0; i < spec.fallbacks.size(); ++i) {

@@ -38,10 +38,13 @@ void mkdir_p(const std::string& path) {
 }
 
 // Throws std::invalid_argument unless `spec` is well-formed (non-empty id,
-// known solver names, positive nsteps).
+// known solver names, positive nsteps, faults that can be armed).
 void validate_spec(const JobSpec& spec) {
   if (spec.id.empty()) throw std::invalid_argument("job id must not be empty");
   if (spec.nsteps <= 0) throw std::invalid_argument("job '" + spec.id + "' has nsteps <= 0");
+  for (const rt::ChaosFault& f : spec.faults)
+    if (const std::string err = rt::fault_error(f); !err.empty())
+      throw std::invalid_argument("job '" + spec.id + "': " + err);
   if (!known_solver(spec.solver))
     throw std::invalid_argument("job '" + spec.id + "' names unknown solver '" + spec.solver +
                                 "'");

@@ -1,10 +1,14 @@
 #pragma once
 // A two-variable problem whose boundary callbacks check
-// BoundaryContext::field, shared by the VM/GPU and native-backend tests.
+// BoundaryContext::field and record the thread they run on, shared by the
+// VM/GPU and native-backend tests.
 
 #include <algorithm>
 #include <memory>
+#include <mutex>
+#include <set>
 #include <string>
+#include <thread>
 
 #include "core/dsl/problem.hpp"
 #include "mesh/mesh.hpp"
@@ -12,10 +16,14 @@
 namespace finch::test_support {
 
 // Per condition type, how often the probed callbacks ran and how often
-// BoundaryContext::field was not the variable they were registered for.
+// BoundaryContext::field was not the variable they were registered for, plus
+// every thread a callback ran on. Callbacks update it under `mutex`, so a
+// callback on a pool worker is recorded, not a data race.
 struct FieldProbe {
   int calls[2] = {0, 0};  // [Flux, Value]
   int wrong[2] = {0, 0};
+  std::mutex mutex;
+  std::set<std::thread::id> threads;
 };
 
 // Two coupled variables u[d] and v[d]: each equation reads the other
@@ -41,6 +49,8 @@ inline std::unique_ptr<dsl::Problem> coupled_problem(dsl::Backend backend, Field
       const int t = type == dsl::BcType::Flux ? 0 : 1;
       p->boundary(var, t == 0 ? 1 : 3, type, var + (t == 0 ? "_flux" : "_value"),
                   [&probe, var, t](const fvm::BoundaryContext& ctx, std::span<double> out) {
+                    std::lock_guard<std::mutex> lock(probe.mutex);
+                    probe.threads.insert(std::this_thread::get_id());
                     ++probe.calls[t];
                     if (ctx.field != &ctx.fields->get(var)) {
                       ++probe.wrong[t];

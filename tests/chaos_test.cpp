@@ -115,7 +115,7 @@ TEST(ChaosSchedule, MalformedJsonIsRejectedLoudly) {
       std::invalid_argument);
   EXPECT_THROW(
       rt::schedule_from_json("{\"solver\": \"cell\", \"nparts\": 4, \"nsteps\": 4, \"faults\": "
-                             "[{\"kind\": \"slow-rank\", \"site\": \"x\", \"first\": -3}]}"),
+                             "[{\"kind\": \"slow-rank\", \"site\": \"x\", \"first_event\": -3}]}"),
       std::invalid_argument);
   EXPECT_THROW(rt::schedule_from_json(good + "trailing"), std::invalid_argument);
 }

@@ -8,6 +8,8 @@
 #include <cmath>
 #include <functional>
 #include <numeric>
+#include <set>
+#include <thread>
 #include <utility>
 
 #include "bc_field_probe.hpp"
@@ -275,6 +277,19 @@ TEST(DslPipeline, BoundaryContextCarriesTheRegisteredFieldOnVmAndGpu) {
   }
 }
 
+// Boundary callbacks run serially on the thread that steps the solver: the
+// fill before each sweep calls them, and the pool's workers only read the
+// filled values. CI's TSan job runs this test (its name has "Threaded").
+TEST(DslPipeline, ThreadedVmRunsBoundaryCallbacksOnTheCallingThread) {
+  finch::test_support::FieldProbe probe;
+  auto p = finch::test_support::coupled_problem(dsl::Backend::Vm, probe);
+  rt::ThreadPool pool(4);
+  p->use_threads(&pool);
+  p->compile(Target::CpuThreads)->run(3);
+  EXPECT_GT(probe.calls[0] + probe.calls[1], 0);
+  EXPECT_EQ(probe.threads, std::set<std::thread::id>{std::this_thread::get_id()});
+}
+
 // vm.evals counts the evaluations a sweep runs: one volume eval per DOF plus
 // one surface eval per interior face visit and per value-BC face. Flux-BC
 // faces and BC-less walls never run the surface program. On a 3x3 mesh with
@@ -405,7 +420,7 @@ TEST(DslPipeline, PhaseTimersAccumulate) {
   p.post_step([](Problem&, double) { /* pretend temperature update */ });
   auto solver = p.compile(Target::CpuSerial);
   solver->run(3);
-  EXPECT_GT(solver->phases().intensity, 0.0);
+  EXPECT_GT(solver->phases().compute, 0.0);
   EXPECT_GE(solver->phases().post_process, 0.0);
 }
 

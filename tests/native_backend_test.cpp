@@ -17,6 +17,7 @@
 #include <span>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <tuple>
 #include <vector>
 
@@ -227,6 +228,24 @@ TEST_F(NativeBackendTest, ThreadedNativeMatchesSerialVm) {
   sv->run(3);
   sn->run(3);
   EXPECT_TRUE(bits_equal(pv->fields().get("I"), pn->fields().get("I")));
+}
+
+// The threaded native solve, verify replay included, calls every boundary
+// callback on the thread that steps it; the kernel and the replay only read
+// the filled values. CI's TSan job runs this test (its name has "Threaded").
+TEST_F(NativeBackendTest, ThreadedNativeRunsBoundaryCallbacksOnTheCallingThread) {
+  finch::test_support::FieldProbe probe;
+  auto p = finch::test_support::coupled_problem(dsl::Backend::Native, probe);
+  rt::ThreadPool pool(4);
+  p->use_threads(&pool);
+  codegen::jit_config().verify_first_sweep = true;
+  const double fb0 = counter("jit.fallback"), verified0 = counter("jit.verify.sweeps");
+  auto s = p->compile(dsl::Target::CpuThreads);
+  ASSERT_EQ(counter("jit.fallback"), fb0);
+  s->run(3);
+  EXPECT_EQ(counter("jit.verify.sweeps") - verified0, 2.0);  // the first sweep of u and of v
+  EXPECT_GT(probe.calls[0] + probe.calls[1], 0);
+  EXPECT_EQ(probe.threads, std::set<std::thread::id>{std::this_thread::get_id()});
 }
 
 TEST_F(NativeBackendTest, GrayModelBitIdentical) {
@@ -818,9 +837,25 @@ TEST_F(NativeBackendTest, OneBoundaryCallPerFacePerSweep) {
   EXPECT_EQ(calls_in_step(*dev.compile(dsl::Target::Gpu)), bc_faces);
   bte::BteProblem native(small_hot_spot("native"), small_physics());
   auto sn = native.compile(dsl::Target::CpuSerial);
-  // The first sweep's verify replays the VM sweep, callbacks included.
-  EXPECT_EQ(calls_in_step(*sn), 2 * bc_faces);
+  // The first sweep's verify replays the VM sweep on the values the kernel
+  // read: no second call.
   EXPECT_EQ(calls_in_step(*sn), bc_faces);
+  EXPECT_EQ(calls_in_step(*sn), bc_faces);
+}
+
+// An equation without surface terms has no boundary slots: a condition
+// registered for its variable is never called, on the VM or the native path.
+TEST_F(NativeBackendTest, VolumeOnlyEquationCallsNoBoundaryCallback) {
+  for (const dsl::Backend backend : {dsl::Backend::Vm, dsl::Backend::Native}) {
+    auto p = toy_problem("(Io[b] - I[d,b]) * k", backend);
+    ASSERT_EQ(p->boundaries().regions("I"), std::vector<int>{1});
+    const double fb0 = counter("jit.fallback");
+    auto s = p->compile(dsl::Target::CpuSerial);
+    ASSERT_EQ(counter("jit.fallback"), fb0);
+    const double calls0 = counter("bc.calls");
+    s->run(2);
+    EXPECT_EQ(counter("bc.calls"), calls0) << dsl::backend_to_string(backend);
+  }
 }
 
 // The toy with its value BC: the x walls have no BC and y-min is a flux BC,

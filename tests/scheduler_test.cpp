@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <csignal>
 #include <cstdlib>
+#include <filesystem>
 #include <map>
 #include <mutex>
 #include <set>
@@ -489,6 +490,26 @@ TEST(SchedulerDurability, FaultFreeJobsCommitFourFilesEach) {
     EXPECT_EQ(o.state, TerminalState::Completed) << o.spec.id;
   EXPECT_EQ(mx.value("ckpt.atomic_writes") - writes0, 8.0);
   EXPECT_EQ(mx.value("ckpt.fsyncs") - fsyncs0, 16.0);
+}
+
+// A fault that cannot be armed (first_event < 0) makes the whole batch
+// invalid: run() refuses it before writing any job record, so no orphan is
+// left for a restart to re-adopt. One slot, where running the valid job first
+// would have committed records before the bad one failed.
+TEST(SchedulerDurability, UnarmableFaultRefusesTheBatchBeforeAnyRecord) {
+  SchedulerOptions opt;
+  opt.max_concurrency = 1;
+  opt.supervisor.durable_root = fresh_root("bad_fault");
+  JobSpec bad = small_job("bad-fault");
+  rt::ChaosFault f;
+  f.kind = rt::FaultKind::DroppedMessage;
+  f.site = "halo";
+  f.first_event = -1;
+  bad.faults.push_back(f);
+  Scheduler sched(base_scenario(), opt);
+  EXPECT_THROW(sched.run(at_time_zero({small_job("good"), bad})), std::invalid_argument);
+  const std::filesystem::path root = opt.supervisor.durable_root;
+  EXPECT_TRUE(!std::filesystem::exists(root) || std::filesystem::is_empty(root));
 }
 
 #if FINCH_HAVE_FORK
