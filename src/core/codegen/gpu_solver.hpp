@@ -1,15 +1,17 @@
 #pragma once
 // GPU code-generation target (hybrid CPU+GPU configuration of Fig. 6), a
 // StepSolverBase that overrides only step(). The interior-cell update is one
-// launch on the (simulated) device: the VM sweep of the equation's shared
-// Program over the interior cells, charged with that program's roofline
-// profile (one thread per DOF). The host fills the boundary values once per
-// step before the launch (StepSolverBase::fill_boundary, the user callbacks),
-// and the boundary cells are swept by the same VM on the CPU, overlapping the
-// kernel. Results are combined, the CPU post-step (temperature update)
-// executes, and the movement plan's per-step transfers are charged to the
-// communication phase. Fields, vm.* counts and the non-finite guard report
-// equal the CPU target's.
+// launch on the (simulated) device: the equation's sweep over the interior
+// cells — the native kernel when the backend is native, else the VM —
+// charged with the program's roofline profile (one thread per DOF). The host
+// fills the boundary values once per step before the launch
+// (StepSolverBase::fill_boundary, the user callbacks) and sweeps the boundary
+// cells with the same executor on the CPU, overlapping the kernel; it is
+// billed for that work only. The first kernel step is verified against the
+// VM over every cell. Results are combined, the CPU post-step (temperature
+// update) executes, and the movement plan's per-step transfers are charged to
+// the communication phase. Fields, vm.* counts and the non-finite guard
+// report equal the CPU target's.
 
 #include <memory>
 
@@ -23,7 +25,9 @@ class Solver;
 
 namespace finch::codegen {
 
-std::unique_ptr<dsl::Solver> make_gpu_solver(dsl::Problem& problem, rt::SimGpu* gpu);
+// `native` is the backend decision of dsl::Problem::compile, as for the CPU
+// targets.
+std::unique_ptr<dsl::Solver> make_gpu_solver(dsl::Problem& problem, rt::SimGpu* gpu, bool native);
 
 // The movement plan the GPU target would use for `problem` (exposed for
 // inspection, tests and the ablation bench). `naive` selects the

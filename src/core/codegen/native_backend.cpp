@@ -776,7 +776,12 @@ class Emitter {
     }
     for (size_t i = 0; i < scalars_.size(); ++i)
       s += "// scalars[" + std::to_string(i) + "] = " + scalar_names_[i] + "\n";
-    s += "\nextern \"C\" void finch_kernel_v1(const finch_kernel_args_v1* A) {\n";
+    if (in_.dialect == Dialect::Cpp) {
+      s += "\nextern \"C\" void finch_kernel_v1(const finch_kernel_args_v1* A) {\n";
+    } else {
+      s += "\n__global__ void " + in_.name + "(const finch_kernel_args_v1 args) {\n";
+      s += "  const finch_kernel_args_v1* A = &args;\n";
+    }
     s += "  const double dt = A->dt; (void)dt;\n";
     s += "  const int64_t nc = A->ncells; (void)nc;\n";
     s += "  const double* __restrict__ SC = A->scalars; (void)SC;\n";
@@ -796,7 +801,13 @@ class Emitter {
     emit_nodes(s, vol_, at(vol_place_, Scope::Fn), vn, "v", Flavor::Volume, "  ");
     emit_nodes(s, surf_, at(surf_place_, Scope::Fn), sn, "s", Flavor::Interior, "  ");
 
-    s += "  for (int64_t cell = A->cell_begin; cell < A->cell_end; ++cell) {\n";
+    if (in_.dialect == Dialect::Cpp) {
+      s += "  for (int64_t cell = A->cell_begin; cell < A->cell_end; ++cell) {\n";
+    } else {
+      s += "  {  // one thread per cell of the launch\n";
+      s += "    const int64_t cell = A->cell_begin + (int64_t)blockIdx.x * blockDim.x + threadIdx.x;\n";
+      s += "    if (cell >= A->cell_end) return;\n";
+    }
     emit_nodes(s, vol_, at(vol_place_, Scope::Cell), vn, "v", Flavor::Volume, "    ");
     emit_nodes(s, surf_, at(surf_place_, Scope::Cell), sn, "s", Flavor::Interior, "    ");
     if (!has_surface_) {

@@ -93,6 +93,14 @@ struct NativePlan {
   KernelFnV1 fn = nullptr;
 };
 
+// The two dialects of one kernel text. Cpp is the TU the JIT compiles and
+// runs: finch_kernel_v1 walks cells [cell_begin, cell_end). Cuda is the same
+// TU with a __global__ entry, named after the equation, that takes the
+// argument block by value and runs one thread per cell of the launch; the
+// cell's body (DOF loops, placement, face table, fused and general bodies)
+// is the same text.
+enum class Dialect { Cpp, Cuda };
+
 // Everything emission needs about one compiled equation.
 struct NativeKernelInputs {
   std::string name;                          // e.g. "step_I"
@@ -107,6 +115,7 @@ struct NativeKernelInputs {
   const fvm::CellField* reduce_target = nullptr;
   const Binding* reduce_weight = nullptr;    // CoefIndexed over the stride-1 index
   int32_t max_faces = 0;                     // K: the mesh's largest cell_faces() count
+  Dialect dialect = Dialect::Cpp;            // the dialect of NativePlan::source
 };
 
 // Pure emission: renders the TU from the programs' node lists. No I/O. Throws std::runtime_error on structures the emitter cannot lower.

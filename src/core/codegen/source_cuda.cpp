@@ -2,73 +2,14 @@
 
 #include <sstream>
 
-#include "core/symbolic/printer.hpp"
-#include "core/symbolic/simplify.hpp"
-#include "source_cpp.hpp"
-
 namespace finch::codegen {
 
-namespace {
-
-// Device-side entity refs go through DeviceState accessors: s.I(cell, d, b)
-// for a variable, s.vg(b) for an indexed coefficient.
-std::string cuda_entity(const sym::EntityRefNode& r, const sym::EntityTable& table) {
-  std::string idx;
-  for (size_t k = 0; k < r.indices.size(); ++k)
-    idx += (k ? ", " : "") + sym::to_string(r.indices[k]);
-  const sym::EntityInfo* info = table.find(r.name);
-  if (info != nullptr && info->kind == sym::EntityKind::Variable) {
-    const std::string cellvar = r.side == sym::CellSide::Cell2 ? "neighbor" : "cell";
-    return "s." + r.name + "(" + cellvar + (idx.empty() ? "" : ", " + idx) + ")";
-  }
-  return "s." + r.name + "(" + idx + ")";
-}
-
-constexpr CSpelling kCuda{cuda_entity, "pow"};
-
-}  // namespace
-
-std::string emit_cuda_source(const ir::StepProgram& p, const sym::EntityTable& table,
-                             const fvm::BoundaryTable& boundaries) {
+std::string emit_cuda_host_driver(const ir::StepProgram& p, const fvm::BoundaryTable& boundaries) {
   std::ostringstream os;
-  os << "// generated by finch-bte: CUDA target (flattened one-thread-per-DOF)\n";
-  os << "// " << p.name << ": interior bulk on device, boundary + post-step on host\n\n";
-
-  // ---- device kernel --------------------------------------------------------
-  os << "__global__ void " << p.name << "_interior(DeviceState s, double dt) {\n";
-  os << "  // flatten all loops: one thread per (cell, ";
-  for (size_t i = 0; i < p.var_indices.size(); ++i) os << (i ? ", " : "") << p.var_indices[i];
-  os << ") degree of freedom\n";
-  os << "  const long tid = blockIdx.x * blockDim.x + threadIdx.x;\n";
-  os << "  if (tid >= s.n_interior_dofs) return;\n";
-  os << "  const int cell = s.interior_cells[tid / s.dof_per_cell];\n";
-  os << "  const int dof = tid % s.dof_per_cell;\n";
-  for (size_t i = 0; i < p.var_indices.size(); ++i) {
-    os << "  const int " << p.var_indices[i] << " = ";
-    if (i == 0)
-      os << "dof % N" << p.var_indices[0] << ";\n";
-    else
-      os << "(dof / N" << p.var_indices[i - 1] << ") % N" << p.var_indices[i] << ";\n";
-  }
-  os << "  double value = " << c_expr(sym::simplify(sym::add(p.terms.rhs_volume)), table, kCuda)
-     << ";\n";
-  if (p.has_surface_terms()) {
-    os << "  // interior bulk: uniform work per thread, no divergence across the warp\n";
-    os << "  for (int face = 0; face < s.faces_per_cell; ++face) {\n";
-    os << "    const double normal_x = s.face_normal_x[cell * s.faces_per_cell + face];\n";
-    os << "    const double normal_y = s.face_normal_y[cell * s.faces_per_cell + face];\n";
-    os << "    const int neighbor = s.across[cell * s.faces_per_cell + face];\n";
-    os << "    value += s.face_area_over_volume[cell * s.faces_per_cell + face] * ("
-       << c_expr(sym::simplify(sym::add(p.terms.rhs_surface)), table, kCuda) << ");\n";
-    os << "  }\n";
-  }
-  os << "  " << p.variable << "_new[tid] = value;\n";
-  os << "}\n\n";
-
-  // ---- host driver (the §II.B hybrid step) ----------------------------------
+  os << "// " << p.name << ": interior bulk on device, boundary + post-step on host (§II.B)\n";
   os << "void " << p.name << "_host_step(HostState& h, DeviceState& d, double dt) {\n";
-  os << "  // launch GPU kernel asynchronously\n";
-  os << "  " << p.name << "_interior<<<grid, block, 0, stream>>>(d, dt);\n";
+  os << "  // launch GPU kernel asynchronously over the interior cells\n";
+  os << "  " << p.name << "<<<grid, block, 0, stream>>>(d.interior_args);\n";
   os << "  // compute boundary contribution on the CPU (user callbacks)\n";
   const std::vector<int> regions = boundaries.regions(p.variable);
   for (int region : regions)

@@ -1,8 +1,10 @@
 #pragma once
-// CUDA source-text target: renders the IR as a flattened one-thread-per-DOF
-// __global__ kernel plus the host driver loop of §II.B — async kernel launch,
-// CPU boundary computation via the registered callbacks, synchronize/combine,
-// CPU post-step, and the per-step transfers the movement planner selected.
+// CUDA host driver: the host loop of §II.B around the CUDA dialect of an
+// equation's kernel (native_backend.hpp, Dialect::Cuda) — async kernel
+// launch, CPU boundary computation via the registered callbacks,
+// synchronize/combine, CPU post-step, and the per-step transfers the
+// movement planner selected. dsl::Problem::generated_cuda_source() prints
+// each equation's kernel followed by its driver.
 
 #include <string>
 
@@ -11,7 +13,8 @@
 
 namespace finch::codegen {
 
-std::string emit_cuda_source(const ir::StepProgram& program, const sym::EntityTable& table,
-                             const fvm::BoundaryTable& boundaries);
+// The driver of `program`'s equation. Its launch line names the dialect's
+// kernel, which the emitter names after the program.
+std::string emit_cuda_host_driver(const ir::StepProgram& program, const fvm::BoundaryTable& boundaries);
 
 }  // namespace finch::codegen

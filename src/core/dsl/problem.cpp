@@ -7,9 +7,8 @@
 #include "core/codegen/cpu_solver.hpp"
 #include "core/codegen/gpu_solver.hpp"
 #include "core/codegen/native_backend.hpp"
-#include "core/codegen/native_solver.hpp"
-#include "core/codegen/source_cpp.hpp"
 #include "core/codegen/source_cuda.hpp"
+#include "core/codegen/step_solver_base.hpp"
 
 namespace finch::dsl {
 
@@ -301,42 +300,40 @@ std::unique_ptr<Solver> Problem::compile() {
 
 std::unique_ptr<Solver> Problem::compile(Target target) {
   finalize();
-  // Backend routing for the CPU targets: Native JITs kernels (with
-  // per-equation VM fallback inside the solver); Auto only attempts the JIT
-  // when a compiler and dlopen support are actually present.
+  // Backend routing for every target: Native JITs kernels (with per-equation
+  // VM fallback inside the solver); Auto only attempts the JIT when a
+  // compiler and dlopen support are actually present.
   const bool native = backend_ == Backend::Native ||
                       (backend_ == Backend::Auto && codegen::native_backend_available());
   switch (target) {
     case Target::CpuSerial:
-      return native ? codegen::make_native_solver(*this, nullptr)
-                    : codegen::make_cpu_solver(*this, nullptr);
+      return codegen::make_cpu_solver(*this, nullptr, native);
     case Target::CpuThreads:
       if (pool_ == nullptr) throw std::logic_error("compile: use_threads() not configured");
-      return native ? codegen::make_native_solver(*this, pool_)
-                    : codegen::make_cpu_solver(*this, pool_);
+      return codegen::make_cpu_solver(*this, pool_, native);
     case Target::Gpu:
       if (gpu_ == nullptr) throw std::logic_error("compile: use_cuda() not configured");
-      return codegen::make_gpu_solver(*this, gpu_);
+      return codegen::make_gpu_solver(*this, gpu_, native);
   }
   throw std::logic_error("compile: unknown target");
 }
 
 std::string Problem::generated_native_source() {
   finalize();
-  return codegen::emitted_native_source(*this);
-}
-
-std::string Problem::generated_cpp_source() {
-  finalize();
   std::string out;
-  for (const auto& rec : equations_) out += codegen::emit_cpp_source(rec.program, table_);
+  for (const std::string& tu : codegen::emitted_kernel_sources(*this, codegen::Dialect::Cpp)) {
+    if (!out.empty()) out += "\n";
+    out += tu;
+  }
   return out;
 }
 
 std::string Problem::generated_cuda_source() {
   finalize();
+  const std::vector<std::string> kernels = codegen::emitted_kernel_sources(*this, codegen::Dialect::Cuda);
   std::string out;
-  for (const auto& rec : equations_) out += codegen::emit_cuda_source(rec.program, table_, boundary_);
+  for (size_t e = 0; e < equations_.size(); ++e)
+    out += kernels[e] + "\n" + codegen::emit_cuda_host_driver(equations_[e].program, boundary_);
   return out;
 }
 

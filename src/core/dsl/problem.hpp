@@ -43,14 +43,14 @@ namespace finch::dsl {
 enum class SolverType { FV };
 enum class Target { CpuSerial, CpuThreads, Gpu };
 
-// Kernel execution backend for the CPU targets (CODEGEN.md §6):
+// Kernel execution backend for every target (CODEGEN.md §6):
 //  * Vm     — bytecode interpreter, always available (the portable oracle).
 //  * Native — JIT: emit C++ → system compiler → dlopen; per-equation VM
 //             fallback when a kernel cannot be produced.
 //  * Auto   — Native when codegen::native_backend_available(), else Vm.
 // The process default comes from FINCH_BACKEND (vm | native | auto),
-// falling back to Vm. The GPU target models its own execution and ignores
-// the backend.
+// falling back to Vm. The GPU target runs the same kernel over its interior
+// cells inside the simulated launch and over its boundary cells on the host.
 enum class Backend { Auto, Vm, Native };
 Backend backend_from_string(const std::string& s);  // throws on unknown names
 const char* backend_to_string(Backend b);
@@ -85,11 +85,11 @@ class Solver {
   // communication the host<->device traffic (GPU target only).
   const rt::PhaseTimes& phases() const { return phases_; }
 
-  // Arms per-evaluation NaN/Inf auditing in the targets that execute the
-  // bytecode VM: the CPU targets, the GPU target (both its device launch and
-  // its host boundary sweep) and the native target, which takes the VM path
-  // while the guard is armed. Off by default — the unguarded interpreter runs
-  // and numerics are untouched either way; the guard only observes.
+  // Arms per-evaluation NaN/Inf auditing in the bytecode VM on every target
+  // (the GPU target audits both its device launch and its host boundary
+  // sweep); the native backend takes the VM path while the guard is armed.
+  // Off by default — numerics are untouched either way; the guard only
+  // observes.
   void enable_nonfinite_guard(bool on = true) { guard_enabled_ = on; }
   bool nonfinite_guard_enabled() const { return guard_enabled_; }
   const NonFiniteReport& nonfinite_report() const { return guard_report_; }
@@ -116,7 +116,7 @@ class Problem {
   // The paper's useCUDA(): route compile() to the GPU target using `gpu`.
   Problem& use_cuda(rt::SimGpu* gpu);
   Problem& use_threads(rt::ThreadPool* pool);
-  // Kernel backend for the CPU targets; default is FINCH_BACKEND else Vm.
+  // Kernel backend for every target; default is FINCH_BACKEND else Vm.
   Problem& execution_backend(Backend b);
 
   // ---- entities -------------------------------------------------------------
@@ -202,15 +202,18 @@ class Problem {
   std::unique_ptr<Solver> compile();
   std::unique_ptr<Solver> compile(Target target);
 
-  // Generated source renderings (golden-testable artifacts). These finalize
-  // the problem (run the symbolic pipeline) if compile() has not done so yet.
-  std::string generated_cpp_source();
-  std::string generated_cuda_source();
+  // Generated source renderings. These finalize the problem (run the
+  // symbolic pipeline) if compile() has not done so yet, and emit only:
+  // nothing is compiled or loaded.
+  //
   // The native backend's kernel TU(s), exactly as they would be handed to the
-  // system compiler (emit only — nothing is compiled or loaded). This is the
-  // text behind CODEGEN.md §7's commented listing; tools/check_docs.sh diffs
-  // the doc against it.
+  // system compiler: the C++ every target runs. This is the text behind
+  // CODEGEN.md §7's commented listing; tools/check_docs.sh diffs the doc
+  // against it.
   std::string generated_native_source();
+  // Per equation, the same kernel in its CUDA dialect (one thread per cell of
+  // the launch) followed by the §II.B host driver that launches it.
+  std::string generated_cuda_source();
   std::string ir_pseudocode();
 
   // Internal hooks used by solvers.

@@ -462,15 +462,22 @@ TEST_F(NativeBackendTest, AutoUsesNativeWhenAvailableElseVm) {
   EXPECT_EQ(counter("jit.cache.miss"), miss0);
 }
 
+// On the CPU target and on the GPU target, which runs the same kernel in its
+// launch and on its boundary cells.
 TEST_F(NativeBackendTest, GuardedSolverStaysOnVm) {
-  const double batches0 = counter("jit.exec.batches");
-  auto p = toy_problem(kToySurfaceEq, dsl::Backend::Native);
-  auto s = p->compile(dsl::Target::CpuSerial);
-  s->enable_nonfinite_guard();
-  s->run(2);
-  EXPECT_EQ(counter("jit.exec.batches"), batches0);
-  EXPECT_GT(s->nonfinite_report().evals, 0);
-  EXPECT_TRUE(s->nonfinite_report().clean());
+  rt::SimGpu gpu(rt::GpuSpec::a6000());
+  for (const dsl::Target target : {dsl::Target::CpuSerial, dsl::Target::Gpu}) {
+    SCOPED_TRACE(target == dsl::Target::Gpu ? "gpu" : "cpu");
+    const double batches0 = counter("jit.exec.batches");
+    auto p = toy_problem(kToySurfaceEq, dsl::Backend::Native);
+    p->use_cuda(&gpu);
+    auto s = p->compile(target);
+    s->enable_nonfinite_guard();
+    s->run(2);
+    EXPECT_EQ(counter("jit.exec.batches"), batches0);
+    EXPECT_GT(s->nonfinite_report().evals, 0);
+    EXPECT_TRUE(s->nonfinite_report().clean());
+  }
 }
 
 // The guard through a real VM sweep: the volume term divides by Io[b], which
@@ -736,8 +743,8 @@ std::vector<double> band_sums_of(bte::BteProblem& bp) {
 
 // After five steps G is bitwise the band_sums of the committed field on every
 // target: the VM (serial, guarded), the native kernel (serial, two threads),
-// the GPU target, in both layouts, and under RK2, whose stage sweeps are not
-// the committed value.
+// the GPU target on either backend, in both layouts, and under RK2, whose
+// stage sweeps are not the committed value.
 TEST_F(NativeBackendTest, DeclaredSumsEqualBandSumsOfTheCommittedField) {
   rt::ThreadPool pool(2);
   rt::SimGpu gpu(rt::GpuSpec::a6000());
@@ -754,6 +761,7 @@ TEST_F(NativeBackendTest, DeclaredSumsEqualBandSumsOfTheCommittedField) {
       {"native x2", "native", dsl::Target::CpuThreads},
       {"guarded", "native", dsl::Target::CpuSerial, sym::TimeScheme::ForwardEuler, true},
       {"gpu", "vm", dsl::Target::Gpu},
+      {"gpu native", "native", dsl::Target::Gpu},
       {"vm rk2", "vm", dsl::Target::CpuSerial, sym::TimeScheme::RK2Midpoint},
       {"native rk2", "native", dsl::Target::CpuSerial, sym::TimeScheme::RK2Midpoint},
   };
@@ -835,12 +843,16 @@ TEST_F(NativeBackendTest, OneBoundaryCallPerFacePerSweep) {
   bte::BteProblem dev(small_hot_spot("vm"), small_physics());
   dev.problem().use_cuda(&gpu);
   EXPECT_EQ(calls_in_step(*dev.compile(dsl::Target::Gpu)), bc_faces);
-  bte::BteProblem native(small_hot_spot("native"), small_physics());
-  auto sn = native.compile(dsl::Target::CpuSerial);
-  // The first sweep's verify replays the VM sweep on the values the kernel
-  // read: no second call.
-  EXPECT_EQ(calls_in_step(*sn), bc_faces);
-  EXPECT_EQ(calls_in_step(*sn), bc_faces);
+  for (const dsl::Target target : {dsl::Target::CpuSerial, dsl::Target::Gpu}) {
+    SCOPED_TRACE(target == dsl::Target::Gpu ? "gpu native" : "native");
+    bte::BteProblem native(small_hot_spot("native"), small_physics());
+    native.problem().use_cuda(&gpu);
+    auto sn = native.compile(target);
+    // The first sweep's verify replays the VM sweep on the values the kernel
+    // read: no second call.
+    EXPECT_EQ(calls_in_step(*sn), bc_faces);
+    EXPECT_EQ(calls_in_step(*sn), bc_faces);
+  }
 }
 
 // An equation without surface terms has no boundary slots: a condition

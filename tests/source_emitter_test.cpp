@@ -1,14 +1,23 @@
-// Golden tests for the source-text targets: the generated C++ (nested loops,
-// assembly order, comment nodes) and CUDA (flattened one-thread-per-DOF
-// kernel + the §II.B host driver) renderings of the IR.
+// Tests for the printed artifacts: the IR pseudocode (assembly order, comment
+// nodes) and the CUDA rendering — the native kernel in its CUDA dialect plus
+// the §II.B host driver. The CUDA kernel is checked by execution: built
+// exactly as printed through a test-only shim, it must match the VM bitwise.
 #include <gtest/gtest.h>
+
 #include <algorithm>
+#include <cstring>
+#include <filesystem>
+#include <memory>
+#include <string>
 
-
+#include "bte/bte_problem.hpp"
+#include "core/codegen/native_backend.hpp"
 #include "core/dsl/problem.hpp"
 #include "mesh/mesh.hpp"
+#include "runtime/metrics.hpp"
 
 using namespace finch;
+namespace fs = std::filesystem;
 
 namespace {
 
@@ -35,67 +44,11 @@ dsl::Problem bte_like_problem() {
 
 }  // namespace
 
-TEST(CppEmitter, NestedLoopsFollowAssemblyOrder) {
-  auto p = bte_like_problem();
-  std::string src = p.generated_cpp_source();
-  // Default order: cells outermost, then declared indices.
-  const size_t cells_pos = src.find("for (int cell = 0; cell < Ncells; ++cell)");
-  const size_t d_pos = src.find("for (int d = 0; d < 4; ++d)");
-  const size_t b_pos = src.find("for (int b = 0; b < 3; ++b)");
-  ASSERT_NE(cells_pos, std::string::npos);
-  ASSERT_NE(d_pos, std::string::npos);
-  ASSERT_NE(b_pos, std::string::npos);
-  EXPECT_LT(cells_pos, d_pos);
-  EXPECT_LT(d_pos, b_pos);
-}
-
-TEST(CppEmitter, PermutedLoopOrderIsHonored) {
-  auto p = bte_like_problem();
-  p.assembly_loops({"b", "cells", "d"});
-  std::string src = p.generated_cpp_source();
-  const size_t b_pos = src.find("for (int b = 0");
-  const size_t cells_pos = src.find("for (int cell = 0");
-  const size_t d_pos = src.find("for (int d = 0");
-  EXPECT_LT(b_pos, cells_pos);
-  EXPECT_LT(cells_pos, d_pos);
-}
-
-TEST(CppEmitter, CommentNodesAppearInOutput) {
-  auto p = bte_like_problem();
-  std::string src = p.generated_cpp_source();
-  EXPECT_NE(src.find("// update of I via explicit FV step"), std::string::npos);
-  EXPECT_NE(src.find("// RHS volume integrand"), std::string::npos);
-  EXPECT_NE(src.find("// RHS surface integrand"), std::string::npos);
-  EXPECT_NE(src.find("// combine: u_new = rhs_volume"), std::string::npos);
-}
-
-TEST(CppEmitter, ExpressionsRenderAsIndexedArrays) {
-  auto p = bte_like_problem();
-  std::string src = p.generated_cpp_source();
-  EXPECT_NE(src.find("Io[cell*dof_per_cell + b]"), std::string::npos);
-  EXPECT_NE(src.find("I[cell*dof_per_cell + d + Nd*b]"), std::string::npos);
-  // Upwind conditional survives as a ternary against the face normal.
-  EXPECT_NE(src.find("normal_x"), std::string::npos);
-  EXPECT_NE(src.find("?"), std::string::npos);
-  EXPECT_NE(src.find("neighbor"), std::string::npos);
-}
-
-TEST(CudaEmitter, FlattenedThreadIndexing) {
-  auto p = bte_like_problem();
-  std::string src = p.generated_cuda_source();
-  EXPECT_NE(src.find("__global__ void step_I_interior"), std::string::npos);
-  EXPECT_NE(src.find("blockIdx.x * blockDim.x + threadIdx.x"), std::string::npos);
-  EXPECT_NE(src.find("if (tid >= s.n_interior_dofs) return;"), std::string::npos);
-  // Index recovery from the flattened thread id.
-  EXPECT_NE(src.find("const int d = dof % Nd;"), std::string::npos);
-  EXPECT_NE(src.find("const int b = (dof / Nd) % Nb;"), std::string::npos);
-}
-
 TEST(CudaEmitter, HostDriverFollowsFig6) {
   auto p = bte_like_problem();
   std::string src = p.generated_cuda_source();
-  // The §II.B host-step structure, in order.
-  const size_t launch = src.find("step_I_interior<<<grid, block, 0, stream>>>");
+  // The §II.B host-step structure, in order, launching the dialect's kernel.
+  const size_t launch = src.find("step_I<<<grid, block, 0, stream>>>");
   const size_t boundary = src.find("compute_boundary_region");
   const size_t sync = src.find("cudaStreamSynchronize(stream)");
   const size_t combine = src.find("combine_interior_and_boundary");
@@ -107,6 +60,7 @@ TEST(CudaEmitter, HostDriverFollowsFig6) {
   ASSERT_NE(combine, std::string::npos);
   ASSERT_NE(post, std::string::npos);
   ASSERT_NE(upload, std::string::npos);
+  EXPECT_LT(src.find("__global__ void step_I("), launch);
   EXPECT_LT(launch, boundary);
   EXPECT_LT(boundary, sync);
   EXPECT_LT(sync, combine);
@@ -139,6 +93,29 @@ TEST(CudaEmitter, EveryRegisteredBoundaryRegionIsDriven) {
   EXPECT_EQ(src.find("compute_boundary_contribution(h)"), std::string::npos);
 }
 
+// The CUDA kernel is the native TU with two changes: a __global__ entry that
+// takes the argument block by value, and the cell loop turned into one thread
+// per cell of the launch. Undoing both gives back the C++ TU byte for byte.
+TEST(CudaEmitter, KernelIsTheNativeTuWithAThreadPerCell) {
+  auto p = bte_like_problem();
+  const std::string cpp = p.generated_native_source();
+  std::string cuda = p.generated_cuda_source();
+  cuda.resize(cuda.find("// step_I: interior bulk on device"));
+  auto undo = [&cuda](const std::string& from, const std::string& to) {
+    const size_t at = cuda.find(from);
+    ASSERT_NE(at, std::string::npos) << from;
+    cuda.replace(at, from.size(), to);
+  };
+  undo("__global__ void step_I(const finch_kernel_args_v1 args) {\n"
+       "  const finch_kernel_args_v1* A = &args;\n",
+       "extern \"C\" void finch_kernel_v1(const finch_kernel_args_v1* A) {\n");
+  undo("  {  // one thread per cell of the launch\n"
+       "    const int64_t cell = A->cell_begin + (int64_t)blockIdx.x * blockDim.x + threadIdx.x;\n"
+       "    if (cell >= A->cell_end) return;\n",
+       "  for (int64_t cell = A->cell_begin; cell < A->cell_end; ++cell) {\n");
+  EXPECT_EQ(cuda, cpp + "\n");
+}
+
 TEST(IrPseudocode, ShowsLoopsTermsAndComments) {
   auto p = bte_like_problem();
   std::string ir = p.ir_pseudocode();
@@ -149,6 +126,53 @@ TEST(IrPseudocode, ShowsLoopsTermsAndComments) {
   EXPECT_NE(ir.find("source ="), std::string::npos);
   EXPECT_NE(ir.find("flux += "), std::string::npos);
   EXPECT_NE(ir.find("I_new = source + flux"), std::string::npos);
+}
+
+TEST(IrPseudocode, NestedLoopsFollowAssemblyOrder) {
+  auto p = bte_like_problem();
+  std::string ir = p.ir_pseudocode();
+  // Default order: cells outermost, then declared indices.
+  const size_t cells_pos = ir.find("for cell = 1:Ncells");
+  const size_t d_pos = ir.find("for d = 1:4");
+  const size_t b_pos = ir.find("for b = 1:3");
+  ASSERT_NE(cells_pos, std::string::npos);
+  ASSERT_NE(d_pos, std::string::npos);
+  ASSERT_NE(b_pos, std::string::npos);
+  EXPECT_LT(cells_pos, d_pos);
+  EXPECT_LT(d_pos, b_pos);
+}
+
+TEST(IrPseudocode, PermutedLoopOrderIsHonored) {
+  auto p = bte_like_problem();
+  p.assembly_loops({"b", "cells", "d"});
+  std::string ir = p.ir_pseudocode();
+  const size_t b_pos = ir.find("for b = 1:3");
+  const size_t cells_pos = ir.find("for cell = 1:Ncells");
+  const size_t d_pos = ir.find("for d = 1:4");
+  ASSERT_NE(b_pos, std::string::npos);
+  ASSERT_NE(cells_pos, std::string::npos);
+  ASSERT_NE(d_pos, std::string::npos);
+  EXPECT_LT(b_pos, cells_pos);
+  EXPECT_LT(cells_pos, d_pos);
+}
+
+// "Comment nodes to facilitate generation of easily readable code" (§II.A):
+// all four, at their anchors.
+TEST(IrPseudocode, CommentNodesAppearInOutput) {
+  auto p = bte_like_problem();
+  std::string ir = p.ir_pseudocode();
+  const size_t prologue = ir.find("# update of I via explicit FV step");
+  const size_t volume = ir.find("# RHS volume integrand");
+  const size_t surface = ir.find("# RHS surface integrand");
+  const size_t update = ir.find("# combine: u_new = rhs_volume");
+  ASSERT_NE(prologue, std::string::npos);
+  ASSERT_NE(volume, std::string::npos);
+  ASSERT_NE(surface, std::string::npos);
+  ASSERT_NE(update, std::string::npos);
+  EXPECT_LT(prologue, volume);
+  EXPECT_LT(volume, ir.find("source ="));
+  EXPECT_LT(surface, ir.find("flux = 0"));
+  EXPECT_LT(update, ir.find("I_new ="));
 }
 
 TEST(IrPseudocode, VolumeOnlyEquationHasNoFluxLoop) {
@@ -162,3 +186,154 @@ TEST(IrPseudocode, VolumeOnlyEquationHasNoFluxLoop) {
   EXPECT_EQ(ir.find("flux"), std::string::npos);
   EXPECT_NE(ir.find("u_new = source"), std::string::npos);
 }
+
+// ---- the printed CUDA kernel, run ---------------------------------------------
+
+namespace {
+
+double counter(const char* name) { return rt::MetricsRegistry::global().counter(name).value(); }
+
+bool bits_equal(const fvm::CellField& a, const fvm::CellField& b) {
+  return a.data().size() == b.data().size() &&
+         std::memcmp(a.data().data(), b.data().data(), a.data().size() * sizeof(double)) == 0;
+}
+
+fs::path shared_object_in(const std::string& dir) {
+  fs::path found;
+  for (const auto& ent : fs::directory_iterator(dir))
+    if (ent.path().extension() == ".so") found = ent.path();
+  return found;
+}
+
+// What lets the system compiler build the printed CUDA kernel: __global__
+// goes, and the launch's block and thread indices are thread-local variables
+// that the launcher drives.
+constexpr const char* kShimHead =
+    "#define __global__\n"
+    "struct finch_uint3 { unsigned x; };\n"
+    "static thread_local finch_uint3 blockIdx, blockDim, threadIdx;\n";
+
+// The v1 entry the JIT loads: one launch of `kernel` over [cell_begin,
+// cell_end), 32 threads a block, the last block partly past the end.
+std::string launcher(const std::string& kernel) {
+  return "extern \"C\" void finch_kernel_v1(const finch_kernel_args_v1* A) {\n"
+         "  blockDim.x = 32;\n"
+         "  for (blockIdx.x = 0; A->cell_begin + (int64_t)blockIdx.x * blockDim.x < A->cell_end; ++blockIdx.x)\n"
+         "    for (threadIdx.x = 0; threadIdx.x < blockDim.x; ++threadIdx.x) " +
+         kernel + "(*A);\n}\n";
+}
+
+class CudaDialect : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    codegen::reset_jit_config_from_env();
+    if (!codegen::native_backend_available()) GTEST_SKIP() << "no JIT compiler";
+    const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
+    cache_dir_ = ::testing::TempDir() + "finch_jit_" + info->name();
+    fs::remove_all(cache_dir_);
+    fs::remove_all(cache_dir_ + "_cuda");
+    codegen::jit_config().cache_dir = cache_dir_;
+    codegen::reset_native_memory_cache();
+  }
+  void TearDown() override {
+    codegen::reset_jit_config_from_env();
+    fs::remove_all(cache_dir_);
+    fs::remove_all(cache_dir_ + "_cuda");
+  }
+
+  // Builds `problem(backend)`'s printed CUDA kernel with the shim through
+  // load_native_plan and plants it in the kernel cache under the C++ TU's
+  // entry. Then a native solve loads and runs it on every sweep, and must
+  // end bitwise equal to a VM solve with its first-sweep verify clean.
+  template <class MakeProblem>
+  void expect_printed_cuda_matches_the_vm(MakeProblem problem, int steps) {
+    const std::string printed = problem("native")->problem().generated_cuda_source();
+    const size_t driver = printed.find("// step_I: interior bulk on device");
+    ASSERT_NE(driver, std::string::npos);
+    codegen::NativePlan cuda;
+    cuda.source = kShimHead + printed.substr(0, driver) + launcher("step_I");
+    codegen::jit_config().cache_dir = cache_dir_ + "_cuda";
+    std::string err;
+    ASSERT_TRUE(codegen::load_native_plan(cuda, &err)) << err;
+    codegen::jit_config().cache_dir = cache_dir_;
+
+    (void)problem("native")->compile(dsl::Target::CpuSerial);  // publishes the C++ TU's entry
+    const fs::path entry = shared_object_in(cache_dir_);
+    ASSERT_FALSE(entry.empty());
+    // Copy, then rename over the entry: a new inode, so the dynamic linker
+    // cannot hand back the mapping of the kernel compiled above.
+    const fs::path planted = entry.string() + ".planted";
+    fs::copy_file(shared_object_in(cache_dir_ + "_cuda"), planted);
+    fs::rename(planted, entry);
+    codegen::reset_native_memory_cache();
+
+    const double disk0 = counter("jit.cache.hit_disk"), mismatch0 = counter("jit.verify.mismatch");
+    const double fb0 = counter("jit.fallback"), sweeps0 = counter("jit.verify.sweeps");
+    const double batches0 = counter("jit.exec.batches"), general0 = counter("jit.exec.general_cells");
+    auto pv = problem("vm");
+    auto pn = problem("native");
+    pv->compile(dsl::Target::CpuSerial)->run(steps);
+    auto sn = pn->compile(dsl::Target::CpuSerial);
+    EXPECT_EQ(counter("jit.cache.hit_disk"), disk0 + 1);
+    sn->run(steps);
+    EXPECT_EQ(counter("jit.fallback"), fb0);
+    EXPECT_EQ(counter("jit.verify.sweeps"), sweeps0 + 1);
+    EXPECT_EQ(counter("jit.verify.mismatch"), mismatch0);
+    EXPECT_EQ(counter("jit.exec.batches"), batches0 + steps);
+    // Both bodies ran: some cells are general, not all.
+    const double general = (counter("jit.exec.general_cells") - general0) / steps;
+    EXPECT_GT(general, 0.0);
+    EXPECT_LT(general, pn->problem().mesh().num_cells());
+    for (const char* f : {"I", "G", "T", "Io", "beta"})
+      EXPECT_TRUE(bits_equal(pv->problem().fields().get(f), pn->problem().fields().get(f))) << f;
+  }
+
+  std::string cache_dir_;
+};
+
+// The spectral hot spot with a value BC on the cold wall: interior cells and
+// the cold wall's inner cells run the fused body, the rest (flux walls, and
+// corners with a value and a flux face) the general one.
+TEST_F(CudaDialect, PrintedKernelMatchesTheVmOnTheHotSpot) {
+  auto phys = std::make_shared<const bte::BtePhysics>(6, 8);
+  expect_printed_cuda_matches_the_vm(
+      [phys](const char* backend) {
+        bte::BteScenario s;
+        s.nx = 12;
+        s.ny = 10;
+        s.lx = s.ly = 50e-6;
+        s.hot_w = 20e-6;
+        s.ndirs = 8;
+        s.nbands = 6;
+        s.backend = backend;
+        auto bp = std::make_unique<bte::BteProblem>(s, phys);
+        bp->problem().boundary("I", 1, dsl::BcType::Value, "half_of_the_cell",
+                               [](const fvm::BoundaryContext& ctx, std::span<double> out) {
+                                 for (size_t k = 0; k < out.size(); ++k)
+                                   out[k] = 0.5 * ctx.field->at(ctx.cell, static_cast<int32_t>(k));
+                               });
+        return bp;
+      },
+      3);
+}
+
+// The 3-D hex BTE (K = 6) with a flux BC on every wall.
+TEST_F(CudaDialect, PrintedKernelMatchesTheVmOnThe3dHexBte) {
+  auto phys = std::make_shared<const bte::BtePhysics>(4, 2, 4);
+  expect_printed_cuda_matches_the_vm(
+      [phys](const char* backend) {
+        bte::Bte3dScenario s;
+        s.nx = s.ny = s.nz = 5;
+        s.lx = s.ly = s.lz = 25e-6;
+        s.hot_w = 10e-6;
+        s.n_polar = 2;
+        s.n_azimuth = 4;
+        s.nbands = 4;
+        auto bp = std::make_unique<bte::BteProblem3d>(s, phys);
+        bp->problem().execution_backend(dsl::backend_from_string(backend));
+        return bp;
+      },
+      3);
+}
+
+}  // namespace
