@@ -40,9 +40,9 @@ int main(int argc, char** argv) {
     m.trace_track = track++;
     m.trace_label = "band-parallel p=" + std::to_string(p);
     const ScalingPoint pt = model_band_parallel(w, c, m, p);
-    const double si = 100 * pt.intensity / pt.total;
-    const double st = 100 * pt.temperature / pt.total;
-    const double sc = 100 * pt.communication / pt.total;
+    const double si = 100 * pt.phases.compute / pt.total;
+    const double st = 100 * pt.phases.post_process / pt.total;
+    const double sc = 100 * pt.phases.communication / pt.total;
     std::printf("%8d %11.1f%% %13.1f%% %13.1f%%\n", p, si, st, sc);
     if (p == 1) share1 = si;
     if (p == 55) share55 = si;
@@ -52,12 +52,12 @@ int main(int argc, char** argv) {
     double span_total = 0;
     for (const auto& [name, s] : spans) span_total += s;
     spans_ok = spans_ok && bench::within_pct(spans.count("compute") ? spans.at("compute") : 0.0,
-                                      pt.intensity, 1.0);
+                                      pt.phases.compute, 1.0);
     spans_ok = spans_ok && bench::within_pct(spans.count("post_process") ? spans.at("post_process") : 0.0,
-                                      pt.temperature, 1.0);
+                                      pt.phases.post_process, 1.0);
     spans_ok = spans_ok &&
                bench::within_pct(spans.count("communication") ? spans.at("communication") : 0.0,
-                          pt.communication, 1.0);
+                          pt.phases.communication, 1.0);
     spans_ok = spans_ok && bench::within_pct(span_total, pt.total, 1.0);
 
     json.begin_row();

@@ -38,9 +38,9 @@ int main(int argc, char** argv) {
     m.trace_track = track++;
     m.trace_label = "gpu d=" + std::to_string(p);
     const ScalingPoint pt = model_gpu(w, c, m, p);
-    const double si = 100 * pt.intensity / pt.total;
-    const double st = 100 * pt.temperature / pt.total;
-    const double sc = 100 * pt.communication / pt.total;
+    const double si = 100 * pt.phases.compute / pt.total;
+    const double st = 100 * pt.phases.post_process / pt.total;
+    const double sc = 100 * pt.phases.communication / pt.total;
     std::printf("%8d %13.1f%% %17.1f%% %21.1f%%\n", p, si, st, sc);
     if (p == 4) {
       temp_share_4 = st;
@@ -51,12 +51,12 @@ int main(int argc, char** argv) {
     double span_total = 0;
     for (const auto& [name, s] : spans) span_total += s;
     spans_ok = spans_ok && bench::within_pct(spans.count("compute") ? spans.at("compute") : 0.0,
-                                      pt.intensity, 1.0);
+                                      pt.phases.compute, 1.0);
     spans_ok = spans_ok && bench::within_pct(spans.count("post_process") ? spans.at("post_process") : 0.0,
-                                      pt.temperature, 1.0);
+                                      pt.phases.post_process, 1.0);
     spans_ok = spans_ok &&
                bench::within_pct(spans.count("communication") ? spans.at("communication") : 0.0,
-                          pt.communication, 1.0);
+                          pt.phases.communication, 1.0);
     spans_ok = spans_ok && bench::within_pct(span_total, pt.total, 1.0);
 
     json.begin_row();
@@ -74,7 +74,7 @@ int main(int argc, char** argv) {
   mcpu.trace_track = track++;
   mcpu.trace_label = "band-parallel p=4 (comparison)";
   const ScalingPoint cpu4 = model_band_parallel(w, c, mcpu, 4);
-  const double cpu_temp_share_4 = 100 * cpu4.temperature / cpu4.total;
+  const double cpu_temp_share_4 = 100 * cpu4.phases.post_process / cpu4.total;
   std::printf("\ntemperature-update share at 4 partitions: GPU version %.1f%% vs CPU version %.1f%%\n",
               temp_share_4, cpu_temp_share_4);
   bench::check(temp_share_4 > 2 * cpu_temp_share_4,

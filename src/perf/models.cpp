@@ -73,13 +73,7 @@ Workload Workload::from_scenario(const bte::BteScenario& s) {
 namespace {
 
 ScalingPoint finish(rt::BspSimulator& sim, int procs) {
-  ScalingPoint pt;
-  pt.procs = procs;
-  pt.total = sim.elapsed();
-  pt.intensity = sim.phases().compute;
-  pt.temperature = sim.phases().post_process;
-  pt.communication = sim.phases().communication;
-  return pt;
+  return ScalingPoint{procs, sim.elapsed(), sim.phases()};
 }
 
 // Temperature update with a serial (unparallelized) fraction.

@@ -49,10 +49,8 @@ struct Workload {
 
 struct ScalingPoint {
   int procs = 1;
-  double total = 0;         // seconds for `steps` steps
-  double intensity = 0;     // "solve for intensity"
-  double temperature = 0;   // "temperature update"
-  double communication = 0;
+  double total = 0;         // seconds for `steps` steps: the BSP clock's elapsed time
+  rt::PhaseTimes phases;    // the breakdown, in every solver's phase vocabulary
 };
 
 struct ModelConfig {

@@ -67,17 +67,17 @@ TEST(PerfModel, CellParallelHasHigherCommunication) {
   Ctx s;
   auto band = model_band_parallel(s.w, s.c, s.m, 40);
   auto cell = model_cell_parallel(s.w, s.c, s.m, 40);
-  EXPECT_GT(cell.communication, band.communication);
+  EXPECT_GT(cell.phases.communication, band.phases.communication);
 }
 
 TEST(PerfModel, IntensityDominatesBandParallelBreakdown) {
   // Fig. 5: intensity ~97% at small counts, shrinking but still dominant at 55.
   Ctx s;
   auto p1 = model_band_parallel(s.w, s.c, s.m, 1);
-  EXPECT_GT(p1.intensity / p1.total, 0.90);
+  EXPECT_GT(p1.phases.compute / p1.total, 0.90);
   auto p55 = model_band_parallel(s.w, s.c, s.m, 55);
-  EXPECT_GT(p55.intensity / p55.total, 0.5);
-  EXPECT_LT(p55.intensity / p55.total, 0.95);  // other phases grew visible
+  EXPECT_GT(p55.phases.compute / p55.total, 0.5);
+  EXPECT_LT(p55.phases.compute / p55.total, 0.95);  // other phases grew visible
 }
 
 TEST(PerfModel, FortranFasterSeriallyButScalesWorse) {
@@ -121,8 +121,8 @@ TEST(PerfModel, TemperatureUpdateDominatesGpuBreakdown) {
   Ctx s;
   auto cpu = model_band_parallel(s.w, s.c, s.m, 4);
   auto gpu = model_gpu(s.w, s.c, s.m, 4);
-  EXPECT_GT(gpu.temperature / gpu.total, 2.0 * (cpu.temperature / cpu.total));
-  EXPECT_GT(gpu.temperature / gpu.total, 0.3);
+  EXPECT_GT(gpu.phases.post_process / gpu.total, 2.0 * (cpu.phases.post_process / cpu.total));
+  EXPECT_GT(gpu.phases.post_process / gpu.total, 0.3);
 }
 
 TEST(PerfModel, GpuCommunicationVisibleButNotDominant) {
@@ -130,8 +130,8 @@ TEST(PerfModel, GpuCommunicationVisibleButNotDominant) {
   // very significant portion of the time".
   Ctx s;
   auto gpu = model_gpu(s.w, s.c, s.m, 1);
-  EXPECT_GT(gpu.communication, 0.0);
-  EXPECT_LT(gpu.communication / gpu.total, 0.35);
+  EXPECT_GT(gpu.phases.communication, 0.0);
+  EXPECT_LT(gpu.phases.communication / gpu.total, 0.35);
 }
 
 TEST(PerfModel, GpuProfileMatchesPaperTableShape) {
