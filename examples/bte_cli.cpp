@@ -99,7 +99,7 @@ void usage() {
       "  --dirs N --bands N                angular / spectral discretization\n"
       "  --steps N --dt SECONDS            time integration\n"
       "  --solver dsl|direct|gpu|multigpu|cellpart|bandpart\n"
-      "  --backend vm|native|auto          kernel backend for the dsl solver:\n"
+      "  --backend vm|native|auto          kernel backend for the dsl and gpu solvers:\n"
       "                                    bytecode VM, JIT-compiled native kernels,\n"
       "                                    or native-when-available (default: the\n"
       "                                    FINCH_BACKEND env var, else vm)\n"
