@@ -2,9 +2,8 @@
 //
 // tools/check_docs.sh diffs this output against the commented listing embedded
 // in CODEGEN.md §7 (between the BEGIN/END GENERATED markers), so the doc can
-// never drift from the live emitter — the same golden discipline
-// source_emitter_test.cpp applies to emit_cpp_source. Run with --fix via the
-// script to regenerate the block in place.
+// never drift from the live emitter; the text is the TU every target runs.
+// Run with --fix via the script to regenerate the block in place.
 
 #include <cstdio>
 #include <string>
