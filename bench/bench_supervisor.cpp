@@ -262,8 +262,9 @@ int main(int argc, char** argv) {
     check(killed, "child scheduler died by SIGKILL inside a generation-commit window");
 
     int terminal_before = 0;
+    const auto last = svc::JobJournal::latest(opt.supervisor.durable_root);
     for (const svc::JobSpec& j : jobs)
-      if (svc::file_exists(opt.supervisor.durable_root + "/" + j.id + "/terminal.json"))
+      if (const auto it = last.find(j.id); it != last.end() && it->second.kind == 'T')
         ++terminal_before;
 
     svc::Scheduler restarted(base, opt);

@@ -47,6 +47,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <map>
 #include <memory>
 #include <optional>
 #include <set>
@@ -244,17 +245,18 @@ int exit_code_for(svc::TerminalState s) {
   }
 }
 
-// A re-run of the same command skips jobs that already reached a terminal
-// state instead of re-executing (or double-submitting) them.
+// A re-run of the same command skips jobs whose last journal record is
+// terminal instead of re-executing (or double-submitting) them.
 void skip_already_terminal(const Options& o, const std::vector<svc::JobSpec>& jobs,
                            std::set<std::string>& skip, int& worst) {
+  const std::map<std::string, svc::JournalRecord> last = svc::JobJournal::latest(o.durable);
   for (const svc::JobSpec& j : jobs) {
-    const std::string tpath = o.durable + "/" + j.id + "/terminal.json";
-    if (skip.count(j.id) != 0 || !svc::file_exists(tpath)) continue;
+    const auto it = last.find(j.id);
+    if (skip.count(j.id) != 0 || it == last.end() || it->second.kind != 'T') continue;
     svc::TerminalState st = svc::TerminalState::Pending;
     std::string detail;
     try {
-      svc::terminal_from_json(svc::read_text_file(tpath), &st, &detail);
+      svc::terminal_from_json(it->second.body, &st, &detail);
     } catch (const std::exception& e) {
       std::fprintf(stderr, "job %s: damaged terminal record (%s), re-running\n", j.id.c_str(),
                    e.what());

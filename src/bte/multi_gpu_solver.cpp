@@ -77,6 +77,7 @@ void MultiGpuSolver::upload_coefficients(size_t p) {
 void MultiGpuSolver::step() {
   double comm = 0;
   dev_seconds_.assign(mirrors_.size(), 0.0);
+  kernel_seconds_.assign(mirrors_.size(), 0.0);
 
   for (size_t p = 0; p < mirrors_.size(); ++p) {
     BandLayout::Slice& s = layout_.slices[p];
@@ -113,19 +114,22 @@ void MultiGpuSolver::step() {
     else
       roundtrip_with_guard(p);
     comm = std::max(comm, gpu.counters().copy_seconds - copy_before);
+    kernel_seconds_[p] = kernel_seconds;
     dev_seconds_[p] = std::max(kernel_seconds, cpu_boundary);
   }
 
-  // Straggler defense: the detector sees the raw (pre-mitigation) per-device
-  // times — feeding it mitigated numbers would mask the straggler and make
-  // the chronic verdict flap. Speculation then duplicates the chronic
-  // straggler's shard on the least-loaded device: whichever copy finishes
-  // first wins (results are bit-identical — both ran the same sweep), so the
-  // step closes at min(victim, helper+shard). The helper's extra busy time is
-  // the speculation charge.
+  // Straggler defense: the detector sees each device's raw (pre-mitigation)
+  // modeled kernel time. Mitigated numbers would mask the straggler and make
+  // the chronic verdict flap, and the measured host boundary sweep would let
+  // host load hide a slow device; the compute charge still takes the max.
+  // Speculation then duplicates the chronic straggler's shard on the
+  // least-loaded device: whichever copy finishes first wins (results are
+  // bit-identical — both ran the same sweep), so the step closes at
+  // min(victim, helper+shard). The helper's extra busy time is the
+  // speculation charge.
   double spec_extra = 0.0;
   const bool strag = resilient_ && res_.straggler.enabled;
-  if (strag) detector_.observe(dev_seconds_);
+  if (strag) detector_.observe(kernel_seconds_);
   if (strag && res_.straggler.speculation && nparts_ > 1) {
     const int32_t victim = detector_.chronic_straggler();
     const int32_t helper = victim >= 0 ? detector_.least_loaded(victim) : -1;

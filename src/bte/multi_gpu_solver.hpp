@@ -103,8 +103,11 @@ class MultiGpuSolver : public DistributedEngine {
   std::vector<int32_t> interior_cells_, boundary_cells_;
   std::vector<double> host_back_, iob_scratch_;
   rt::PhaseLedger ledger_{"mgpu", /*track=*/100};
-  // Straggler defense: per-device step-time telemetry feeds the detector.
+  // Straggler defense: per-device modeled kernel times feed the detector;
+  // dev_seconds_ (kernel or host boundary sweep, whichever is longer) is
+  // the compute charge.
   rt::StragglerDetector detector_;
+  std::vector<double> kernel_seconds_;
   std::vector<double> dev_seconds_;
   std::vector<int32_t> repair_cells_;     // scratch: cell list of one block
   std::vector<double> sentinel_scratch_;  // recompute target for sentinels

@@ -112,10 +112,14 @@ void StepSolverBase::step() {
   time_ += p_.dt();
 }
 
-bool StepSolverBase::sweep_equation(size_t e, fvm::CellField& out, double dt_stage) {
-  fill_boundary(e);
-  report_guard(e, sweep(e, out, dt_stage, all_cells_));
-  return finish_stage(e, out, dt_stage);
+std::vector<char> StepSolverBase::sweep_stage(std::vector<fvm::CellField>& outs, double dt_stage) {
+  for (size_t e = 0; e < eqs_.size(); ++e) fill_boundary(e);
+  std::vector<char> fused(eqs_.size());
+  for (size_t e = 0; e < eqs_.size(); ++e) {
+    report_guard(e, sweep(e, outs[e], dt_stage, all_cells_));
+    fused[e] = finish_stage(e, outs[e], dt_stage);
+  }
+  return fused;
 }
 
 GuardTally StepSolverBase::sweep(size_t e, fvm::CellField& out, double dt_stage,
@@ -215,8 +219,7 @@ void StepSolverBase::run_kernel(size_t e, fvm::CellField& out, double dt_stage,
 }
 
 void StepSolverBase::euler_step() {
-  std::vector<char> fused(eqs_.size());
-  for (size_t e = 0; e < eqs_.size(); ++e) fused[e] = sweep_equation(e, scratch_[e], p_.dt());
+  const std::vector<char> fused = sweep_stage(scratch_, p_.dt());
   commit();
   for (size_t e = 0; e < eqs_.size(); ++e)
     if (!fused[e]) reduce(e);
@@ -230,9 +233,14 @@ void StepSolverBase::euler_step() {
 // into its own buffer and the update reads u_old from scratch.
 void StepSolverBase::rk2_step() {
   const double dt = p_.dt();
-  for (size_t e = 0; e < eqs_.size(); ++e) sweep_equation(e, scratch_[e], dt / 2);
+  const std::vector<char> fused = sweep_stage(scratch_, dt / 2);
   commit();  // fields now hold the midpoint state (BC callbacks see it too)
-  for (size_t e = 0; e < eqs_.size(); ++e) sweep_equation(e, stage_[e], dt);
+  // So do the declared sums: a kernel formed its sum of the midpoint in its
+  // sweep, and the post-pass forms the rest, so stage 2's callbacks read the
+  // same sums on every executor.
+  for (size_t e = 0; e < eqs_.size(); ++e)
+    if (!fused[e]) reduce(e);
+  sweep_stage(stage_, dt);
   for (size_t e = 0; e < eqs_.size(); ++e) {
     std::span<double> field = eqs_[e].field->data();       // midpoint state
     std::span<const double> y = stage_[e].data();          // E(mid, dt)

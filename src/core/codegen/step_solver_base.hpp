@@ -132,10 +132,12 @@ class StepSolverBase : public dsl::Solver {
   void step() override;
 
  protected:
-  // One whole-mesh stage of equation e for `dt_stage` into `out` (the
-  // equation's scratch field): fill_boundary(), sweep() over every cell,
-  // finish_stage(). Returns finish_stage()'s answer.
-  bool sweep_equation(size_t e, fvm::CellField& out, double dt_stage);
+  // One whole-mesh stage of every equation for `dt_stage` into `outs[e]`:
+  // fill_boundary() of every equation first, so each callback reads the
+  // state the stage starts from (an earlier equation's kernel writes its
+  // declared sum during its sweep), then per equation sweep() over every
+  // cell and finish_stage(). Returns finish_stage()'s answers.
+  std::vector<char> sweep_stage(std::vector<fvm::CellField>& outs, double dt_stage);
 
   // Calls each of equation e's boundary slots' callback once, from the
   // current fields, into its BcTable values. Runs on the solving thread

@@ -26,19 +26,108 @@ constexpr uint64_t kMagic = 0x46434e4b50543031ULL;  // "FCNKPT01"
 // failures name the damaged field instead of a bare image-level mismatch.
 // v3: a run-manifest section follows the fields, so a durable generation is
 // one self-contained file.
-constexpr uint32_t kVersion = 3;
+// v4: every section is whole words, and one word digest (digest_words) forms
+// both the field checksums and the trailer in one read of each payload.
+constexpr uint64_t kVersion = 4;
 
-void put_u64(std::vector<std::byte>& out, uint64_t v) {
-  for (int i = 0; i < 8; ++i) out.push_back(static_cast<std::byte>((v >> (8 * i)) & 0xff));
+// An odd multiplier: multiplying by it permutes the 64-bit states.
+constexpr uint64_t kWordMul = 0x9fb21c651e98df25ULL;
+
+// One digest step. For a fixed word each of xor, odd multiply and xor-shift
+// is a bijection of the state, and for a fixed state the xor is a bijection
+// of the word: a single changed word always changes every later state.
+inline uint64_t digest_step(uint64_t h, uint64_t word) {
+  h = (h ^ word) * kWordMul;
+  return h ^ (h >> 29);
 }
 
-uint64_t get_u64(std::span<const std::byte> bytes, size_t& off) {
-  if (off + 8 > bytes.size()) throw CheckpointError("checkpoint truncated");
+inline uint64_t load_word(const std::byte* p) {
+  uint64_t w;
+  std::memcpy(&w, p, sizeof w);
+  return w;
+}
+
+// Byte length rounded up to whole words: names and the manifest text are
+// zero-padded so every section starts on a word.
+constexpr size_t padded(size_t n) { return (n + 7) & ~size_t{7}; }
+
+void put_u64_at(std::byte* p, uint64_t v) {
+  for (int i = 0; i < 8; ++i) p[i] = static_cast<std::byte>((v >> (8 * i)) & 0xff);
+}
+
+uint64_t get_u64_at(const std::byte* p) {
   uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) v |= static_cast<uint64_t>(bytes[off + static_cast<size_t>(i)]) << (8 * i);
-  off += 8;
+  for (int i = 0; i < 8; ++i) v |= static_cast<uint64_t>(p[i]) << (8 * i);
   return v;
 }
+
+// Copies `n` words from `src` to `dst` and returns their digest (a field
+// checksum), continuing `image` over the same words: one read of each word
+// feeds both chains.
+uint64_t copy_words(const std::byte* src, std::byte* dst, size_t n, uint64_t& image) {
+  uint64_t field = kWordDigestSeed, img = image;
+  for (size_t i = 0; i < n; ++i) {
+    const uint64_t w = load_word(src + 8 * i);
+    std::memcpy(dst + 8 * i, &w, sizeof w);
+    field = digest_step(field, w);
+    img = digest_step(img, w);
+  }
+  image = img;
+  return field;
+}
+
+// Writes an image front to back into storage sized for it (and zeroed, which
+// is the padding). Every word written continues the trailer's chain `image`.
+struct ImageWriter {
+  std::byte* p;
+  uint64_t image = kWordDigestSeed;
+
+  void word(uint64_t v) {
+    put_u64_at(p, v);
+    image = digest_step(image, load_word(p));
+    p += 8;
+  }
+  void text(std::string_view s) {
+    if (!s.empty()) std::memcpy(p, s.data(), s.size());
+    image = digest_words(std::span<const std::byte>(p, padded(s.size())), image);
+    p += padded(s.size());
+  }
+  // Copies a payload and returns its field checksum.
+  uint64_t payload(std::span<const double> data) {
+    const uint64_t field =
+        copy_words(reinterpret_cast<const std::byte*>(data.data()), p, data.size(), image);
+    p += 8 * data.size();
+    return field;
+  }
+};
+
+// The reading side: the caller bounds-checks each section against left()
+// before taking it, so the damage is named where it sits.
+struct ImageReader {
+  std::span<const std::byte> bytes;
+  size_t off = 0;
+  uint64_t image = kWordDigestSeed;
+
+  size_t left() const { return bytes.size() - off; }
+  uint64_t word() {
+    const std::byte* p = bytes.data() + off;
+    image = digest_step(image, load_word(p));
+    off += 8;
+    return get_u64_at(p);
+  }
+  std::string_view text(size_t len) {
+    const std::string_view s(reinterpret_cast<const char*>(bytes.data() + off), len);
+    image = digest_words(bytes.subspan(off, padded(len)), image);
+    off += padded(len);
+    return s;
+  }
+  uint64_t payload(std::span<double> out) {
+    const uint64_t field = copy_words(bytes.data() + off, reinterpret_cast<std::byte*>(out.data()),
+                                      out.size(), image);
+    off += 8 * out.size();
+    return field;
+  }
+};
 
 }  // namespace
 
@@ -50,8 +139,19 @@ uint64_t fnv1a64(std::span<const std::byte> bytes, uint64_t h) {
   return h;
 }
 
+uint64_t digest_words(std::span<const std::byte> bytes, uint64_t h) {
+  const size_t whole = bytes.size() / 8;
+  for (size_t i = 0; i < whole; ++i) h = digest_step(h, load_word(bytes.data() + 8 * i));
+  if (const size_t rest = bytes.size() % 8; rest != 0) {
+    std::byte last[8] = {};
+    std::memcpy(last, bytes.data() + 8 * whole, rest);
+    h = digest_step(h, load_word(last));
+  }
+  return h;
+}
+
 uint64_t checksum_doubles(std::span<const double> data) {
-  return fnv1a64(std::as_bytes(data));
+  return digest_words(std::as_bytes(data));
 }
 
 bool all_finite(std::span<const double> data, size_t* first_bad) {
@@ -76,40 +176,44 @@ bool Snapshot::has(std::string_view name) const {
 }
 
 std::vector<std::byte> serialize(const Snapshot& snap, const RunManifest* manifest) {
-  std::vector<std::byte> out;
-  put_u64(out, kMagic);
-  put_u64(out, kVersion);
-  put_u64(out, static_cast<uint64_t>(snap.step));
-  put_u64(out, static_cast<uint64_t>(snap.fields.size()));
-  for (const auto& [name, data] : snap.fields) {
-    put_u64(out, static_cast<uint64_t>(name.size()));
-    for (char c : name) out.push_back(static_cast<std::byte>(c));
-    put_u64(out, static_cast<uint64_t>(data.size()));
-    const auto raw = std::as_bytes(std::span<const double>(data));
-    out.insert(out.end(), raw.begin(), raw.end());
-    put_u64(out, fnv1a64(raw));  // per-field checksum: names the damage on load
-  }
   const std::string text = manifest != nullptr ? manifest_to_json(*manifest) : std::string();
-  put_u64(out, static_cast<uint64_t>(text.size()));
-  for (char c : text) out.push_back(static_cast<std::byte>(c));
-  put_u64(out, fnv1a64(out));
+  size_t size = 8 * 4 + 8 + padded(text.size()) + 8;
+  for (const auto& [name, data] : snap.fields)
+    size += 8 * 3 + padded(name.size()) + 8 * data.size();
+  std::vector<std::byte> out(size);
+  ImageWriter w{out.data()};
+  w.word(kMagic);
+  w.word(kVersion);
+  w.word(static_cast<uint64_t>(snap.step));
+  w.word(static_cast<uint64_t>(snap.fields.size()));
+  for (const auto& [name, data] : snap.fields) {
+    w.word(static_cast<uint64_t>(name.size()));
+    w.text(name);
+    w.word(static_cast<uint64_t>(data.size()));
+    w.word(w.payload(data));  // per-field checksum: names the damage on load
+  }
+  w.word(static_cast<uint64_t>(text.size()));
+  w.text(text);
+  put_u64_at(w.p, w.image);
   return out;
 }
 
 Snapshot deserialize(std::span<const std::byte> bytes, RunManifest* manifest) {
   if (bytes.size() < 8 * 6) throw CheckpointError("checkpoint truncated (no complete header)");
 
-  size_t off = 0;
-  if (get_u64(bytes, off) != kMagic) throw CheckpointError("not a checkpoint image (bad magic)");
-  const uint64_t version = get_u64(bytes, off);
+  ImageReader r{bytes};
+  if (r.word() != kMagic) throw CheckpointError("not a checkpoint image (bad magic)");
+  const uint64_t version = r.word();
   if (version != kVersion)
     throw CheckpointError("unsupported checkpoint version " + std::to_string(version));
   Snapshot snap;
-  snap.step = static_cast<int64_t>(get_u64(bytes, off));
-  const uint64_t nfields = get_u64(bytes, off);
-  snap.fields.reserve(nfields);
-  // The structural walk runs before the trailing whole-image checksum so a
-  // torn or corrupted image names the field where the damage sits — "field 2
+  snap.step = static_cast<int64_t>(r.word());
+  const uint64_t nfields = r.word();
+  // A field takes at least three words, which bounds what a damaged count
+  // can make us reserve.
+  snap.fields.reserve(std::min<uint64_t>(nfields, r.left() / 24));
+  // The structural walk checks each field's checksum as it goes, so a torn
+  // or corrupted image names the field where the damage sits — "field 2
   // ('Io')" — instead of a bare mismatch; only header/metadata corruption the
   // walk cannot localize falls through to the trailing check.
   for (uint64_t f = 0; f < nfields; ++f) {
@@ -119,45 +223,41 @@ Snapshot deserialize(std::span<const std::byte> bytes, RunManifest* manifest) {
                        : "field " + std::to_string(f) + " ('" + name + "')";
       return CheckpointError("checkpoint " + what + " in " + label);
     };
-    if (off + 8 > bytes.size()) throw field_error("", "truncated (no name length)");
-    const uint64_t name_len = get_u64(bytes, off);
-    if (name_len > bytes.size() - off) throw field_error("", "truncated (name unreadable)");
-    std::string name(name_len, '\0');
-    std::memcpy(name.data(), bytes.data() + off, name_len);
-    off += name_len;
-    if (off + 8 > bytes.size()) throw field_error(name, "truncated (no element count)");
-    const uint64_t count = get_u64(bytes, off);
+    if (r.left() < 8) throw field_error("", "truncated (no name length)");
+    const uint64_t name_len = r.word();
+    if (name_len > r.left() || padded(name_len) > r.left())
+      throw field_error("", "truncated (name unreadable)");
+    std::string name(r.text(name_len));
+    if (r.left() < 8) throw field_error(name, "truncated (no element count)");
+    const uint64_t count = r.word();
     // Division avoids the count*8 overflow a hand-crafted header could use to
     // slip past the bound and read out of the buffer.
-    if (count > (bytes.size() - off) / sizeof(double))
+    if (count > r.left() / sizeof(double))
       throw field_error(name, "truncated (payload exceeds remaining bytes)");
     std::vector<double> data(count);
-    std::memcpy(data.data(), bytes.data() + off, count * sizeof(double));
-    const auto payload = bytes.subspan(off, count * sizeof(double));
-    off += count * sizeof(double);
-    if (off + 8 > bytes.size()) throw field_error(name, "truncated (no field checksum)");
-    if (get_u64(bytes, off) != fnv1a64(payload))
-      throw field_error(name, "checksum mismatch");
+    const uint64_t sum = r.payload(data);
+    if (r.left() < 8) throw field_error(name, "truncated (no field checksum)");
+    if (r.word() != sum) throw field_error(name, "checksum mismatch");
     snap.fields.emplace_back(std::move(name), std::move(data));
   }
-  if (off + 16 > bytes.size())
+  if (r.left() < 8)
     throw CheckpointError("checkpoint truncated after field " + std::to_string(nfields) +
-                          " (missing manifest length or trailing checksum)");
-  const uint64_t manifest_len = get_u64(bytes, off);
+                          " (missing manifest length)");
+  const uint64_t manifest_len = r.word();
   // The section must leave room for the trailing checksum.
-  if (manifest_len > bytes.size() - off - 8)
+  if (r.left() < 8 || manifest_len > r.left() - 8 || padded(manifest_len) > r.left() - 8)
     throw CheckpointError("checkpoint truncated in manifest section (length " +
                           std::to_string(manifest_len) + " overruns the image)");
+  const std::string_view text = r.text(manifest_len);
   if (manifest != nullptr) {
     if (manifest_len == 0) throw CheckpointError("checkpoint carries no run manifest");
     // The manifest text checks its own trailer, so damage to it is named
     // here rather than as a bare image mismatch.
-    *manifest = manifest_from_json(
-        std::string_view(reinterpret_cast<const char*>(bytes.data() + off), manifest_len));
+    *manifest = manifest_from_json(text);
   }
-  const uint64_t stored = fnv1a64(bytes.subspan(0, bytes.size() - 8));
-  size_t tail = bytes.size() - 8;
-  if (get_u64(bytes, tail) != stored)
+  // The trailer is the last word: anything else left over means a length
+  // before it was damaged.
+  if (r.left() != 8 || get_u64_at(bytes.data() + r.off) != r.image)
     throw CheckpointError("checkpoint checksum mismatch (header or metadata corrupted)");
   return snap;
 }
@@ -171,8 +271,7 @@ namespace {
 // file's data reached the disk. Directory fsync failures are best-effort
 // (some filesystems refuse directory fds) but never silent: each one bumps
 // `ckpt.dir_fsync_soft_fail` so a fleet quietly losing rename durability is
-// visible in the metrics dump. Every fsync issued counts in `ckpt.fsyncs`
-// and its wall time in `ckpt.fsync_seconds`.
+// visible in the metrics dump.
 void fsync_path(const std::string& path, bool directory) {
   const int fd = ::open(path.c_str(), directory ? (O_RDONLY | O_DIRECTORY) : O_RDONLY);
   if (fd < 0) {
@@ -180,14 +279,9 @@ void fsync_path(const std::string& path, bool directory) {
     MetricsRegistry::global().counter("ckpt.dir_fsync_soft_fail").add(1.0);
     return;
   }
-  static Counter& fsyncs = MetricsRegistry::global().counter("ckpt.fsyncs");
-  static Counter& fsync_seconds = MetricsRegistry::global().counter("ckpt.fsync_seconds");
-  const auto t0 = std::chrono::steady_clock::now();
-  const int rc = ::fsync(fd);
-  fsync_seconds.add(std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count());
-  fsyncs.add(1.0);
+  const bool ok = sync_fd(fd, /*data_only=*/false);
   ::close(fd);
-  if (rc != 0) {
+  if (!ok) {
     if (!directory) throw CheckpointError("fsync failed: " + path);
     MetricsRegistry::global().counter("ckpt.dir_fsync_soft_fail").add(1.0);
   }
@@ -235,6 +329,35 @@ std::vector<std::pair<int64_t, std::string>> list_generations(const std::string&
 }  // namespace
 
 void set_checkpoint_commit_hook(CommitHook hook) { g_commit_hook = std::move(hook); }
+
+bool sync_fd(int fd, bool data_only) {
+#ifdef FINCH_HAVE_FSYNC
+  static Counter& fsyncs = MetricsRegistry::global().counter("ckpt.fsyncs");
+  static Counter& fsync_seconds = MetricsRegistry::global().counter("ckpt.fsync_seconds");
+  const auto t0 = std::chrono::steady_clock::now();
+#if defined(__linux__)
+  const int rc = data_only ? ::fdatasync(fd) : ::fsync(fd);
+#else
+  (void)data_only;
+  const int rc = ::fsync(fd);
+#endif
+  fsync_seconds.add(std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count());
+  fsyncs.add(1.0);
+  return rc == 0;
+#else
+  (void)fd;
+  (void)data_only;
+  return true;
+#endif
+}
+
+void sync_directory(const std::string& path) {
+#ifdef FINCH_HAVE_FSYNC
+  fsync_path(path, /*directory=*/true);
+#else
+  (void)path;
+#endif
+}
 
 void write_bytes_atomic(const std::string& path, std::span<const std::byte> image) {
   static Counter& atomic_writes = MetricsRegistry::global().counter("ckpt.atomic_writes");

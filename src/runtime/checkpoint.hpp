@@ -3,23 +3,30 @@
 //
 // A Snapshot is an ordered list of named double arrays plus the step index it
 // was taken at. Serialization is a raw little-endian binary image with a
-// magic/version header, a per-field FNV-1a checksum after each field's
-// payload, an optional run-manifest section, and a trailing FNV-1a checksum
-// over everything before it, so a restore either reproduces the saved state
-// bit-for-bit or throws CheckpointError — silently restoring from a torn or
-// corrupted image is the one failure mode a resilience layer must never have.
-// The per-field checksums exist for diagnosis: a truncated or corrupted image
-// names the field (index and name) where the damage sits instead of a bare
-// "checksum mismatch", which is what separates "the file lost its tail" from
-// "field 2 ('Io') took a bit flip" in a post-mortem.
+// magic/version header, a per-field checksum after each field's payload, an
+// optional run-manifest section, and a trailing checksum over everything
+// before it, so a restore either reproduces the saved state bit-for-bit or
+// throws CheckpointError — silently restoring from a torn or corrupted image
+// is the one failure mode a resilience layer must never have. The per-field
+// checksums exist for diagnosis: a truncated or corrupted image names the
+// field (index and name) where the damage sits instead of a bare "checksum
+// mismatch", which is what separates "the file lost its tail" from "field 2
+// ('Io') took a bit flip" in a post-mortem.
 //
-// Image v3 layout (all integers u64):
+// Image v4 layout (all integers u64; every section is whole 8-byte words):
 //
 //   magic | version | step
-//   field count | per field: name length, name, element count, doubles, FNV
+//   field count | per field: name length, name (zero-padded to a word),
+//                            element count, doubles, field digest
 //   manifest length | manifest text (manifest_to_json, its own #fnv1a
-//                     trailer; length 0 when the image carries none)
-//   FNV over every byte before it
+//                     trailer; zero-padded to a word; length 0 when the
+//                     image carries none)
+//   trailer: digest of every word before it
+//
+// Both checksums are digest_words (one 64-bit step per word, below): a
+// field's digest covers its doubles, the trailer covers every word of the
+// image, and one read of each payload forms both. v2 and v3 images (the
+// byte-at-a-time FNV-1a layout) are refused by version.
 //
 // The manifest section is what makes a durable generation self-contained: the
 // run state a restarted process needs (config hash, solver, injector counters
@@ -66,9 +73,19 @@ class CheckpointError : public std::runtime_error {
 
 // Bitwise FNV-1a-64 over raw bytes: NaN payloads, signed zeros and
 // infinities all hash distinctly, so any corruption is visible. Passing the
-// previous hash as `h` chains several spans into one digest.
+// previous hash as `h` chains several spans into one digest. One step per
+// byte: the hash of text (manifest trailers, kernel-cache keys).
 inline constexpr uint64_t kFnv1aOffset = 0xcbf29ce484222325ULL;
 uint64_t fnv1a64(std::span<const std::byte> bytes, uint64_t h = kFnv1aOffset);
+
+// The bulk digest: one 64-bit step per 8-byte word (xor the word, multiply
+// by an odd constant, xor-shift), a trailing partial word zero-padded. For a
+// fixed word every step permutes the state, so a single changed word always
+// changes the digest. Passing the previous digest as `h` chains spans.
+// checksum_doubles — the checkpoint field checksum and the multi-GPU
+// transfer guard — is this digest over the doubles' bits.
+inline constexpr uint64_t kWordDigestSeed = 0x6a09e667f3bcc909ULL;
+uint64_t digest_words(std::span<const std::byte> bytes, uint64_t h = kWordDigestSeed);
 uint64_t checksum_doubles(std::span<const double> data);
 
 // Scans for NaN/Inf; reports the first offending index through `first_bad`.
@@ -106,11 +123,23 @@ struct CheckpointPolicy {
 // atomically rename over the destination, fsync the parent directory. A crash
 // at any point leaves either the previous complete file or the new one at
 // `path` — never a torn or missing one. Shared by checkpoint generations and
-// the job service's records. Each call counts in `ckpt.atomic_writes`, each
-// fsync (data and directory) in `ckpt.fsyncs` and `ckpt.fsync_seconds`.
+// the job service's quarantine repros. Each call counts in
+// `ckpt.atomic_writes`, each fsync (data and directory) in `ckpt.fsyncs` and
+// `ckpt.fsync_seconds`.
 void write_bytes_atomic(const std::string& path, std::span<const std::byte> image);
 // Whole-file read; throws CheckpointError when the file cannot be opened.
 std::vector<std::byte> read_bytes_file(const std::string& path);
+
+// The one counted fsync: flushes open file `fd` to stable storage
+// (fdatasync where the platform has it when `data_only`), adding one to
+// `ckpt.fsyncs` and its wall time to `ckpt.fsync_seconds`. Returns false
+// when the sync failed. write_bytes_atomic and the job journal's group
+// commit both go through it.
+bool sync_fd(int fd, bool data_only);
+// fsync of directory `path`, which makes entries created in it durable.
+// Best effort like write_bytes_atomic's: a directory that cannot be synced
+// bumps `ckpt.dir_fsync_soft_fail`.
+void sync_directory(const std::string& path);
 
 // Hook into the atomic-write commit protocol, for the crash harness: invoked
 // once after the `.tmp` sibling is written+fsynced (rename still pending) and

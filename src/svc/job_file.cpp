@@ -1,11 +1,16 @@
 #include "job_file.hpp"
 
+#include <algorithm>
+#include <cerrno>
 #include <cstddef>
+#include <cstdio>
+#include <fcntl.h>
 #include <fstream>
 #include <span>
 #include <sstream>
 #include <stdexcept>
 #include <sys/stat.h>
+#include <unistd.h>
 
 #include "runtime/checkpoint.hpp"
 #include "runtime/json_util.hpp"
@@ -198,9 +203,14 @@ std::vector<JobSpec> jobs_from_json(std::string_view json) {
 std::string terminal_to_json(TerminalState state, const std::string& detail) {
   std::ostringstream os;
   os << "{\"state\":\"" << terminal_state_name(state) << "\",\"detail\":\"";
-  // Details are free text (exception messages); strip the two characters the
-  // escape-free cursor cannot carry rather than producing an unreadable file.
-  for (char ch : detail) os << ((ch == '"' || ch == '\\') ? '\'' : ch);
+  // Details are free text (exception messages); replace the characters the
+  // escape-free cursor and a one-line record cannot carry rather than
+  // producing an unreadable record.
+  for (char ch : detail) {
+    if (ch == '"' || ch == '\\') ch = '\'';
+    if (ch == '\n' || ch == '\r') ch = ' ';
+    os << ch;
+  }
   os << "\"}";
   return os.str();
 }
@@ -242,6 +252,179 @@ std::string read_text_file(const std::string& path) {
 bool file_exists(const std::string& path) {
   struct stat st{};
   return ::stat(path.c_str(), &st) == 0;
+}
+
+// ---- the record journal ------------------------------------------------------
+
+namespace {
+
+constexpr std::string_view kTrailer = " #fnv1a:";
+constexpr size_t kTrailerLen = kTrailer.size() + 16;
+
+uint64_t text_hash(std::string_view text) {
+  return rt::fnv1a64(std::as_bytes(std::span<const char>(text.data(), text.size())));
+}
+
+// One record line: `<kind> <id> <body> #fnv1a:<hex>` over what precedes the
+// trailer.
+std::string record_line(char kind, const std::string& id, const std::string& body) {
+  std::string line;
+  line.reserve(id.size() + body.size() + 3 + kTrailerLen + 1);
+  line.push_back(kind);
+  line.push_back(' ');
+  line += id;
+  line.push_back(' ');
+  line += body;
+  char hex[17];
+  std::snprintf(hex, sizeof hex, "%016llx", static_cast<unsigned long long>(text_hash(line)));
+  line += kTrailer;
+  line += hex;
+  line.push_back('\n');
+  return line;
+}
+
+// Parses one line (without its newline); false when it is not a whole,
+// checksum-valid record.
+bool parse_record(std::string_view line, JournalRecord* out) {
+  if (line.size() < 4 + kTrailerLen) return false;
+  const std::string_view text = line.substr(0, line.size() - kTrailerLen);
+  const std::string_view trailer = line.substr(text.size());
+  if (!trailer.starts_with(kTrailer)) return false;
+  uint64_t stored = 0;
+  for (char ch : trailer.substr(kTrailer.size())) {
+    uint64_t nibble;
+    if (ch >= '0' && ch <= '9') nibble = static_cast<uint64_t>(ch - '0');
+    else if (ch >= 'a' && ch <= 'f') nibble = static_cast<uint64_t>(ch - 'a' + 10);
+    else return false;
+    stored = (stored << 4) | nibble;
+  }
+  if (stored != text_hash(text)) return false;
+  if ((text[0] != 'A' && text[0] != 'T') || text[1] != ' ') return false;
+  const size_t space = text.find(' ', 2);
+  if (space == std::string_view::npos || space == 2) return false;
+  out->kind = text[0];
+  out->id = std::string(text.substr(2, space - 2));
+  out->body = std::string(text.substr(space + 1));
+  return true;
+}
+
+void write_all(int fd, std::string_view bytes, const std::string& path) {
+  while (!bytes.empty()) {
+    const ssize_t n = ::write(fd, bytes.data(), bytes.size());
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) throw std::runtime_error("cannot append to " + path);
+    bytes.remove_prefix(static_cast<size_t>(n));
+  }
+}
+
+// Length of `fd`'s bytes up to and including the last newline: what remains
+// once a torn tail is cut away.
+off_t complete_length(int fd, const std::string& path) {
+  char buf[4096];
+  off_t end = ::lseek(fd, 0, SEEK_END);
+  if (end < 0) throw std::runtime_error("cannot size " + path);
+  while (end > 0) {
+    const off_t from = std::max<off_t>(0, end - static_cast<off_t>(sizeof buf));
+    const ssize_t n = ::pread(fd, buf, static_cast<size_t>(end - from), from);
+    if (n != end - from) throw std::runtime_error("cannot read " + path);
+    for (ssize_t i = n; i > 0; --i)
+      if (buf[i - 1] == '\n') return from + i;
+    end = from;
+  }
+  return 0;
+}
+
+}  // namespace
+
+JobJournal::JobJournal(std::string root) : root_(std::move(root)) {}
+
+JobJournal::~JobJournal() {
+  if (fd_ >= 0) ::close(fd_);
+}
+
+void JobJournal::append_admission(const JobSpec& spec) { append('A', spec.id, job_to_json(spec)); }
+
+void JobJournal::append_terminal(const std::string& id, TerminalState state,
+                                 const std::string& detail) {
+  append('T', id, terminal_to_json(state, detail));
+}
+
+void JobJournal::append(char kind, const std::string& id, const std::string& body) {
+  const std::string path = root_ + "/" + kFileName;
+  if (fd_ < 0) {
+    fd_ = ::open(path.c_str(), O_RDWR | O_APPEND | O_CREAT | O_EXCL | O_CLOEXEC, 0644);
+    if (fd_ >= 0) {
+      new_entry_ = true;
+    } else if (errno == EEXIST) {
+      fd_ = ::open(path.c_str(), O_RDWR | O_APPEND | O_CLOEXEC);
+      if (fd_ < 0) throw std::runtime_error("cannot open " + path);
+      const off_t size = ::lseek(fd_, 0, SEEK_END);
+      const off_t keep = complete_length(fd_, path);
+      if (keep != size) {
+        if (::ftruncate(fd_, keep) != 0) throw std::runtime_error("cannot truncate " + path);
+        dirty_ = true;
+      }
+    } else {
+      throw std::runtime_error("cannot create " + path);
+    }
+  }
+  write_all(fd_, record_line(kind, id, body), path);
+  dirty_ = true;
+}
+
+void JobJournal::sync() {
+  if (!dirty_) return;
+  if (!rt::sync_fd(fd_, /*data_only=*/true))
+    throw rt::CheckpointError("cannot sync " + root_ + "/" + kFileName);
+  dirty_ = false;
+  if (new_entry_) {
+    rt::sync_directory(root_);
+    new_entry_ = false;
+  }
+}
+
+namespace {
+
+// Calls `visit` with each valid record of `root`'s journal in file order and
+// returns the number of lines skipped. One read of the file; no journal
+// holds no records.
+template <class Visit>
+int scan_journal(const std::string& root, Visit&& visit) {
+  const std::string path = root + "/" + JobJournal::kFileName;
+  if (!file_exists(path)) return 0;
+  const std::vector<std::byte> bytes = rt::read_bytes_file(path);
+  const std::string_view text(reinterpret_cast<const char*>(bytes.data()), bytes.size());
+  int bad = 0;
+  for (size_t at = 0; at < text.size();) {
+    size_t nl = text.find('\n', at);
+    if (nl == std::string::npos) nl = text.size();  // a torn last line
+    JournalRecord r;
+    if (parse_record(text.substr(at, nl - at), &r))
+      visit(std::move(r));
+    else
+      ++bad;
+    at = nl + 1;
+  }
+  return bad;
+}
+
+}  // namespace
+
+std::vector<JournalRecord> JobJournal::read(const std::string& root, int* damaged) {
+  std::vector<JournalRecord> records;
+  const int bad = scan_journal(root, [&](JournalRecord&& r) { records.push_back(std::move(r)); });
+  if (damaged != nullptr) *damaged = bad;
+  return records;
+}
+
+std::map<std::string, JournalRecord> JobJournal::latest(const std::string& root, int* damaged) {
+  std::map<std::string, JournalRecord> last;
+  const int bad = scan_journal(root, [&](JournalRecord&& r) {
+    std::string id = r.id;
+    last[std::move(id)] = std::move(r);
+  });
+  if (damaged != nullptr) *damaged = bad;
+  return last;
 }
 
 }  // namespace finch::svc

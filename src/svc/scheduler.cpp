@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <deque>
-#include <dirent.h>
 #include <limits>
 #include <optional>
 #include <set>
@@ -41,6 +40,13 @@ void mkdir_p(const std::string& path) {
 // known solver names, positive nsteps, faults that can be armed).
 void validate_spec(const JobSpec& spec) {
   if (spec.id.empty()) throw std::invalid_argument("job id must not be empty");
+  // The id names the job's directory and is one word of its journal records.
+  const bool one_word = std::all_of(spec.id.begin(), spec.id.end(), [](char ch) {
+    return ch > ' ' && ch < 0x7f && ch != '/' && ch != '"' && ch != '\\';
+  });
+  if (!one_word || spec.id == "." || spec.id == "..")
+    throw std::invalid_argument("job id '" + spec.id +
+                                "' must be printable, without spaces, quotes, backslashes or '/'");
   if (spec.nsteps <= 0) throw std::invalid_argument("job '" + spec.id + "' has nsteps <= 0");
   for (const rt::ChaosFault& f : spec.faults)
     if (const std::string err = rt::fault_error(f); !err.empty())
@@ -53,38 +59,6 @@ void validate_spec(const JobSpec& spec) {
       throw std::invalid_argument("job '" + spec.id + "' fallback names unknown solver '" +
                                   f.solver + "'");
   }
-}
-
-// Deterministic (sorted) scan of `durable_root` for job directories with a
-// spec but no terminal record; ids in `skip` are ignored.
-std::vector<JobSpec> scan_orphans(const std::string& durable_root,
-                                  const std::set<std::string>& skip) {
-  std::vector<JobSpec> orphans;
-  if (durable_root.empty()) return orphans;
-  DIR* d = ::opendir(durable_root.c_str());
-  if (d == nullptr) return orphans;
-  std::vector<std::string> names;
-  while (dirent* e = ::readdir(d)) {
-    const std::string name = e->d_name;
-    if (name == "." || name == "..") continue;
-    names.push_back(name);
-  }
-  ::closedir(d);
-  std::sort(names.begin(), names.end());  // deterministic adoption order
-  for (const std::string& name : names) {
-    if (skip.count(name)) continue;
-    const std::string dir = durable_root + "/" + name;
-    if (!file_exists(dir + "/job.json") || file_exists(dir + "/terminal.json")) continue;
-    JobSpec spec;
-    try {
-      spec = job_from_json(read_text_file(dir + "/job.json"));
-    } catch (const std::exception&) {
-      continue;  // damaged spec: leave for inspection, do not adopt
-    }
-    if (spec.id != name) continue;
-    orphans.push_back(std::move(spec));
-  }
-  return orphans;
 }
 
 }  // namespace
@@ -372,7 +346,11 @@ struct Scheduler::RetryEvent {
 Scheduler::Scheduler(const bte::BteScenario& base, SchedulerOptions options)
     : options_(std::move(options)), engine_(base, &options_.supervisor) {
   validate_scheduler_options(options_);
-  if (!options_.supervisor.durable_root.empty()) mkdir_p(options_.supervisor.durable_root);
+  const std::string& root = options_.supervisor.durable_root;
+  if (!root.empty()) {
+    mkdir_p(root);
+    journal_ = std::make_unique<JobJournal>(root);
+  }
 }
 
 Scheduler::~Scheduler() = default;
@@ -399,16 +377,31 @@ double Scheduler::predicted_cost(const JobSpec& spec, int rung) {
 
 std::vector<std::string> Scheduler::adopt_orphans() {
   std::vector<std::string> ids;
-  if (options_.supervisor.durable_root.empty()) return ids;
+  if (!journal_) return ids;
   rt::TraceSpan span("svc.adopt");
   std::set<std::string> skip;
   for (const Arrival& a : adopted_) skip.insert(a.spec.id);
   auto& mx = rt::MetricsRegistry::global();
-  for (JobSpec& spec : scan_orphans(options_.supervisor.durable_root, skip)) {
-    ids.push_back(spec.id);
+  int damaged = 0;
+  // One read of the journal; the map's id order is the adoption order.
+  for (const auto& [id, last] : JobJournal::latest(options_.supervisor.durable_root, &damaged)) {
+    if (last.kind != 'A' || skip.count(id) != 0) continue;
+    JobSpec spec;
+    try {
+      spec = job_from_json(last.body);
+    } catch (const std::exception&) {
+      ++damaged;  // a checksum-valid but unreadable spec: leave it for inspection
+      continue;
+    }
+    if (spec.id != id) {
+      ++damaged;
+      continue;
+    }
+    ids.push_back(id);
     adopted_.push_back(Arrival{0.0, std::move(spec), /*adopted=*/true});
     mx.counter("svc.adopted").add(1.0);
   }
+  if (damaged > 0) mx.counter("svc.journal.damaged").add(static_cast<double>(damaged));
   return ids;
 }
 
@@ -512,7 +505,7 @@ void Scheduler::handle_arrival(Arrival&& a) {
   job->out.adopted = a.adopted;
   if (!job->dir.empty() && !a.adopted) {
     mkdir_p(job->dir);
-    write_text_file_atomic(job->dir + "/job.json", job_to_json(job->spec));
+    journal_->append_admission(job->spec);
   }
   jobs_.push_back(std::move(job));
   const size_t ji = jobs_.size() - 1;
@@ -666,6 +659,9 @@ void Scheduler::execute_wave() {
   for (size_t i = 0; i < slots_.size(); ++i)
     if (!slots_[i].executed) todo.push_back(i);
   if (todo.empty()) return;
+  // Group commit: every record appended since the last wave becomes durable
+  // before any attempt of this one can write a generation file.
+  if (journal_) journal_->sync();
   rt::SpanAttrs wattrs;
   wattrs.step = static_cast<int64_t>(todo.size());
   rt::TraceSpan wave("svc.sched.wave", wattrs);
@@ -699,7 +695,7 @@ void Scheduler::settle_terminal(size_t ji, TerminalState state, std::string deta
   j.reserved = 0;
   if (!j.dir.empty()) {
     try {
-      write_text_file_atomic(j.dir + "/terminal.json", terminal_to_json(state, j.out.detail));
+      journal_->append_terminal(j.spec.id, state, j.out.detail);
     } catch (const std::exception& e) {
       j.out.detail += " (terminal record not durable: " + std::string(e.what()) + ")";
     }
@@ -910,6 +906,7 @@ ScheduleResult Scheduler::run(std::vector<Arrival> arrivals) {
   }
   result_.stats.drain_vtime_s = vnow_;
   rt::MetricsRegistry::global().gauge("svc.sched.queue_depth").set(0.0);
+  if (journal_) journal_->sync();  // every terminal record is durable on return
   return std::move(result_);
 }
 

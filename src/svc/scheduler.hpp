@@ -30,12 +30,23 @@
 //
 // Policy precedence within one pass: cancel > quarantine > retry > shed.
 //
-// Crash safety: with a durable root every job directory carries job.json
-// (committed at admission) and terminal.json (committed atomically at the
-// terminal transition). A restarted scheduler calls adopt_orphans() to
-// re-queue every job directory that has a spec but no terminal record —
-// exactly the jobs a dead scheduler left in flight — and their first attempt
-// resumes from the newest on-disk generation like any retry.
+// Crash safety. A durable root holds one append-only record journal,
+// `<root>/jobs.log` (JobJournal, job_file.hpp): an admission record per
+// admitted job and a terminal record at its terminal transition. Beside it,
+// `<root>/<id>/` (created at admission) holds the job's checkpoint
+// generation files and, when quarantined, its QUARANTINE_repro.json. Only
+// the coordinating thread appends, and one group commit — a single
+// fdatasync of the journal — runs before each attempt wave and before run()
+// returns. So a job's admission is durable before any of its attempts
+// starts (no generation file exists for an unrecorded job), and every
+// terminal record is durable when run() returns. A power loss drops at most
+// the records appended since the last wave started: a dropped admission
+// belongs to a job that never started, and a job whose terminal record is
+// dropped is re-adopted and re-runs its tail from its newest generation.
+// A restarted scheduler calls adopt_orphans() to re-queue every job whose
+// last journal record is its admission — exactly the jobs a dead scheduler
+// left in flight — and their first attempt resumes from the newest on-disk
+// generation like any retry.
 //
 // Determinism under concurrency. The scheduler is a discrete-event simulator
 // on the shared virtual clock: arrivals, retry timers and attempt completions
@@ -101,6 +112,8 @@ class ThreadPool;
 }
 
 namespace finch::svc {
+
+class JobJournal;
 
 // Attempt-granularity execution core. resolve() and run_attempt() are safe
 // to call from several threads at once for DISTINCT jobs (each attempt owns
@@ -278,16 +291,19 @@ class Scheduler {
   Scheduler(const bte::BteScenario& base, SchedulerOptions options);
   ~Scheduler();
 
-  // Crash restart: scan the durable root for job directories with a spec but
-  // no terminal record and stage them as adopted arrivals at vtime 0 of the
-  // next run(). Returns the adopted ids (sorted).
+  // Crash restart: read the durable root's journal once and stage every job
+  // whose last valid record is its admission as an adopted arrival at vtime
+  // 0 of the next run(). Returns the adopted ids (sorted). Damaged lines
+  // and unreadable specs are skipped and counted in `svc.journal.damaged`.
   std::vector<std::string> adopt_orphans();
 
   // Drives the arrival schedule to completion: every admitted job reaches
   // exactly one terminal state. Throws std::invalid_argument — before any
-  // job is admitted or any job.json is written — on an empty id, an unknown
-  // solver name (fallback rungs included), non-positive nsteps, a duplicate
-  // id or unsorted arrival times. One run per Scheduler.
+  // job is admitted or any record is written — on an empty id, an id that
+  // is not one printable word (no spaces, quotes, backslashes or '/'), an
+  // unknown solver name (fallback rungs included), non-positive nsteps, a
+  // fault that cannot be armed, a duplicate id or unsorted arrival times.
+  // One run per Scheduler.
   ScheduleResult run(std::vector<Arrival> arrivals);
 
   const SchedulerOptions& options() const { return options_; }
@@ -329,6 +345,7 @@ class Scheduler {
   std::vector<double> retry_times_;  // sliding window for storm detection
   double quantum_units_ = 0.0;
   double age_bound_s_ = 0.0;  // resolved starvation bound (0 = disabled)
+  std::unique_ptr<JobJournal> journal_;  // the durable root's records (null: none)
   std::vector<Arrival> adopted_;  // staged by adopt_orphans()
   bool ran_ = false;
   ScheduleResult result_;

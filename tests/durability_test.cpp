@@ -11,6 +11,7 @@
 // the mechanism).
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <csignal>
 #include <cstdio>
 #include <fstream>
@@ -887,54 +888,157 @@ TEST(DurableFormat, ImageCarriesItsRunManifest) {
   EXPECT_THROW(rt::deserialize(rt::serialize(tiny_snapshot(5)), &back), rt::CheckpointError);
 }
 
-// The v2 layout (no manifest section) is refused by version, never parsed
-// with the v3 walk.
-TEST(DurableFormat, V2ImageIsAnUnsupportedVersion) {
-  std::vector<std::byte> v2;
-  const auto put = [&v2](uint64_t v) {
-    for (int i = 0; i < 8; ++i) v2.push_back(static_cast<std::byte>((v >> (8 * i)) & 0xff));
+namespace {
+
+// An image in the byte-at-a-time layouts v2 (no manifest section) and v3
+// (a manifest length after the fields), sealed with the current trailer so
+// that only its version can refuse it.
+std::vector<std::byte> legacy_image(uint64_t version) {
+  std::vector<std::byte> img;
+  const auto put = [&img](uint64_t v) {
+    for (int i = 0; i < 8; ++i) img.push_back(static_cast<std::byte>((v >> (8 * i)) & 0xff));
   };
   const std::vector<double> T = {300.0, 301.0};
   const auto raw = std::as_bytes(std::span<const double>(T));
   put(0x46434e4b50543031ULL);  // magic
-  put(2);                      // version
-  put(7);                      // step
-  put(1);                      // one field
+  put(version);
+  put(7);  // step
+  put(1);  // one field
   put(1);
-  v2.push_back(static_cast<std::byte>('T'));
+  img.push_back(static_cast<std::byte>('T'));
   put(T.size());
-  v2.insert(v2.end(), raw.begin(), raw.end());
+  img.insert(img.end(), raw.begin(), raw.end());
   put(rt::fnv1a64(raw));
-  put(rt::fnv1a64(v2));
-  try {
-    rt::deserialize(v2);
-    FAIL() << "v2 image parsed";
-  } catch (const rt::CheckpointError& err) {
-    EXPECT_NE(std::string(err.what()).find("unsupported checkpoint version 2"), std::string::npos)
-        << err.what();
-  }
+  if (version >= 3) put(0);  // no manifest
+  put(rt::digest_words(img));
+  return img;
 }
 
-// A manifest length that runs past the end of the image is a named error at
-// the bound check — never a read out of the buffer.
+std::string refusal(std::span<const std::byte> image, rt::RunManifest* m = nullptr) {
+  try {
+    rt::deserialize(image, m);
+  } catch (const rt::CheckpointError& err) {
+    return err.what();
+  }
+  return "";
+}
+
+// A v4 image with a manifest and two fields of distinct name lengths, so that
+// names, their padding, payloads and the padded manifest text all appear.
+std::vector<std::byte> sectioned_image(rt::RunManifest* m) {
+  m->solver = "cell";
+  m->config_hash = 0xabcdefULL;
+  m->injector_counters = {{1, "halo", 3, 1}};
+  rt::Snapshot snap;
+  snap.step = 9;
+  snap.add("I", std::vector<double>{1.0, -0.0, 3.5});
+  snap.add("beta", std::vector<double>{2.0, 4.0});
+  return rt::serialize(snap, m);
+}
+
+}  // namespace
+
+// The v2 layout (no manifest section) is refused by version, never parsed
+// with the v4 walk.
+TEST(DurableFormat, V2ImageIsAnUnsupportedVersion) {
+  const std::string msg = refusal(legacy_image(2));
+  EXPECT_NE(msg.find("unsupported checkpoint version 2"), std::string::npos) << msg;
+}
+
+// So is v3, the FNV-1a layout v4 replaced: a durable job whose generations
+// are all v3 starts fresh.
+TEST(DurableFormat, V3ImageIsAnUnsupportedVersion) {
+  const std::string msg = refusal(legacy_image(3));
+  EXPECT_NE(msg.find("unsupported checkpoint version 3"), std::string::npos) << msg;
+}
+
+// A manifest length whose padded text runs past the end of the image is a
+// named error at the bound check — never a read out of the buffer.
 TEST(DurableFormat, ManifestLengthOverrunIsANamedError) {
   rt::RunManifest m;
   m.solver = "cell";
   const std::vector<std::byte> good = rt::serialize(tiny_snapshot(3), &m);
-  const size_t text_len = rt::manifest_to_json(m).size();
-  const size_t length_at = good.size() - 8 - text_len - 8;  // just after the fields
+  const size_t text_words = (rt::manifest_to_json(m).size() + 7) / 8 * 8;
+  const size_t length_at = good.size() - 8 - text_words - 8;  // just after the fields
   // One byte into the trailing checksum, and far past the end.
-  for (uint64_t len : {uint64_t{text_len + 1}, uint64_t{1} << 62}) {
+  for (uint64_t len : {uint64_t{text_words + 1}, uint64_t{1} << 62}) {
     std::vector<std::byte> bad = good;
     for (int i = 0; i < 8; ++i)
       bad[length_at + static_cast<size_t>(i)] = static_cast<std::byte>((len >> (8 * i)) & 0xff);
-    try {
-      rt::deserialize(bad, &m);
-      FAIL() << "overrunning manifest length " << len << " parsed";
-    } catch (const rt::CheckpointError& err) {
-      EXPECT_NE(std::string(err.what()).find("manifest section"), std::string::npos) << err.what();
+    const std::string msg = refusal(bad, &m);
+    EXPECT_NE(msg.find("manifest section"), std::string::npos) << len << ": " << msg;
+  }
+}
+
+// Every single-bit flip anywhere in a v4 image — header, names and their
+// padding, counts, payloads, field checksums, the manifest and its padding,
+// the trailer — is refused, whether or not the reader asks for the manifest.
+// A flip in a payload names its field.
+TEST(DurableFormat, V4RefusesEverySingleBitFlip) {
+  rt::RunManifest m;
+  const std::vector<std::byte> good = sectioned_image(&m);
+  ASSERT_EQ(good.size() % 8, 0u);
+  // Payload byte ranges: header (32), then per field name_len + padded name
+  // + count before the doubles and the field checksum after them.
+  const size_t i_payload = 32 + 8 + 8 + 8;
+  const size_t beta_payload = i_payload + 3 * 8 + 8 + 8 + 8 + 8;
+  for (size_t off = 0; off < good.size(); ++off) {
+    for (int bit = 0; bit < 8; ++bit) {
+      std::vector<std::byte> bad = good;
+      bad[off] ^= static_cast<std::byte>(1u << bit);
+      rt::RunManifest back;
+      const std::string with = refusal(bad, &back);
+      const std::string without = refusal(bad);
+      ASSERT_FALSE(with.empty()) << "flip at byte " << off << " bit " << bit << " accepted";
+      ASSERT_FALSE(without.empty()) << "flip at byte " << off << " bit " << bit << " accepted";
+      if (off >= i_payload && off < i_payload + 3 * 8) {
+        EXPECT_NE(with.find("checksum mismatch in field 0 ('I')"), std::string::npos) << with;
+      }
+      if (off >= beta_payload && off < beta_payload + 2 * 8) {
+        EXPECT_NE(with.find("checksum mismatch in field 1 ('beta')"), std::string::npos) << with;
+      }
     }
   }
+  rt::RunManifest back;
+  EXPECT_EQ(rt::deserialize(good, &back).field("beta")[1], 4.0);
+  EXPECT_EQ(back.config_hash, 0xabcdefULL);
+}
+
+// Every prefix of a v4 image is refused with an error that names where the
+// cut fell: the header, a field (by index and name), or the manifest section
+// (which must leave room for the trailing checksum).
+TEST(DurableFormat, V4RefusesEveryTruncationByName) {
+  rt::RunManifest m;
+  const std::vector<std::byte> good = sectioned_image(&m);
+  const size_t fields_end = 32 + (8 + 8 + 8 + 3 * 8 + 8) + (8 + 8 + 8 + 2 * 8 + 8);
+  for (size_t keep = 0; keep < good.size(); ++keep) {
+    const std::span<const std::byte> cut(good.data(), keep);
+    for (rt::RunManifest* want : {&m, static_cast<rt::RunManifest*>(nullptr)}) {
+      const std::string msg = refusal(cut, want);
+      ASSERT_NE(msg.find("truncated"), std::string::npos) << "keep=" << keep << ": " << msg;
+      const char* where = keep < 48 ? "header" : keep < fields_end ? "field" : "manifest";
+      EXPECT_NE(msg.find(where), std::string::npos) << keep << ": " << msg;
+    }
+  }
+}
+
+// The bulk digest: a single changed word anywhere changes it, and it chains
+// like fnv1a64.
+TEST(DurableFormat, WordDigestSeesEverySingleWordChange) {
+  std::vector<double> v(37);
+  for (size_t i = 0; i < v.size(); ++i) v[i] = 0.5 * static_cast<double>(i) - 3.0;
+  const uint64_t base = rt::checksum_doubles(v);
+  for (size_t i = 0; i < v.size(); ++i) {
+    for (double other : {-v[i], v[i] + 1.0, std::nextafter(v[i], 1e9)}) {
+      if (other == v[i] && std::signbit(other) == std::signbit(v[i])) continue;
+      std::vector<double> w = v;
+      w[i] = other;
+      EXPECT_NE(rt::checksum_doubles(w), base) << i;
+    }
+  }
+  const auto bytes = std::as_bytes(std::span<const double>(v));
+  EXPECT_EQ(rt::digest_words(bytes.subspan(80), rt::digest_words(bytes.subspan(0, 80))),
+            rt::digest_words(bytes));
 }
 
 // ---- chaos: resource class composes with the rest ---------------------------

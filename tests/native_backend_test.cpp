@@ -824,6 +824,54 @@ TEST_F(NativeBackendTest, ThreeIndexSumMatchesThePostPass) {
   }
 }
 
+// Two equations where the later one's boundary callback reads the earlier
+// one's declared sum: u[d] with G = sum_d W[d] u[d], then v[d] with a value
+// condition built from G. Every equation's boundary values are filled before
+// any sweep of a stage, so on both executors v's callback sees the G of the
+// state the stage starts from — not, on the kernel, the sum u's sweep has
+// just written.
+TEST_F(NativeBackendTest, LaterBoundaryReadsTheSameDeclaredSumOnBothExecutors) {
+  auto problem = [](dsl::Backend backend, sym::TimeScheme scheme) {
+    auto p = std::make_unique<dsl::Problem>("sum_bc");
+    p->domain(2).time_stepper(scheme).set_steps(0.01, 3);
+    p->set_mesh(mesh::Mesh::structured_quad(5, 4, 1.0, 1.0));
+    p->execution_backend(backend);
+    p->index("d", 1, 3);
+    p->variable("u", {"d"}).variable("G").variable("v", {"d"});
+    p->coefficient("Sx", {0.6, -0.8, 0.2}, {"d"}).coefficient("Sy", {0.4, 0.3, -0.9}, {"d"});
+    p->coefficient("W", {0.5, 1.25, 2.0}, {"d"}).coefficient("k", 0.7);
+    p->initial("u", [](int32_t c, std::span<const int32_t> i) {
+      return 0.05 * (c + 1) + 0.3 * i[0];
+    });
+    p->initial("v", [](int32_t c, std::span<const int32_t> i) {
+      return 1.0 - 0.02 * c + 0.1 * i[0];
+    });
+    p->conservation_form("u", "-k*u[d] - surface(upwind([Sx[d];Sy[d]], u[d]))");
+    p->reduction("G", "u", "d", "W");
+    p->conservation_form("v", "-k*v[d] - surface(upwind([Sx[d];Sy[d]], v[d]))");
+    p->boundary("v", 1, dsl::BcType::Value, "v_from_G",
+                [](const fvm::BoundaryContext& ctx, std::span<double> out) {
+                  const double g = ctx.fields->get("G").at(ctx.cell, 0);
+                  for (size_t k = 0; k < out.size(); ++k) out[k] = g + 0.1 * static_cast<double>(k);
+                });
+    return p;
+  };
+  for (const sym::TimeScheme scheme :
+       {sym::TimeScheme::ForwardEuler, sym::TimeScheme::RK2Midpoint}) {
+    auto pv = problem(dsl::Backend::Vm, scheme);
+    auto pn = problem(dsl::Backend::Native, scheme);
+    auto sv = pv->compile(dsl::Target::CpuSerial);
+    const double fb0 = counter("jit.fallback");
+    auto sn = pn->compile(dsl::Target::CpuSerial);
+    ASSERT_EQ(counter("jit.fallback"), fb0) << "JIT fell back instead of compiling";
+    sv->run(3);
+    sn->run(3);
+    for (const char* name : {"u", "G", "v"})
+      EXPECT_TRUE(bits_equal(pv->fields().get(name), pn->fields().get(name)))
+          << name << (scheme == sym::TimeScheme::RK2Midpoint ? " (RK2)" : " (Euler)");
+  }
+}
+
 // One sweep calls each boundary callback once per (cell, boundary face) on
 // every target, whatever the number of DOFs per cell.
 TEST_F(NativeBackendTest, OneBoundaryCallPerFacePerSweep) {

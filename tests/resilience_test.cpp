@@ -196,16 +196,16 @@ TEST(Checkpoint, DiskWritesAreAtomicAgainstTornWrites) {
 namespace {
 
 // Patch helpers for the negative-path tests: overwrite a little-endian u64 at
-// `off` and recompute the trailing FNV-1a so only the *targeted* defect (bad
-// version, bogus count) is exercised — not the checksum that would otherwise
-// mask it.
+// `off` and recompute the trailing word digest so only the *targeted* defect
+// (bad version, bogus count) is exercised — not the checksum that would
+// otherwise mask it.
 void put_u64_at(std::vector<std::byte>& bytes, size_t off, uint64_t v) {
   for (int i = 0; i < 8; ++i) bytes[off + static_cast<size_t>(i)] = static_cast<std::byte>((v >> (8 * i)) & 0xff);
 }
 
 void reseal(std::vector<std::byte>& bytes) {
   const uint64_t h =
-      rt::fnv1a64(std::span<const std::byte>(bytes).subspan(0, bytes.size() - 8));
+      rt::digest_words(std::span<const std::byte>(bytes).subspan(0, bytes.size() - 8));
   put_u64_at(bytes, bytes.size() - 8, h);
 }
 
@@ -240,9 +240,10 @@ TEST(Checkpoint, BogusFieldCountIsRejectedWithoutOverread) {
   snap.add("f", f);
   auto bytes = rt::serialize(snap);
   // Element count of field 0 lives after magic/version/step/nfields (8*4)
-  // plus name_len (8) + name ("f": 1 byte). A count chosen so count*8
-  // overflows to something small must still be caught by the bound check.
-  const size_t count_off = 8 * 4 + 8 + 1;
+  // plus name_len (8) + name ("f", padded to one word). A count chosen so
+  // count*8 overflows to something small must still be caught by the bound
+  // check.
+  const size_t count_off = 8 * 4 + 8 + 8;
   auto huge = bytes;
   put_u64_at(huge, count_off, ~0ULL / 4);
   reseal(huge);
@@ -277,7 +278,8 @@ namespace {
 
 // A small three-field snapshot shaped like the solvers' ("I"/"T"/"Io"), with
 // per-field byte offsets derivable from the image layout: 32-byte header, then
-// per field name_len(8) + name + count(8) + payload + field checksum(8).
+// per field name_len(8) + name (padded to a word: 8 for these names) +
+// count(8) + payload + field checksum(8).
 rt::Snapshot three_field_snapshot() {
   rt::Snapshot snap;
   snap.step = 7;
@@ -300,8 +302,8 @@ TEST(Checkpoint, TruncatedFileWithValidHeaderNamesTheDamagedField) {
   const std::string path = "resilience_test_valid_header_trunc.bin";
   const auto bytes = rt::serialize(three_field_snapshot());
   const size_t header = 8 * 4;
-  const size_t field0 = 8 + 1 + 8 + 4 * sizeof(double) + 8;  // "I", 4 doubles
-  const size_t keep = header + field0 + 8 + 1 + 8 + 2 * sizeof(double);  // mid-"T"
+  const size_t field0 = 8 + 8 + 8 + 4 * sizeof(double) + 8;  // "I", 4 doubles
+  const size_t keep = header + field0 + 8 + 8 + 8 + 2 * sizeof(double);  // mid-"T"
   {
     std::ofstream os(path, std::ios::binary | std::ios::trunc);
     os.write(reinterpret_cast<const char*>(bytes.data()), static_cast<std::streamsize>(keep));
@@ -323,9 +325,9 @@ TEST(Checkpoint, PayloadCorruptionNamesTheBitFlippedField) {
   // the diagnosis that separates a bit flip from a lost tail in a post-mortem.
   auto bytes = rt::serialize(three_field_snapshot());
   const size_t header = 8 * 4;
-  const size_t field0 = 8 + 1 + 8 + 4 * sizeof(double) + 8;
-  const size_t field1 = 8 + 1 + 8 + 4 * sizeof(double) + 8;
-  const size_t io_payload = header + field0 + field1 + 8 + 2 + 8;
+  const size_t field0 = 8 + 8 + 8 + 4 * sizeof(double) + 8;
+  const size_t field1 = 8 + 8 + 8 + 4 * sizeof(double) + 8;
+  const size_t io_payload = header + field0 + field1 + 8 + 8 + 8;
   bytes[io_payload + 5] ^= std::byte{0x10};
   reseal(bytes);
   const std::string msg = thrown_message(bytes);

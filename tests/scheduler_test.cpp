@@ -11,6 +11,7 @@
 #include <csignal>
 #include <cstdlib>
 #include <filesystem>
+#include <fstream>
 #include <map>
 #include <mutex>
 #include <set>
@@ -95,6 +96,14 @@ const JobOutcome* find_outcome(const std::vector<JobOutcome>& outcomes,
   for (const JobOutcome& o : outcomes)
     if (o.spec.id == id) return &o;
   return nullptr;
+}
+
+// Terminal records per id in `root`'s journal.
+std::map<std::string, int> terminal_counts(const std::string& root) {
+  std::map<std::string, int> counts;
+  for (const JournalRecord& r : JobJournal::read(root))
+    if (r.kind == 'T') ++counts[r.id];
+  return counts;
 }
 
 }  // namespace
@@ -465,11 +474,18 @@ TEST(SchedulerDeterminism, IdenticalRunsProduceIdenticalTrajectories) {
   EXPECT_DOUBLE_EQ(a.stats.drain_vtime_s, b.stats.drain_vtime_s);
 }
 
-// Tripwire on the durability protocol's I/O: a fault-free durable job
-// commits job.json, one generation per checkpoint interval (none at step 0)
-// and terminal.json — four atomic writes of two fsyncs each (data, then the
-// directory after the rename).
-TEST(SchedulerDurability, FaultFreeJobsCommitFourFilesEach) {
+// Tripwire on the durability protocol's I/O. A fault-free durable job
+// commits one generation per checkpoint interval (none at step 0): two
+// atomic writes of two fsyncs each (data, then the directory after the
+// rename) for 8 steps at interval 4. Its records cost no file of their own:
+// they are journal lines, made durable by one fdatasync before each attempt
+// wave and one before run() returns. At one slot the two jobs run in two
+// waves: the first wave's sync covers both admissions, plus the root's fsync
+// that makes the new journal durable (2); the second wave's covers job 0's
+// terminal record (1); the final sync covers job 1's (1). So 4 atomic
+// writes and 2 × 2 × 2 + 4 = 12 fsyncs, against 8 and 16 when each record
+// was a file.
+TEST(SchedulerDurability, FaultFreeJobsCommitOnlyGenerationFiles) {
   SchedulerOptions opt;
   opt.max_concurrency = 1;
   opt.supervisor.durable_root = fresh_root("io_tripwire");
@@ -488,8 +504,12 @@ TEST(SchedulerDurability, FaultFreeJobsCommitFourFilesEach) {
   ASSERT_EQ(res.outcomes.size(), 2u);
   for (const JobOutcome& o : res.outcomes)
     EXPECT_EQ(o.state, TerminalState::Completed) << o.spec.id;
-  EXPECT_EQ(mx.value("ckpt.atomic_writes") - writes0, 8.0);
-  EXPECT_EQ(mx.value("ckpt.fsyncs") - fsyncs0, 16.0);
+  EXPECT_EQ(mx.value("ckpt.atomic_writes") - writes0, 4.0);
+  EXPECT_EQ(mx.value("ckpt.fsyncs") - fsyncs0, 12.0);
+  const std::vector<JournalRecord> records = JobJournal::read(opt.supervisor.durable_root);
+  ASSERT_EQ(records.size(), 4u);
+  EXPECT_EQ(std::string({records[0].kind, records[1].kind, records[2].kind, records[3].kind}),
+            "AATT");
 }
 
 // A fault that cannot be armed (first_event < 0) makes the whole batch
@@ -557,10 +577,11 @@ TEST(SchedulerCrash, RestartReadoptsEveryJobInFlightAcrossSlots) {
   ASSERT_TRUE(WIFSIGNALED(status)) << "child exited with " << WEXITSTATUS(status);
   ASSERT_EQ(WTERMSIG(status), SIGKILL);
 
+  const auto last = JobJournal::latest(root);
   for (int i = 0; i < 2; ++i) {
-    const std::string dir = root + "/flight-" + std::to_string(i);
-    EXPECT_TRUE(file_exists(dir + "/job.json"));
-    EXPECT_FALSE(file_exists(dir + "/terminal.json"));
+    const std::string id = "flight-" + std::to_string(i);
+    ASSERT_EQ(last.count(id), 1u) << id;
+    EXPECT_EQ(last.at(id).kind, 'A') << id;  // admitted, not terminal
   }
 
   Scheduler restarted(base_scenario(), opt);
@@ -582,5 +603,234 @@ TEST(SchedulerCrash, RestartReadoptsEveryJobInFlightAcrossSlots) {
   EXPECT_TRUE(report.ok()) << (report.violations.empty() ? "" : report.violations.front());
   EXPECT_EQ(report.step0_replays, 0);
   EXPECT_EQ(report.adopted, 2);
+  EXPECT_EQ(terminal_counts(root), (std::map<std::string, int>{{"flight-0", 1}, {"flight-1", 1}}));
 }
 #endif  // FINCH_HAVE_FORK
+
+// ---- the record journal ------------------------------------------------------
+
+TEST(JobJournal, RecordsRoundTripInAppendOrder) {
+  const std::string root = fresh_root("journal_roundtrip");
+  std::filesystem::create_directories(root);
+  {
+    JobJournal journal(root);
+    journal.append_admission(small_job("j-a"));
+    journal.append_admission(poison_job("j-b"));
+    journal.append_terminal("j-a", TerminalState::Completed, "done\nwith \"news\"");
+    journal.sync();
+  }
+  int damaged = -1;
+  const std::vector<JournalRecord> records = JobJournal::read(root, &damaged);
+  EXPECT_EQ(damaged, 0);
+  ASSERT_EQ(records.size(), 3u);
+  EXPECT_EQ(job_to_json(job_from_json(records[1].body)), job_to_json(poison_job("j-b")));
+  TerminalState ts{};
+  std::string detail;
+  terminal_from_json(records[2].body, &ts, &detail);
+  EXPECT_EQ(ts, TerminalState::Completed);
+  EXPECT_EQ(detail, "done with 'news'");  // one line, no quotes
+  const auto last = JobJournal::latest(root);
+  EXPECT_EQ(last.at("j-a").kind, 'T');
+  EXPECT_EQ(last.at("j-b").kind, 'A');
+  EXPECT_TRUE(JobJournal::read(fresh_root("journal_missing")).empty());
+}
+
+// Group commit: one counted fdatasync covers every record appended since the
+// last sync; the journal's creation adds one fsync of the root; a sync with
+// nothing new is free.
+TEST(JobJournal, SyncIsOneFsyncPerGroup) {
+  const std::string root = fresh_root("journal_sync");
+  std::filesystem::create_directories(root);
+  auto& mx = rt::MetricsRegistry::global();
+  JobJournal journal(root);
+  double before = mx.value("ckpt.fsyncs");
+  journal.sync();
+  EXPECT_EQ(mx.value("ckpt.fsyncs") - before, 0.0);
+  EXPECT_FALSE(file_exists(root + "/" + JobJournal::kFileName));  // opened on first append
+  for (int i = 0; i < 5; ++i) journal.append_admission(small_job("g-" + std::to_string(i)));
+  before = mx.value("ckpt.fsyncs");
+  journal.sync();
+  EXPECT_EQ(mx.value("ckpt.fsyncs") - before, 2.0);  // data + the root's entry
+  journal.append_terminal("g-0", TerminalState::Completed, "completed");
+  journal.append_terminal("g-1", TerminalState::Shed, "shed");
+  before = mx.value("ckpt.fsyncs");
+  journal.sync();
+  journal.sync();
+  EXPECT_EQ(mx.value("ckpt.fsyncs") - before, 1.0);
+}
+
+// A torn tail and a damaged line are skipped and counted by readers; the
+// first append to an existing journal cuts the torn tail away, so the new
+// record starts on its own line.
+TEST(JobJournal, TornTailIsSkippedThenTruncatedBeforeTheNextAppend) {
+  const std::string root = fresh_root("journal_torn");
+  std::filesystem::create_directories(root);
+  {
+    JobJournal journal(root);
+    for (const char* id : {"t-0", "t-1", "t-2"}) journal.append_admission(small_job(id));
+    journal.append_terminal("t-1", TerminalState::Completed, "completed");
+  }
+  const std::string path = root + "/" + JobJournal::kFileName;
+  std::string text = read_text_file(path);
+  const size_t second = text.find('\n') + 1;
+  text[second + 10] ^= 0x01;  // damage line 2 (t-1's admission)
+  const std::string torn = text.substr(0, text.find('\n') + 1);
+  text += torn.substr(0, torn.size() / 2);  // half a record, no newline
+  std::ofstream(path, std::ios::binary | std::ios::trunc) << text;
+
+  int damaged = 0;
+  std::vector<JournalRecord> records = JobJournal::read(root, &damaged);
+  EXPECT_EQ(damaged, 2);
+  ASSERT_EQ(records.size(), 3u);
+  EXPECT_EQ(records[0].id, "t-0");
+  EXPECT_EQ(records[1].id, "t-2");
+  EXPECT_EQ(records[2].kind, 'T');
+
+  // Orphans are the ids whose last valid record is an admission; damaged
+  // lines count in svc.journal.damaged.
+  SchedulerOptions opt;
+  opt.supervisor.durable_root = root;
+  auto& mx = rt::MetricsRegistry::global();
+  const double damaged0 = mx.value("svc.journal.damaged");
+  Scheduler restarted(base_scenario(), opt);
+  EXPECT_EQ(restarted.adopt_orphans(), (std::vector<std::string>{"t-0", "t-2"}));
+  EXPECT_EQ(mx.value("svc.journal.damaged") - damaged0, 2.0);
+
+  {
+    JobJournal journal(root);
+    journal.append_terminal("t-0", TerminalState::Cancelled, "drained");
+    journal.sync();
+  }
+  records = JobJournal::read(root, &damaged);
+  EXPECT_EQ(damaged, 1);  // only the damaged middle line remains
+  ASSERT_EQ(records.size(), 4u);
+  EXPECT_EQ(records[3].id, "t-0");
+  EXPECT_EQ(read_text_file(path).back(), '\n');
+}
+
+// ---- power loss ----------------------------------------------------------------
+//
+// A kill keeps the page cache, so a power loss is modeled here by discarding
+// what a sync had not covered: a finished root's journal is cut back to each
+// length it had at a sync, with and without a torn half-record after it,
+// and the service is restarted on it. Every job then ends with exactly one
+// terminal record, and the oracle holds over the merged outcomes.
+namespace {
+
+struct FinishedRoot {
+  std::vector<JobSpec> specs;
+  std::vector<JobOutcome> outcomes;
+  std::string journal;            // its bytes at the end of the run
+  std::set<size_t> sync_lengths;  // journal lengths at each sync a wave saw, and the end
+};
+
+FinishedRoot run_finished_root(const std::string& root, SchedulerOptions opt) {
+  FinishedRoot fr;
+  for (int i = 0; i < 4; ++i) {
+    JobSpec s = small_job("pl-" + std::to_string(i), i == 2 ? "band" : "cell");
+    s.nsteps = 6;
+    s.ckpt_interval = 2;
+    fr.specs.push_back(s);
+  }
+  fr.specs.push_back(poison_job("pl-poison"));
+  const std::string path = root + "/" + JobJournal::kFileName;
+  // Only the coordinating thread appends, never during a wave, and each
+  // wave starts with a sync: at any generation commit the journal's length
+  // is the length at the last sync.
+  static std::mutex mu;
+  static std::set<size_t>* lengths = nullptr;
+  static const std::string* journal_path = nullptr;
+  lengths = &fr.sync_lengths;
+  journal_path = &path;
+  rt::set_checkpoint_commit_hook([](const std::string&, rt::CommitPhase phase) {
+    if (phase != rt::CommitPhase::AfterRename) return;
+    std::error_code ec;
+    const auto size = std::filesystem::file_size(*journal_path, ec);
+    std::lock_guard<std::mutex> lk(mu);
+    if (!ec) lengths->insert(static_cast<size_t>(size));
+  });
+  opt.supervisor.durable_root = root;
+  Scheduler sched(base_scenario(), opt);
+  fr.outcomes = sched.run(at_time_zero(fr.specs)).outcomes;
+  rt::set_checkpoint_commit_hook(nullptr);
+  fr.journal = read_text_file(path);
+  fr.sync_lengths.insert(0);  // power lost before the first sync
+  fr.sync_lengths.insert(fr.journal.size());
+  return fr;
+}
+
+void copy_root(const std::string& from, const std::string& to) {
+  std::filesystem::remove_all(to);
+  std::filesystem::copy(from, to, std::filesystem::copy_options::recursive);
+}
+
+void power_loss_restarts(int slots) {
+  SchedulerOptions opt;
+  opt.max_concurrency = slots;
+  const std::string finished = fresh_root("powerloss_" + std::to_string(slots));
+  const FinishedRoot fr = run_finished_root(finished, opt);
+  ASSERT_GE(fr.sync_lengths.size(), 4u);
+  for (const size_t keep : fr.sync_lengths) {
+    ASSERT_TRUE(keep == 0 || fr.journal[keep - 1] == '\n') << keep;
+    for (const bool torn : {false, true}) {
+      SCOPED_TRACE("kept " + std::to_string(keep) + " bytes" + (torn ? " + a torn record" : ""));
+      const std::string root = finished + "_restart";
+      copy_root(finished, root);
+      std::string kept = fr.journal.substr(0, keep);
+      if (torn) {
+        const std::string next = keep < fr.journal.size() ? fr.journal.substr(keep) : fr.journal;
+        kept += next.substr(0, next.find('\n') / 2);
+      }
+      std::ofstream(root + "/" + JobJournal::kFileName, std::ios::binary | std::ios::trunc)
+          << kept;
+
+      // Expected orphans: admitted in the kept prefix, no kept terminal record.
+      std::set<std::string> admitted, terminal;
+      for (const JournalRecord& r : JobJournal::read(root))
+        (r.kind == 'A' ? admitted : terminal).insert(r.id);
+      std::vector<std::string> want;
+      for (const std::string& id : admitted)
+        if (terminal.count(id) == 0) want.push_back(id);
+
+      opt.supervisor.durable_root = root;
+      Scheduler restarted(base_scenario(), opt);
+      const std::vector<std::string> adopted = restarted.adopt_orphans();
+      EXPECT_EQ(adopted, want);
+      // The submitter re-sends what the root has no record of at all, as a
+      // re-run of `bte_cli --jobs` does.
+      std::vector<JobSpec> resend;
+      for (const JobSpec& s : fr.specs)
+        if (admitted.count(s.id) == 0) resend.push_back(s);
+      const ScheduleResult res = restarted.run(at_time_zero(resend));
+      EXPECT_EQ(res.outcomes.size(), want.size() + resend.size());
+
+      int damaged = -1;
+      std::map<std::string, int> counts;
+      for (const JournalRecord& r : JobJournal::read(root, &damaged))
+        if (r.kind == 'T') ++counts[r.id];
+      // The torn tail is cut before the first append; with nothing to
+      // append it stays, skipped.
+      const bool appended = !want.empty() || !resend.empty();
+      EXPECT_EQ(damaged, torn && !appended ? 1 : 0);
+      std::vector<JobOutcome> merged = res.outcomes;
+      for (const JobSpec& s : fr.specs) {
+        EXPECT_EQ(counts[s.id], 1) << s.id;
+        if (terminal.count(s.id) != 0) merged.push_back(*find_outcome(fr.outcomes, s.id));
+      }
+      bte::SupervisorCampaign campaign(base_scenario());
+      const auto report = campaign.judge(fr.specs, merged, opt.supervisor);
+      EXPECT_TRUE(report.ok()) << (report.violations.empty() ? "" : report.violations.front());
+      EXPECT_EQ(report.adopted, static_cast<int>(want.size()));
+    }
+  }
+}
+
+}  // namespace
+
+TEST(SchedulerPowerLoss, RestartAtEverySyncPointKeepsTheContractOneSlot) {
+  power_loss_restarts(1);
+}
+
+TEST(SchedulerPowerLoss, RestartAtEverySyncPointKeepsTheContractTwoSlots) {
+  power_loss_restarts(2);
+}

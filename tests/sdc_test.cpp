@@ -116,6 +116,38 @@ TEST(Abft, RaggedLastBlockIsCovered) {
   EXPECT_EQ(bad[0], 3u);
 }
 
+// The ledger folds up to four blocks side by side: whatever the grouping —
+// one to nine blocks, with or without a ragged last one — every stored
+// signature is bitwise the one-block fold of its range, and one changed
+// element is reported in exactly its own block.
+TEST(Abft, LedgerFoldsEveryGroupingLikeOneBlockAtATime) {
+  constexpr size_t kBlock = 7;
+  for (size_t nblocks = 1; nblocks <= 9; ++nblocks) {
+    for (const bool ragged : {false, true}) {
+      const size_t n = ragged ? (nblocks - 1) * kBlock + 3 : nblocks * kBlock;
+      const std::vector<double> data = ramp(n);
+      rt::BlockLedger ledger(n, kBlock);
+      ASSERT_EQ(ledger.num_blocks(), nblocks);
+      ledger.update(data);
+      for (size_t b = 0; b < nblocks; ++b) {
+        const auto r = ledger.range(b);
+        const auto one =
+            rt::block_checksum(std::span<const double>(data).subspan(r.begin, r.end - r.begin));
+        EXPECT_TRUE(ledger.checksum(b).matches(one)) << nblocks << " blocks, block " << b;
+        EXPECT_EQ(ledger.checksum(b).fletcher(), one.fletcher());
+      }
+      EXPECT_TRUE(ledger.verify(data).empty());
+      for (size_t i = 0; i < n; ++i) {
+        std::vector<double> hit = data;
+        hit[i] = std::nextafter(hit[i], 0.0);
+        const auto bad = ledger.verify(hit);
+        ASSERT_EQ(bad.size(), 1u) << nblocks << " blocks, element " << i;
+        EXPECT_EQ(bad[0], i / kBlock);
+      }
+    }
+  }
+}
+
 // ---- silent fault injection --------------------------------------------------
 
 TEST(SilentFaults, FlipBitStaysFiniteAndMantissaOnly) {

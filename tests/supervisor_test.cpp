@@ -107,6 +107,19 @@ JobOutcome only(const std::vector<JobOutcome>& outcomes) {
   return outcomes.front();
 }
 
+// The journal's terminal records for `id` under `root`, in file order.
+std::vector<TerminalState> terminal_records(const std::string& root, const std::string& id) {
+  std::vector<TerminalState> states;
+  for (const JournalRecord& r : JobJournal::read(root)) {
+    if (r.kind != 'T' || r.id != id) continue;
+    TerminalState ts{};
+    std::string detail;
+    terminal_from_json(r.body, &ts, &detail);
+    states.push_back(ts);
+  }
+  return states;
+}
+
 }  // namespace
 
 TEST(SupervisorPolicy, OptionValidationRejectsContradictions) {
@@ -245,10 +258,8 @@ TEST(Supervisor, PoisonJobTripsCircuitBreakerWithRepro) {
   EXPECT_EQ(rt::schedule_from_json(read_text_file(o.repro_path)).faults.size(),
             repro.faults.size());
   // Terminal record committed: a restarted scheduler must NOT re-adopt it.
-  TerminalState ts{};
-  std::string detail;
-  terminal_from_json(read_text_file(root + "/toxic/terminal.json"), &ts, &detail);
-  EXPECT_EQ(ts, TerminalState::Quarantined);
+  EXPECT_EQ(terminal_records(root, "toxic"),
+            std::vector<TerminalState>{TerminalState::Quarantined});
   Scheduler again(base_scenario(), serial(opt));
   EXPECT_TRUE(again.adopt_orphans().empty());
 }
@@ -267,10 +278,8 @@ TEST(Supervisor, RetryBudgetExhaustedExactlyAtQuarantineThreshold) {
   // Precedence: the breaker (quarantine) claims it, and only one terminal
   // record exists on disk.
   EXPECT_NE(o.detail.find("circuit breaker"), std::string::npos) << o.detail;
-  TerminalState ts{};
-  std::string detail;
-  terminal_from_json(read_text_file(root + "/edge/terminal.json"), &ts, &detail);
-  EXPECT_EQ(ts, TerminalState::Quarantined);
+  EXPECT_EQ(terminal_records(root, "edge"),
+            std::vector<TerminalState>{TerminalState::Quarantined});
 
   // Budget strictly smaller than the threshold: quarantine still the terminal
   // state, but attributed to the exhausted retry budget.
@@ -398,7 +407,7 @@ TEST(Supervisor, FallbackLadderDegradesBeforeShedding) {
 
 TEST(Supervisor, DuplicateAndInvalidSubmissionsRejected) {
   // Validation runs before admission: a batch holding any invalid spec is
-  // refused whole, so not even its valid job commits a job.json.
+  // refused whole, so not even its valid job writes a record or a directory.
   JobSpec no_id = small_job("");
   JobSpec bad_solver = small_job("bad");
   bad_solver.solver = "quantum";
@@ -408,13 +417,18 @@ TEST(Supervisor, DuplicateAndInvalidSubmissionsRejected) {
   JobConfig fb;
   fb.solver = "quantum";
   bad_fallback.fallbacks.push_back(fb);
-  for (const JobSpec& bad : {small_job("dup"), no_id, bad_solver, bad_steps, bad_fallback}) {
+  // An id names a directory and is one word of a journal record.
+  for (const JobSpec& bad : {small_job("dup"), no_id, bad_solver, bad_steps, bad_fallback,
+                             small_job("two words"), small_job("a/b"), small_job(".."),
+                             small_job("quo\"te")}) {
     SupervisorOptions opt;
     opt.durable_root = fresh_root("invalid");
     Scheduler sched(base_scenario(), serial(opt));
     EXPECT_THROW(sched.run(at_time_zero({small_job("dup"), bad})), std::invalid_argument)
         << "'" << bad.id << "'";
-    EXPECT_FALSE(file_exists(opt.durable_root + "/dup/job.json")) << "'" << bad.id << "'";
+    EXPECT_TRUE(JobJournal::read(opt.durable_root).empty()) << "'" << bad.id << "'";
+    EXPECT_FALSE(file_exists(opt.durable_root + "/" + JobJournal::kFileName));
+    EXPECT_FALSE(file_exists(opt.durable_root + "/dup")) << "'" << bad.id << "'";
   }
 }
 
@@ -422,8 +436,8 @@ TEST(Supervisor, DuplicateAndInvalidSubmissionsRejected) {
 // Crash-restart: the child scheduler is SIGKILLed mid-job right after a
 // checkpoint generation commits (the commit-hook harness, filtered to
 // generation renames). The restarted parent scheduler adopts the orphaned job
-// directory — job.json present, terminal.json absent — and drives it to
-// Completed bit-exactly, resuming from the committed generation.
+// — its last journal record is its admission — and drives it to Completed
+// bit-exactly, resuming from the committed generation.
 TEST(SupervisorCrash, RestartReadoptsJobWhoseManifestCommittedBeforeDeath) {
   const std::string root = fresh_root("crash");
   JobSpec spec = small_job("orphan");
@@ -452,10 +466,12 @@ TEST(SupervisorCrash, RestartReadoptsJobWhoseManifestCommittedBeforeDeath) {
   ASSERT_TRUE(WIFSIGNALED(status)) << "child exited with " << WEXITSTATUS(status);
   ASSERT_EQ(WTERMSIG(status), SIGKILL);
 
-  // The job is an orphan: spec committed, no terminal record, newest
+  // The job is an orphan: admission recorded, no terminal record, newest
   // generation at step 6.
-  EXPECT_TRUE(file_exists(root + "/orphan/job.json"));
-  EXPECT_FALSE(file_exists(root + "/orphan/terminal.json"));
+  const auto last = JobJournal::latest(root);
+  ASSERT_EQ(last.count("orphan"), 1u);
+  EXPECT_EQ(last.at("orphan").kind, 'A');
+  EXPECT_TRUE(terminal_records(root, "orphan").empty());
   const std::optional<rt::Generation> gen = rt::find_latest_generation(root + "/orphan");
   ASSERT_TRUE(gen.has_value());
   EXPECT_EQ(gen->manifest.last_step, 6);
@@ -476,5 +492,7 @@ TEST(SupervisorCrash, RestartReadoptsJobWhoseManifestCommittedBeforeDeath) {
   const auto report = campaign.judge({spec}, {o}, opt);
   EXPECT_TRUE(report.ok()) << (report.violations.empty() ? "" : report.violations.front());
   EXPECT_EQ(report.adopted, 1);
+  EXPECT_EQ(terminal_records(root, "orphan"),
+            std::vector<TerminalState>{TerminalState::Completed});
 }
 #endif  // FINCH_HAVE_FORK
