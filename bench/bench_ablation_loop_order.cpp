@@ -72,5 +72,5 @@ int main() {
   const double sec = std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
   std::printf("full-scale I array (1.58e7 doubles) layout round-trip: %.3f s\n", sec);
   bench::check(sec < 10.0, "layout conversion is far cheaper than a time step at scale");
-  return 0;
+  return bench::check_failures() > 0 ? 1 : 0;
 }

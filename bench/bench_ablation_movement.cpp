@@ -42,5 +42,5 @@ int main() {
   bench::check(opt.step_h2d_bytes() < opt.step_d2h_bytes(),
                "per-step uploads (Io/beta) are smaller than the intensity download");
   bench::check(t_naive / t_opt > 1.3, "planner saves a meaningful fraction of PCIe time");
-  return 0;
+  return bench::check_failures() > 0 ? 1 : 0;
 }

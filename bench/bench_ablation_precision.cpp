@@ -62,5 +62,5 @@ int main() {
   bench::check(progress_d > 0.5, "double precision integrates the long-duration signal");
   bench::check(progress_f < 0.5 || err_f > 100 * err_d,
                "single precision loses the signal (paper: 32-bit inadequate for long runs)");
-  return 0;
+  return bench::check_failures() > 0 ? 1 : 0;
 }

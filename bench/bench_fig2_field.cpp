@@ -60,5 +60,5 @@ int main() {
   for (int j = 0; j < ny; ++j)
     for (int i = 0; i < nx / 2; ++i) asym = std::max(asym, std::abs(at(i, j) - at(nx - 1 - i, j)));
   bench::check(asym < 1e-6, "field symmetric about the spot centerline (symmetry BCs)");
-  return 0;
+  return bench::check_failures() > 0 ? 1 : 0;
 }

@@ -62,5 +62,5 @@ int main() {
                "equation (band) partitioning moves less data per step at scale");
   std::printf("(the Fig. 4 twist: despite this, cell-partitioning scales further because the\n"
               " band count caps the parallelism at 55)\n");
-  return 0;
+  return bench::check_failures() > 0 ? 1 : 0;
 }

@@ -40,5 +40,5 @@ int main() {
   const auto c40 = model_cell_parallel(w, c, m, 40);
   bench::check(c40.phases.communication > b40.phases.communication,
                "cell-parallel has the higher communication cost (Fig. 3 discussion)");
-  return 0;
+  return bench::check_failures() > 0 ? 1 : 0;
 }

@@ -56,5 +56,5 @@ int main() {
                "temperature update is a larger share of the hybrid run");
   bench::check(gpu1_total < cpu_intensity + cpu_temp,
                "the hybrid configuration wins end-to-end at equal partition count");
-  return 0;
+  return bench::check_failures() > 0 ? 1 : 0;
 }

@@ -39,5 +39,5 @@ int main() {
   const double r = g10 / cpu320;
   std::printf("10-GPU vs 320-process-CPU time ratio: %.2f (paper: roughly equal)\n", r);
   bench::check(r > 0.2 && r < 5.0, "best GPU time and best 320-proc CPU time are comparable");
-  return 0;
+  return bench::check_failures() > 0 ? 1 : 0;
 }

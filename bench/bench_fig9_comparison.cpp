@@ -42,5 +42,5 @@ int main() {
   const double c320 = model_cell_parallel(w, c, m, 320).total;
   bench::check(g10 / c320 > 0.2 && g10 / c320 < 5.0,
                "best times roughly equal between the 10-GPU run and the 320-CPU run");
-  return 0;
+  return bench::check_failures() > 0 ? 1 : 0;
 }

@@ -121,13 +121,9 @@ rt::Snapshot load_checkpoint_guarded(const rt::CheckpointStore& store,
 // onto a solver built from a different scenario/topology — a silent mismatch
 // would "resume" into garbage that still looks finite.
 struct ConfigHasher {
-  uint64_t h = 0xcbf29ce484222325ULL;
+  uint64_t h = rt::kFnv1aOffset;
   ConfigHasher& mix_bytes(const void* p, size_t n) {
-    const auto* b = static_cast<const unsigned char*>(p);
-    for (size_t i = 0; i < n; ++i) {
-      h ^= b[i];
-      h *= 0x100000001b3ULL;
-    }
+    h = rt::fnv1a64({static_cast<const std::byte*>(p), n}, h);
     return *this;
   }
   ConfigHasher& mix(double v) { return mix_bytes(&v, sizeof v); }
@@ -358,6 +354,12 @@ void BandLayout::update_temperature() {
       phys_->table.equilibrium(Tc, s.b_lo, s.b_hi, s.Io.data() + cb, s.beta.data() + cb);
     }
   }
+}
+
+double BandLayout::field_energy() const {
+  rt::KahanSum e;
+  for (double g : G) e.add(g);
+  return e.sum;
 }
 
 std::vector<double> BandLayout::gather_intensity() const {
@@ -672,13 +674,17 @@ void DistributedEngine::restore(const rt::Snapshot& snap) {
 void DistributedEngine::validate() {
   rstats_.validations += 1;
   // Energy-balance tripwire: a per-step relative drift beyond the tolerance
-  // is recorded, not health-failing (see SdcOptions).
-  double energy = 0.0;
-  if (res_.sdc.enabled && field_energy(energy)) {
+  // is recorded (ResilienceStats::invariant_violations), not health-failing:
+  // it is a tripwire for systematic corruption, while bit-exact detection is
+  // the checksums' job. The explicit scheme changes total energy a little
+  // every step (boundary heating), so the tolerance is generous.
+  constexpr double kEnergyDriftTol = 0.05;
+  if (res_.sdc.enabled) {
+    const double energy = field_energy();
     if (have_prev_energy_) {
       const double drift =
           std::abs(energy - prev_energy_) / std::max(std::abs(prev_energy_), 1e-300);
-      if (drift > res_.sdc.energy_drift_tol) rstats_.invariant_violations += 1;
+      if (drift > kEnergyDriftTol) rstats_.invariant_violations += 1;
     }
     prev_energy_ = energy;
     have_prev_energy_ = true;

@@ -143,6 +143,8 @@ class BandLayout {
   void scatter_into_G(const Slice& s, std::span<const double> payload);
   // Replicated temperature update: T from G, then every slice's Io/beta.
   void update_temperature();
+  // The band strategies' energy-balance tripwire input: Σ G, Kahan-summed.
+  double field_energy() const;
 
   // Canonical global layout (see checkpoint.hpp).
   std::vector<double> gather_intensity() const;
@@ -270,8 +272,8 @@ class DistributedEngine {
   virtual void gather_coefficients(std::vector<double>& Io, std::vector<double>& beta) const = 0;
   // Scatters a size-checked canonical snapshot onto the current layout.
   virtual void import_state(const rt::Snapshot& snap) = 0;
-  // The SDC energy invariant's current value; false when not available yet.
-  virtual bool field_energy(double& energy) const = 0;
+  // The SDC energy invariant's current value.
+  virtual double field_energy() const = 0;
   // Finite-value scans of the distributed fields (see require_finite).
   virtual void scan_fields() = 0;
   // Frees rebuildable scratch for the memory relief chain; returns bytes.

@@ -331,19 +331,6 @@ void MultiGpuSolver::audit_sentinels(size_t p) {
   }
 }
 
-// Energy-balance tripwire input: the total intensity energy as the ledgers'
-// Kahan sums, already paid for. Not available until every ledger is armed.
-bool MultiGpuSolver::field_energy(double& energy) const {
-  rt::KahanSum e;
-  for (size_t p = 0; p < mirrors_.size(); ++p) {
-    const rt::BlockLedger& ledger = mirrors_[p].ledger;
-    if (ledger.size() != layout_.slices[p].I.size()) return false;
-    for (size_t b = 0; b < ledger.num_blocks(); ++b) e.add(ledger.checksum(b).sum);
-  }
-  energy = e.sum;
-  return true;
-}
-
 void MultiGpuSolver::scan_fields() {
   for (size_t p = 0; p < layout_.slices.size(); ++p)
     require_finite(layout_.slices[p].I, static_cast<int>(p), "I");

@@ -80,7 +80,7 @@ class MultiGpuSolver : public DistributedEngine {
   // Also refreshes every device mirror (the H2D re-upload restore_moving
   // bills).
   void import_state(const rt::Snapshot& snap) override;
-  bool field_energy(double& energy) const override;
+  double field_energy() const override { return layout_.field_energy(); }
   void scan_fields() override;
   int64_t release_scratch() override;
 

@@ -188,12 +188,10 @@ void CellPartitionedSolver::exchange_halos() {
       const std::span<double> ghost(r.I.data() + offset(r, recv.cells[0]),
                                     recv.cells.size() * dofs);
       if (resilient_ && res_.sdc.enabled) {
-        // ABFT sidecar: the sender checksums the payload before it goes on
-        // the wire; the receiver verifies on receipt.
+        // ABFT sidecar: the wire seals the payload before it can flip; the
+        // receiver verifies on receipt.
         const auto t0 = Clock::now();
-        const rt::BlockChecksum sidecar = rt::block_checksum(ghost);
-        if (fi != nullptr && fi->should_fault(rt::FaultKind::BitFlipMessage, "halo"))
-          fi->flip_bit(ghost, rt::FaultKind::BitFlipMessage, "halo");
+        const rt::BlockChecksum sidecar = bsp_.transmit(ghost, "halo");
         if (!rt::block_checksum(ghost).matches(sidecar)) {
           note_sdc_detection();
           // Localized repair: re-pull just this message from the peer's
@@ -202,8 +200,7 @@ void CellPartitionedSolver::exchange_halos() {
           pull();
           // A repair that fails too (the retransmission is hit as well)
           // exhausts the localized path: fall back to rollback + replay.
-          if (fi != nullptr && fi->should_fault(rt::FaultKind::BitFlipMessage, "halo-repair"))
-            fi->flip_bit(ghost, rt::FaultKind::BitFlipMessage, "halo-repair");
+          bsp_.transmit(ghost, "halo-repair");
           if (rt::block_checksum(ghost).matches(sidecar)) {
             rstats_.block_repairs += 1;
           } else {
@@ -317,12 +314,11 @@ void CellPartitionedSolver::audit_sentinels() {
   charge_audit(seconds_since(t0));
 }
 
-bool CellPartitionedSolver::field_energy(double& energy) const {
+double CellPartitionedSolver::field_energy() const {
   rt::KahanSum e;
   for (const Rank& r : ranks_)
     for (size_t i = 0; i < r.owned.size() * static_cast<size_t>(dofs_); ++i) e.add(r.I[i]);
-  energy = e.sum;
-  return true;
+  return e.sum;
 }
 
 void CellPartitionedSolver::scan_fields() {
@@ -542,13 +538,6 @@ void BandPartitionedSolver::audit_sentinels() {
     }
   }
   charge_audit(seconds_since(t0));
-}
-
-bool BandPartitionedSolver::field_energy(double& energy) const {
-  rt::KahanSum e;
-  for (double g : layout_.G) e.add(g);
-  energy = e.sum;
-  return true;
 }
 
 void BandPartitionedSolver::scan_fields() {

@@ -105,7 +105,7 @@ class CellPartitionedSolver : public BspEngine {
   void relayout_away(int32_t victim) override;
   void gather_coefficients(std::vector<double>& Io, std::vector<double>& beta) const override;
   void import_state(const rt::Snapshot& snap) override;
-  bool field_energy(double& energy) const override;
+  double field_energy() const override;
   void scan_fields() override;
   int64_t release_scratch() override { return release(sentinel_scratch_); }
 
@@ -158,7 +158,7 @@ class BandPartitionedSolver : public BspEngine {
     layout_.gather_coefficients(Io, beta);
   }
   void import_state(const rt::Snapshot& snap) override { layout_.import_state(snap); }
-  bool field_energy(double& energy) const override;
+  double field_energy() const override { return layout_.field_energy(); }
   void scan_fields() override;
   int64_t release_scratch() override;
 

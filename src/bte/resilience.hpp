@@ -66,13 +66,6 @@ struct SdcOptions {
   // the cross-rank "did my neighbor's update agree with mine" audit that
   // bounds detection latency to one step even off the transfer paths.
   int sentinel_cells = 4;
-  // Relative per-step drift tolerance for the energy-balance invariant. The
-  // explicit scheme changes total energy a little every step (boundary
-  // heating), so the tolerance is generous; violations are recorded
-  // (ResilienceStats::invariant_violations), not health-failing — the
-  // invariant is a tripwire for systematic corruption, while bit-exact
-  // detection is the checksums' job.
-  double energy_drift_tol = 0.05;
 };
 
 // Durable-run configuration: with a non-empty `dir` the solver commits every
@@ -220,9 +213,6 @@ inline void validate_resilience_options(const ResilienceOptions& opt) {
     fail("sdc.block_cells must be >= 1 (got " + std::to_string(opt.sdc.block_cells) + ")");
   if (opt.sdc.sentinel_cells < 0)
     fail("sdc.sentinel_cells must be >= 0 (got " + std::to_string(opt.sdc.sentinel_cells) + ")");
-  if (opt.sdc.energy_drift_tol < 0)
-    fail("sdc.energy_drift_tol must be >= 0 (got " +
-         std::to_string(opt.sdc.energy_drift_tol) + ")");
   const rt::StragglerOptions& st = opt.straggler;
   if (!(st.ewma_alpha > 0.0) || st.ewma_alpha > 1.0)
     fail("straggler.ewma_alpha must be in (0, 1] (got " + std::to_string(st.ewma_alpha) + ")");

@@ -7,21 +7,15 @@
 #include <stdexcept>
 
 #include "runtime/chaos.hpp"
+#include "runtime/hash.hpp"
 
 namespace finch::bte {
 
 namespace {
 
-uint64_t splitmix(uint64_t x) {
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
-}
-
 double unit(uint64_t seed, uint64_t i, uint64_t salt) {
-  return static_cast<double>(splitmix(seed ^ splitmix(i * 1315423911ull + salt)) >> 11) *
-         0x1.0p-53;
+  const uint64_t h = rt::splitmix64(seed ^ rt::splitmix64(i * 1315423911ull + salt));
+  return static_cast<double>(h >> 11) * 0x1.0p-53;
 }
 
 bool bits_equal(const std::vector<double>& a, const std::vector<double>& b) {
@@ -85,7 +79,7 @@ std::vector<svc::JobSpec> SupervisorCampaign::mixed_stream(uint64_t seed,
   for (int i = 0; i < shape.njobs; ++i) {
     svc::JobSpec s;
     s.id = "job-" + std::to_string(i);
-    const uint64_t h = splitmix(seed + 0x10001ull * static_cast<uint64_t>(i) + 1);
+    const uint64_t h = rt::splitmix64(seed + 0x10001ull * static_cast<uint64_t>(i) + 1);
     s.seed = h | 1;
     s.solver = shape.solvers[h % shape.solvers.size()];
     s.nparts = s.solver == "mgpu" ? 2 + static_cast<int>((h >> 8) % 3)
@@ -227,7 +221,7 @@ std::vector<svc::Arrival> SupervisorCampaign::overload_stream(uint64_t seed,
   for (int i = 0; i < shape.njobs; ++i) {
     svc::JobSpec s;
     s.id = "ov-" + std::to_string(i);
-    const uint64_t h = splitmix(seed + 0x20003ull * static_cast<uint64_t>(i) + 1);
+    const uint64_t h = rt::splitmix64(seed + 0x20003ull * static_cast<uint64_t>(i) + 1);
     s.seed = h | 1;
     // Round-robin tenants so offered load is balanced by construction;
     // priorities hash independently of the tenant, so shedding pressure

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <chrono>
+#include <set>
 #include <stdexcept>
+#include <string>
 
 #include "core/dsl/problem.hpp"
 #include "runtime/metrics.hpp"
@@ -72,16 +74,22 @@ class GpuSolver final : public StepSolverBase {
     if (!interior_cells_.empty())
       faces_per_cell_ = static_cast<double>(interior_faces) / static_cast<double>(interior_cells_.size());
 
-    // Movement plan + one-time uploads. Device buffers hold real copies so
-    // transfer semantics are exercised; the numerics read the host fields
-    // (bit-identical — the device copy is a mirror).
+    // The movement plan is priced on the device, not performed: the numerics
+    // read the host fields, so a device copy would be a mirror nothing reads.
+    // The fields the plan uploads once are the device-resident arrays, and
+    // only they cross the link per step.
     plan_ = plan_movement(array_uses(p));
+    std::set<std::string> resident;
     for (const auto& t : plan_.upload_once) {
       if (!p.fields().has(t.array)) continue;
-      const fvm::CellField& f = p.fields().get(t.array);
-      device_[t.array] = gpu_->allocate(f.size());
-      gpu_->memcpy_h2d(device_[t.array], f.data());
+      resident.insert(t.array);
+      gpu_->charge_copy(rt::SimGpu::Copy::H2D, t.bytes);
     }
+    const auto off_device = [&](const MovementPlan::Transfer& t) {
+      return resident.count(t.array) == 0;
+    };
+    std::erase_if(plan_.per_step_d2h, off_device);
+    std::erase_if(plan_.per_step_h2d, off_device);
     kernel_stream_ = gpu_->create_stream();
   }
 
@@ -111,13 +119,13 @@ class GpuSolver final : public StepSolverBase {
     host_seconds += seconds_since(t0);
 
     // 3. Synchronize: with both halves swept, the first kernel stage is
-    // checked against the VM over every cell. Then bring results back per
-    // the movement plan and commit.
+    // checked against the VM over every cell. Then price the plan's
+    // downloads and commit.
     t0 = Clock::now();
     std::vector<char> fused(eqs_.size());
     for (size_t e = 0; e < eqs_.size(); ++e) fused[e] = finish_stage(e, scratch_[e], p_.dt());
     const double verify_seconds = seconds_since(t0);
-    for (auto& t : plan_.per_step_d2h) charge_d2h(t);
+    for (const auto& t : plan_.per_step_d2h) charge(t, rt::SimGpu::Copy::D2H);
     commit();
     phases_.compute += std::max(kernel_seconds, host_seconds) + verify_seconds;
 
@@ -129,8 +137,8 @@ class GpuSolver final : public StepSolverBase {
     p_.run_post_steps(time_);
     phases_.post_process += seconds_since(t0);
 
-    // 5. Send CPU-updated variables to the device.
-    for (auto& t : plan_.per_step_h2d) charge_h2d(t);
+    // 5. Price the uploads of CPU-updated variables.
+    for (const auto& t : plan_.per_step_h2d) charge(t, rt::SimGpu::Copy::H2D);
     phases_.communication += gpu_->counters().copy_seconds - copy_before;
 
     time_ += p_.dt();
@@ -165,43 +173,20 @@ class GpuSolver final : public StepSolverBase {
     return guard;
   }
 
-  // Per-step transfers seal an ABFT sidecar from the source payload and
-  // verify the destination against it; a mismatch (corrupted link) redoes
-  // the copy, so silent transport damage never reaches the consumer side.
-  void charge_d2h(MovementPlan::Transfer& t) {
-    auto it = device_.find(t.array);
-    if (it == device_.end() || !p_.fields().has(t.array)) return;
-    rt::TraceSpan span("movement.d2h");
-    host_scratch_.resize(it->second.size());
-    t.seal({it->second.device_data(), it->second.size()});
-    gpu_->memcpy_d2h(host_scratch_, it->second, kernel_stream_);
-    rt::MetricsRegistry::global().counter("movement.d2h.transfers").add(1.0);
-    if (!t.verify(host_scratch_)) {
-      rt::MetricsRegistry::global().counter("movement.audit_failures").add(1.0);
-      gpu_->memcpy_d2h(host_scratch_, it->second, kernel_stream_);
-    }
-  }
-
-  void charge_h2d(MovementPlan::Transfer& t) {
-    auto it = device_.find(t.array);
-    if (it == device_.end() || !p_.fields().has(t.array)) return;
-    rt::TraceSpan span("movement.h2d");
-    std::span<const double> src = p_.fields().get(t.array).data();
-    t.seal(src);
-    gpu_->memcpy_h2d(it->second, src, kernel_stream_);
-    rt::MetricsRegistry::global().counter("movement.h2d.transfers").add(1.0);
-    if (!t.verify({it->second.device_data(), src.size()})) {
-      rt::MetricsRegistry::global().counter("movement.audit_failures").add(1.0);
-      gpu_->memcpy_h2d(it->second, src, kernel_stream_);
-    }
+  // One per-step transfer of the plan, priced on the kernel stream.
+  void charge(const MovementPlan::Transfer& t, rt::SimGpu::Copy dir) {
+    const bool h2d = dir == rt::SimGpu::Copy::H2D;
+    rt::TraceSpan span(h2d ? "movement.h2d" : "movement.d2h");
+    gpu_->charge_copy(dir, t.bytes, kernel_stream_);
+    rt::MetricsRegistry::global()
+        .counter(h2d ? "movement.h2d.transfers" : "movement.d2h.transfers")
+        .add(1.0);
   }
 
   rt::SimGpu* gpu_;
   std::vector<int32_t> interior_cells_, boundary_cells_;
   double faces_per_cell_ = 0.0;  // mean face count of an interior cell
-  MovementPlan plan_;
-  std::map<std::string, rt::DeviceBuffer> device_;
-  std::vector<double> host_scratch_;
+  MovementPlan plan_;  // per-step transfers of device-resident arrays only
   int kernel_stream_ = 0;
 };
 

@@ -10,8 +10,12 @@
 // billed for that work only. The first kernel step is verified against the
 // VM over every cell. Results are combined, the CPU post-step (temperature
 // update) executes, and the movement plan's per-step transfers are charged to
-// the communication phase. Fields, vm.* counts and the non-finite guard
-// report equal the CPU target's.
+// the communication phase. The numerics read and write host storage only:
+// the plan's transfers (its once-uploads at construction on stream 0, then
+// each step's downloads and uploads on the kernel stream) are priced on the
+// device with rt::SimGpu::charge_copy, and no device buffer mirrors a field.
+// Fields, vm.* counts and the non-finite guard report equal the CPU
+// target's.
 
 #include <memory>
 

@@ -8,15 +8,14 @@
 // Inputs: per-array read/write sets of the two execution sites (the GPU
 // kernel, derived from the IR's entity usage; the CPU side, derived from the
 // boundary-callback and post-step annotations). Output: which arrays upload
-// once, which round-trip every step, and the per-step byte volumes the
-// hybrid solver charges to its communication phase.
+// once, which round-trip every step, and the per-step byte volumes. The
+// hybrid solver prices each transfer on the simulated device
+// (rt::SimGpu::charge_copy) and charges it to its communication phase; it
+// copies nothing, so a transfer carries no checksum.
 
 #include <cstdint>
-#include <span>
 #include <string>
 #include <vector>
-
-#include "runtime/abft.hpp"
 
 namespace finch::codegen {
 
@@ -33,15 +32,6 @@ struct MovementPlan {
   struct Transfer {
     std::string array;
     int64_t bytes = 0;
-    // ABFT sidecar: sealed from the source payload before the copy, verified
-    // against the destination after it. A silent flip anywhere on the link —
-    // staging buffer, DMA, receive path — fails verify() and localizes the
-    // corruption to this one transfer instead of poisoning the step.
-    rt::BlockChecksum sidecar;
-    void seal(std::span<const double> source) { sidecar = rt::block_checksum(source); }
-    bool verify(std::span<const double> received) const {
-      return rt::block_checksum(received).matches(sidecar);
-    }
   };
   std::vector<Transfer> upload_once;     // H2D before the time loop
   std::vector<Transfer> per_step_h2d;    // CPU-produced, GPU-consumed
@@ -51,9 +41,6 @@ struct MovementPlan {
   int64_t step_h2d_bytes() const;
   int64_t step_d2h_bytes() const;
   int64_t step_total_bytes() const { return step_h2d_bytes() + step_d2h_bytes(); }
-  // Bytes covered by per-step sidecar verification (all of them: every
-  // per-step transfer carries its checksum).
-  int64_t audited_step_bytes() const { return step_total_bytes(); }
 };
 
 // Minimal-movement plan: an array crosses the link per step only when one

@@ -82,17 +82,12 @@ JitConfig config_from_env() {
   cfg.extra_cflags = getenv_str("FINCH_JIT_CFLAGS");
   cfg.cache_dir = default_cache_dir();
   cfg.disable = getenv_str("FINCH_JIT_DISABLE") == "1";
-  cfg.verify_first_sweep = getenv_str("FINCH_JIT_VERIFY") != "0";
   return cfg;
 }
 
 // ---- emission ---------------------------------------------------------------
 
-// FNV-1a-64 over text and over one trivially copyable value, chained by `h`.
-uint64_t hash_text(std::string_view s, uint64_t h = rt::kFnv1aOffset) {
-  return rt::fnv1a64(std::as_bytes(std::span<const char>(s.data(), s.size())), h);
-}
-
+// FNV-1a-64 over one trivially copyable value, chained by `h`.
 template <class T>
 uint64_t hash_value(const T& v, uint64_t h) {
   return rt::fnv1a64(std::as_bytes(std::span<const T, 1>(&v, 1)), h);
@@ -113,7 +108,7 @@ uint64_t fingerprint(const Program& p) {
       h = hash_value(bits, h);
     }
   }
-  for (const Binding& b : p.bindings) h = hash_text(b.signature(), h);
+  for (const Binding& b : p.bindings) h = rt::fnv1a64(b.signature(), h);
   return hash_value(p.ret, h);
 }
 
@@ -992,9 +987,9 @@ bool load_native_plan(NativePlan& plan, std::string* error) {
 
   std::string log;
   for (const std::string& flags : variants) {
-    uint64_t key = hash_text(plan.source);
-    key = hash_text(cfg.compiler, key);
-    key = hash_text(flags, key);
+    uint64_t key = rt::fnv1a64(plan.source);
+    key = rt::fnv1a64(cfg.compiler, key);
+    key = rt::fnv1a64(flags, key);
 
     {
       std::lock_guard<std::mutex> lk(g_cache_mu);

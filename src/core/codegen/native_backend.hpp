@@ -20,7 +20,9 @@
 //   FINCH_JIT_CFLAGS     extra flags appended to the baked-in safe set
 //   FINCH_JIT_CACHE_DIR  kernel cache directory (default ~/.cache/finch-jit)
 //   FINCH_JIT_DISABLE=1  force the VM everywhere
-//   FINCH_JIT_VERIFY=0   skip the bit-compatibility check on the first sweep
+//
+// The first sweep of every loaded kernel is always checked bit for bit
+// against the VM (StepSolverBase::finish_stage); no knob turns it off.
 
 #include <cstdint>
 #include <memory>
@@ -39,7 +41,6 @@ struct JitConfig {
   std::string extra_cflags;
   std::string cache_dir;
   bool disable = false;
-  bool verify_first_sweep = true;
 };
 JitConfig& jit_config();
 void reset_jit_config_from_env();

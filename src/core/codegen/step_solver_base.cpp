@@ -132,10 +132,7 @@ GuardTally StepSolverBase::sweep(size_t e, fvm::CellField& out, double dt_stage,
 bool StepSolverBase::finish_stage(size_t e, fvm::CellField& out, double dt_stage) {
   if (!on_kernel(e)) return false;
   EquationKernel& k = kernels_[e];
-  if (k.verified || !jit_config().verify_first_sweep) {
-    k.verified = true;
-    return true;
-  }
+  if (k.verified) return true;
   k.verified = true;
   // Differential check: replay this exact stage on the VM oracle, from the
   // boundary values the kernel read, and require bit identity of the field

@@ -13,9 +13,9 @@
 //
 // An equation whose kernel cannot be produced (no compiler, compile error,
 // unlowerable structure) runs the VM, counted in `jit.fallback`, never a
-// wrong answer. The first kernel stage of each equation is replayed on the VM
-// over every cell and must match bit for bit (FINCH_JIT_VERIFY=0 skips); a
-// mismatch demotes that equation to the VM for good. Solvers with the
+// wrong answer. The first kernel stage of each equation is always replayed on
+// the VM over every cell and must match bit for bit; a mismatch demotes that
+// equation to the VM for good. Solvers with the
 // non-finite guard armed always take the VM path, where the per-node auditing
 // lives.
 //

@@ -4,7 +4,6 @@
 #include <cstdlib>
 #include <stdexcept>
 
-#include "core/codegen/cpu_solver.hpp"
 #include "core/codegen/gpu_solver.hpp"
 #include "core/codegen/native_backend.hpp"
 #include "core/codegen/source_cuda.hpp"
@@ -307,10 +306,10 @@ std::unique_ptr<Solver> Problem::compile(Target target) {
                       (backend_ == Backend::Auto && codegen::native_backend_available());
   switch (target) {
     case Target::CpuSerial:
-      return codegen::make_cpu_solver(*this, nullptr, native);
+      return std::make_unique<codegen::StepSolverBase>(*this, nullptr, native);
     case Target::CpuThreads:
       if (pool_ == nullptr) throw std::logic_error("compile: use_threads() not configured");
-      return codegen::make_cpu_solver(*this, pool_, native);
+      return std::make_unique<codegen::StepSolverBase>(*this, pool_, native);
     case Target::Gpu:
       if (gpu_ == nullptr) throw std::logic_error("compile: use_cuda() not configured");
       return codegen::make_gpu_solver(*this, gpu_, native);

@@ -10,26 +10,27 @@
 // within one step and (b) localized to one block, which the solver can then
 // recompute from the previous state instead of rolling the whole run back.
 //
-// Two independent signatures are kept per block:
-//   * a Fletcher-64-style position-sensitive checksum over the raw bit
-//     patterns (two 32-bit lanes per double), which catches any single-bit
-//     flip and almost all multi-bit ones, and
-//   * a Kahan-compensated sum of the values, the classic ABFT "column sum"
-//     that doubles as the input to physics invariants (energy balance).
-// Equality of both — the Fletcher lanes bitwise and the sum by bit pattern —
-// defines "clean". Everything is integer or bit-pattern based, so verification
-// is exact: no tolerance tuning, no false accepts.
+// A block's signature is the word digest of its doubles' bit patterns
+// (rt::digest_words, hash.hpp: the digest checkpoint images and the
+// multi-GPU transfer guard use too). Comparison is of bits, not values, so
+// -0.0 vs 0.0 and a changed NaN payload are caught like any other change.
+// For a fixed word each digest step is a bijection of the state, so one
+// changed element — one bit or many — always changes its block's
+// signature. Everything is integer based, so verification is exact: no
+// tolerance tuning, no false accepts.
 
 #include <cstdint>
 #include <cstring>
 #include <span>
 #include <vector>
 
+#include "hash.hpp"
+
 namespace finch::rt {
 
-// Kahan (compensated) summation: the running sum stays deterministic and
-// far more accurate than naive accumulation, so the ABFT sum can double as
-// an energy-balance invariant without drowning in roundoff.
+// Kahan (compensated) summation: a deterministic running sum far more
+// accurate than naive accumulation, so the distributed solvers' total
+// energy can serve as a per-step energy-balance tripwire.
 struct KahanSum {
   double sum = 0.0;
   double comp = 0.0;
@@ -42,43 +43,26 @@ struct KahanSum {
   }
 };
 
-// Signature of one block: Fletcher-64 lanes over the doubles' bit patterns
-// plus the Kahan value-sum. Comparison is exact (bit patterns, not values),
-// so -0.0 vs 0.0 or a quiet flip in a low mantissa bit cannot slip through.
+// Signature of one block: the word digest of its doubles and their count.
+// block_checksum(x).digest equals checksum_doubles(x).
 struct BlockChecksum {
-  uint64_t lo = 0;  // Fletcher lane: running sum of 32-bit words
-  uint64_t hi = 0;  // Fletcher lane: running sum of running sums
-  double sum = 0.0;
-  double comp = 0.0;
+  uint64_t digest = kWordDigestSeed;
   uint64_t count = 0;
 
   void fold(double v) {
     uint64_t bits;
     std::memcpy(&bits, &v, sizeof(bits));
-    lo = (lo + (bits & 0xffffffffULL)) % 0xffffffffULL;
-    hi = (hi + lo) % 0xffffffffULL;
-    lo = (lo + (bits >> 32)) % 0xffffffffULL;
-    hi = (hi + lo) % 0xffffffffULL;
-    const double y = v - comp;
-    const double t = sum + y;
-    comp = (t - sum) - y;
-    sum = t;
+    digest = digest_step(digest, bits);
     ++count;
   }
 
-  uint64_t fletcher() const { return (hi << 32) | lo; }
-
   bool matches(const BlockChecksum& other) const {
-    if (lo != other.lo || hi != other.hi || count != other.count) return false;
-    uint64_t a, b;
-    std::memcpy(&a, &sum, sizeof(a));
-    std::memcpy(&b, &other.sum, sizeof(b));
-    return a == b;
+    return digest == other.digest && count == other.count;
   }
 };
 
-// Checksum of a whole span in one pass — the sidecar attached to a message
-// or transfer, verified on receipt.
+// Checksum of a whole span in one pass — the sidecar BspSimulator::transmit
+// attaches to a message, verified on receipt.
 BlockChecksum block_checksum(std::span<const double> data);
 
 // Per-block checksum ledger over a flat array of n doubles, split into

@@ -6,6 +6,7 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "hash.hpp"
 #include "json_util.hpp"
 
 namespace finch::rt {
@@ -20,23 +21,6 @@ int fault_class(FaultKind k) {
   if (fault_is_performance(k)) return 3;
   if (fault_is_resource(k)) return 4;
   return 0;
-}
-
-// Same splitmix64 as the injector: reproducibility, not cryptography.
-uint64_t splitmix64(uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-
-uint64_t hash_str(std::string_view s) {
-  uint64_t h = 0xcbf29ce484222325ULL;  // FNV-1a 64
-  for (char c : s) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x100000001b3ULL;
-  }
-  return h;
 }
 
 // Counter-mode splitmix stream: the generator's private dice.
@@ -238,7 +222,7 @@ ChaosSchedule ChaosEngine::generate(const std::string& solver, const ChaosSpec& 
   if (spec.min_faults < 1 || spec.max_faults < spec.min_faults)
     throw std::invalid_argument("ChaosSpec: need 1 <= min_faults <= max_faults");
   const auto& menu = site_menu(solver);
-  Dice dice(splitmix64(seed_ ^ hash_str(solver)) ^
+  Dice dice(splitmix64(seed_ ^ fnv1a64(solver)) ^
             splitmix64(static_cast<uint64_t>(index) * 0x9e3779b97f4a7c15ULL));
 
   ChaosSchedule s;

@@ -30,17 +30,6 @@ constexpr uint64_t kMagic = 0x46434e4b50543031ULL;  // "FCNKPT01"
 // both the field checksums and the trailer in one read of each payload.
 constexpr uint64_t kVersion = 4;
 
-// An odd multiplier: multiplying by it permutes the 64-bit states.
-constexpr uint64_t kWordMul = 0x9fb21c651e98df25ULL;
-
-// One digest step. For a fixed word each of xor, odd multiply and xor-shift
-// is a bijection of the state, and for a fixed state the xor is a bijection
-// of the word: a single changed word always changes every later state.
-inline uint64_t digest_step(uint64_t h, uint64_t word) {
-  h = (h ^ word) * kWordMul;
-  return h ^ (h >> 29);
-}
-
 inline uint64_t load_word(const std::byte* p) {
   uint64_t w;
   std::memcpy(&w, p, sizeof w);
@@ -130,29 +119,6 @@ struct ImageReader {
 };
 
 }  // namespace
-
-uint64_t fnv1a64(std::span<const std::byte> bytes, uint64_t h) {
-  for (std::byte b : bytes) {
-    h ^= static_cast<uint64_t>(b);
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
-
-uint64_t digest_words(std::span<const std::byte> bytes, uint64_t h) {
-  const size_t whole = bytes.size() / 8;
-  for (size_t i = 0; i < whole; ++i) h = digest_step(h, load_word(bytes.data() + 8 * i));
-  if (const size_t rest = bytes.size() % 8; rest != 0) {
-    std::byte last[8] = {};
-    std::memcpy(last, bytes.data() + 8 * whole, rest);
-    h = digest_step(h, load_word(last));
-  }
-  return h;
-}
-
-uint64_t checksum_doubles(std::span<const double> data) {
-  return digest_words(std::as_bytes(data));
-}
 
 bool all_finite(std::span<const double> data, size_t* first_bad) {
   for (size_t i = 0; i < data.size(); ++i)
@@ -430,8 +396,10 @@ std::optional<Generation> find_latest_generation(const std::string& dir) {
 }
 
 CheckpointStore::CheckpointStore(std::string dir, int disk_generations)
-    : dir_(std::move(dir)), disk_generations_(std::max(0, disk_generations)) {
-  if (dir_.empty() || disk_generations_ == 0) return;
+    : dir_(std::move(dir)), disk_generations_(disk_generations) {
+  if (dir_.empty()) return;
+  if (disk_generations_ < 1)
+    throw std::invalid_argument("CheckpointStore: a durable store keeps at least one generation");
   const auto files = list_generations(dir_);
   if (!files.empty()) saves_ = files.front().first;
 }
@@ -450,13 +418,7 @@ void CheckpointStore::save(const Snapshot& snap, const RunManifest* manifest) {
   latest_step_ = snap.step;
   latest_bytes_ = static_cast<int64_t>(image_.size());
   if (dir_.empty()) return;
-  if (disk_generations_ == 0) {
-    const std::string path = dir_ + "/checkpoint.bin";
-    write_bytes_atomic(path, image_);
-    disk_paths_.assign(1, path);
-    return;
-  }
-  // Durable mode: a committed generation file is never rewritten, so a crash
+  // A committed generation file is never rewritten, so a crash
   // inside this write (before or after the rename) cannot damage any prior
   // generation — the property the SIGKILL harness drives through the commit
   // hook above.

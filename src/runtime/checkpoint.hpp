@@ -23,7 +23,8 @@
 //                     image carries none)
 //   trailer: digest of every word before it
 //
-// Both checksums are digest_words (one 64-bit step per word, below): a
+// Both checksums are digest_words (one 64-bit step per word, hash.hpp), the
+// digest every integrity check uses (the ABFT block checksums too): a
 // field's digest covers its doubles, the trailer covers every word of the
 // image, and one read of each payload forms both. v2 and v3 images (the
 // byte-at-a-time FNV-1a layout) are refused by version.
@@ -36,10 +37,10 @@
 //
 // CheckpointStore keeps the latest image in memory (fast rollback path) plus
 // the previous generation — the fallback the hardened restore path drops to
-// when every read of the newest image arrives corrupted — and can mirror
-// saves to disk for restart across processes. Disk writes go through a .tmp
-// sibling + atomic rename, so a crash mid-write never destroys the previous
-// complete image. In durable mode every committed save is one
+// when every read of the newest image arrives corrupted — and, given a
+// directory, commits every save to disk for restart across processes. Disk
+// writes go through a .tmp sibling + atomic rename, so a crash mid-write
+// never destroys the previous complete image. Every committed save is one
 // `checkpoint_<seq>.bin` file, and find_latest_generation() is the one way a
 // restarted process finds what to resume from. CheckpointPolicy is the
 // periodic-interval schedule the solvers consult.
@@ -62,6 +63,7 @@
 #include <utility>
 #include <vector>
 
+#include "hash.hpp"
 #include "manifest.hpp"
 
 namespace finch::rt {
@@ -70,23 +72,6 @@ class CheckpointError : public std::runtime_error {
  public:
   using std::runtime_error::runtime_error;
 };
-
-// Bitwise FNV-1a-64 over raw bytes: NaN payloads, signed zeros and
-// infinities all hash distinctly, so any corruption is visible. Passing the
-// previous hash as `h` chains several spans into one digest. One step per
-// byte: the hash of text (manifest trailers, kernel-cache keys).
-inline constexpr uint64_t kFnv1aOffset = 0xcbf29ce484222325ULL;
-uint64_t fnv1a64(std::span<const std::byte> bytes, uint64_t h = kFnv1aOffset);
-
-// The bulk digest: one 64-bit step per 8-byte word (xor the word, multiply
-// by an odd constant, xor-shift), a trailing partial word zero-padded. For a
-// fixed word every step permutes the state, so a single changed word always
-// changes the digest. Passing the previous digest as `h` chains spans.
-// checksum_doubles — the checkpoint field checksum and the multi-GPU
-// transfer guard — is this digest over the doubles' bits.
-inline constexpr uint64_t kWordDigestSeed = 0x6a09e667f3bcc909ULL;
-uint64_t digest_words(std::span<const std::byte> bytes, uint64_t h = kWordDigestSeed);
-uint64_t checksum_doubles(std::span<const double> data);
 
 // Scans for NaN/Inf; reports the first offending index through `first_bad`.
 bool all_finite(std::span<const double> data, size_t* first_bad = nullptr);
@@ -174,14 +159,13 @@ std::optional<Generation> find_latest_generation(const std::string& dir);
 
 class CheckpointStore {
  public:
-  // `dir` empty: in-memory only. Otherwise saves are mirrored to disk:
-  // `disk_generations` 0 keeps the single `<dir>/checkpoint.bin` mirror;
-  // >= 1 is the durable mode — each save lands in a fresh
-  // `<dir>/checkpoint_<seq>.bin` (an already-committed generation is never
-  // rewritten, so a crash mid-save cannot touch it), numbered past every
-  // generation file already in `dir`, and the oldest file beyond the
-  // retention count is deleted.
-  explicit CheckpointStore(std::string dir = "", int disk_generations = 0);
+  // `dir` empty: in-memory only. Otherwise the store is durable: each save
+  // lands in a fresh `<dir>/checkpoint_<seq>.bin` (an already-committed
+  // generation is never rewritten, so a crash mid-save cannot touch it),
+  // numbered past every generation file already in `dir`, and the oldest
+  // file beyond `disk_generations` is deleted. Throws std::invalid_argument
+  // for a directory with fewer than one generation.
+  explicit CheckpointStore(std::string dir = "", int disk_generations = 1);
 
   // Commits `snap`, carrying `manifest` when given (the store stamps the
   // generation's step and sequence number into it).

@@ -4,29 +4,12 @@
 #include <cstring>
 #include <limits>
 
+#include "hash.hpp"
 #include "metrics.hpp"
 
 namespace finch::rt {
 
 namespace {
-
-// splitmix64 — small, well-mixed, and stable across platforms; the quality
-// bar here is reproducibility, not cryptography.
-uint64_t splitmix64(uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-
-uint64_t hash_site(std::string_view site) {
-  uint64_t h = 0xcbf29ce484222325ULL;  // FNV-1a 64
-  for (char c : site) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
 
 double to_unit(uint64_t bits) {
   // 53 high bits -> [0, 1).
@@ -118,7 +101,7 @@ uint64_t FaultInjector::draw(FaultKind kind, std::string_view site, int64_t inde
                              uint64_t salt) const {
   uint64_t h = seed_;
   h = splitmix64(h ^ (static_cast<uint64_t>(kind) + 1));
-  h = splitmix64(h ^ hash_site(site));
+  h = splitmix64(h ^ fnv1a64(site));
   h = splitmix64(h ^ static_cast<uint64_t>(index));
   return splitmix64(h ^ salt);
 }

@@ -55,7 +55,7 @@ std::string manifest_to_json(const RunManifest& m) {
   // Trailing checksum line over the JSON text: a torn write (SIGKILL before
   // the trailer flushed) or any in-place corruption is caught on read.
   body += std::string(kChecksumPrefix) +
-          hex64(fnv1a64(std::as_bytes(std::span<const char>(body)))) + "\n";
+          hex64(fnv1a64(body)) + "\n";
   return body;
 }
 
@@ -185,7 +185,7 @@ RunManifest manifest_from_json(std::string_view text) {
     else throw CheckpointError("manifest truncated (bad checksum trailer)");
     stored = (stored << 4) | nibble;
   }
-  const uint64_t actual = fnv1a64(std::as_bytes(std::span<const char>(body.data(), body.size())));
+  const uint64_t actual = fnv1a64(body);
   if (stored != actual) throw CheckpointError("manifest checksum mismatch");
   try {
     return parse_manifest_body(body);

@@ -79,20 +79,24 @@ int SimGpu::create_stream() {
   return static_cast<int>(stream_clocks_.size()) - 1;
 }
 
-void SimGpu::memcpy_h2d(DeviceBuffer& dst, std::span<const double> src, int stream) {
-  if (src.size() > dst.size()) throw std::invalid_argument("memcpy_h2d: source larger than buffer");
-  std::memcpy(dst.data_.data(), src.data(), src.size() * sizeof(double));
-  const int64_t bytes = static_cast<int64_t>(src.size() * sizeof(double));
+double SimGpu::charge_copy(Copy dir, int64_t bytes, int stream) {
   const double t = spec_.pcie_latency_s + static_cast<double>(bytes) / spec_.pcie_bandwidth_Bps;
   stream_clocks_.at(static_cast<size_t>(stream)) += t;
   counters_.copy_seconds += t;
-  counters_.bytes_h2d += bytes;
-  trace_stream("h2d", stream, t);
-  {
-    auto& mx = MetricsRegistry::global();
-    mx.counter("gpu.bytes_h2d").add(static_cast<double>(bytes));
-    mx.counter("gpu.copy_seconds").add(t);
-  }
+  const bool h2d = dir == Copy::H2D;
+  (h2d ? counters_.bytes_h2d : counters_.bytes_d2h) += bytes;
+  trace_stream(h2d ? "h2d" : "d2h", stream, t);
+  auto& mx = MetricsRegistry::global();
+  mx.counter(h2d ? "gpu.bytes_h2d" : "gpu.bytes_d2h").add(static_cast<double>(bytes));
+  mx.counter("gpu.copy_seconds").add(t);
+  return t;
+}
+
+void SimGpu::memcpy_h2d(DeviceBuffer& dst, std::span<const double> src, int stream) {
+  if (src.size() > dst.size()) throw std::invalid_argument("memcpy_h2d: source larger than buffer");
+  std::memcpy(dst.data_.data(), src.data(), src.size() * sizeof(double));
+  const double t =
+      charge_copy(Copy::H2D, static_cast<int64_t>(src.size() * sizeof(double)), stream);
   if (faults_ != nullptr && faults_->should_fault(FaultKind::TransferCorruption, "h2d")) {
     faults_->corrupt(std::span<double>(dst.data_.data(), src.size()), "h2d");
     counters_.transfer_corruptions += 1;
@@ -103,17 +107,8 @@ void SimGpu::memcpy_h2d(DeviceBuffer& dst, std::span<const double> src, int stre
 void SimGpu::memcpy_d2h(std::span<double> dst, const DeviceBuffer& src, int stream) {
   if (dst.size() > src.size()) throw std::invalid_argument("memcpy_d2h: destination larger than buffer");
   std::memcpy(dst.data(), src.data_.data(), dst.size() * sizeof(double));
-  const int64_t bytes = static_cast<int64_t>(dst.size() * sizeof(double));
-  const double t = spec_.pcie_latency_s + static_cast<double>(bytes) / spec_.pcie_bandwidth_Bps;
-  stream_clocks_.at(static_cast<size_t>(stream)) += t;
-  counters_.copy_seconds += t;
-  counters_.bytes_d2h += bytes;
-  trace_stream("d2h", stream, t);
-  {
-    auto& mx = MetricsRegistry::global();
-    mx.counter("gpu.bytes_d2h").add(static_cast<double>(bytes));
-    mx.counter("gpu.copy_seconds").add(t);
-  }
+  const double t =
+      charge_copy(Copy::D2H, static_cast<int64_t>(dst.size() * sizeof(double)), stream);
   if (faults_ != nullptr && faults_->should_fault(FaultKind::TransferCorruption, "d2h")) {
     faults_->corrupt(dst, "d2h");
     counters_.transfer_corruptions += 1;

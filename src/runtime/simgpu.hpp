@@ -2,10 +2,13 @@
 // Simulated CUDA-like device.
 //
 // Substitution for the paper's NVIDIA A6000/A100 GPUs (none is available
-// here). The device is real enough that generated kernels *execute*: device
-// buffers own storage, H2D/D2H copies move bytes, streams order work and can
-// overlap with host computation, and events time intervals. What is modeled
-// rather than measured is the kernel's execution *time*, via a roofline:
+// here). The device is real enough that kernels *execute*: launch bodies run
+// on this thread, device buffers own storage, H2D/D2H copies move bytes, and
+// streams order work and can overlap with host computation. A caller whose
+// numerics read host storage — the DSL GPU target — prices its transfers
+// with charge_copy instead of copying. What is modeled rather than measured
+// is device *time*: a copy costs latency + bytes / PCIe bandwidth, and a
+// kernel follows a roofline:
 //
 //   t_kernel = launch_overhead + max(flops / (peak * sm_util * issue_eff),
 //                                    dram_bytes / mem_bandwidth)
@@ -161,8 +164,15 @@ class SimGpu {
   // Streams are small integer handles; stream 0 always exists.
   int create_stream();
 
+  // Prices a copy of `bytes` on `stream` without moving data: the one
+  // transfer-time model (latency + bytes / PCIe bandwidth), charged to the
+  // stream clock, the copy counters, the gpu.* metrics and the trace.
+  // Returns the modeled seconds.
+  enum class Copy { H2D, D2H };
+  double charge_copy(Copy dir, int64_t bytes, int stream = 0);
+
   // Copies execute immediately (host blocks briefly in real CUDA too for
-  // pageable memory); their *cost* is charged to the stream's clock.
+  // pageable memory), then are priced by charge_copy.
   void memcpy_h2d(DeviceBuffer& dst, std::span<const double> src, int stream = 0);
   void memcpy_d2h(std::span<double> dst, const DeviceBuffer& src, int stream = 0);
 

@@ -261,10 +261,6 @@ namespace {
 constexpr std::string_view kTrailer = " #fnv1a:";
 constexpr size_t kTrailerLen = kTrailer.size() + 16;
 
-uint64_t text_hash(std::string_view text) {
-  return rt::fnv1a64(std::as_bytes(std::span<const char>(text.data(), text.size())));
-}
-
 // One record line: `<kind> <id> <body> #fnv1a:<hex>` over what precedes the
 // trailer.
 std::string record_line(char kind, const std::string& id, const std::string& body) {
@@ -276,7 +272,7 @@ std::string record_line(char kind, const std::string& id, const std::string& bod
   line.push_back(' ');
   line += body;
   char hex[17];
-  std::snprintf(hex, sizeof hex, "%016llx", static_cast<unsigned long long>(text_hash(line)));
+  std::snprintf(hex, sizeof hex, "%016llx", static_cast<unsigned long long>(rt::fnv1a64(line)));
   line += kTrailer;
   line += hex;
   line.push_back('\n');
@@ -298,7 +294,7 @@ bool parse_record(std::string_view line, JournalRecord* out) {
     else return false;
     stored = (stored << 4) | nibble;
   }
-  if (stored != text_hash(text)) return false;
+  if (stored != rt::fnv1a64(text)) return false;
   if ((text[0] != 'A' && text[0] != 'T') || text[1] != ' ') return false;
   const size_t space = text.find(' ', 2);
   if (space == std::string_view::npos || space == 2) return false;

@@ -23,6 +23,7 @@
 #include <string>
 
 #include "bte/chaos_campaign.hpp"
+#include "runtime/hash.hpp"
 #include "runtime/memory.hpp"
 
 namespace finch::svc {
@@ -34,10 +35,10 @@ struct RetryPolicy {
   double jitter_frac = 0.25;    // uniform [0, jitter_frac) multiplicative
 };
 
+// A tripped breaker ddmin-shrinks the job's chaos schedule into its repro,
+// within a budget of 64 re-executions.
 struct QuarantinePolicy {
-  int threshold = 3;           // consecutive failed attempts (distinct seeds)
-  bool minimize_repro = true;  // ddmin-shrink the chaos schedule on trip
-  int max_shrink_runs = 64;    // budget for shrink re-executions
+  int threshold = 3;  // consecutive failed attempts (distinct seeds)
 };
 
 struct SupervisorOptions {
@@ -65,8 +66,6 @@ inline void validate_supervisor_options(const SupervisorOptions& o) {
     throw std::invalid_argument("SupervisorOptions: jitter_frac must be in [0, 1)");
   if (o.quarantine.threshold < 1)
     throw std::invalid_argument("SupervisorOptions: quarantine.threshold must be >= 1");
-  if (o.quarantine.max_shrink_runs < 0)
-    throw std::invalid_argument("SupervisorOptions: quarantine.max_shrink_runs must be >= 0");
 }
 
 // Deterministic exponential backoff with bounded multiplicative jitter:
@@ -77,13 +76,12 @@ inline double backoff_with_jitter(const RetryPolicy& p, const std::string& job_i
   double d = p.backoff_base_s;
   for (int k = 0; k < failure_index && d < p.backoff_max_s; ++k) d *= 2.0;
   if (d > p.backoff_max_s) d = p.backoff_max_s;
-  uint64_t h = 1469598103934665603ull;  // FNV-1a over (job_id, failure_index)
-  for (char c : job_id) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ull;
-  }
-  h ^= static_cast<uint64_t>(failure_index);
-  h *= 1099511628211ull;
+  // FNV-1a over the job id, then one more step over the failure index. The
+  // chain starts from its own seed, not FNV's offset basis: every recorded
+  // retry schedule depends on it.
+  constexpr uint64_t kJitterSeed = 1469598103934665603ull;
+  uint64_t h = rt::fnv1a64(job_id, kJitterSeed);
+  h = (h ^ static_cast<uint64_t>(failure_index)) * rt::kFnv1aPrime;
   const double u = static_cast<double>(h >> 11) * 0x1.0p-53;
   return d * (1.0 + p.jitter_frac * u);
 }

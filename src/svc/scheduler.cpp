@@ -218,8 +218,8 @@ AttemptEngine::Decision AttemptEngine::decide(const Result& r, int attempt_index
 
 std::vector<rt::ChaosFault> AttemptEngine::minimize_repro(const Resolved& rj) {
   std::vector<rt::ChaosFault> cur = rj.spec.faults;
-  if (cur.size() < 2 || !options_->quarantine.minimize_repro) return cur;
-  int budget = options_->quarantine.max_shrink_runs;
+  if (cur.size() < 2) return cur;
+  int budget = 64;  // shrink re-executions
   auto& mx = rt::MetricsRegistry::global();
   auto fails = [&](const std::vector<rt::ChaosFault>& cand) {
     if (budget <= 0) return false;
@@ -260,16 +260,12 @@ void validate_scheduler_options(const SchedulerOptions& o) {
     throw std::invalid_argument("SchedulerOptions: queue_capacity must be >= 0");
   if (o.cost_per_unit_s <= 0.0)
     throw std::invalid_argument("SchedulerOptions: cost_per_unit_s must be > 0");
-  if (o.drr_quantum_units < 0.0)
-    throw std::invalid_argument("SchedulerOptions: drr_quantum_units must be >= 0");
   if (!(o.brownout_start > 0.0) || o.brownout_start > o.blackout_start ||
       o.blackout_start > 1.0)
     throw std::invalid_argument(
         "SchedulerOptions: need 0 < brownout_start <= blackout_start <= 1");
   if (o.max_queue_age_s < 0.0)
     throw std::invalid_argument("SchedulerOptions: max_queue_age_s must be >= 0");
-  if (!(o.watchdog_boost_frac > 0.0) || o.watchdog_boost_frac > 1.0)
-    throw std::invalid_argument("SchedulerOptions: watchdog_boost_frac must be in (0, 1]");
   if (o.storm_window_s < 0.0)
     throw std::invalid_argument("SchedulerOptions: storm_window_s must be >= 0");
   if (o.storm_threshold < 1)
@@ -515,7 +511,7 @@ void Scheduler::handle_arrival(Arrival&& a) {
 
 bool Scheduler::pick_next(size_t* out_ji) {
   if (total_queued() == 0) return false;
-  // Starvation watchdog: the oldest queued job past the boost threshold
+  // Starvation watchdog: the oldest queued job past half the age bound
   // jumps the fair-share rotation.
   if (age_bound_s_ > 0.0) {
     size_t oldest = kNone;
@@ -531,8 +527,7 @@ bool Scheduler::pick_next(size_t* out_ji) {
         oldest_t = &t;
       }
     }
-    if (oldest != kNone &&
-        vnow_ - oldest_v >= options_.watchdog_boost_frac * age_bound_s_) {
+    if (oldest != kNone && vnow_ - oldest_v >= 0.5 * age_bound_s_) {
       oldest_t->q.pop_front();
       ++result_.stats.watchdog_boosts;
       rt::MetricsRegistry::global().counter("svc.sched.watchdog_boosts").add(1.0);
@@ -855,15 +850,14 @@ ScheduleResult Scheduler::run(std::vector<Arrival> arrivals) {
   for (const std::string& name : tenant_order_)
     result_.stats.tenants[name].weight = tenants_[name]->weight;
 
-  // Auto quantum: the largest arrival is servable within one DRR visit.
+  // DRR quantum: the largest arrival is servable within one visit.
   double max_cost = 0.0, sum_cost = 0.0;
   for (const Arrival& a : arrivals) {
     const double c = predicted_cost(a.spec, -1);
     max_cost = std::max(max_cost, c);
     sum_cost += c;
   }
-  quantum_units_ =
-      options_.drr_quantum_units > 0.0 ? options_.drr_quantum_units : std::max(1.0, max_cost);
+  quantum_units_ = std::max(1.0, max_cost);
   const double mean_cost_s =
       arrivals.empty() ? 0.0
                        : (sum_cost / static_cast<double>(arrivals.size())) *

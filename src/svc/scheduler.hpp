@@ -79,12 +79,14 @@
 // weight), so one tenant's appetite cannot evict another's checkpoints.
 //
 // Fair share is deficit round-robin over per-tenant FIFO queues: each visit
-// grants a tenant `quantum × weight` cost units of deficit; jobs are
-// dispatched while the deficit covers their predicted cost. A flooding
-// tenant therefore bounds its own queue, not its neighbors' goodput.
+// grants a tenant `quantum × weight` cost units of deficit, the quantum
+// being the largest arrival's predicted cost (so any job is servable within
+// one visit); jobs are dispatched while the deficit covers their predicted
+// cost. A flooding tenant therefore bounds its own queue, not its
+// neighbors' goodput.
 //
-// The starvation watchdog tracks queue age: a job aging past
-// `watchdog_boost_frac × max_queue_age_s` is dispatched next regardless of
+// The starvation watchdog tracks queue age: a job aging past half of
+// `max_queue_age_s` is dispatched next regardless of
 // DRR order (counted in `watchdog_boosts`); a job that ever waits past the
 // bound is a `watchdog_violation` — the overload oracle requires zero.
 // Retry storms are damped: more than `storm_threshold` retry requeues inside
@@ -202,16 +204,12 @@ struct SchedulerOptions {
   // and retry_after estimates. Calibrate from a one-slot run when comparing
   // clocks across slot counts.
   double cost_per_unit_s = 5e-9;
-  // DRR quantum in cost units; 0 = auto (the largest arrival's cost, so any
-  // job is servable within one visit).
-  double drr_quantum_units = 0.0;
   // Brownout ladder thresholds as queue-fill fractions (bounded queue only).
   double brownout_start = 0.60;
   double blackout_start = 0.85;
   // Starvation bound in virtual seconds; 0 = auto with a bounded queue
   // (4 × queue drain time), disabled with an unbounded one.
   double max_queue_age_s = 0.0;
-  double watchdog_boost_frac = 0.5;
   // Retry-storm damper.
   double storm_window_s = 4.0;
   int storm_threshold = 16;

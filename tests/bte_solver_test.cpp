@@ -11,6 +11,7 @@
 #include "bte/direct_solver.hpp"
 #include "bte/gray.hpp"
 #include "core/codegen/gpu_solver.hpp"
+#include "runtime/memory.hpp"
 
 using namespace finch;
 using namespace finch::bte;
@@ -146,6 +147,67 @@ TEST(BteSolver, GpuTargetMatchesCpuForBte) {
   auto b = gpup.problem().fields().get("I").data();
   for (size_t i = 0; i < a.size(); ++i) EXPECT_EQ(a[i], b[i]);
   EXPECT_GT(gpu.counters().kernel_launches, 0);
+}
+
+// The GPU target prices its movement plan on the device and copies nothing:
+// a memory budget on the device never sees a reservation, and the modeled
+// traffic is the plan's — its once-uploaded fields, then every step's
+// transfers — at the device's copy model. The fields stay the CPU target's.
+TEST(BteSolver, GpuTargetPricesItsTransfersWithoutDeviceCopies) {
+  BteScenario s = tiny_scenario();
+  s.nx = s.ny = 8;
+  auto phys = tiny_physics();
+  constexpr int kSteps = 6;
+  BteProblem cpu(s, phys);
+  cpu.compile(dsl::Target::CpuSerial)->run(kSteps);
+
+  rt::SimGpu gpu(rt::GpuSpec::a6000());
+  rt::MemoryBudget budget;
+  gpu.set_memory_budget(&budget);
+  BteProblem gpup(s, phys);
+  gpup.problem().use_cuda(&gpu);
+  const codegen::MovementPlan plan = codegen::gpu_movement_plan(gpup.problem());
+  auto solver = gpup.compile();
+  EXPECT_EQ(budget.peak(), 0);
+  solver->run(kSteps);
+  EXPECT_EQ(budget.peak(), 0);
+
+  const rt::GpuSpec& spec = gpu.spec();
+  const auto seconds = [&](int64_t bytes) {
+    return spec.pcie_latency_s + static_cast<double>(bytes) / spec.pcie_bandwidth_Bps;
+  };
+  int64_t h2d = 0, d2h = 0;
+  double once_s = 0.0, step_s = 0.0;
+  for (const auto& t : plan.upload_once) {
+    if (!gpup.problem().fields().has(t.array)) continue;
+    h2d += t.bytes;
+    once_s += seconds(t.bytes);
+  }
+  for (int step = 0; step < kSteps; ++step) {
+    for (const auto& t : plan.per_step_d2h) {
+      d2h += t.bytes;
+      step_s += seconds(t.bytes);
+    }
+    for (const auto& t : plan.per_step_h2d) {
+      h2d += t.bytes;
+      step_s += seconds(t.bytes);
+    }
+  }
+  EXPECT_EQ(gpu.counters().bytes_h2d, h2d);
+  EXPECT_EQ(gpu.counters().bytes_d2h, d2h);
+  EXPECT_GT(d2h, 0);
+  EXPECT_DOUBLE_EQ(gpu.counters().copy_seconds, once_s + step_s);
+  // The once-uploads ride stream 0; the per-step transfers share the kernel
+  // stream with the launches.
+  EXPECT_DOUBLE_EQ(gpu.stream_clock(0), once_s);
+  EXPECT_DOUBLE_EQ(gpu.stream_clock(1), gpu.counters().kernel_seconds + step_s);
+
+  for (const char* name : {"I", "T"}) {
+    auto a = cpu.problem().fields().get(name).data();
+    auto b = gpup.problem().fields().get(name).data();
+    ASSERT_EQ(a.size(), b.size());
+    for (size_t i = 0; i < a.size(); ++i) ASSERT_EQ(a[i], b[i]) << name << "[" << i << "]";
+  }
 }
 
 TEST(BteSolver, MovementPlanSendsOnlyAnnotatedArrays) {

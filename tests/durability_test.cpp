@@ -84,7 +84,6 @@ std::string fresh_dir(const std::string& name) {
     std::remove(path.c_str());
     std::remove((path + ".tmp").c_str());
   }
-  std::remove((dir + "/checkpoint.bin").c_str());
   return dir;
 }
 

@@ -238,7 +238,6 @@ TEST_F(NativeBackendTest, ThreadedNativeRunsBoundaryCallbacksOnTheCallingThread)
   auto p = finch::test_support::coupled_problem(dsl::Backend::Native, probe);
   rt::ThreadPool pool(4);
   p->use_threads(&pool);
-  codegen::jit_config().verify_first_sweep = true;
   const double fb0 = counter("jit.fallback"), verified0 = counter("jit.verify.sweeps");
   auto s = p->compile(dsl::Target::CpuThreads);
   ASSERT_EQ(counter("jit.fallback"), fb0);
@@ -660,17 +659,6 @@ TEST_F(NativeBackendTest, VerifyDemotesAPlantedWrongKernel) {
   EXPECT_EQ(counter("jit.verify.mismatch"), mismatch0 + 1);
   EXPECT_EQ(counter("jit.fallback"), fb0 + 1);
   EXPECT_EQ(counter("jit.verify.sweeps"), sweeps0 + 1);
-  EXPECT_TRUE(bits_equal(pv->fields().get("I"), pn->fields().get("I")));
-}
-
-TEST_F(NativeBackendTest, VerifyKnobIsHonored) {
-  codegen::jit_config().verify_first_sweep = false;
-  auto pv = toy_problem(kToySurfaceEq, dsl::Backend::Vm);
-  auto pn = toy_problem(kToySurfaceEq, dsl::Backend::Native);
-  auto sv = pv->compile(dsl::Target::CpuSerial);
-  auto sn = pn->compile(dsl::Target::CpuSerial);
-  sv->run(2);
-  sn->run(2);
   EXPECT_TRUE(bits_equal(pv->fields().get("I"), pn->fields().get("I")));
 }
 

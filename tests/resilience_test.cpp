@@ -6,9 +6,12 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <memory>
 #include <span>
+#include <string>
+#include <vector>
 
 #include "bte/direct_solver.hpp"
 #include "bte/multi_gpu_solver.hpp"
@@ -339,19 +342,30 @@ TEST(Checkpoint, PayloadCorruptionNamesTheBitFlippedField) {
   EXPECT_EQ(rt::deserialize(clean).field("Io")[3], 12.0);
 }
 
+// A store with a directory is durable: one save is one generation file,
+// committed through its .tmp sibling, which is gone afterwards. A directory
+// store must keep at least one generation.
 TEST(Checkpoint, StoreMirrorsToDiskAtomically) {
-  rt::CheckpointStore store(".");
+  const std::string dir = "checkpoint_store_mirror";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  EXPECT_THROW(rt::CheckpointStore(dir, 0), std::invalid_argument);
+  rt::CheckpointStore store(dir, 1);
   rt::Snapshot snap;
   snap.step = 3;
   std::vector<double> f = {1.5, 2.5};
   snap.add("f", f);
   store.save(snap);
-  const rt::Snapshot back = rt::CheckpointStore::read_file("./checkpoint.bin");
+  ASSERT_EQ(store.disk_paths().size(), 1u);
+  EXPECT_EQ(store.disk_paths()[0], dir + "/checkpoint_1.bin");
+  const rt::Snapshot back = rt::CheckpointStore::read_file(store.disk_paths()[0]);
   EXPECT_EQ(back.step, 3);
   EXPECT_EQ(back.field("f")[1], 2.5);
-  std::ifstream tmp_probe("./checkpoint.bin.tmp", std::ios::binary);
-  EXPECT_FALSE(tmp_probe.good());
-  std::remove("./checkpoint.bin");
+  std::vector<std::string> files;
+  for (const auto& entry : std::filesystem::directory_iterator(dir))
+    files.push_back(entry.path().filename().string());
+  EXPECT_EQ(files, std::vector<std::string>{"checkpoint_1.bin"});
+  std::filesystem::remove_all(dir);
 }
 
 TEST(Resilience, BackoffIsCappedAtConfiguredCeiling) {

@@ -1,5 +1,5 @@
 // Silent-data-corruption defense: ABFT checksum primitives, silent bit-flip
-// injection, verify-on-receipt transfer sidecars, and — per distributed
+// injection, verify-on-receipt message sidecars, and — per distributed
 // solver — detection within one step, localization to a block, repair without
 // full rollback, and bit-exact final fields. The "same block fails twice"
 // escalation to checkpoint rollback is exercised through the dedicated
@@ -16,7 +16,6 @@
 #include "bte/multi_gpu_solver.hpp"
 #include "bte/partitioned_solver.hpp"
 #include "bte/resilience.hpp"
-#include "core/codegen/movement.hpp"
 #include "runtime/abft.hpp"
 #include "runtime/fault.hpp"
 #include "runtime/simmpi.hpp"
@@ -58,17 +57,38 @@ std::vector<double> ramp(size_t n) {
 
 // ---- ABFT primitives ---------------------------------------------------------
 
-TEST(Abft, FletcherCatchesEverySingleMantissaBitFlip) {
-  const std::vector<double> data = ramp(32);
-  const rt::BlockChecksum clean = rt::block_checksum(data);
-  for (int bit = 0; bit < 52; ++bit) {
-    std::vector<double> hit = data;
+// One changed element always changes the word digest, whatever changed in
+// it: any one of its 64 bits, the sign of a zero, or a NaN's payload. Checked
+// at every element of a ledger whose last block is ragged, and of the
+// sidecar over the whole array.
+TEST(Abft, DigestCatchesEveryChangeToOneElement) {
+  constexpr size_t kBlock = 7;
+  const std::vector<double> data = ramp(18);  // blocks of 7, 7 and a ragged 4
+  const auto with_bits = [](std::vector<double> v, size_t i, uint64_t bits) {
+    std::memcpy(&v[i], &bits, sizeof(bits));
+    return v;
+  };
+  const auto caught = [&](const std::vector<double>& base, const std::vector<double>& hit,
+                          size_t i) {
+    rt::BlockLedger ledger(base.size(), kBlock);
+    ledger.update(base);
+    const std::vector<size_t> bad = ledger.verify(hit);
+    return bad.size() == 1 && bad[0] == i / kBlock &&
+           !rt::block_checksum(hit).matches(rt::block_checksum(base));
+  };
+  constexpr uint64_t kNegZero = 1ULL << 63;
+  constexpr uint64_t kQuietNan = 0x7ff8000000000000ULL;
+  for (size_t i = 0; i < data.size(); ++i) {
     uint64_t bits;
-    std::memcpy(&bits, &hit[17], sizeof(bits));
-    bits ^= 1ULL << bit;
-    std::memcpy(&hit[17], &bits, sizeof(bits));
-    EXPECT_TRUE(std::isfinite(hit[17]));
-    EXPECT_FALSE(rt::block_checksum(hit).matches(clean)) << "bit " << bit;
+    std::memcpy(&bits, &data[i], sizeof(bits));
+    for (int bit = 0; bit < 64; ++bit)
+      EXPECT_TRUE(caught(data, with_bits(data, i, bits ^ (1ULL << bit)), i))
+          << "element " << i << ", bit " << bit;
+    const std::vector<double> pos_zero = with_bits(data, i, 0);
+    EXPECT_TRUE(caught(pos_zero, with_bits(data, i, kNegZero), i)) << "-0.0 at " << i;
+    EXPECT_TRUE(caught(with_bits(data, i, kNegZero), pos_zero, i)) << "+0.0 at " << i;
+    EXPECT_TRUE(caught(with_bits(data, i, kQuietNan | 1), with_bits(data, i, kQuietNan | 2), i))
+        << "NaN payload at " << i;
   }
 }
 
@@ -118,8 +138,8 @@ TEST(Abft, RaggedLastBlockIsCovered) {
 
 // The ledger folds up to four blocks side by side: whatever the grouping —
 // one to nine blocks, with or without a ragged last one — every stored
-// signature is bitwise the one-block fold of its range, and one changed
-// element is reported in exactly its own block.
+// digest is the one-block fold of its range, which is checksum_doubles of
+// it, and one changed element is reported in exactly its own block.
 TEST(Abft, LedgerFoldsEveryGroupingLikeOneBlockAtATime) {
   constexpr size_t kBlock = 7;
   for (size_t nblocks = 1; nblocks <= 9; ++nblocks) {
@@ -134,7 +154,9 @@ TEST(Abft, LedgerFoldsEveryGroupingLikeOneBlockAtATime) {
         const auto one =
             rt::block_checksum(std::span<const double>(data).subspan(r.begin, r.end - r.begin));
         EXPECT_TRUE(ledger.checksum(b).matches(one)) << nblocks << " blocks, block " << b;
-        EXPECT_EQ(ledger.checksum(b).fletcher(), one.fletcher());
+        EXPECT_EQ(ledger.checksum(b).digest, one.digest);
+        EXPECT_EQ(one.digest, rt::checksum_doubles(
+                                  std::span<const double>(data).subspan(r.begin, r.end - r.begin)));
       }
       EXPECT_TRUE(ledger.verify(data).empty());
       for (size_t i = 0; i < n; ++i) {
@@ -217,21 +239,6 @@ TEST(SilentFaults, TransmitSealsSidecarBeforeTheFlip) {
   // it, and a clean retransmission verifies.
   EXPECT_FALSE(rt::block_checksum(payload).matches(sidecar));
   EXPECT_TRUE(rt::block_checksum(sent).matches(sidecar));
-}
-
-// ---- codegen tier ------------------------------------------------------------
-
-TEST(SdcCodegen, TransferSidecarVerifiesOnReceipt) {
-  codegen::MovementPlan::Transfer t;
-  t.array = "I";
-  std::vector<double> payload = ramp(40);
-  t.seal(payload);
-  EXPECT_TRUE(t.verify(payload));
-  uint64_t bits;
-  std::memcpy(&bits, &payload[9], sizeof(bits));
-  bits ^= 1ULL << 30;
-  std::memcpy(&payload[9], &bits, sizeof(bits));
-  EXPECT_FALSE(t.verify(payload));
 }
 
 // ---- MultiGpuSolver: device-array flips --------------------------------------

@@ -13,10 +13,13 @@
 
 #include <csignal>
 #include <cstdio>
+#include <filesystem>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
 
+#include "bte/partitioned_solver.hpp"
 #include "bte/solver_factory.hpp"
 #include "bte/supervisor_campaign.hpp"
 #include "runtime/chaos.hpp"
@@ -161,6 +164,82 @@ TEST(SupervisorPolicy, BackoffIsDeterministicDoublesAndCaps) {
     EXPECT_LE(d, p.backoff_max_s * (1.0 + p.jitter_frac));
     EXPECT_GE(d, p.backoff_base_s);
   }
+}
+
+// Every fault draw, chaos schedule, durable config hash, retry jitter and svc
+// job stream is keyed through rt::splitmix64 and byte-wise FNV-1a. These
+// values were recorded before the copies of those two functions were folded
+// into one definition each: they hold only if every caller still hashes
+// bit for bit as it did.
+TEST(SeededStreams, HashAndDrawValuesArePinned) {
+  // perfbench's svc-mixed stream: its base scenario and stream shape, seed 7.
+  bte::BteScenario base = base_scenario();
+  base.nx = 16;
+  base.ny = 12;
+  base.ndirs = 8;
+  base.nbands = 8;
+  base.backend = "native";
+  bte::StreamShape shape;
+  shape.njobs = 300;
+  shape.chaos_fraction = 0.20;
+  shape.flaky_fraction = 0.10;
+  shape.deadline_fraction = 0.0;
+  shape.poison_fraction = 0.0;
+  shape.oversized_fraction = 0.0;
+  const std::string jobs = jobs_to_json(bte::SupervisorCampaign(base).mixed_stream(7, shape));
+  EXPECT_EQ(jobs.size(), 110875u);
+  EXPECT_EQ(rt::fnv1a64(jobs), 0x31c535e26dffb4b3ULL);
+
+  // One generated chaos schedule.
+  const std::string sched =
+      rt::schedule_to_json(rt::ChaosEngine(4242).generate("band", rt::ChaosSpec{}, 5));
+  EXPECT_EQ(rt::fnv1a64(sched), 0x29bf16a73a80ff0bULL);
+
+  // The first draws at one injector site: which consultations fire, where
+  // each fired flip lands, and one victim pick.
+  rt::FaultInjector inj(31337);
+  rt::FaultPolicy half;
+  half.probability = 0.5;
+  inj.set_site_policy(rt::FaultKind::BitFlipMessage, "halo", half);
+  std::vector<double> buf(1000, 1.0);
+  std::string fires, flips;
+  for (int k = 0; k < 32; ++k) {
+    const bool fire = inj.should_fault(rt::FaultKind::BitFlipMessage, "halo");
+    fires += fire ? '1' : '0';
+    if (fire)
+      flips += std::to_string(inj.flip_bit(buf, rt::FaultKind::BitFlipMessage, "halo")) + ",";
+  }
+  EXPECT_EQ(fires, "00001110111111010010110110010100");
+  EXPECT_EQ(flips, "791,834,716,39,898,447,837,535,502,879,638,167,365,418,728,310,961,");
+  EXPECT_EQ(inj.pick(rt::FaultKind::RankFailure, "step", 97), 82u);
+
+  // The config hash a durable generation's manifest carries.
+  const std::string dir = fresh_root("pinned_config_hash");
+  std::filesystem::create_directories(dir);
+  {
+    bte::BteScenario s = base_scenario();
+    s.nx = 8;
+    s.ny = 6;
+    s.ndirs = 8;
+    s.nbands = 4;
+    auto physics = std::make_shared<const bte::BtePhysics>(s.nbands, s.ndirs);
+    bte::CellPartitionedSolver solver(s, physics, 2);
+    bte::ResilienceOptions opt;
+    opt.checkpoint.interval = 2;
+    opt.durable.dir = dir;
+    solver.enable_resilience(opt);
+    solver.run(2);
+  }
+  const std::optional<rt::Generation> gen = rt::find_latest_generation(dir);
+  ASSERT_TRUE(gen.has_value());
+  EXPECT_EQ(gen->manifest.config_hash, 0xe3091400d0d5dfc4ULL);
+
+  // Retry jitter at the default policy.
+  const RetryPolicy retry;
+  EXPECT_EQ(backoff_with_jitter(retry, "job-7", 0), 0x1.0f158024d849ap-1);
+  EXPECT_EQ(backoff_with_jitter(retry, "job-7", 1), 0x1.0f158064d849ap+0);
+  EXPECT_EQ(backoff_with_jitter(retry, "job-7", 2), 0x1.0f157fa4d849ap+1);
+  EXPECT_EQ(backoff_with_jitter(retry, "job-7", 3), 0x1.0f157fe4d849ap+2);
 }
 
 TEST(SupervisorJobFile, RoundTripAndMalformedRejection) {
