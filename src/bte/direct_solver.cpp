@@ -1,16 +1,10 @@
 #include "direct_solver.hpp"
 
-#include <chrono>
 #include <cmath>
 
-namespace finch::bte {
+#include "runtime/metrics.hpp"
 
-namespace {
-using Clock = std::chrono::steady_clock;
-double seconds_since(Clock::time_point t0) {
-  return std::chrono::duration<double>(Clock::now() - t0).count();
-}
-}  // namespace
+namespace finch::bte {
 
 DirectSolver::DirectSolver(const BteScenario& scenario, std::shared_ptr<const BtePhysics> physics)
     : scen_(scenario), phys_(std::move(physics)) {
@@ -131,12 +125,12 @@ void DirectSolver::update_temperature() {
 }
 
 void DirectSolver::step() {
-  auto t0 = Clock::now();
+  auto t0 = rt::Clock::now();
   sweep_intensity();
-  phases_.compute += seconds_since(t0);
-  t0 = Clock::now();
+  phases_.compute += rt::seconds_since(t0);
+  t0 = rt::Clock::now();
   update_temperature();
-  phases_.post_process += seconds_since(t0);
+  phases_.post_process += rt::seconds_since(t0);
   time_ += dt_;
 }
 

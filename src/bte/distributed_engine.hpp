@@ -22,7 +22,6 @@
 // MultiGpuSolver. Either way every virtual second lands in one
 // rt::PhaseLedger, so all three report the same PhaseTimes vocabulary.
 
-#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -230,10 +229,6 @@ class DistributedEngine {
 
  protected:
   using Slot = rt::PhaseSlot;
-  using Clock = std::chrono::steady_clock;
-  static double seconds_since(Clock::time_point t0) {
-    return std::chrono::duration<double>(Clock::now() - t0).count();
-  }
 
   // A strategy's identity in manifests and its step-boundary fault sites.
   struct Sites {

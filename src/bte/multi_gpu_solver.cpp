@@ -5,6 +5,8 @@
 #include <span>
 #include <stdexcept>
 
+#include "runtime/metrics.hpp"
+
 namespace finch::bte {
 
 MultiGpuSolver::MultiGpuSolver(const BteScenario& scenario, std::shared_ptr<const BtePhysics> physics,
@@ -97,9 +99,9 @@ void MultiGpuSolver::step() {
     const double kernel_seconds = gpu.stream_clock(0) - dev_before;
 
     // Boundary cells on the CPU (the user-callback side of Fig. 6).
-    const auto t0 = Clock::now();
+    const auto t0 = rt::Clock::now();
     layout_.sweep(upwind_, s, boundary_cells_, s.I, s.I_new);
-    const double cpu_boundary = seconds_since(t0);
+    const double cpu_boundary = rt::seconds_since(t0);
 
     s.I.swap(s.I_new);
 
@@ -155,10 +157,10 @@ void MultiGpuSolver::step() {
   charge(Slot::Communication, comm);
 
   // Gather band sums, temperature update on the CPU (replicated).
-  const auto t0 = Clock::now();
+  const auto t0 = rt::Clock::now();
   for (const BandLayout::Slice& s : layout_.slices) layout_.reduce_into_G(s);
   layout_.update_temperature();
-  charge(Slot::PostProcess, seconds_since(t0));
+  charge(Slot::PostProcess, rt::seconds_since(t0));
 
   // H2D: refreshed Io/beta go back to each device — the movement plan's
   // per-step upload.
@@ -234,13 +236,13 @@ void MultiGpuSolver::sdc_roundtrip(size_t p) {
   rt::SimGpu& gpu = *devices_[p];
   const size_t stride = static_cast<size_t>(layout_.slices[p].bands()) * static_cast<size_t>(nd_);
 
-  auto a0 = Clock::now();
+  auto a0 = rt::Clock::now();
   if (m.ledger.size() != I.size()) {
     const size_t block = static_cast<size_t>(std::max(1, res_.sdc.block_cells)) * stride;
     m.ledger = rt::BlockLedger(I.size(), block);
   }
   m.ledger.update(I);
-  double audit_s = seconds_since(a0);
+  double audit_s = rt::seconds_since(a0);
 
   const int64_t flips_before = gpu.counters().silent_flips;
   gpu.memcpy_h2d(m.dev_I, I);
@@ -250,14 +252,14 @@ void MultiGpuSolver::sdc_roundtrip(size_t p) {
   std::copy(host_back_.begin(), host_back_.end(), I.begin());
   if (gpu.counters().silent_flips > flips_before && flip_step_ < 0) flip_step_ = step_index_;
 
-  a0 = Clock::now();
+  a0 = rt::Clock::now();
   const std::vector<size_t> bad = m.ledger.verify(I);
-  audit_s += seconds_since(a0);
+  audit_s += rt::seconds_since(a0);
   for (size_t blk : bad) {
     note_sdc_detection();
-    const auto r0 = Clock::now();
+    const auto r0 = rt::Clock::now();
     const bool healed = repair_block(p, blk);
-    charge_recovery(seconds_since(r0));
+    charge_recovery(rt::seconds_since(r0));
     if (!healed) {
       health_.sdc_ok = false;
       health_.detail = "device " + std::to_string(p) + " block " + std::to_string(blk) +
@@ -265,9 +267,9 @@ void MultiGpuSolver::sdc_roundtrip(size_t p) {
     }
   }
 
-  a0 = Clock::now();
+  a0 = rt::Clock::now();
   audit_sentinels(p);
-  audit_s += seconds_since(a0);
+  audit_s += rt::seconds_since(a0);
   charge_audit(audit_s);
 }
 
@@ -320,9 +322,9 @@ void MultiGpuSolver::audit_sentinels(size_t p) {
     const size_t off = static_cast<size_t>(c) * stride;
     if (std::memcmp(&s.I[off], &sentinel_scratch_[off], stride * sizeof(double)) == 0) continue;
     note_sdc_detection();
-    const auto r0 = Clock::now();
+    const auto r0 = rt::Clock::now();
     const bool healed = repair_block(p, mirrors_[p].ledger.block_of(off));
-    charge_recovery(seconds_since(r0));
+    charge_recovery(rt::seconds_since(r0));
     if (!healed) {
       health_.sdc_ok = false;
       health_.detail = "device " + std::to_string(p) + " sentinel cell " + std::to_string(c) +

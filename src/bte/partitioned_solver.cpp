@@ -6,6 +6,7 @@
 #include <span>
 #include <stdexcept>
 
+#include "runtime/metrics.hpp"
 #include "runtime/trace.hpp"
 
 namespace finch::bte {
@@ -190,7 +191,7 @@ void CellPartitionedSolver::exchange_halos() {
       if (resilient_ && res_.sdc.enabled) {
         // ABFT sidecar: the wire seals the payload before it can flip; the
         // receiver verifies on receipt.
-        const auto t0 = Clock::now();
+        const auto t0 = rt::Clock::now();
         const rt::BlockChecksum sidecar = bsp_.transmit(ghost, "halo");
         if (!rt::block_checksum(ghost).matches(sidecar)) {
           note_sdc_detection();
@@ -209,7 +210,7 @@ void CellPartitionedSolver::exchange_halos() {
             health_.detail = "halo message checksum failed twice; falling back to rollback";
           }
         }
-        charge_audit(seconds_since(t0));
+        charge_audit(rt::seconds_since(t0));
       }
       // In-flight corruption of this message's payload lands in the ghost
       // region, where the next sweep drags it into owned state; the per-step
@@ -261,9 +262,9 @@ void CellPartitionedSolver::step() {
   {
     rt::TraceSpan sweep_span("cell.sweep", attrs);
     for (size_t p = 0; p < ranks_.size(); ++p) {
-      const auto t0 = Clock::now();
+      const auto t0 = rt::Clock::now();
       sweep(ranks_[p], ranks_[p].all_owned, ranks_[p].I_new);
-      rank_seconds[p] = seconds_since(t0);
+      rank_seconds[p] = rt::seconds_since(t0);
     }
   }
   arm_speculation_if_chronic();
@@ -274,9 +275,9 @@ void CellPartitionedSolver::step() {
   {
     rt::TraceSpan temp_span("cell.temperature", attrs);
     for (size_t p = 0; p < ranks_.size(); ++p) {
-      const auto t0 = Clock::now();
+      const auto t0 = rt::Clock::now();
       temperature_rank(ranks_[p]);
-      rank_seconds[p] = seconds_since(t0);
+      rank_seconds[p] = rt::seconds_since(t0);
     }
   }
   bsp_.compute_step(rank_seconds, rt::BspSimulator::Phase::PostProcess);
@@ -288,7 +289,7 @@ void CellPartitionedSolver::step() {
 // state — an audit channel independent of the message checksums. The
 // redundant recompute is itself the repair.
 void CellPartitionedSolver::audit_sentinels() {
-  const auto t0 = Clock::now();
+  const auto t0 = rt::Clock::now();
   const size_t dofs = static_cast<size_t>(dofs_);
   for (Rank& r : ranks_) {
     sentinel_subset_.clear();
@@ -311,7 +312,7 @@ void CellPartitionedSolver::audit_sentinels() {
       }
     }
   }
-  charge_audit(seconds_since(t0));
+  charge_audit(rt::seconds_since(t0));
 }
 
 double CellPartitionedSolver::field_energy() const {
@@ -427,13 +428,13 @@ void BandPartitionedSolver::gather_rank(size_t p) {
   if (sdc) {
     // Checksum the contribution before it goes on the wire; blocks align to
     // whole cells (cell-major payload) so a bad block maps to a cell range.
-    const auto t0 = Clock::now();
+    const auto t0 = rt::Clock::now();
     const size_t block = static_cast<size_t>(std::max(1, res_.sdc.block_cells)) *
                          static_cast<size_t>(s.bands());
     if (w.ledger.size() != n || w.ledger.block_size() != block)
       w.ledger = rt::BlockLedger(n, block);
     w.ledger.update(w.payload);
-    charge_audit(seconds_since(t0));
+    charge_audit(rt::seconds_since(t0));
   }
 
   rt::FaultInjector* fi = resilient_ ? res_.injector : nullptr;
@@ -451,7 +452,7 @@ void BandPartitionedSolver::gather_rank(size_t p) {
     // Verify the in-flight contribution against the sender's ledger; a bad
     // block is re-reduced from the slice (the reduction's intact inputs)
     // instead of rolling the whole run back.
-    const auto t0 = Clock::now();
+    const auto t0 = rt::Clock::now();
     for (size_t blk : w.ledger.verify(w.payload)) {
       note_sdc_detection();
       const auto range = w.ledger.range(blk);
@@ -469,7 +470,7 @@ void BandPartitionedSolver::gather_rank(size_t p) {
                          " checksum failed twice; falling back to rollback";
       }
     }
-    charge_audit(seconds_since(t0));
+    charge_audit(rt::seconds_since(t0));
   }
   layout_.scatter_into_G(s, w.payload);
 }
@@ -484,11 +485,11 @@ void BandPartitionedSolver::step() {
   {
     rt::TraceSpan sweep_span("band.sweep", attrs);
     for (size_t p = 0; p < layout_.slices.size(); ++p) {
-      const auto t0 = Clock::now();
+      const auto t0 = rt::Clock::now();
       BandLayout::Slice& s = layout_.slices[p];
       layout_.sweep(upwind_, s, s.I, s.I_new);
       s.I.swap(s.I_new);
-      rank_seconds[p] = seconds_since(t0);
+      rank_seconds[p] = rt::seconds_since(t0);
     }
   }
   arm_speculation_if_chronic();
@@ -505,9 +506,9 @@ void BandPartitionedSolver::step() {
   // Every rank solves the (replicated) temperature and refreshes its own
   // bands' Io/beta — executed once here since the result is identical.
   rt::TraceSpan temp_span("band.temperature", attrs);
-  const auto t0 = Clock::now();
+  const auto t0 = rt::Clock::now();
   layout_.update_temperature();
-  bsp_.uniform_compute(seconds_since(t0), rt::BspSimulator::Phase::PostProcess);
+  bsp_.uniform_compute(rt::seconds_since(t0), rt::BspSimulator::Phase::PostProcess);
 }
 
 // Cross-rank redundancy on the gathered sums: a few spread-out cells' full G
@@ -516,7 +517,7 @@ void BandPartitionedSolver::step() {
 // scatter as well as the wire, independently of the per-rank ledgers. The
 // re-reduction is the repair.
 void BandPartitionedSolver::audit_sentinels() {
-  const auto t0 = Clock::now();
+  const auto t0 = rt::Clock::now();
   std::vector<double> g;
   for (int32_t c : sentinel_cells()) {
     rstats_.sentinel_checks += 1;
@@ -537,7 +538,7 @@ void BandPartitionedSolver::audit_sentinels() {
       }
     }
   }
-  charge_audit(seconds_since(t0));
+  charge_audit(rt::seconds_since(t0));
 }
 
 void BandPartitionedSolver::scan_fields() {

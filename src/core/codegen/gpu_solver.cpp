@@ -1,7 +1,5 @@
 #include "gpu_solver.hpp"
 
-#include <algorithm>
-#include <chrono>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -52,9 +50,30 @@ std::vector<ArrayUse> array_uses(dsl::Problem& p) {
   return uses;
 }
 
+// The roofline profile of an equation's interior launch: one thread per DOF
+// of the `cells` interior cells, whose mean face count is `faces`.
+rt::KernelStats interior_stats(const CompiledEquation& ce, int64_t cells, double faces) {
+  const Program::Stats vs = ce.volume.analyze();
+  const Program::Stats ss = ce.has_surface ? ce.surface.analyze() : Program::Stats{};
+  rt::KernelStats ks;
+  ks.threads = cells * ce.field->dof_per_cell();
+  ks.flops_per_thread = vs.flops + faces * (ss.flops + 2);  // + area/vol scale & accumulate
+  const double total_flops = vs.flops + faces * ss.flops;
+  ks.fma_fraction = total_flops > 0 ? 2 * (vs.fma_pairs + faces * ss.fma_pairs) / total_flops : 0.0;
+  // Unique DRAM traffic per thread: the own value write + read dominate;
+  // neighbor values and per-band tables are shared across many threads and
+  // mostly resolve in cache.
+  ks.dram_bytes_per_thread = 8.0 /*write*/ + 8.0 /*own read*/ + 2.0 /*amortized shared*/;
+  ks.divergence = 0.02 * ss.branches;  // upwind selects cause mild divergence
+  return ks;
+}
+
 class GpuSolver final : public StepSolverBase {
  public:
-  GpuSolver(dsl::Problem& p, rt::SimGpu* gpu, bool native) : StepSolverBase(p, nullptr, native), gpu_(gpu) {
+  GpuSolver(dsl::Problem& p, rt::SimGpu* gpu, bool native)
+      : StepSolverBase(p, nullptr, native), gpu_(gpu), plan_(gpu_movement_plan(p)) {
+    // One host round trip per step is what the plan prices; RK2's midpoint
+    // callbacks would need one per stage.
     if (p.scheme() != dsl::TimeScheme::ForwardEuler)
       throw std::invalid_argument("GPU target currently lowers ForwardEuler only");
 
@@ -71,14 +90,16 @@ class GpuSolver final : public StepSolverBase {
       interior_cells_.push_back(c);
       interior_faces += static_cast<int64_t>(mesh.cell_faces(c).size());
     }
+    double faces = 0.0;  // mean face count of an interior cell
     if (!interior_cells_.empty())
-      faces_per_cell_ = static_cast<double>(interior_faces) / static_cast<double>(interior_cells_.size());
+      faces = static_cast<double>(interior_faces) / static_cast<double>(interior_cells_.size());
+    for (const CompiledEquation& ce : eqs_)
+      stats_.push_back(interior_stats(ce, static_cast<int64_t>(interior_cells_.size()), faces));
 
     // The movement plan is priced on the device, not performed: the numerics
     // read the host fields, so a device copy would be a mirror nothing reads.
     // The fields the plan uploads once are the device-resident arrays, and
     // only they cross the link per step.
-    plan_ = plan_movement(array_uses(p));
     std::set<std::string> resident;
     for (const auto& t : plan_.upload_once) {
       if (!p.fields().has(t.array)) continue;
@@ -93,84 +114,36 @@ class GpuSolver final : public StepSolverBase {
     kernel_stream_ = gpu_->create_stream();
   }
 
+  // The base step, then the plan's per-step transfers on the kernel stream:
+  // the downloads, then the uploads of CPU-updated variables.
   void step() override {
-    p_.run_pre_steps(time_);
-    const double dev_before = gpu_->stream_clock(kernel_stream_);
     const double copy_before = gpu_->counters().copy_seconds;
-
-    // 1. The host fills the boundary values both halves read, then launches
-    // the interior kernel asynchronously on its own stream. The launch body
-    // runs on this thread, but its time is the device's: the host is billed
-    // only for its own work, the fill and the boundary cells.
-    auto t0 = Clock::now();
-    for (size_t e = 0; e < eqs_.size(); ++e) fill_boundary(e);
-    double host_seconds = seconds_since(t0);
-    std::vector<GuardTally> guards(eqs_.size());
-    for (size_t e = 0; e < eqs_.size(); ++e) guards[e] = launch_interior(e);
-    const double kernel_seconds = gpu_->stream_clock(kernel_stream_) - dev_before;
-
-    // 2. Boundary cells on the CPU, overlapping the kernel (Fig. 6). Each
-    // equation's guard report merges both halves by serial rank.
-    t0 = Clock::now();
-    for (size_t e = 0; e < eqs_.size(); ++e) {
-      guards[e].add(sweep(e, scratch_[e], p_.dt(), boundary_cells_));
-      report_guard(e, guards[e]);
-    }
-    host_seconds += seconds_since(t0);
-
-    // 3. Synchronize: with both halves swept, the first kernel stage is
-    // checked against the VM over every cell. Then price the plan's
-    // downloads and commit.
-    t0 = Clock::now();
-    std::vector<char> fused(eqs_.size());
-    for (size_t e = 0; e < eqs_.size(); ++e) fused[e] = finish_stage(e, scratch_[e], p_.dt());
-    const double verify_seconds = seconds_since(t0);
+    StepSolverBase::step();
     for (const auto& t : plan_.per_step_d2h) charge(t, rt::SimGpu::Copy::D2H);
-    commit();
-    phases_.compute += std::max(kernel_seconds, host_seconds) + verify_seconds;
-
-    // 4. CPU post-processing: the declared reductions the kernel did not
-    // form, then the post-steps (temperature update).
-    t0 = Clock::now();
-    for (size_t e = 0; e < eqs_.size(); ++e)
-      if (!fused[e]) reduce(e);
-    p_.run_post_steps(time_);
-    phases_.post_process += seconds_since(t0);
-
-    // 5. Price the uploads of CPU-updated variables.
     for (const auto& t : plan_.per_step_h2d) charge(t, rt::SimGpu::Copy::H2D);
     phases_.communication += gpu_->counters().copy_seconds - copy_before;
-
-    time_ += p_.dt();
   }
 
  private:
-  // The interior update as one device launch: the equation's sweep over the
-  // interior cells, charged to the kernel stream with the roofline profile
-  // of the equation's programs (one thread per DOF).
-  GuardTally launch_interior(size_t e) {
-    const CompiledEquation& ce = eqs_[e];
-    const Program::Stats vs = ce.volume.analyze();
-    const Program::Stats ss = ce.has_surface ? ce.surface.analyze() : Program::Stats{};
-    const double faces = faces_per_cell_;
-
-    rt::KernelStats ks;
-    ks.threads = static_cast<int64_t>(interior_cells_.size()) * ce.field->dof_per_cell();
-    ks.flops_per_thread = vs.flops + faces * (ss.flops + 2);  // + area/vol scale & accumulate
-    const double total_flops = vs.flops + faces * ss.flops;
-    ks.fma_fraction = total_flops > 0 ? 2 * (vs.fma_pairs + faces * ss.fma_pairs) / total_flops : 0.0;
-    // Unique DRAM traffic per thread: the own value write + read dominate;
-    // neighbor values and per-band tables are shared across many threads and
-    // mostly resolve in cache.
-    ks.dram_bytes_per_thread = 8.0 /*write*/ + 8.0 /*own read*/ + 2.0 /*amortized shared*/;
-    ks.divergence = 0.02 * ss.branches;  // upwind selects cause mild divergence
-
-    rt::TraceSpan span("gpu.launch_interior");
+  // The interior cells as one launch on the kernel stream, then the
+  // boundary cells on the host, overlapping it (Fig. 6). The launch body
+  // runs on this thread, but its time is the device's: the host bills only
+  // the boundary sweep. The guard report merges both halves by serial rank.
+  SweepClocks sweep_mesh(size_t e, fvm::CellField& out, double dt_stage) override {
+    const double before = gpu_->stream_clock(kernel_stream_);
     GuardTally guard;
-    gpu_->launch(
-        "interior_" + ce.field->name(), ks,
-        [&] { guard = sweep(e, scratch_[e], p_.dt(), interior_cells_); }, kernel_stream_);
-    return guard;
+    {
+      rt::TraceSpan span("gpu.launch_interior");
+      gpu_->launch(
+          "interior_" + eqs_[e].field->name(), stats_[e],
+          [&] { guard = sweep(e, out, dt_stage, interior_cells_); }, kernel_stream_);
+    }
+    const double device = gpu_->stream_clock(kernel_stream_) - before;
+    const auto t0 = rt::Clock::now();
+    guard.add(sweep(e, out, dt_stage, boundary_cells_));
+    const double host = rt::seconds_since(t0);
+    report_guard(e, guard);
+    return {host, device};
   }
 
   // One per-step transfer of the plan, priced on the kernel stream.
@@ -184,9 +157,9 @@ class GpuSolver final : public StepSolverBase {
   }
 
   rt::SimGpu* gpu_;
-  std::vector<int32_t> interior_cells_, boundary_cells_;
-  double faces_per_cell_ = 0.0;  // mean face count of an interior cell
   MovementPlan plan_;  // per-step transfers of device-resident arrays only
+  std::vector<int32_t> interior_cells_, boundary_cells_;
+  std::vector<rt::KernelStats> stats_;  // per equation: its interior launch
   int kernel_stream_ = 0;
 };
 
@@ -197,7 +170,7 @@ std::unique_ptr<dsl::Solver> make_gpu_solver(dsl::Problem& problem, rt::SimGpu* 
 }
 
 MovementPlan gpu_movement_plan(dsl::Problem& problem, bool naive) {
-  problem.compile(dsl::Target::CpuSerial);  // ensure finalized
+  problem.finalize();
   const auto uses = array_uses(problem);
   return naive ? plan_movement_naive(uses) : plan_movement(uses);
 }

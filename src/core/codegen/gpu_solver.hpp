@@ -1,21 +1,22 @@
 #pragma once
-// GPU code-generation target (hybrid CPU+GPU configuration of Fig. 6), a
-// StepSolverBase that overrides only step(). The interior-cell update is one
-// launch on the (simulated) device: the equation's sweep over the interior
-// cells — the native kernel when the backend is native, else the VM —
-// charged with the program's roofline profile (one thread per DOF). The host
-// fills the boundary values once per step before the launch
-// (StepSolverBase::fill_boundary, the user callbacks) and sweeps the boundary
-// cells with the same executor on the CPU, overlapping the kernel; it is
-// billed for that work only. The first kernel step is verified against the
-// VM over every cell. Results are combined, the CPU post-step (temperature
-// update) executes, and the movement plan's per-step transfers are charged to
-// the communication phase. The numerics read and write host storage only:
-// the plan's transfers (its once-uploads at construction on stream 0, then
-// each step's downloads and uploads on the kernel stream) are priced on the
-// device with rt::SimGpu::charge_copy, and no device buffer mirrors a field.
-// Fields, vm.* counts and the non-finite guard report equal the CPU
-// target's.
+// GPU code-generation target (hybrid CPU+GPU configuration of Fig. 6), one
+// instance of StepSolverBase's stage loop: its sweep_mesh() hook launches
+// the interior cells on the (simulated) device — the equation's sweep over
+// them, the native kernel when the backend is native, else the VM — charged
+// with the program's roofline profile (one thread per DOF), and sweeps the
+// boundary cells with the same executor on the host, overlapping the kernel.
+// The host is billed for its own work only: the boundary fill (the user
+// callbacks) and the boundary cells. The base step verifies the first kernel
+// stage over every cell, commits, forms the declared sums the kernel did not
+// and runs the CPU post-step (temperature update); the target then charges
+// the movement plan's per-step transfers to the communication phase. The
+// numerics read and write host storage only: the plan's transfers (its
+// once-uploads at construction on stream 0, then each step's downloads and
+// uploads on the kernel stream) are priced on the device with
+// rt::SimGpu::charge_copy, and no device buffer mirrors a field. Fields,
+// vm.* counts and the non-finite guard report equal the CPU target's. The
+// target lowers ForwardEuler only: its plan prices one host round trip per
+// step.
 
 #include <memory>
 

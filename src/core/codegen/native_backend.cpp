@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <atomic>
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -34,12 +33,6 @@ namespace fs = std::filesystem;
 namespace finch::codegen {
 
 namespace {
-
-using Clock = std::chrono::steady_clock;
-
-double seconds_since(Clock::time_point t0) {
-  return std::chrono::duration<double>(Clock::now() - t0).count();
-}
 
 std::string getenv_str(const char* name) {
   const char* v = std::getenv(name);
@@ -959,9 +952,9 @@ void reset_native_memory_cache() {
 
 NativePlan emit_native_plan(const NativeKernelInputs& in) {
   rt::TraceSpan span("jit.emit");
-  const auto t0 = Clock::now();
+  const auto t0 = rt::Clock::now();
   NativePlan plan = Emitter(in).plan();
-  rt::MetricsRegistry::global().counter("jit.emit_seconds").add(seconds_since(t0));
+  rt::MetricsRegistry::global().counter("jit.emit_seconds").add(rt::seconds_since(t0));
   return plan;
 }
 
@@ -1032,7 +1025,7 @@ bool load_native_plan(NativePlan& plan, std::string* error) {
 
     reg.counter("jit.cache.miss").add();
     rt::TraceSpan compile_span("jit.compile");
-    const auto t0 = Clock::now();
+    const auto t0 = rt::Clock::now();
     if (!fs::exists(stem + ".cpp", ec) && !write_file_atomic(stem + ".cpp", plan.source)) {
       log += "cannot write " + stem + ".cpp; ";
       continue;
@@ -1048,7 +1041,7 @@ bool load_native_plan(NativePlan& plan, std::string* error) {
     const std::string cmd = cfg.compiler + " " + flags + " -o '" + so_tmp + "' '" + stem +
                             ".cpp' > '" + stem + ".log' 2>&1";
     const int rc = std::system(cmd.c_str());
-    reg.counter("jit.compile_seconds").add(seconds_since(t0));
+    reg.counter("jit.compile_seconds").add(rt::seconds_since(t0));
     if (rc != 0 || !fs::exists(so_tmp, ec)) {
       log += "compile failed (" + cfg.compiler + " " + flags + "): " + file_tail(stem + ".log") + "; ";
       fs::remove(so_tmp, ec);

@@ -6,10 +6,12 @@
 // between the two executors of a sweep: the native kernel (emitted, compiled
 // and loaded per equation when the backend is native; see native_backend.hpp
 // and CODEGEN.md §5–§6) and the bytecode VM (the portable path, the
-// non-finite guard's home and the kernel's differential oracle). The CPU
-// targets use this class directly; the GPU target subclasses it and overrides
-// step() to sweep its interior cells inside a simulated-device launch and its
-// boundary cells on the host, through the same sweep().
+// non-finite guard's home and the kernel's differential oracle). step() is
+// the one step loop of every DSL target, and sweep_mesh() its one hook: the
+// CPU targets use this class directly and sweep every cell on the host; the
+// GPU target subclasses it, sweeps its interior cells inside a
+// simulated-device launch and its boundary cells on the host through the
+// same sweep(), and prices its transfers after the base step.
 //
 // An equation whose kernel cannot be produced (no compiler, compile error,
 // unlowerable structure) runs the VM, counted in `jit.fallback`, never a
@@ -40,7 +42,6 @@
 // re-read it before each launch rather than cache it at construction.
 
 #include <array>
-#include <chrono>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -51,10 +52,6 @@
 #include "runtime/thread_pool.hpp"
 
 namespace finch::codegen {
-
-// The executors' phase and counter timers.
-using Clock = std::chrono::steady_clock;
-double seconds_since(Clock::time_point t0);
 
 // The mesh's faces in CSR form, built once per solver: the faces of cell c
 // occupy slots [off[c], off[c + 1]) in mesh.cell_faces() order. The native
@@ -129,22 +126,23 @@ class StepSolverBase : public dsl::Solver {
   // `native` is the backend decision of dsl::Problem::compile: with it, the
   // constructor emits and loads one kernel per equation.
   StepSolverBase(dsl::Problem& p, rt::ThreadPool* pool, bool native);
+  // Pre-steps, the scheme's stages, then post-steps. The stages' wall time
+  // is billed to compute, less what no clock of sweep_mesh() bills.
   void step() override;
 
  protected:
-  // One whole-mesh stage of every equation for `dt_stage` into `outs[e]`:
-  // fill_boundary() of every equation first, so each callback reads the
-  // state the stage starts from (an earlier equation's kernel writes its
-  // declared sum during its sweep), then per equation sweep() over every
-  // cell and finish_stage(). Returns finish_stage()'s answers.
-  std::vector<char> sweep_stage(std::vector<fvm::CellField>& outs, double dt_stage);
+  // What one stage's sweep of an equation cost on each clock: the host's
+  // seconds, and the device's modeled seconds, which overlap them.
+  struct SweepClocks {
+    double host = 0.0;
+    double device = 0.0;
+  };
 
-  // Calls each of equation e's boundary slots' callback once, from the
-  // current fields, into its BcTable values. Runs on the solving thread
-  // before any executor sweeps the equation; counts `bc.calls`. Filling
-  // ahead is exact because a sweep writes scratch storage, not the fields
-  // the callbacks read.
-  void fill_boundary(size_t e);
+  // The stage loop's one hook: sweeps equation e's stage for `dt_stage` over
+  // every cell into `out`, reports the VM's guard tally (report_guard) and
+  // returns what each clock bills. The CPU targets sweep every cell on the
+  // host.
+  virtual SweepClocks sweep_mesh(size_t e, fvm::CellField& out, double dt_stage);
 
   // Computes equation e's stage update for `dt_stage` on `cells` into `out`,
   // from the boundary values the last fill_boundary() left: the loaded
@@ -156,32 +154,13 @@ class StepSolverBase : public dsl::Solver {
   // (empty on the kernel or with the guard off).
   GuardTally sweep(size_t e, fvm::CellField& out, double dt_stage, std::span<const int32_t> cells);
 
-  // Call once a stage of equation e is swept over every cell into `out`.
-  // The first kernel stage is replayed on the VM over every cell, from the
-  // same boundary values; the field and the kernel's fused sum must match
-  // the replay and the post-pass bitwise, or the equation is demoted to the
-  // VM and `out` takes the replay's values. Returns true when the kernel
-  // formed the equation's declared sum of `out` (ForwardEuler then skips
-  // reduce() for it).
-  bool finish_stage(size_t e, fvm::CellField& out, double dt_stage);
-
   void report_guard(size_t e, const GuardTally& tally);
-
-  void euler_step();
-  void rk2_step();
-  // Swaps each updated field's storage with its scratch field.
-  void commit();
-  // The reduction post-pass: forms equation e's declared sum (if any) from
-  // its committed field.
-  void reduce(size_t e);
 
   dsl::Problem& p_;
   rt::ThreadPool* pool_;
   CompileEnv env_;
   std::vector<CompiledEquation> eqs_;
-  std::vector<fvm::CellField> scratch_;
-  std::vector<fvm::CellField> stage_;  // RK2 stage-2 sweeps; empty for ForwardEuler
-  std::vector<int32_t> all_cells_;     // 0 .. num_cells - 1
+  std::vector<int32_t> all_cells_;  // 0 .. num_cells - 1
   FaceTable faces_;
 
   // What the emitter needs about equation e.
@@ -194,6 +173,39 @@ class StepSolverBase : public dsl::Solver {
     bool verified = false;
     std::vector<uint8_t> cell_fused;  // per cell: 1 = runs the kernel's fused body
   };
+
+  // One whole-mesh stage of every equation for `dt_stage` into `outs[e]`:
+  // fill_boundary() of every equation first, so each callback reads the
+  // state the stage starts from (an earlier equation's kernel writes its
+  // declared sum during its sweep), then per equation sweep_mesh() and
+  // finish_stage(). The fill is host time; the stage bills the larger of the
+  // host's and the device's seconds (Fig. 6's overlap). Returns
+  // finish_stage()'s answers.
+  std::vector<char> sweep_stage(std::vector<fvm::CellField>& outs, double dt_stage);
+
+  // Calls each of equation e's boundary slots' callback once, from the
+  // current fields, into its BcTable values. Runs on the solving thread
+  // before any executor sweeps the equation; counts `bc.calls`. Filling
+  // ahead is exact because a sweep writes scratch storage, not the fields
+  // the callbacks read.
+  void fill_boundary(size_t e);
+
+  // Call once a stage of equation e is swept over every cell into `out`.
+  // The first kernel stage is replayed on the VM over every cell, from the
+  // same boundary values; the field and the kernel's fused sum must match
+  // the replay and the post-pass bitwise, or the equation is demoted to the
+  // VM and `out` takes the replay's values. Returns true when the kernel
+  // formed the equation's declared sum of `out` (ForwardEuler then skips
+  // reduce() for it).
+  bool finish_stage(size_t e, fvm::CellField& out, double dt_stage);
+
+  void euler_step();
+  void rk2_step();
+  // Swaps each updated field's storage with its scratch field.
+  void commit();
+  // The reduction post-pass: forms equation e's declared sum (if any) from
+  // its committed field.
+  void reduce(size_t e);
 
   // The interpreter sweep: walks `cells` (split across the pool when one is
   // set) and evaluates each cell's DOFs as lane blocks (see LaneBlock),
@@ -214,7 +226,12 @@ class StepSolverBase : public dsl::Solver {
   void load_kernels();
   void classify_cells(size_t e);
 
+  std::vector<fvm::CellField> scratch_;
+  std::vector<fvm::CellField> stage_;    // RK2 stage-2 sweeps; empty for ForwardEuler
   std::vector<EquationKernel> kernels_;  // empty on the VM backend
+  // Wall seconds of this step's stages that no clock bills: a device
+  // launch's body, run on the host while the host's own work overlaps it.
+  double unbilled_ = 0.0;
 };
 
 // Each equation's kernel text in `dialect`, in equation order, rendered

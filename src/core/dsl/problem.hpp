@@ -197,6 +197,9 @@ class Problem {
   const std::vector<EquationRecord>& equations() const { return equations_; }
 
   // ---- compilation ----------------------------------------------------------
+  // Allocates the fields and runs the symbolic pipeline, once: later calls do
+  // nothing. compile() and the source renderings call it first.
+  void finalize();
   // Finalizes entities/fields, runs the symbolic pipeline and lowers to the
   // requested target. Default target honours use_cuda()/use_threads().
   std::unique_ptr<Solver> compile();
@@ -227,7 +230,6 @@ class Problem {
   rt::ThreadPool* pool() const { return pool_; }
 
  private:
-  void finalize();  // allocate fields, run symbolic pipeline (idempotent)
   void attach_reduction(const std::string& variable, const ir::Reduction& r);
 
   std::string name_;

@@ -1,7 +1,6 @@
 #include "checkpoint.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
@@ -300,14 +299,14 @@ bool sync_fd(int fd, bool data_only) {
 #ifdef FINCH_HAVE_FSYNC
   static Counter& fsyncs = MetricsRegistry::global().counter("ckpt.fsyncs");
   static Counter& fsync_seconds = MetricsRegistry::global().counter("ckpt.fsync_seconds");
-  const auto t0 = std::chrono::steady_clock::now();
+  const auto t0 = Clock::now();
 #if defined(__linux__)
   const int rc = data_only ? ::fdatasync(fd) : ::fsync(fd);
 #else
   (void)data_only;
   const int rc = ::fsync(fd);
 #endif
-  fsync_seconds.add(std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count());
+  fsync_seconds.add(seconds_since(t0));
   fsyncs.add(1.0);
   return rc == 0;
 #else

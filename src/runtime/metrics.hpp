@@ -10,8 +10,11 @@
 // per step. Values dump as deterministic sorted JSON (`--metrics-json` on the
 // benches, MetricsRegistry::write_json elsewhere). reset() zeroes values but
 // keeps registrations, so cached references stay valid across test cases.
+// Clock and seconds_since are the one wall clock the phase and counter
+// timers read.
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <limits>
 #include <iosfwd>
@@ -22,6 +25,11 @@
 #include <string_view>
 
 namespace finch::rt {
+
+using Clock = std::chrono::steady_clock;
+inline double seconds_since(Clock::time_point t0) {
+  return std::chrono::duration<double>(Clock::now() - t0).count();
+}
 
 // Monotonically increasing value (events, bytes, seconds of charged time).
 class Counter {

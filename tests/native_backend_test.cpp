@@ -817,7 +817,8 @@ TEST_F(NativeBackendTest, ThreeIndexSumMatchesThePostPass) {
 // condition built from G. Every equation's boundary values are filled before
 // any sweep of a stage, so on both executors v's callback sees the G of the
 // state the stage starts from — not, on the kernel, the sum u's sweep has
-// just written.
+// just written. The GPU target sweeps u's interior launch and boundary cells
+// before v's, through the same stage loop, and must agree too.
 TEST_F(NativeBackendTest, LaterBoundaryReadsTheSameDeclaredSumOnBothExecutors) {
   auto problem = [](dsl::Backend backend, sym::TimeScheme scheme) {
     auto p = std::make_unique<dsl::Problem>("sum_bc");
@@ -844,19 +845,32 @@ TEST_F(NativeBackendTest, LaterBoundaryReadsTheSameDeclaredSumOnBothExecutors) {
                 });
     return p;
   };
-  for (const sym::TimeScheme scheme :
-       {sym::TimeScheme::ForwardEuler, sym::TimeScheme::RK2Midpoint}) {
-    auto pv = problem(dsl::Backend::Vm, scheme);
-    auto pn = problem(dsl::Backend::Native, scheme);
+  rt::SimGpu gpu(rt::GpuSpec::a6000());
+  struct Case {
+    const char* name;
+    sym::TimeScheme scheme;
+    dsl::Target target;
+  };
+  const Case cases[] = {
+      {"Euler", sym::TimeScheme::ForwardEuler, dsl::Target::CpuSerial},
+      {"RK2", sym::TimeScheme::RK2Midpoint, dsl::Target::CpuSerial},
+      {"gpu", sym::TimeScheme::ForwardEuler, dsl::Target::Gpu},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    auto pv = problem(dsl::Backend::Vm, c.scheme);
+    auto pn = problem(dsl::Backend::Native, c.scheme);
+    pn->use_cuda(&gpu);
     auto sv = pv->compile(dsl::Target::CpuSerial);
-    const double fb0 = counter("jit.fallback");
-    auto sn = pn->compile(dsl::Target::CpuSerial);
+    const double fb0 = counter("jit.fallback"), mismatch0 = counter("jit.verify.mismatch");
+    auto sn = pn->compile(c.target);
     ASSERT_EQ(counter("jit.fallback"), fb0) << "JIT fell back instead of compiling";
     sv->run(3);
     sn->run(3);
+    EXPECT_EQ(counter("jit.fallback"), fb0);
+    EXPECT_EQ(counter("jit.verify.mismatch"), mismatch0);
     for (const char* name : {"u", "G", "v"})
-      EXPECT_TRUE(bits_equal(pv->fields().get(name), pn->fields().get(name)))
-          << name << (scheme == sym::TimeScheme::RK2Midpoint ? " (RK2)" : " (Euler)");
+      EXPECT_TRUE(bits_equal(pv->fields().get(name), pn->fields().get(name))) << name;
   }
 }
 
