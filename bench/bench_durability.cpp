@@ -4,10 +4,10 @@
 // The crash sweep is the real thing, not a simulation: for each solver a
 // child process is forked, runs durably, and SIGKILLs itself at a seeded
 // kill point — either at a step boundary or from *inside* a checkpoint's
-// .tmp-write window (via the commit hook), the instant a naive in-place
-// writer would tear its only image. The parent finds the newest surviving
-// generation, resumes in a fresh solver (or starts at step 0 when the kill
-// landed before the first generation) and demands the finished run be
+// commit (via the commit hook): its frame appended to the generation log,
+// its sync not yet run. The parent finds the newest surviving generation,
+// resumes in a fresh solver (or starts at step 0 when the kill landed
+// before the first generation) and demands the finished run be
 // bit-identical to an uninterrupted reference. The second act rides out
 // injected AllocFailure/MemoryPressure storms on a tight memory budget via
 // the graceful-degradation relief chain; the third drains on a deadline and
@@ -144,11 +144,9 @@ std::string fresh_dir(const std::string& name) {
 #ifdef FINCH_HAVE_FORK
   ::mkdir(dir.c_str(), 0755);
 #endif
-  for (int seq = 0; seq < 64; ++seq) {
-    const std::string path = dir + "/checkpoint_" + std::to_string(seq) + ".bin";
-    std::remove(path.c_str());
-    std::remove((path + ".tmp").c_str());
-  }
+  const std::string log = dir + "/" + rt::GenerationLog::kFileName;
+  std::remove(log.c_str());
+  std::remove((log + ".compact").c_str());
   return dir;
 }
 
@@ -157,21 +155,20 @@ std::string fresh_dir(const std::string& name) {
 // What the forked child does before SIGKILLing itself.
 struct KillPoint {
   int step = -1;        // >= 0: die at this step boundary
-  int ckpt_write = -1;  // >= 1: die inside the Nth checkpoint .tmp write
+  int ckpt_write = -1;  // >= 1: die after the Nth frame's append, before its sync
 };
 
 void run_child_until_kill(const std::string& solver, const std::string& dir,
                           const std::shared_ptr<const BtePhysics>& phys, KillPoint kp) {
   const BteScenario s = small_scenario();
   if (kp.ckpt_write >= 1) {
-    // Die mid-commit: inside the window where checkpoint_<seq>.bin.tmp is
-    // written+fsynced but the rename has not landed.
+    // Die mid-commit: the frame is in the log (the page cache keeps it
+    // across the kill), its sync has not run.
     static int writes = 0;
     static int target = 0;
     target = kp.ckpt_write;
-    rt::set_checkpoint_commit_hook([](const std::string& path, rt::CommitPhase phase) {
-      if (phase != rt::CommitPhase::AfterTmpWrite) return;
-      if (path.find("checkpoint_") == std::string::npos) return;
+    rt::set_checkpoint_commit_hook([](const std::string&, rt::CommitPhase phase) {
+      if (phase != rt::CommitPhase::AfterAppend) return;
       if (++writes == target) ::raise(SIGKILL);
     });
   }

@@ -15,7 +15,8 @@
 // generation.
 //
 // Act 2 is the crash acceptance criterion: a child process runs a faulted
-// campaign and SIGKILLs itself from inside a generation-commit window; the
+// campaign and SIGKILLs itself from inside a generation-commit window (a
+// frame appended to the root's generation log, its sync not yet run); the
 // parent restarts a fresh scheduler on the same durable root, re-adopts
 // every orphaned job, runs them to terminal states, and the oracle must
 // hold across the restart — completed-before-death jobs stay terminal on
@@ -118,16 +119,16 @@ double goodput(const SupervisorReport& rep, double virtual_total_s) {
 
 #ifdef FINCH_HAVE_FORK
 
-// Child: run the whole stream and die from inside the Nth generation-commit
-// window — mid-job, checkpoints already durable.
+// Child: run the whole stream and die right after the Nth generation frame
+// is appended — mid-job, its frames in the log (a kill keeps the page
+// cache), the wave's sync not yet run.
 void run_child_until_kill(const BteScenario& base, const svc::SchedulerOptions& opt,
                           const std::vector<svc::JobSpec>& jobs, int kill_at_commit) {
   static int commits = 0;
   static int target = 0;
   target = kill_at_commit;
-  rt::set_checkpoint_commit_hook([](const std::string& path, rt::CommitPhase phase) {
-    if (phase != rt::CommitPhase::AfterRename) return;
-    if (path.find("checkpoint_") == std::string::npos) return;
+  rt::set_checkpoint_commit_hook([](const std::string&, rt::CommitPhase phase) {
+    if (phase != rt::CommitPhase::AfterAppend) return;
     if (++commits == target) ::raise(SIGKILL);
   });
   svc::Scheduler sched(base, opt);

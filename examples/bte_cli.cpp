@@ -10,12 +10,13 @@
 //   bte_cli --solver cellpart --parts 4    # distributed cell partitioning
 //   bte_cli --scenario corner --vtk out.vtk --csv out.csv
 //
-// Durable runs (cellpart / bandpart / multigpu): --durable DIR commits every
-// --ckpt-interval steps one checkpoint_<seq>.bin generation file into DIR,
-// each carrying its run manifest; --cancel-after-steps N drains cleanly at
-// step N, and --resume continues a killed/drained job bit-exactly from the
-// newest readable generation (from step 0 when DIR holds none; exit 1 when
-// every generation in DIR is unreadable):
+// Durable runs (cellpart / bandpart / multigpu): --durable DIR appends every
+// --ckpt-interval steps one generation frame, carrying its run manifest, to
+// DIR/generations.log and syncs it before the run goes on;
+// --cancel-after-steps N drains cleanly at step N, and --resume continues a
+// killed/drained job bit-exactly from the newest readable frame (from step 0
+// when DIR holds none; exit 1 when every frame in DIR is unreadable, a torn
+// one included):
 //
 //   bte_cli --solver cellpart --durable job/ --steps 200 --cancel-after-steps 50
 //   bte_cli --solver cellpart --durable job/ --steps 200 --resume
@@ -26,9 +27,10 @@
 // policies. It runs one attempt at a time by default; --max-concurrency N
 // runs up to N at once, with deficit-round-robin fair share across the job
 // file's "tenant" labels. A job file with any invalid job is refused whole
-// (exit 1, nothing written). With --durable ROOT each job keeps
-// <ROOT>/<id>/ durable state and a re-run of the same command after a crash
-// re-adopts in-flight jobs and skips already terminal ones. --budget-mb N
+// (exit 1, nothing written). With --durable ROOT the jobs' records go to
+// ROOT/jobs.log and their checkpoint frames to ROOT/generations.log, both
+// synced once per attempt wave, and a re-run of the same command after a
+// crash re-adopts in-flight jobs and skips already terminal ones. --budget-mb N
 // arms admission control against a shared memory budget (jobs degrade down
 // their fallback ladder or are shed); a job waiting out a retry backoff
 // keeps its reservation. --queue-capacity M bounds the admission queue:
@@ -39,7 +41,7 @@
 // Exit codes (single run and batch; batch takes the worst across jobs):
 //   0  completed        all steps ran
 //   1  usage error      bad flags / malformed or invalid job file / --resume
-//                       on a durable dir whose every generation is unreadable
+//                       on a durable dir whose every frame is unreadable
 //   2  cancelled        a deadline drained the run (resumable when durable)
 //   3  failed           solver threw, or a batch job was shed / not runnable
 //   4  quarantined      the poison circuit breaker tripped (batch only)
@@ -82,7 +84,7 @@ struct Options {
   int devices = 1;
   int parts = 2;
   std::string vtk, csv;
-  std::string durable;          // directory for checkpoint generations
+  std::string durable;          // directory of the generation log
   bool resume = false;          // continue from the newest generation in `durable`
   int ckpt_interval = 16;       // durable checkpoint period (steps)
   long cancel_after_steps = 0;  // > 0: drain at this step deadline
@@ -108,16 +110,17 @@ void usage() {
       "  --devices N                       simulated GPUs for multigpu\n"
       "  --parts N                         ranks for cellpart/bandpart\n"
       "  --vtk FILE --csv FILE             temperature field outputs\n"
-      "  --durable DIR                     durable run: on-disk checkpoint generations\n"
-      "                                    in DIR (cellpart/bandpart/multigpu)\n"
+      "  --durable DIR                     durable run: checkpoint generations appended\n"
+      "                                    to DIR/generations.log, each synced before\n"
+      "                                    the run goes on (cellpart/bandpart/multigpu)\n"
       "  --ckpt-interval N                 durable checkpoint period in steps (default 16)\n"
-      "  --resume                          continue bit-exactly from DIR's newest\n"
-      "                                    readable generation (step 0 when none)\n"
+      "  --resume                          continue bit-exactly from the newest\n"
+      "                                    readable frame in DIR (step 0 when none)\n"
       "  --cancel-after-steps N            drain cleanly (final checkpoint generation)\n"
       "                                    once N total steps have completed\n"
       "  --jobs FILE                       batch mode: run a JSON job list under the\n"
-      "                                    job scheduler (--durable ROOT keeps\n"
-      "                                    per-job state; re-runs adopt orphans)\n"
+      "                                    job scheduler (--durable ROOT keeps the job\n"
+      "                                    records and frames; re-runs adopt orphans)\n"
       "  --budget-mb N                     batch admission-control memory budget\n"
       "  --max-concurrency N               batch: run up to N attempts at once with\n"
       "                                    fair share across tenants (default 1)\n"
@@ -125,7 +128,7 @@ void usage() {
       "                                    arrivals are shed (low priority) or\n"
       "                                    rejected with a retry-after hint\n"
       "exit codes: 0 completed, 1 usage error, invalid job file or unreadable\n"
-      "            generations on --resume, 2 cancelled/drained,\n"
+      "            frames on --resume, 2 cancelled/drained,\n"
       "            3 failed/shed, 4 quarantined, 5 rejected by backpressure\n");
 }
 
@@ -203,7 +206,7 @@ int64_t drive(Solver& solver, const Options& o, const std::optional<rt::Generati
   if (resume_point) {
     solver.resume_from(*resume_point, ropt);
     const std::string& reason = resume_point->manifest.cancel_reason;
-    std::printf("resumed from %s at step %lld%s%s\n", resume_point->path.c_str(),
+    std::printf("resumed from %s at step %lld%s%s\n", resume_point->name.c_str(),
                 static_cast<long long>(solver.step_index()),
                 reason.empty() ? "" : ", previously drained: ", reason.c_str());
   } else {

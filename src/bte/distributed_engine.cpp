@@ -192,11 +192,11 @@ rt::RunManifest run_manifest(const ResilienceOptions& opt, const char* solver, i
 void check_generation_matches(const rt::Generation& gen, std::string_view solver,
                               uint64_t config_hash) {
   if (gen.manifest.solver != solver)
-    throw rt::CheckpointError("generation solver mismatch: " + gen.path + " was written by a '" +
+    throw rt::CheckpointError("generation solver mismatch: " + gen.name + " was written by a '" +
                               gen.manifest.solver + "' solver but a '" + std::string(solver) +
                               "' solver is resuming");
   if (gen.manifest.config_hash != config_hash)
-    throw rt::CheckpointError("generation config-hash mismatch: " + gen.path +
+    throw rt::CheckpointError("generation config-hash mismatch: " + gen.name +
                               " was written by a run with a different scenario/discretization; "
                               "refusing to resume");
 }
@@ -508,10 +508,17 @@ void DistributedEngine::arm(const ResilienceOptions& options) {
   attach_defenses();
 }
 
+// The durable store: on the scheduler's shared log under the job's run, or
+// on the durable directory's own log.
+rt::CheckpointStore DistributedEngine::durable_store() const {
+  const DurableOptions& d = res_.durable;
+  return d.log != nullptr ? rt::CheckpointStore(d.log, d.run, d.disk_generations)
+                          : rt::CheckpointStore(d.dir, d.disk_generations);
+}
+
 void DistributedEngine::enable_resilience(const ResilienceOptions& options) {
   arm(options);
-  if (!res_.durable.dir.empty())
-    store_ = rt::CheckpointStore(res_.durable.dir, res_.durable.disk_generations);
+  if (res_.durable.enabled()) store_ = durable_store();
   // The rollback target before any resilient step runs. Step 0 stays in
   // memory: the spec regenerates it bit-exactly, so a crash before the first
   // periodic generation restarts from step 0 and loses nothing.
@@ -525,16 +532,16 @@ void DistributedEngine::enable_resilience(const ResilienceOptions& options) {
 
 void DistributedEngine::resume_from(const rt::Generation& gen, const ResilienceOptions& options) {
   validate_resilience_options(options);
-  if (options.durable.dir.empty())
+  if (!options.durable.enabled())
     throw std::invalid_argument(
-        "resume_from: options.durable.dir must name the generation's directory");
+        "resume_from: options.durable must name the generation's directory or log");
   check_generation_matches(gen, sites_.solver, config_hash());
   arm(options);
   restore(gen.state);
   // The restored image is the newest generation again, in memory and backed
-  // by the file it came from, so resuming commits nothing. The generation's
-  // older siblings stay its fallbacks.
-  store_ = rt::CheckpointStore(res_.durable.dir, res_.durable.disk_generations);
+  // by the frame it came from, so resuming commits nothing. The run's older
+  // frames stay its fallbacks.
+  store_ = durable_store();
   store_.resume(gen);
   rstats_.ckpt_generation_fallbacks += gen.skipped;
   // The injector resumes the exact draw sequence the killed process would
@@ -547,7 +554,7 @@ void DistributedEngine::resume_from(const rt::Generation& gen, const ResilienceO
 }
 
 // Graceful degradation, cheapest first. Every relief frees only rebuildable
-// state (an in-memory image a disk file still backs, scratch that is resized
+// state (an in-memory image a log frame still backs, scratch that is resized
 // before each use), so the numerical trajectory is untouched.
 void DistributedEngine::register_memory_reliefs() {
   if (res_.memory == nullptr) return;
@@ -624,7 +631,7 @@ void DistributedEngine::maybe_mitigate_stragglers() {
 }
 
 void DistributedEngine::take_checkpoint(const std::string& cancel_reason) {
-  if (res_.durable.dir.empty()) {
+  if (!res_.durable.enabled()) {
     store_.save(snapshot());
   } else {
     const rt::RunManifest m = run_manifest(res_, sites_.solver, nparts_, config_hash(),

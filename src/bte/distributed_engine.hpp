@@ -183,7 +183,7 @@ class DistributedEngine {
   // Arms recovery with `options` and takes the first checkpoint: every step
   // of run() is then validated, and fault sites retry with bounded backoff.
   // A durable run keeps a step-0 checkpoint in memory only; later ones are
-  // committed as generation files.
+  // committed as generation frames.
   void enable_resilience(const ResilienceOptions& options);
   bool resilient() const { return resilient_; }
   const ResilienceStats& resilience_stats() const { return rstats_; }
@@ -191,7 +191,7 @@ class DistributedEngine {
   int64_t step_index() const { return step_index_; }
 
   // Durable restart from `gen` (rt::find_latest_generation of the durable
-  // dir `options` names): arms resilience, refuses a generation written by
+  // dir or log `options` names): arms resilience, refuses a generation written by
   // another solver or configuration, restores its state and re-imports its
   // injector counter/event state. Nothing is committed; run() then continues
   // bit-exactly where the killed or drained process left off.
@@ -302,6 +302,7 @@ class DistributedEngine {
   void arm(const ResilienceOptions& options);
   void register_memory_reliefs();
   uint64_t config_hash() const;
+  rt::CheckpointStore durable_store() const;
   void take_checkpoint(const std::string& cancel_reason = "");
   void restore_checkpoint();
   void evict_and_redistribute(int32_t victim);

@@ -68,13 +68,19 @@ struct SdcOptions {
   int sentinel_cells = 4;
 };
 
-// Durable-run configuration: with a non-empty `dir` the solver commits every
-// periodic checkpoint as one `checkpoint_<seq>.bin` generation file carrying
-// its run manifest, so a SIGKILLed/OOMed process restarts bit-exactly via
+// Durable-run configuration: a durable solver commits every periodic
+// checkpoint as one generation frame carrying its run manifest, so a
+// SIGKILLed/OOMed process restarts bit-exactly via
 // rt::find_latest_generation() and resume_from() (see runtime/checkpoint.hpp).
+// With `dir` the frames go to the directory's own log, synced after each
+// save; the job scheduler instead hands every attempt its root's shared
+// `log` and the job's id as `run`, and its wave sync makes them durable.
 struct DurableOptions {
-  std::string dir;           // empty: in-memory checkpoints only (not durable)
-  int disk_generations = 2;  // on-disk generation files retained (>= 1)
+  std::string dir;           // empty and no `log`: in-memory checkpoints only
+  int disk_generations = 2;  // generations retained in the log (>= 1)
+  rt::GenerationLog* log = nullptr;
+  std::string run;
+  bool enabled() const { return log != nullptr || !dir.empty(); }
 };
 
 struct ResilienceOptions {
@@ -175,7 +181,7 @@ struct ResilienceStats {
   int64_t reliefs = 0;           // relief-chain runs that freed something
   int64_t relieved_bytes = 0;    // total bytes freed by graceful degradation
   // ---- durable runs --------------------------------------------------------
-  int64_t generations_committed = 0;  // durable generation files written
+  int64_t generations_committed = 0;  // generation frames appended to the durable log
   int64_t resumes = 0;            // resume_from() restarts absorbed by this solver
   int64_t cancel_drains = 0;      // runs that drained on a cancel/deadline
 };
@@ -245,8 +251,8 @@ inline void validate_resilience_options(const ResilienceOptions& opt) {
   if (opt.durable.disk_generations < 1)
     fail("durable.disk_generations must be >= 1 (got " +
          std::to_string(opt.durable.disk_generations) + ")");
-  if (!opt.durable.dir.empty() && opt.checkpoint.interval <= 0)
-    fail("durable dir with checkpointing disabled: durable.dir '" + opt.durable.dir +
+  if (opt.durable.enabled() && opt.checkpoint.interval <= 0)
+    fail("durable run with checkpointing disabled: durable.dir '" + opt.durable.dir +
          "' promises restartability but checkpoint.interval " +
          std::to_string(opt.checkpoint.interval) +
          " never writes a generation, so a crash always restarts from step 0; give "

@@ -58,7 +58,7 @@ struct SupervisorReport {
   int nonterminal = 0;
   int faulted_jobs = 0;    // jobs submitted with a non-empty fault schedule
   int degraded = 0;        // admitted on a fallback rung
-  int adopted = 0;         // re-adopted from an orphaned durable job directory
+  int adopted = 0;         // re-adopted after a scheduler restart
   int retried_jobs = 0;    // jobs that needed more than one attempt
   int resumed_retries = 0; // retry attempts that resumed from a durable generation
   // Retry attempts that followed an attempt which left a durable generation

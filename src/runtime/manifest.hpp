@@ -18,7 +18,7 @@
 // one.
 //
 // write_manifest_atomic/read_manifest keep the older standalone sidecar form
-// (`manifest.json` next to the generation files) that the benchmark's
+// (`manifest.json` next to the generation log) that the benchmark's
 // checkpoint probe still times; durable runs no longer write it.
 
 #include <cstdint>
@@ -36,8 +36,8 @@ struct RunManifest {
   int nparts = 0;              // informational: resume may use any M (N-to-M)
   int64_t last_step = 0;       // step of the generation
   int64_t saves = 0;           // sequence number of the generation
-  // Sidecar form only: generation file paths, newest first. Empty inside a
-  // generation, whose directory is the record of its siblings.
+  // Sidecar form only: the generations' frame names, newest first. Empty
+  // inside a generation, whose log is the record of its siblings.
   std::vector<std::string> checkpoints;
   std::vector<FaultCounter> injector_counters;
   std::vector<FaultEvent> injector_events;

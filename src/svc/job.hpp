@@ -88,7 +88,7 @@ struct AttemptRecord {
   bool resumed = false;    // restarted from a durable generation
   int64_t start_step = 0;  // step_index the attempt began at
   int64_t end_step = 0;    // step_index when the attempt ended
-  int64_t generations = 0; // durable checkpoint generations it committed
+  int64_t generations = 0; // checkpoint generations it appended to the root's log
   double backoff_s = 0.0;  // virtual backoff charged before this attempt
   double virtual_s = 0.0;  // solver virtual clock consumed by this attempt
   double phase_total_s = 0.0;
@@ -103,7 +103,7 @@ struct JobOutcome {
   std::string detail;      // human-readable reason for the terminal state
   JobConfig ran;           // resolved config of the rung that actually ran
   int degraded_rung = -1;  // -1 = top-level config; >=0 = fallbacks[i]
-  bool adopted = false;    // re-adopted from an orphaned durable job directory
+  bool adopted = false;    // re-adopted after a restart (its last record an admission)
   int64_t final_step = 0;
   double time_to_terminal_s = 0.0;  // virtual seconds arrival -> terminal
   std::vector<AttemptRecord> attempts;

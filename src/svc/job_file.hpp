@@ -17,9 +17,10 @@
 // over everything before it, the way run-manifest text ends. An id whose
 // last valid record is an admission is an orphan: the scheduler died (or
 // lost power) before the job's terminal record became durable, and a
-// restarted scheduler re-adopts it. Beside the journal the root holds one
-// directory per admitted job, `<root>/<id>/`, for its checkpoint
-// generations and a quarantined job's `QUARANTINE_repro.json`.
+// restarted scheduler re-adopts it. Beside the journal the root holds the
+// generation log, `<root>/generations.log` (every job's checkpoint frames,
+// rt::GenerationLog), and a quarantined job's
+// `<root>/<id>/QUARANTINE_repro.json`.
 
 #include <map>
 #include <string>

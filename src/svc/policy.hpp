@@ -42,9 +42,9 @@ struct QuarantinePolicy {
 };
 
 struct SupervisorOptions {
-  // Root for per-job durable state (<root>/<job id>/...). Empty = in-memory
-  // only: no generation files, retries restart from step 0, no crash
-  // adoption.
+  // Root for the jobs' durable state (<root>/jobs.log and
+  // <root>/generations.log). Empty = in-memory only: no generations, retries
+  // restart from step 0, no crash adoption.
   std::string durable_root;
   RetryPolicy retry;
   QuarantinePolicy quarantine;

@@ -104,7 +104,8 @@ AttemptEngine::Resolved AttemptEngine::resolve(const JobSpec& spec, int rung) {
 }
 
 AttemptEngine::Result AttemptEngine::run_attempt(const Resolved& rj, int attempt_index,
-                                                 uint64_t seed, const std::string& dir,
+                                                 uint64_t seed,
+                                                 rt::GenerationLog* generations,
                                                  const std::vector<rt::ChaosFault>& faults,
                                                  rt::MemoryBudget* memory) const {
   Result r;
@@ -128,7 +129,8 @@ AttemptEngine::Result AttemptEngine::run_attempt(const Resolved& rj, int attempt
   if (rj.spec.deadline_steps > 0) token.set_step_deadline(rj.spec.deadline_steps);
   ropt.cancel = &token;
   ropt.memory = memory;
-  if (!dir.empty()) ropt.durable.dir = dir;
+  ropt.durable.log = generations;
+  ropt.durable.run = rj.spec.id;
 
   auto make = [&] {
     return std::make_unique<bte::AnySolver>(rj.cfg.solver, rj.scenario, rj.physics,
@@ -138,9 +140,10 @@ AttemptEngine::Result AttemptEngine::run_attempt(const Resolved& rj, int attempt
   try {
     solver = make();
     bool resumed = false;
-    if (!dir.empty()) {
+    if (generations != nullptr) {
       try {
-        if (const std::optional<rt::Generation> gen = rt::find_latest_generation(dir)) {
+        if (const std::optional<rt::Generation> gen =
+                rt::find_latest_generation(*generations, rj.spec.id)) {
           solver->resume_from(*gen, ropt);
           resumed = true;
         }
@@ -226,7 +229,7 @@ std::vector<rt::ChaosFault> AttemptEngine::minimize_repro(const Resolved& rj) {
     --budget;
     mx.counter("svc.shrink_runs").add(1.0);
     // Repro predicate: a fresh, non-durable, attempt-0 replay still fails.
-    return !run_attempt(rj, 0, rj.spec.seed, "", cand, nullptr).rec.error.empty();
+    return !run_attempt(rj, 0, rj.spec.seed, nullptr, cand, nullptr).rec.error.empty();
   };
   // ddmin over the fault list (complement reduction), same shape as the
   // chaos-campaign shrinker.
@@ -346,6 +349,8 @@ Scheduler::Scheduler(const bte::BteScenario& base, SchedulerOptions options)
   if (!root.empty()) {
     mkdir_p(root);
     journal_ = std::make_unique<JobJournal>(root);
+    generations_ =
+        std::make_unique<rt::GenerationLog>(root, bte::DurableOptions{}.disk_generations);
   }
 }
 
@@ -394,6 +399,7 @@ std::vector<std::string> Scheduler::adopt_orphans() {
       continue;
     }
     ids.push_back(id);
+    generations_->adopt(id);
     adopted_.push_back(Arrival{0.0, std::move(spec), /*adopted=*/true});
     mx.counter("svc.adopted").add(1.0);
   }
@@ -499,10 +505,7 @@ void Scheduler::handle_arrival(Arrival&& a) {
   job->dir = job_dir(job->spec.id);
   job->out.spec = job->spec;
   job->out.adopted = a.adopted;
-  if (!job->dir.empty() && !a.adopted) {
-    mkdir_p(job->dir);
-    journal_->append_admission(job->spec);
-  }
+  if (!job->dir.empty() && !a.adopted) journal_->append_admission(job->spec);
   jobs_.push_back(std::move(job));
   const size_t ji = jobs_.size() - 1;
   ++led.admitted;
@@ -654,9 +657,10 @@ void Scheduler::execute_wave() {
   for (size_t i = 0; i < slots_.size(); ++i)
     if (!slots_[i].executed) todo.push_back(i);
   if (todo.empty()) return;
-  // Group commit: every record appended since the last wave becomes durable
-  // before any attempt of this one can write a generation file.
-  if (journal_) journal_->sync();
+  // Group commit: every record and frame appended since the last wave
+  // becomes durable before any attempt of this one starts, so a job's
+  // admission is durable before it appends its first frame.
+  sync_durable();
   rt::SpanAttrs wattrs;
   wattrs.step = static_cast<int64_t>(todo.size());
   rt::TraceSpan wave("svc.sched.wave", wattrs);
@@ -666,8 +670,9 @@ void Scheduler::execute_wave() {
     rt::SpanAttrs attrs;
     attrs.step = s.attempt_index;
     rt::TraceSpan aspan("svc.attempt", attrs);
-    s.result =
-        engine_.run_attempt(j.rj, s.attempt_index, s.seed, j.dir, j.spec.faults, s.view.get());
+    s.result = engine_.run_attempt(j.rj, s.attempt_index, s.seed,
+                                   j.dir.empty() ? nullptr : generations_.get(), j.spec.faults,
+                                   s.view.get());
     s.executed = true;
   };
   if (todo.size() == 1 || options_.max_concurrency <= 1) {
@@ -678,6 +683,15 @@ void Scheduler::execute_wave() {
           static_cast<unsigned>(options_.max_concurrency));
     pool_->parallel_for(0, static_cast<int64_t>(todo.size()), run_one, /*grain=*/1);
   }
+}
+
+// The journal first: the log's sync may compact away the frames of jobs
+// retired since the last one, which is safe once their terminal records are
+// durable.
+void Scheduler::sync_durable() {
+  if (!journal_) return;
+  journal_->sync();
+  generations_->sync();
 }
 
 void Scheduler::settle_terminal(size_t ji, TerminalState state, std::string detail) {
@@ -691,6 +705,7 @@ void Scheduler::settle_terminal(size_t ji, TerminalState state, std::string deta
   if (!j.dir.empty()) {
     try {
       journal_->append_terminal(j.spec.id, state, j.out.detail);
+      generations_->retire(j.spec.id);  // garbage once the record is durable
     } catch (const std::exception& e) {
       j.out.detail += " (terminal record not durable: " + std::string(e.what()) + ")";
     }
@@ -753,6 +768,7 @@ void Scheduler::process_completion(size_t slot_index) {
       if (!j.dir.empty()) {
         j.out.repro_path = j.dir + "/QUARANTINE_repro.json";
         try {
+          mkdir_p(j.dir);
           write_text_file_atomic(j.out.repro_path, j.out.repro_json);
         } catch (const std::exception&) {
           j.out.repro_path.clear();
@@ -900,7 +916,7 @@ ScheduleResult Scheduler::run(std::vector<Arrival> arrivals) {
   }
   result_.stats.drain_vtime_s = vnow_;
   rt::MetricsRegistry::global().gauge("svc.sched.queue_depth").set(0.0);
-  if (journal_) journal_->sync();  // every terminal record is durable on return
+  sync_durable();  // every terminal record is durable on return
   return std::move(result_);
 }
 

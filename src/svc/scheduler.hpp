@@ -12,7 +12,7 @@
 //   retry     — a failed attempt is retried with exponential backoff +
 //               deterministic jitter charged to the virtual clock, under a
 //               distinct derived injector seed; when the job is durable the
-//               retry resumes from the newest readable checkpoint generation
+//               retry resumes from its newest readable checkpoint frame
 //               (rt::find_latest_generation) instead of replaying from step 0
 //   quarantine— the poison circuit breaker: `threshold` consecutive failures
 //               across distinct seeds (or an exhausted retry budget) parks
@@ -30,23 +30,27 @@
 //
 // Policy precedence within one pass: cancel > quarantine > retry > shed.
 //
-// Crash safety. A durable root holds one append-only record journal,
-// `<root>/jobs.log` (JobJournal, job_file.hpp): an admission record per
-// admitted job and a terminal record at its terminal transition. Beside it,
-// `<root>/<id>/` (created at admission) holds the job's checkpoint
-// generation files and, when quarantined, its QUARANTINE_repro.json. Only
-// the coordinating thread appends, and one group commit — a single
-// fdatasync of the journal — runs before each attempt wave and before run()
-// returns. So a job's admission is durable before any of its attempts
-// starts (no generation file exists for an unrecorded job), and every
+// Crash safety. A durable root holds two append-only files. The record
+// journal, `<root>/jobs.log` (JobJournal, job_file.hpp), holds an admission
+// record per admitted job and a terminal record at its terminal transition;
+// only the coordinating thread appends to it. The generation log,
+// `<root>/generations.log` (rt::GenerationLog), holds every job's
+// checkpoint frames under its id; attempts append to it from their worker
+// threads. One group commit — an fdatasync of each file appended to since
+// the last one, the journal first — runs before each attempt wave and
+// before run() returns. So a job's admission is durable before any of its
+// attempts starts, a generation is durable by the next wave, and every
 // terminal record is durable when run() returns. A power loss drops at most
-// the records appended since the last wave started: a dropped admission
-// belongs to a job that never started, and a job whose terminal record is
-// dropped is re-adopted and re-runs its tail from its newest generation.
-// A restarted scheduler calls adopt_orphans() to re-queue every job whose
-// last journal record is its admission — exactly the jobs a dead scheduler
-// left in flight — and their first attempt resumes from the newest on-disk
-// generation like any retry.
+// what was appended since the last wave started: a dropped admission
+// belongs to a job that never started, a dropped frame leaves its job the
+// newest synced one (or step 0), and a job whose terminal record is dropped
+// is re-adopted and re-runs its tail from its newest frame. A job's frames
+// are garbage once its terminal record is durable, and the log's compaction
+// drops them. `<root>/<id>/` is made only for a quarantined job's
+// QUARANTINE_repro.json. A restarted scheduler calls adopt_orphans() to
+// re-queue every job whose last journal record is its admission — exactly
+// the jobs a dead scheduler left in flight — and their first attempt
+// resumes from the newest frame the log holds for them, like any retry.
 //
 // Determinism under concurrency. The scheduler is a discrete-event simulator
 // on the shared virtual clock: arrivals, retry timers and attempt completions
@@ -110,6 +114,7 @@
 #include "runtime/memory.hpp"
 
 namespace finch::rt {
+class GenerationLog;
 class ThreadPool;
 }
 
@@ -163,12 +168,14 @@ class AttemptEngine {
   static uint64_t attempt_seed(uint64_t base, int attempt);
 
   Resolved resolve(const JobSpec& spec, int rung);
-  // Runs one attempt: arm faults, resume from the newest durable generation
-  // when one exists, run to the end or a drain, classify. `memory` is the budget this
-  // attempt's live allocations charge (the scheduler passes a per-attempt
-  // view of the tenant partition; nullptr = unbudgeted).
+  // Runs one attempt: arm faults, resume from the job's newest frame in
+  // `generations` when one exists, run to the end or a drain, classify.
+  // `generations` is the durable root's log (nullptr = not durable); the
+  // attempt appends its checkpoints to it under the job's id. `memory` is
+  // the budget this attempt's live allocations charge (the scheduler passes
+  // a per-attempt view of the tenant partition; nullptr = unbudgeted).
   Result run_attempt(const Resolved& rj, int attempt_index, uint64_t seed,
-                     const std::string& job_dir, const std::vector<rt::ChaosFault>& faults,
+                     rt::GenerationLog* generations, const std::vector<rt::ChaosFault>& faults,
                      rt::MemoryBudget* memory) const;
   // Attempt-granularity transition: `failures` counts consecutive failures
   // INCLUDING this one when it failed; `attempt_index` is the index just run.
@@ -293,6 +300,8 @@ class Scheduler {
   // whose last valid record is its admission as an adopted arrival at vtime
   // 0 of the next run(). Returns the adopted ids (sorted). Damaged lines
   // and unreadable specs are skipped and counted in `svc.journal.damaged`.
+  // The generation log is not read here: an adopted job's first attempt
+  // scans it.
   std::vector<std::string> adopt_orphans();
 
   // Drives the arrival schedule to completion: every admitted job reaches
@@ -321,6 +330,7 @@ class Scheduler {
   void dispatch_ready();
   bool pick_next(size_t* out_ji);
   void execute_wave();
+  void sync_durable();
   void process_completion(size_t slot_index);
   void settle_terminal(size_t ji, TerminalState state, std::string detail);
   void check_starvation();
@@ -344,6 +354,7 @@ class Scheduler {
   double quantum_units_ = 0.0;
   double age_bound_s_ = 0.0;  // resolved starvation bound (0 = disabled)
   std::unique_ptr<JobJournal> journal_;  // the durable root's records (null: none)
+  std::unique_ptr<rt::GenerationLog> generations_;  // every job's frames (null: none)
   std::vector<Arrival> adopted_;  // staged by adopt_orphans()
   bool ran_ = false;
   ScheduleResult result_;

@@ -3,7 +3,7 @@
 // cooperative cancellation, and process-crash restart.
 //
 // The tentpole property under test: for any interruption — SIGKILL at a step
-// boundary, SIGKILL inside a checkpoint's .tmp-write window, an OOM-style
+// boundary, SIGKILL between a checkpoint's append and its sync, an OOM-style
 // drain, an operator cancel — restarting via find_latest_generation() and
 // resume_from() continues the run bit-exactly versus an uninterrupted
 // reference, on all three distributed solvers. The crash itself is exercised here with a real fork +
@@ -13,7 +13,9 @@
 
 #include <cmath>
 #include <csignal>
+#include <algorithm>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <iterator>
 #include <memory>
@@ -72,19 +74,38 @@ bool bitwise_equal(const std::vector<double>& a, const std::vector<double>& b) {
 }
 
 // Fresh cwd-relative directory for one test's durable store (ctest runs in
-// the build tree; stale files from a previous run are removed so numbering
+// the build tree; a stale log from a previous run is removed so numbering
 // and retention assertions see only this run's generations).
 std::string fresh_dir(const std::string& name) {
   const std::string dir = "durability_" + name;
 #if defined(__unix__) || defined(__APPLE__)
   ::mkdir(dir.c_str(), 0755);
 #endif
-  for (int seq = 0; seq < 64; ++seq) {
-    const std::string path = dir + "/checkpoint_" + std::to_string(seq) + ".bin";
-    std::remove(path.c_str());
-    std::remove((path + ".tmp").c_str());
-  }
+  std::remove((dir + "/" + rt::GenerationLog::kFileName).c_str());
   return dir;
+}
+
+std::string log_path(const std::string& dir) { return dir + "/" + rt::GenerationLog::kFileName; }
+std::string frame_name(const std::string& dir, int64_t seq) {
+  return log_path(dir) + "#" + std::to_string(seq);
+}
+
+// Where frame `seq` of `dir`'s own run sits in its log.
+rt::GenerationLog::Frame frame_at(const std::string& dir, int64_t seq) {
+  rt::GenerationLog log(dir, 1);
+  log.adopt("");
+  for (const rt::GenerationLog::Frame& f : log.frames(""))
+    if (f.seq == seq) return f;
+  ADD_FAILURE() << "no frame " << seq << " in " << dir;
+  return {};
+}
+
+// The image of frame `seq`, read through a fresh log as a restarted process
+// would.
+rt::Snapshot read_frame(const std::string& dir, int64_t seq) {
+  rt::GenerationLog log(dir, 1);
+  log.adopt("");
+  return rt::deserialize(log.read("", seq));
 }
 
 // The newest readable generation of `dir`; fails the test when there is none.
@@ -96,8 +117,6 @@ rt::Generation latest_generation(const std::string& dir) {
   }
   return std::move(*gen);
 }
-
-bool file_exists(const std::string& path) { return std::ifstream(path).good(); }
 
 ResilienceOptions durable_options(const std::string& dir, int interval = 2) {
   ResilienceOptions opt;
@@ -170,7 +189,7 @@ TEST(Manifest, RoundTripsAllFields) {
   m.nparts = 3;
   m.last_step = 42;
   m.saves = 7;
-  m.checkpoints = {"d/checkpoint_7.bin", "d/checkpoint_6.bin"};
+  m.checkpoints = {"d/generations.log#7", "d/generations.log#6"};
   m.injector_counters = {{2, "halo", 120, 3}, {12, "cell-mem", 40, 1}};
   m.injector_events = {{rt::FaultKind::DroppedMessage, "halo", 17},
                        {rt::FaultKind::AllocFailure, "cell-mem", 9}};
@@ -262,12 +281,20 @@ TEST(DurableStore, RetainsNewestGenerationsAndPrunesBeyondRetention) {
   store.save(tiny_snapshot(2));
   store.save(tiny_snapshot(3));
   ASSERT_EQ(store.disk_paths().size(), 2u);
-  EXPECT_EQ(store.disk_paths()[0], dir + "/checkpoint_3.bin");
-  EXPECT_EQ(store.disk_paths()[1], dir + "/checkpoint_2.bin");
-  EXPECT_EQ(rt::CheckpointStore::read_file(store.disk_paths()[0]).step, 3);
-  EXPECT_EQ(rt::CheckpointStore::read_file(store.disk_paths()[1]).step, 2);
-  // The pruned oldest generation is gone.
-  EXPECT_THROW(rt::CheckpointStore::read_file(dir + "/checkpoint_1.bin"), rt::CheckpointError);
+  EXPECT_EQ(store.disk_paths()[0], frame_name(dir, 3));
+  EXPECT_EQ(store.disk_paths()[1], frame_name(dir, 2));
+  EXPECT_EQ(read_frame(dir, 3).step, 3);
+  EXPECT_EQ(read_frame(dir, 2).step, 2);
+  // The pruned oldest generation is no longer live: the store's log refuses
+  // it, and compaction drops it from the file.
+  EXPECT_THROW(store.log()->read("", 1), rt::CheckpointError);
+  store.log()->compact();
+  rt::GenerationLog reader(dir, 2);
+  reader.adopt("");
+  std::vector<int64_t> seqs;
+  for (const rt::GenerationLog::Frame& f : reader.frames("")) seqs.push_back(f.seq);
+  EXPECT_EQ(seqs, (std::vector<int64_t>{3, 2}));
+  EXPECT_EQ(reader.file_bytes(), reader.live_bytes());
 }
 
 TEST(DurableStore, ReliefsFreeMemoryOnlyWhenDiskBacksIt) {
@@ -286,7 +313,7 @@ TEST(DurableStore, ReliefsFreeMemoryOnlyWhenDiskBacksIt) {
   durable.save(tiny_snapshot(2));
   EXPECT_GT(durable.drop_previous_generation(), 0);
   EXPECT_GT(durable.spill(), 0);
-  // Both generations survive the reliefs — re-read from their files.
+  // Both generations survive the reliefs — re-read from their frames.
   EXPECT_EQ(durable.generations(), 2);
   EXPECT_EQ(durable.load(0).step, 2);
   EXPECT_EQ(durable.load(1).step, 1);
@@ -560,19 +587,31 @@ TEST(DurableResume, ManifestForTheWrongSolverOrConfigIsRefused) {
 }
 
 namespace {
-// Rewrites `path` keeping only the first half of its bytes — a torn copy, a
-// partial scp, a filesystem that lost the tail. Distinct from deletion: the
-// file still exists and opens fine, only deserialization can reject it.
-void truncate_file_to_half(const std::string& path) {
-  std::string data;
-  {
-    std::ifstream in(path, std::ios::binary);
-    ASSERT_TRUE(in.good()) << path;
-    data.assign(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
-  }
-  ASSERT_GT(data.size(), 1u);
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  out.write(data.data(), static_cast<std::streamsize>(data.size() / 2));
+// Cuts `dir`'s log to its first `keep` bytes: what a crash or power loss
+// mid-append leaves.
+void cut_log(const std::string& dir, uint64_t keep) {
+  std::filesystem::resize_file(log_path(dir), keep);
+}
+
+// The newest frame `seq` torn: the log ends halfway through its image.
+// Distinct from a lost frame: its header is whole, only its image is short.
+void tear_frame(const std::string& dir, int64_t seq) {
+  const rt::GenerationLog::Frame f = frame_at(dir, seq);
+  cut_log(dir, f.offset + rt::GenerationLog::kHeaderBytes + f.length / 2);
+}
+
+// Flips one byte in the middle of frame `seq`'s image, in place: its header
+// still reads, its image digest no longer matches.
+void damage_frame(const std::string& dir, int64_t seq) {
+  const rt::GenerationLog::Frame f = frame_at(dir, seq);
+  std::fstream io(log_path(dir), std::ios::binary | std::ios::in | std::ios::out);
+  const auto at = static_cast<std::streamoff>(f.offset + rt::GenerationLog::kHeaderBytes +
+                                               f.length / 2);
+  io.seekg(at);
+  char c = 0;
+  io.get(c);
+  io.seekp(at);
+  io.put(static_cast<char>(c ^ 0x10));
 }
 }  // namespace
 
@@ -586,15 +625,17 @@ TEST(DurableResume, MissingNewestGenerationFallsBackCorruptAllFails) {
     s.run(6);  // generations at steps 6 (newest) and 4
   }
   const rt::Generation found = latest_generation(dir);
-  ASSERT_EQ(found.fallbacks.size(), 1u);
+  ASSERT_GE(found.fallbacks.size(), 1u);
   EXPECT_EQ(found.manifest.last_step, 6);
 
-  // Newest generation file lost: resume falls back to the older one. No
-  // record names the lost file, so this is not a counted fallback.
-  std::remove(found.path.c_str());
+  // Newest frame lost (the log cut where it began): resume falls back to the
+  // older one. No record names the lost frame, so this is not a counted
+  // fallback.
+  cut_log(dir, frame_at(dir, found.seq).offset);
   {
     const rt::Generation gen = latest_generation(dir);
-    EXPECT_EQ(gen.path, found.fallbacks[0]);
+    EXPECT_EQ(gen.seq, found.fallbacks[0]);
+    EXPECT_EQ(gen.skipped, 0);
     CellPartitionedSolver s(scen, phys, 2);
     s.resume_from(gen, durable_options(dir));
     EXPECT_EQ(s.step_index(), 4);
@@ -609,9 +650,9 @@ TEST(DurableResume, MissingNewestGenerationFallsBackCorruptAllFails) {
     s.run(6);
   }
   const rt::Generation both = latest_generation(again);
-  ASSERT_EQ(both.fallbacks.size(), 1u);
-  truncate_file_to_half(both.path);
-  truncate_file_to_half(both.fallbacks[0]);
+  ASSERT_GE(both.fallbacks.size(), 1u);
+  damage_frame(again, both.seq);
+  for (const int64_t seq : both.fallbacks) damage_frame(again, seq);
   try {
     rt::find_latest_generation(again);
     FAIL() << "a directory of unreadable generations was taken for a fresh start";
@@ -639,11 +680,12 @@ TEST(DurableResume, TruncatedNewestGenerationFallsBack) {
     s.run(6);  // generations at steps 6 (newest) and 4
   }
   const rt::Generation found = latest_generation(dir);
-  ASSERT_EQ(found.fallbacks.size(), 1u);
+  ASSERT_GE(found.fallbacks.size(), 1u);
 
-  // Newest generation torn (truncated, not deleted): discovery must reject it
-  // by content and fall back to the older generation, then finish bit-exact.
-  truncate_file_to_half(found.path);
+  // Newest frame torn (its header whole, its image cut short): discovery
+  // must reject it by content and fall back to the older generation, then
+  // finish bit-exact.
+  tear_frame(dir, found.seq);
   const rt::Generation gen = latest_generation(dir);
   EXPECT_EQ(gen.skipped, 1);
   CellPartitionedSolver resumed(scen, phys, 2);
@@ -687,7 +729,7 @@ TEST(DurableResume, FallbackResumeRestoresThatGenerationsDrawSequence) {
     first.enable_resilience(opt);
     first.run(6);  // generations at steps 6 (newest) and 4
   }
-  truncate_file_to_half(latest_generation(dir).path);
+  tear_frame(dir, latest_generation(dir).seq);
   const rt::Generation gen = latest_generation(dir);
   ASSERT_EQ(gen.manifest.last_step, 4);
 
@@ -728,23 +770,25 @@ TEST(DurableResume, ResumedRunAdoptsOlderGenerationsAsFallback) {
     s.run(6);
   }
   const rt::Generation first = latest_generation(dir);
-  ASSERT_EQ(first.fallbacks.size(), 1u);
+  ASSERT_GE(first.fallbacks.size(), 1u);
 
   // Resume and immediately "crash" (drop the solver). The resume commits
-  // nothing — the generation it read is already on disk — so the older
+  // nothing — the generation it read is already in the log — so the older
   // generation stays behind it as the fallback.
+  const uint64_t log_bytes = std::filesystem::file_size(log_path(dir));
   {
     CellPartitionedSolver s(scen, phys, 2);
     s.resume_from(first, durable_options(dir));
     EXPECT_EQ(s.step_index(), 6);
   }
+  EXPECT_EQ(std::filesystem::file_size(log_path(dir)), log_bytes);
   const rt::Generation second = latest_generation(dir);
-  EXPECT_EQ(second.path, first.path);
-  ASSERT_EQ(second.fallbacks.size(), 1u) << "post-resume directory lost the older generation";
-  EXPECT_NE(second.path, second.fallbacks[0]);
+  EXPECT_EQ(second.seq, first.seq);
+  ASSERT_GE(second.fallbacks.size(), 1u) << "post-resume log lost the older generation";
+  EXPECT_NE(second.seq, second.fallbacks[0]);
 
-  // The resumed store adopts the generations it found: its next commit
-  // prunes the oldest by retention and keeps step 6 as the fallback.
+  // The resumed store adopts the generations it found within its retention:
+  // its next commit keeps step 6 as the fallback and nothing older.
   {
     CellPartitionedSolver s(scen, phys, 2);
     s.resume_from(second, durable_options(dir));
@@ -752,22 +796,27 @@ TEST(DurableResume, ResumedRunAdoptsOlderGenerationsAsFallback) {
   }
   const rt::Generation third = latest_generation(dir);
   EXPECT_EQ(third.manifest.last_step, 8);
-  ASSERT_EQ(third.fallbacks.size(), 1u);
-  EXPECT_EQ(third.fallbacks[0], first.path);
-  EXPECT_FALSE(file_exists(first.fallbacks[0])) << "retention forgot the adopted generation";
+  ASSERT_GE(third.fallbacks.size(), 1u);
+  EXPECT_EQ(third.fallbacks[0], first.seq);
+  rt::CheckpointStore retained(dir, 2);
+  retained.resume(third);
+  EXPECT_EQ(retained.disk_paths(),
+            (std::vector<std::string>{third.name, frame_name(dir, first.seq)}))
+      << "retention kept a generation older than the adopted one";
 
   // Second crash with the newest generation torn: the adopted fallback is
   // what makes this resumable at all.
-  truncate_file_to_half(third.path);
+  tear_frame(dir, third.seq);
   CellPartitionedSolver resumed(scen, phys, 2);
   resumed.resume_from(latest_generation(dir), durable_options(dir));
   EXPECT_EQ(resumed.step_index(), 6);
   EXPECT_GE(resumed.resilience_stats().ckpt_generation_fallbacks, 1);
 }
 
-// Discovery reads only `checkpoint_<seq>.bin` names and validates every
-// fallback by content: a torn older file is never adopted as a fake
-// fallback, and `.tmp` leftovers or look-alike names are not generations.
+// Discovery reads only the directory's `generations.log` and validates every
+// fallback by content: a damaged older frame is never adopted as a fake
+// fallback, and other files — a compaction's leftover, old generation files
+// — are not generations.
 TEST(DurableResume, DiscoverySkipsDamagedFallbacksAndForeignNames) {
   EXPECT_FALSE(rt::find_latest_generation("durability_missing_dir").has_value());
   const auto scen = tiny_scenario();
@@ -779,20 +828,21 @@ TEST(DurableResume, DiscoverySkipsDamagedFallbacksAndForeignNames) {
     s.run(6);
   }
   const rt::Generation found = latest_generation(dir);
-  ASSERT_EQ(found.fallbacks.size(), 1u);
-  truncate_file_to_half(found.fallbacks[0]);
-  for (const char* name : {"/checkpoint_99.bin.tmp", "/checkpoint_x.bin", "/checkpoint_.bin"})
-    std::ofstream(dir + name) << "not a generation";
+  ASSERT_GE(found.fallbacks.size(), 1u);
+  const int64_t damaged = found.fallbacks[0];
+  damage_frame(dir, damaged);
+  const char* foreign[] = {"/generations.log.compact", "/checkpoint_9.bin", "/generations.log.tmp"};
+  for (const char* name : foreign) std::ofstream(dir + name) << "not a generation";
   const rt::Generation gen = latest_generation(dir);
-  EXPECT_EQ(gen.path, found.path);
+  EXPECT_EQ(gen.seq, found.seq);
   EXPECT_EQ(gen.skipped, 0);
-  EXPECT_TRUE(gen.fallbacks.empty());
-  for (const char* name : {"/checkpoint_99.bin.tmp", "/checkpoint_x.bin", "/checkpoint_.bin"})
-    std::remove((dir + name).c_str());
+  EXPECT_EQ(std::count(gen.fallbacks.begin(), gen.fallbacks.end(), damaged), 0);
+  EXPECT_EQ(gen.fallbacks.size(), found.fallbacks.size() - 1);
+  for (const char* name : foreign) std::remove((dir + name).c_str());
 }
 
 // A fresh run in a directory that already holds generations numbers its
-// files past them — a committed generation is never rewritten — and the next
+// frames past them — a committed frame is never rewritten — and the next
 // resume picks the fresh run's generation.
 TEST(DurableResume, FreshStoreNumbersPastExistingGenerations) {
   const auto scen = tiny_scenario();
@@ -803,19 +853,19 @@ TEST(DurableResume, FreshStoreNumbersPastExistingGenerations) {
     s.enable_resilience(durable_options(dir));
     s.run(6);  // commits #1..#3 at steps 2, 4, 6
   }
-  EXPECT_EQ(latest_generation(dir).path, dir + "/checkpoint_3.bin");
+  EXPECT_EQ(latest_generation(dir).name, frame_name(dir, 3));
   {
     CellPartitionedSolver s(scen, phys, 2);
     s.enable_resilience(durable_options(dir));
     s.run(2);
   }
   const rt::Generation gen = latest_generation(dir);
-  EXPECT_EQ(gen.path, dir + "/checkpoint_4.bin");
+  EXPECT_EQ(gen.name, frame_name(dir, 4));
   EXPECT_EQ(gen.manifest.last_step, 2);
   EXPECT_EQ(gen.manifest.saves, 4);
-  EXPECT_EQ(rt::CheckpointStore::read_file(dir + "/checkpoint_3.bin").step, 6);
+  EXPECT_EQ(read_frame(dir, 3).step, 6);
   // The older run's later steps are no fallback for a step-2 generation.
-  EXPECT_TRUE(gen.fallbacks.empty());
+  for (const int64_t seq : gen.fallbacks) EXPECT_LE(read_frame(dir, seq).step, 2) << seq;
   CellPartitionedSolver resumed(scen, phys, 2);
   resumed.resume_from(gen, durable_options(dir));
   EXPECT_EQ(resumed.step_index(), 2);
@@ -840,7 +890,7 @@ TEST(DurableResume, GenerationForAnotherConfigIsRefusedByName) {
   } catch (const rt::CheckpointError& err) {
     const std::string msg = err.what();
     EXPECT_NE(msg.find("config-hash mismatch"), std::string::npos) << msg;
-    EXPECT_NE(msg.find(gen.path), std::string::npos) << msg;
+    EXPECT_NE(msg.find(gen.name), std::string::npos) << msg;
   }
 }
 
@@ -1058,15 +1108,14 @@ TEST(DurabilityChaos, ResourceClassScheduleSurvivesTheOracle) {
   EXPECT_GT(out.stats.pressure_events, 0);
 }
 
-// ---- crash harness: SIGKILL inside the checkpoint .tmp-write window ---------
+// ---- crash harness: SIGKILL between a frame's append and its sync -----------
 
 #ifdef FINCH_HAVE_FORK
-// The child is killed while the third generation's `.tmp` sibling is being
-// written (rename still pending). The commit protocol guarantees the previous
-// generation is untouched, so the parent resumes from the prior step and
-// finishes bit-exactly (the mid-write window is the one a naive in-place
-// writer corrupts).
-TEST(CrashHarness, SigkillDuringTmpWriteLeavesPriorGenerationResumable) {
+// The child is killed right after the third generation's frame is appended
+// to the log, before its sync. A kill keeps the page cache, so the frame is
+// whole: the parent resumes from it (step 6) and finishes bit-exactly. The
+// earlier frames were never rewritten.
+TEST(CrashHarness, SigkillBetweenAppendAndSyncResumesFromThatFrame) {
   const auto scen = tiny_scenario();
   const auto phys = tiny_physics();
   const int nsteps = 8;
@@ -1077,18 +1126,17 @@ TEST(CrashHarness, SigkillDuringTmpWriteLeavesPriorGenerationResumable) {
   ref.enable_resilience(ref_opt);
   ref.run(nsteps);
 
-  const std::string dir = fresh_dir("crash_tmpwrite");
+  const std::string dir = fresh_dir("crash_append");
   const pid_t pid = fork();
   ASSERT_GE(pid, 0);
   if (pid == 0) {
-    // Child: SIGKILL from inside the .tmp-write window of the third
-    // generation (step 0 is held in memory; steps 2, 4 and 6 write #1, #2
-    // and #3).
-    static int checkpoint_tmp_writes = 0;
-    rt::set_checkpoint_commit_hook([](const std::string& path, rt::CommitPhase phase) {
-      if (phase != rt::CommitPhase::AfterTmpWrite) return;
-      if (path.find("checkpoint_") == std::string::npos) return;
-      if (++checkpoint_tmp_writes == 3) ::raise(SIGKILL);
+    // Child: SIGKILL between the third generation's append and its sync
+    // (step 0 is held in memory; steps 2, 4 and 6 append #1, #2 and #3).
+    static int appends = 0;
+    rt::set_checkpoint_commit_hook([](const std::string& what, rt::CommitPhase phase) {
+      if (phase != rt::CommitPhase::AfterAppend) return;
+      if (what.find(rt::GenerationLog::kFileName) == std::string::npos) return;
+      if (++appends == 3) ::raise(SIGKILL);
     });
     CellPartitionedSolver victim(scen, phys, 2);
     victim.enable_resilience(durable_options(dir));
@@ -1100,16 +1148,16 @@ TEST(CrashHarness, SigkillDuringTmpWriteLeavesPriorGenerationResumable) {
   ASSERT_TRUE(WIFSIGNALED(status)) << "child exited with " << WEXITSTATUS(status);
   ASSERT_EQ(WTERMSIG(status), SIGKILL);
 
-  // The newest generation on disk is the second (step 4) and intact; the torn
-  // write left only its `.tmp` sibling, which discovery ignores.
-  EXPECT_TRUE(file_exists(dir + "/checkpoint_3.bin.tmp"));
+  // The newest frame is the unsynced third (step 6), whole and readable.
   const rt::Generation gen = latest_generation(dir);
-  EXPECT_EQ(gen.manifest.last_step, 4);
-  EXPECT_EQ(rt::CheckpointStore::read_file(gen.path).step, 4);
+  EXPECT_EQ(gen.seq, 3);
+  EXPECT_EQ(gen.skipped, 0);
+  EXPECT_EQ(gen.manifest.last_step, 6);
+  EXPECT_EQ(read_frame(dir, gen.seq).step, 6);
 
   CellPartitionedSolver resumed(scen, phys, 2);
   resumed.resume_from(gen, durable_options(dir));
-  EXPECT_EQ(resumed.step_index(), 4);
+  EXPECT_EQ(resumed.step_index(), 6);
   resumed.run(nsteps - static_cast<int>(resumed.step_index()));
   EXPECT_TRUE(bitwise_equal(resumed.gather_temperature(), ref.gather_temperature()));
   EXPECT_TRUE(bitwise_equal(resumed.gather_intensity(), ref.gather_intensity()));

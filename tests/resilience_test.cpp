@@ -18,6 +18,7 @@
 #include "bte/partitioned_solver.hpp"
 #include "bte/resilience.hpp"
 #include "runtime/checkpoint.hpp"
+#include "runtime/metrics.hpp"
 #include "runtime/fault.hpp"
 
 using namespace finch;
@@ -342,9 +343,10 @@ TEST(Checkpoint, PayloadCorruptionNamesTheBitFlippedField) {
   EXPECT_EQ(rt::deserialize(clean).field("Io")[3], 12.0);
 }
 
-// A store with a directory is durable: one save is one generation file,
-// committed through its .tmp sibling, which is gone afterwards. A directory
-// store must keep at least one generation.
+// A store with a directory is durable: one save is one frame of the
+// directory's generation log, synced before save() returns (one fdatasync,
+// plus one fsync of the directory that makes the new log durable), and no
+// other file appears. A directory store must keep at least one generation.
 TEST(Checkpoint, StoreMirrorsToDiskAtomically) {
   const std::string dir = "checkpoint_store_mirror";
   std::filesystem::remove_all(dir);
@@ -355,16 +357,23 @@ TEST(Checkpoint, StoreMirrorsToDiskAtomically) {
   snap.step = 3;
   std::vector<double> f = {1.5, 2.5};
   snap.add("f", f);
+  auto& mx = rt::MetricsRegistry::global();
+  const double fsyncs0 = mx.value("ckpt.fsyncs");
+  const double writes0 = mx.value("ckpt.atomic_writes");
   store.save(snap);
+  EXPECT_EQ(mx.value("ckpt.fsyncs") - fsyncs0, 2.0);
+  EXPECT_EQ(mx.value("ckpt.atomic_writes") - writes0, 0.0);
   ASSERT_EQ(store.disk_paths().size(), 1u);
-  EXPECT_EQ(store.disk_paths()[0], dir + "/checkpoint_1.bin");
-  const rt::Snapshot back = rt::CheckpointStore::read_file(store.disk_paths()[0]);
+  EXPECT_EQ(store.disk_paths()[0], dir + "/generations.log#1");
+  rt::GenerationLog reader(dir, 1);
+  reader.adopt("");
+  const rt::Snapshot back = rt::deserialize(reader.read("", 1));
   EXPECT_EQ(back.step, 3);
   EXPECT_EQ(back.field("f")[1], 2.5);
   std::vector<std::string> files;
   for (const auto& entry : std::filesystem::directory_iterator(dir))
     files.push_back(entry.path().filename().string());
-  EXPECT_EQ(files, std::vector<std::string>{"checkpoint_1.bin"});
+  EXPECT_EQ(files, std::vector<std::string>{"generations.log"});
   std::filesystem::remove_all(dir);
 }
 

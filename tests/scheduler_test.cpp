@@ -10,10 +10,12 @@
 #include <algorithm>
 #include <csignal>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <map>
 #include <mutex>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -475,16 +477,17 @@ TEST(SchedulerDeterminism, IdenticalRunsProduceIdenticalTrajectories) {
 }
 
 // Tripwire on the durability protocol's I/O. A fault-free durable job
-// commits one generation per checkpoint interval (none at step 0): two
-// atomic writes of two fsyncs each (data, then the directory after the
-// rename) for 8 steps at interval 4. Its records cost no file of their own:
-// they are journal lines, made durable by one fdatasync before each attempt
-// wave and one before run() returns. At one slot the two jobs run in two
-// waves: the first wave's sync covers both admissions, plus the root's fsync
-// that makes the new journal durable (2); the second wave's covers job 0's
-// terminal record (1); the final sync covers job 1's (1). So 4 atomic
-// writes and 2 × 2 × 2 + 4 = 12 fsyncs, against 8 and 16 when each record
-// was a file.
+// appends one generation frame per checkpoint interval (none at step 0) to
+// the root's generation log: two frames for 8 steps at interval 4. Neither
+// frames nor records cost a file or a sync of their own: each file gets one
+// fdatasync per attempt wave when it was appended to since its last one,
+// plus one before run() returns. At one slot the two jobs run in two waves.
+// The first wave's sync covers both admissions, plus the root's fsync that
+// makes the new journal durable (2); the log is still empty. The second
+// wave's covers job 0's terminal record (1) and job 0's two frames, plus
+// the root's fsync for the new log (2). The final sync covers job 1's
+// terminal record (1) and frames (1). So 0 atomic writes and 7 fsyncs,
+// against 4 and 12 when each generation was a file, and no job directory.
 TEST(SchedulerDurability, FaultFreeJobsCommitOnlyGenerationFiles) {
   SchedulerOptions opt;
   opt.max_concurrency = 1;
@@ -504,8 +507,19 @@ TEST(SchedulerDurability, FaultFreeJobsCommitOnlyGenerationFiles) {
   ASSERT_EQ(res.outcomes.size(), 2u);
   for (const JobOutcome& o : res.outcomes)
     EXPECT_EQ(o.state, TerminalState::Completed) << o.spec.id;
-  EXPECT_EQ(mx.value("ckpt.atomic_writes") - writes0, 4.0);
-  EXPECT_EQ(mx.value("ckpt.fsyncs") - fsyncs0, 12.0);
+  EXPECT_EQ(mx.value("ckpt.atomic_writes") - writes0, 0.0);
+  EXPECT_EQ(mx.value("ckpt.fsyncs") - fsyncs0, 7.0);
+  std::set<std::string> files;
+  for (const auto& entry : std::filesystem::directory_iterator(opt.supervisor.durable_root))
+    files.insert(entry.path().filename().string());
+  EXPECT_EQ(files, (std::set<std::string>{JobJournal::kFileName, rt::GenerationLog::kFileName}));
+  for (const JobSpec& spec : specs) {
+    const std::optional<rt::Generation> gen =
+        rt::find_latest_generation(opt.supervisor.durable_root, spec.id);
+    ASSERT_TRUE(gen.has_value()) << spec.id;
+    EXPECT_EQ(gen->seq, 2) << spec.id;
+    EXPECT_EQ(gen->manifest.last_step, 8) << spec.id;
+  }
   const std::vector<JournalRecord> records = JobJournal::read(opt.supervisor.durable_root);
   ASSERT_EQ(records.size(), 4u);
   EXPECT_EQ(std::string({records[0].kind, records[1].kind, records[2].kind, records[3].kind}),
@@ -552,19 +566,18 @@ TEST(SchedulerCrash, RestartReadoptsEveryJobInFlightAcrossSlots) {
   const pid_t pid = fork();
   ASSERT_GE(pid, 0);
   if (pid == 0) {
-    // Child: die once both job directories have committed a step>=2
-    // generation — both attempts are provably mid-flight, neither terminal.
+    // Child: die once both jobs have appended a step>=2 frame — both
+    // attempts are provably mid-flight, neither terminal.
     static std::mutex mu;
     static std::map<std::string, int> commits;
-    rt::set_checkpoint_commit_hook([](const std::string& path, rt::CommitPhase phase) {
-      if (phase != rt::CommitPhase::AfterRename) return;
-      if (path.find("checkpoint_") == std::string::npos) return;
+    rt::set_checkpoint_commit_hook([](const std::string& what, rt::CommitPhase phase) {
+      if (phase != rt::CommitPhase::AfterAppend) return;
       std::lock_guard<std::mutex> lk(mu);
-      const size_t cut = path.find("/flight-");
+      const size_t cut = what.find("#flight-");
       if (cut == std::string::npos) return;
-      ++commits[path.substr(cut, 9)];
+      ++commits[what.substr(cut + 1, 8)];
       int armed = 0;
-      for (const auto& [dir, n] : commits)
+      for (const auto& [id, n] : commits)
         if (n >= 1) ++armed;  // step 0 commits nothing: the first is step 2's
       if (armed >= 2) ::raise(SIGKILL);
     });
@@ -711,17 +724,24 @@ TEST(JobJournal, TornTailIsSkippedThenTruncatedBeforeTheNextAppend) {
 // ---- power loss ----------------------------------------------------------------
 //
 // A kill keeps the page cache, so a power loss is modeled here by discarding
-// what a sync had not covered: a finished root's journal is cut back to each
-// length it had at a sync, with and without a torn half-record after it,
-// and the service is restarted on it. Every job then ends with exactly one
-// terminal record, and the oracle holds over the merged outcomes.
+// what a sync had not covered: a finished root's journal and generation log
+// are cut back to the lengths they had at each sync point, with and without
+// a torn half-record after the journal's cut or a torn half-frame after the
+// log's, and the service is restarted on them. Every job then ends with
+// exactly one terminal record, no retry replays from step 0, and the oracle
+// holds over the merged outcomes.
 namespace {
+
+// Lengths of the journal and the generation log that a power loss can leave
+// whole: both files as their last syncs left them.
+using SyncPoint = std::pair<size_t, size_t>;
 
 struct FinishedRoot {
   std::vector<JobSpec> specs;
   std::vector<JobOutcome> outcomes;
-  std::string journal;            // its bytes at the end of the run
-  std::set<size_t> sync_lengths;  // journal lengths at each sync a wave saw, and the end
+  std::string journal;  // its bytes at the end of the run
+  std::string log;      // the generation log's bytes at the end of the run
+  std::set<SyncPoint> sync_points;
 };
 
 FinishedRoot run_finished_root(const std::string& root, SchedulerOptions opt) {
@@ -733,29 +753,52 @@ FinishedRoot run_finished_root(const std::string& root, SchedulerOptions opt) {
     fr.specs.push_back(s);
   }
   fr.specs.push_back(poison_job("pl-poison"));
-  const std::string path = root + "/" + JobJournal::kFileName;
-  // Only the coordinating thread appends, never during a wave, and each
-  // wave starts with a sync: at any generation commit the journal's length
-  // is the length at the last sync.
+  // A flaky job: attempt 0 dies after its first frames, so a wave's sync
+  // leaves it non-terminal with synced frames, and its retry resumes.
+  bte::SupervisorCampaign campaign(base_scenario());
+  bte::StreamShape shape;
+  shape.njobs = 1;
+  shape.flaky_fraction = 1.0;
+  shape.chaos_fraction = shape.deadline_fraction = shape.poison_fraction = 0.0;
+  shape.min_steps = shape.max_steps = 9;
+  JobSpec flaky = campaign.mixed_stream(3, shape).at(0);
+  flaky.id = "pl-flaky";
+  fr.specs.push_back(flaky);
+  const std::string journal_path = root + "/" + JobJournal::kFileName;
+  const std::string log_path = root + "/" + rt::GenerationLog::kFileName;
+  // Each wave starts by syncing the journal, then the log, and only the
+  // coordinating thread appends records, never during a wave. So at a frame
+  // append the journal's length is its length at the last sync and the
+  // log's synced length is the one the last log sync saw; at a log sync the
+  // journal is synced and the log is either still at its last synced length
+  // (power lost between the two syncs) or at the new one.
   static std::mutex mu;
-  static std::set<size_t>* lengths = nullptr;
-  static const std::string* journal_path = nullptr;
-  lengths = &fr.sync_lengths;
-  journal_path = &path;
+  static std::set<SyncPoint>* points = nullptr;
+  static const std::string* paths[2] = {nullptr, nullptr};
+  static size_t log_synced = 0;
+  points = &fr.sync_points;
+  paths[0] = &journal_path;
+  paths[1] = &log_path;
+  log_synced = 0;
   rt::set_checkpoint_commit_hook([](const std::string&, rt::CommitPhase phase) {
-    if (phase != rt::CommitPhase::AfterRename) return;
     std::error_code ec;
-    const auto size = std::filesystem::file_size(*journal_path, ec);
+    const auto journal = std::filesystem::file_size(*paths[0], ec);
+    const auto log = std::filesystem::file_size(*paths[1], ec);
     std::lock_guard<std::mutex> lk(mu);
-    if (!ec) lengths->insert(static_cast<size_t>(size));
+    points->insert({static_cast<size_t>(journal), log_synced});
+    if (phase == rt::CommitPhase::AfterSync) {
+      log_synced = static_cast<size_t>(log);
+      points->insert({static_cast<size_t>(journal), log_synced});
+    }
   });
   opt.supervisor.durable_root = root;
   Scheduler sched(base_scenario(), opt);
   fr.outcomes = sched.run(at_time_zero(fr.specs)).outcomes;
   rt::set_checkpoint_commit_hook(nullptr);
-  fr.journal = read_text_file(path);
-  fr.sync_lengths.insert(0);  // power lost before the first sync
-  fr.sync_lengths.insert(fr.journal.size());
+  fr.journal = read_text_file(journal_path);
+  fr.log = read_text_file(log_path);
+  fr.sync_points.insert({0, 0});  // power lost before the first sync
+  fr.sync_points.insert({fr.journal.size(), fr.log.size()});
   return fr;
 }
 
@@ -764,25 +807,45 @@ void copy_root(const std::string& from, const std::string& to) {
   std::filesystem::copy(from, to, std::filesystem::copy_options::recursive);
 }
 
+// Half of the frame that starts at `at` in `log`: its header and half its
+// image, as an append cut short leaves it.
+std::string torn_frame(const std::string& log, size_t at) {
+  uint64_t length = 0;
+  std::memcpy(&length, log.data() + at + 32, sizeof length);  // the image-length word
+  return log.substr(at, rt::GenerationLog::kHeaderBytes + length / 2);
+}
+
 void power_loss_restarts(int slots) {
   SchedulerOptions opt;
   opt.max_concurrency = slots;
   const std::string finished = fresh_root("powerloss_" + std::to_string(slots));
   const FinishedRoot fr = run_finished_root(finished, opt);
-  ASSERT_GE(fr.sync_lengths.size(), 4u);
-  for (const size_t keep : fr.sync_lengths) {
-    ASSERT_TRUE(keep == 0 || fr.journal[keep - 1] == '\n') << keep;
-    for (const bool torn : {false, true}) {
-      SCOPED_TRACE("kept " + std::to_string(keep) + " bytes" + (torn ? " + a torn record" : ""));
+  ASSERT_GE(fr.sync_points.size(), 6u);
+  int resumed_adopted = 0;  // adopted jobs whose first attempt resumed from a frame
+  for (const auto& [journal_keep, log_keep] : fr.sync_points) {
+    ASSERT_TRUE(journal_keep == 0 || fr.journal[journal_keep - 1] == '\n') << journal_keep;
+    ASSERT_LE(log_keep, fr.log.size());
+    // Exact cuts, a torn record after the journal's cut, a torn frame after
+    // the log's cut.
+    for (const int torn : {0, 1, 2}) {
+      if (torn == 2 && log_keep == fr.log.size()) continue;
+      SCOPED_TRACE("kept " + std::to_string(journal_keep) + " journal bytes and " +
+                   std::to_string(log_keep) + " log bytes" +
+                   (torn == 1 ? " + a torn record" : torn == 2 ? " + a torn frame" : ""));
       const std::string root = finished + "_restart";
       copy_root(finished, root);
-      std::string kept = fr.journal.substr(0, keep);
-      if (torn) {
-        const std::string next = keep < fr.journal.size() ? fr.journal.substr(keep) : fr.journal;
+      std::string kept = fr.journal.substr(0, journal_keep);
+      if (torn == 1) {
+        const std::string next =
+            journal_keep < fr.journal.size() ? fr.journal.substr(journal_keep) : fr.journal;
         kept += next.substr(0, next.find('\n') / 2);
       }
       std::ofstream(root + "/" + JobJournal::kFileName, std::ios::binary | std::ios::trunc)
           << kept;
+      std::string log = fr.log.substr(0, log_keep);
+      if (torn == 2) log += torn_frame(fr.log, log_keep);
+      std::ofstream(root + "/" + rt::GenerationLog::kFileName, std::ios::binary | std::ios::trunc)
+          << log;
 
       // Expected orphans: admitted in the kept prefix, no kept terminal record.
       std::set<std::string> admitted, terminal;
@@ -811,7 +874,7 @@ void power_loss_restarts(int slots) {
       // The torn tail is cut before the first append; with nothing to
       // append it stays, skipped.
       const bool appended = !want.empty() || !resend.empty();
-      EXPECT_EQ(damaged, torn && !appended ? 1 : 0);
+      EXPECT_EQ(damaged, torn == 1 && !appended ? 1 : 0);
       std::vector<JobOutcome> merged = res.outcomes;
       for (const JobSpec& s : fr.specs) {
         EXPECT_EQ(counts[s.id], 1) << s.id;
@@ -821,8 +884,12 @@ void power_loss_restarts(int slots) {
       const auto report = campaign.judge(fr.specs, merged, opt.supervisor);
       EXPECT_TRUE(report.ok()) << (report.violations.empty() ? "" : report.violations.front());
       EXPECT_EQ(report.adopted, static_cast<int>(want.size()));
+      EXPECT_EQ(report.step0_replays, 0);
+      for (const JobOutcome& o : res.outcomes)
+        if (o.adopted && o.attempts.front().resumed) ++resumed_adopted;
     }
   }
+  EXPECT_GT(resumed_adopted, 0) << "no restart resumed an adopted job from a synced frame";
 }
 
 }  // namespace

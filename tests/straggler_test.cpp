@@ -425,7 +425,11 @@ TEST(StragglerSolver, CellMitigationBeatsUnmitigatedAndStaysExact) {
   DirectSolver serial(s, phys);
   serial.run(nsteps);
 
-  double tts_off = 0, tts_both = 0;
+  // The rebalance moves the slow rank's cells away, so fewer supersteps are
+  // stretched by it: exact counts, where two millisecond wall totals flip on
+  // a loaded host. Whether the mitigation pays in time is bench_straggler's
+  // min-of-3 interleaved claim.
+  int64_t slow_off = 0, slow_both = 0;
   for (const bool armed : {false, true}) {
     CellPartitionedSolver part(s, phys, 8);
     ResilienceOptions opt;
@@ -433,7 +437,7 @@ TEST(StragglerSolver, CellMitigationBeatsUnmitigatedAndStaysExact) {
     part.enable_resilience(opt);
     part.inject_slow_rank(2, 4.0);
     part.run(nsteps);
-    (armed ? tts_both : tts_off) = part.phases().total();
+    (armed ? slow_both : slow_off) = part.resilience_stats().slow_steps;
     EXPECT_TRUE(bitwise_equal(part.gather_temperature(), serial.temperature()));
     EXPECT_TRUE(bitwise_equal(part.gather_intensity(), serial.intensity()));
     EXPECT_EQ(part.resilience_stats().evictions, 0);
@@ -443,7 +447,8 @@ TEST(StragglerSolver, CellMitigationBeatsUnmitigatedAndStaysExact) {
       for (const int32_t owners : part.owner_counts()) EXPECT_EQ(owners, 1);
     }
   }
-  EXPECT_LT(tts_both, tts_off);
+  EXPECT_EQ(slow_off, nsteps);
+  EXPECT_LT(slow_both, slow_off);
 }
 
 TEST(StragglerSolver, BandWeightedDerateKeepsEveryRankAndStaysExact) {

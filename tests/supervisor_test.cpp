@@ -421,8 +421,9 @@ TEST(Supervisor, DeadlineDrainsToCancelledAndStaysResumable) {
   EXPECT_NE(o.detail.find("deadline"), std::string::npos) << o.detail;
   EXPECT_GE(o.final_step, 4);
   EXPECT_LT(o.final_step, 10);
-  // Drain-then-resume: the durable state on disk is a valid resume point.
-  const std::optional<rt::Generation> gen = rt::find_latest_generation(root + "/late");
+  // Drain-then-resume: the job's newest frame in the root's log is a valid
+  // resume point.
+  const std::optional<rt::Generation> gen = rt::find_latest_generation(root, "late");
   ASSERT_TRUE(gen.has_value());
   const rt::RunManifest& m = gen->manifest;
   EXPECT_EQ(m.last_step, o.final_step);
@@ -507,16 +508,17 @@ TEST(Supervisor, DuplicateAndInvalidSubmissionsRejected) {
         << "'" << bad.id << "'";
     EXPECT_TRUE(JobJournal::read(opt.durable_root).empty()) << "'" << bad.id << "'";
     EXPECT_FALSE(file_exists(opt.durable_root + "/" + JobJournal::kFileName));
+    EXPECT_FALSE(file_exists(opt.durable_root + "/" + rt::GenerationLog::kFileName));
     EXPECT_FALSE(file_exists(opt.durable_root + "/dup")) << "'" << bad.id << "'";
   }
 }
 
 #ifdef FINCH_HAVE_FORK
 // Crash-restart: the child scheduler is SIGKILLed mid-job right after a
-// checkpoint generation commits (the commit-hook harness, filtered to
-// generation renames). The restarted parent scheduler adopts the orphaned job
-// — its last journal record is its admission — and drives it to Completed
-// bit-exactly, resuming from the committed generation.
+// checkpoint frame is appended to the root's generation log, before any sync
+// covers it (the commit-hook harness). The restarted parent scheduler adopts
+// the orphaned job — its last journal record is its admission — and drives
+// it to Completed bit-exactly, resuming from that frame.
 TEST(SupervisorCrash, RestartReadoptsJobWhoseManifestCommittedBeforeDeath) {
   const std::string root = fresh_root("crash");
   JobSpec spec = small_job("orphan");
@@ -528,13 +530,13 @@ TEST(SupervisorCrash, RestartReadoptsJobWhoseManifestCommittedBeforeDeath) {
   const pid_t pid = fork();
   ASSERT_GE(pid, 0);
   if (pid == 0) {
-    // Child: die mid-step once the generation for step 6 has committed
-    // (step 0 stays in memory; steps 2, 4 and 6 commit).
-    static int generation_commits = 0;
-    rt::set_checkpoint_commit_hook([](const std::string& path, rt::CommitPhase phase) {
-      if (phase != rt::CommitPhase::AfterRename) return;
-      if (path.find("checkpoint_") == std::string::npos) return;
-      if (++generation_commits == 3) ::raise(SIGKILL);
+    // Child: die mid-step once the frame for step 6 is appended (step 0
+    // stays in memory; steps 2, 4 and 6 append).
+    static int generation_appends = 0;
+    rt::set_checkpoint_commit_hook([](const std::string& what, rt::CommitPhase phase) {
+      if (phase != rt::CommitPhase::AfterAppend) return;
+      if (what.find("#orphan:") == std::string::npos) return;
+      if (++generation_appends == 3) ::raise(SIGKILL);
     });
     Scheduler victim(base_scenario(), serial(opt));
     victim.run(at_time_zero({spec}));
@@ -551,7 +553,7 @@ TEST(SupervisorCrash, RestartReadoptsJobWhoseManifestCommittedBeforeDeath) {
   ASSERT_EQ(last.count("orphan"), 1u);
   EXPECT_EQ(last.at("orphan").kind, 'A');
   EXPECT_TRUE(terminal_records(root, "orphan").empty());
-  const std::optional<rt::Generation> gen = rt::find_latest_generation(root + "/orphan");
+  const std::optional<rt::Generation> gen = rt::find_latest_generation(root, "orphan");
   ASSERT_TRUE(gen.has_value());
   EXPECT_EQ(gen->manifest.last_step, 6);
 
