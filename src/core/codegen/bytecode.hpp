@@ -1,5 +1,6 @@
 #pragma once
-// The one lowered form of a classified integrand, and the bytecode VM.
+// The one lowered form of a classified integrand, its placement, and the
+// bytecode VM.
 //
 // Source-text targets (C++/CUDA emitters) render the symbolic IR for humans;
 // this target lowers each integrand to a `Program`: an SSA value graph whose
@@ -9,11 +10,17 @@
 // `conditional`) and a few math builtins. compile() value-numbers the nodes
 // as it walks the expression tree, so a computation the tree repeats (the
 // upwind select evaluates s·n for its condition and for each branch) is one
-// node. Every executor runs this one node list: the VM below keeps one value
-// slot per node, the native emitter (native_backend.hpp) writes one C
-// statement per node, and the GPU target sweeps the VM over its interior
-// cells on the simulated device. A static analysis pass reports the
-// instruction mix for the GPU roofline model and the vm.* metrics.
+// node, and refuses a reference whose indices do not match its entity's
+// declaration. place() then decides once, per program, where each node is
+// evaluated: once per sweep, cell, face, (face, direction) or DOF. Every
+// executor runs this one node list under that one placement: the native
+// emitter (native_backend.hpp) writes one C statement per node at its scope,
+// and the unguarded VM below evaluates each node at the matching point
+// (PlacedProgram, PlacedFrame), so the oracle does the kernel's work, not
+// more. The guarded VM (eval_block_guarded) still evaluates every node per
+// lane, where its per-node audit lives. A static analysis pass reports the
+// instruction mix, per program and per evaluation point, for the GPU
+// roofline model and the vm.* metrics.
 
 #include <array>
 #include <cstdint>
@@ -100,6 +107,40 @@ struct Program {
   Stats analyze() const;
 };
 
+// ---- placement ----------------------------------------------------------------
+// Where each node of an equation's program is evaluated: computed once per
+// program (StepSolverBase's constructor) and read by both executors.
+
+// What a node's value varies with, unioned over its operands.
+inline constexpr unsigned kDepCell = 1;   // a field value (of the cell or across a face)
+inline constexpr unsigned kDepFace = 2;   // the face: its normal or the cell across it
+inline constexpr unsigned kDepInner = 4;  // the variable's stride-1 index
+inline constexpr unsigned kDepOuter = 8;  // another index of the variable
+
+// Placement scope of a node: each node is evaluated once, at the outermost
+// scope its dependencies allow. Face and Dir values of the surface program
+// are computed while a cell's faces are walked; Dir applies to a variable
+// with more than one index (the only case with a loop outside the stride-1
+// one to hoist out of).
+enum class Scope : uint8_t {
+  Fn,    // function top: constants, dt, scalar coefficients
+  Cell,  // per cell
+  Face,  // per face: the face alone
+  Dir,   // per (face, stride-1 index): no field, no outer index
+  Dof,   // inside the dof loops
+};
+
+struct Placement {
+  std::vector<Scope> scope;    // per node
+  std::vector<unsigned> deps;  // per node: kDep* bits
+};
+
+// Places the nodes of `p`, a volume or (`surface`) surface program of the
+// equation updating the variable addressed by `var`, whose stride-1 index is
+// var.loop_slot[0]. Index slots `var` does not carry are constants (the
+// lanes' loop value 0).
+Placement place(const Program& p, const Binding& var, bool surface);
+
 // Everything the compiler needs to resolve an EntityRef:
 //  * the entity table (declared indices and entities)
 //  * the loop-slot assignment: index name -> position in ctx.loop_values
@@ -184,10 +225,17 @@ class LaneOffsets {
   const int32_t* row(int32_t slot) const {
     return dof_.data() + static_cast<size_t>(slot) * static_cast<size_t>(lanes_);
   }
+  // True when lanes [first, first + count) of binding `slot` read consecutive
+  // DOFs, so a cell-major row can be read in place.
+  bool contiguous(int32_t slot, int32_t first, int count) const {
+    return run_[static_cast<size_t>(slot) * static_cast<size_t>(lanes_) + static_cast<size_t>(first)] >= count;
+  }
+  int32_t lanes() const { return lanes_; }
 
  private:
   int32_t lanes_ = 0;
   std::vector<int32_t> dof_;  // bindings x lanes
+  std::vector<int32_t> run_;  // bindings x lanes: consecutive DOFs from each lane on
 };
 
 // Shared state of one block: lanes [first, first + count) of a LaneOffsets.
@@ -212,16 +260,107 @@ void eval_block(const Program& p, const LaneOffsets& offsets, const LaneBlock& b
 void eval_block_guarded(const Program& p, const LaneOffsets& offsets, const LaneBlock& block,
                         double* vals, double* out, GuardReport* reports);
 
+// ---- placed evaluation --------------------------------------------------------
+// The unguarded VM evaluates each node at the point its placement allows, with
+// the same ops on the same operand values as a per-lane eval(), so its results
+// are bitwise those of evaluating every node per lane. The per-sweep points
+// depend on dt and the coefficients only, so the sweeps of one stage (the GPU
+// target's two halves, the verify replay) may share one evaluation of them.
+enum class Point : uint8_t {
+  Sweep,      // Fn: once per sweep
+  SweepLane,  // the variable's indices only (vg[b]·(−dt)): once per sweep per lane
+  Cell,       // once per cell
+  Face,       // once per face
+  FaceDir,    // Dir: once per (face, stride-1 index)
+  CellLane,   // Dof, not read across the face: once per (cell, lane block)
+  FaceLane,   // Dof, read across the face: once per (face, lane block)
+};
+inline constexpr int kPoints = 7;
+Point point_of(Scope scope, unsigned deps);
+
+// What a batch of VM evaluations did: the program-lane evaluations (vm.evals)
+// and the ops of the nodes evaluated.
+struct VmWork {
+  double evals = 0.0, flops = 0.0, loads = 0.0, branches = 0.0, fma_pairs = 0.0;
+  void add(const Program::Stats& s, double times);
+};
+
+// One program's evaluation points under its placement, and the values of its
+// per-sweep points. Built once per program; eval_sweep() refreshes the
+// per-sweep values, which every PlacedFrame of the sweep then reads.
+class PlacedProgram {
+ public:
+  PlacedProgram() = default;
+  // `offsets` spans every DOF of the variable (lane d is DOF d); `dir_extent`
+  // is the extent of its stride-1 index.
+  PlacedProgram(const Program& p, const Placement& pl, const LaneOffsets& offsets, int32_t dir_extent);
+
+  // Evaluates the Sweep and SweepLane points for `dt`.
+  void eval_sweep(const Program& p, const LaneOffsets& offsets, double dt);
+  // Adds to `w` the ops of a sweep: its per-sweep points when it evaluated
+  // them (`per_sweep`), `cells` cells with every lane, and `faces` evaluated
+  // faces with every lane.
+  void tally(VmWork& w, bool per_sweep, int64_t cells, int64_t faces) const;
+
+ private:
+  friend class PlacedFrame;
+  std::vector<int32_t> home_;                      // per node: its index among its point's nodes
+  std::array<std::vector<int32_t>, kPoints> ids_;  // per point: its nodes, ascending
+  std::array<Program::Stats, kPoints> stats_;      // per point: its nodes' op mix
+  int32_t lanes_ = 0;
+  int32_t dir_extent_ = 1;
+  std::vector<double> sweep_;       // Sweep nodes x kLaneBlock, each value broadcast
+  std::vector<double> sweep_lane_;  // SweepLane nodes x lanes
+};
+
+// One thread's evaluation state of a PlacedProgram in a sweep: the value of
+// each node for the current cell, face and lane block. A cell is evaluated as
+// eval_cell(), eval_face() for each face whose surface term runs, then per
+// lane block eval_cell_lanes() and eval_face_lanes() per such face. The
+// returned lanes stay valid until the frame's next call.
+class PlacedFrame {
+ public:
+  // `pp` must outlive the frame; `max_faces` bounds the face slots k.
+  PlacedFrame(const Program& p, const LaneOffsets& offsets, const PlacedProgram& pp, int32_t max_faces);
+
+  void eval_cell(int32_t cell, double dt);
+  // Face and FaceDir points of face slot k: `face` holds the cell, the cell
+  // across, the normal and dt (its lanes are ignored).
+  void eval_face(int k, const LaneBlock& face);
+  // CellLane point of `blk` (cell and dt only); returns the program's result
+  // lanes when the result is not read across a face.
+  const double* eval_cell_lanes(const LaneBlock& blk);
+  // FaceLane point of face slot k for `blk`; returns the result lanes.
+  const double* eval_face_lanes(int k, const LaneBlock& blk);
+
+ private:
+  const std::vector<int32_t>& ids(Point pt) const { return pp_.ids_[static_cast<size_t>(pt)]; }
+  size_t home(int32_t i) const { return static_cast<size_t>(pp_.home_[static_cast<size_t>(i)]); }
+  double* face_home(int k, int32_t i);
+  double* dir_home(int k, int32_t i);
+  const double* eval_lanes(Point pt, const LaneBlock& blk);
+  // Points the SweepLane nodes at lanes [first, ...).
+  void point_sweep_lanes(int32_t first);
+
+  const Program& p_;
+  const LaneOffsets& offsets_;
+  const PlacedProgram& pp_;
+  std::vector<const double*> at_;  // per node: lane 0 of its current values
+  std::vector<double> cell_;       // Cell nodes x kLaneBlock, broadcast
+  std::vector<double> lane_;       // CellLane and FaceLane nodes x kLaneBlock
+  std::vector<double> face_;       // face slots x Face nodes x kLaneBlock, broadcast
+  std::vector<double> dir_;        // face slots x FaceDir nodes x (dir_extent + kLaneBlock - 1)
+  int32_t dir_len_ = 0;
+};
+
 // Observability hook (see OBSERVABILITY.md): folds one *batch* of VM
-// evaluations into the global metrics registry — vm.evals / vm.flops /
-// vm.loads / vm.branches / vm.fma_pairs scaled from the programs' static
-// instruction mix, vm.seconds plus its op-group split
-// (vm.group.{arithmetic,memory,control}_seconds, apportioned by the mix),
-// and the vm.batch_seconds histogram. Called once per sweep/launch, never
-// per evaluation: a single eval costs ~40-90 ns, so per-eval timers would
-// be the overhead they measure. Null `surface` means a volume-only batch.
-void note_eval_batch(const Program& volume, const Program* surface,
-                     int64_t volume_evals, int64_t surface_evals, double seconds);
+// evaluations into the global metrics registry — vm.evals, vm.flops,
+// vm.loads, vm.branches and vm.fma_pairs from `work`, vm.seconds plus its
+// op-group split (vm.group.{arithmetic,memory,control}_seconds, apportioned
+// by the mix), and the vm.batch_seconds histogram. Called once per
+// sweep/launch, never per evaluation: per-eval timers would be the overhead
+// they measure.
+void note_eval_batch(const VmWork& work, double seconds);
 
 // Disassembly for debugging and source-golden tests.
 std::string disassemble(const Program& p);

@@ -118,30 +118,6 @@ enum class Flavor {
              // BC row at the lane's DOF, other neighbor loads fall back to self
 };
 
-// What a node's value varies with, unioned over its operands.
-constexpr unsigned kDepCell = 1;   // a field value (of the cell or across a face)
-constexpr unsigned kDepFace = 2;   // the face: its normal or the cell across it
-constexpr unsigned kDepInner = 4;  // the variable's stride-1 index
-constexpr unsigned kDepOuter = 8;  // another index of the variable
-
-// Placement scope of an SSA node: each node is emitted once, at the
-// outermost scope its dependencies allow. Face and Dir values of the surface
-// program are computed while the face table is built; Dir applies to a
-// variable with more than one index (the only case with a loop outside the
-// stride-1 one to hoist out of).
-enum class Scope {
-  Fn,    // function top: constants, dt, scalar coefficients
-  Cell,  // per cell
-  Face,  // per face, into the face table: the face alone
-  Dir,   // per (face, stride-1 index), into the face table: no field, no outer index
-  Dof,   // inside the dof loops
-};
-
-struct Placement {
-  std::vector<Scope> scope;
-  std::vector<unsigned> deps;
-};
-
 struct ArrayInfo {
   std::string cname;       // F0, F1, ...
   const double* ptr;       // runtime base pointer
@@ -156,7 +132,9 @@ class Emitter {
  public:
   explicit Emitter(const NativeKernelInputs& in)
       : in_(in), vol_(*in.volume), surf_(in.surface != nullptr ? *in.surface : kNoSurface),
-        has_surface_(in.surface != nullptr), k_(in.max_faces) {
+        has_surface_(in.surface != nullptr), k_(in.max_faces),
+        vol_place_(placement(in.volume_placement)),
+        surf_place_(in.surface != nullptr ? placement(in.surface_placement) : kNoPlacement) {
     ndof_ = in.out->dof_per_cell();
     // The general body stages vol[NDOF] and flux[NDOF] on the stack.
     if (ndof_ > 16384)
@@ -164,8 +142,6 @@ class Emitter {
     if (has_surface_ && k_ < 1) throw std::runtime_error("native backend: no face count for the face table");
     build_loops();
     resolve_arrays();
-    vol_place_ = place(vol_, false);
-    surf_place_ = place(surf_, true);
     mark_exports();
     fused_ = has_fused_body();
   }
@@ -187,6 +163,11 @@ class Emitter {
   }
 
  private:
+  static const Placement& placement(const Placement* p) {
+    if (p == nullptr) throw std::runtime_error("native backend: a program without its placement");
+    return *p;
+  }
+
   struct LoopVar {
     int slot = 0;
     int extent = 0;
@@ -414,48 +395,6 @@ class Emitter {
         return "log(" + A() + ")";
     }
     throw std::runtime_error("native backend: unexpected opcode in SSA graph");
-  }
-
-  // Placement scope per node (see Scope); operands' dependencies dominate.
-  Placement place(const Program& ir, bool surface) const {
-    const bool nested = surface && loops_.size() > 1;
-    const int inner = loops_.empty() ? -1 : loops_.back().slot;
-    Placement p{std::vector<Scope>(ir.nodes.size(), Scope::Fn), std::vector<unsigned>(ir.nodes.size(), 0)};
-    for (size_t i = 0; i < ir.nodes.size(); ++i) {
-      const Node& n = ir.nodes[i];
-      unsigned d = 0;
-      if (n.op == Op::Load) {
-        const Binding& b = ir.bindings[static_cast<size_t>(n.slot)];
-        for (int k = 0; k < b.n_idx; ++k) {
-          const int slot = b.loop_slot[static_cast<size_t>(k)];
-          if (slot == inner)
-            d |= kDepInner;
-          else if (std::any_of(loops_.begin(), loops_.end(),
-                               [&](const LoopVar& lv) { return lv.slot == slot; }))
-            d |= kDepOuter;  // pinned slots are constants
-        }
-        const bool field =
-            b.source == Binding::Source::FieldSelf || b.source == Binding::Source::FieldNeighbor;
-        if (field) d |= kDepCell;
-        if (surface && b.source == Binding::Source::FieldNeighbor) d |= kDepFace;
-      } else if (n.op == Op::LoadNormal && surface) {
-        d |= kDepFace;
-      }
-      for (const int32_t operand : {n.a, n.b, n.c})
-        if (operand >= 0) d |= p.deps[static_cast<size_t>(operand)];
-      p.deps[i] = d;
-      if (d == 0)
-        p.scope[i] = Scope::Fn;
-      else if (d == kDepFace)
-        p.scope[i] = Scope::Face;
-      else if (nested && (d & kDepInner) != 0 && (d & (kDepCell | kDepOuter)) == 0)
-        p.scope[i] = Scope::Dir;
-      else if (d == kDepCell)
-        p.scope[i] = Scope::Cell;
-      else
-        p.scope[i] = Scope::Dof;
-    }
-    return p;
   }
 
   // Face and Dir values a body reads (a dof-loop operand or the surface
@@ -821,6 +760,7 @@ class Emitter {
   }
 
   static inline const Program kNoSurface{};
+  static inline const Placement kNoPlacement{};
 
   const NativeKernelInputs& in_;
   const Program& vol_;
@@ -828,7 +768,8 @@ class Emitter {
   bool has_surface_;
   int32_t k_;            // K: the face table's capacity, the fused body's face count
   int64_t ndof_ = 0;
-  Placement vol_place_, surf_place_;
+  const Placement& vol_place_;
+  const Placement& surf_place_;  // kNoPlacement when the equation has no surface terms
   std::vector<bool> exported_;  // surface Face/Dir nodes the face table holds
   std::vector<int> row_arrays_; // fields read across a face: one row column each
   bool fused_ = false;

@@ -3,8 +3,10 @@
 //
 // Takes the same programs the VM interprets (the value-numbered node lists of
 // bytecode.hpp) and renders one self-contained C++ translation unit per
-// equation: one `const double` statement per node, so the compiled kernel
-// performs op-for-op the same IEEE arithmetic as the interpreter. It invokes
+// equation: one `const double` statement per node, written at the scope of
+// the programs' one placement (codegen::place, which the caller computes and
+// the VM shares), so the compiled kernel performs op-for-op the same IEEE
+// arithmetic as the interpreter, at the same points. It invokes
 // the system compiler at solve time to produce a shared object and resolves
 // the kernel through a stable `extern "C"` v1 ABI. Shared objects live in a
 // content-addressed on-disk cache keyed by (TU text — itself a pure function
@@ -22,7 +24,8 @@
 //   FINCH_JIT_DISABLE=1  force the VM everywhere
 //
 // The first sweep of every loaded kernel is always checked bit for bit
-// against the VM (StepSolverBase::finish_stage); no knob turns it off.
+// against the VM, replayed in place over the kernel's output
+// (StepSolverBase::finish_stage); no knob turns it off.
 
 #include <cstdint>
 #include <memory>
@@ -107,6 +110,10 @@ struct NativeKernelInputs {
   std::string name;                          // e.g. "step_I"
   const Program* volume = nullptr;           // required
   const Program* surface = nullptr;          // null when no surface terms
+  // Each program's placement (codegen::place), which the VM shares: every
+  // node's statement is written at its scope.
+  const Placement* volume_placement = nullptr;   // required
+  const Placement* surface_placement = nullptr;  // required with a surface
   const CompileEnv* env = nullptr;           // loop-slot assignment
   const fvm::CellField* out = nullptr;       // updated field
   const Binding* var_addr = nullptr;         // out-dof addressing

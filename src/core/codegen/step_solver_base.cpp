@@ -1,10 +1,11 @@
 #include "step_solver_base.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
-#include <cstring>
 #include <mutex>
 #include <numeric>
+#include <optional>
 #include <stdexcept>
 
 #include "core/symbolic/simplify.hpp"
@@ -25,8 +26,25 @@ void GuardTally::add(const GuardReport& g, int64_t rank) {
 
 namespace {
 
-bool bits_equal(const fvm::CellField& a, const fvm::CellField& b) {
-  return std::memcmp(a.data().data(), b.data().data(), a.data().size() * sizeof(double)) == 0;
+bool same_bits(double a, double b) { return std::bit_cast<uint64_t>(a) == std::bit_cast<uint64_t>(b); }
+
+// ce's reduction of `src` in `cell` for the outer DOF `rest`: sum_i w[i] *
+// src[i + n*rest] over the stride-1 index i, summed in i order from 0.0. The
+// post-pass, and the oracle of the native kernel's fused sum.
+double reduced(const CompiledEquation& ce, const fvm::CellField& src, int32_t cell, int32_t rest) {
+  const int32_t n = ce.extent[0];
+  const double* w = ce.reduce_weight.coef;
+  double sum = 0.0;
+  for (int32_t i = 0; i < n; ++i) sum += w[i] * src.at(cell, i + n * rest);
+  return sum;
+}
+
+// True when `target` holds ce's reduction of `src` bitwise.
+bool sums_match(const CompiledEquation& ce, const fvm::CellField& src, const fvm::CellField& target) {
+  for (int32_t cell = 0; cell < target.num_cells(); ++cell)
+    for (int32_t rest = 0; rest < target.dof_per_cell(); ++rest)
+      if (!same_bits(reduced(ce, src, cell, rest), target.at(cell, rest))) return false;
+  return true;
 }
 
 }  // namespace
@@ -66,6 +84,8 @@ StepSolverBase::StepSolverBase(dsl::Problem& p, rt::ThreadPool* pool, bool nativ
       b.stride[0] = 1;
       b.debug_name = r->weight;
     }
+    ce.vol_place = place(ce.volume, ce.var_addr, false);
+    if (ce.has_surface) ce.surf_place = place(ce.surface, ce.var_addr, true);
     build_bc_table(ce);
     build_lanes(ce);
     eqs_.push_back(std::move(ce));
@@ -115,6 +135,7 @@ StepSolverBase::SweepClocks StepSolverBase::sweep_mesh(size_t e, fvm::CellField&
 }
 
 std::vector<char> StepSolverBase::sweep_stage(std::vector<fvm::CellField>& outs, double dt_stage) {
+  ++stages_swept_;
   auto t0 = rt::Clock::now();
   for (size_t e = 0; e < eqs_.size(); ++e) fill_boundary(e);
   double host = rt::seconds_since(t0), device = 0.0, wall = host;
@@ -144,27 +165,25 @@ bool StepSolverBase::finish_stage(size_t e, fvm::CellField& out, double dt_stage
   if (k.verified) return true;
   k.verified = true;
   // Differential check: replay this exact stage on the VM oracle, from the
-  // boundary values the kernel read, and require bit identity of the field
-  // and of the fused sum against the post-pass. A mismatch demotes the
-  // equation to the VM and keeps the oracle's answer — never a wrong result.
+  // boundary values the kernel read, into the kernel's own `out`. Every value
+  // must match bitwise, and so must the fused sum against the post-pass of
+  // the replayed field. The replay leaves the oracle's answer in `out`, so a
+  // mismatch demotes the equation to the VM and keeps it — never a wrong
+  // result.
   rt::SpanAttrs attrs;
   attrs.phase = "compute";
   rt::TraceSpan span("jit.verify", attrs);
   const auto t0 = rt::Clock::now();
-  fvm::CellField ref("jit_verify", out.num_cells(), out.dof_per_cell(), out.layout());
-  vm_sweep(e, ref, dt_stage, all_cells_);
-  bool same = bits_equal(out, ref);
-  if (const fvm::CellField* target = eqs_[e].reduce_target; target != nullptr && same) {
-    fvm::CellField ref_sum("jit_verify_sum", target->num_cells(), target->dof_per_cell(), target->layout());
-    reduce_into(eqs_[e], ref, ref_sum);
-    same = bits_equal(*target, ref_sum);
-  }
+  int64_t differing = 0;
+  vm_sweep(e, out, dt_stage, all_cells_, &differing);
+  bool same = differing == 0;
+  if (const fvm::CellField* target = eqs_[e].reduce_target; target != nullptr && same)
+    same = sums_match(eqs_[e], out, *target);
   auto& reg = rt::MetricsRegistry::global();
   if (!same) {
     reg.counter("jit.verify.mismatch").add();
     reg.counter("jit.fallback").add();
     k.plan.fn = nullptr;
-    std::copy(ref.data().begin(), ref.data().end(), out.data().begin());
   }
   reg.counter("jit.verify.sweeps").add();
   reg.counter("jit.verify.seconds").add(rt::seconds_since(t0));
@@ -261,21 +280,13 @@ void StepSolverBase::commit() {
   for (size_t e = 0; e < eqs_.size(); ++e) eqs_[e].field->swap_storage(scratch_[e]);
 }
 
-void reduce_into(const CompiledEquation& ce, const fvm::CellField& src, fvm::CellField& dst) {
-  const int32_t n = ce.extent[0];
-  const double* w = ce.reduce_weight.coef;
-  for (int32_t cell = 0; cell < src.num_cells(); ++cell) {
-    for (int32_t rest = 0; rest < dst.dof_per_cell(); ++rest) {
-      double sum = 0.0;
-      for (int32_t i = 0; i < n; ++i) sum += w[i] * src.at(cell, i + n * rest);
-      dst.at(cell, rest) = sum;
-    }
-  }
-}
-
 void StepSolverBase::reduce(size_t e) {
   const CompiledEquation& ce = eqs_[e];
-  if (ce.reduce_target != nullptr) reduce_into(ce, *ce.field, *ce.reduce_target);
+  fvm::CellField* target = ce.reduce_target;
+  if (target == nullptr) return;
+  for (int32_t cell = 0; cell < target->num_cells(); ++cell)
+    for (int32_t rest = 0; rest < target->dof_per_cell(); ++rest)
+      target->at(cell, rest) = reduced(ce, *ce.field, cell, rest);
 }
 
 void StepSolverBase::build_env() {
@@ -344,7 +355,11 @@ void StepSolverBase::build_lanes(CompiledEquation& ce) const {
     }
   }
   ce.vol_lanes = LaneOffsets(ce.volume, lane_loops);
-  if (ce.has_surface) ce.surf_lanes = LaneOffsets(ce.surface, lane_loops);
+  ce.vol_vm = PlacedProgram(ce.volume, ce.vol_place, ce.vol_lanes, ce.extent[0]);
+  if (ce.has_surface) {
+    ce.surf_lanes = LaneOffsets(ce.surface, lane_loops);
+    ce.surf_vm = PlacedProgram(ce.surface, ce.surf_place, ce.surf_lanes, ce.extent[0]);
+  }
 
   // Guard ranks: the position of (cell, lane) in a serial walk of the
   // declared assembly loops (outermost loop = most significant digit), so
@@ -372,6 +387,8 @@ NativeKernelInputs StepSolverBase::kernel_inputs(size_t e) const {
   in.name = "step_" + ce.field->name();
   in.volume = &ce.volume;
   in.surface = ce.has_surface ? &ce.surface : nullptr;
+  in.volume_placement = &ce.vol_place;
+  in.surface_placement = ce.has_surface ? &ce.surf_place : nullptr;
   in.env = &env_;
   in.out = ce.field;
   in.var_addr = &ce.var_addr;
@@ -451,82 +468,136 @@ void StepSolverBase::fill_boundary(size_t e) {
 }
 
 GuardTally StepSolverBase::vm_sweep(size_t eq, fvm::CellField& out, double dt_stage,
-                                    std::span<const int32_t> cells) {
-  const CompiledEquation& ce = eqs_[eq];
+                                    std::span<const int32_t> cells, int64_t* differing) {
+  CompiledEquation& ce = eqs_[eq];
   const BcTable& bct = ce.bc;
   rt::TraceSpan span("cpu.sweep");
   const auto sweep_t0 = rt::Clock::now();
   const int32_t ndof = ce.field->dof_per_cell();
-  const size_t nvals = std::max(ce.volume.nodes.size(), ce.has_surface ? ce.surface.nodes.size() : 0);
+  // Unguarded, each node runs at its placed point; the per-sweep points run
+  // once per stage of the equation.
+  const bool placed = !guard_enabled_;
+  const bool fresh = placed && (ce.vm_stage != stages_swept_ || ce.vm_dt != dt_stage);
+  if (fresh) {
+    ce.vol_vm.eval_sweep(ce.volume, ce.vol_lanes, dt_stage);
+    if (ce.has_surface) ce.surf_vm.eval_sweep(ce.surface, ce.surf_lanes, dt_stage);
+    ce.vm_stage = stages_swept_;
+    ce.vm_dt = dt_stage;
+  }
   GuardTally sweep_guard;
-  int64_t surface_evals = 0;
+  int64_t faces_evaluated = 0, changed = 0;
   std::mutex merge_mutex;
 
+  // A face slot whose term enters the cell's sum: interior, value BC or flux BC.
+  struct Visit {
+    double scale = 0.0;
+    std::array<double, 3> normal{};
+    int32_t neighbor = -1;
+    const double* bc = nullptr;  // the slot's boundary values, or null on an interior face
+    bool flux = false;
+  };
+
   auto sweep_cells = [&](int64_t begin, int64_t end) {
-    std::vector<double> vals(nvals * kLaneBlock);
-    std::array<double, kLaneBlock> vol, acc, val;
+    std::vector<Visit> visits(static_cast<size_t>(faces_.max_faces));
+    std::optional<PlacedFrame> vol_frame, surf_frame;
+    std::vector<double> vals;
+    if (placed) {
+      vol_frame.emplace(ce.volume, ce.vol_lanes, ce.vol_vm, faces_.max_faces);
+      if (ce.has_surface) surf_frame.emplace(ce.surface, ce.surf_lanes, ce.surf_vm, faces_.max_faces);
+    } else {
+      vals.resize(std::max(ce.volume.nodes.size(), ce.surface.nodes.size()) * kLaneBlock);
+    }
+    std::array<double, kLaneBlock> vol_vals, acc, face_vals;
     std::array<GuardReport, kLaneBlock> lane_guard;
     GuardTally chunk_guard;
-    int64_t chunk_surface_evals = 0;
-    auto run = [&](const Program& prog, const LaneOffsets& lanes, const LaneBlock& blk, double* res) {
-      if (guard_enabled_)
-        eval_block_guarded(prog, lanes, blk, vals.data(), res, lane_guard.data());
-      else
-        eval_block(prog, lanes, blk, vals.data(), res);
+    int64_t chunk_faces = 0, chunk_changed = 0;
+    // The block as the surface term sees face `v`.
+    auto across = [&](const Visit& v, LaneBlock blk) {
+      blk.normal = v.normal;
+      blk.neighbor = v.neighbor;
+      blk.ghost_field = v.bc != nullptr ? ce.field : nullptr;  // value BC: the filled values are the ghost
+      blk.ghost_value = v.bc != nullptr ? v.bc + blk.first : nullptr;
+      return blk;
     };
     for (int64_t i = begin; i < end; ++i) {
       const int32_t cell = cells[static_cast<size_t>(i)];
-      // Face slots the surface term visits: none without surface terms.
-      const int64_t fs_begin = faces_.off[static_cast<size_t>(cell)];
-      const int64_t fs_end = ce.has_surface ? faces_.off[static_cast<size_t>(cell) + 1] : fs_begin;
+      // The face slots the surface term visits, in CSR order: none without
+      // surface terms, and a wall with no condition has zero flux.
+      int nf = 0;
+      for (int64_t fs = faces_.off[static_cast<size_t>(cell)];
+           ce.has_surface && fs < faces_.off[static_cast<size_t>(cell) + 1]; ++fs) {
+        const auto ufs = static_cast<size_t>(fs);
+        const int32_t bs = bct.face_bslot[ufs];
+        if (faces_.nbr[ufs] < 0 && bs < 0) continue;
+        const double* geom = faces_.geom.data() + 4 * ufs;
+        Visit& v = visits[static_cast<size_t>(nf++)];
+        v.scale = geom[3];
+        v.normal = {geom[0], geom[1], geom[2]};
+        v.neighbor = faces_.nbr[ufs];
+        v.bc = bs >= 0 ? bct.value.data() + static_cast<size_t>(bs) * static_cast<size_t>(ndof) : nullptr;
+        v.flux = bs >= 0 && bct.kind[static_cast<size_t>(bs)] == BcTable::kFlux;
+        if (!v.flux) ++chunk_faces;  // the faces that run the surface program
+      }
+      LaneBlock blk;
+      blk.cell = cell;
+      blk.dt = dt_stage;
+      if (placed) {
+        vol_frame->eval_cell(cell, dt_stage);
+        if (surf_frame) {
+          surf_frame->eval_cell(cell, dt_stage);
+          for (int k = 0; k < nf; ++k) {
+            if (visits[static_cast<size_t>(k)].flux) continue;
+            surf_frame->eval_face(k, across(visits[static_cast<size_t>(k)], blk));
+          }
+        }
+      }
       for (int32_t first = 0; first < ndof; first += kLaneBlock) {
         const int n = std::min(kLaneBlock, ndof - first);
-        if (guard_enabled_) std::fill_n(lane_guard.begin(), n, GuardReport{});
-        LaneBlock blk;
-        blk.cell = cell;
-        blk.dt = dt_stage;
         blk.first = first;
         blk.count = n;
-        run(ce.volume, ce.vol_lanes, blk, vol.data());
+        const double* vol = vol_vals.data();
+        if (placed) {
+          vol = vol_frame->eval_cell_lanes(blk);
+          if (surf_frame) surf_frame->eval_cell_lanes(blk);
+        } else {
+          std::fill_n(lane_guard.begin(), n, GuardReport{});
+          eval_block_guarded(ce.volume, ce.vol_lanes, blk, vals.data(), vol_vals.data(), lane_guard.data());
+        }
         // Per lane: the volume value, then each face slot in CSR order.
         std::fill_n(acc.begin(), n, 0.0);
-        for (int64_t fs = fs_begin; fs < fs_end; ++fs) {
-          const auto ufs = static_cast<size_t>(fs);
-          const int32_t bs = bct.face_bslot[ufs];
-          if (faces_.nbr[ufs] < 0 && bs < 0) continue;  // a wall with no condition: zero flux
-          const double* geom = faces_.geom.data() + 4 * ufs;
-          const double scale = geom[3];
-          blk.normal = {geom[0], geom[1], geom[2]};
-          blk.neighbor = faces_.nbr[ufs];
-          blk.ghost_field = nullptr;
-          if (bs >= 0) {
-            const double* bc_value = bct.value.data() + static_cast<size_t>(bs) * static_cast<size_t>(ndof) + first;
-            if (bct.kind[static_cast<size_t>(bs)] == BcTable::kFlux) {
-              // The callback returns the physical outward flux integrand f;
-              // the discretization contributes -dt*(A/V)*f, matching the
-              // generated surface terms, which already carry the -dt factor
-              // (stage dt for RK).
-              for (int l = 0; l < n; ++l) acc[static_cast<size_t>(l)] += scale * (-dt_stage) * bc_value[l];
-              continue;
-            }
-            blk.ghost_field = ce.field;  // value BC: the filled values are the ghost
-            blk.ghost_value = bc_value;
+        for (int k = 0; k < nf; ++k) {
+          const Visit& v = visits[static_cast<size_t>(k)];
+          if (v.flux) {
+            // The callback returns the physical outward flux integrand f;
+            // the discretization contributes -dt*(A/V)*f, matching the
+            // generated surface terms, which already carry the -dt factor
+            // (stage dt for RK).
+            for (int l = 0; l < n; ++l) acc[static_cast<size_t>(l)] += v.scale * (-dt_stage) * v.bc[first + l];
+            continue;
           }
-          run(ce.surface, ce.surf_lanes, blk, val.data());
-          chunk_surface_evals += n;
-          for (int l = 0; l < n; ++l) acc[static_cast<size_t>(l)] += scale * val[static_cast<size_t>(l)];
+          const double* val = face_vals.data();
+          if (placed)
+            val = surf_frame->eval_face_lanes(k, across(v, blk));
+          else
+            eval_block_guarded(ce.surface, ce.surf_lanes, across(v, blk), vals.data(), face_vals.data(),
+                               lane_guard.data());
+          for (int l = 0; l < n; ++l) acc[static_cast<size_t>(l)] += v.scale * val[l];
         }
         for (int l = 0; l < n; ++l) {
           const auto ul = static_cast<size_t>(l);
           // No "+ 0.0" without surface terms: it would turn -0.0 into +0.0.
-          out.at(cell, first + l) = ce.has_surface ? vol[ul] + acc[ul] : vol[ul];
-          if (guard_enabled_)
+          const double value = ce.has_surface ? vol[l] + acc[ul] : vol[l];
+          double& slot = out.at(cell, first + l);
+          if (differing != nullptr && !same_bits(slot, value)) ++chunk_changed;
+          slot = value;
+          if (!placed)
             chunk_guard.add(lane_guard[ul], cell * ce.cell_place + ce.lane_rank[static_cast<size_t>(first + l)]);
         }
       }
     }
     std::lock_guard<std::mutex> lock(merge_mutex);
-    surface_evals += chunk_surface_evals;
+    faces_evaluated += chunk_faces;
+    changed += chunk_changed;
     sweep_guard.add(chunk_guard);
   };
 
@@ -536,12 +607,23 @@ GuardTally StepSolverBase::vm_sweep(size_t eq, fvm::CellField& out, double dt_st
                                std::max<int64_t>(ncells / (8 * static_cast<int64_t>(pool_->size())), 1));
   else
     sweep_cells(0, ncells);
+  if (differing != nullptr) *differing += changed;
 
-  // Batch-level VM telemetry (per-eval timers would dominate the ~40-90 ns
-  // evals), counting exactly the surface evaluations the sweep ran: interior
-  // and value-BC faces, not flux-BC or BC-less walls.
-  note_eval_batch(ce.volume, ce.has_surface ? &ce.surface : nullptr, ncells * ndof, surface_evals,
-                  rt::seconds_since(sweep_t0));
+  // Batch-level VM telemetry (per-eval timers would dominate the evals):
+  // vm.evals counts the program-lane evaluations, one volume eval per DOF
+  // plus one surface eval per DOF of each interior and value-BC face (not
+  // flux-BC or BC-less walls); the op counts are those of the nodes each
+  // evaluation point ran, times how often it ran.
+  VmWork work;
+  work.evals = static_cast<double>((ncells + faces_evaluated) * ndof);
+  if (placed) {
+    ce.vol_vm.tally(work, fresh, ncells, 0);
+    if (ce.has_surface) ce.surf_vm.tally(work, fresh, ncells, faces_evaluated);
+  } else {
+    work.add(ce.volume.analyze(), static_cast<double>(ncells * ndof));
+    if (ce.has_surface) work.add(ce.surface.analyze(), static_cast<double>(faces_evaluated * ndof));
+  }
+  note_eval_batch(work, rt::seconds_since(sweep_t0));
   return sweep_guard;
 }
 

@@ -13,13 +13,26 @@
 // simulated-device launch and its boundary cells on the host through the
 // same sweep(), and prices its transfers after the base step.
 //
+// Each equation's programs are placed once, here (codegen::place): the
+// emitter writes each node at its scope, and the unguarded VM evaluates it at
+// the matching point — Fn values once per stage, values of the variable's
+// indices alone once per stage per lane, Cell values once per cell, Face
+// values once per face, Dir values once per (face, stride-1 index), and DOF
+// values once per (cell, lane block) or, when read across the face, per
+// (face, lane block) — with the same ops on the same operands as a per-lane
+// evaluation, so both executors' results are bitwise those of the unplaced
+// program.
+//
 // An equation whose kernel cannot be produced (no compiler, compile error,
 // unlowerable structure) runs the VM, counted in `jit.fallback`, never a
 // wrong answer. The first kernel stage of each equation is always replayed on
-// the VM over every cell and must match bit for bit; a mismatch demotes that
-// equation to the VM for good. Solvers with the
-// non-finite guard armed always take the VM path, where the per-node auditing
-// lives.
+// the VM over every cell, in place: each VM value is compared bitwise with
+// the kernel's in `out` and replaces it when they differ, and the kernel's
+// fused sum is compared with the post-pass of the replayed field. A mismatch
+// demotes that equation to the VM for good, and the stage keeps the VM's
+// answer. Nothing field-sized is allocated for the check. Solvers with the
+// non-finite guard armed always take the VM path, evaluating every node per
+// lane, where the per-node auditing lives.
 //
 // Every executor reads the same per-sweep inputs: one face table (FaceTable,
 // built once per solver) and, per equation, one boundary table (BcTable,
@@ -97,12 +110,22 @@ struct CompiledEquation {
   fvm::CellField* reduce_target = nullptr;
   Binding reduce_weight;
   BcTable bc;
+  // Each program's placement, shared by the emitter and the VM.
+  Placement vol_place, surf_place;
   // The VM's lane addressing (lane d is DOF d): each program's per-lane DOF
   // offsets, and each lane's guard rank within its cell (lane_rank) plus the
   // rank's weight of one cell (cell_place).
   LaneOffsets vol_lanes, surf_lanes;
   std::vector<int64_t> lane_rank;
   int64_t cell_place = 0;
+  // Each program's evaluation points under its placement, with the values of
+  // its per-sweep points and the stage and dt they were evaluated for: the
+  // first unguarded VM sweep of a stage evaluates them, and the stage's other
+  // sweeps (the GPU target's interior and boundary halves, the verify replay)
+  // reuse them.
+  PlacedProgram vol_vm, surf_vm;
+  uint64_t vm_stage = UINT64_MAX;
+  double vm_dt = 0.0;
 };
 
 // Guard tallies of a run of evaluations. The first offender kept is the one
@@ -115,11 +138,6 @@ struct GuardTally {
   void add(const GuardReport& g, int64_t rank);
   void add(const GuardTally& t) { add(t.report, t.first_rank); }
 };
-
-// Writes ce's reduction of `src` into `dst` (shaped like the target):
-// dst[rest] = sum_i w[i] * src[i + n*rest] over the stride-1 index i, summed
-// in i order from 0.0. The oracle of the native kernel's fused sum.
-void reduce_into(const CompiledEquation& ce, const fvm::CellField& src, fvm::CellField& dst);
 
 class StepSolverBase : public dsl::Solver {
  public:
@@ -192,11 +210,12 @@ class StepSolverBase : public dsl::Solver {
 
   // Call once a stage of equation e is swept over every cell into `out`.
   // The first kernel stage is replayed on the VM over every cell, from the
-  // same boundary values; the field and the kernel's fused sum must match
-  // the replay and the post-pass bitwise, or the equation is demoted to the
-  // VM and `out` takes the replay's values. Returns true when the kernel
-  // formed the equation's declared sum of `out` (ForwardEuler then skips
-  // reduce() for it).
+  // same boundary values, in place: every value of `out` must equal the
+  // VM's bitwise (a differing one is overwritten with the VM's) and the
+  // kernel's fused sum the post-pass of the replayed `out`, or the equation
+  // is demoted to the VM with `out` holding the VM's answer. Returns true
+  // when the kernel formed the equation's declared sum of `out`
+  // (ForwardEuler then skips reduce() for it).
   bool finish_stage(size_t e, fvm::CellField& out, double dt_stage);
 
   void euler_step();
@@ -210,10 +229,14 @@ class StepSolverBase : public dsl::Solver {
   // The interpreter sweep: walks `cells` (split across the pool when one is
   // set) and evaluates each cell's DOFs as lane blocks (see LaneBlock),
   // visiting each cell's face slots in CSR order and reading boundary values
-  // from the equation's BcTable. Writes only those cells of `out`; neither
-  // the declared loop order nor the pool's split changes a bit. Returns the
-  // sweep's guard tally (empty when the guard is off).
-  GuardTally vm_sweep(size_t e, fvm::CellField& out, double dt_stage, std::span<const int32_t> cells);
+  // from the equation's BcTable: by placement (PlacedFrame), or with the
+  // guard on every node per lane (eval_block_guarded). Writes only those
+  // cells of `out`; neither the declared loop order nor the pool's split
+  // changes a bit. With `differing`, also counts there the values that
+  // differed bitwise from what `out` held. Returns the sweep's guard tally
+  // (empty when the guard is off).
+  GuardTally vm_sweep(size_t e, fvm::CellField& out, double dt_stage, std::span<const int32_t> cells,
+                      int64_t* differing = nullptr);
   void run_kernel(size_t e, fvm::CellField& out, double dt_stage, std::span<const int32_t> cells);
   bool on_kernel(size_t e) const {
     return !kernels_.empty() && kernels_[e].plan.fn != nullptr && !guard_enabled_;
@@ -229,6 +252,7 @@ class StepSolverBase : public dsl::Solver {
   std::vector<fvm::CellField> scratch_;
   std::vector<fvm::CellField> stage_;    // RK2 stage-2 sweeps; empty for ForwardEuler
   std::vector<EquationKernel> kernels_;  // empty on the VM backend
+  uint64_t stages_swept_ = 0;            // sweep_stage() calls so far (CompiledEquation::vm_stage)
   // Wall seconds of this step's stages that no clock bills: a device
   // launch's body, run on the host while the host's own work overlaps it.
   double unbilled_ = 0.0;

@@ -6,16 +6,21 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <functional>
 #include <numeric>
+#include <random>
 #include <set>
 #include <thread>
+#include <tuple>
 #include <utility>
 
 #include "bc_field_probe.hpp"
+#include "core/codegen/step_solver_base.hpp"
 #include "core/dsl/problem.hpp"
 #include "mesh/mesh.hpp"
 #include "runtime/metrics.hpp"
+#include "runtime/thread_pool.hpp"
 
 using namespace finch;
 using dsl::Problem;
@@ -563,3 +568,258 @@ TEST(DslErrors, CompileRejectsAMisdeclaredReduction) {
   q.reduction("G", "I", "d", "W");
   EXPECT_THROW(q.compile(Target::CpuSerial), std::invalid_argument);
 }
+
+// A reference must carry its entity's declared indices: w is declared over b
+// (extent 2) and read as w[d] (extent 3), whose strides would address DOFs
+// past w's storage. compile() refuses such a reference and names the entity,
+// for an indexed coefficient and for a field alike, as it does a missing
+// index or a swapped pair.
+TEST(DslErrors, CompileRejectsAReferenceWithTheWrongIndices) {
+  auto compile_error = [](bool field, const std::string& rhs) -> std::string {
+    Problem p("indices");
+    p.set_mesh(mesh::Mesh::structured_quad(3, 2, 1.0, 1.0));
+    p.index("d", 1, 3);
+    p.index("b", 1, 2);
+    p.variable("I", {"d", "b"});
+    if (field)
+      p.variable("w", {"b"});
+    else
+      p.coefficient("w", {0.5, 2.0}, {"b"});
+    p.conservation_form("I", rhs);
+    try {
+      p.compile(Target::CpuSerial);
+    } catch (const codegen::CompileError& e) {
+      return e.what();
+    }
+    return "";
+  };
+  for (const bool field : {false, true}) {
+    SCOPED_TRACE(field ? "w is a field" : "w is a coefficient");
+    EXPECT_EQ(compile_error(field, "-w[b] * I[d,b]"), "");
+    const std::string msg = compile_error(field, "-w[d] * I[d,b]");
+    EXPECT_NE(msg.find("entity w "), std::string::npos) << msg;
+    EXPECT_NE(msg.find("w[b=2]"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("w[d=3]"), std::string::npos) << msg;
+    EXPECT_NE(compile_error(field, "-w[b] * I[b,d]").find("entity I "), std::string::npos);
+    EXPECT_NE(compile_error(field, "-w[b] * I[d]").find("entity I "), std::string::npos);
+  }
+}
+
+// ---- the placed VM sweep ------------------------------------------------------
+// The unguarded VM evaluates each node at the point its placement allows (once
+// per sweep, cell, face, (face, direction) or lane block). Its sweep must equal
+// a one-lane eval() of every node per (cell, DOF, face) bitwise, for random
+// programs with nodes in every scope, on a mesh with interior, value-BC,
+// flux-BC and BC-less faces, for variables of one, two and three indices in
+// both layouts, serially and split across a pool.
+
+namespace {
+
+// Drives equation 0's VM sweep directly, next to its per-lane reference.
+class VmSweepProbe final : public codegen::StepSolverBase {
+ public:
+  VmSweepProbe(Problem& p, rt::ThreadPool* pool) : StepSolverBase(p, pool, /*native=*/false) {}
+
+  void vm(fvm::CellField& out, double dt) { sweep(0, out, dt, all_cells_); }
+
+  // Adds to `n` the nodes of equation 0's programs at each evaluation point.
+  void count_points(std::array<int, codegen::kPoints>& n) const {
+    const codegen::CompiledEquation& ce = eqs_[0];
+    for (const codegen::Placement* pl : {&ce.vol_place, &ce.surf_place})
+      for (size_t i = 0; i < pl->scope.size(); ++i)
+        ++n[static_cast<size_t>(codegen::point_of(pl->scope[i], pl->deps[i]))];
+  }
+
+  // One eval() per (cell, DOF) and per (cell, DOF, face): the volume value,
+  // then each face slot in CSR order, where a flux BC adds scale·(−dt)·f and
+  // a wall with no condition adds nothing.
+  void reference(fvm::CellField& out, double dt) const {
+    const codegen::CompiledEquation& ce = eqs_[0];
+    const codegen::BcTable& bc = ce.bc;
+    const int32_t ndof = ce.field->dof_per_cell();
+    for (int32_t cell = 0; cell < out.num_cells(); ++cell) {
+      for (int32_t dof = 0; dof < ndof; ++dof) {
+        codegen::EvalContext ctx;
+        ctx.cell = cell;
+        ctx.dt = dt;
+        for (size_t k = 0; k < static_cast<size_t>(ce.var_addr.n_idx); ++k)
+          ctx.loop_values[static_cast<size_t>(ce.var_addr.loop_slot[k])] =
+              dof / ce.var_addr.stride[k] % ce.extent[k];
+        const double vol = codegen::eval(ce.volume, ctx);
+        double acc = 0.0;
+        for (auto fs = static_cast<size_t>(faces_.off[static_cast<size_t>(cell)]);
+             ce.has_surface && fs < static_cast<size_t>(faces_.off[static_cast<size_t>(cell) + 1]); ++fs) {
+          const int32_t bs = bc.face_bslot[fs];
+          if (faces_.nbr[fs] < 0 && bs < 0) continue;
+          const double* geom = faces_.geom.data() + 4 * fs;
+          const double f = bs >= 0 ? bc.value[static_cast<size_t>(bs * ndof + dof)] : 0.0;
+          if (bs >= 0 && bc.kind[static_cast<size_t>(bs)] == codegen::BcTable::kFlux) {
+            acc += geom[3] * (-dt) * f;
+            continue;
+          }
+          codegen::EvalContext face = ctx;
+          face.neighbor = faces_.nbr[fs];
+          face.normal = {geom[0], geom[1], geom[2]};
+          if (bs >= 0) {
+            face.ghost_field = ce.field;
+            face.ghost_value = f;
+          }
+          acc += geom[3] * codegen::eval(ce.surface, face);
+        }
+        out.at(cell, dof) = ce.has_surface ? vol + acc : vol;
+      }
+    }
+  }
+};
+
+// A random conservation form for U over the first `nidx` of d (extent 5, the
+// stride-1 index), b and p (extent 4 each). Its leaves put nodes in every
+// scope: constants, dt and the scalar k (once per sweep); Sx[d] and Cb[b]
+// (the variable's indices alone; Cb is a constant read for a one-index U);
+// w, a one-DOF field (once per cell); U and Io[b] (per DOF); normals (once per
+// face); s·n with s = [Sx[d]; Sy[d]] (once per face and direction); and reads
+// across the face (upwind, central).
+class FormGen {
+ public:
+  FormGen(uint32_t seed, int nidx) : rng_(seed) {
+    const char* refs[] = {"U[d]", "U[d,b]", "U[d,b,p]"};
+    u_ = refs[nidx - 1];
+  }
+
+  std::string form() {
+    std::string vol = rng_() % 4 == 0 ? "" : expr(2);
+    std::string surf;
+    const int terms = rng_() % 3 == 0 ? 0 : 1 + static_cast<int>(rng_() % 2);
+    for (int t = 0; t < terms; ++t) surf += (t > 0 ? " + " : "") + surface_term();
+    if (surf.empty()) return vol.empty() ? "-k*" + u_ : vol;
+    return (vol.empty() ? "" : vol + " ") + "- surface(" + surf + ")";
+  }
+
+ private:
+  std::string leaf() {
+    const char* leaves[] = {"w", "Io[b]", "Sx[d]", "Cb[b]", "k", "0.5", "1.25", "2"};
+    return rng_() % 3 == 0 ? u_ : leaves[rng_() % 8];
+  }
+
+  std::string expr(int depth) {
+    if (depth <= 0) return leaf();
+    switch (rng_() % 5) {
+      case 0: return "(" + expr(depth - 1) + " + " + expr(depth - 1) + ")";
+      case 1: return "(" + expr(depth - 1) + " - " + expr(depth - 1) + ")";
+      case 2: return "abs(" + expr(depth - 1) + ")";
+      default: return "(" + expr(depth - 1) + " * " + expr(depth - 1) + ")";
+    }
+  }
+
+  std::string surface_term() {
+    switch (rng_() % 7) {
+      case 0: return leaf() + " * upwind([Sx[d];Sy[d]], " + u_ + ")";
+      case 1: return "central([Sx[d];Sy[d]], " + u_ + ")";
+      case 2: return "dot([Sx[d];Sy[d]], normal()) * " + expr(1);
+      case 3: return "dot(normal(), [k;Cb[b]]) * w";
+      case 4: return "upwind([0.75;-0.5], w)";
+      case 5: return "upwind([Sx[d];Sy[d]], Io[b])";
+      default: return "dot(normal(), [1;2])";
+    }
+  }
+
+  std::mt19937 rng_;
+  std::string u_;
+};
+
+// U on a 4x3 mesh: a value BC on ymin, a flux BC on xmin, and no condition on
+// ymax and xmax.
+std::unique_ptr<Problem> placed_sweep_problem(const std::string& form, int nidx, fvm::Layout layout) {
+  auto p = std::make_unique<Problem>("placed");
+  p->set_mesh(mesh::Mesh::structured_quad(4, 3, 1.0, 1.0));
+  p->set_steps(0.01, 1);
+  p->layout(layout);
+  p->execution_backend(dsl::Backend::Vm);
+  p->index("d", 1, 5);
+  p->index("b", 1, 4);
+  p->index("p", 1, 4);
+  const std::vector<std::string> idx = {"d", "b", "p"};
+  p->variable("U", std::vector<std::string>(idx.begin(), idx.begin() + nidx));
+  p->variable("w");
+  p->variable("Io", {"b"});
+  p->coefficient("Sx", {0.6, -0.8, 0.2, -0.1, 0.9}, {"d"});
+  p->coefficient("Sy", {0.4, 0.3, -0.9, 0.7, -0.2}, {"d"});
+  p->coefficient("Cb", {1.5, -0.5, 0.25, 2.0}, {"b"});
+  p->coefficient("k", 0.7);
+  p->initial("U", [](int32_t c, std::span<const int32_t> i) {
+    double v = 0.05 * (c + 1) + 0.3 * i[0];
+    for (size_t k = 1; k < i.size(); ++k) v -= 0.17 * static_cast<double>(k) * i[k];
+    return v;
+  });
+  p->initial("w", [](int32_t c, std::span<const int32_t>) { return 0.5 + 0.1 * c; });
+  p->initial("Io", [](int32_t c, std::span<const int32_t> i) { return 0.4 + 0.01 * c + 0.2 * i[0]; });
+  p->boundary("U", 1, dsl::BcType::Value, "inflow", [](const fvm::BoundaryContext& ctx, std::span<double> out) {
+    for (size_t dof = 0; dof < out.size(); ++dof) out[dof] = 0.2 + 0.03 * static_cast<double>(dof) + 0.001 * ctx.cell;
+  });
+  p->boundary("U", 3, dsl::BcType::Flux, "leak", [](const fvm::BoundaryContext& ctx, std::span<double> out) {
+    for (size_t dof = 0; dof < out.size(); ++dof) out[dof] = 0.1 * (ctx.cell + 1) + 0.01 * static_cast<double>(dof);
+  });
+  p->conservation_form("U", form);
+  p->finalize();
+  return p;
+}
+
+// Bitwise, except that two NaNs match (see LaneBlockFuzz: which of two NaN
+// operands an op propagates is left open).
+bool same_bits(double a, double b) {
+  return (std::isnan(a) && std::isnan(b)) || std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+void expect_placed_sweeps_match(int nidx, fvm::Layout layout, rt::ThreadPool* pool) {
+  FormGen gen(static_cast<uint32_t>(100 * nidx + static_cast<int>(layout)), nidx);
+  std::array<int, codegen::kPoints> points{};
+  for (int round = 0; round < 16; ++round) {
+    const std::string form = gen.form();
+    SCOPED_TRACE("form: " + form);
+    auto p = placed_sweep_problem(form, nidx, layout);
+    VmSweepProbe probe(*p, pool);
+    probe.step();  // fills the boundary values the sweeps below read
+    probe.count_points(points);
+    const fvm::CellField& u = p->fields().get("U");
+    fvm::CellField got("got", u.num_cells(), u.dof_per_cell(), layout);
+    fvm::CellField want("want", u.num_cells(), u.dof_per_cell(), layout);
+    const double dt = 0.0125;  // not the stage's: the VM must evaluate its per-sweep values anew
+    probe.vm(got, dt);
+    probe.reference(want, dt);
+    int64_t differing = 0;
+    for (int32_t c = 0; c < u.num_cells(); ++c)
+      for (int32_t d = 0; d < u.dof_per_cell(); ++d)
+        if (!same_bits(got.at(c, d), want.at(c, d)) && differing++ == 0)
+          ADD_FAILURE() << "cell " << c << ", dof " << d << ": " << got.at(c, d) << " vs " << want.at(c, d);
+    EXPECT_EQ(differing, 0);
+  }
+  // Every evaluation point ran; per (face, direction) only needs a loop
+  // outside the stride-1 one.
+  for (int pt = 0; pt < codegen::kPoints; ++pt) {
+    if (nidx > 1 || static_cast<codegen::Point>(pt) != codegen::Point::FaceDir) {
+      EXPECT_GT(points[static_cast<size_t>(pt)], 0) << "no node at point " << pt;
+    }
+  }
+}
+
+}  // namespace
+
+class PlacedSweepFuzz : public ::testing::TestWithParam<std::tuple<int, fvm::Layout>> {};
+
+TEST_P(PlacedSweepFuzz, VmSweepMatchesPerLaneEval) {
+  expect_placed_sweeps_match(std::get<0>(GetParam()), std::get<1>(GetParam()), nullptr);
+}
+
+// The same sweeps split across three threads (CI's TSan job runs this case).
+TEST_P(PlacedSweepFuzz, ThreadedVmSweepMatchesPerLaneEval) {
+  rt::ThreadPool pool(3);
+  expect_placed_sweeps_match(std::get<0>(GetParam()), std::get<1>(GetParam()), &pool);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, PlacedSweepFuzz,
+    ::testing::Combine(::testing::Values(1, 2, 3), ::testing::Values(fvm::Layout::CellMajor, fvm::Layout::DofMajor)),
+    [](const ::testing::TestParamInfo<std::tuple<int, fvm::Layout>>& info) {
+      return std::to_string(std::get<0>(info.param)) + "Index" +
+             (std::get<1>(info.param) == fvm::Layout::CellMajor ? "CellMajor" : "DofMajor");
+    });

@@ -25,6 +25,7 @@
 #include "bte/bte_problem.hpp"
 #include "bte/gray.hpp"
 #include "core/codegen/native_backend.hpp"
+#include "core/codegen/step_solver_base.hpp"
 #include "core/dsl/problem.hpp"
 #include "core/symbolic/simplify.hpp"
 #include "runtime/metrics.hpp"
@@ -662,6 +663,66 @@ TEST_F(NativeBackendTest, VerifyDemotesAPlantedWrongKernel) {
   EXPECT_TRUE(bits_equal(pv->fields().get("I"), pn->fields().get("I")));
 }
 
+// The same with a kernel wrong in one value only: the last DOF of the last
+// cell, the last value the replay compares. The verify must still see it,
+// demote the equation, and leave the VM's value in its place, so the field
+// after the first step is bitwise the VM-only solve's.
+TEST_F(NativeBackendTest, VerifyDemotesAKernelWrongInOneDof) {
+  const std::string right_src = toy_problem(kToySurfaceEq, dsl::Backend::Native)->generated_native_source();
+  // Both bodies' writes (6 DOFs per cell): after each, cell 29 DOF 5 is off.
+  const std::string write = "OUT[cell*6 + dof] = ";
+  std::string wrong_src = right_src;
+  int planted = 0;
+  for (size_t at = wrong_src.find(write); at != std::string::npos; at = wrong_src.find(write, at + 1)) {
+    const size_t end = wrong_src.find(';', at) + 1;
+    wrong_src.insert(end, " if (cell == 29 && dof == 5) OUT[cell*6 + dof] += 0.25;");
+    ++planted;
+  }
+  ASSERT_EQ(planted, 2) << right_src;
+  {
+    auto p = toy_problem(kToySurfaceEq, dsl::Backend::Native);
+    ASSERT_EQ(p->mesh().num_cells(), 30);
+    (void)p->compile(dsl::Target::CpuSerial);  // publishes the right kernel
+  }
+  fs::path entry;
+  for (const auto& ent : fs::directory_iterator(cache_dir_))
+    if (ent.path().extension() == ".so") entry = ent.path();
+  ASSERT_FALSE(entry.empty());
+  codegen::NativePlan wrong;
+  wrong.source = wrong_src;
+  const std::string wrong_dir = cache_dir_ + "_wrong";
+  fs::remove_all(wrong_dir);
+  codegen::jit_config().cache_dir = wrong_dir;
+  std::string err;
+  ASSERT_TRUE(codegen::load_native_plan(wrong, &err)) << err;
+  codegen::jit_config().cache_dir = cache_dir_;
+  fs::path wrong_so;
+  for (const auto& ent : fs::directory_iterator(wrong_dir))
+    if (ent.path().extension() == ".so") wrong_so = ent.path();
+  const fs::path planted_so = entry.string() + ".planted";
+  fs::copy_file(wrong_so, planted_so);
+  fs::rename(planted_so, entry);
+  fs::remove_all(wrong_dir);
+  codegen::reset_native_memory_cache();
+
+  const double mismatch0 = counter("jit.verify.mismatch");
+  const double fb0 = counter("jit.fallback");
+  auto pv = toy_problem(kToySurfaceEq, dsl::Backend::Vm);
+  auto pn = toy_problem(kToySurfaceEq, dsl::Backend::Native);
+  auto sv = pv->compile(dsl::Target::CpuSerial);
+  auto sn = pn->compile(dsl::Target::CpuSerial);
+  ASSERT_EQ(counter("jit.fallback"), fb0);
+  sv->run(1);
+  sn->run(1);
+  EXPECT_EQ(counter("jit.verify.mismatch"), mismatch0 + 1);
+  EXPECT_EQ(counter("jit.fallback"), fb0 + 1);
+  EXPECT_TRUE(bits_equal(pv->fields().get("I"), pn->fields().get("I")));
+  sv->run(2);
+  sn->run(2);
+  EXPECT_EQ(counter("jit.verify.mismatch"), mismatch0 + 1);
+  EXPECT_TRUE(bits_equal(pv->fields().get("I"), pn->fields().get("I")));
+}
+
 // ---- one value, one evaluation -------------------------------------------------
 
 // In the two-index toy TU, s·n and the upwind test depend on the face and the
@@ -1012,6 +1073,48 @@ TEST_F(NativeBackendTest, DofsPerCellPastTheStagingCapRunOnTheVm) {
     EXPECT_EQ(counter("jit.exec.batches") > batches0, lowered);
     EXPECT_TRUE(bits_equal(pv->fields().get("I"), pn->fields().get("I")));
   }
+}
+
+// The hot spot's placement, computed once per program where the solver
+// compiles it and read by both executors: the emitter gets the solver's own
+// copy through NativeKernelInputs, and the VM's evaluation points follow from
+// it. The volume program's 12 nodes are 3 Fn and 9 Dof; the surface
+// program's 20 are 4 Fn, 2 Face (the normal's components), 6 Dir (s·n, its
+// products and the upwind test) and 8 Dof.
+TEST_F(NativeBackendTest, HotSpotPlacementIsOneForTheEmitterAndTheVm) {
+  class Probe final : public codegen::StepSolverBase {
+   public:
+    explicit Probe(dsl::Problem& p) : StepSolverBase(p, nullptr, false) {}
+    const codegen::CompiledEquation& equation() const { return eqs_[0]; }
+    codegen::NativeKernelInputs inputs() const { return kernel_inputs(0); }
+  };
+  bte::BteProblem bp(small_hot_spot("vm"), small_physics());
+  bp.problem().finalize();
+  const Probe probe(bp.problem());
+  const codegen::CompiledEquation& ce = probe.equation();
+  const codegen::NativeKernelInputs in = probe.inputs();
+  EXPECT_EQ(in.volume_placement, &ce.vol_place);
+  EXPECT_EQ(in.surface_placement, &ce.surf_place);
+  auto scopes = [](const codegen::Placement& pl) {
+    std::array<int, 5> n{};
+    for (const codegen::Scope s : pl.scope) ++n[static_cast<size_t>(s)];
+    return n;
+  };
+  using Counts = std::array<int, 5>;  // Fn, Cell, Face, Dir, Dof
+  EXPECT_EQ(scopes(ce.vol_place), (Counts{3, 0, 0, 0, 9}));
+  EXPECT_EQ(scopes(ce.surf_place), (Counts{4, 0, 2, 6, 8}));
+  auto points = [](const codegen::Placement& pl) {
+    std::array<int, codegen::kPoints> n{};
+    for (size_t i = 0; i < pl.scope.size(); ++i) ++n[static_cast<size_t>(codegen::point_of(pl.scope[i], pl.deps[i]))];
+    return n;
+  };
+  // The VM evaluates the surface's Dir loads Sx[d] and Sy[d], vg[b] and
+  // vg[b]·(−dt) once per sweep per lane, s·n and the upwind test once per
+  // (face, direction), the self read once per lane block and the rest per
+  // (face, lane block).
+  using Points = std::array<int, codegen::kPoints>;  // Sweep, SweepLane, Cell, Face, FaceDir, CellLane, FaceLane
+  EXPECT_EQ(points(ce.vol_place), (Points{3, 0, 0, 0, 0, 9, 0}));
+  EXPECT_EQ(points(ce.surf_place), (Points{4, 4, 0, 2, 4, 1, 5}));
 }
 
 // A kernel whose field is right but whose fused sum is not: the first-sweep
